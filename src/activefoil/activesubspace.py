@@ -13,6 +13,15 @@ uncertainty is estimated by a pairs bootstrap: resample the (x, f)
 rows, refit, re-decompose, and compare each replicate's leading
 subspace against the point estimate with the projector distance
 ``|| W1 W1' - V1 V1' ||_2`` (the sine of the largest principal angle).
+
+The bootstrap factors the quadratic design D = QR once.  A replicate
+with row multiplicities c then solves one p x p system: the Cholesky
+factor of Q' diag(c) Q gives the weighted least-squares coefficients.
+That shortcut is taken only when an upper bound on the condition
+number of the resampled design certifies full rank at the 1e-10
+tolerance with a wide margin; otherwise the replicate is refitted
+from its resampled rows exactly as ``fit_quadratic`` would, so the
+redraw and skip decisions never depend on the shortcut.
 """
 
 from __future__ import annotations
@@ -36,6 +45,9 @@ EIGENVALUE_FLOOR = 1e-14
 CONVENTIONS = ("identity", "third")
 
 _MAX_RESAMPLE_RETRIES = 10
+# The bootstrap's one-factorization shortcut must certify
+# cond(resampled design) * RANK_RCOND below this, far from the rank cut.
+_CERTIFIED_RCOND = 1e-2
 
 
 def coefficient_count(m: int) -> int:
@@ -123,6 +135,11 @@ class QuadraticModel:
         return out[0] if single else out
 
 
+def _quadratic_model(beta: np.ndarray, m: int, residual: float) -> QuadraticModel:
+    hess, lin, const = _unpack_coefficients(beta, m)
+    return QuadraticModel(hess, lin, const, residual)
+
+
 def _solve_quadratic(design: np.ndarray, f: np.ndarray, m: int):
     beta, _, rank, _ = np.linalg.lstsq(design, f, rcond=RANK_RCOND)
     p = design.shape[1]
@@ -133,8 +150,61 @@ def _solve_quadratic(design: np.ndarray, f: np.ndarray, m: int):
             required=p,
         )
     residual = float(np.linalg.norm(design @ beta - f) / np.sqrt(design.shape[0]))
-    hess, lin, const = _unpack_coefficients(beta, m)
-    return QuadraticModel(hess, lin, const, residual)
+    return _quadratic_model(beta, m, residual)
+
+
+class _ResampledFit:
+    """Refits of one quadratic design on resampled rows from a single QR.
+
+    With D = QR and multiplicities c of the resampled rows, the resampled
+    design is S Q R with (S Q)'(S Q) = G = Q' diag(c) Q.  Cholesky G = LL'
+    gives beta = R^-1 L'^-1 L^-1 Q'(c*f).  The shortcut is used only when
+
+        cond2(D[idx]) <= cond2(R) sqrt(cond2(G))
+                      <= |R|_F |R^-1|_F sqrt(|G|_F |L^-1|_F^2)
+
+    stays below _CERTIFIED_RCOND / RANK_RCOND, an exact bound rather than
+    a condition estimate; anything else goes through ``_solve_quadratic``
+    on the resampled rows, which raises IllPosedFitError as before.
+    """
+
+    def __init__(self, X: np.ndarray, f: np.ndarray):
+        from scipy.linalg import lapack
+
+        self._lapack = lapack
+        self.X, self.f = X, f
+        # LAPACK QR in place on one Fortran copy keeps the peak memory at
+        # about one extra design; Q' is then a C-ordered p x N view.
+        qr, tau, _, _ = lapack.dgeqrf(
+            np.asfortranarray(quadratic_features(X)), overwrite_a=1
+        )
+        self.r = np.triu(qr[: qr.shape[1]])
+        self.q_t = lapack.dorgqr(qr, tau, overwrite_a=1)[0].T
+        self.r_inv, info = lapack.dtrtri(self.r)
+        self.cond_r = (
+            np.linalg.norm(self.r) * np.linalg.norm(self.r_inv) if info == 0 else np.inf
+        )
+
+    def fit(self, idx: np.ndarray) -> QuadraticModel:
+        m = self.X.shape[1]
+        counts = np.bincount(idx, minlength=self.f.size).astype(float)
+        rows = np.flatnonzero(counts)
+        weighted = np.take(self.q_t, rows, axis=1)
+        weighted *= np.sqrt(counts[rows])
+        gram = weighted @ weighted.T
+        chol, info = self._lapack.dpotrf(gram, lower=1, clean=1)
+        if info == 0:
+            chol_inv, info = self._lapack.dtrtri(chol, lower=1)
+        if info != 0 or not (
+            self.cond_r * np.sqrt(np.linalg.norm(gram)) * np.linalg.norm(chol_inv)
+            < _CERTIFIED_RCOND / RANK_RCOND
+        ):
+            return _solve_quadratic(quadratic_features(self.X[idx]), self.f[idx], m)
+        y = chol_inv @ (self.q_t @ (counts * self.f))
+        beta = self.r_inv @ (chol_inv.T @ y)
+        resid = self.q_t.T @ (self.r @ beta) - self.f
+        residual = float(np.sqrt(counts @ (resid * resid) / idx.size))
+        return _quadratic_model(beta, m, residual)
 
 
 def fit_quadratic(X, f) -> QuadraticModel:
@@ -295,7 +365,10 @@ def partition(eig: Eigenpairs, n: int) -> SubspacePartition:
 
 
 def subspace_distance(A, B) -> float:
-    """Projector distance || A A' - B B' ||_2 between equal-shape orthonormal bases."""
+    """Projector distance || A A' - B B' ||_2 between equal-shape orthonormal bases.
+
+    That is the sine of the largest principal angle.
+    """
     a = np.asarray(A, dtype=float)
     b = np.asarray(B, dtype=float)
     if a.ndim == 1:
@@ -304,10 +377,12 @@ def subspace_distance(A, B) -> float:
         b = b[:, np.newaxis]
     if a.shape != b.shape:
         raise ContractViolation(f"shape mismatch: {a.shape} vs {b.shape}")
-    k = a.shape[1]
-    if np.max(np.abs(a.T @ a - np.eye(k))) > 1e-8 or np.max(np.abs(b.T @ b - np.eye(k))) > 1e-8:
+    eye = np.eye(a.shape[1])
+    if np.abs(a.T @ a - eye).max() > 1e-8 or np.abs(b.T @ b - eye).max() > 1e-8:
         raise ContractViolation("inputs must have orthonormal columns")
-    return float(np.linalg.norm(a @ a.T - b @ b.T, 2))
+    # ||(I - BB')A||_2 equals the projector distance for equal-dimension
+    # subspaces; it needs an m x k SVD instead of an m x m one.
+    return float(np.linalg.svd(a - b @ (b.T @ a), compute_uv=False)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,32 +427,40 @@ def bootstrap(
     seed: int,
     n: int | None = None,
     convention: str = "identity",
+    point: QuadraticModel | None = None,
 ) -> BootstrapSummary:
     """Pairs bootstrap of the quadratic-model subspace estimate.
 
     Each replicate resamples the N rows with replacement (stream
     ``SeedSequence(seed, spawn_key=(k,))``), refits, rebuilds C under
     the same convention, and re-decomposes.  A rank-deficient resample
-    is redrawn up to 10 times, then counted as skipped.  Note the
-    replicate ranges describe sampling variability of the fit only;
-    they are not calibrated confidence intervals.
+    is redrawn up to 10 times, then counted as skipped.  Refits share
+    one QR factorization of the design (see ``_ResampledFit``).  Pass
+    ``point``, the ``fit_quadratic(X, f)`` model, when the caller has
+    it already.  Note the replicate ranges describe sampling
+    variability of the fit only; they are not calibrated confidence
+    intervals.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     f = np.asarray(f, dtype=float)
     if not 1 <= n_boot:
         raise ContractViolation("n_boot must be positive")
     n_rows, m = X.shape
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SampleSizeWarning)
-        point = fit_quadratic(X, f)
+    if f.shape != (n_rows,):
+        raise ContractViolation("f must have one value per sample row")
+    if point is not None and point.dim != m:
+        raise ContractViolation("point model must match the sample dimension")
+    if point is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SampleSizeWarning)
+            point = fit_quadratic(X, f)
     eig = eigendecompose(gradient_outer_matrix(point, convention))
     if n is None:
         n = choose_dimension(eig.values)
     if not 1 <= n < m:
         raise ContractViolation(f"dimension must lie in [1, {m - 1}], got {n}")
 
-    design = quadratic_features(X)
+    refit = _ResampledFit(X, f)
     dims = np.arange(1, m)
     lam_rows = np.empty((n_boot, m))
     err_rows = np.full((n_boot, dims.size), np.nan)
@@ -391,7 +474,7 @@ def bootstrap(
         for _ in range(_MAX_RESAMPLE_RETRIES + 1):
             idx = rng.integers(0, n_rows, size=n_rows)
             try:
-                replicate = _solve_quadratic(design[idx], f[idx], m)
+                replicate = refit.fit(idx)
                 break
             except IllPosedFitError:
                 continue

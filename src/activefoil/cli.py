@@ -475,7 +475,7 @@ def _single_chain(X, f, labels, args, out: Path, prefix: str,
 
     child = derive_seed(args.seed, boot_label)
     summary = asub.bootstrap(X, f, args.nboot, child, n=n,
-                             convention=args.convention)
+                             convention=args.convention, point=model)
     boot_meta = _meta(args, child_seed=child, n_active=summary.n,
                       n_skipped=summary.n_skipped, **qmeta)
     eig_rows, dim_rows = _bootstrap_rows(summary)

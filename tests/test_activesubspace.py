@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activefoil.activesubspace import (
     CONVENTIONS,
@@ -211,6 +215,32 @@ def test_subspace_distance_literals():
         subspace_distance(np.array([1.0, 1.0]), e1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 9), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_subspace_distance_is_the_projector_norm(m, data, seed):
+    d = data.draw(st.integers(1, m - 1))
+    rng = np.random.default_rng(seed)
+    a = np.linalg.qr(rng.standard_normal((m, d)))[0]
+    b = np.linalg.qr(rng.standard_normal((m, d)))[0]
+    projector = np.linalg.norm(a @ a.T - b @ b.T, 2)
+    assert abs(subspace_distance(a, b) - projector) <= 1e-12
+    assert abs(subspace_distance(b, a) - projector) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 9), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_subspace_distance_resolves_tiny_angles(m, data, seed):
+    # rotate the last basis column by theta toward the complement: the
+    # largest principal angle is theta, where 1 - cos(theta) underflows
+    d = data.draw(st.integers(1, m - 1))
+    theta = 1e-9
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
+    a = q[:, :d]
+    b = a.copy()
+    b[:, -1] = np.cos(theta) * q[:, d - 1] + np.sin(theta) * q[:, d]
+    assert subspace_distance(a, b) == pytest.approx(np.sin(theta), rel=1e-6)
+
+
 def test_bootstrap_is_deterministic():
     m = 3
     qoi = seeded_quadratic(m, 12)
@@ -315,3 +345,138 @@ def test_ridge_direction_recovery_invariant():
     eig_exp = eigendecompose(gradient_outer_matrix(model_exp, "identity"))
     dist_exp = subspace_distance(eig_exp.vectors[:, 0], w / np.linalg.norm(w))
     assert dist_exp < 5e-2
+
+
+# --- one-factorization bootstrap against the plain lstsq replicate loop ---
+
+
+def _reference_bootstrap(X, f, n_boot, seed, n=None, convention="identity"):
+    """Each replicate refitted by lstsq on its resampled rows; projector-norm errors."""
+    n_rows, m = X.shape
+    point = fit_quadratic(X, f)
+    eig = eigendecompose(gradient_outer_matrix(point, convention))
+    n = choose_dimension(eig.values) if n is None else n
+    design = quadratic_features(X)
+    p = design.shape[1]
+    lam_rows, err_rows, skipped = [], [], 0
+    for k in range(n_boot):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
+        )
+        beta = None
+        for _ in range(11):
+            idx = rng.integers(0, n_rows, size=n_rows)
+            coef, _, rank, _ = np.linalg.lstsq(design[idx], f[idx], rcond=1e-10)
+            if rank == p:
+                beta = coef
+                break
+        if beta is None:
+            skipped += 1
+            continue
+        hess = np.zeros((m, m))
+        hess[np.triu_indices(m)] = beta[m + 1 :]
+        hess = hess + hess.T
+        rep = QuadraticModel(hess, beta[1 : m + 1], beta[0])
+        rep_eig = eigendecompose(gradient_outer_matrix(rep, convention))
+        lam_rows.append(rep_eig.values)
+        err_rows.append([
+            np.linalg.norm(
+                rep_eig.vectors[:, :d] @ rep_eig.vectors[:, :d].T
+                - eig.vectors[:, :d] @ eig.vectors[:, :d].T,
+                2,
+            )
+            for d in range(1, m)
+        ])
+    lam, err = np.array(lam_rows), np.array(err_rows)
+    return {
+        "eigenvalues_min": lam.min(axis=0),
+        "eigenvalues_mean": lam.mean(axis=0),
+        "eigenvalues_max": lam.max(axis=0),
+        "error_min": err.min(axis=0),
+        "error_mean": err.mean(axis=0),
+        "error_max": err.max(axis=0),
+        "n": n,
+        "n_skipped": skipped,
+    }
+
+
+def test_bootstrap_matches_lstsq_reference_on_separated_spectrum():
+    m = 4
+    basis = np.linalg.qr(np.random.Generator(np.random.PCG64(3)).standard_normal((m, m)))[0]
+    hess = basis @ np.diag([4.0, 2.0, 1.0, 0.5]) @ basis.T
+    X = sample(unit_box(m), 150, seed=4).matrix
+    noise = np.random.Generator(np.random.PCG64(5)).standard_normal(X.shape[0])
+    f = 0.5 * np.einsum("ij,jk,ik->i", X, hess, X) + 0.2 * noise
+    got = bootstrap(X, f, n_boot=40, seed=17)
+    want = _reference_bootstrap(X, f, n_boot=40, seed=17)
+    assert got.n == want["n"] and got.n_skipped == want["n_skipped"] == 0
+    for name in ("eigenvalues_min", "eigenvalues_mean", "eigenvalues_max",
+                 "error_min", "error_mean", "error_max"):
+        np.testing.assert_allclose(getattr(got, name), want[name], rtol=1e-12, atol=0.0,
+                                   err_msg=name)
+
+
+def test_bootstrap_matches_lstsq_reference_on_noisy_ridge():
+    # f = u + u^2/2 + 1e-3 noise with u = w'x, m = 11: one dominant eigenvalue
+    rng = np.random.default_rng(7)
+    m = 11
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    X = rng.uniform(-1.0, 1.0, (300, m))
+    u = X @ w
+    f = u + 0.5 * u * u + 1e-3 * rng.standard_normal(X.shape[0])
+    got = bootstrap(X, f, n_boot=20, seed=3)
+    want = _reference_bootstrap(X, f, n_boot=20, seed=3)
+    assert got.n == want["n"] == 1 and got.n_skipped == want["n_skipped"] == 0
+    scale = 1e-12 * got.eigenvalues[0]
+    for name in ("eigenvalues_min", "eigenvalues_mean", "eigenvalues_max"):
+        np.testing.assert_allclose(getattr(got, name), want[name], rtol=0.0, atol=scale,
+                                   err_msg=name)
+    np.testing.assert_allclose(
+        got.error_row(1),
+        [want["error_mean"][0], want["error_min"][0], want["error_max"][0]],
+        rtol=0.0, atol=1e-10,
+    )
+
+
+def test_bootstrap_point_model_is_reused():
+    m = 3
+    X = sample(unit_box(m), 60, seed=8).matrix
+    f = seeded_quadratic(m, 4)(X) + 0.01 * X[:, 0] ** 3
+    fresh = bootstrap(X, f, n_boot=10, seed=2)
+    reused = bootstrap(X, f, n_boot=10, seed=2, point=fit_quadratic(X, f))
+    np.testing.assert_array_equal(fresh.eigenvalues, reused.eigenvalues)
+    np.testing.assert_array_equal(fresh.error_mean, reused.error_mean)
+    with pytest.raises(ContractViolation):
+        bootstrap(X, f, n_boot=5, seed=1, point=fit_quadratic(X[:, :2], f))
+    with pytest.raises(ContractViolation):
+        bootstrap(X, f[:-1], n_boot=5, seed=1)
+
+
+def test_bootstrap_rank_deficient_resamples_take_the_lstsq_path(monkeypatch):
+    # m = 2 needs 6 coefficients; 6 distinct unisolvent points plus one
+    # repeat, so most resamples of 7 rows miss a point and are singular
+    import activefoil.activesubspace as asub_module
+
+    X = sample(unit_box(2), 6, seed=12).matrix
+    X = np.vstack([X, X[:1]])
+    f = X[:, 0] + 2.0 * X[:, 1] + 0.3 * X[:, 0] * X[:, 1] + np.array(
+        [0.0, 1e-2, -1e-2, 2e-2, 0.0, 1e-2, -1e-2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)
+        want = _reference_bootstrap(X, f, n_boot=30, seed=5, n=1)
+    calls = []
+    original = asub_module._solve_quadratic
+
+    def counting(design, values, m):
+        calls.append(design.shape[0])
+        return original(design, values, m)
+
+    monkeypatch.setattr(asub_module, "_solve_quadratic", counting)
+    got = bootstrap(X, f, n_boot=30, seed=5, n=1)
+    assert got.n_skipped == want["n_skipped"] > 0
+    assert got.n_skipped < 30
+    # the point fit, then at least the 11 failed draws of each skipped replicate
+    assert len(calls) >= 1 + 11 * got.n_skipped
+    np.testing.assert_allclose(got.eigenvalues_mean, want["eigenvalues_mean"],
+                               rtol=0.0, atol=1e-9 * got.eigenvalues[0])
