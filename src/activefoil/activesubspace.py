@@ -38,6 +38,7 @@ from .errors import (
     NoStructureError,
     SampleSizeWarning,
 )
+from .qoi import evaluate_rows
 from .sampling import ParameterBox, derive_seed, sample
 
 RANK_RCOND = 1e-10
@@ -544,15 +545,13 @@ def convergence_study(
     cells = []
     for i, n_samples in enumerate(sizes):
         draws = sample(box, n_samples, derive_seed(seed, f"cell{i}:sample"))
-        values = np.empty(n_samples)
-        for row in range(n_samples):
-            try:
-                values[row] = evaluator.evaluate(draws.matrix[row])
-            except Exception as exc:
-                raise EvaluationError(
-                    f"evaluator failed at sample {row} of cell N={n_samples}: {exc}",
-                    index=row,
-                ) from exc
+        values, failed = evaluate_rows(evaluator, draws.matrix)
+        if failed:
+            row, exc = next(iter(failed.items()))
+            raise EvaluationError(
+                f"evaluator failed at sample {row} of cell N={n_samples}: {exc}",
+                index=row,
+            ) from exc
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleSizeWarning)
             summary = bootstrap(

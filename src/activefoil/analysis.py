@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ContractViolation, IllPosedFitError
 from .activesubspace import SubspacePartition
+from .qoi import evaluate_rows
 
 # Box-membership slack for reconstructed designs.
 _FEASIBILITY_SLACK = 1e-12
@@ -327,7 +328,9 @@ def inactive_sensitivity_check(part: SubspacePartition, y_points, z_samples, eva
         keep = np.max(np.abs(candidates), axis=1) <= 1.0 + _FEASIBILITY_SLACK
         if not np.any(keep):
             continue
-        values = np.array([evaluator.evaluate(x) for x in candidates[keep]])
+        values, failed = evaluate_rows(evaluator, candidates[keep])
+        if failed:
+            raise next(iter(failed.values()))
         spreads[i] = float(values.max() - values.min())
         counts[i] = int(keep.sum())
     return spreads, counts

@@ -170,7 +170,7 @@ def _build_evaluator(spec: str, m: int, args, box_spec: str | None):
             "noise_std": args.noise_std,
             "noise_seed": args.noise_seed,
         }
-    if spec.startswith("panel:"):
+    if spec in ("panel:lift", "panel:drag"):
         objective = spec.split(":", 1)[1]
         parameterization = _parameterization_for(args, box_spec)
         ev = qoi.PanelSurrogate(parameterization, objective)
@@ -459,11 +459,11 @@ def _cmd_validate(args) -> None:
 
 
 def _single_chain(X, f, labels, args, out: Path, prefix: str,
-                  boot_label: str, qmeta: dict) -> dict:
+                  boot_label: str, qmeta: dict, evals_meta=None) -> dict:
     """evals -> model -> eigs -> bootstrap -> shadow for one output."""
     meta = _meta(args, **qmeta)
     write_matrix_csv(out / f"{prefix}evals.csv", X, f=f, labels=labels,
-                     meta=meta)
+                     meta={**meta, **(evals_meta or {})})
     model = asub.fit_quadratic(X, f)
     _write_json(out / f"{prefix}model.json",
                 _model_payload(model, X.shape, meta))
@@ -524,19 +524,19 @@ def _cmd_run_all(args) -> None:
         return
 
     parameterization = _parameterization_for(args, args.box)
+    ev = qoi.PanelSurrogate(parameterization, "both")
+    values, failed = qoi.evaluate_batch(ev, X, on_error=mode)
+    rows = np.setdiff1d(np.arange(X.shape[0]), np.asarray(failed, dtype=int))
+    X = X[rows]
     chains = {}
-    for objective in ("lift", "drag"):
-        ev = qoi.PanelSurrogate(parameterization, objective)
-        values, failed = qoi.evaluate_batch(ev, X, on_error=mode)
-        rows = np.arange(X.shape[0])
-        if failed:
-            rows = np.setdiff1d(rows, np.asarray(failed))
+    for column, objective in enumerate(("lift", "drag")):
         qmeta = {"qoi": f"panel:{objective}",
                  "parameterization": parameterization}
-        payload = _single_chain(X[rows], values[rows], box.labels, args, out,
+        f = values[rows, column]
+        payload = _single_chain(X, f, box.labels, args, out,
                                 f"{objective}_", f"bootstrap:{objective}",
-                                qmeta)
-        chains[objective] = (X[rows], values[rows], payload)
+                                qmeta, {"n_failed": len(failed)})
+        chains[objective] = (X, f, payload)
 
     X1, f1, eigs1 = chains["lift"]
     X2, f2, eigs2 = chains["drag"]

@@ -29,11 +29,10 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import ContractViolation, DomainError, UnsupportedExpansionError
 from .geometry import (
-    AirfoilSurfacePair,
     BasisKind,
     BasisSpec,
+    DecodedStack,
     ShapeCoefficients,
-    Surface,
 )
 from .sampling import ParameterBox
 
@@ -128,6 +127,22 @@ def cst_surface(ell, coeffs, spec: ClassFunctionSpec = DEFAULT_CLASS):
     return float(out) if np.ndim(ell) == 0 else out
 
 
+def _require_expansion(spec: ClassFunctionSpec) -> None:
+    if spec != DEFAULT_CLASS:
+        raise UnsupportedExpansionError(
+            "odd-polynomial expansion exists only for class exponents (1/2, 1)"
+        )
+
+
+def _expand_rows(x: np.ndarray) -> np.ndarray:
+    """Odd-term coefficients of each row of an (N, m) coefficient stack."""
+    odd = np.empty((x.shape[0], x.shape[1] + 1))
+    odd[:, 0] = x[:, 0]
+    odd[:, 1:-1] = x[:, 1:] - x[:, :-1]
+    odd[:, -1] = -x[:, -1]
+    return odd
+
+
 def expand_odd_polynomial(
     coeffs, spec: ClassFunctionSpec = DEFAULT_CLASS
 ) -> ShapeCoefficients:
@@ -140,18 +155,11 @@ def expand_odd_polynomial(
 
     pairing with t**1, t**3, ..., t**(2m+1).
     """
-    if spec != DEFAULT_CLASS:
-        raise UnsupportedExpansionError(
-            "odd-polynomial expansion exists only for class exponents (1/2, 1)"
-        )
+    _require_expansion(spec)
     x = np.asarray(coeffs, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ContractViolation("coefficient vector must be 1-D and non-empty")
-    odd = np.empty(x.size + 1)
-    odd[0] = x[0]
-    odd[1:-1] = x[1:] - x[:-1]
-    odd[-1] = -x[-1]
-    return ShapeCoefficients(odd)
+    return ShapeCoefficients(_expand_rows(x[np.newaxis])[0])
 
 
 def odd_basis(m: int) -> BasisSpec:
@@ -159,15 +167,36 @@ def odd_basis(m: int) -> BasisSpec:
     return BasisSpec(BasisKind.ODD_T, m + 1)
 
 
-def surface_pair(
-    params: CstParams, spec: ClassFunctionSpec = DEFAULT_CLASS
-) -> AirfoilSurfacePair:
-    """Decode both surfaces into their exact odd-in-t series."""
-    basis = odd_basis(params.m)
-    return AirfoilSurfacePair(
-        upper=Surface(basis, expand_odd_polynomial(params.upper, spec)),
-        lower=Surface(basis, expand_odd_polynomial(params.lower, spec)),
-    )
+def _decode_stack(rows: np.ndarray, spec: ClassFunctionSpec) -> DecodedStack:
+    _require_expansion(spec)
+    errors = {}
+    for i in np.flatnonzero(~np.all(np.isfinite(rows), axis=1)).tolist():
+        try:
+            CstParams.from_flat(rows[i])
+        except ContractViolation as exc:
+            errors[i] = exc
+    half = rows.shape[1] // 2
+    with np.errstate(invalid="ignore"):  # rows with errors may hold inf - inf
+        odd = np.stack([_expand_rows(rows[:, :half]), _expand_rows(rows[:, half:])], axis=1)
+    return DecodedStack(odd_basis(half), odd, errors)
+
+
+def surface_pair(params, spec: ClassFunctionSpec = DEFAULT_CLASS):
+    """Decode both surfaces into their exact odd-in-t series.
+
+    ``params`` is one CstParams, whose AirfoilSurfacePair is returned,
+    or an (N, 2m) stack of flat rows (upper then lower coefficients),
+    decoded together into a DecodedStack that keeps each failing row's
+    error.  One design is the 1-row stack.
+    """
+    if isinstance(params, CstParams):
+        return _decode_stack(params.to_flat()[np.newaxis], spec).pair(0)
+    rows = np.asarray(params, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < 2 or rows.shape[1] % 2:
+        raise ContractViolation(
+            f"expected one CstParams or an (N, 2m) stack of flat rows, got shape {rows.shape}"
+        )
+    return _decode_stack(rows, spec)
 
 
 def leading_edge_radius(leading_coeff: float) -> float:

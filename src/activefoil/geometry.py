@@ -30,6 +30,8 @@ moves derivatives between the two coordinates, and grids uniform in
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -116,6 +118,50 @@ class AirfoilSurfacePair:
     lower: Surface
 
 
+@dataclass(frozen=True, eq=False)
+class DecodedStack:
+    """Surface coefficients decoded from a stack of designs, one entry per row.
+
+    ``coefficients[i]`` holds the upper and lower series of row i in
+    ``basis``.  ``errors`` maps each row that failed to decode, in row
+    order, to the exception the single-design decode of that row
+    raises; a row whose coefficients are not finite fails here.  Pairs
+    are built on request, so the stack holds one (N, 2, k) array.
+    """
+
+    basis: BasisSpec
+    coefficients: np.ndarray
+    errors: dict
+
+    def __post_init__(self):
+        errors = dict(self.errors)
+        finite = np.all(np.isfinite(self.coefficients), axis=(1, 2))
+        for i in np.flatnonzero(~finite).tolist():
+            if i not in errors:
+                try:
+                    self._pair(i)
+                except ContractViolation as exc:
+                    errors[i] = exc
+        object.__setattr__(self, "errors", dict(sorted(errors.items())))
+
+    def __len__(self) -> int:
+        return self.coefficients.shape[0]
+
+    def _pair(self, i: int) -> AirfoilSurfacePair:
+        upper, lower = self.coefficients[i]
+        return AirfoilSurfacePair(
+            upper=Surface(self.basis, ShapeCoefficients(upper)),
+            lower=Surface(self.basis, ShapeCoefficients(lower)),
+        )
+
+    def pair(self, i: int) -> AirfoilSurfacePair:
+        """Pair of row i; raises that row's decode error if it has one."""
+        error = self.errors.get(i)
+        if error is not None:
+            raise error
+        return self._pair(i)
+
+
 @dataclass(frozen=True)
 class ValidityReport:
     """Outcome of the point-wise geometric checks on a surface pair."""
@@ -167,6 +213,40 @@ def _checked_coordinate(x, name):
     return arr
 
 
+def _power_table(basis: BasisSpec, ell: np.ndarray, slope: bool) -> np.ndarray:
+    """Rows ell**e, or e * ell**(e - 1) when ``slope``, at every point of ell."""
+    arr = _checked_coordinate(ell, "ell")
+    e = basis.exponents()
+    if not slope:
+        return arr[..., np.newaxis] ** e
+    if np.any(arr == 0.0):
+        raise SingularityError(
+            "slope is singular at the leading edge (ell = 0); "
+            "differentiate in t = sqrt(ell) instead"
+        )
+    return arr[..., np.newaxis] ** (e - 1.0) * e
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_table(basis: BasisSpec, slope: bool, ell_bytes: bytes) -> np.ndarray:
+    table = _power_table(basis, np.frombuffer(ell_bytes), slope)
+    table.flags.writeable = False
+    return table
+
+
+def _basis_table(basis: BasisSpec, ell, slope: bool) -> np.ndarray:
+    """Power table of the basis at ell, built once per (basis, grid) for fixed grids.
+
+    A read-only 1-D grid -- the nose-resolving grid, the lift quadrature
+    nodes -- is looked up by content, so evaluating many surfaces on it
+    builds its table and checks its domain only once.
+    """
+    arr = np.asarray(ell, dtype=float)
+    if arr.ndim == 1 and not arr.flags.writeable:
+        return _fixed_table(basis, slope, arr.tobytes())
+    return _power_table(basis, arr, slope)
+
+
 def eval_shape(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     """Surface height at chord fraction ``ell`` (scalar or array).
 
@@ -174,8 +254,7 @@ def eval_shape(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     exactly zero for all three kinds.
     """
     a = _matched_values(coeffs, basis)
-    arr = _checked_coordinate(ell, "ell")
-    out = coeffs.scale * ((arr[..., np.newaxis] ** basis.exponents()) @ a)
+    out = coeffs.scale * (_basis_table(basis, ell, slope=False) @ a)
     return float(out) if np.ndim(ell) == 0 else out
 
 
@@ -199,14 +278,7 @@ def shape_derivative(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     of a round-nosed surface has unbounded slope there.
     """
     a = _matched_values(coeffs, basis)
-    arr = _checked_coordinate(ell, "ell")
-    if np.any(arr == 0.0):
-        raise SingularityError(
-            "slope is singular at the leading edge (ell = 0); "
-            "differentiate in t = sqrt(ell) instead"
-        )
-    e = basis.exponents()
-    out = coeffs.scale * ((arr[..., np.newaxis] ** (e - 1.0) * e) @ a)
+    out = coeffs.scale * (_basis_table(basis, ell, slope=True) @ a)
     return float(out) if np.ndim(ell) == 0 else out
 
 
@@ -223,11 +295,23 @@ def shape_derivative_t(coeffs: ShapeCoefficients, basis: BasisSpec, t):
 
 
 def nose_resolving_grid(n: int):
-    """Uniform grid in t with its ell image; clusters points at the nose."""
+    """Uniform grid in t with its ell image; clusters points at the nose.
+
+    The two arrays are read-only and shared by every caller asking for
+    the same n, so surfaces evaluated on them reuse one power table.
+    """
     if n < 2:
         raise ContractViolation("grid needs at least two points")
+    return _nose_grid(operator.index(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _nose_grid(n: int):
     t = np.linspace(0.0, 1.0, n)
-    return t, t * t
+    ell = t * t
+    t.flags.writeable = False
+    ell.flags.writeable = False
+    return t, ell
 
 
 def validate_airfoil(

@@ -39,11 +39,9 @@ import numpy as np
 
 from .errors import ConditioningError, ContractViolation, DomainError
 from .geometry import (
-    AirfoilSurfacePair,
     BasisKind,
     BasisSpec,
-    ShapeCoefficients,
-    Surface,
+    DecodedStack,
 )
 from .sampling import ParameterBox
 
@@ -134,72 +132,131 @@ def leading_edge_coefficient(radius: float, surface: str) -> float:
     raise ContractViolation(f"surface must be 'upper' or 'lower', got {surface!r}")
 
 
+_SURFACES = ("upper", "lower")
+# Columns of (crest position, crest height, crest curvature) per surface.
+_SURFACE_COLUMNS = ((0, 2, 8), (1, 3, 9))
+
+
+def _stack_systems(rows: np.ndarray):
+    """(N, 2, 6, 6) matrices and (N, 2, 6) right-hand sides, upper then lower.
+
+    Rows are admissible parameter sequences.  The trailing-edge slopes
+    and the leading-edge coefficient use ``math`` per row, so each
+    entry carries the bits of the one-design system.
+    """
+    n = rows.shape[0]
+    e = _EXPS
+    matrix = np.empty((n, 2, TERM_COUNT, TERM_COUNT))
+    rhs = np.zeros((n, 2, TERM_COUNT))
+    for s, (crest_x, crest_y, curvature) in enumerate(_SURFACE_COLUMNS):
+        ell = rows[:, crest_x, np.newaxis]
+        matrix[:, s, 0] = ell**e                            # height at the crest
+        matrix[:, s, 1] = 1.0                               # height at the trailing edge
+        matrix[:, s, 2] = e * ell ** (e - 1.0)              # slope at the crest (set to zero)
+        matrix[:, s, 3] = e                                 # slope at the trailing edge
+        matrix[:, s, 4] = e * (e - 1.0) * ell ** (e - 2.0)  # curvature at the crest
+        matrix[:, s, 5] = np.eye(TERM_COUNT)[0]             # leading-edge radius via a_1
+        rhs[:, s, 0] = rows[:, crest_y]
+        rhs[:, s, 4] = rows[:, curvature]
+    rhs[:, 0, 1] = rows[:, 4] + rows[:, 5]
+    rhs[:, 1, 1] = rows[:, 4] - rows[:, 5]
+    for i, (angle, wedge, radius) in enumerate(rows[:, [6, 7, 10]].tolist()):
+        rhs[i, 0, 3] = math.tan(math.radians(angle - wedge))
+        rhs[i, 1, 3] = math.tan(math.radians(angle + wedge))
+        rhs[i, 0, 5] = leading_edge_coefficient(radius, "upper")
+        rhs[i, 1, 5] = leading_edge_coefficient(radius, "lower")
+    return matrix, rhs
+
+
 def build_constraint_system(params: ParsecParams, surface: str) -> ConstraintSystem:
     """Assemble the 6x6 system M a = p for one surface."""
-    if surface == "upper":
-        ell_int = params.upper_crest_x
-        crest_y = params.upper_crest_y
-        te_height = params.te_y + params.te_half_thickness
-        te_slope = math.tan(math.radians(params.te_angle_deg - params.te_wedge_deg))
-        curvature = params.upper_curvature
-    elif surface == "lower":
-        ell_int = params.lower_crest_x
-        crest_y = params.lower_crest_y
-        te_height = params.te_y - params.te_half_thickness
-        te_slope = math.tan(math.radians(params.te_angle_deg + params.te_wedge_deg))
-        curvature = params.lower_curvature
-    else:
+    if surface not in _SURFACES:
         raise ContractViolation(f"surface must be 'upper' or 'lower', got {surface!r}")
-
-    e = _EXPS
-    matrix = np.vstack(
-        [
-            ell_int**e,                            # height at the crest
-            np.ones(TERM_COUNT),                   # height at the trailing edge
-            e * ell_int ** (e - 1.0),              # slope at the crest (set to zero)
-            e.copy(),                              # slope at the trailing edge
-            e * (e - 1.0) * ell_int ** (e - 2.0),  # curvature at the crest
-            np.eye(TERM_COUNT)[0],                 # leading-edge radius via a_1
-        ]
-    )
-    rhs = np.array(
-        [
-            crest_y,
-            te_height,
-            0.0,
-            te_slope,
-            curvature,
-            leading_edge_coefficient(params.le_radius, surface),
-        ]
-    )
-    return ConstraintSystem(matrix=matrix, rhs=rhs, surface=surface)
+    matrix, rhs = _stack_systems(np.array([params.to_sequence()]))
+    s = _SURFACES.index(surface)
+    return ConstraintSystem(matrix=matrix[0, s], rhs=rhs[0, s], surface=surface)
 
 
-def _solve_one(system: ConstraintSystem) -> np.ndarray:
-    cond = np.linalg.cond(system.matrix)
+def _check_solution(surface: str, matrix: np.ndarray, cond: float, residual: float) -> None:
+    """Raise the ConditioningError of a solved system that cannot be trusted."""
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        ell_int = system.matrix[0, 0] ** 2.0  # first row is ell_int ** 1/2, ...
+        ell_int = matrix[0, 0] ** 2.0  # first row is ell_int ** 1/2, ...
         raise ConditioningError(
-            f"{system.surface} constraint system too ill-conditioned "
+            f"{surface} constraint system too ill-conditioned "
             f"(cond ~ {cond:.3e} at crest position {ell_int:.6g})"
         )
-    a = np.linalg.solve(system.matrix, system.rhs)
-    residual = float(np.max(np.abs(system.matrix @ a - system.rhs)))
     if residual > RESIDUAL_LIMIT:
         raise ConditioningError(
-            f"{system.surface} solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
+            f"{surface} solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
         )
-    return a
 
 
-def solve_coefficients(params: ParsecParams) -> AirfoilSurfacePair:
-    """Solve both surfaces; returns half-integer-power series of six terms each."""
-    upper = _solve_one(build_constraint_system(params, "upper"))
-    lower = _solve_one(build_constraint_system(params, "lower"))
-    return AirfoilSurfacePair(
-        upper=Surface(_BASIS, ShapeCoefficients(upper)),
-        lower=Surface(_BASIS, ShapeCoefficients(lower)),
+def _domain_errors(rows: np.ndarray) -> dict:
+    """Row index -> the DomainError ParsecParams raises, for inadmissible rows."""
+    bad = ~np.all(np.isfinite(rows), axis=1)
+    bad |= np.any((rows[:, :2] <= 0.0) | (rows[:, :2] >= 1.0), axis=1)
+    bad |= (rows[:, 10] <= 0.0) | (rows[:, 5] < 0.0)
+    errors = {}
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            ParsecParams.from_sequence(rows[i])
+        except DomainError as exc:
+            errors[i] = exc
+    return errors
+
+
+def _solve_stack(rows: np.ndarray) -> DecodedStack:
+    """Both surfaces of every row: one batched cond, solve and residual check.
+
+    A row that fails keeps the error its one-design solve raises: the
+    DomainError of its parameters, or the first ConditioningError of
+    its upper then lower system.
+    """
+    errors = _domain_errors(rows)
+    good = np.array([i for i in range(rows.shape[0]) if i not in errors], dtype=int)
+    matrix, rhs = _stack_systems(rows[good])
+    # An overflowed entry (a crest within ~1e-200 of the nose) gets its
+    # condition number on its own, so one such row cannot fail the stack.
+    finite = np.all(np.isfinite(matrix), axis=(-2, -1))
+    cond = np.full(finite.shape, np.inf)
+    cond[finite] = np.linalg.cond(matrix[finite])
+    solvable = finite & (cond <= CONDITION_LIMIT)
+    solved = np.zeros(rhs.shape)
+    solved[solvable] = np.linalg.solve(matrix[solvable], rhs[solvable][..., np.newaxis])[..., 0]
+    residual = np.zeros(rhs.shape[:2])
+    residual[solvable] = np.max(
+        np.abs((matrix[solvable] @ solved[solvable][..., np.newaxis])[..., 0] - rhs[solvable]),
+        axis=-1,
     )
+    trusted = np.all(solvable & (residual <= RESIDUAL_LIMIT), axis=1)
+    for j in np.flatnonzero(~trusted).tolist():
+        try:
+            for s, surface in enumerate(_SURFACES):
+                c = cond[j, s] if finite[j, s] else np.linalg.cond(matrix[j, s])
+                _check_solution(surface, matrix[j, s], c, residual[j, s])
+        except Exception as exc:
+            errors[int(good[j])] = exc
+    coefficients = np.zeros((rows.shape[0], 2, TERM_COUNT))
+    coefficients[good] = solved
+    return DecodedStack(_BASIS, coefficients, errors)
+
+
+def solve_coefficients(params):
+    """Solve both surfaces; returns half-integer-power series of six terms each.
+
+    ``params`` is one ParsecParams, whose AirfoilSurfacePair is returned
+    (raising its DomainError or ConditioningError), or an (N, 11) stack
+    of physical rows, decoded together into a DecodedStack that keeps
+    each failing row's error.  One design is the 1-row stack.
+    """
+    if isinstance(params, ParsecParams):
+        return _solve_stack(np.array([params.to_sequence()])).pair(0)
+    rows = np.asarray(params, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(JSON_KEYS):
+        raise ContractViolation(
+            f"expected one ParsecParams or an (N, 11) stack of rows, got shape {rows.shape}"
+        )
+    return _solve_stack(rows)
 
 
 # +/-20% box around parameters fitted to the NACA 0012 (upper/lower

@@ -19,6 +19,7 @@ input always returns the bitwise-same output.  Four families:
 from __future__ import annotations
 
 import abc
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -32,7 +33,13 @@ from .errors import (
     DatasetError,
     EvaluationError,
 )
-from .geometry import AirfoilSurfacePair, validate_airfoil, write_coordinate_loop
+from .geometry import (
+    AirfoilSurfacePair,
+    DecodedStack,
+    nose_resolving_grid,
+    validate_airfoil,
+    write_coordinate_loop,
+)
 from .sampling import denormalize, read_matrix_csv, write_matrix_csv
 
 
@@ -58,11 +65,43 @@ class QoiEvaluator(abc.ABC):
             )
         return arr
 
+    def evaluate_many(self, X):
+        """Values at the rows of X and the error of each failing row.
+
+        Returns (values, failed): ``values[i]`` is NaN where row i
+        failed, and ``failed`` maps each failing row, in row order, to
+        the exception its evaluation raised.  This default evaluates
+        row by row; evaluators with a batched path override it.
+        """
+        rows = np.atleast_2d(np.asarray(X, dtype=float))
+        values = np.full(rows.shape[0], np.nan)
+        failed = {}
+        for i, row in enumerate(rows):
+            try:
+                values[i] = self.evaluate(row)
+            except Exception as exc:
+                failed[i] = exc
+        return values, failed
+
     def __call__(self, X):
         arr = np.asarray(X, dtype=float)
         if arr.ndim == 1:
             return self.evaluate(arr)
-        return np.array([self.evaluate(row) for row in arr])
+        values, failed = self.evaluate_many(arr)
+        if failed:
+            raise next(iter(failed.values()))
+        return values
+
+
+def evaluate_rows(evaluator, X):
+    """(values, failed) of :meth:`QoiEvaluator.evaluate_many` for any evaluator.
+
+    An object that only has ``evaluate(x)`` is evaluated row by row.
+    """
+    many = getattr(evaluator, "evaluate_many", None)
+    if many is None:
+        return QoiEvaluator.evaluate_many(evaluator, X)
+    return many(X)
 
 
 def evaluate_batch(evaluator: QoiEvaluator, X, on_error: str = "raise"):
@@ -73,22 +112,14 @@ def evaluate_batch(evaluator: QoiEvaluator, X, on_error: str = "raise"):
     """
     if on_error not in ("raise", "skip"):
         raise ContractViolation("on_error must be 'raise' or 'skip'")
-    rows = np.atleast_2d(np.asarray(X, dtype=float))
-    values = np.full(rows.shape[0], np.nan)
-    failed = []
-    for i in range(rows.shape[0]):
-        try:
-            values[i] = evaluator.evaluate(rows[i])
-        except Exception as exc:
-            if on_error == "raise":
-                if isinstance(exc, EvaluationError) and exc.index is None:
-                    exc.index = i
-                    raise
-                raise EvaluationError(
-                    f"evaluation failed at sample {i}: {exc}", index=i
-                ) from exc
-            failed.append(i)
-    return values, failed
+    values, failed = evaluate_rows(evaluator, np.atleast_2d(np.asarray(X, dtype=float)))
+    if failed and on_error == "raise":
+        i, exc = next(iter(failed.items()))
+        if isinstance(exc, EvaluationError) and exc.index is None:
+            exc.index = i
+            raise exc
+        raise EvaluationError(f"evaluation failed at sample {i}: {exc}", index=i) from exc
+    return values, list(failed)
 
 
 class SyntheticQuadratic(QoiEvaluator):
@@ -196,6 +227,7 @@ def ridge(direction, profile: str = "linear",
 
 
 PARAMETERIZATIONS = ("parsec", "cst")
+PANEL_OBJECTIVES = ("lift", "drag", "both")
 
 # Drag-like surrogate constants: offset plus thickness-squared gain.
 PANEL_DRAG_OFFSET = 0.002
@@ -203,11 +235,22 @@ PANEL_DRAG_GAIN = 0.35
 _LIFT_QUAD_POINTS = 256
 
 
-def _decode(parameterization: str, x_norm: np.ndarray, box) -> AirfoilSurfacePair:
-    physical = denormalize(x_norm, box)
+def _decode(parameterization: str, physical: np.ndarray) -> DecodedStack:
+    """Decode a stack of physical rows in one call of the parameterization's decoder."""
     if parameterization == "parsec":
-        return parsec.solve_coefficients(parsec.ParsecParams.from_sequence(physical))
-    return cst.surface_pair(cst.CstParams.from_flat(physical))
+        return parsec.solve_coefficients(physical)
+    return cst.surface_pair(physical)
+
+
+@functools.lru_cache(maxsize=None)
+def _lift_nodes(k: int):
+    """Read-only midpoint nodes ell(theta) and weights cos(theta) - 1 for k points."""
+    theta = (np.arange(k) + 0.5) * (np.pi / k)
+    ell = 0.5 * (1.0 - np.cos(theta))
+    weight = np.cos(theta) - 1.0
+    ell.flags.writeable = False
+    weight.flags.writeable = False
+    return ell, weight
 
 
 def camber_lift(pair: AirfoilSurfacePair, quad_points: int = _LIFT_QUAD_POINTS) -> float:
@@ -221,10 +264,9 @@ def camber_lift(pair: AirfoilSurfacePair, quad_points: int = _LIFT_QUAD_POINTS) 
     k = int(quad_points)
     if k < 1:
         raise ContractViolation("quad_points must be positive")
-    theta = (np.arange(k) + 0.5) * (np.pi / k)
-    ell = 0.5 * (1.0 - np.cos(theta))
+    ell, weight = _lift_nodes(k)
     slope = 0.5 * (pair.upper.slope(ell) + pair.lower.slope(ell))
-    return 2.0 * (np.pi / k) * float(np.sum(slope * (np.cos(theta) - 1.0)))
+    return 2.0 * (np.pi / k) * float(np.sum(slope * weight))
 
 
 def thickness_drag(pair: AirfoilSurfacePair, grid_size: int = 201) -> float:
@@ -235,7 +277,7 @@ def thickness_drag(pair: AirfoilSurfacePair, grid_size: int = 201) -> float:
     """
     if grid_size < 2:
         raise ContractViolation("grid_size must be at least 2")
-    _, ell = _grid(grid_size)
+    _, ell = nose_resolving_grid(grid_size)
     thickness = float(np.max(pair.upper.height(ell) - pair.lower.height(ell)))
     return PANEL_DRAG_OFFSET + PANEL_DRAG_GAIN * thickness * thickness
 
@@ -247,6 +289,9 @@ class PanelSurrogate(QoiEvaluator):
     weighted camber-slope integral and the drag-like value is an offset
     plus a thickness-squared penalty.  Useful for exercising the
     estimation pipeline end to end, nothing aerodynamic beyond trends.
+
+    Objective ``"both"`` gives each design a (lift, drag) row, so a
+    two-objective study decodes and validates every design once.
     """
 
     def __init__(self, parameterization: str, objective: str, grid_size: int = 201):
@@ -254,8 +299,8 @@ class PanelSurrogate(QoiEvaluator):
             raise ContractViolation(
                 f"parameterization must be one of {PARAMETERIZATIONS}"
             )
-        if objective not in ("lift", "drag"):
-            raise ContractViolation("objective must be 'lift' or 'drag'")
+        if objective not in PANEL_OBJECTIVES:
+            raise ContractViolation(f"objective must be one of {PANEL_OBJECTIVES}")
         self.parameterization = parameterization
         self.objective = objective
         self.grid_size = int(grid_size)
@@ -275,11 +320,7 @@ class PanelSurrogate(QoiEvaluator):
             "drag_gain": PANEL_DRAG_GAIN,
         }
 
-    def decode(self, x) -> AirfoilSurfacePair:
-        return _decode(self.parameterization, self._checked(x), self.box)
-
-    def evaluate(self, x) -> float:
-        pair = self.decode(x)
+    def _objectives(self, pair: AirfoilSurfacePair):
         report = validate_airfoil(pair, self.grid_size)
         if not (report.feasible and report.bounded):
             raise EvaluationError(
@@ -288,12 +329,32 @@ class PanelSurrogate(QoiEvaluator):
             )
         if self.objective == "lift":
             return camber_lift(pair)
-        return thickness_drag(pair, self.grid_size)
+        if self.objective == "drag":
+            return thickness_drag(pair, self.grid_size)
+        return camber_lift(pair), thickness_drag(pair, self.grid_size)
 
+    def evaluate_many(self, X):
+        """One decode of the whole stack, then one validation per design."""
+        rows = np.atleast_2d(np.asarray(X, dtype=float))
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            return super().evaluate_many(rows)  # every row fails its shape check
+        decoded = _decode(self.parameterization, denormalize(rows, self.box))
+        width = (2,) if self.objective == "both" else ()
+        values = np.full((rows.shape[0], *width), np.nan)
+        failed = {}
+        for i in range(rows.shape[0]):
+            try:
+                values[i] = self._objectives(decoded.pair(i))
+            except Exception as exc:
+                failed[i] = exc
+        return values, failed
 
-def _grid(n):
-    t = np.linspace(0.0, 1.0, n)
-    return t, t * t
+    def evaluate(self, x):
+        """Value at one design: the 1-row case of :meth:`evaluate_many`."""
+        values, failed = self.evaluate_many(self._checked(x)[np.newaxis])
+        if failed:
+            raise failed[0]
+        return values[0]
 
 
 def panel_surrogate(parameterization: str, grid_size: int = 201):
@@ -396,9 +457,10 @@ def export_designs(
         )
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, f"{prefix}_manifest.csv")
+    decoded = _decode(parameterization, denormalize(rows, box))
     records = []
     for i in range(rows.shape[0]):
-        pair = _decode(parameterization, rows[i], box)
+        pair = decoded.pair(i)
         report = validate_airfoil(pair, grid_size)
         fname = f"{prefix}_{i:04d}.dat"
         write_coordinate_loop(

@@ -1,0 +1,286 @@
+"""Batch-first decode and panel evaluation against the one-design path.
+
+The reference below is a test-local copy of the per-row evaluation loop
+the panel surrogate used before decoding became batched: one PARSEC
+6x6 solve per surface with its own cond/solve/residual check, one CST
+expansion per surface, and heights and slopes from freshly built power
+tables.  The batched path must reproduce it bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from activefoil import cli, cst, parsec, qoi
+from activefoil.errors import ConditioningError, ContractViolation, EvaluationError
+from activefoil.geometry import DecodedStack
+from activefoil.sampling import denormalize, derive_seed, sample
+
+N_DESIGNS = 200
+GRID = 201
+LIFT_POINTS = 256
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-row loop
+
+
+def _reference_parsec(physical):
+    params = parsec.ParsecParams.from_sequence(physical)
+    e = np.arange(1, 7) - 0.5
+    out = []
+    for surface in ("upper", "lower"):
+        if surface == "upper":
+            ell_int, crest_y = params.upper_crest_x, params.upper_crest_y
+            te_height = params.te_y + params.te_half_thickness
+            te_slope = math.tan(math.radians(params.te_angle_deg - params.te_wedge_deg))
+            curvature, le = params.upper_curvature, math.sqrt(2.0 * params.le_radius)
+        else:
+            ell_int, crest_y = params.lower_crest_x, params.lower_crest_y
+            te_height = params.te_y - params.te_half_thickness
+            te_slope = math.tan(math.radians(params.te_angle_deg + params.te_wedge_deg))
+            curvature, le = params.lower_curvature, -math.sqrt(2.0 * params.le_radius)
+        matrix = np.vstack([
+            ell_int**e, np.ones(6), e * ell_int ** (e - 1.0), e.copy(),
+            e * (e - 1.0) * ell_int ** (e - 2.0), np.eye(6)[0],
+        ])
+        rhs = np.array([crest_y, te_height, 0.0, te_slope, curvature, le])
+        cond = np.linalg.cond(matrix)
+        if not np.isfinite(cond) or cond > parsec.CONDITION_LIMIT:
+            raise ConditioningError(
+                f"{surface} constraint system too ill-conditioned "
+                f"(cond ~ {cond:.3e} at crest position {matrix[0, 0] ** 2.0:.6g})"
+            )
+        a = np.linalg.solve(matrix, rhs)
+        residual = float(np.max(np.abs(matrix @ a - rhs)))
+        if residual > parsec.RESIDUAL_LIMIT:
+            raise ConditioningError(
+                f"{surface} solve residual {residual:.3e} exceeds {parsec.RESIDUAL_LIMIT:g}"
+            )
+        out.append(a)
+    return e, out[0], out[1]
+
+
+def _reference_cst(physical):
+    params = cst.CstParams.from_flat(physical)
+    out = []
+    for x in (params.upper, params.lower):
+        odd = np.empty(x.size + 1)
+        odd[0] = x[0]
+        odd[1:-1] = x[1:] - x[:-1]
+        odd[-1] = -x[-1]
+        out.append(odd)
+    return np.arange(1, params.m + 2) - 0.5, out[0], out[1]
+
+
+def _reference_evaluate(parameterization, objective, x, box):
+    physical = denormalize(x, box)
+    decode = _reference_parsec if parameterization == "parsec" else _reference_cst
+    e, upper, lower = decode(physical)
+    t = np.linspace(0.0, 1.0, GRID)
+    ell = t * t
+    up = (ell[:, None] ** e) @ upper
+    lo = (ell[:, None] ** e) @ lower
+    gap = up[1:-1] - lo[1:-1]
+    feasible = bool(np.all(gap > 0.0))
+    bounded = bool(np.all(np.isfinite(up)) and np.all(np.isfinite(lo)))
+    if not (feasible and bounded):
+        raise EvaluationError(
+            f"panel-{objective}-{parameterization}: decoded surfaces infeasible "
+            f"(min gap {float(np.min(gap)):.3e})"
+        )
+    if objective == "drag":
+        thickness = float(np.max(up - lo))
+        return qoi.PANEL_DRAG_OFFSET + qoi.PANEL_DRAG_GAIN * thickness * thickness
+    theta = (np.arange(LIFT_POINTS) + 0.5) * (np.pi / LIFT_POINTS)
+    nodes = 0.5 * (1.0 - np.cos(theta))
+    slope_table = nodes[:, None] ** (e - 1.0) * e
+    slope = 0.5 * (slope_table @ upper + slope_table @ lower)
+    return 2.0 * (np.pi / LIFT_POINTS) * float(np.sum(slope * (np.cos(theta) - 1.0)))
+
+
+def _reference_batch(parameterization, objective, X, box):
+    """(values, failed, first error message) of the old per-row loop in skip mode."""
+    values = np.full(X.shape[0], np.nan)
+    failed, first = [], None
+    for i, row in enumerate(X):
+        try:
+            values[i] = _reference_evaluate(parameterization, objective, row, box)
+        except Exception as exc:
+            failed.append(i)
+            if first is None:
+                first = str(exc) if isinstance(exc, EvaluationError) else (
+                    f"evaluation failed at sample {i}: {exc}")
+    return values, failed, first
+
+
+def _designs(parameterization):
+    box = (parsec if parameterization == "parsec" else cst).baseline_box()
+    return box, sample(box, N_DESIGNS, derive_seed(7, "sample")).matrix.copy()
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-row loop
+
+
+@pytest.mark.parametrize("parameterization", ["parsec", "cst"])
+def test_panel_batch_matches_per_row_loop(parameterization):
+    box, X = _designs(parameterization)
+    if parameterization == "parsec":
+        X[17, 0] = -20.0  # crest behind the nose: a DomainError mid-batch
+    reference = {}
+    for column, objective in enumerate(("lift", "drag")):
+        ref_values, ref_failed, ref_first = _reference_batch(parameterization, objective, X, box)
+        reference[objective] = (ref_values, ref_failed)
+        ev = qoi.PanelSurrogate(parameterization, objective)
+        values, failed = qoi.evaluate_batch(ev, X, on_error="skip")
+        assert failed == ref_failed
+        assert values.tobytes() == ref_values.tobytes()
+
+        with pytest.raises(EvaluationError) as info:
+            qoi.evaluate_batch(ev, X, on_error="raise")
+        assert info.value.index == ref_failed[0]
+        assert str(info.value) == ref_first
+
+    both, failed = qoi.evaluate_batch(
+        qoi.PanelSurrogate(parameterization, "both"), X, on_error="skip")
+    assert failed == reference["lift"][1] == reference["drag"][1]
+    assert both.shape == (N_DESIGNS, 2)
+    for column, objective in enumerate(("lift", "drag")):
+        assert both[:, column].tobytes() == reference[objective][0].tobytes()
+    assert len(failed) > 0
+
+
+def test_single_design_evaluate_is_the_one_row_batch():
+    box, X = _designs("cst")
+    ev = qoi.PanelSurrogate("cst", "drag")
+    values, failed = ev.evaluate_many(X[:20])
+    for i in range(20):
+        if i in failed:
+            with pytest.raises(EvaluationError):
+                ev.evaluate(X[i])
+        else:
+            assert ev.evaluate(X[i]) == values[i]
+    ok = [i for i in range(20) if i not in failed]
+    assert ev(X[ok]).tobytes() == values[ok].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# stacked decode against the one-design decode
+
+
+def _same_pair(a, b):
+    return (a.upper.coeffs.values.tobytes() == b.upper.coeffs.values.tobytes()
+            and a.lower.coeffs.values.tobytes() == b.lower.coeffs.values.tobytes()
+            and a.upper.basis == b.upper.basis)
+
+
+def _single_outcome(call):
+    try:
+        return call(), None
+    except Exception as exc:
+        return None, exc
+
+
+def _check_stack(stack, rows, single, reference):
+    """Each row of the stack decodes as its one-design call and the old per-row code."""
+    assert isinstance(stack, DecodedStack) and len(stack) == len(rows)
+    for i, row in enumerate(rows):
+        expected, error = _single_outcome(lambda: single(row))
+        if error is None:
+            assert i not in stack.errors
+            pair = stack.pair(i)
+            assert _same_pair(pair, expected)
+            _, upper, lower = reference(row)
+            assert pair.upper.coeffs.values.tobytes() == upper.tobytes()
+            assert pair.lower.coeffs.values.tobytes() == lower.tobytes()
+        else:
+            with pytest.raises(type(error)) as info:
+                stack.pair(i)
+            assert type(info.value) is type(error)
+            assert str(info.value) == str(error)
+
+
+_u = st.floats(-1.5, 1.5, allow_nan=False)
+
+# (column, value): crest at the nose or the trailing edge, a non-positive
+# leading-edge radius, crests so close to an end that the system is too
+# ill-conditioned to solve
+_PARSEC_BAD = [(0, 0.0), (1, 1.0), (10, 0.0), (10, -0.01), (0, 1e-3), (1, 1.0 - 1e-9),
+               (1, 1e-250), (5, -0.001), (3, float("nan"))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(_u, min_size=11, max_size=11), min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_PARSEC_BAD)), max_size=4))
+def test_parsec_stack_matches_single_design(unit_rows, bad):
+    box = parsec.baseline_box()
+    rows = denormalize(np.array(unit_rows), box)
+    for position, (column, value) in bad:
+        rows[position % len(rows), column] = value
+    with np.errstate(over="ignore"):
+        stack = parsec.solve_coefficients(rows)
+        _check_stack(stack, rows, lambda r: parsec.solve_coefficients(
+            parsec.ParsecParams.from_sequence(r)), _reference_parsec)
+    for position, _ in bad:
+        assert (position % len(rows)) in stack.errors
+    assert len(stack.errors) <= len(bad)
+
+
+_CST_BAD = [float("nan"), float("inf"), -float("inf")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(_u, min_size=10, max_size=10), min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9), st.sampled_from(_CST_BAD)),
+                max_size=4))
+def test_cst_stack_matches_single_design(unit_rows, bad):
+    rows = denormalize(np.array(unit_rows), cst.baseline_box())
+    for position, column, value in bad:
+        rows[position % len(rows), column] = value
+    stack = cst.surface_pair(rows)
+    _check_stack(stack, rows, lambda r: cst.surface_pair(cst.CstParams.from_flat(r)),
+                 _reference_cst)
+    assert set(stack.errors) == {position % len(rows) for position, _, _ in bad}
+
+
+def test_stacked_decoders_reject_misshapen_stacks():
+    with pytest.raises(ContractViolation):
+        parsec.solve_coefficients(np.zeros((3, 10)))
+    with pytest.raises(ContractViolation):
+        cst.surface_pair(np.zeros((3, 9)))
+    assert len(parsec.solve_coefficients(np.zeros((0, 11)))) == 0
+    assert len(cst.surface_pair(np.zeros((0, 10)))) == 0
+
+
+# ---------------------------------------------------------------------------
+# run-all decodes and validates each design once
+
+
+@pytest.mark.parametrize("box", ["parsec-table2", "cst-table3"])
+def test_run_all_decodes_and_validates_each_design_once(box, tmp_path, monkeypatch):
+    counts = {"decoded": 0, "validated": 0}
+
+    def counting(fn, key):
+        def wrapper(arg, *args, **kwargs):
+            counts[key] += len(arg) if isinstance(arg, np.ndarray) else 1
+            return fn(arg, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(parsec, "solve_coefficients",
+                        counting(parsec.solve_coefficients, "decoded"))
+    monkeypatch.setattr(cst, "surface_pair", counting(cst.surface_pair, "decoded"))
+    monkeypatch.setattr(qoi, "validate_airfoil", counting(qoi.validate_airfoil, "validated"))
+    n = 120
+    code = cli.main(["run-all", "--box", box, "--qoi", "panel", "--n", str(n),
+                     "--nboot", "3", "--gammas", "5", "--grid-n", "5", "--seed", "7",
+                     "--skip-infeasible", "--out", str(tmp_path)])
+    assert code == 0
+    assert counts == {"decoded": n, "validated": n}
+    header = (tmp_path / "lift_evals.csv").read_text().splitlines()
+    n_failed = int(next(line for line in header if line.startswith("# n_failed="))[11:])
+    rows = [line for line in header if not line.startswith("#")][1:]
+    assert len(rows) + n_failed == n
