@@ -60,7 +60,6 @@ from .qoi import (
     SyntheticQuadratic,
     camber_lift,
     evaluate_batch,
-    export_designs,
     load_dataset,
     panel_surrogate,
     ridge,

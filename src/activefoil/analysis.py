@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ContractViolation, IllPosedFitError
 from .activesubspace import SubspacePartition
 from .qoi import evaluate_rows
+from .sampling import write_table
 
 # Box-membership slack for reconstructed designs.
 _FEASIBILITY_SLACK = 1e-12
@@ -74,13 +75,8 @@ def write_shadow_csv(shadow: ShadowData, path, meta=None):
     """CSV schema y1[,y2],f; only 1-D and 2-D shadows are exported."""
     if shadow.n > 2:
         raise ContractViolation("shadow export supports at most two active coordinates")
-    with open(path, "w", newline="\n") as fh:
-        for key in sorted(meta or {}):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write(",".join([*shadow.labels, "f"]) + "\n")
-        for row, value in zip(shadow.coords, shadow.outputs):
-            fields = [f"{v:.17g}" for v in row] + [f"{value:.17g}"]
-            fh.write(",".join(fields) + "\n")
+    write_table(path, ",".join([*shadow.labels, "f"]),
+                np.column_stack([shadow.coords, shadow.outputs]), meta)
 
 
 def _monomial_powers(n_vars: int, degree: int):
@@ -295,16 +291,10 @@ def pareto_front(
 def write_pareto_csv(segment: ParetoSegment, path, meta=None):
     if segment.lift is None or segment.drag is None:
         raise ContractViolation("segment has no predictions; run pareto_front first")
-    with open(path, "w", newline="\n") as fh:
-        for key in sorted(meta or {}):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write("gamma,y1,y2,feasible,drag_pred,lift_pred\n")
-        for i in range(segment.gamma.size):
-            fh.write(
-                f"{segment.gamma[i]:.17g},{segment.coords[i, 0]:.17g},"
-                f"{segment.coords[i, 1]:.17g},{int(segment.feasible[i])},"
-                f"{segment.drag[i]:.17g},{segment.lift[i]:.17g}\n"
-            )
+    # feasible is 0/1, which the 17-digit format writes as "0"/"1"
+    rows = np.column_stack([segment.gamma, segment.coords, segment.feasible,
+                            segment.drag, segment.lift])
+    write_table(path, "gamma,y1,y2,feasible,drag_pred,lift_pred", rows, meta)
 
 
 def inactive_sensitivity_check(part: SubspacePartition, y_points, z_samples, evaluator):
@@ -347,16 +337,14 @@ def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, n: int = 
         raise ContractViolation("grid bounds must satisfy low < high")
     y1 = np.linspace(lo[0], hi[0], n)
     y2 = np.linspace(lo[1], hi[1], n)
-    with open(path, "w", newline="\n") as fh:
-        for key in sorted(meta or {}):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write("# columns: y1,y2,value\n")
+
+    def blocks():  # one block per y1 value, streamed
         for a in y1:
             block = np.column_stack([np.full(n, a), y2])
-            values = surface.predict_active(block)
-            for bcoord, val in zip(y2, values):
-                fh.write(f"{a:.17g},{bcoord:.17g},{val:.17g}\n")
-            fh.write("\n")
+            yield from np.column_stack([block, surface.predict_active(block)])
+            yield ()
+
+    write_table(path, "# columns: y1,y2,value", blocks(), meta)
 
 
 def emit_shadow_gnuplot(csv_name: str, out_path, n_active: int, skip_lines: int):

@@ -31,7 +31,13 @@ from . import activesubspace as asub
 from .activesubspace import QuadraticModel
 from .errors import ContractViolation, DatasetError
 from .geometry import validate_airfoil, write_coordinate_loop, write_surface_table
-from .sampling import ParameterBox, derive_seed, read_matrix_csv, write_matrix_csv
+from .sampling import (
+    ParameterBox,
+    derive_seed,
+    read_matrix_csv,
+    write_matrix_csv,
+    write_table,
+)
 
 _ENV_PREFIX = "ACTIVEFOIL_"
 
@@ -104,15 +110,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_rows_csv(path, header: str, rows, meta: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{value:.17g}" for value in row) + "\n")
 
 
 def _resolve_box(spec: str) -> ParameterBox:
@@ -259,37 +256,18 @@ def _cmd_evaluate(args) -> None:
             "re-run `activefoil sample` without --physical"
         )
     ev, qmeta = _build_evaluator(args.qoi, X.shape[1], args, smeta.get("box"))
-    mode = "skip" if args.skip_infeasible else "raise"
-    values, failed = qoi.evaluate_batch(ev, X, on_error=mode)
-    if failed:
-        keep = np.setdiff1d(np.arange(X.shape[0]), np.asarray(failed))
-        X, values = X[keep], values[keep]
-    meta = _meta(args, n_failed=len(failed), **qmeta)
+    X, values, n_failed = _evaluate_kept(ev, X, args)
+    meta = _meta(args, n_failed=n_failed, **qmeta)
     out = _out_dir(args)
     write_matrix_csv(out / "evals.csv", X, f=values, labels=labels, meta=meta)
-    print(f"wrote {out / 'evals.csv'} ({values.size} rows, {len(failed)} failed)")
+    print(f"wrote {out / 'evals.csv'} ({values.size} rows, {n_failed} failed)")
 
 
 def _cmd_fit(args) -> None:
     X, f, _, _ = read_matrix_csv(args.data)
-    f = _require_outputs(f, args.data)
-    model = asub.fit_quadratic(X, f)
-    payload = _model_payload(model, X.shape, _meta(args))
     out = _out_dir(args)
-    _write_json(out / "model.json", payload)
+    model = _fit_stage(X, _require_outputs(f, args.data), out, "", _meta(args))
     print(f"wrote {out / 'model.json'} (residual_rms={model.residual_rms:.3e})")
-
-
-def _model_payload(model: QuadraticModel, shape, meta: dict) -> dict:
-    return {
-        "m": shape[1],
-        "n_samples": shape[0],
-        "constant": model.constant,
-        "linear": model.linear.tolist(),
-        "hessian": model.hessian.tolist(),
-        "residual_rms": model.residual_rms,
-        "meta": meta,
-    }
 
 
 def _model_from(args) -> QuadraticModel:
@@ -306,74 +284,30 @@ def _model_from(args) -> QuadraticModel:
     return asub.fit_quadratic(X, _require_outputs(f, args.data))
 
 
-def _eig_payload(eig, n: int, convention: str, seed: int, meta: dict) -> dict:
-    return {
-        "eigenvalues": eig.values.tolist(),
-        "eigenvectors": [eig.vectors[:, j].tolist()
-                         for j in range(eig.vectors.shape[1])],
-        "n": n,
-        "convention": convention,
-        "seed": seed,
-        "meta": meta,
-    }
-
-
 def _cmd_eigs(args) -> None:
     model = _model_from(args)
-    eig = asub.eigendecompose(asub.gradient_outer_matrix(model, args.convention))
-    n = args.dim if args.dim else asub.choose_dimension(eig.values)
     out = _out_dir(args)
-    _write_json(out / "eigs.json",
-                _eig_payload(eig, n, args.convention, args.seed, _meta(args)))
-    print(f"wrote {out / 'eigs.json'} (n={n})")
-
-
-def _bootstrap_rows(summary):
-    eig_rows = [
-        (i + 1, summary.eigenvalues[i], summary.eigenvalues_min[i],
-         summary.eigenvalues_mean[i], summary.eigenvalues_max[i])
-        for i in range(summary.eigenvalues.size)
-    ]
-    dim_rows = [
-        (int(summary.dimensions[i]), summary.error_mean[i],
-         summary.error_min[i], summary.error_max[i])
-        for i in range(summary.dimensions.size)
-    ]
-    return eig_rows, dim_rows
+    payload = _eigs_stage(model, args, out, "", _meta(args))
+    print(f"wrote {out / 'eigs.json'} (n={payload['n']})")
 
 
 def _cmd_bootstrap(args) -> None:
     X, f, _, _ = read_matrix_csv(args.data)
-    f = _require_outputs(f, args.data)
-    child = derive_seed(args.seed, "bootstrap")
-    summary = asub.bootstrap(X, f, args.nboot, child, n=args.dim,
-                             convention=args.convention)
-    meta = _meta(args, child_seed=child, n_active=summary.n,
-                 n_skipped=summary.n_skipped, convention=args.convention)
-    eig_rows, dim_rows = _bootstrap_rows(summary)
     out = _out_dir(args)
-    _write_rows_csv(out / "bootstrap_eigenvalues.csv",
-                    "index,point,min,mean,max", eig_rows, meta)
-    _write_rows_csv(out / "bootstrap_dimensions.csv",
-                    "dim,error_mean,error_min,error_max", dim_rows, meta)
+    summary = _bootstrap_stage(X, _require_outputs(f, args.data), args.dim,
+                               args, out, "", "bootstrap",
+                               _meta(args, convention=args.convention))
     print(f"wrote {out / 'bootstrap_eigenvalues.csv'} "
           f"(n={summary.n}, skipped={summary.n_skipped})")
 
 
 def _cmd_shadow(args) -> None:
     X, f, _, _ = read_matrix_csv(args.data)
-    f = _require_outputs(f, args.data)
     payload = _load_eigs(args.eigs)
-    n = args.dim if args.dim else min(int(payload["n"]), 2)
-    if n > 2:
-        raise ContractViolation("shadow plots support 1 or 2 active coordinates")
-    vectors = np.array(payload["eigenvectors"], dtype=float)
-    shadow = analysis.shadow_project(X, f, vectors[:n].T)
-    meta = _meta(args, n_active=n, convention=payload["convention"])
+    n = min(int(payload["n"]), 2) if args.dim is None else args.dim
     out = _out_dir(args)
-    analysis.write_shadow_csv(shadow, out / "shadow.csv", meta=meta)
-    analysis.emit_shadow_gnuplot("shadow.csv", out / "shadow.gp", n,
-                                 skip_lines=len(meta) + 1)
+    _shadow_stage(X, _require_outputs(f, args.data), payload, n, out, "",
+                  _meta(args, convention=payload["convention"]))
     print(f"wrote {out / 'shadow.csv'} (n_active={n})")
 
 
@@ -440,10 +374,9 @@ def _cmd_convergence(args) -> None:
                                    convention=args.convention)
     rows = [(c.n_samples, c.error_mean, c.error_min, c.error_max)
             for c in cells]
-    meta = _meta(args, child_seed=child, **qmeta)
     out = _out_dir(args)
-    _write_rows_csv(out / "convergence.csv",
-                    "n,error_mean,error_min,error_max", rows, meta)
+    write_table(out / "convergence.csv", "n,error_mean,error_min,error_max",
+                rows, _meta(args, child_seed=child, **qmeta))
     print(f"wrote {out / 'convergence.csv'} ({len(rows)} cells)")
 
 
@@ -458,41 +391,98 @@ def _cmd_validate(args) -> None:
         _write_json(_out_dir(args) / "validity.json", payload)
 
 
+# ---------------------------------------------------------------------------
+# pipeline stages: each computes one step and writes its artifacts into
+# ``out`` under ``prefix``, with the metadata its caller passes
+
+
+def _evaluate_kept(ev, X, args):
+    """(kept rows, their values, failed count); failures raise unless
+    --skip-infeasible drops them."""
+    mode = "skip" if args.skip_infeasible else "raise"
+    values, failed = qoi.evaluate_batch(ev, X, on_error=mode)
+    keep = np.setdiff1d(np.arange(X.shape[0]), np.asarray(failed, dtype=int))
+    return X[keep], values[keep], len(failed)
+
+
+def _fit_stage(X, f, out: Path, prefix: str, meta: dict) -> QuadraticModel:
+    model = asub.fit_quadratic(X, f)
+    _write_json(out / f"{prefix}model.json", {
+        "m": X.shape[1],
+        "n_samples": X.shape[0],
+        "constant": model.constant,
+        "linear": model.linear.tolist(),
+        "hessian": model.hessian.tolist(),
+        "residual_rms": model.residual_rms,
+        "meta": meta,
+    })
+    return model
+
+
+def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str,
+                meta: dict) -> dict:
+    """Eigenpairs with n from --dim, which must lie in [1, m-1], or the log gap."""
+    m = model.dim
+    if args.dim is not None and not 1 <= args.dim < m:
+        raise ContractViolation(f"--dim must lie in [1, {m - 1}], got {args.dim}")
+    eig = asub.eigendecompose(asub.gradient_outer_matrix(model, args.convention))
+    payload = {
+        "eigenvalues": eig.values.tolist(),
+        "eigenvectors": [eig.vectors[:, j].tolist() for j in range(m)],
+        "n": asub.choose_dimension(eig.values) if args.dim is None else args.dim,
+        "convention": args.convention,
+        "seed": args.seed,
+        "meta": meta,
+    }
+    _write_json(out / f"{prefix}eigs.json", payload)
+    return payload
+
+
+def _bootstrap_stage(X, f, n, args, out: Path, prefix: str, label: str,
+                     meta: dict, point=None):
+    child = derive_seed(args.seed, label)
+    summary = asub.bootstrap(X, f, args.nboot, child, n=n,
+                             convention=args.convention, point=point)
+    meta = {**meta, "child_seed": child, "n_active": summary.n,
+            "n_skipped": summary.n_skipped}
+    write_table(out / f"{prefix}bootstrap_eigenvalues.csv",
+                "index,point,min,mean,max",
+                zip(range(1, summary.eigenvalues.size + 1), summary.eigenvalues,
+                    summary.eigenvalues_min, summary.eigenvalues_mean,
+                    summary.eigenvalues_max), meta)
+    write_table(out / f"{prefix}bootstrap_dimensions.csv",
+                "dim,error_mean,error_min,error_max",
+                zip(summary.dimensions.tolist(), summary.error_mean,
+                    summary.error_min, summary.error_max), meta)
+    return summary
+
+
+def _shadow_stage(X, f, eigs: dict, n: int, out: Path, prefix: str,
+                  meta: dict) -> None:
+    if n not in (1, 2):
+        raise ContractViolation(
+            f"shadow plots support 1 or 2 active coordinates, got {n}")
+    vectors = np.array(eigs["eigenvectors"], dtype=float)
+    shadow = analysis.shadow_project(X, f, vectors[:n].T)
+    meta = {**meta, "n_active": n}
+    analysis.write_shadow_csv(shadow, out / f"{prefix}shadow.csv", meta=meta)
+    analysis.emit_shadow_gnuplot(f"{prefix}shadow.csv",
+                                 out / f"{prefix}shadow.gp", n,
+                                 skip_lines=len(meta) + 1)
+
+
 def _single_chain(X, f, labels, args, out: Path, prefix: str,
                   boot_label: str, qmeta: dict, evals_meta=None) -> dict:
     """evals -> model -> eigs -> bootstrap -> shadow for one output."""
     meta = _meta(args, **qmeta)
     write_matrix_csv(out / f"{prefix}evals.csv", X, f=f, labels=labels,
                      meta={**meta, **(evals_meta or {})})
-    model = asub.fit_quadratic(X, f)
-    _write_json(out / f"{prefix}model.json",
-                _model_payload(model, X.shape, meta))
-    eig = asub.eigendecompose(
-        asub.gradient_outer_matrix(model, args.convention))
-    n = args.dim if args.dim else asub.choose_dimension(eig.values)
-    payload = _eig_payload(eig, n, args.convention, args.seed, meta)
-    _write_json(out / f"{prefix}eigs.json", payload)
-
-    child = derive_seed(args.seed, boot_label)
-    summary = asub.bootstrap(X, f, args.nboot, child, n=n,
-                             convention=args.convention, point=model)
-    boot_meta = _meta(args, child_seed=child, n_active=summary.n,
-                      n_skipped=summary.n_skipped, **qmeta)
-    eig_rows, dim_rows = _bootstrap_rows(summary)
-    _write_rows_csv(out / f"{prefix}bootstrap_eigenvalues.csv",
-                    "index,point,min,mean,max", eig_rows, boot_meta)
-    _write_rows_csv(out / f"{prefix}bootstrap_dimensions.csv",
-                    "dim,error_mean,error_min,error_max", dim_rows, boot_meta)
-
-    n_shadow = min(n, 2)
-    shadow = analysis.shadow_project(X, f, eig.vectors[:, :n_shadow])
-    shadow_meta = _meta(args, n_active=n_shadow, **qmeta)
-    analysis.write_shadow_csv(shadow, out / f"{prefix}shadow.csv",
-                              meta=shadow_meta)
-    analysis.emit_shadow_gnuplot(f"{prefix}shadow.csv",
-                                 out / f"{prefix}shadow.gp", n_shadow,
-                                 skip_lines=len(shadow_meta) + 1)
-    return payload
+    model = _fit_stage(X, f, out, prefix, meta)
+    eigs = _eigs_stage(model, args, out, prefix, meta)
+    _bootstrap_stage(X, f, eigs["n"], args, out, prefix, boot_label, meta,
+                     point=model)
+    _shadow_stage(X, f, eigs, min(eigs["n"], 2), out, prefix, meta)
+    return eigs
 
 
 def _cmd_run_all(args) -> None:
@@ -511,36 +501,26 @@ def _cmd_run_all(args) -> None:
     box = _resolve_box(args.box)
     child = derive_seed(args.seed, "sample")
     X = sampling.sample(box, args.n, child).matrix
-    mode = "skip" if args.skip_infeasible else "raise"
 
     if args.qoi != "panel":
         ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
-        values, failed = qoi.evaluate_batch(ev, X, on_error=mode)
-        if failed:
-            keep = np.setdiff1d(np.arange(X.shape[0]), np.asarray(failed))
-            X, values = X[keep], values[keep]
-        _single_chain(X, values, box.labels, args, out, "", "bootstrap", qmeta)
+        X, values, n_failed = _evaluate_kept(ev, X, args)
+        _single_chain(X, values, box.labels, args, out, "", "bootstrap", qmeta,
+                      {"n_failed": n_failed})
         print(f"pipeline artifacts in {out} ({values.size} rows)")
         return
 
     parameterization = _parameterization_for(args, args.box)
     ev = qoi.PanelSurrogate(parameterization, "both")
-    values, failed = qoi.evaluate_batch(ev, X, on_error=mode)
-    rows = np.setdiff1d(np.arange(X.shape[0]), np.asarray(failed, dtype=int))
-    X = X[rows]
-    chains = {}
+    X, values, n_failed = _evaluate_kept(ev, X, args)
+    eigs = []
     for column, objective in enumerate(("lift", "drag")):
         qmeta = {"qoi": f"panel:{objective}",
                  "parameterization": parameterization}
-        f = values[rows, column]
-        payload = _single_chain(X, f, box.labels, args, out,
-                                f"{objective}_", f"bootstrap:{objective}",
-                                qmeta, {"n_failed": len(failed)})
-        chains[objective] = (X, f, payload)
-
-    X1, f1, eigs1 = chains["lift"]
-    X2, f2, eigs2 = chains["drag"]
-    _pareto_artifacts(X1, f1, X2, f2, eigs1, eigs2, args, out,
+        eigs.append(_single_chain(X, values[:, column], box.labels, args, out,
+                                  f"{objective}_", f"bootstrap:{objective}",
+                                  qmeta, {"n_failed": n_failed}))
+    _pareto_artifacts(X, values[:, 0], X, values[:, 1], *eigs, args, out,
                       {"qoi": "panel", "parameterization": parameterization})
     print(f"pipeline artifacts in {out} (panel two-objective)")
 

@@ -38,9 +38,8 @@ from .geometry import (
     DecodedStack,
     nose_resolving_grid,
     validate_airfoil,
-    write_coordinate_loop,
 )
-from .sampling import denormalize, read_matrix_csv, write_matrix_csv
+from .sampling import denormalize, read_matrix_csv
 
 
 class QoiEvaluator(abc.ABC):
@@ -430,86 +429,3 @@ def load_dataset(path, tolerance: float = 1e-9, provenance: str | None = None) -
     note = provenance if provenance is not None else meta.get("provenance", str(path))
     return DatasetQoi(matrix, f, tolerance=tolerance, provenance=note)
 
-
-def export_designs(
-    X,
-    parameterization: str,
-    out_dir,
-    prefix: str = "design",
-    grid_size: int = 201,
-    meta: dict | None = None,
-):
-    """Write one closed-loop coordinate file per normalized design row.
-
-    Also writes ``<prefix>_manifest.csv`` with columns row, file,
-    feasible, x1..xm (17 significant digits, so re-loading reproduces
-    the input matrix exactly).  Returns the manifest path.
-    """
-    if parameterization not in PARAMETERIZATIONS:
-        raise ContractViolation(f"parameterization must be one of {PARAMETERIZATIONS}")
-    import os
-
-    rows = np.atleast_2d(np.asarray(X, dtype=float))
-    box = (parsec if parameterization == "parsec" else cst).baseline_box()
-    if rows.shape[1] != box.dim:
-        raise ContractViolation(
-            f"{parameterization} designs need {box.dim} coordinates, got {rows.shape[1]}"
-        )
-    os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, f"{prefix}_manifest.csv")
-    decoded = _decode(parameterization, denormalize(rows, box))
-    records = []
-    for i in range(rows.shape[0]):
-        pair = decoded.pair(i)
-        report = validate_airfoil(pair, grid_size)
-        fname = f"{prefix}_{i:04d}.dat"
-        write_coordinate_loop(
-            pair, os.path.join(out_dir, fname), n=grid_size, name=f"{prefix}_{i:04d}"
-        )
-        records.append((fname, report.feasible))
-
-    with open(manifest_path, "w", newline="\n") as fh:
-        for key in sorted(meta or {}):
-            fh.write(f"# {key}={meta[key]}\n")
-        labels = ",".join(f"x{j}" for j in range(1, rows.shape[1] + 1))
-        fh.write(f"row,file,feasible,{labels}\n")
-        for i, (fname, feasible) in enumerate(records):
-            coords = ",".join(f"{v:.17g}" for v in rows[i])
-            fh.write(f"{i},{fname},{int(feasible)},{coords}\n")
-    return manifest_path
-
-
-def read_design_manifest(path):
-    """Load (matrix, files, feasible) back from an export manifest."""
-    rows = []
-    files = []
-    feasible = []
-    with open(path, newline="") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if header[:3] != ["row", "file", "feasible"]:
-                    raise DatasetError(
-                        f"line {lineno}: manifest header must start with row,file,feasible",
-                        line=lineno,
-                    )
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise DatasetError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(parts)}",
-                    line=lineno,
-                )
-            try:
-                files.append(parts[1])
-                feasible.append(bool(int(parts[2])))
-                rows.append([float(s) for s in parts[3:]])
-            except ValueError as exc:
-                raise DatasetError(f"line {lineno}: {exc}", line=lineno) from exc
-    if header is None or not rows:
-        raise DatasetError("manifest has no data rows")
-    return np.asarray(rows, dtype=float), files, np.asarray(feasible, dtype=bool)

@@ -199,8 +199,23 @@ def derive_seed(root: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
+def write_table(path, header: str, rows, meta=None):
+    """Sorted ``# key=value`` lines, the header, then comma-separated rows.
+
+    Numbers are written with 17 significant digits (so floats read back
+    bit for bit) and LF endings.  An empty row writes an empty line, the
+    block break of a gnuplot grid.
+    """
+    with open(path, "w", newline="\n") as fh:
+        for key in sorted(meta or {}):
+            fh.write(f"# {key}={meta[key]}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def write_matrix_csv(path, matrix, f=None, labels=None, meta=None):
-    """``x1,...,xm[,f]`` CSV: 17 significant digits, LF endings, '#' metadata lines."""
+    """``x1,...,xm[,f]`` table in the :func:`write_table` format."""
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
     m = mat.shape[1]
     if labels is None:
@@ -213,17 +228,12 @@ def write_matrix_csv(path, matrix, f=None, labels=None, meta=None):
         if f.shape != (mat.shape[0],):
             raise ContractViolation("f must have one value per row")
         header.append("f")
-    with open(path, "w", newline="\n") as fh:
-        for key in sorted(meta or {}):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write(",".join(header) + "\n")
-        for i in range(mat.shape[0]):
-            vals = list(mat[i]) + ([f[i]] if f is not None else [])
-            fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        mat = np.column_stack([mat, f])
+    write_table(path, ",".join(header), mat, meta)
 
 
 def read_matrix_csv(path):
-    """Strict reader for the sample/dataset CSV schema.
+    """Strict reader for the :func:`write_table` format.
 
     Returns (matrix, f_or_None, labels, meta).  Any malformed row raises
     :class:`DatasetError` carrying the 1-based line number.

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from activefoil import cli
 from activefoil.activesubspace import (
     eigendecompose,
     gradient_outer_matrix,
@@ -90,7 +91,7 @@ def test_physical_samples_are_refused_by_evaluate(tmp_path):
     assert json.loads(out.stderr)["error"] == "ContractViolation"
 
 
-def test_chain_recovers_seeded_quadratic(tmp_path):
+def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     d = tmp_path
     seed = "7"
     assert run("sample", "--box", "unit:6", "--n", "400", "--seed", seed,
@@ -150,10 +151,56 @@ def test_chain_recovers_seeded_quadratic(tmp_path):
     gp = (d / "shadow.gp").read_text()
     assert f"skip {len(meta) + 1}" in gp
 
-    out = run("shadow", "--data", str(d / "evals.csv"),
-              "--eigs", str(d / "eigs.json"), "--dim", "3", "--out", str(d))
-    assert out.returncode == 1
-    assert json.loads(out.stderr)["error"] == "ContractViolation"
+    # out-of-range dimensions are refused before any artifact is written
+    bad = d / "bad"
+    for argv in (("shadow", "--data", str(d / "evals.csv"),
+                  "--eigs", str(d / "eigs.json"), "--dim", "3"),
+                 ("shadow", "--data", str(d / "evals.csv"),
+                  "--eigs", str(d / "eigs.json"), "--dim", "0"),
+                 ("shadow", "--data", str(d / "evals.csv"),
+                  "--eigs", str(d / "eigs.json"), "--dim", "-2"),
+                 ("eigs", "--model", str(d / "model.json"), "--dim", "6")):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--out", str(bad)])
+        assert exit_info.value.code == 1, argv
+        assert json.loads(capsys.readouterr().err)["error"] == "ContractViolation"
+        assert not any(bad.glob("*")), argv
+
+
+def _data_lines(path):
+    return [line for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+
+
+def _without_meta(path):
+    payload = json.loads(path.read_text())
+    del payload["meta"]
+    return payload
+
+
+def test_run_all_is_the_single_step_chain(tmp_path):
+    """run-all composes the same stages as sample -> ... -> shadow."""
+    common = ("--seed", "5")
+    whole, steps = tmp_path / "whole", tmp_path / "steps"
+    assert cli.main(["run-all", "--box", "unit:4", "--qoi", "quadratic",
+                     "--n", "150", "--nboot", "12", *common,
+                     "--out", str(whole)]) == 0
+    for argv in (
+        ("sample", "--box", "unit:4", "--n", "150"),
+        ("evaluate", "--samples", str(steps / "samples.csv"), "--qoi", "quadratic"),
+        ("fit", "--data", str(steps / "evals.csv")),
+        ("eigs", "--model", str(steps / "model.json")),
+        ("bootstrap", "--data", str(steps / "evals.csv"), "--nboot", "12"),
+        ("shadow", "--data", str(steps / "evals.csv"),
+         "--eigs", str(steps / "eigs.json")),
+    ):
+        assert cli.main([*argv, *common, "--out", str(steps)]) == 0
+    for name in ("evals.csv", "bootstrap_eigenvalues.csv",
+                 "bootstrap_dimensions.csv", "shadow.csv"):
+        assert _data_lines(whole / name) == _data_lines(steps / name), name
+    for name in ("model.json", "eigs.json"):
+        assert _without_meta(whole / name) == _without_meta(steps / name), name
+    assert "# n_failed=0" in (whole / "evals.csv").read_text().splitlines()
 
 
 def test_evaluate_requires_known_qoi(tmp_path):

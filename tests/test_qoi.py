@@ -15,10 +15,8 @@ from activefoil.qoi import (
     SyntheticQuadratic,
     camber_lift,
     evaluate_batch,
-    export_designs,
     load_dataset,
     panel_surrogate,
-    read_design_manifest,
     ridge,
     seeded_quadratic,
     synthetic_quadratic,
@@ -235,30 +233,3 @@ def test_load_dataset_csv(tmp_path):
     assert data.provenance == "solver-v2"
     assert load_dataset(path, provenance="override").provenance == "override"
 
-
-def test_export_designs_roundtrip(tmp_path):
-    rows = np.vstack([np.zeros(10), 0.25 * np.ones(10), -0.25 * np.ones(10)])
-    manifest = export_designs(rows, "cst", tmp_path, prefix="foil", meta={"seed": 5})
-    matrix, files, feasible = read_design_manifest(manifest)
-    np.testing.assert_array_equal(matrix, rows)
-    assert files == ["foil_0000.dat", "foil_0001.dat", "foil_0002.dat"]
-    assert feasible.dtype == bool and feasible.shape == (3,)
-    for fname in files:
-        lines = (tmp_path / fname).read_text().splitlines()
-        assert lines[0].startswith("foil_")
-        assert len(lines) == 1 + 2 * 201 - 1
-    with pytest.raises(ContractViolation):
-        export_designs(rows, "unknown", tmp_path)
-    with pytest.raises(ContractViolation):
-        export_designs(rows[:, :4], "cst", tmp_path)
-
-
-def test_read_design_manifest_validation(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("row,feasible,file\n")
-    with pytest.raises(DatasetError):
-        read_design_manifest(path)
-    path.write_text("row,file,feasible,x1\n0,a.dat,1\n")
-    with pytest.raises(DatasetError) as info:
-        read_design_manifest(path)
-    assert info.value.line == 2

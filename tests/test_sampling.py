@@ -1,7 +1,11 @@
 import hashlib
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from activefoil.errors import (
     ContractViolation,
@@ -20,7 +24,23 @@ from activefoil.sampling import (
     sample,
     unit_box,
     write_matrix_csv,
+    write_table,
 )
+
+# Each example overwrites the same files under tmp_path.
+_FILE_EXAMPLES = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+             1.7976931348623157e308, -1.7976931348623157e308)
+_FINITE = st.one_of(st.sampled_from(_EXTREMES),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_WORD = st.text(alphabet=string.ascii_letters + string.digits + "_", min_size=1,
+                max_size=8)
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 def test_box_validation_and_properties():
@@ -231,3 +251,64 @@ def test_read_matrix_csv_tolerates_blanks_and_crlf(tmp_path):
     np.testing.assert_array_equal(mat, [[1.5], [0.5]])
     np.testing.assert_array_equal(f, [2.5, 0.25])
     assert meta == {"n": "2"}
+
+
+@_FILE_EXAMPLES
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 4)), with_f=st.booleans(),
+       data=st.data())
+def test_matrix_csv_roundtrip_is_bitwise(tmp_path, shape, with_f, data):
+    mat = data.draw(arrays(np.float64, shape, elements=_FINITE))
+    f = data.draw(arrays(np.float64, shape[0], elements=_FINITE)) if with_f else None
+    path = tmp_path / "data.csv"
+    write_matrix_csv(path, mat, f=f)
+    back, fback, _, _ = read_matrix_csv(path)
+    np.testing.assert_array_equal(_bits(back), _bits(mat))
+    if with_f:
+        np.testing.assert_array_equal(_bits(fback), _bits(f))
+    else:
+        assert fback is None
+
+
+@_FILE_EXAMPLES
+@given(rows=st.lists(st.lists(_FINITE, min_size=3, max_size=3), min_size=1,
+                     max_size=5),
+       meta=st.dictionaries(_WORD, st.one_of(
+           st.integers(), st.floats(allow_nan=False),
+           st.text(alphabet=string.ascii_letters + string.digits + " _-.:,=/",
+                   max_size=12).map(str.strip)), max_size=5))
+def test_write_table_meta_sorted_and_rows_exact(tmp_path, rows, meta):
+    path = tmp_path / "table.csv"
+    write_table(path, "a,b,c", rows, meta)
+    lines = path.read_text().splitlines()
+    keys = [line[2:].partition("=")[0] for line in lines[:len(meta)]]
+    assert keys == sorted(meta)
+    assert lines[len(meta)] == "a,b,c"
+    back, _, labels, meta_back = read_matrix_csv(path)
+    assert labels == ["a", "b", "c"]
+    assert meta_back == {key: str(value) for key, value in meta.items()}
+    np.testing.assert_array_equal(_bits(back), _bits(rows))
+
+
+def test_write_table_exact_text(tmp_path):
+    # whole floats print like integers (the pareto 0/1 flags); () is a blank line
+    path = tmp_path / "grid.dat"
+    write_table(path, "# columns: y1,y2", [(1, 0.5), (), (2.0, -0.0), ()],
+                {"k": 1, "a": "x"})
+    assert path.read_bytes() == b"# a=x\n# k=1\n# columns: y1,y2\n1,0.5\n\n2,-0\n\n"
+
+
+@_FILE_EXAMPLES
+@given(bounds=st.lists(st.tuples(_FINITE, _FINITE).filter(lambda b: b[0] != b[1]),
+                       min_size=1, max_size=4),
+       data=st.data())
+def test_box_save_load_roundtrip_is_exact(tmp_path, bounds, data):
+    lower = [min(b) for b in bounds]
+    upper = [max(b) for b in bounds]
+    labels = tuple(data.draw(st.lists(st.text(max_size=6), min_size=len(bounds),
+                                      max_size=len(bounds))))
+    box = ParameterBox(lower=lower, upper=upper, labels=labels)
+    box.save(tmp_path / "box.json")
+    again = ParameterBox.load(tmp_path / "box.json")
+    np.testing.assert_array_equal(_bits(again.lower), _bits(box.lower))
+    np.testing.assert_array_equal(_bits(again.upper), _bits(box.upper))
+    assert again.labels == labels
