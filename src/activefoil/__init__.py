@@ -35,7 +35,7 @@ from .analysis import (
     pareto_segment,
     shadow_project,
 )
-from .cst import ClassFunctionSpec, CstParams, class_function, cst_surface, expand_odd_polynomial
+from .cst import CstParams, class_function, cst_surface, expand_odd_polynomial
 from .geometry import (
     AirfoilSurfacePair,
     BasisKind,
@@ -61,10 +61,7 @@ from .qoi import (
     camber_lift,
     evaluate_batch,
     load_dataset,
-    panel_surrogate,
-    ridge,
     seeded_quadratic,
-    synthetic_quadratic,
     thickness_drag,
 )
 from .sampling import (

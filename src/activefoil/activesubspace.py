@@ -39,7 +39,7 @@ from .errors import (
     SampleSizeWarning,
 )
 from .qoi import evaluate_rows
-from .sampling import ParameterBox, derive_seed, sample
+from .sampling import ParameterBox, _freeze, derive_seed, sample
 
 RANK_RCOND = 1e-10
 EIGENVALUE_FLOOR = 1e-14
@@ -106,12 +106,8 @@ class QuadraticModel:
         if np.max(np.abs(hess - hess.T)) > 1e-12 * scale:
             raise ContractViolation("hessian must be symmetric to 1e-12")
         hess = 0.5 * (hess + hess.T)
-        hess.flags.writeable = False
-        lin.flags.writeable = False
-        object.__setattr__(self, "hessian", hess)
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "constant", float(self.constant))
-        object.__setattr__(self, "residual_rms", float(self.residual_rms))
+        _freeze(self, hessian=hess, linear=lin, constant=float(self.constant),
+                residual_rms=float(self.residual_rms))
 
     @property
     def dim(self) -> int:
@@ -268,10 +264,7 @@ class Eigenpairs:
         scale = max(1.0, float(val[0]) if val.size else 1.0)
         if val[-1] < -1e-12 * scale:
             raise ContractViolation("eigenvalues must be non-negative to 1e-12")
-        vec.flags.writeable = False
-        val.flags.writeable = False
-        object.__setattr__(self, "vectors", vec)
-        object.__setattr__(self, "values", val)
+        _freeze(self, vectors=vec, values=val)
 
     @property
     def dim(self) -> int:
@@ -346,11 +339,7 @@ class SubspacePartition:
         full = np.hstack([act, inact])
         if np.max(np.abs(full.T @ full - np.eye(full.shape[1]))) > 1e-10:
             raise ContractViolation("[W1 W2] must be orthonormal to 1e-10")
-        act.flags.writeable = False
-        inact.flags.writeable = False
-        object.__setattr__(self, "active", act)
-        object.__setattr__(self, "inactive", inact)
-        object.__setattr__(self, "n", int(self.n))
+        _freeze(self, active=act, inactive=inact, n=int(self.n))
 
     @property
     def dim(self) -> int:

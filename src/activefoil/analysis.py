@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractViolation, IllPosedFitError
 from .activesubspace import SubspacePartition
 from .qoi import evaluate_rows
-from .sampling import write_table
+from .sampling import _freeze, write_table
 
 # Box-membership slack for reconstructed designs.
 _FEASIBILITY_SLACK = 1e-12
@@ -45,12 +45,7 @@ class ShadowData:
         )
         if len(labels) != y.shape[1]:
             raise ContractViolation("one label per active coordinate required")
-        for arr in (y, f, w):
-            arr.flags.writeable = False
-        object.__setattr__(self, "coords", y)
-        object.__setattr__(self, "outputs", f)
-        object.__setattr__(self, "basis", w)
-        object.__setattr__(self, "labels", labels)
+        _freeze(self, coords=y, outputs=f, basis=w, labels=labels)
 
     @property
     def n(self) -> int:

@@ -9,10 +9,6 @@ state only through files in the output directory.
 All randomness flows from the single ``--seed`` value; consumers derive
 child streams by labeled hashing (``sampling.derive_seed``), so the
 sampling stream does not shift when, say, ``--nboot`` changes.
-
-Environment variables with the ``ACTIVEFOIL_`` prefix override flag
-defaults (``ACTIVEFOIL_SEED=7`` makes ``--seed`` default to 7).
-Explicit flags always win over the environment.
 """
 
 from __future__ import annotations
@@ -39,9 +35,7 @@ from .sampling import (
     write_table,
 )
 
-_ENV_PREFIX = "ACTIVEFOIL_"
-
-_BUILTIN_BOXES = ("parsec-table2", "cst-table3")
+_BUILTIN_BOXES = {"parsec-table2": "parsec", "cst-table3": "cst"}
 
 _HINTS = {
     "ContractViolation": "run the subcommand with --help for the flag schema",
@@ -60,8 +54,6 @@ _HINTS = {
                         "over the box",
     "OutOfBoxError": "point lies outside the box; sample and evaluate must "
                      "use the same --box",
-    "UnsupportedExpansionError": "odd-power expansion requires the default "
-                                 "class exponents (0.5, 1)",
 }
 
 
@@ -78,10 +70,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         _fail("UsageError", message, 2)
-
-
-def _env(name: str, fallback: str) -> str:
-    return os.environ.get(_ENV_PREFIX + name, fallback)
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -128,16 +116,25 @@ def _resolve_box(spec: str) -> ParameterBox:
 
 
 def _parameterization_for(args, box_spec: str | None) -> str:
+    """Decoder of a built-in box: panel QoIs decode in that box only."""
+    builtin = _BUILTIN_BOXES.get(box_spec)
+    if builtin is None:
+        raise ContractViolation(
+            f"panel QoIs decode in a built-in box only, got box {box_spec!r}; "
+            "use parsec-table2 or cst-table3"
+        )
     explicit = getattr(args, "parameterization", None)
-    if explicit:
-        return explicit
-    if box_spec == "parsec-table2":
-        return "parsec"
-    if box_spec == "cst-table3":
-        return "cst"
-    raise ContractViolation(
-        "cannot infer the parameterization; pass --parameterization parsec|cst"
-    )
+    if explicit and explicit != builtin:
+        raise ContractViolation(
+            f"--parameterization {explicit} disagrees with box {box_spec} ({builtin})"
+        )
+    return builtin
+
+
+def _check_dim_flag(dim, m: int) -> None:
+    """--dim, when given, must lie in [1, m-1]."""
+    if dim is not None and not 1 <= dim < m:
+        raise ContractViolation(f"--dim must lie in [1, {m - 1}], got {dim}")
 
 
 def _parse_direction(text: str, m: int) -> np.ndarray:
@@ -160,7 +157,7 @@ def _build_evaluator(spec: str, m: int, args, box_spec: str | None):
     if spec == "ridge" or spec.startswith("ridge:"):
         profile = spec.split(":", 1)[1] if ":" in spec else "linear"
         w = _parse_direction(getattr(args, "direction", ""), m)
-        ev = qoi.ridge(w, profile, noise_std=args.noise_std,
+        ev = qoi.Ridge(w, profile, noise_std=args.noise_std,
                        noise_seed=args.noise_seed)
         return ev, {
             "qoi": f"ridge:{profile}",
@@ -423,8 +420,7 @@ def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str,
                 meta: dict) -> dict:
     """Eigenpairs with n from --dim, which must lie in [1, m-1], or the log gap."""
     m = model.dim
-    if args.dim is not None and not 1 <= args.dim < m:
-        raise ContractViolation(f"--dim must lie in [1, {m - 1}], got {args.dim}")
+    _check_dim_flag(args.dim, m)
     eig = asub.eigendecompose(asub.gradient_outer_matrix(model, args.convention))
     payload = {
         "eigenvalues": eig.values.tolist(),
@@ -491,6 +487,7 @@ def _cmd_run_all(args) -> None:
         path = args.qoi.split(":", 1)[1]
         X, f, labels, _ = read_matrix_csv(path)
         f = _require_outputs(f, path)
+        _check_dim_flag(args.dim, X.shape[1])
         _single_chain(X, f, labels, args, out, "", "bootstrap",
                       {"qoi": args.qoi})
         print(f"pipeline artifacts in {out} (dataset, {f.size} rows)")
@@ -499,6 +496,7 @@ def _cmd_run_all(args) -> None:
     if not args.box:
         raise ContractViolation("run-all needs --box unless --qoi is dataset:PATH")
     box = _resolve_box(args.box)
+    _check_dim_flag(args.dim, box.dim)
     child = derive_seed(args.seed, "sample")
     X = sampling.sample(box, args.n, child).matrix
 
@@ -530,9 +528,9 @@ def _cmd_run_all(args) -> None:
 
 
 def _add_seed_out(cmd, default_out: str = ".") -> None:
-    cmd.add_argument("--seed", type=int, default=_env("SEED", "0"),
+    cmd.add_argument("--seed", type=int, default=0,
                      help="root seed; children are derived by labeled hashing")
-    cmd.add_argument("--out", default=_env("OUT", default_out),
+    cmd.add_argument("--out", default=default_out,
                      help="output directory (created if missing)")
 
 
@@ -540,25 +538,24 @@ def _add_qoi_flags(cmd) -> None:
     cmd.add_argument("--qoi", required=True,
                      help="quadratic | ridge[:linear|quadratic|exp] | "
                           "panel:lift | panel:drag | dataset:PATH")
-    cmd.add_argument("--direction", default=_env("DIRECTION", ""),
+    cmd.add_argument("--direction", default="",
                      help="comma list of ridge direction components "
                           "(default 1, 1/2, ..., 1/m)")
-    cmd.add_argument("--noise-std", type=float, default=_env("NOISE_STD", "0"),
+    cmd.add_argument("--noise-std", type=float, default=0.0,
                      help="ridge noise level (deterministic per point)")
-    cmd.add_argument("--noise-seed", type=int, default=_env("NOISE_SEED", "0"),
+    cmd.add_argument("--noise-seed", type=int, default=0,
                      help="seed folded into the per-point ridge noise")
     cmd.add_argument("--parameterization", choices=("parsec", "cst"),
                      default=None, help="decoder for panel QoIs "
-                                        "(inferred from built-in boxes)")
-    cmd.add_argument("--tolerance", type=float, default=_env("TOLERANCE", "1e-9"),
+                                        "(must match the built-in box)")
+    cmd.add_argument("--tolerance", type=float, default=1e-9,
                      help="dataset lookup tolerance")
     cmd.add_argument("--skip-infeasible", action="store_true",
                      help="drop designs the evaluator rejects instead of failing")
 
 
 def _add_convention(cmd) -> None:
-    cmd.add_argument("--convention", choices=asub.CONVENTIONS,
-                     default=_env("CONVENTION", "identity"),
+    cmd.add_argument("--convention", choices=asub.CONVENTIONS, default="identity",
                      help="second-moment weighting of the outer-product matrix")
 
 
@@ -567,7 +564,7 @@ def _add_shape_flags(cmd) -> None:
                      required=True)
     cmd.add_argument("--params", default=None,
                      help="parameter JSON (default: built-in box center)")
-    cmd.add_argument("--grid", type=int, default=_env("GRID", "201"),
+    cmd.add_argument("--grid", type=int, default=201,
                      help="surface grid resolution")
     cmd.add_argument("--sharp-te", action="store_true",
                      help="also require a closed trailing edge")
@@ -620,7 +617,7 @@ def build_parser() -> _Parser:
 
     cmd = sub.add_parser("bootstrap", help="replicate spread of the eigenpairs")
     cmd.add_argument("--data", required=True, help="evals.csv with an f column")
-    cmd.add_argument("--nboot", type=int, default=_env("NBOOT", "100"))
+    cmd.add_argument("--nboot", type=int, default=100)
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
     _add_convention(cmd)
@@ -641,14 +638,14 @@ def build_parser() -> _Parser:
     cmd.add_argument("--eigs1", required=True, help="objective-1 eigs.json")
     cmd.add_argument("--data2", required=True, help="objective-2 evals.csv")
     cmd.add_argument("--eigs2", required=True, help="objective-2 eigs.json")
-    cmd.add_argument("--degree", type=int, default=_env("DEGREE", "2"),
+    cmd.add_argument("--degree", type=int, default=2,
                      help="link-function polynomial degree")
-    cmd.add_argument("--gammas", type=int, default=_env("GAMMAS", "101"),
+    cmd.add_argument("--gammas", type=int, default=101,
                      help="points on the segment")
     cmd.add_argument("--z-policy", choices=analysis.Z_POLICIES,
-                     default=_env("Z_POLICY", "zero"),
+                     default="zero",
                      help="inactive-coordinate reconstruction policy")
-    cmd.add_argument("--grid-n", type=int, default=_env("GRID_N", "101"),
+    cmd.add_argument("--grid-n", type=int, default=101,
                      help="contour grid resolution per axis")
     _add_seed_out(cmd)
     cmd.set_defaults(func=_cmd_pareto)
@@ -656,11 +653,10 @@ def build_parser() -> _Parser:
     cmd = sub.add_parser("convergence",
                          help="bootstrap error across sample sizes")
     cmd.add_argument("--box", required=True)
-    cmd.add_argument("--schedule",
-                     default=_env("SCHEDULE", "100,200,400,800,1600,3200,6400"),
+    cmd.add_argument("--schedule", default="100,200,400,800,1600,3200,6400",
                      help="comma list of ascending sample sizes")
-    cmd.add_argument("--nboot", type=int, default=_env("NBOOT", "100"))
-    cmd.add_argument("--dim", type=int, default=_env("DIM", "1"),
+    cmd.add_argument("--nboot", type=int, default=100)
+    cmd.add_argument("--dim", type=int, default=1,
                      help="subspace dimension tracked by the study")
     _add_qoi_flags(cmd)
     _add_convention(cmd)
@@ -669,7 +665,7 @@ def build_parser() -> _Parser:
 
     cmd = sub.add_parser("validate", help="grid feasibility check of one design")
     _add_shape_flags(cmd)
-    cmd.add_argument("--seed", type=int, default=_env("SEED", "0"))
+    cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--out", default=None,
                      help="also write validity.json here")
     cmd.set_defaults(func=_cmd_validate)
@@ -677,15 +673,14 @@ def build_parser() -> _Parser:
     cmd = sub.add_parser("run-all", help="full pipeline into one directory")
     cmd.add_argument("--box", default=None,
                      help="required unless --qoi is dataset:PATH")
-    cmd.add_argument("--n", type=int, default=_env("N", "1000"))
-    cmd.add_argument("--nboot", type=int, default=_env("NBOOT", "100"))
+    cmd.add_argument("--n", type=int, default=1000)
+    cmd.add_argument("--nboot", type=int, default=100)
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
-    cmd.add_argument("--degree", type=int, default=_env("DEGREE", "2"))
-    cmd.add_argument("--gammas", type=int, default=_env("GAMMAS", "101"))
-    cmd.add_argument("--z-policy", choices=analysis.Z_POLICIES,
-                     default=_env("Z_POLICY", "zero"))
-    cmd.add_argument("--grid-n", type=int, default=_env("GRID_N", "101"))
+    cmd.add_argument("--degree", type=int, default=2)
+    cmd.add_argument("--gammas", type=int, default=101)
+    cmd.add_argument("--z-policy", choices=analysis.Z_POLICIES, default="zero")
+    cmd.add_argument("--grid-n", type=int, default=101)
     _add_qoi_flags(cmd)
     _add_convention(cmd)
     _add_seed_out(cmd, default_out="run")

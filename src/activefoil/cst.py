@@ -2,11 +2,11 @@
 
 Each surface is the product of a class function and a shape polynomial,
 
-    s(ell) = ell**r1 * (1 - ell)**r2 * sum_{j=0..m-1} x_j * ell**j,
+    s(ell) = ell**(1/2) * (1 - ell) * sum_{j=0..m-1} x_j * ell**j,
 
-with default exponents r1 = 1/2 (round nose) and r2 = 1 (sharp trailing
-edge).  Under those defaults the substitution ell = t**2 turns the
-product into a purely odd polynomial in t of degree 2m + 1:
+with the class exponents fixed at 1/2 (round nose) and 1 (sharp
+trailing edge).  The substitution ell = t**2 turns the product into a
+purely odd polynomial in t of degree 2m + 1:
 
     s(t) = t * (1 - t**2) * sum_j x_j * t**(2j)
          = x_0 t + (x_1 - x_0) t**3 + ... + (x_{m-1} - x_{m-2}) t**(2m-1)
@@ -27,32 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ContractViolation, DomainError, UnsupportedExpansionError
+from .errors import ContractViolation, DomainError
 from .geometry import (
     BasisKind,
     BasisSpec,
     DecodedStack,
     ShapeCoefficients,
 )
-from .sampling import ParameterBox
-
-
-@dataclass(frozen=True)
-class ClassFunctionSpec:
-    """Exponent pair of the class function ell**nose * (1 - ell)**tail."""
-
-    nose_exponent: float = 0.5
-    tail_exponent: float = 1.0
-
-    def __post_init__(self):
-        for name in ("nose_exponent", "tail_exponent"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and 0.0 <= value <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1]")
-            object.__setattr__(self, name, float(value))
-
-
-DEFAULT_CLASS = ClassFunctionSpec()
+from .sampling import ParameterBox, _freeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +51,7 @@ class CstParams:
             raise ContractViolation("upper and lower must be equal-length 1-D vectors")
         if not (np.all(np.isfinite(up)) and np.all(np.isfinite(lo))):
             raise ContractViolation("coefficients must be finite")
-        up.flags.writeable = False
-        lo.flags.writeable = False
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "lower", lo)
+        _freeze(self, upper=up, lower=lo)
 
     @property
     def m(self) -> int:
@@ -108,30 +87,23 @@ class CstParams:
         return params
 
 
-def class_function(ell, spec: ClassFunctionSpec = DEFAULT_CLASS):
-    """ell**nose * (1 - ell)**tail on [0, 1]; zero exponents give 1 at the ends."""
+def class_function(ell):
+    """sqrt(ell) * (1 - ell) on [0, 1]."""
     arr = np.asarray(ell, dtype=float)
     if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0)):
         raise DomainError("ell must lie in [0, 1]")
-    out = arr**spec.nose_exponent * (1.0 - arr) ** spec.tail_exponent
+    out = np.sqrt(arr) * (1.0 - arr)
     return float(out) if np.ndim(ell) == 0 else out
 
 
-def cst_surface(ell, coeffs, spec: ClassFunctionSpec = DEFAULT_CLASS):
+def cst_surface(ell, coeffs):
     """Class function times the shape polynomial sum_j x_j * ell**j."""
     x = np.asarray(coeffs, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ContractViolation("coefficient vector must be 1-D and non-empty")
     arr = np.asarray(ell, dtype=float)
-    out = class_function(arr, spec) * npoly.polyval(arr, x)
+    out = class_function(arr) * npoly.polyval(arr, x)
     return float(out) if np.ndim(ell) == 0 else out
-
-
-def _require_expansion(spec: ClassFunctionSpec) -> None:
-    if spec != DEFAULT_CLASS:
-        raise UnsupportedExpansionError(
-            "odd-polynomial expansion exists only for class exponents (1/2, 1)"
-        )
 
 
 def _expand_rows(x: np.ndarray) -> np.ndarray:
@@ -143,19 +115,15 @@ def _expand_rows(x: np.ndarray) -> np.ndarray:
     return odd
 
 
-def expand_odd_polynomial(
-    coeffs, spec: ClassFunctionSpec = DEFAULT_CLASS
-) -> ShapeCoefficients:
+def expand_odd_polynomial(coeffs) -> ShapeCoefficients:
     """Closed-form odd-in-t series equal to the class/shape product.
 
-    Valid only for the default exponents (nose 1/2, tail 1).  The m
-    input coefficients map to m + 1 odd-term coefficients
+    The m input coefficients map to m + 1 odd-term coefficients
 
         (x_0, x_1 - x_0, ..., x_{m-1} - x_{m-2}, -x_{m-1})
 
     pairing with t**1, t**3, ..., t**(2m+1).
     """
-    _require_expansion(spec)
     x = np.asarray(coeffs, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ContractViolation("coefficient vector must be 1-D and non-empty")
@@ -167,8 +135,7 @@ def odd_basis(m: int) -> BasisSpec:
     return BasisSpec(BasisKind.ODD_T, m + 1)
 
 
-def _decode_stack(rows: np.ndarray, spec: ClassFunctionSpec) -> DecodedStack:
-    _require_expansion(spec)
+def _decode_stack(rows: np.ndarray) -> DecodedStack:
     errors = {}
     for i in np.flatnonzero(~np.all(np.isfinite(rows), axis=1)).tolist():
         try:
@@ -181,7 +148,7 @@ def _decode_stack(rows: np.ndarray, spec: ClassFunctionSpec) -> DecodedStack:
     return DecodedStack(odd_basis(half), odd, errors)
 
 
-def surface_pair(params, spec: ClassFunctionSpec = DEFAULT_CLASS):
+def surface_pair(params):
     """Decode both surfaces into their exact odd-in-t series.
 
     ``params`` is one CstParams, whose AirfoilSurfacePair is returned,
@@ -190,13 +157,13 @@ def surface_pair(params, spec: ClassFunctionSpec = DEFAULT_CLASS):
     error.  One design is the 1-row stack.
     """
     if isinstance(params, CstParams):
-        return _decode_stack(params.to_flat()[np.newaxis], spec).pair(0)
+        return _decode_stack(params.to_flat()[np.newaxis]).pair(0)
     rows = np.asarray(params, dtype=float)
     if rows.ndim != 2 or rows.shape[1] < 2 or rows.shape[1] % 2:
         raise ContractViolation(
             f"expected one CstParams or an (N, 2m) stack of flat rows, got shape {rows.shape}"
         )
-    return _decode_stack(rows, spec)
+    return _decode_stack(rows)
 
 
 def leading_edge_radius(leading_coeff: float) -> float:

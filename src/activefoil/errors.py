@@ -46,10 +46,6 @@ class NoStructureError(ActivefoilError, RuntimeError):
     """An eigenvalue sequence carries no usable gap (all entries at the floor)."""
 
 
-class UnsupportedExpansionError(ActivefoilError, ValueError):
-    """A closed-form expansion was requested outside the exponents it is valid for."""
-
-
 class EvaluationError(ActivefoilError, RuntimeError):
     """A quantity-of-interest evaluation failed for a specific sample."""
 

@@ -43,6 +43,7 @@ from .errors import (
     IllPosedFitError,
     SingularityError,
 )
+from .sampling import _freeze
 
 
 class BasisKind(str, Enum):
@@ -59,10 +60,10 @@ class BasisSpec:
     term_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", BasisKind(self.kind))
+        _freeze(self, kind=BasisKind(self.kind))
         if int(self.term_count) != self.term_count or self.term_count < 1:
             raise ContractViolation("term_count must be a positive integer")
-        object.__setattr__(self, "term_count", int(self.term_count))
+        _freeze(self, term_count=int(self.term_count))
         if self.kind is BasisKind.NACA4 and self.term_count != 5:
             raise ContractViolation("naca4-like basis has exactly five terms")
 
@@ -93,9 +94,7 @@ class ShapeCoefficients:
             raise ContractViolation("coefficients must be finite")
         if not (np.isfinite(self.scale) and self.scale > 0.0):
             raise ContractViolation("scale must be positive and finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "scale", float(self.scale))
+        _freeze(self, values=vals, scale=float(self.scale))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +141,7 @@ class DecodedStack:
                     self._pair(i)
                 except ContractViolation as exc:
                     errors[i] = exc
-        object.__setattr__(self, "errors", dict(sorted(errors.items())))
+        _freeze(self, errors=dict(sorted(errors.items())))
 
     def __len__(self) -> int:
         return self.coefficients.shape[0]

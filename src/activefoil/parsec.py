@@ -43,7 +43,7 @@ from .geometry import (
     BasisSpec,
     DecodedStack,
 )
-from .sampling import ParameterBox
+from .sampling import ParameterBox, _freeze
 
 TERM_COUNT = 6
 CONDITION_LIMIT = 1e12
@@ -72,7 +72,7 @@ class ParsecParams:
             value = getattr(self, f.name)
             if not np.isfinite(value):
                 raise DomainError(f"{f.name} must be finite")
-            object.__setattr__(self, f.name, float(value))
+            _freeze(self, **{f.name: float(value)})
         for name in ("upper_crest_x", "lower_crest_x"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:

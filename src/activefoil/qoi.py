@@ -22,7 +22,6 @@ import abc
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -143,10 +142,6 @@ class SyntheticQuadratic(QoiEvaluator):
         return float(0.5 * arr @ self.hessian @ arr + self.linear @ arr + self.constant)
 
 
-def synthetic_quadratic(hessian, linear, constant) -> SyntheticQuadratic:
-    return SyntheticQuadratic(hessian, linear, constant)
-
-
 def seeded_quadratic(dim: int, seed: int) -> SyntheticQuadratic:
     """Reproducible random quadratic: H = (A + A') / 2, v standard normal."""
     if dim < 1:
@@ -218,11 +213,6 @@ class Ridge(QoiEvaluator):
         if self.noise_std > 0.0:
             value += self._noise(arr)
         return value
-
-
-def ridge(direction, profile: str = "linear",
-          noise_std: float = 0.0, noise_seed: int = 0) -> Ridge:
-    return Ridge(direction, profile, noise_std, noise_seed)
 
 
 PARAMETERIZATIONS = ("parsec", "cst")
@@ -354,14 +344,6 @@ class PanelSurrogate(QoiEvaluator):
         if failed:
             raise failed[0]
         return values[0]
-
-
-def panel_surrogate(parameterization: str, grid_size: int = 201):
-    """(lift-like, drag-like) evaluator pair for a parameterization."""
-    return (
-        PanelSurrogate(parameterization, "lift", grid_size),
-        PanelSurrogate(parameterization, "drag", grid_size),
-    )
 
 
 class DatasetQoi(QoiEvaluator):

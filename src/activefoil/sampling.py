@@ -28,6 +28,14 @@ RNG_SCHEME = "pcg64-rowwise-v1"
 _EDGE_SLACK = 1e-12
 
 
+def _freeze(obj, **fields) -> None:
+    """Set fields of a frozen dataclass instance; array values become read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class ParameterBox:
     """Axis-aligned box with one label per coordinate."""
@@ -54,11 +62,7 @@ class ParameterBox:
         labels = tuple(str(s) for s in labels)
         if len(labels) != lo.size:
             raise ContractViolation("one label per coordinate required")
-        lo.flags.writeable = False
-        up.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "labels", labels)
+        _freeze(self, lower=lo, upper=up, labels=labels)
 
     @property
     def dim(self) -> int:
@@ -170,9 +174,7 @@ class SampleSet:
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[1] != self.box.dim:
             raise ContractViolation("matrix must be N x dim(box)")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "seed", int(self.seed))
+        _freeze(self, matrix=mat, seed=int(self.seed))
 
     @property
     def n(self) -> int:

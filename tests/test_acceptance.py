@@ -41,7 +41,7 @@ from activefoil.geometry import (
     shape_derivative,
     shape_derivative_t,
 )
-from activefoil.qoi import ridge, seeded_quadratic
+from activefoil.qoi import Ridge, seeded_quadratic
 from activefoil.sampling import sample, unit_box
 
 
@@ -90,7 +90,7 @@ def test_criterion_02_ridge_recovery(capsys):
     X = sample(unit_box(m), 10 * coefficient_count(m), seed=2).matrix
     ok = True
     for profile in ("linear", "quadratic"):
-        f = ridge(w, profile=profile)(X)
+        f = Ridge(w, profile=profile)(X)
         eig = eigendecompose(gradient_outer_matrix(fit_quadratic(X, f), "identity"))
         dist = subspace_distance(eig.vectors[:, 0], unit_w)
         gap = eig.values[0] > 1e6 * max(eig.values[1], 0.0)
@@ -203,7 +203,7 @@ def test_criterion_06_chain_rule(capsys):
 @pytest.mark.slow
 def test_criterion_07_bootstrap_convergence_trend(capsys):
     start = time.perf_counter()
-    qoi = ridge([1.0, 2.0, 0.0, 0.0, -0.5], profile="linear",
+    qoi = Ridge([1.0, 2.0, 0.0, 0.0, -0.5], profile="linear",
                 noise_std=0.1, noise_seed=11)
     cells = convergence_study(
         unit_box(5), qoi, [100, 200, 400, 800, 1600, 3200, 6400],
@@ -249,7 +249,7 @@ def test_criterion_08_pareto_machinery(capsys):
     part = SubspacePartition(active=basis[:, :1], inactive=basis[:, 1:], n=1)
     z = sample(unit_box(3), 64, seed=88).matrix * 0.5
     spreads, counts = inactive_sensitivity_check(
-        part, np.array([[0.0], [0.3], [-0.3]]), z, ridge(w)
+        part, np.array([[0.0], [0.3], [-0.3]]), z, Ridge(w)
     )
     ok = ok and bool(np.all(counts > 0)) and float(np.nanmax(spreads)) < 1e-12
 

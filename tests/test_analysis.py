@@ -21,7 +21,7 @@ from activefoil.analysis import (
     write_shadow_csv,
 )
 from activefoil.errors import ContractViolation, IllPosedFitError
-from activefoil.qoi import ridge
+from activefoil.qoi import Ridge
 from activefoil.sampling import read_matrix_csv, sample, unit_box
 
 
@@ -254,7 +254,7 @@ def test_inactive_sensitivity_check():
     w = np.full(m, 0.5)
     basis = np.linalg.qr(np.column_stack([w, np.eye(m)[:, :3]]))[0]
     part = SubspacePartition(active=basis[:, :1], inactive=basis[:, 1:], n=1)
-    qoi = ridge(w)
+    qoi = Ridge(w)
     y_points = np.array([[0.0], [0.4], [10.0]])  # last one unreachable in the cube
     z_samples = sample(unit_box(3), 50, seed=8).matrix * 0.5
     spreads, counts = inactive_sensitivity_check(part, y_points, z_samples, qoi)

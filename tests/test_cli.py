@@ -1,31 +1,26 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from activefoil import cli
+from activefoil import cli, parsec
 from activefoil.activesubspace import (
     eigendecompose,
     gradient_outer_matrix,
     subspace_distance,
 )
 from activefoil.qoi import seeded_quadratic
-from activefoil.sampling import derive_seed, read_matrix_csv
+from activefoil.sampling import ParameterBox, derive_seed, read_matrix_csv
 
 
-def run(*argv, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("ACTIVEFOIL_")}
-    if env_extra:
-        env.update(env_extra)
+def run(*argv):
     return subprocess.run(
         [sys.executable, "-m", "activefoil", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -151,9 +146,23 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     gp = (d / "shadow.gp").read_text()
     assert f"skip {len(meta) + 1}" in gp
 
-    # out-of-range dimensions are refused before any artifact is written
+    # out-of-range dimensions, and panel QoIs outside their built-in box,
+    # are refused before any artifact is written
+    box = parsec.baseline_box()
+    upper = box.upper.copy()
+    upper[10] += 0.5  # a custom box the panel decoder would silently ignore
+    ParameterBox(box.lower, upper, box.labels).save(d / "wide.json")
     bad = d / "bad"
-    for argv in (("shadow", "--data", str(d / "evals.csv"),
+    for argv in (("run-all", "--box", "unit:4", "--qoi", "quadratic",
+                  "--n", "60", "--dim", "7"),
+                 ("run-all", "--qoi", f"dataset:{d / 'evals.csv'}", "--dim", "6"),
+                 ("run-all", "--box", str(d / "wide.json"), "--qoi", "panel",
+                  "--parameterization", "parsec", "--n", "200"),
+                 ("run-all", "--box", "cst-table3", "--qoi", "panel",
+                  "--parameterization", "parsec", "--n", "50"),
+                 ("evaluate", "--samples", str(d / "samples.csv"),
+                  "--qoi", "panel:lift", "--parameterization", "parsec"),
+                 ("shadow", "--data", str(d / "evals.csv"),
                   "--eigs", str(d / "eigs.json"), "--dim", "3"),
                  ("shadow", "--data", str(d / "evals.csv"),
                   "--eigs", str(d / "eigs.json"), "--dim", "0"),
@@ -201,6 +210,18 @@ def test_run_all_is_the_single_step_chain(tmp_path):
     for name in ("model.json", "eigs.json"):
         assert _without_meta(whole / name) == _without_meta(steps / name), name
     assert "# n_failed=0" in (whole / "evals.csv").read_text().splitlines()
+
+
+def test_nboot_does_not_shift_the_sampling_stream(tmp_path):
+    outs = [tmp_path / f"nboot{k}" for k in ("3", "9")]
+    for k, out in zip(("3", "9"), outs):
+        assert cli.main(["run-all", "--box", "unit:4", "--qoi", "quadratic",
+                         "--n", "60", "--seed", "11", "--nboot", k,
+                         "--out", str(out)]) == 0
+    for name in ("evals.csv", "shadow.csv"):
+        assert _data_lines(outs[0] / name) == _data_lines(outs[1] / name), name
+    for name in ("model.json", "eigs.json"):
+        assert _without_meta(outs[0] / name) == _without_meta(outs[1] / name), name
 
 
 def test_evaluate_requires_known_qoi(tmp_path):
@@ -253,22 +274,6 @@ def test_shapes_artifacts(tmp_path):
     upper = (tmp_path / "upper.csv").read_text().splitlines()
     assert upper[0].startswith("#")
     assert len([line for line in upper if not line.startswith("#")]) == 101
-
-
-def test_env_variable_overrides_default_seed(tmp_path):
-    d1 = tmp_path / "env"
-    d2 = tmp_path / "flag"
-    run("sample", "--box", "unit:2", "--n", "10", "--out", str(d1),
-        env_extra={"ACTIVEFOIL_SEED": "7"})
-    run("sample", "--box", "unit:2", "--n", "10", "--seed", "7", "--out", str(d2))
-    _, _, _, meta1 = read_matrix_csv(d1 / "samples.csv")
-    _, _, _, meta2 = read_matrix_csv(d2 / "samples.csv")
-    assert meta1["seed"] == "7"
-    assert meta1["child_seed"] == meta2["child_seed"]
-    # matrices agree; only the out-directory part of the config differs
-    m1, _, _, _ = read_matrix_csv(d1 / "samples.csv")
-    m2, _, _, _ = read_matrix_csv(d2 / "samples.csv")
-    np.testing.assert_array_equal(m1, m2)
 
 
 def test_convergence_csv(tmp_path):

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from activefoil.cst import (
-    DEFAULT_CLASS,
-    ClassFunctionSpec,
     CstParams,
     baseline_box,
     baseline_center,
@@ -17,11 +15,7 @@ from activefoil.cst import (
     odd_basis,
     surface_pair,
 )
-from activefoil.errors import (
-    ContractViolation,
-    DomainError,
-    UnsupportedExpansionError,
-)
+from activefoil.errors import ContractViolation, DomainError
 from activefoil.geometry import BasisKind, eval_shape_t
 from activefoil.sampling import sample, unit_box
 
@@ -35,16 +29,6 @@ def test_class_function_literal():
         class_function(1.5)
     with pytest.raises(DomainError):
         class_function(np.array([0.5, -0.1]))
-
-
-def test_class_spec_validation():
-    assert DEFAULT_CLASS == ClassFunctionSpec(0.5, 1.0)
-    blunt = ClassFunctionSpec(0.5, 0.0)
-    assert class_function(1.0, blunt) == 1.0  # zero tail exponent keeps the edge open
-    with pytest.raises(DomainError):
-        ClassFunctionSpec(nose_exponent=-0.1)
-    with pytest.raises(DomainError):
-        ClassFunctionSpec(tail_exponent=1.5)
 
 
 def test_cst_surface_is_class_times_polynomial():
@@ -112,10 +96,11 @@ def test_expansion_support_is_odd_degrees():
 
 
 def test_expansion_rejects_other_class_exponents():
-    with pytest.raises(UnsupportedExpansionError):
-        expand_odd_polynomial([1.0, 2.0], ClassFunctionSpec(0.5, 0.5))
-    with pytest.raises(UnsupportedExpansionError):
-        expand_odd_polynomial([1.0], ClassFunctionSpec(1.0, 1.0))
+    # the class exponents are fixed at (1/2, 1): there is no way to pass others
+    with pytest.raises(TypeError):
+        expand_odd_polynomial([1.0, 2.0], (0.5, 0.5))
+    with pytest.raises(TypeError):
+        class_function(0.5, (1.0, 1.0))
     with pytest.raises(ContractViolation):
         expand_odd_polynomial([])
 

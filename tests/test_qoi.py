@@ -16,17 +16,14 @@ from activefoil.qoi import (
     camber_lift,
     evaluate_batch,
     load_dataset,
-    panel_surrogate,
-    ridge,
     seeded_quadratic,
-    synthetic_quadratic,
     thickness_drag,
 )
 from activefoil.sampling import sample, unit_box, write_matrix_csv
 
 
 def test_synthetic_quadratic_literal():
-    qoi = synthetic_quadratic([[2.0, 0.0], [0.0, 0.0]], [0.0, 1.0], 3.0)
+    qoi = SyntheticQuadratic([[2.0, 0.0], [0.0, 0.0]], [0.0, 1.0], 3.0)
     assert qoi.evaluate([2.0, 5.0]) == 4.0 + 5.0 + 3.0
     assert qoi.dim == 2
     assert qoi([[2.0, 5.0], [0.0, 0.0]]).tolist() == [12.0, 3.0]
@@ -57,15 +54,15 @@ def test_seeded_quadratic_reconstruction():
 
 
 def test_ridge_profile_literals():
-    lin = ridge([3.0, 4.0], profile="linear")
+    lin = Ridge([3.0, 4.0], profile="linear")
     np.testing.assert_allclose(lin.direction, [0.6, 0.8], rtol=1e-15)
     assert lin.evaluate([1.0, 1.0]) == pytest.approx(1.4, rel=1e-15)
-    assert ridge([3.0, 4.0], "quadratic").evaluate([1.0, 1.0]) == pytest.approx(1.96, rel=1e-15)
-    assert ridge([3.0, 4.0], "exp").evaluate([1.0, 1.0]) == pytest.approx(math.exp(1.4), rel=1e-15)
+    assert Ridge([3.0, 4.0], "quadratic").evaluate([1.0, 1.0]) == pytest.approx(1.96, rel=1e-15)
+    assert Ridge([3.0, 4.0], "exp").evaluate([1.0, 1.0]) == pytest.approx(math.exp(1.4), rel=1e-15)
 
 
 def test_ridge_constant_on_orthogonal_slices():
-    qoi = ridge([1.0, 0.0, 0.0])
+    qoi = Ridge([1.0, 0.0, 0.0])
     base = qoi.evaluate([0.3, 0.0, 0.0])
     for a, b in ((1.0, -1.0), (0.25, 0.75), (-0.9, 0.1)):
         assert qoi.evaluate([0.3, a, b]) == base
@@ -162,7 +159,7 @@ def test_panel_surrogate_binds_its_box():
 
     assert lift.dim == 11
     np.testing.assert_array_equal(lift.box.lower, parsec.baseline_box().lower)
-    cst_lift, cst_drag = panel_surrogate("cst")
+    cst_lift, cst_drag = PanelSurrogate("cst", "lift"), PanelSurrogate("cst", "drag")
     assert cst_lift.objective == "lift" and cst_drag.objective == "drag"
     assert cst_lift.dim == 10
     with pytest.raises(ContractViolation):
@@ -172,7 +169,7 @@ def test_panel_surrogate_binds_its_box():
 
 
 def test_panel_surrogate_frozen_center_values():
-    lift, drag = panel_surrogate("cst")
+    lift, drag = PanelSurrogate("cst", "lift"), PanelSurrogate("cst", "drag")
     center = np.zeros(10)
     assert lift.evaluate(center) == pytest.approx(8.253968254092284, rel=1e-12)
     assert drag.evaluate(center) == pytest.approx(0.006666434986206055, rel=1e-12)
