@@ -17,9 +17,14 @@ subspace against the point estimate with the projector distance
 The bootstrap factors the quadratic design D = QR once.  A replicate
 with row multiplicities c then solves one p x p system: the Cholesky
 factor of Q' diag(c) Q gives the weighted least-squares coefficients.
-That shortcut is taken only when an upper bound on the condition
-number of the resampled design certifies full rank at the 1e-10
-tolerance with a wide margin; otherwise the replicate is refitted
+Replicates run in blocks of about 2 MB per (B, p, p) array: each
+replicate's Gram matrix is formed over its distinct rows, then the
+block's Cholesky factors, certification bounds, solves, C matrices,
+eigendecompositions and sign rule are each one stacked numpy call, and
+the subspace errors of all replicates take one stacked call per
+dimension.  The shortcut is taken only when an upper bound on the
+condition number of the resampled design certifies full rank at the
+1e-10 tolerance with a wide margin; otherwise the replicate is refitted
 from its resampled rows exactly as ``fit_quadratic`` would, so the
 redraw and skip decisions never depend on the shortcut.
 """
@@ -46,6 +51,8 @@ EIGENVALUE_FLOOR = 1e-14
 CONVENTIONS = ("identity", "third")
 
 _MAX_RESAMPLE_RETRIES = 10
+# Bootstrap replicates are solved in blocks whose (B, p, p) stacks stay near this size.
+_BLOCK_BYTES = 2**21
 # The bootstrap's one-factorization shortcut must certify
 # cond(resampled design) * RANK_RCOND below this, far from the rank cut.
 _CERTIFIED_RCOND = 1e-2
@@ -73,17 +80,15 @@ def quadratic_features(X) -> np.ndarray:
 
 
 def _unpack_coefficients(beta: np.ndarray, m: int):
-    constant = float(beta[0])
-    linear = beta[1 : m + 1].copy()
-    hess = np.zeros((m, m))
-    k = m + 1
-    for i in range(m):
-        hess[i, i] = 2.0 * beta[k]
-        run = m - i - 1
-        hess[i, i + 1 :] = beta[k + 1 : k + 1 + run]
-        hess[i + 1 :, i] = hess[i, i + 1 :]
-        k += m - i
-    return hess, linear, constant
+    """(H, v, c) of coefficients in the monomial order; beta may be a (..., p) stack."""
+    upper = np.triu_indices(m)
+    quad = beta[..., m + 1 :]
+    hess = np.zeros(beta.shape[:-1] + (m, m))
+    hess[..., upper[0], upper[1]] = quad
+    hess[..., upper[1], upper[0]] = quad
+    diag = np.arange(m)
+    hess[..., diag, diag] *= 2.0
+    return hess, beta[..., 1 : m + 1].copy(), beta[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +137,6 @@ class QuadraticModel:
         return out[0] if single else out
 
 
-def _quadratic_model(beta: np.ndarray, m: int, residual: float) -> QuadraticModel:
-    hess, lin, const = _unpack_coefficients(beta, m)
-    return QuadraticModel(hess, lin, const, residual)
-
-
 def _solve_quadratic(design: np.ndarray, f: np.ndarray, m: int):
     beta, _, rank, _ = np.linalg.lstsq(design, f, rcond=RANK_RCOND)
     p = design.shape[1]
@@ -147,7 +147,46 @@ def _solve_quadratic(design: np.ndarray, f: np.ndarray, m: int):
             required=p,
         )
     residual = float(np.linalg.norm(design @ beta - f) / np.sqrt(design.shape[0]))
-    return _quadratic_model(beta, m, residual)
+    return QuadraticModel(*_unpack_coefficients(beta, m), residual)
+
+
+def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of each lower-triangular matrix of a (..., n, n) stack, by 2 x 2 blocks.
+
+    inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]; the result,
+    written into ``out`` when given, is exactly lower triangular.
+    """
+    if out is None:
+        out = np.zeros(low.shape)
+    n = low.shape[-1]
+    if n == 1:
+        np.divide(1.0, low, out=out)
+        return out
+    h = n // 2
+    top = _lower_inverse(low[..., :h, :h], out[..., :h, :h])
+    bottom = _lower_inverse(low[..., h:, h:], out[..., h:, h:])
+    out[..., h:, :h] = -(bottom @ (low[..., h:, :h] @ top))
+    return out
+
+
+def _cholesky(grams: np.ndarray):
+    """Lower Cholesky factors of a (B, p, p) stack and which members are positive definite.
+
+    A member that is not gets the identity as a placeholder factor.
+    """
+    try:
+        return np.linalg.cholesky(grams), np.ones(grams.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.broadcast_to(np.eye(grams.shape[-1]), grams.shape).copy()
+    ok = np.zeros(grams.shape[0], dtype=bool)
+    for i, gram in enumerate(grams):
+        try:
+            chol[i] = np.linalg.cholesky(gram)
+            ok[i] = True
+        except np.linalg.LinAlgError:
+            continue
+    return chol, ok
 
 
 class _ResampledFit:
@@ -166,42 +205,59 @@ class _ResampledFit:
     """
 
     def __init__(self, X: np.ndarray, f: np.ndarray):
-        from scipy.linalg import lapack
-
-        self._lapack = lapack
         self.X, self.f = X, f
-        # LAPACK QR in place on one Fortran copy keeps the peak memory at
-        # about one extra design; Q' is then a C-ordered p x N view.
-        qr, tau, _, _ = lapack.dgeqrf(
-            np.asfortranarray(quadratic_features(X)), overwrite_a=1
-        )
-        self.r = np.triu(qr[: qr.shape[1]])
-        self.q_t = lapack.dorgqr(qr, tau, overwrite_a=1)[0].T
-        self.r_inv, info = lapack.dtrtri(self.r)
-        self.cond_r = (
-            np.linalg.norm(self.r) * np.linalg.norm(self.r_inv) if info == 0 else np.inf
-        )
+        self.q, self.r = np.linalg.qr(quadratic_features(X))
+        # a singular R gives a non-finite cond_r, which certifies no replicate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.r_inv = _lower_inverse(self.r.T).T
+            self.cond_r = np.linalg.norm(self.r) * np.linalg.norm(self.r_inv)
 
-    def fit(self, idx: np.ndarray) -> QuadraticModel:
-        m = self.X.shape[1]
-        counts = np.bincount(idx, minlength=self.f.size).astype(float)
-        rows = np.flatnonzero(counts)
-        weighted = np.take(self.q_t, rows, axis=1)
-        weighted *= np.sqrt(counts[rows])
-        gram = weighted @ weighted.T
-        chol, info = self._lapack.dpotrf(gram, lower=1, clean=1)
-        if info == 0:
-            chol_inv, info = self._lapack.dtrtri(chol, lower=1)
-        if info != 0 or not (
-            self.cond_r * np.sqrt(np.linalg.norm(gram)) * np.linalg.norm(chol_inv)
-            < _CERTIFIED_RCOND / RANK_RCOND
-        ):
-            return _solve_quadratic(quadratic_features(self.X[idx]), self.f[idx], m)
-        y = chol_inv @ (self.q_t @ (counts * self.f))
-        beta = self.r_inv @ (chol_inv.T @ y)
-        resid = self.q_t.T @ (self.r @ beta) - self.f
-        residual = float(np.sqrt(counts @ (resid * resid) / idx.size))
-        return _quadratic_model(beta, m, residual)
+    def solve(self, draws):
+        """Coefficients (B, p) of each resample, and whether the shortcut certified each."""
+        p = self.r.shape[0]
+        grams = np.empty((len(draws), p, p))
+        rhs = np.empty((len(draws), p))
+        for i, idx in enumerate(draws):
+            counts = np.bincount(idx, minlength=self.f.size)
+            rows = np.flatnonzero(counts)
+            root = np.sqrt(counts[rows])
+            weighted = np.take(self.q, rows, axis=0)
+            weighted *= root[:, np.newaxis]
+            grams[i] = weighted.T @ weighted
+            rhs[i] = (root * self.f[rows]) @ weighted
+        chol, ok = _cholesky(grams)
+        chol_inv = _lower_inverse(chol)
+        bound = (
+            self.cond_r
+            * np.sqrt(np.linalg.norm(grams, axis=(1, 2)))
+            * np.linalg.norm(chol_inv, axis=(1, 2))
+        )
+        ok &= bound < _CERTIFIED_RCOND / RANK_RCOND
+        y = chol_inv @ rhs[..., np.newaxis]
+        beta = (np.swapaxes(chol_inv, 1, 2) @ y)[..., 0] @ self.r_inv.T
+        return beta, ok
+
+    def refit(self, rng):
+        """(H, v) of a replicate whose first draw the shortcut did not certify.
+
+        The first draw is replayed from ``rng`` and refitted by
+        ``_solve_quadratic``; a rank-deficient resample is redrawn from the
+        same stream up to _MAX_RESAMPLE_RETRIES times.  None if every draw
+        was rank deficient.
+        """
+        n_rows, m = self.X.shape
+        for attempt in range(_MAX_RESAMPLE_RETRIES + 1):
+            idx = rng.integers(0, n_rows, size=n_rows)
+            if attempt:
+                beta, ok = self.solve([idx])
+                if ok[0]:
+                    return _unpack_coefficients(beta[0], m)[:2]
+            try:
+                model = _solve_quadratic(quadratic_features(self.X[idx]), self.f[idx], m)
+            except IllPosedFitError:
+                continue
+            return model.hessian, model.linear
+        return None
 
 
 def fit_quadratic(X, f) -> QuadraticModel:
@@ -236,12 +292,16 @@ def _sigma_scale(convention: str) -> float:
     raise ContractViolation(f"unknown covariance convention {convention!r}")
 
 
+def _outer(hess: np.ndarray, lin: np.ndarray, convention: str) -> np.ndarray:
+    """C = H*Sigma*H + vv' (symmetrized) for each H of a (..., m, m) stack and v of (..., m)."""
+    c = _sigma_scale(convention) * (hess @ hess)
+    c = c + lin[..., :, np.newaxis] * lin[..., np.newaxis, :]
+    return 0.5 * (c + np.swapaxes(c, -1, -2))
+
+
 def gradient_outer_matrix(model: QuadraticModel, convention: str = "identity") -> np.ndarray:
     """Average gradient outer product C = H*Sigma*H + vv' (symmetrized)."""
-    scale = _sigma_scale(convention)
-    h = model.hessian
-    c = scale * (h @ h) + np.outer(model.linear, model.linear)
-    return 0.5 * (c + c.T)
+    return _outer(model.hessian, model.linear, convention)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,14 +316,7 @@ class Eigenpairs:
         val = np.array(self.values, dtype=float)
         if vec.ndim != 2 or vec.shape[0] != vec.shape[1] or val.shape != (vec.shape[0],):
             raise ContractViolation("vectors must be m x m with m eigenvalues")
-        m = vec.shape[0]
-        if np.max(np.abs(vec.T @ vec - np.eye(m))) > 1e-10:
-            raise ContractViolation("eigenvectors must be orthonormal to 1e-10")
-        if np.any(np.diff(val) > 0.0):
-            raise ContractViolation("eigenvalues must be non-increasing")
-        scale = max(1.0, float(val[0]) if val.size else 1.0)
-        if val[-1] < -1e-12 * scale:
-            raise ContractViolation("eigenvalues must be non-negative to 1e-12")
+        _check_eigenpairs(vec, val)
         _freeze(self, vectors=vec, values=val)
 
     @property
@@ -271,13 +324,43 @@ class Eigenpairs:
         return self.values.size
 
 
+def _check_eigenpairs(vectors: np.ndarray, values: np.ndarray) -> None:
+    """Orthonormal vectors, non-increasing non-negative values, for each member of a stack."""
+    eye = np.eye(values.shape[-1])
+    if np.any(np.abs(np.swapaxes(vectors, -1, -2) @ vectors - eye) > 1e-10):
+        raise ContractViolation("eigenvectors must be orthonormal to 1e-10")
+    if np.any(np.diff(values, axis=-1) > 0.0):
+        raise ContractViolation("eigenvalues must be non-increasing")
+    scale = np.maximum(1.0, values[..., 0])
+    if np.any(values[..., -1] < -1e-12 * scale):
+        raise ContractViolation("eigenvalues must be non-negative to 1e-12")
+
+
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        lead = int(np.argmax(np.abs(out[:, j])))  # first index on ties
-        if out[lead, j] < 0.0:
-            out[:, j] = -out[:, j]
-    return out
+    """Flip each column so its largest-magnitude component is positive.
+
+    Ties go to the lowest index.  ``vectors`` may be a (..., m, k) stack.
+    """
+    lead = np.argmax(np.abs(vectors), axis=-2)[..., np.newaxis, :]  # first index on ties
+    flip = np.take_along_axis(vectors, lead, axis=-2) < 0.0
+    return np.where(flip, -vectors, vectors)
+
+
+def _eigh_descending(c: np.ndarray):
+    """Checked (values, vectors) of a (..., m, m) stack of symmetric matrices.
+
+    Values descend; vectors follow the sign rule of ``_canonical_signs``.
+    """
+    scale = np.maximum(1.0, np.max(np.abs(c), axis=(-2, -1), initial=0.0))
+    if np.any(np.max(np.abs(c - np.swapaxes(c, -1, -2)), axis=(-2, -1), initial=0.0)
+              > 1e-10 * scale):
+        raise ContractViolation("matrix must be symmetric to 1e-10")
+    values, vectors = np.linalg.eigh(0.5 * (c + np.swapaxes(c, -1, -2)))
+    order = np.argsort(values, axis=-1)[..., ::-1]
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = _canonical_signs(np.take_along_axis(vectors, order[..., np.newaxis, :], axis=-1))
+    _check_eigenpairs(vectors, values)
+    return values, vectors
 
 
 def eigendecompose(matrix) -> Eigenpairs:
@@ -290,12 +373,8 @@ def eigendecompose(matrix) -> Eigenpairs:
     c = np.asarray(matrix, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ContractViolation("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    if np.max(np.abs(c - c.T)) > 1e-10 * scale:
-        raise ContractViolation("matrix must be symmetric to 1e-10")
-    values, vectors = np.linalg.eigh(0.5 * (c + c.T))
-    order = np.argsort(values)[::-1]
-    return Eigenpairs(vectors=_canonical_signs(vectors[:, order]), values=values[order])
+    values, vectors = _eigh_descending(c)
+    return Eigenpairs(vectors=vectors, values=values)
 
 
 def choose_dimension(values, max_n: int | None = None) -> int:
@@ -354,10 +433,12 @@ def partition(eig: Eigenpairs, n: int) -> SubspacePartition:
     )
 
 
-def subspace_distance(A, B) -> float:
+def subspace_distance(A, B):
     """Projector distance || A A' - B B' ||_2 between equal-shape orthonormal bases.
 
-    That is the sine of the largest principal angle.
+    That is the sine of the largest principal angle.  ``A`` may also be a
+    (..., m, k) stack of bases, each compared with ``B``; the result is
+    then an array of distances.
     """
     a = np.asarray(A, dtype=float)
     b = np.asarray(B, dtype=float)
@@ -365,14 +446,16 @@ def subspace_distance(A, B) -> float:
         a = a[:, np.newaxis]
     if b.ndim == 1:
         b = b[:, np.newaxis]
-    if a.shape != b.shape:
+    if b.ndim != 2 or a.shape[-2:] != b.shape:
         raise ContractViolation(f"shape mismatch: {a.shape} vs {b.shape}")
-    eye = np.eye(a.shape[1])
-    if np.abs(a.T @ a - eye).max() > 1e-8 or np.abs(b.T @ b - eye).max() > 1e-8:
+    eye = np.eye(b.shape[1])
+    if (np.abs(np.swapaxes(a, -1, -2) @ a - eye).max() > 1e-8
+            or np.abs(b.T @ b - eye).max() > 1e-8):
         raise ContractViolation("inputs must have orthonormal columns")
     # ||(I - BB')A||_2 equals the projector distance for equal-dimension
     # subspaces; it needs an m x k SVD instead of an m x m one.
-    return float(np.linalg.svd(a - b @ (b.T @ a), compute_uv=False)[0])
+    dist = np.linalg.svd(a - b @ (b.T @ a), compute_uv=False)[..., 0]
+    return float(dist) if dist.ndim == 0 else dist
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,6 +493,13 @@ class BootstrapSummary:
         )
 
 
+def _replicate_rng(seed: int, k: int) -> np.random.Generator:
+    """Resampling stream of bootstrap replicate k."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
+    )
+
+
 def bootstrap(
     X,
     f,
@@ -425,7 +515,8 @@ def bootstrap(
     ``SeedSequence(seed, spawn_key=(k,))``), refits, rebuilds C under
     the same convention, and re-decomposes.  A rank-deficient resample
     is redrawn up to 10 times, then counted as skipped.  Refits share
-    one QR factorization of the design (see ``_ResampledFit``).  Pass
+    one QR factorization of the design and run in blocks of replicates
+    (see ``_ResampledFit``).  Pass
     ``point``, the ``fit_quadratic(X, f)`` model, when the caller has
     it already.  Note the replicate ranges describe sampling
     variability of the fit only; they are not calibrated confidence
@@ -451,37 +542,36 @@ def bootstrap(
         raise ContractViolation(f"dimension must lie in [1, {m - 1}], got {n}")
 
     refit = _ResampledFit(X, f)
+    block = max(1, _BLOCK_BYTES // (8 * refit.r.size))
     dims = np.arange(1, m)
     lam_rows = np.empty((n_boot, m))
-    err_rows = np.full((n_boot, dims.size), np.nan)
-    skipped = 0
-    kept = 0
-    for k in range(n_boot):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
+    vec_rows = np.empty((n_boot, m, m))
+    kept = np.ones(n_boot, dtype=bool)
+    for start in range(0, n_boot, block):
+        reps = slice(start, min(start + block, n_boot))
+        beta, certified = refit.solve(
+            [_replicate_rng(seed, k).integers(0, n_rows, size=n_rows)
+             for k in range(reps.start, reps.stop)]
         )
-        replicate = None
-        for _ in range(_MAX_RESAMPLE_RETRIES + 1):
-            idx = rng.integers(0, n_rows, size=n_rows)
-            try:
-                replicate = refit.fit(idx)
-                break
-            except IllPosedFitError:
-                continue
-        if replicate is None:
-            skipped += 1
-            continue
-        rep_eig = eigendecompose(gradient_outer_matrix(replicate, convention))
-        lam_rows[kept] = rep_eig.values
-        for j, d in enumerate(dims):
-            err_rows[kept, j] = subspace_distance(
-                rep_eig.vectors[:, :d], eig.vectors[:, :d]
-            )
-        kept += 1
-    if kept == 0:
+        hess, lin, _ = _unpack_coefficients(beta, m)
+        for i in np.flatnonzero(~certified):
+            fitted = refit.refit(_replicate_rng(seed, start + i))
+            if fitted is None:
+                kept[start + i] = False
+            else:
+                hess[i], lin[i] = fitted
+        ok = kept[reps]
+        lam_rows[reps][ok], vec_rows[reps][ok] = _eigh_descending(
+            _outer(hess[ok], lin[ok], convention)
+        )
+    skipped = int(n_boot - kept.sum())
+    if skipped == n_boot:
         raise IllPosedFitError("every bootstrap replicate was rank deficient")
-    lam_rows = lam_rows[:kept]
-    err_rows = err_rows[:kept]
+    lam_rows = lam_rows[kept]
+    vecs = vec_rows[kept]
+    err_rows = np.column_stack(
+        [subspace_distance(vecs[:, :, :d], eig.vectors[:, :d]) for d in dims]
+    )
 
     return BootstrapSummary(
         eigenvalues=eig.values,

@@ -141,7 +141,7 @@ class DecodedStack:
                     self._pair(i)
                 except ContractViolation as exc:
                     errors[i] = exc
-        _freeze(self, errors=dict(sorted(errors.items())))
+        _freeze(self, coefficients=self.coefficients, errors=dict(sorted(errors.items())))
 
     def __len__(self) -> int:
         return self.coefficients.shape[0]

@@ -24,7 +24,6 @@ import hashlib
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import cst, parsec
 from .errors import (
@@ -353,6 +352,12 @@ class DatasetQoi(QoiEvaluator):
     Euclidean) that disagree on f.  A dataset without an f column loads
     as an unevaluated design set: ``has_outputs`` is False and
     evaluation raises.
+
+    Rows are kept sorted by their first coordinate.  Two points within
+    the tolerance in Euclidean distance are within it in the first
+    coordinate too, so a lookup only measures the rows whose first
+    coordinate lies in that window.  A query takes the f of the nearest
+    row, the lowest row index on ties.
     """
 
     def __init__(self, X, f=None, tolerance: float = 1e-9, provenance: str = ""):
@@ -361,6 +366,8 @@ class DatasetQoi(QoiEvaluator):
             raise ContractViolation("dataset must have at least one row")
         if tolerance <= 0.0:
             raise ContractViolation("tolerance must be positive")
+        if not np.all(np.isfinite(rows)):
+            raise DatasetError("dataset inputs must be finite")
         self.rows = rows
         self.outputs = None if f is None else np.asarray(f, dtype=float)
         if self.outputs is not None and self.outputs.shape != (rows.shape[0],):
@@ -369,13 +376,32 @@ class DatasetQoi(QoiEvaluator):
         self.provenance = str(provenance)
         self.dim = rows.shape[1]
         self.name = "dataset"
-        self._tree = cKDTree(rows)
+        self._order = np.argsort(rows[:, 0], kind="stable")
+        self._keys = rows[self._order, 0]
         if self.outputs is not None:
-            for i, j in self._tree.query_pairs(self.tolerance):
+            self._check_duplicates()
+
+    def _reach(self, first):
+        """Half-width of the first-coordinate window around ``first``.
+
+        It is the tolerance padded by a relative 1e-12, so that rounding in
+        the distance never drops a row within the tolerance.
+        """
+        return self.tolerance + 1e-12 * (self.tolerance + np.abs(first))
+
+    def _check_duplicates(self) -> None:
+        keys = self._keys
+        stops = np.searchsorted(keys, keys + self._reach(keys), side="right")
+        for pos in np.flatnonzero(stops > np.arange(1, keys.size + 1)).tolist():
+            i = int(self._order[pos])
+            near = self._order[pos + 1 : stops[pos]]
+            dist = np.linalg.norm(self.rows[near] - self.rows[i], axis=1)
+            for j in near[dist <= self.tolerance].tolist():
                 if abs(self.outputs[i] - self.outputs[j]) > self.tolerance:
+                    a, b = sorted((i, j))
                     raise DatasetError(
-                        f"rows {i} and {j} duplicate x within {self.tolerance:g} "
-                        f"but disagree on f ({self.outputs[i]!r} vs {self.outputs[j]!r})"
+                        f"rows {a} and {b} duplicate x within {self.tolerance:g} "
+                        f"but disagree on f ({self.outputs[a]!r} vs {self.outputs[b]!r})"
                     )
 
     @property
@@ -397,13 +423,18 @@ class DatasetQoi(QoiEvaluator):
         arr = self._checked(x)
         if self.outputs is None:
             raise EvaluationError("dataset has no outputs (unevaluated design set)")
-        dist, idx = self._tree.query(arr)
-        if dist > self.tolerance:
+        reach = self._reach(arr[0])
+        start = np.searchsorted(self._keys, arr[0] - reach, side="left")
+        stop = np.searchsorted(self._keys, arr[0] + reach, side="right")
+        near = self._order[start:stop]
+        dist = np.linalg.norm(self.rows[near] - arr, axis=1)
+        if not np.any(dist <= self.tolerance):
+            nearest = float(np.min(np.linalg.norm(self.rows - arr, axis=1)))
             raise EvaluationError(
                 f"no dataset row within {self.tolerance:g} of the query "
-                f"(nearest at {dist:.3e})"
+                f"(nearest at {nearest:.3e})"
             )
-        return float(self.outputs[idx])
+        return float(self.outputs[near[dist == dist.min()].min()])
 
 
 def load_dataset(path, tolerance: float = 1e-9, provenance: str | None = None) -> DatasetQoi:

@@ -8,7 +8,6 @@ spot in the log and fails the suite.
 import hashlib
 import itertools
 import math
-import os
 import subprocess
 import sys
 import time
@@ -281,12 +280,10 @@ def test_criterion_09_builtin_box_tables(capsys):
 
 
 def _run_cli(*argv):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("ACTIVEFOIL_")}
     return subprocess.run(
         [sys.executable, "-m", "activefoil", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import activefoil.activesubspace as asub
 from activefoil.activesubspace import (
     CONVENTIONS,
     EIGENVALUE_FLOOR,
@@ -239,6 +240,61 @@ def test_subspace_distance_resolves_tiny_angles(m, data, seed):
     b = a.copy()
     b[:, -1] = np.cos(theta) * q[:, d - 1] + np.sin(theta) * q[:, d]
     assert subspace_distance(a, b) == pytest.approx(np.sin(theta), rel=1e-6)
+
+
+def _signs_by_column(vectors):
+    """The sign rule one column at a time: largest |component| positive, lowest index on ties."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        lead = int(np.argmax(np.abs(out[:, j])))
+        if out[lead, j] < 0.0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def test_canonical_signs_ties_go_to_the_lowest_index():
+    vectors = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, -2.0], [0.5, 0.0, 2.0]])
+    np.testing.assert_array_equal(
+        asub._canonical_signs(vectors),
+        [[1.0, 1.0, 0.0], [-1.0, -1.0, 2.0], [0.5, 0.0, -2.0]],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 6), b=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_stacked_sign_rule_matches_each_matrix(m, b, seed):
+    rng = np.random.default_rng(seed)
+    # small integers make many components tie in magnitude
+    ties = rng.integers(-2, 3, (b, m, m)).astype(float)
+    stacked = asub._canonical_signs(ties)
+    for k in range(b):
+        np.testing.assert_array_equal(stacked[k], _signs_by_column(ties[k]))
+        np.testing.assert_array_equal(stacked[k], asub._canonical_signs(ties[k]))
+    square = rng.standard_normal((b, m, m))
+    sym = square @ np.swapaxes(square, 1, 2)  # eigenvalues must be non-negative
+    values, vectors = asub._eigh_descending(sym)
+    for k in range(b):
+        eig = eigendecompose(sym[k])
+        assert values[k].tobytes() == eig.values.tobytes()
+        assert vectors[k].tobytes() == eig.vectors.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 9), b=st.integers(1, 6), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_subspace_distance_matches_each_slice(m, b, data, seed):
+    d = data.draw(st.integers(1, m - 1))
+    rng = np.random.default_rng(seed)
+    stack = np.linalg.qr(rng.standard_normal((b, m, d)))[0]
+    basis = np.linalg.qr(rng.standard_normal((m, d)))[0]
+    got = subspace_distance(stack, basis)
+    assert got.shape == (b,)
+    for k in range(b):
+        assert abs(got[k] - subspace_distance(stack[k], basis)) <= 1e-15
+    with pytest.raises(ContractViolation):
+        subspace_distance(stack, basis[:, :-1])
+    with pytest.raises(ContractViolation):
+        subspace_distance(2.0 * stack, basis)
 
 
 def test_bootstrap_is_deterministic():

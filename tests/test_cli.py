@@ -13,7 +13,7 @@ from activefoil.activesubspace import (
     subspace_distance,
 )
 from activefoil.qoi import seeded_quadratic
-from activefoil.sampling import ParameterBox, derive_seed, read_matrix_csv
+from activefoil.sampling import ParameterBox, derive_seed, read_matrix_csv, write_matrix_csv
 
 
 def run(*argv):
@@ -345,3 +345,27 @@ def test_run_all_dataset_mode(tmp_path):
     missing_box = run("run-all", "--qoi", "quadratic", "--out", str(d))
     assert missing_box.returncode == 1
     assert json.loads(missing_box.stderr)["error"] == "ContractViolation"
+
+
+def test_run_all_never_imports_scipy(tmp_path):
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.0, 1.0, (200, 3))
+    data = tmp_path / "data.csv"
+    write_matrix_csv(data, X, f=seeded_quadratic(3, 3)(X))
+    script = (
+        "import sys\n"
+        "from activefoil import cli\n"
+        "cli.main(sys.argv[1:])\n"
+        "leaked = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "sys.exit(f'scipy modules imported: {leaked[:5]}' if leaked else 0)\n"
+    )
+    for name, flags in (
+        ("box", ("--box", "unit:4", "--qoi", "quadratic", "--n", "60")),
+        ("dataset", ("--qoi", f"dataset:{data}")),
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", script, "run-all", *flags, "--nboot", "5",
+             "--seed", "4", "--out", str(tmp_path / name)],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from activefoil import cst, parsec
 from activefoil.errors import (
     ContractViolation,
     DomainError,
@@ -229,6 +230,11 @@ def test_coefficient_container_contracts():
     frozen = ShapeCoefficients([1.0, 2.0])
     with pytest.raises(ValueError):
         frozen.values[0] = 5.0
+    for stack in (cst.surface_pair(np.full((2, 10), 0.5)),
+                  parsec.solve_coefficients(np.tile(parsec.baseline_box().center, (2, 1)))):
+        assert not stack.coefficients.flags.writeable
+        with pytest.raises(ValueError):
+            stack.coefficients[0, 0, 0] = 5.0
     with pytest.raises(ContractViolation):
         eval_shape(frozen, BasisSpec(BasisKind.HALF_INTEGER, 3), 0.5)
 

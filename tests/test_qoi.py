@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activefoil import cst
 from activefoil.errors import ContractViolation, DatasetError, EvaluationError
@@ -204,6 +207,8 @@ def test_dataset_qoi_lookup():
         DatasetQoi(X, [1.0, 2.0])
     with pytest.raises(ContractViolation):
         DatasetQoi(X, [1.0, 2.0, 3.0], tolerance=0.0)
+    with pytest.raises(DatasetError):
+        DatasetQoi([[0.0, np.nan], [0.0, 0.0]], [1.0, 2.0])
 
 
 def test_dataset_qoi_duplicate_rules():
@@ -211,6 +216,56 @@ def test_dataset_qoi_duplicate_rules():
         DatasetQoi([[0.0, 0.0], [0.0, 0.0]], [1.0, 2.0], tolerance=1e-6)
     agreeing = DatasetQoi([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0], tolerance=1e-6)
     assert agreeing.evaluate([0.0, 0.0]) == 1.0
+
+
+# Grid points k * 0.25 keep every coordinate, difference and tolerance
+# exact, and (3, 4, 5) steps put pairs at exactly the tolerance.
+_GRID = st.integers(-4, 4).map(lambda k: 0.25 * k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    data=st.data(),
+    steps=st.integers(1, 5),
+)
+def test_dataset_lookup_matches_brute_force(m, data, steps):
+    tol = 0.25 * steps
+    rows = np.array(data.draw(st.lists(st.lists(_GRID, min_size=m, max_size=m),
+                                       min_size=1, max_size=12)))
+    f = tol * np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(rows),
+                                          max_size=len(rows))), dtype=float)
+    conflict = any(
+        np.linalg.norm(rows[i] - rows[j]) <= tol and abs(f[i] - f[j]) > tol
+        for i in range(len(rows)) for j in range(i + 1, len(rows))
+    )
+    if conflict:
+        with pytest.raises(DatasetError):
+            DatasetQoi(rows, f, tolerance=tol)
+        return
+    dataset = DatasetQoi(rows, f, tolerance=tol)
+    queries = data.draw(st.lists(st.lists(_GRID, min_size=m, max_size=m), max_size=6))
+    for query in [*rows.tolist(), *queries]:
+        dist = np.linalg.norm(rows - np.array(query), axis=1)
+        if dist.min() > tol:
+            with pytest.raises(EvaluationError, match=re.escape(f"nearest at {dist.min():.3e}")):
+                dataset.evaluate(query)
+        else:
+            # the nearest row answers, the lowest index on ties
+            assert dataset.evaluate(query) == f[np.flatnonzero(dist == dist.min())[0]]
+
+
+def test_dataset_lookup_counts_the_tolerance_itself():
+    # rows 1 and 2 are exactly 1.25 apart (a 3-4-5 step); rows 2 and 3 tie in x1
+    rows = [[1.0, 0.0], [0.0, 0.0], [0.75, 1.0], [0.75, 3.0]]
+    with pytest.raises(DatasetError, match="rows 1 and 2"):
+        DatasetQoi(rows, [1.0, 0.0, 1.5, 0.0], tolerance=1.25)
+    data = DatasetQoi(rows, [1.0, 0.0, 1.25, 5.0], tolerance=1.25)
+    assert data.evaluate([0.0, -1.25]) == 0.0  # row 1, at exactly the tolerance
+    assert data.evaluate([0.5, 0.0]) == 1.0  # rows 0 and 1 tie: the lower index
+    assert data.evaluate([0.75, 2.0]) == 1.25  # rows 2 and 3 tie: the lower index
+    with pytest.raises(EvaluationError, match=re.escape("nearest at 2.000e+00")):
+        data.evaluate([3.0, 0.0])
 
 
 def test_dataset_without_outputs():
