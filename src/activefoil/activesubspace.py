@@ -17,12 +17,12 @@ subspace against the point estimate with the projector distance
 The bootstrap factors the quadratic design D = QR once.  A replicate
 with row multiplicities c then solves one p x p system: the Cholesky
 factor of Q' diag(c) Q gives the weighted least-squares coefficients.
-Replicates run in blocks of about 2 MB per (B, p, p) array: each
-replicate's Gram matrix is formed over its distinct rows, then the
-block's Cholesky factors, certification bounds, solves, C matrices,
-eigendecompositions and sign rule are each one stacked numpy call, and
-the subspace errors of all replicates take one stacked call per
-dimension.  The shortcut is taken only when an upper bound on the
+Replicates run in blocks of at most about 2 MB per (B, p, p) array and
+per (B, N) array of resampled row indices: each replicate's Gram matrix
+is formed over its distinct rows, then the block's Cholesky factors,
+certification bounds, solves, C matrices, eigendecompositions and sign
+rule are each one stacked numpy call, and the subspace errors of all
+replicates take one stacked call per dimension.  The shortcut is taken only when an upper bound on the
 condition number of the resampled design certifies full rank at the
 1e-10 tolerance with a wide margin; otherwise the replicate is refitted
 from its resampled rows exactly as ``fit_quadratic`` would, so the
@@ -51,7 +51,8 @@ EIGENVALUE_FLOOR = 1e-14
 CONVENTIONS = ("identity", "third")
 
 _MAX_RESAMPLE_RETRIES = 10
-# Bootstrap replicates are solved in blocks whose (B, p, p) stacks stay near this size.
+# Bootstrap replicates are solved in blocks whose (B, p, p) stacks and
+# (B, N) resampling draws each stay near this size.
 _BLOCK_BYTES = 2**21
 # The bootstrap's one-factorization shortcut must certify
 # cond(resampled design) * RANK_RCOND below this, far from the rank cut.
@@ -542,7 +543,7 @@ def bootstrap(
         raise ContractViolation(f"dimension must lie in [1, {m - 1}], got {n}")
 
     refit = _ResampledFit(X, f)
-    block = max(1, _BLOCK_BYTES // (8 * refit.r.size))
+    block = max(1, _BLOCK_BYTES // (8 * max(refit.r.size, n_rows)))
     dims = np.arange(1, m)
     lam_rows = np.empty((n_boot, m))
     vec_rows = np.empty((n_boot, m, m))

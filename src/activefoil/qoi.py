@@ -353,11 +353,13 @@ class DatasetQoi(QoiEvaluator):
     as an unevaluated design set: ``has_outputs`` is False and
     evaluation raises.
 
-    Rows are kept sorted by their first coordinate.  Two points within
-    the tolerance in Euclidean distance are within it in the first
-    coordinate too, so a lookup only measures the rows whose first
-    coordinate lies in that window.  A query takes the f of the nearest
-    row, the lowest row index on ties.
+    Rows are kept sorted by their projection on a fixed unit direction
+    whose weights are unequal and free of small rational relations.  Two
+    points within the tolerance in Euclidean distance have projections
+    within it too, so a lookup only measures the rows whose projection
+    lies in that window; unlike a single coordinate, the projection does
+    not collapse on gridded sweeps or constant columns.  A query takes
+    the f of the nearest row, the lowest row index on ties.
     """
 
     def __init__(self, X, f=None, tolerance: float = 1e-9, provenance: str = ""):
@@ -376,22 +378,26 @@ class DatasetQoi(QoiEvaluator):
         self.provenance = str(provenance)
         self.dim = rows.shape[1]
         self.name = "dataset"
-        self._order = np.argsort(rows[:, 0], kind="stable")
-        self._keys = rows[self._order, 0]
+        weights = np.random.default_rng(0).uniform(1.0, 2.0, self.dim)
+        self._direction = weights / np.linalg.norm(weights)
+        keys = rows @ self._direction
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
         if self.outputs is not None:
             self._check_duplicates()
 
-    def _reach(self, first):
-        """Half-width of the first-coordinate window around ``first``.
+    def _reach(self, points):
+        """Half-width of the projection window around each of ``points``.
 
-        It is the tolerance padded by a relative 1e-12, so that rounding in
-        the distance never drops a row within the tolerance.
+        It is the tolerance padded by a relative 1e-12 of the point's size,
+        so that rounding in the projection or the distance never drops a
+        row within the tolerance.
         """
-        return self.tolerance + 1e-12 * (self.tolerance + np.abs(first))
+        return self.tolerance + 1e-12 * (self.tolerance + np.abs(points) @ self._direction)
 
     def _check_duplicates(self) -> None:
         keys = self._keys
-        stops = np.searchsorted(keys, keys + self._reach(keys), side="right")
+        stops = np.searchsorted(keys, keys + self._reach(self.rows[self._order]), side="right")
         for pos in np.flatnonzero(stops > np.arange(1, keys.size + 1)).tolist():
             i = int(self._order[pos])
             near = self._order[pos + 1 : stops[pos]]
@@ -423,9 +429,9 @@ class DatasetQoi(QoiEvaluator):
         arr = self._checked(x)
         if self.outputs is None:
             raise EvaluationError("dataset has no outputs (unevaluated design set)")
-        reach = self._reach(arr[0])
-        start = np.searchsorted(self._keys, arr[0] - reach, side="left")
-        stop = np.searchsorted(self._keys, arr[0] + reach, side="right")
+        key, reach = arr @ self._direction, self._reach(arr)
+        start = np.searchsorted(self._keys, key - reach, side="left")
+        stop = np.searchsorted(self._keys, key + reach, side="right")
         near = self._order[start:stop]
         dist = np.linalg.norm(self.rows[near] - arr, axis=1)
         if not np.any(dist <= self.tolerance):

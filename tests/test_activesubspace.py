@@ -536,3 +536,18 @@ def test_bootstrap_rank_deficient_resamples_take_the_lstsq_path(monkeypatch):
     assert len(calls) >= 1 + 11 * got.n_skipped
     np.testing.assert_allclose(got.eigenvalues_mean, want["eigenvalues_mean"],
                                rtol=0.0, atol=1e-9 * got.eigenvalues[0])
+
+
+def test_bootstrap_memory_stays_bounded_at_small_m_and_large_n():
+    # at m = 2 the (B, p, p) stacks are tiny, so the (B, N) draws bound the block
+    import tracemalloc
+
+    X = sample(unit_box(2), 5000, seed=6).matrix
+    f = seeded_quadratic(2, 1)(X)
+    tracemalloc.start()
+    try:
+        bootstrap(X, f, n_boot=1000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20

@@ -268,6 +268,21 @@ def test_dataset_lookup_counts_the_tolerance_itself():
         data.evaluate([3.0, 0.0])
 
 
+def test_dataset_lookup_window_does_not_collapse_on_a_grid():
+    # a 3^5 factorial sweep behind a constant first column: every row shares
+    # its first coordinate, yet each row's lookup window holds that row alone
+    levels = [-1.0, 0.0, 1.0]
+    grid = np.stack(np.meshgrid(*[levels] * 5, indexing="ij"), axis=-1).reshape(-1, 5)
+    rows = np.column_stack([np.full(len(grid), 0.3), grid])
+    f = np.arange(len(rows), dtype=float)
+    data = DatasetQoi(rows, f, tolerance=1e-6)
+    reach = data._reach(rows[data._order])
+    width = (np.searchsorted(data._keys, data._keys + reach, side="right")
+             - np.searchsorted(data._keys, data._keys - reach, side="left"))
+    assert width.max() == 1
+    assert [data.evaluate(row) for row in rows] == f.tolist()
+
+
 def test_dataset_without_outputs():
     designs = DatasetQoi([[0.0, 1.0]], tolerance=1e-6)
     assert not designs.has_outputs
