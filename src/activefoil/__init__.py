@@ -5,7 +5,20 @@ design boxes, fit a global quadratic model to any scalar quantity of
 interest, and read dominant directions out of the gradient outer
 product -- with bootstrap spread, shadow plots, link functions, and a
 two-objective Pareto-segment study on top.
+
+Importing the package defaults ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to ``1`` before numpy loads: the BLAS/LAPACK calls
+here are small dense products and solves that gain nothing from a second
+thread, whose pool would busy-wait after each of them.  A value already in
+the environment wins.  A process that imported numpy before this package
+keeps the thread pool it started with.
 """
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
 
 from .activesubspace import (
     BootstrapSummary,

@@ -336,7 +336,7 @@ def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, n: int = 
     def blocks():  # one block per y1 value, streamed
         for a in y1:
             block = np.column_stack([np.full(n, a), y2])
-            yield from np.column_stack([block, surface.predict_active(block)])
+            yield from np.column_stack([block, surface.predict_active(block)]).tolist()
             yield ()
 
     write_table(path, "# columns: y1,y2,value", blocks(), meta)

@@ -204,16 +204,23 @@ def derive_seed(root: int, label: str) -> int:
 def write_table(path, header: str, rows, meta=None):
     """Sorted ``# key=value`` lines, the header, then comma-separated rows.
 
-    Numbers are written with 17 significant digits (so floats read back
-    bit for bit) and LF endings.  An empty row writes an empty line, the
-    block break of a gnuplot grid.
+    Numbers are written as ``%.17g`` (so floats read back bit for bit)
+    with LF endings, one ``%`` template per row width.  An empty row writes
+    an empty line, the block break of a gnuplot grid.
     """
+    if isinstance(rows, np.ndarray):  # row by row: no whole-table copy as floats
+        rows = map(np.ndarray.tolist, rows)
+    templates = {}
     with open(path, "w", newline="\n") as fh:
         for key in sorted(meta or {}):
             fh.write(f"# {key}={meta[key]}\n")
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            row = tuple(row)
+            template = templates.get(len(row))
+            if template is None:
+                template = templates[len(row)] = ",".join(["%.17g"] * len(row)) + "\n"
+            fh.write(template % row)
 
 
 def write_matrix_csv(path, matrix, f=None, labels=None, meta=None):

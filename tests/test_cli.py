@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import activefoil
 from activefoil import cli, parsec
 from activefoil.activesubspace import (
     eigendecompose,
@@ -369,3 +372,50 @@ def test_run_all_never_imports_scipy(tmp_path):
             capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _thread_env(**values):
+    """This environment without the BLAS thread variables, plus ``values``.
+
+    Importing activefoil here has already set the variables in this process,
+    so a child would inherit them.  The package's own parent directory goes
+    on PYTHONPATH, so a child started in another directory still finds it.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    src = str(Path(activefoil.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, **values}
+
+
+def test_import_defaults_blas_threads_to_one_and_keeps_a_set_value():
+    script = ("import activefoil, os\n"
+              f"print(*(os.environ.get(k) for k in {BLAS_THREAD_VARIABLES!r}))\n")
+    for values, expected in (({}, "1 1 1"),
+                             ({"OPENBLAS_NUM_THREADS": "2"}, "2 1 1")):
+        out = subprocess.run([sys.executable, "-c", script], env=_thread_env(**values),
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == expected.split()
+
+
+def test_run_all_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    artifacts = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        out = subprocess.run(
+            [sys.executable, "-m", "activefoil", "run-all", "--box", "parsec-table2",
+             "--qoi", "panel", "--n", "200", "--nboot", "8", "--skip-infeasible",
+             "--out", "out"],
+            cwd=cwd, env=_thread_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        artifacts[threads] = {p.name: p.read_bytes() for p in (cwd / "out").iterdir()}
+    assert "pareto_grid.dat" in artifacts["1"]
+    assert artifacts["1"].keys() == artifacts["2"].keys()
+    differ = [name for name in artifacts["1"] if artifacts["1"][name] != artifacts["2"][name]]
+    assert differ == []

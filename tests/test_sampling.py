@@ -297,6 +297,43 @@ def test_write_table_exact_text(tmp_path):
     assert path.read_bytes() == b"# a=x\n# k=1\n# columns: y1,y2\n1,0.5\n\n2,-0\n\n"
 
 
+_CELL = st.one_of(
+    st.floats(),  # NaN, +-inf, -0.0 and subnormals included
+    st.sampled_from(_EXTREMES + (float("nan"), float("inf"), float("-inf"))),
+    st.integers(-(2**70), 2**70),
+    st.builds(lambda t, v: t(v), st.sampled_from((np.int8, np.int32, np.int64)),
+              st.integers(-128, 127)),
+    st.floats().map(np.float64),
+    st.booleans(),
+)
+
+
+def _per_value_text(header, rows):
+    # reference: one f-string per value
+    return header + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                   for row in rows)
+
+
+@_FILE_EXAMPLES
+@given(width=st.integers(1, 4), form=st.sampled_from(("generator", "zip", "ndarray")),
+       data=st.data())
+def test_write_table_text_matches_per_value_format(tmp_path, width, form, data):
+    if form == "ndarray":
+        n = data.draw(st.integers(0, 6))
+        rows = data.draw(arrays(np.float64, (n, width), elements=st.floats()))
+        given_rows = rows
+    elif form == "zip":
+        rows = data.draw(st.lists(st.lists(_CELL, min_size=width, max_size=width),
+                                  max_size=6))
+        given_rows = zip(*([row[j] for row in rows] for j in range(width)))
+    else:  # ragged rows, blank () lines included
+        rows = data.draw(st.lists(st.lists(_CELL, max_size=width), max_size=6))
+        given_rows = (tuple(row) for row in rows)
+    path = tmp_path / "table.csv"
+    write_table(path, "h", given_rows)
+    assert path.read_bytes() == _per_value_text("h", rows).encode()
+
+
 @_FILE_EXAMPLES
 @given(bounds=st.lists(st.tuples(_FINITE, _FINITE).filter(lambda b: b[0] != b[1]),
                        min_size=1, max_size=4),
