@@ -21,12 +21,15 @@ Replicates run in blocks of at most about 2 MB per (B, p, p) array and
 per (B, N) array of resampled row indices: each replicate's Gram matrix
 is formed over its distinct rows, then the block's Cholesky factors,
 certification bounds, solves, C matrices, eigendecompositions and sign
-rule are each one stacked numpy call, and the subspace errors of all
-replicates take one stacked call per dimension.  The shortcut is taken only when an upper bound on the
-condition number of the resampled design certifies full rank at the
-1e-10 tolerance with a wide margin; otherwise the replicate is refitted
-from its resampled rows exactly as ``fit_quadratic`` would, so the
-redraw and skip decisions never depend on the shortcut.
+rule are each one stacked numpy call, and the block's subspace errors
+take one stacked call per dimension.  The Gram stack is released once
+its factors exist and the factors are inverted in place, so one
+bootstrap call works in about two (B, p, p) arrays plus O(nboot * m),
+whatever nboot * m^2 is.  The shortcut is taken only when an upper
+bound on the condition number of the resampled design certifies full
+rank at the 1e-10 tolerance with a wide margin; otherwise the replicate
+is refitted from its resampled rows exactly as ``fit_quadratic`` would,
+so the redraw and skip decisions never depend on the shortcut.
 """
 
 from __future__ import annotations
@@ -155,7 +158,10 @@ def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     """Inverse of each lower-triangular matrix of a (..., n, n) stack, by 2 x 2 blocks.
 
     inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]; the result,
-    written into ``out`` when given, is exactly lower triangular.
+    written into ``out`` when given, is exactly lower triangular.  ``out``
+    may be ``low`` itself: each off-diagonal block B is read before it is
+    written, so inverting a stack of Cholesky factors needs no second
+    (..., n, n) array.
     """
     if out is None:
         out = np.zeros(low.shape)
@@ -226,12 +232,16 @@ class _ResampledFit:
             weighted *= root[:, np.newaxis]
             grams[i] = weighted.T @ weighted
             rhs[i] = (root * self.f[rows]) @ weighted
+        # einsum takes the Frobenius norms without a squared (B, p, p) copy;
+        # with the factors inverted in place, two such stacks are live at most
+        gram_norm = np.sqrt(np.einsum("bij,bij->b", grams, grams))
         chol, ok = _cholesky(grams)
-        chol_inv = _lower_inverse(chol)
+        del grams
+        chol_inv = _lower_inverse(chol, out=chol)
         bound = (
             self.cond_r
-            * np.sqrt(np.linalg.norm(grams, axis=(1, 2)))
-            * np.linalg.norm(chol_inv, axis=(1, 2))
+            * np.sqrt(gram_norm)
+            * np.sqrt(np.einsum("bij,bij->b", chol_inv, chol_inv))
         )
         ok &= bound < _CERTIFIED_RCOND / RANK_RCOND
         y = chol_inv @ rhs[..., np.newaxis]
@@ -546,7 +556,7 @@ def bootstrap(
     block = max(1, _BLOCK_BYTES // (8 * max(refit.r.size, n_rows)))
     dims = np.arange(1, m)
     lam_rows = np.empty((n_boot, m))
-    vec_rows = np.empty((n_boot, m, m))
+    err_rows = np.empty((n_boot, m - 1))
     kept = np.ones(n_boot, dtype=bool)
     for start in range(0, n_boot, block):
         reps = slice(start, min(start + block, n_boot))
@@ -562,17 +572,20 @@ def bootstrap(
             else:
                 hess[i], lin[i] = fitted
         ok = kept[reps]
-        lam_rows[reps][ok], vec_rows[reps][ok] = _eigh_descending(
+        if not ok.any():  # every replicate of the block was skipped
+            continue
+        lam_rows[reps][ok], vectors = _eigh_descending(
             _outer(hess[ok], lin[ok], convention)
+        )
+        # reduced per block, so no (nboot, m, m) eigenvector stack is kept
+        err_rows[reps][ok] = np.column_stack(
+            [subspace_distance(vectors[:, :, :d], eig.vectors[:, :d]) for d in dims]
         )
     skipped = int(n_boot - kept.sum())
     if skipped == n_boot:
         raise IllPosedFitError("every bootstrap replicate was rank deficient")
     lam_rows = lam_rows[kept]
-    vecs = vec_rows[kept]
-    err_rows = np.column_stack(
-        [subspace_distance(vecs[:, :, :d], eig.vectors[:, :d]) for d in dims]
-    )
+    err_rows = err_rows[kept]
 
     return BootstrapSummary(
         eigenvalues=eig.values,

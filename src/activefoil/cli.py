@@ -106,7 +106,13 @@ def _resolve_box(spec: str) -> ParameterBox:
     if spec == "cst-table3":
         return cst.baseline_box()
     if spec.startswith("unit:"):
-        return sampling.unit_box(int(spec.split(":", 1)[1]))
+        try:
+            dim = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ContractViolation(
+                f"box {spec!r} needs an integer dimension, as in unit:4"
+            ) from None
+        return sampling.unit_box(dim)
     if os.path.exists(spec):
         return ParameterBox.load(spec)
     raise ContractViolation(
@@ -135,6 +141,16 @@ def _check_dim_flag(dim, m: int) -> None:
     """--dim, when given, must lie in [1, m-1]."""
     if dim is not None and not 1 <= dim < m:
         raise ContractViolation(f"--dim must lie in [1, {m - 1}], got {dim}")
+
+
+def _check_run_sizes(args, n_rows: int, m: int) -> None:
+    """run-all's --dim, --nboot and row count, checked before anything is written."""
+    _check_dim_flag(args.dim, m)
+    if args.nboot < 1:
+        raise ContractViolation("n_boot must be positive")
+    p = asub.coefficient_count(m)
+    if n_rows < p:
+        raise ContractViolation(f"need at least {p} samples for m={m}, got {n_rows}")
 
 
 def _parse_direction(text: str, m: int) -> np.ndarray:
@@ -482,12 +498,12 @@ def _single_chain(X, f, labels, args, out: Path, prefix: str,
 
 
 def _cmd_run_all(args) -> None:
-    out = _out_dir(args)
     if args.qoi.startswith("dataset:"):
         path = args.qoi.split(":", 1)[1]
         X, f, labels, _ = read_matrix_csv(path)
         f = _require_outputs(f, path)
-        _check_dim_flag(args.dim, X.shape[1])
+        _check_run_sizes(args, *X.shape)
+        out = _out_dir(args)
         _single_chain(X, f, labels, args, out, "", "bootstrap",
                       {"qoi": args.qoi})
         print(f"pipeline artifacts in {out} (dataset, {f.size} rows)")
@@ -496,7 +512,10 @@ def _cmd_run_all(args) -> None:
     if not args.box:
         raise ContractViolation("run-all needs --box unless --qoi is dataset:PATH")
     box = _resolve_box(args.box)
-    _check_dim_flag(args.dim, box.dim)
+    if args.qoi == "panel":
+        parameterization = _parameterization_for(args, args.box)
+    _check_run_sizes(args, args.n, box.dim)
+    out = _out_dir(args)
     child = derive_seed(args.seed, "sample")
     X = sampling.sample(box, args.n, child).matrix
 
@@ -508,7 +527,6 @@ def _cmd_run_all(args) -> None:
         print(f"pipeline artifacts in {out} ({values.size} rows)")
         return
 
-    parameterization = _parameterization_for(args, args.box)
     ev = qoi.PanelSurrogate(parameterization, "both")
     X, values, n_failed = _evaluate_kept(ev, X, args)
     eigs = []

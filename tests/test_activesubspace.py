@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -509,15 +510,20 @@ def test_bootstrap_point_model_is_reused():
         bootstrap(X, f[:-1], n_boot=5, seed=1)
 
 
-def test_bootstrap_rank_deficient_resamples_take_the_lstsq_path(monkeypatch):
+def _seven_row_design():
     # m = 2 needs 6 coefficients; 6 distinct unisolvent points plus one
     # repeat, so most resamples of 7 rows miss a point and are singular
-    import activefoil.activesubspace as asub_module
-
     X = sample(unit_box(2), 6, seed=12).matrix
     X = np.vstack([X, X[:1]])
     f = X[:, 0] + 2.0 * X[:, 1] + 0.3 * X[:, 0] * X[:, 1] + np.array(
         [0.0, 1e-2, -1e-2, 2e-2, 0.0, 1e-2, -1e-2])
+    return X, f
+
+
+def test_bootstrap_rank_deficient_resamples_take_the_lstsq_path(monkeypatch):
+    import activefoil.activesubspace as asub_module
+
+    X, f = _seven_row_design()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleSizeWarning)
         want = _reference_bootstrap(X, f, n_boot=30, seed=5, n=1)
@@ -551,3 +557,77 @@ def test_bootstrap_memory_stays_bounded_at_small_m_and_large_n():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_bootstrap_memory_does_not_grow_with_nboot():
+    # errors are reduced block by block, so no (nboot, m, m) eigenvector
+    # stack is kept, and a block holds about two (B, p, p) arrays at once
+    import tracemalloc
+
+    X = sample(unit_box(11), 1000, seed=6).matrix
+    f = seeded_quadratic(11, 1)(X)
+    peaks = {}
+    for n_boot in (200, 2000):
+        tracemalloc.start()
+        try:
+            bootstrap(X, f, n_boot=n_boot, seed=4)
+            peaks[n_boot] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] < 7 * 2**20
+    assert peaks[2000] - peaks[200] < 0.5 * 2**20
+
+
+def _summary_bits(summary):
+    return [np.asarray(getattr(summary, field.name)).tobytes()
+            for field in dataclasses.fields(summary)]
+
+
+def test_bootstrap_block_layout_does_not_change_results(monkeypatch):
+    X, f = _seven_row_design()
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal(5)
+    w /= np.linalg.norm(w)
+    ridge_X = rng.uniform(-1.0, 1.0, (200, 5))
+    u = ridge_X @ w
+    ridge_f = u + 0.5 * u * u + 0.05 * rng.standard_normal(200)
+
+    default = bootstrap(X, f, n_boot=30, seed=5, n=1)
+    ridge = bootstrap(ridge_X, ridge_f, n_boot=60, seed=3)
+    with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
+        bootstrap(X[:6], f[:6], n_boot=5, seed=1, n=1)
+
+    monkeypatch.setattr(asub, "_BLOCK_BYTES", 1)  # one replicate per block
+    # skipped replicates leave empty blocks, which must not be reduced
+    assert 0 < default.n_skipped < 30
+    assert _summary_bits(bootstrap(X, f, n_boot=30, seed=5, n=1)) == _summary_bits(default)
+    with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
+        bootstrap(X[:6], f[:6], n_boot=5, seed=1, n=1)
+
+    # The last coefficient product, (B, p) x (p, p), goes through BLAS
+    # kernels chosen by B, so a certified replicate's bits can move by
+    # roundoff with its block's size; compare within roundoff here.
+    one = bootstrap(ridge_X, ridge_f, n_boot=60, seed=3)
+    assert (one.n, one.n_skipped) == (ridge.n, ridge.n_skipped)
+    assert one.eigenvalues.tobytes() == ridge.eigenvalues.tobytes()
+    assert np.all(-np.diff(ridge.eigenvalues) >= 1e-6 * ridge.eigenvalues[0])
+    for name in ("eigenvalues_min", "eigenvalues_mean", "eigenvalues_max"):
+        np.testing.assert_allclose(getattr(one, name), getattr(ridge, name), rtol=0.0,
+                                   atol=1e-12 * ridge.eigenvalues[0], err_msg=name)
+    for name in ("error_min", "error_mean", "error_max"):
+        np.testing.assert_allclose(getattr(one, name), getattr(ridge, name), rtol=0.0,
+                                   atol=1e-10, err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), b=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_lower_inverse_in_place_matches_a_fresh_output(n, b, seed):
+    rng = np.random.default_rng(seed)
+    low = np.tril(rng.standard_normal((b, n, n)))
+    diag = np.arange(n)
+    low[..., diag, diag] = rng.choice([-1.0, 1.0], (b, n)) * rng.uniform(0.5, 2.0, (b, n))
+    fresh = asub._lower_inverse(low)
+    work = low.copy()
+    assert asub._lower_inverse(work, out=work) is work
+    assert work.tobytes() == fresh.tobytes()
+    assert not np.triu(work, 1).any()

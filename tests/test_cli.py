@@ -149,15 +149,27 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     gp = (d / "shadow.gp").read_text()
     assert f"skip {len(meta) + 1}" in gp
 
-    # out-of-range dimensions, and panel QoIs outside their built-in box,
-    # are refused before any artifact is written
+    # out-of-range dimensions, bootstrap and sample sizes, malformed boxes,
+    # and panel QoIs outside their built-in box are refused before any
+    # artifact is written
     box = parsec.baseline_box()
     upper = box.upper.copy()
     upper[10] += 0.5  # a custom box the panel decoder would silently ignore
     ParameterBox(box.lower, upper, box.labels).save(d / "wide.json")
+    evals_X, evals_f, _, _ = read_matrix_csv(d / "evals.csv")
+    write_matrix_csv(d / "few.csv", evals_X[:20], f=evals_f[:20])  # m=6 needs 28 rows
     bad = d / "bad"
     for argv in (("run-all", "--box", "unit:4", "--qoi", "quadratic",
                   "--n", "60", "--dim", "7"),
+                 ("run-all", "--box", "unit:4", "--qoi", "quadratic",
+                  "--n", "60", "--nboot", "0"),
+                 ("run-all", "--box", "unit:4", "--qoi", "quadratic",
+                  "--n", "60", "--nboot", "-5"),
+                 ("run-all", "--box", "unit:4", "--qoi", "quadratic",
+                  "--n", "10"),
+                 ("run-all", "--box", "unit:x", "--qoi", "quadratic",
+                  "--n", "60"),
+                 ("run-all", "--qoi", f"dataset:{d / 'few.csv'}"),
                  ("run-all", "--qoi", f"dataset:{d / 'evals.csv'}", "--dim", "6"),
                  ("run-all", "--box", str(d / "wide.json"), "--qoi", "panel",
                   "--parameterization", "parsec", "--n", "200"),
