@@ -245,7 +245,11 @@ class _ResampledFit:
         )
         ok &= bound < _CERTIFIED_RCOND / RANK_RCOND
         y = chol_inv @ rhs[..., np.newaxis]
-        beta = (np.swapaxes(chol_inv, 1, 2) @ y)[..., 0] @ self.r_inv.T
+        z = np.swapaxes(np.swapaxes(chol_inv, 1, 2) @ y, 1, 2)
+        # (B, 1, p) x (p, p) runs one product per replicate, so a replicate's
+        # bits do not depend on how many share its block; a (B, p) x (p, p)
+        # product lets BLAS pick its kernel by B.
+        beta = (z @ self.r_inv.T)[:, 0]
         return beta, ok
 
     def refit(self, rng):

@@ -414,7 +414,8 @@ def _evaluate_kept(ev, X, args):
     --skip-infeasible drops them."""
     mode = "skip" if args.skip_infeasible else "raise"
     values, failed = qoi.evaluate_batch(ev, X, on_error=mode)
-    keep = np.setdiff1d(np.arange(X.shape[0]), np.asarray(failed, dtype=int))
+    keep = np.ones(X.shape[0], dtype=bool)
+    keep[failed] = False
     return X[keep], values[keep], len(failed)
 
 

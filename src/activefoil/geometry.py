@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .errors import (
+    ConditioningError,
     ContractViolation,
     DomainError,
     IllPosedFitError,
@@ -117,15 +118,20 @@ class AirfoilSurfacePair:
     lower: Surface
 
 
+# Rows per block when a decoded stack is evaluated on a grid, so each
+# block's (B, 2, G) values stay a few hundred KB whatever the stack size.
+STACK_BLOCK_ROWS = 128
+
+
 @dataclass(frozen=True, eq=False)
 class DecodedStack:
     """Surface coefficients decoded from a stack of designs, one entry per row.
 
     ``coefficients[i]`` holds the upper and lower series of row i in
-    ``basis``.  ``errors`` maps each row that failed to decode, in row
-    order, to the exception the single-design decode of that row
-    raises; a row whose coefficients are not finite fails here.  Pairs
-    are built on request, so the stack holds one (N, 2, k) array.
+    ``basis``, at unit scale.  ``errors`` maps each row that failed to
+    decode, in row order, to the exception the single-design decode of
+    that row raises; a row whose coefficients are not finite fails here.
+    Pairs are built on request, so the stack holds one (N, 2, k) array.
     """
 
     basis: BasisSpec
@@ -160,6 +166,23 @@ class DecodedStack:
             raise error
         return self._pair(i)
 
+    def grid_blocks(self, ell, slope: bool = False):
+        """Values of every row on ``ell``, one block of STACK_BLOCK_ROWS rows at a time.
+
+        ``values[b, s]`` is the height, or the slope, of surface s (upper,
+        lower) of the block's row b at every point of ``ell``.  The one
+        broadcast product per block runs one matrix-vector product per row
+        and surface on the cached power table, the same BLAS call as
+        :meth:`Surface.height`, so each row has the bits of its pair.  Rows
+        that failed to decode are evaluated as well; callers mask them.
+        An empty stack gives one empty block.
+        """
+        table = _basis_table(self.basis, ell, slope)
+        for start in range(0, max(len(self), 1), STACK_BLOCK_ROWS):
+            coef = self.coefficients[start:start + STACK_BLOCK_ROWS, :, :, np.newaxis]
+            with np.errstate(invalid="ignore", over="ignore"):
+                yield np.matmul(table, coef)[..., 0]
+
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -187,6 +210,73 @@ class ValidityReport:
             "grid_size": self.grid_size,
             "sharp_trailing_edge": self.sharp_trailing_edge,
         }
+
+
+# Per-row outcome codes of a stacked validation, indexed by StackValidity.reason.
+# A decode error takes precedence, then non-finite heights, then crossing
+# surfaces.  "contract" covers every other decode error (non-finite
+# coefficients).
+REASONS = ("ok", "infeasible", "unbounded", "domain", "conditioning", "contract")
+
+
+def _decode_reason(exc: Exception) -> int:
+    if isinstance(exc, ConditioningError):
+        return REASONS.index("conditioning")
+    if isinstance(exc, DomainError):
+        return REASONS.index("domain")
+    return REASONS.index("contract")
+
+
+@dataclass(frozen=True, eq=False)
+class StackValidity:
+    """Outcome of :func:`validate_airfoil` on every row of a DecodedStack.
+
+    The per-row arrays hold what a ValidityReport holds for one pair, plus
+    each row's maximum thickness on the grid and its ``reason`` code
+    (an index into REASONS; 0 is a valid row).  ``feasible`` and
+    ``bounded`` are single truth values over every row, as for one pair;
+    a row that failed to decode counts as neither.
+    """
+
+    feasible_rows: np.ndarray
+    min_gap: np.ndarray
+    endpoints_fixed: np.ndarray
+    bounded_rows: np.ndarray
+    lower_bound: np.ndarray
+    upper_bound: np.ndarray
+    thickness: np.ndarray
+    reason: np.ndarray
+    endpoint_tol: float
+    grid_size: int
+    sharp_trailing_edge: bool
+
+    def __post_init__(self):
+        _freeze(self, **{f.name: getattr(self, f.name) for f in fields(self)})
+
+    @property
+    def feasible(self) -> bool:
+        return bool(np.all(self.feasible_rows))
+
+    @property
+    def bounded(self) -> bool:
+        return bool(np.all(self.bounded_rows))
+
+    def __len__(self) -> int:
+        return self.reason.size
+
+    def row(self, i: int) -> ValidityReport:
+        """Report of row i, equal to ``validate_airfoil`` on that row's pair."""
+        return ValidityReport(
+            feasible=bool(self.feasible_rows[i]),
+            min_gap=float(self.min_gap[i]),
+            endpoints_fixed=bool(self.endpoints_fixed[i]),
+            endpoint_tol=self.endpoint_tol,
+            bounded=bool(self.bounded_rows[i]),
+            lower_bound=float(self.lower_bound[i]),
+            upper_bound=float(self.upper_bound[i]),
+            grid_size=self.grid_size,
+            sharp_trailing_edge=self.sharp_trailing_edge,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,44 +403,78 @@ def _nose_grid(n: int):
     return t, ell
 
 
+def _surface_checks(up, lo, endpoint_tol: float, sharp_trailing_edge: bool) -> dict:
+    """Row-wise checks on the heights (..., G) of both surfaces on one grid.
+
+    The arrays it returns are named as the fields of a StackValidity.
+    """
+    gap = up[..., 1:-1] - lo[..., 1:-1]
+    ends = [0, -1] if sharp_trailing_edge else [0]
+    return {
+        "feasible_rows": np.all(gap > 0.0, axis=-1),
+        "min_gap": np.min(gap, axis=-1),
+        "endpoints_fixed": (np.all(np.abs(up[..., ends]) <= endpoint_tol, axis=-1)
+                            & np.all(np.abs(lo[..., ends]) <= endpoint_tol, axis=-1)),
+        "bounded_rows": np.all(np.isfinite(up), axis=-1) & np.all(np.isfinite(lo), axis=-1),
+        "lower_bound": np.min(lo, axis=-1),
+        "upper_bound": np.max(up, axis=-1),
+        "thickness": np.max(up - lo, axis=-1),
+    }
+
+
 def validate_airfoil(
-    pair: AirfoilSurfacePair,
+    pair,
     grid_size: int = 201,
     *,
     sharp_trailing_edge: bool = False,
     endpoint_tol: float = 1e-9,
-) -> ValidityReport:
+):
     """Point-wise geometric checks on a grid uniform in t.
 
     feasible   : upper strictly above lower at every interior node
     endpoints  : |s(0)| <= tol for both surfaces; the trailing edge is
                  checked too only when declared sharp
     bounded    : all sampled heights finite; observed extrema reported
+
+    ``pair`` is one AirfoilSurfacePair, checked into a ValidityReport, or
+    a DecodedStack, whose rows are checked block by block into one
+    StackValidity; its row i equals the report of ``stack.pair(i)``.
     """
     if grid_size < 3:
         raise ContractViolation("grid_size must be at least 3")
     _, ell = nose_resolving_grid(grid_size)
-    up = pair.upper.height(ell)
-    lo = pair.lower.height(ell)
-
-    gap = up[1:-1] - lo[1:-1]
-    feasible = bool(np.all(gap > 0.0))
-    min_gap = float(np.min(gap))
-
-    bounded = bool(np.all(np.isfinite(up)) and np.all(np.isfinite(lo)))
-    fixed = abs(up[0]) <= endpoint_tol and abs(lo[0]) <= endpoint_tol
-    if sharp_trailing_edge:
-        fixed = fixed and abs(up[-1]) <= endpoint_tol and abs(lo[-1]) <= endpoint_tol
-
+    if isinstance(pair, DecodedStack):
+        return _validate_stack(pair, ell, sharp_trailing_edge, endpoint_tol)
+    checks = _surface_checks(pair.upper.height(ell), pair.lower.height(ell),
+                             endpoint_tol, sharp_trailing_edge)
     return ValidityReport(
-        feasible=feasible,
-        min_gap=min_gap,
-        endpoints_fixed=bool(fixed),
+        feasible=bool(checks["feasible_rows"]),
+        min_gap=float(checks["min_gap"]),
+        endpoints_fixed=bool(checks["endpoints_fixed"]),
         endpoint_tol=float(endpoint_tol),
-        bounded=bounded,
-        lower_bound=float(np.min(lo)),
-        upper_bound=float(np.max(up)),
+        bounded=bool(checks["bounded_rows"]),
+        lower_bound=float(checks["lower_bound"]),
+        upper_bound=float(checks["upper_bound"]),
         grid_size=int(grid_size),
+        sharp_trailing_edge=bool(sharp_trailing_edge),
+    )
+
+
+def _validate_stack(stack: DecodedStack, ell, sharp_trailing_edge: bool,
+                    endpoint_tol: float) -> StackValidity:
+    blocks = [_surface_checks(heights[:, 0], heights[:, 1], endpoint_tol, sharp_trailing_edge)
+              for heights in stack.grid_blocks(ell)]
+    rows = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+    reason = np.where(rows["feasible_rows"], 0, REASONS.index("infeasible")).astype(np.int8)
+    reason[~rows["bounded_rows"]] = REASONS.index("unbounded")
+    for i, exc in stack.errors.items():
+        reason[i] = _decode_reason(exc)
+        rows["feasible_rows"][i] = rows["bounded_rows"][i] = False
+    return StackValidity(
+        **rows,
+        reason=reason,
+        endpoint_tol=float(endpoint_tol),
+        grid_size=ell.size,
         sharp_trailing_edge=bool(sharp_trailing_edge),
     )
 

@@ -32,8 +32,8 @@ from .errors import (
     EvaluationError,
 )
 from .geometry import (
-    AirfoilSurfacePair,
     DecodedStack,
+    StackValidity,
     nose_resolving_grid,
     validate_airfoil,
 )
@@ -241,32 +241,49 @@ def _lift_nodes(k: int):
     return ell, weight
 
 
-def camber_lift(pair: AirfoilSurfacePair, quad_points: int = _LIFT_QUAD_POINTS) -> float:
+def camber_lift(pair, quad_points: int = _LIFT_QUAD_POINTS):
     """2 * Integral_0^pi camber'(ell(theta)) (cos(theta) - 1) dtheta, midpoint rule.
 
     ell(theta) = (1 - cos theta) / 2; for a parabolic camber line of
     height h this evaluates to the classical 4*pi*h.  Odd under the
     upper/lower mirror swap (U, L) -> (-L, -U), and exactly zero for
     mirror-symmetric pairs (the camber slope cancels term by term).
+
+    ``pair`` is one AirfoilSurfacePair, whose lift is a float, or a
+    DecodedStack, whose rows' lifts are an (N,) array with the bits of
+    each row's pair (rows that failed to decode hold arbitrary values).
     """
     k = int(quad_points)
     if k < 1:
         raise ContractViolation("quad_points must be positive")
     ell, weight = _lift_nodes(k)
+    if isinstance(pair, DecodedStack):
+        sums = [np.sum(0.5 * (slopes[:, 0] + slopes[:, 1]) * weight, axis=-1)
+                for slopes in pair.grid_blocks(ell, slope=True)]
+        return 2.0 * (np.pi / k) * np.concatenate(sums)
     slope = 0.5 * (pair.upper.slope(ell) + pair.lower.slope(ell))
     return 2.0 * (np.pi / k) * float(np.sum(slope * weight))
 
 
-def thickness_drag(pair: AirfoilSurfacePair, grid_size: int = 201) -> float:
+def thickness_drag(pair, grid_size: int = 201):
     """Offset plus gain * (max thickness)^2 on a nose-resolving grid.
 
     Even under the upper/lower mirror swap: the gap U - L is unchanged
-    by (U, L) -> (-L, -U).
+    by (U, L) -> (-L, -U).  ``pair`` is one AirfoilSurfacePair, or the
+    StackValidity of a stack validated on the same grid, whose row-wise
+    maximum thickness gives an (N,) array.
     """
     if grid_size < 2:
         raise ContractViolation("grid_size must be at least 2")
-    _, ell = nose_resolving_grid(grid_size)
-    thickness = float(np.max(pair.upper.height(ell) - pair.lower.height(ell)))
+    if isinstance(pair, StackValidity):
+        if pair.grid_size != grid_size:
+            raise ContractViolation(
+                f"validation ran on a {pair.grid_size}-point grid, not {grid_size}"
+            )
+        thickness = pair.thickness
+    else:
+        _, ell = nose_resolving_grid(grid_size)
+        thickness = float(np.max(pair.upper.height(ell) - pair.lower.height(ell)))
     return PANEL_DRAG_OFFSET + PANEL_DRAG_GAIN * thickness * thickness
 
 
@@ -292,6 +309,8 @@ class PanelSurrogate(QoiEvaluator):
         self.parameterization = parameterization
         self.objective = objective
         self.grid_size = int(grid_size)
+        if self.grid_size < 3:
+            raise ContractViolation("grid_size must be at least 3")
         self.box = (parsec if parameterization == "parsec" else cst).baseline_box()
         self.dim = self.box.dim
         self.name = f"panel-{objective}-{parameterization}"
@@ -308,33 +327,35 @@ class PanelSurrogate(QoiEvaluator):
             "drag_gain": PANEL_DRAG_GAIN,
         }
 
-    def _objectives(self, pair: AirfoilSurfacePair):
-        report = validate_airfoil(pair, self.grid_size)
-        if not (report.feasible and report.bounded):
-            raise EvaluationError(
-                f"{self.name}: decoded surfaces infeasible (min gap {report.min_gap:.3e})",
-                report=report,
-            )
-        if self.objective == "lift":
-            return camber_lift(pair)
-        if self.objective == "drag":
-            return thickness_drag(pair, self.grid_size)
-        return camber_lift(pair), thickness_drag(pair, self.grid_size)
-
     def evaluate_many(self, X):
-        """One decode of the whole stack, then one validation per design."""
+        """One decode and one validation of the whole stack, then array reductions.
+
+        Lift and drag are computed for every row at once; only failing
+        rows are visited one by one, to attach their errors.
+        """
         rows = np.atleast_2d(np.asarray(X, dtype=float))
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             return super().evaluate_many(rows)  # every row fails its shape check
         decoded = _decode(self.parameterization, denormalize(rows, self.box))
-        width = (2,) if self.objective == "both" else ()
-        values = np.full((rows.shape[0], *width), np.nan)
+        report = validate_airfoil(decoded, self.grid_size)
+        columns = []
+        if self.objective != "drag":
+            columns.append(camber_lift(decoded))
+        if self.objective != "lift":
+            columns.append(thickness_drag(report, self.grid_size))
+        values = columns[0] if len(columns) == 1 else np.stack(columns, axis=1)
+        bad = np.flatnonzero(report.reason)
+        values[bad] = np.nan
         failed = {}
-        for i in range(rows.shape[0]):
-            try:
-                values[i] = self._objectives(decoded.pair(i))
-            except Exception as exc:
-                failed[i] = exc
+        for i in bad.tolist():
+            if i in decoded.errors:
+                failed[i] = decoded.errors[i]
+                continue
+            row = report.row(i)
+            failed[i] = EvaluationError(
+                f"{self.name}: decoded surfaces infeasible (min gap {row.min_gap:.3e})",
+                report=row,
+            )
         return values, failed
 
     def evaluate(self, x):

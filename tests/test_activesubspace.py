@@ -604,19 +604,11 @@ def test_bootstrap_block_layout_does_not_change_results(monkeypatch):
     with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
         bootstrap(X[:6], f[:6], n_boot=5, seed=1, n=1)
 
-    # The last coefficient product, (B, p) x (p, p), goes through BLAS
-    # kernels chosen by B, so a certified replicate's bits can move by
-    # roundoff with its block's size; compare within roundoff here.
+    # every stacked product runs once per replicate, so the noisy ridge is
+    # bit-identical across layouts too
     one = bootstrap(ridge_X, ridge_f, n_boot=60, seed=3)
-    assert (one.n, one.n_skipped) == (ridge.n, ridge.n_skipped)
-    assert one.eigenvalues.tobytes() == ridge.eigenvalues.tobytes()
-    assert np.all(-np.diff(ridge.eigenvalues) >= 1e-6 * ridge.eigenvalues[0])
-    for name in ("eigenvalues_min", "eigenvalues_mean", "eigenvalues_max"):
-        np.testing.assert_allclose(getattr(one, name), getattr(ridge, name), rtol=0.0,
-                                   atol=1e-12 * ridge.eigenvalues[0], err_msg=name)
-    for name in ("error_min", "error_mean", "error_max"):
-        np.testing.assert_allclose(getattr(one, name), getattr(ridge, name), rtol=0.0,
-                                   atol=1e-10, err_msg=name)
+    assert ridge.n_skipped == 0
+    assert _summary_bits(one) == _summary_bits(ridge)
 
 
 @settings(max_examples=60, deadline=None)

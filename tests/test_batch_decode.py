@@ -8,15 +8,16 @@ tables.  The batched path must reproduce it bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activefoil import cli, cst, parsec, qoi
-from activefoil.errors import ConditioningError, ContractViolation, EvaluationError
-from activefoil.geometry import DecodedStack
+from activefoil.errors import ConditioningError, ContractViolation, DomainError, EvaluationError
+from activefoil.geometry import REASONS, DecodedStack
 from activefoil.sampling import denormalize, derive_seed, sample
 
 N_DESIGNS = 200
@@ -257,6 +258,149 @@ def test_stacked_decoders_reject_misshapen_stacks():
 
 
 # ---------------------------------------------------------------------------
+# stacked validation, lift and drag against the one-pair functions
+
+_REASON_ERRORS = {"domain": DomainError, "conditioning": ConditioningError,
+                  "contract": ContractViolation, "infeasible": EvaluationError,
+                  "unbounded": EvaluationError}
+
+_SINGLE_DECODE = {
+    "parsec": lambda r: parsec.solve_coefficients(parsec.ParsecParams.from_sequence(r)),
+    "cst": lambda r: cst.surface_pair(cst.CstParams.from_flat(r)),
+}
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _check_stacked_qois(parameterization, physical):
+    """The stacked calls on the decoded rows equal the one-pair calls row by
+    row, and ``evaluate_many`` fails each row with the error its reason
+    code names."""
+    box = (parsec if parameterization == "parsec" else cst).baseline_box()
+    with np.errstate(all="ignore"):
+        X = (2.0 * physical - (box.lower + box.upper)) / box.width
+        physical = denormalize(X, box)  # the rows evaluate_many decodes
+        stack = (parsec.solve_coefficients if parameterization == "parsec"
+                 else cst.surface_pair)(physical)
+        report = qoi.validate_airfoil(stack, GRID)
+        lift, drag = qoi.camber_lift(stack), qoi.thickness_drag(report, GRID)
+        values, failed = qoi.PanelSurrogate(parameterization, "both").evaluate_many(X)
+    assert len(report) == lift.size == drag.size == len(X)
+    assert list(failed) == np.flatnonzero(report.reason).tolist()
+    assert (report.feasible and report.bounded) == (not failed)
+    for i, row in enumerate(physical):
+        reason = REASONS[report.reason[i]]
+        try:
+            with np.errstate(all="ignore"):
+                pair = _SINGLE_DECODE[parameterization](row)
+        except Exception as exc:
+            assert isinstance(exc, _REASON_ERRORS[reason]) and reason in (
+                "domain", "conditioning", "contract")
+            assert type(failed[i]) is type(exc) and str(failed[i]) == str(exc)
+            continue
+        with np.errstate(all="ignore"):
+            single = qoi.validate_airfoil(pair, GRID)
+            single_lift, single_drag = qoi.camber_lift(pair), qoi.thickness_drag(pair, GRID)
+        assert repr(report.row(i)) == repr(single)
+        assert _bits(lift[i]) == _bits(single_lift)
+        assert _bits(drag[i]) == _bits(single_drag)
+        if single.feasible and single.bounded:
+            assert reason == "ok" and i not in failed
+            assert values[i].tobytes() == np.array([single_lift, single_drag]).tobytes()
+        else:
+            assert reason == ("infeasible" if single.bounded else "unbounded")
+            assert type(failed[i]) is EvaluationError
+            assert repr(failed[i].report) == repr(single)
+            assert np.isnan(values[i]).all()
+
+
+# rows out to four half-widths from the centre, so some surfaces cross
+_near = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_near, min_size=11, max_size=11), min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_PARSEC_BAD)), max_size=4))
+@example(unit_rows=[[0.0] * 11, [0.0] * 11,
+                    [4.0, 0.0, -4.0, 4.0, -4.0, -4.0, 4.0, 0.0, -4.0, -4.0, 0.0]],
+         bad=[(0, (0, 1e-3)), (1, (10, 0.0))])  # conditioning, domain, crossed
+def test_stacked_parsec_qois_match_each_pair(unit_rows, bad):
+    rows = denormalize(np.array(unit_rows), parsec.baseline_box())
+    for position, (column, value) in bad:
+        rows[position % len(rows), column] = value
+    _check_stacked_qois("parsec", rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_near, min_size=10, max_size=10), min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9),
+                          st.sampled_from(_CST_BAD + [1e300, -1e300])), max_size=4))
+@example(unit_rows=[[0.0] * 10, [0.0] * 10, [0.0, 0.0, 0.0, -1.0, -1.0] + [0.0] * 5],
+         bad=[(0, 2, float("nan"))])  # contract, ok, crossed
+def test_stacked_cst_qois_match_each_pair(unit_rows, bad):
+    rows = denormalize(np.array(unit_rows), cst.baseline_box())
+    for position, column, value in bad:
+        rows[position % len(rows), column] = value
+    _check_stacked_qois("cst", rows)
+
+
+def test_stacked_validation_gives_each_reason_code():
+    center = cst.surface_pair(cst.baseline_center())
+    upper, lower = center.upper.coeffs.values, center.lower.coeffs.values
+    huge = np.full(upper.size, 1e308)
+    coefficients = np.array([
+        [upper, lower],        # ok
+        [lower, upper],        # crossed
+        [huge, -huge],         # heights overflow
+        [-huge, huge],         # heights overflow and cross
+        [upper, lower],        # decode errors given below
+        [upper, lower],
+        [upper, np.nan * lower],
+    ])
+    errors = {4: DomainError("crest"), 5: ConditioningError("cond")}
+    stack = DecodedStack(center.upper.basis, coefficients, errors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = qoi.validate_airfoil(stack)
+    assert [REASONS[r] for r in report.reason] == [
+        "ok", "infeasible", "unbounded", "unbounded", "domain", "conditioning", "contract"]
+    assert report.feasible is False and report.bounded is False
+    assert report.feasible_rows.tolist() == [True, False, True, False, False, False, False]
+    assert report.bounded_rows.tolist() == [True, True, False, False, False, False, False]
+    ok = qoi.validate_airfoil(DecodedStack(stack.basis, coefficients[:1], {}))
+    assert ok.feasible is True and ok.bounded is True
+    assert repr(ok.row(0)) == repr(qoi.validate_airfoil(center))
+    with pytest.raises(ContractViolation, match="201-point grid"):
+        qoi.thickness_drag(report, 101)
+    with pytest.raises(ValueError):
+        report.reason[0] = 1  # read-only like every stacked array
+
+
+def test_panel_evaluation_memory_is_linear_in_outputs_only():
+    """Heights and slopes live one row block at a time.
+
+    Between N=1000 and N=5000 the peak may grow by what scales with N:
+    the normalized and physical rows, the decoded coefficients, and a few
+    numbers per row.  One row's (2, 201) heights alone are 3216 bytes.
+    """
+    ev = qoi.PanelSurrogate("cst", "both")
+    X = sample(cst.baseline_box(), 5000, derive_seed(7, "sample")).matrix
+    ev.evaluate_many(X[:10])  # power tables and lift nodes are cached
+    peaks = {}
+    for n in (1000, 5000):
+        tracemalloc.start()
+        try:
+            ev.evaluate_many(X[:n])
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    m, k = ev.dim, ev.dim // 2 + 1
+    per_row = 8 * (2 * m + 2 * k + 16)
+    assert peaks[5000] - peaks[1000] <= 4000 * per_row
+
+
+# ---------------------------------------------------------------------------
 # run-all decodes and validates each design once
 
 
@@ -265,8 +409,10 @@ def test_run_all_decodes_and_validates_each_design_once(box, tmp_path, monkeypat
     counts = {"decoded": 0, "validated": 0}
 
     def counting(fn, key):
+        # a stack of rows, or the DecodedStack validated in one call, counts
+        # each of its designs
         def wrapper(arg, *args, **kwargs):
-            counts[key] += len(arg) if isinstance(arg, np.ndarray) else 1
+            counts[key] += len(arg) if isinstance(arg, (np.ndarray, DecodedStack)) else 1
             return fn(arg, *args, **kwargs)
         return wrapper
 

@@ -367,16 +367,20 @@ def test_run_all_never_imports_scipy(tmp_path):
     X = rng.uniform(-1.0, 1.0, (200, 3))
     data = tmp_path / "data.csv"
     write_matrix_csv(data, X, f=seeded_quadratic(3, 3)(X))
+    # numpy.ma is not needed either; np.unique and np.setdiff1d import it
     script = (
         "import sys\n"
         "from activefoil import cli\n"
         "cli.main(sys.argv[1:])\n"
-        "leaked = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "sys.exit(f'scipy modules imported: {leaked[:5]}' if leaked else 0)\n"
+        "leaked = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "sys.exit(f'modules imported: {leaked[:5]}' if leaked else 0)\n"
     )
     for name, flags in (
         ("box", ("--box", "unit:4", "--qoi", "quadratic", "--n", "60")),
         ("dataset", ("--qoi", f"dataset:{data}")),
+        ("panel", ("--box", "cst-table3", "--qoi", "panel", "--n", "200",
+                   "--skip-infeasible", "--gammas", "5", "--grid-n", "5")),
     ):
         out = subprocess.run(
             [sys.executable, "-c", script, "run-all", *flags, "--nboot", "5",
