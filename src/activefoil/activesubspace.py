@@ -17,19 +17,22 @@ subspace against the point estimate with the projector distance
 The bootstrap factors the quadratic design D = QR once.  A replicate
 with row multiplicities c then solves one p x p system: the Cholesky
 factor of Q' diag(c) Q gives the weighted least-squares coefficients.
-Replicates run in blocks of at most about 2 MB per (B, p, p) array and
-per (B, N) array of resampled row indices: each replicate's Gram matrix
-is formed over its distinct rows, then the block's Cholesky factors,
-certification bounds, solves, C matrices, eigendecompositions and sign
-rule are each one stacked numpy call, and the block's subspace errors
-take one stacked call per dimension.  The Gram stack is released once
-its factors exist and the factors are inverted in place, so one
-bootstrap call works in about two (B, p, p) arrays plus O(nboot * m),
-whatever nboot * m^2 is.  The shortcut is taken only when an upper
-bound on the condition number of the resampled design certifies full
-rank at the 1e-10 tolerance with a wide margin; otherwise the replicate
-is refitted from its resampled rows exactly as ``fit_quadratic`` would,
-so the redraw and skip decisions never depend on the shortcut.
+Replicates are solved in blocks of at most about 1 MB per (B, p, p)
+stack and per (B, N) array of resampled row indices.  Each replicate's
+Gram matrix is formed over its distinct rows and factored at once in
+one (B, p, p) stack, allocated once per bootstrap call and reused by
+every block; the factors are inverted in place, and the block's
+certification bounds and solves are stacked numpy calls.  The eigen
+stage (C matrices, eigendecompositions, sign rule and one subspace
+error call per dimension) runs on groups of a fixed number of
+consecutive replicates, so its call count does not grow as blocks
+shrink.  One bootstrap call thus works in one (B, p, p) stack plus the
+eigen group's (G, m, m) arrays plus O(nboot * m), whatever nboot * m^2
+is.  The shortcut is taken only when an upper bound on the condition
+number of the resampled design certifies full rank at the 1e-10
+tolerance with a wide margin; otherwise the replicate is refitted from
+its resampled rows exactly as ``fit_quadratic`` would, so the redraw
+and skip decisions never depend on the shortcut.
 """
 
 from __future__ import annotations
@@ -56,7 +59,10 @@ CONVENTIONS = ("identity", "third")
 _MAX_RESAMPLE_RETRIES = 10
 # Bootstrap replicates are solved in blocks whose (B, p, p) stacks and
 # (B, N) resampling draws each stay near this size.
-_BLOCK_BYTES = 2**21
+_BLOCK_BYTES = 2**20
+# The eigen stage of the bootstrap runs on at least this many replicates
+# at a time, whatever the block size.
+_EIGEN_GROUP = 128
 # The bootstrap's one-factorization shortcut must certify
 # cond(resampled design) * RANK_RCOND below this, far from the rank cut.
 _CERTIFIED_RCOND = 1e-2
@@ -161,7 +167,7 @@ def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     written into ``out`` when given, is exactly lower triangular.  ``out``
     may be ``low`` itself: each off-diagonal block B is read before it is
     written, so inverting a stack of Cholesky factors needs no second
-    (..., n, n) array.
+    (..., n, n) array, and each level keeps one (..., n - h, h) temporary.
     """
     if out is None:
         out = np.zeros(low.shape)
@@ -172,28 +178,10 @@ def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     h = n // 2
     top = _lower_inverse(low[..., :h, :h], out[..., :h, :h])
     bottom = _lower_inverse(low[..., h:, h:], out[..., h:, h:])
-    out[..., h:, :h] = -(bottom @ (low[..., h:, :h] @ top))
+    corner = out[..., h:, :h]
+    np.matmul(bottom, np.matmul(low[..., h:, :h], top), out=corner)
+    np.negative(corner, out=corner)
     return out
-
-
-def _cholesky(grams: np.ndarray):
-    """Lower Cholesky factors of a (B, p, p) stack and which members are positive definite.
-
-    A member that is not gets the identity as a placeholder factor.
-    """
-    try:
-        return np.linalg.cholesky(grams), np.ones(grams.shape[0], dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    chol = np.broadcast_to(np.eye(grams.shape[-1]), grams.shape).copy()
-    ok = np.zeros(grams.shape[0], dtype=bool)
-    for i, gram in enumerate(grams):
-        try:
-            chol[i] = np.linalg.cholesky(gram)
-            ok[i] = True
-        except np.linalg.LinAlgError:
-            continue
-    return chol, ok
 
 
 class _ResampledFit:
@@ -218,26 +206,37 @@ class _ResampledFit:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.r_inv = _lower_inverse(self.r.T).T
             self.cond_r = np.linalg.norm(self.r) * np.linalg.norm(self.r_inv)
+        self._factors = np.empty((0,) + self.r.shape)
 
     def solve(self, draws):
-        """Coefficients (B, p) of each resample, and whether the shortcut certified each."""
+        """Coefficients (B, p) of each resample, and whether the shortcut certified each.
+
+        Each Gram matrix is Cholesky-factored as soon as it is formed, in
+        one (B, p, p) stack that later calls reuse; a member that is not
+        positive definite gets the identity as a placeholder factor.
+        """
         p = self.r.shape[0]
-        grams = np.empty((len(draws), p, p))
+        if len(draws) > len(self._factors):
+            self._factors = np.empty((len(draws), p, p))
+        factors = self._factors[: len(draws)]
         rhs = np.empty((len(draws), p))
+        gram_norm = np.empty(len(draws))
+        ok = np.ones(len(draws), dtype=bool)
         for i, idx in enumerate(draws):
             counts = np.bincount(idx, minlength=self.f.size)
             rows = np.flatnonzero(counts)
             root = np.sqrt(counts[rows])
             weighted = np.take(self.q, rows, axis=0)
             weighted *= root[:, np.newaxis]
-            grams[i] = weighted.T @ weighted
+            gram = np.matmul(weighted.T, weighted, out=factors[i])
             rhs[i] = (root * self.f[rows]) @ weighted
-        # einsum takes the Frobenius norms without a squared (B, p, p) copy;
-        # with the factors inverted in place, two such stacks are live at most
-        gram_norm = np.sqrt(np.einsum("bij,bij->b", grams, grams))
-        chol, ok = _cholesky(grams)
-        del grams
-        chol_inv = _lower_inverse(chol, out=chol)
+            gram_norm[i] = np.sqrt(np.einsum("ij,ij->", gram, gram))
+            try:
+                factors[i] = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                factors[i] = np.eye(p)
+                ok[i] = False
+        chol_inv = _lower_inverse(factors, out=factors)
         bound = (
             self.cond_r
             * np.sqrt(gram_norm)
@@ -453,7 +452,7 @@ def subspace_distance(A, B):
 
     That is the sine of the largest principal angle.  ``A`` may also be a
     (..., m, k) stack of bases, each compared with ``B``; the result is
-    then an array of distances.
+    then an array of distances, empty for an empty stack.
     """
     a = np.asarray(A, dtype=float)
     b = np.asarray(B, dtype=float)
@@ -464,8 +463,8 @@ def subspace_distance(A, B):
     if b.ndim != 2 or a.shape[-2:] != b.shape:
         raise ContractViolation(f"shape mismatch: {a.shape} vs {b.shape}")
     eye = np.eye(b.shape[1])
-    if (np.abs(np.swapaxes(a, -1, -2) @ a - eye).max() > 1e-8
-            or np.abs(b.T @ b - eye).max() > 1e-8):
+    if (np.max(np.abs(np.swapaxes(a, -1, -2) @ a - eye), initial=0.0) > 1e-8
+            or np.max(np.abs(b.T @ b - eye), initial=0.0) > 1e-8):
         raise ContractViolation("inputs must have orthonormal columns")
     # ||(I - BB')A||_2 equals the projector distance for equal-dimension
     # subspaces; it needs an m x k SVD instead of an m x m one.
@@ -530,8 +529,9 @@ def bootstrap(
     ``SeedSequence(seed, spawn_key=(k,))``), refits, rebuilds C under
     the same convention, and re-decomposes.  A rank-deficient resample
     is redrawn up to 10 times, then counted as skipped.  Refits share
-    one QR factorization of the design and run in blocks of replicates
-    (see ``_ResampledFit``).  Pass
+    one QR factorization of the design and run in blocks of replicates,
+    whose eigen stage runs in groups of consecutive replicates (see the
+    module docstring and ``_ResampledFit``).  Pass
     ``point``, the ``fit_quadratic(X, f)`` model, when the caller has
     it already.  Note the replicate ranges describe sampling
     variability of the fit only; they are not calibrated confidence
@@ -558,30 +558,32 @@ def bootstrap(
 
     refit = _ResampledFit(X, f)
     block = max(1, _BLOCK_BYTES // (8 * max(refit.r.size, n_rows)))
+    group = max(block, _EIGEN_GROUP)
     dims = np.arange(1, m)
     lam_rows = np.empty((n_boot, m))
     err_rows = np.empty((n_boot, m - 1))
     kept = np.ones(n_boot, dtype=bool)
-    for start in range(0, n_boot, block):
-        reps = slice(start, min(start + block, n_boot))
-        beta, certified = refit.solve(
-            [_replicate_rng(seed, k).integers(0, n_rows, size=n_rows)
-             for k in range(reps.start, reps.stop)]
-        )
-        hess, lin, _ = _unpack_coefficients(beta, m)
-        for i in np.flatnonzero(~certified):
+    for start in range(0, n_boot, group):
+        reps = slice(start, min(start + group, n_boot))
+        betas, certified = zip(*(
+            refit.solve([_replicate_rng(seed, k).integers(0, n_rows, size=n_rows)
+                         for k in range(first, min(first + block, reps.stop))])
+            for first in range(start, reps.stop, block)
+        ))
+        hess, lin, _ = _unpack_coefficients(np.concatenate(betas), m)
+        for i in np.flatnonzero(~np.concatenate(certified)):
             fitted = refit.refit(_replicate_rng(seed, start + i))
             if fitted is None:
                 kept[start + i] = False
             else:
                 hess[i], lin[i] = fitted
         ok = kept[reps]
-        if not ok.any():  # every replicate of the block was skipped
+        if not ok.any():  # every replicate of the group was skipped
             continue
         lam_rows[reps][ok], vectors = _eigh_descending(
             _outer(hess[ok], lin[ok], convention)
         )
-        # reduced per block, so no (nboot, m, m) eigenvector stack is kept
+        # reduced per group, so no (nboot, m, m) eigenvector stack is kept
         err_rows[reps][ok] = np.column_stack(
             [subspace_distance(vectors[:, :, :d], eig.vectors[:, :d]) for d in dims]
         )

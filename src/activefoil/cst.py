@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ContractViolation, DomainError
 from .geometry import (
@@ -102,7 +101,12 @@ def cst_surface(ell, coeffs):
     if x.ndim != 1 or x.size == 0:
         raise ContractViolation("coefficient vector must be 1-D and non-empty")
     arr = np.asarray(ell, dtype=float)
-    out = class_function(arr) * npoly.polyval(arr, x)
+    # Horner's rule in numpy.polynomial.polynomial.polyval's order, so the
+    # bits match it without importing numpy.polynomial on every start
+    shape = x[-1] + arr * 0
+    for coef in x[-2::-1]:
+        shape = coef + shape * arr
+    out = class_function(arr) * shape
     return float(out) if np.ndim(ell) == 0 else out
 
 

@@ -206,7 +206,7 @@ def _domain_errors(rows: np.ndarray) -> dict:
 
 
 def _solve_stack(rows: np.ndarray) -> DecodedStack:
-    """Both surfaces of every row: one batched cond, solve and residual check.
+    """Both surfaces of every row: one batched cond screen, solve and residual check.
 
     A row that fails keeps the error its one-design solve raises: the
     DomainError of its parameters, or the first ConditioningError of
@@ -219,7 +219,12 @@ def _solve_stack(rows: np.ndarray) -> DecodedStack:
     # condition number on its own, so one such row cannot fail the stack.
     finite = np.all(np.isfinite(matrix), axis=(-2, -1))
     cond = np.full(finite.shape, np.inf)
-    cond[finite] = np.linalg.cond(matrix[finite])
+    cond[finite] = np.linalg.cond(matrix[finite], "fro")
+    # The Frobenius condition number bounds the 2-norm one from above at
+    # about half its cost, and clears a system at half the limit, a margin
+    # for the rounding of its inverse; the others get the exact number.
+    exact = finite & ~(cond <= CONDITION_LIMIT / 2)
+    cond[exact] = np.linalg.cond(matrix[exact])
     solvable = finite & (cond <= CONDITION_LIMIT)
     solved = np.zeros(rhs.shape)
     solved[solvable] = np.linalg.solve(matrix[solvable], rhs[solvable][..., np.newaxis])[..., 0]

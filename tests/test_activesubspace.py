@@ -298,6 +298,17 @@ def test_stacked_subspace_distance_matches_each_slice(m, b, data, seed):
         subspace_distance(2.0 * stack, basis)
 
 
+def test_subspace_distance_of_an_empty_stack_is_empty():
+    basis = np.eye(4)[:, :2]
+    got = subspace_distance(np.empty((0, 4, 2)), basis)
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+    assert subspace_distance(np.empty((3, 0, 4, 2)), basis).shape == (3, 0)
+    with pytest.raises(ContractViolation):
+        subspace_distance(np.empty((0, 4, 2)), 2.0 * basis)
+    with pytest.raises(ContractViolation):
+        subspace_distance(np.empty((0, 4, 3)), basis)
+
+
 def test_bootstrap_is_deterministic():
     m = 3
     qoi = seeded_quadratic(m, 12)
@@ -475,13 +486,7 @@ def test_bootstrap_matches_lstsq_reference_on_separated_spectrum():
 
 def test_bootstrap_matches_lstsq_reference_on_noisy_ridge():
     # f = u + u^2/2 + 1e-3 noise with u = w'x, m = 11: one dominant eigenvalue
-    rng = np.random.default_rng(7)
-    m = 11
-    w = rng.standard_normal(m)
-    w /= np.linalg.norm(w)
-    X = rng.uniform(-1.0, 1.0, (300, m))
-    u = X @ w
-    f = u + 0.5 * u * u + 1e-3 * rng.standard_normal(X.shape[0])
+    X, f = _noisy_ridge(11, 300, 1e-3)
     got = bootstrap(X, f, n_boot=20, seed=3)
     want = _reference_bootstrap(X, f, n_boot=20, seed=3)
     assert got.n == want["n"] == 1 and got.n_skipped == want["n_skipped"] == 0
@@ -578,6 +583,105 @@ def test_bootstrap_memory_does_not_grow_with_nboot():
     assert peaks[2000] - peaks[200] < 0.5 * 2**20
 
 
+def test_bootstrap_works_in_one_reused_factor_stack():
+    # each block factors its Gram matrices in place in one (B, p, p) stack
+    # of about 1 MB; a Gram stack beside it, or 2 MB blocks, exceed the bound
+    import tracemalloc
+
+    X = sample(unit_box(11), 1000, seed=6).matrix
+    f = seeded_quadratic(11, 1)(X)
+    tracemalloc.start()
+    try:
+        bootstrap(X, f, n_boot=2000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _noisy_ridge(m, n_rows, noise, seed=7):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    X = rng.uniform(-1.0, 1.0, (n_rows, m))
+    u = X @ w
+    return X, u + 0.5 * u * u + noise * rng.standard_normal(n_rows)
+
+
+def _stacked_lower_inverse(low, out=None):
+    """``_lower_inverse`` as it was, with three fresh temporaries per level."""
+    if out is None:
+        out = np.zeros(low.shape)
+    n = low.shape[-1]
+    if n == 1:
+        np.divide(1.0, low, out=out)
+        return out
+    h = n // 2
+    top = _stacked_lower_inverse(low[..., :h, :h], out[..., :h, :h])
+    bottom = _stacked_lower_inverse(low[..., h:, h:], out[..., h:, h:])
+    out[..., h:, :h] = -(bottom @ (low[..., h:, :h] @ top))
+    return out
+
+
+def _stacked_cholesky_solve(refit, draws):
+    """``_ResampledFit.solve`` as it was: a Gram stack, then one stacked Cholesky call."""
+    p = refit.r.shape[0]
+    grams = np.empty((len(draws), p, p))
+    rhs = np.empty((len(draws), p))
+    for i, idx in enumerate(draws):
+        counts = np.bincount(idx, minlength=refit.f.size)
+        rows = np.flatnonzero(counts)
+        root = np.sqrt(counts[rows])
+        weighted = np.take(refit.q, rows, axis=0)
+        weighted *= root[:, np.newaxis]
+        grams[i] = weighted.T @ weighted
+        rhs[i] = (root * refit.f[rows]) @ weighted
+    gram_norm = np.sqrt(np.einsum("bij,bij->b", grams, grams))
+    try:
+        chol, ok = np.linalg.cholesky(grams), np.ones(len(draws), dtype=bool)
+    except np.linalg.LinAlgError:
+        chol = np.broadcast_to(np.eye(p), grams.shape).copy()
+        ok = np.zeros(len(draws), dtype=bool)
+        for i, gram in enumerate(grams):
+            try:
+                chol[i] = np.linalg.cholesky(gram)
+                ok[i] = True
+            except np.linalg.LinAlgError:
+                continue
+    positive = ok.copy()
+    chol_inv = _stacked_lower_inverse(chol, out=chol)
+    bound = (refit.cond_r * np.sqrt(gram_norm)
+             * np.sqrt(np.einsum("bij,bij->b", chol_inv, chol_inv)))
+    ok &= bound < asub._CERTIFIED_RCOND / asub.RANK_RCOND
+    y = chol_inv @ rhs[..., np.newaxis]
+    z = np.swapaxes(np.swapaxes(chol_inv, 1, 2) @ y, 1, 2)
+    return (z @ refit.r_inv.T)[:, 0], ok, positive
+
+
+def test_factoring_each_gram_at_once_keeps_the_stacked_bits():
+    # one reused stack, sized up and down across calls, gives every
+    # replicate the bits of a fresh Gram stack and one stacked Cholesky call
+    for (X, f), sizes in ((_noisy_ridge(11, 300, 1e-3), (40, 7, 1, 50)),
+                          (_seven_row_design(), (30, 3, 1, 12))):
+        refit = asub._ResampledFit(X, f)
+        first = 0
+        certified, positive = [], []
+        for size in sizes:
+            draws = [asub._replicate_rng(5, k).integers(0, len(f), size=len(f))
+                     for k in range(first, first + size)]
+            first += size
+            beta, ok = refit.solve(draws)
+            want_beta, want_ok, want_positive = _stacked_cholesky_solve(refit, draws)
+            assert beta.tobytes() == want_beta.tobytes()
+            assert ok.tobytes() == want_ok.tobytes()
+            certified.extend(ok)
+            positive.extend(want_positive)
+        assert len(refit._factors) == max(sizes)
+    # the seven-row design resamples to Grams that are not positive
+    # definite and to ones that are, certified or not
+    assert any(certified) and not all(positive) and sum(positive) > sum(certified)
+
+
 def _summary_bits(summary):
     return [np.asarray(getattr(summary, field.name)).tobytes()
             for field in dataclasses.fields(summary)]
@@ -585,30 +689,29 @@ def _summary_bits(summary):
 
 def test_bootstrap_block_layout_does_not_change_results(monkeypatch):
     X, f = _seven_row_design()
-    rng = np.random.default_rng(7)
-    w = rng.standard_normal(5)
-    w /= np.linalg.norm(w)
-    ridge_X = rng.uniform(-1.0, 1.0, (200, 5))
-    u = ridge_X @ w
-    ridge_f = u + 0.5 * u * u + 0.05 * rng.standard_normal(200)
+    ridge_X, ridge_f = _noisy_ridge(5, 200, 0.05)
 
     default = bootstrap(X, f, n_boot=30, seed=5, n=1)
     ridge = bootstrap(ridge_X, ridge_f, n_boot=60, seed=3)
     with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
         bootstrap(X[:6], f[:6], n_boot=5, seed=1, n=1)
-
-    monkeypatch.setattr(asub, "_BLOCK_BYTES", 1)  # one replicate per block
-    # skipped replicates leave empty blocks, which must not be reduced
+    # skipped replicates leave empty groups, which must not be reduced
     assert 0 < default.n_skipped < 30
-    assert _summary_bits(bootstrap(X, f, n_boot=30, seed=5, n=1)) == _summary_bits(default)
-    with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
-        bootstrap(X[:6], f[:6], n_boot=5, seed=1, n=1)
+    assert ridge.n_skipped == 0
 
+    # one replicate per block in one eigen group, one replicate per block
+    # and group, and ridge blocks of 7 in groups of 10 that split a block;
     # every stacked product runs once per replicate, so the noisy ridge is
     # bit-identical across layouts too
-    one = bootstrap(ridge_X, ridge_f, n_boot=60, seed=3)
-    assert ridge.n_skipped == 0
-    assert _summary_bits(one) == _summary_bits(ridge)
+    ridge_block = 7 * 8 * asub.coefficient_count(5) ** 2
+    for block_bytes, group in ((1, asub._EIGEN_GROUP), (1, 1), (ridge_block, 10)):
+        monkeypatch.setattr(asub, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(asub, "_EIGEN_GROUP", group)
+        assert _summary_bits(bootstrap(X, f, n_boot=30, seed=5, n=1)) == _summary_bits(default)
+        with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
+            bootstrap(X[:6], f[:6], n_boot=5, seed=1, n=1)
+        one = bootstrap(ridge_X, ridge_f, n_boot=60, seed=3)
+        assert _summary_bits(one) == _summary_bits(ridge)
 
 
 @settings(max_examples=60, deadline=None)

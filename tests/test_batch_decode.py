@@ -231,6 +231,40 @@ def test_parsec_stack_matches_single_design(unit_rows, bad):
     assert len(stack.errors) <= len(bad)
 
 
+@pytest.mark.parametrize("limit, crests", [
+    (1e12, (2.5e-3, 8e-3)),
+    # a lower limit puts the straddling systems where the solve's residual
+    # passes, so some of those that need the exact number decode
+    (1e9, (8e-3, 3e-2)),
+])
+def test_parsec_condition_screen_keeps_every_decision(limit, crests, monkeypatch):
+    # upper crests near the nose whose condition numbers straddle the limit:
+    # some systems clear the Frobenius screen, some need the exact number
+    # and pass it, some fail with the exact number in their message
+    monkeypatch.setattr(parsec, "CONDITION_LIMIT", limit)
+    rows = np.repeat(parsec.baseline_box().center[np.newaxis], 241, axis=0)
+    rows[:, 0] = np.geomspace(*crests, rows.shape[0])
+    matrix = parsec._stack_systems(rows)[0][:, 0]
+    exact, screen = np.linalg.cond(matrix), np.linalg.cond(matrix, "fro")
+    assert np.all(screen >= exact * (1.0 - 1e-12))
+    straddling = (screen > limit / 2) & (exact <= limit)
+    assert np.any(screen <= limit / 2) and np.any(straddling) and np.any(exact > limit)
+    stack = parsec.solve_coefficients(rows)
+    for i, row in enumerate(rows):
+        want, error = _single_outcome(lambda: _reference_parsec(row))
+        if error is None:
+            _, upper, lower = want
+            assert i not in stack.errors
+            assert stack.pair(i).upper.coeffs.values.tobytes() == upper.tobytes()
+            assert stack.pair(i).lower.coeffs.values.tobytes() == lower.tobytes()
+        else:
+            assert type(stack.errors[i]) is type(error)
+            assert str(stack.errors[i]) == str(error)
+    assert set(np.flatnonzero(exact > limit).tolist()) <= set(stack.errors)
+    if limit < 1e12:
+        assert any(i not in stack.errors for i in np.flatnonzero(straddling).tolist())
+
+
 _CST_BAD = [float("nan"), float("inf"), -float("inf")]
 
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from activefoil.cst import (
     CstParams,
@@ -29,6 +32,24 @@ def test_class_function_literal():
         class_function(1.5)
     with pytest.raises(DomainError):
         class_function(np.array([0.5, -0.1]))
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=st.lists(_finite, min_size=1, max_size=9),
+       ell=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=12),
+       scalar=st.booleans())
+def test_cst_surface_matches_numpy_polyval_bitwise(coeffs, ell, scalar):
+    x = np.array(coeffs)
+    points = ell[0] if scalar and ell else np.array(ell)
+    got = cst_surface(points, x)
+    want = class_function(np.asarray(points, dtype=float)) * npoly.polyval(
+        np.asarray(points, dtype=float), x)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if scalar and ell:
+        assert isinstance(got, float)
 
 
 def test_cst_surface_is_class_times_polynomial():
