@@ -49,7 +49,6 @@ from .errors import (
     NoStructureError,
     SampleSizeWarning,
 )
-from .qoi import evaluate_rows
 from .sampling import ParameterBox, _freeze, derive_seed, sample
 
 RANK_RCOND = 1e-10
@@ -644,7 +643,7 @@ def convergence_study(
     cells = []
     for i, n_samples in enumerate(sizes):
         draws = sample(box, n_samples, derive_seed(seed, f"cell{i}:sample"))
-        values, failed = evaluate_rows(evaluator, draws.matrix)
+        values, failed = evaluator.evaluate_many(draws.matrix)
         if failed:
             row, exc = next(iter(failed.items()))
             raise EvaluationError(

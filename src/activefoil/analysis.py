@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ContractViolation, IllPosedFitError
 from .activesubspace import SubspacePartition
-from .qoi import evaluate_rows
 from .sampling import _freeze, write_table
 
 # Box-membership slack for reconstructed designs.
@@ -313,7 +312,7 @@ def inactive_sensitivity_check(part: SubspacePartition, y_points, z_samples, eva
         keep = np.max(np.abs(candidates), axis=1) <= 1.0 + _FEASIBILITY_SLACK
         if not np.any(keep):
             continue
-        values, failed = evaluate_rows(evaluator, candidates[keep])
+        values, failed = evaluator.evaluate_many(candidates[keep])
         if failed:
             raise next(iter(failed.values()))
         spreads[i] = float(values.max() - values.min())

@@ -203,13 +203,18 @@ def _require_outputs(f, path) -> np.ndarray:
     return f
 
 
-def _load_eigs(path) -> dict:
+def _load_json(path, kind: str, keys) -> dict:
+    """JSON object in ``path``; a missing key raises a DatasetError naming it."""
     with open(path) as fh:
         payload = json.load(fh)
-    for key in ("eigenvalues", "eigenvectors", "n", "convention"):
+    for key in keys:
         if key not in payload:
-            raise DatasetError(f"{path} is missing eigenpair key {key!r}")
+            raise DatasetError(f"{path} is missing {kind} key {key!r}")
     return payload
+
+
+def _load_eigs(path) -> dict:
+    return _load_json(path, "eigenpair", ("eigenvalues", "eigenvectors", "n", "convention"))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +290,7 @@ def _cmd_fit(args) -> None:
 
 def _model_from(args) -> QuadraticModel:
     if args.model:
-        with open(args.model) as fh:
-            payload = json.load(fh)
+        payload = _load_json(args.model, "model", ("hessian", "linear", "constant"))
         return QuadraticModel(
             np.array(payload["hessian"], dtype=float),
             np.array(payload["linear"], dtype=float),

@@ -1,7 +1,7 @@
 """Polynomial shape functions for airfoil surfaces.
 
 An airfoil boundary splits into an upper surface ``s_U`` and a lower
-surface ``s_L``, each a scaled linear combination of basis functions of
+surface ``s_L``, each a linear combination of basis functions of
 the chord fraction ``ell`` in ``[0, 1]`` (leading edge at 0, trailing
 edge at 1).  Three exponent families cover the parameterizations used
 in this package:
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -82,10 +82,9 @@ class BasisSpec:
 
 @dataclass(frozen=True, eq=False)
 class ShapeCoefficients:
-    """Coefficient vector ``values`` with a positive overall scale."""
+    """Finite, read-only coefficient vector ``values``."""
 
     values: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -93,9 +92,7 @@ class ShapeCoefficients:
             raise ContractViolation("coefficient vector must be 1-D and non-empty")
         if not np.all(np.isfinite(vals)):
             raise ContractViolation("coefficients must be finite")
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise ContractViolation("scale must be positive and finite")
-        _freeze(self, values=vals, scale=float(self.scale))
+        _freeze(self, values=vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +125,11 @@ class DecodedStack:
     """Surface coefficients decoded from a stack of designs, one entry per row.
 
     ``coefficients[i]`` holds the upper and lower series of row i in
-    ``basis``, at unit scale.  ``errors`` maps each row that failed to
-    decode, in row order, to the exception the single-design decode of
-    that row raises; a row whose coefficients are not finite fails here.
-    Pairs are built on request, so the stack holds one (N, 2, k) array.
+    ``basis``.  ``errors`` maps each row that failed to decode, in row
+    order, to the exception the single-design decode of that row raises;
+    a row whose coefficients are not finite fails here.  Pairs are built
+    on request, so the stack holds one (N, 2, k) array; one pair is the
+    1-row stack of :meth:`of_pair`.
     """
 
     basis: BasisSpec
@@ -148,6 +146,17 @@ class DecodedStack:
                 except ContractViolation as exc:
                     errors[i] = exc
         _freeze(self, coefficients=self.coefficients, errors=dict(sorted(errors.items())))
+
+    @classmethod
+    def of_pair(cls, pair: AirfoilSurfacePair) -> "DecodedStack":
+        """The 1-row stack of one pair, whose row 0 has the pair's bits."""
+        if pair.upper.basis != pair.lower.basis:
+            raise ContractViolation(
+                f"upper and lower surfaces use different bases: "
+                f"{pair.upper.basis} vs {pair.lower.basis}"
+            )
+        rows = [_matched_values(s.coeffs, s.basis) for s in (pair.upper, pair.lower)]
+        return cls(pair.upper.basis, np.array([rows]), {})
 
     def __len__(self) -> int:
         return self.coefficients.shape[0]
@@ -199,17 +208,7 @@ class ValidityReport:
     sharp_trailing_edge: bool
 
     def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "min_gap": self.min_gap,
-            "endpoints_fixed": self.endpoints_fixed,
-            "endpoint_tol": self.endpoint_tol,
-            "bounded": self.bounded,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "grid_size": self.grid_size,
-            "sharp_trailing_edge": self.sharp_trailing_edge,
-        }
+        return asdict(self)
 
 
 # Per-row outcome codes of a stacked validation, indexed by StackValidity.reason.
@@ -343,7 +342,7 @@ def eval_shape(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     exactly zero for all three kinds.
     """
     a = _matched_values(coeffs, basis)
-    out = coeffs.scale * (_basis_table(basis, ell, slope=False) @ a)
+    out = _basis_table(basis, ell, slope=False) @ a
     return float(out) if np.ndim(ell) == 0 else out
 
 
@@ -356,7 +355,7 @@ def eval_shape_t(coeffs: ShapeCoefficients, basis: BasisSpec, t):
     """
     a = _matched_values(coeffs, basis)
     arr = _checked_coordinate(t, "t")
-    out = coeffs.scale * ((arr[..., np.newaxis] ** basis.exponents_t()) @ a)
+    out = (arr[..., np.newaxis] ** basis.exponents_t()) @ a
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -367,7 +366,7 @@ def shape_derivative(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     of a round-nosed surface has unbounded slope there.
     """
     a = _matched_values(coeffs, basis)
-    out = coeffs.scale * (_basis_table(basis, ell, slope=True) @ a)
+    out = _basis_table(basis, ell, slope=True) @ a
     return float(out) if np.ndim(ell) == 0 else out
 
 
@@ -379,7 +378,7 @@ def shape_derivative_t(coeffs: ShapeCoefficients, basis: BasisSpec, t):
     a = _matched_values(coeffs, basis)
     arr = _checked_coordinate(t, "t")
     e = basis.exponents_t()
-    out = coeffs.scale * ((arr[..., np.newaxis] ** (e - 1.0) * e) @ a)
+    out = (arr[..., np.newaxis] ** (e - 1.0) * e) @ a
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -436,32 +435,14 @@ def validate_airfoil(
                  checked too only when declared sharp
     bounded    : all sampled heights finite; observed extrema reported
 
-    ``pair`` is one AirfoilSurfacePair, checked into a ValidityReport, or
-    a DecodedStack, whose rows are checked block by block into one
-    StackValidity; its row i equals the report of ``stack.pair(i)``.
+    ``pair`` is a DecodedStack, whose rows are checked block by block
+    into one StackValidity, or one AirfoilSurfacePair, checked as its
+    1-row stack into the ValidityReport of that row.
     """
     if grid_size < 3:
         raise ContractViolation("grid_size must be at least 3")
     _, ell = nose_resolving_grid(grid_size)
-    if isinstance(pair, DecodedStack):
-        return _validate_stack(pair, ell, sharp_trailing_edge, endpoint_tol)
-    checks = _surface_checks(pair.upper.height(ell), pair.lower.height(ell),
-                             endpoint_tol, sharp_trailing_edge)
-    return ValidityReport(
-        feasible=bool(checks["feasible_rows"]),
-        min_gap=float(checks["min_gap"]),
-        endpoints_fixed=bool(checks["endpoints_fixed"]),
-        endpoint_tol=float(endpoint_tol),
-        bounded=bool(checks["bounded_rows"]),
-        lower_bound=float(checks["lower_bound"]),
-        upper_bound=float(checks["upper_bound"]),
-        grid_size=int(grid_size),
-        sharp_trailing_edge=bool(sharp_trailing_edge),
-    )
-
-
-def _validate_stack(stack: DecodedStack, ell, sharp_trailing_edge: bool,
-                    endpoint_tol: float) -> StackValidity:
+    stack = pair if isinstance(pair, DecodedStack) else DecodedStack.of_pair(pair)
     blocks = [_surface_checks(heights[:, 0], heights[:, 1], endpoint_tol, sharp_trailing_edge)
               for heights in stack.grid_blocks(ell)]
     rows = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
@@ -470,13 +451,14 @@ def _validate_stack(stack: DecodedStack, ell, sharp_trailing_edge: bool,
     for i, exc in stack.errors.items():
         reason[i] = _decode_reason(exc)
         rows["feasible_rows"][i] = rows["bounded_rows"][i] = False
-    return StackValidity(
+    validity = StackValidity(
         **rows,
         reason=reason,
         endpoint_tol=float(endpoint_tol),
         grid_size=ell.size,
         sharp_trailing_edge=bool(sharp_trailing_edge),
     )
+    return validity if stack is pair else validity.row(0)
 
 
 def fit_coefficients(targets, basis: BasisSpec) -> FitResult:
@@ -521,15 +503,18 @@ def naca_thickness_pair(
     lower_scale: float = 1.0,
     closed: bool = False,
 ) -> AirfoilSurfacePair:
-    """Symmetric-family two-parameter pair: s_U = x1 * series, s_L = -x2 * series."""
+    """Symmetric-family two-parameter pair: s_U = x1 * tau * series, s_L = -x2 * tau * series.
+
+    tau = 5 * thickness is folded into the coefficient values.
+    """
     if thickness <= 0.0:
         raise DomainError("thickness must be positive")
     base = NACA4_THICKNESS_COEFFS_CLOSED if closed else NACA4_THICKNESS_COEFFS
     a = np.asarray(base, dtype=float)
     basis = BasisSpec(BasisKind.NACA4, 5)
     tau = 5.0 * thickness
-    upper = Surface(basis, ShapeCoefficients(upper_scale * a, tau))
-    lower = Surface(basis, ShapeCoefficients(-lower_scale * a, tau))
+    upper = Surface(basis, ShapeCoefficients(tau * upper_scale * a))
+    lower = Surface(basis, ShapeCoefficients(-tau * lower_scale * a))
     return AirfoilSurfacePair(upper, lower)
 
 

@@ -47,7 +47,9 @@ from .sampling import ParameterBox, _freeze
 
 TERM_COUNT = 6
 CONDITION_LIMIT = 1e12
-RESIDUAL_LIMIT = 1e-10
+# Bound on a solve's residual relative to its scale:
+# ||M a - p||_inf <= RESIDUAL_LIMIT * max|M| * max|a|.
+RESIDUAL_LIMIT = 1e-12
 
 _BASIS = BasisSpec(BasisKind.HALF_INTEGER, TERM_COUNT)
 _EXPS = _BASIS.exponents()
@@ -178,7 +180,10 @@ def build_constraint_system(params: ParsecParams, surface: str) -> ConstraintSys
 
 
 def _check_solution(surface: str, matrix: np.ndarray, cond: float, residual: float) -> None:
-    """Raise the ConditioningError of a solved system that cannot be trusted."""
+    """Raise the ConditioningError of a solved system that cannot be trusted.
+
+    ``residual`` is relative: ||M a - p||_inf / (max|M| * max|a|).
+    """
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         ell_int = matrix[0, 0] ** 2.0  # first row is ell_int ** 1/2, ...
         raise ConditioningError(
@@ -187,7 +192,8 @@ def _check_solution(surface: str, matrix: np.ndarray, cond: float, residual: flo
         )
     if residual > RESIDUAL_LIMIT:
         raise ConditioningError(
-            f"{surface} solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
+            f"{surface} solve residual {residual:.3e} relative to max|M| max|a| "
+            f"exceeds {RESIDUAL_LIMIT:g}"
         )
 
 
@@ -206,7 +212,7 @@ def _domain_errors(rows: np.ndarray) -> dict:
 
 
 def _solve_stack(rows: np.ndarray) -> DecodedStack:
-    """Both surfaces of every row: one batched cond screen, solve and residual check.
+    """Both surfaces of every row: one batched cond screen, solve and relative residual check.
 
     A row that fails keeps the error its one-design solve raises: the
     DomainError of its parameters, or the first ConditioningError of
@@ -228,11 +234,11 @@ def _solve_stack(rows: np.ndarray) -> DecodedStack:
     solvable = finite & (cond <= CONDITION_LIMIT)
     solved = np.zeros(rhs.shape)
     solved[solvable] = np.linalg.solve(matrix[solvable], rhs[solvable][..., np.newaxis])[..., 0]
+    m, a = matrix[solvable], solved[solvable]
+    error = np.abs((m @ a[..., np.newaxis])[..., 0] - rhs[solvable])
     residual = np.zeros(rhs.shape[:2])
-    residual[solvable] = np.max(
-        np.abs((matrix[solvable] @ solved[solvable][..., np.newaxis])[..., 0] - rhs[solvable]),
-        axis=-1,
-    )
+    residual[solvable] = np.max(error, axis=-1) / (
+        np.max(np.abs(m), axis=(-2, -1)) * np.max(np.abs(a), axis=-1))
     trusted = np.all(solvable & (residual <= RESIDUAL_LIMIT), axis=1)
     for j in np.flatnonzero(~trusted).tolist():
         try:

@@ -31,12 +31,7 @@ from .errors import (
     DatasetError,
     EvaluationError,
 )
-from .geometry import (
-    DecodedStack,
-    StackValidity,
-    nose_resolving_grid,
-    validate_airfoil,
-)
+from .geometry import DecodedStack, StackValidity, validate_airfoil
 from .sampling import denormalize, read_matrix_csv
 
 
@@ -49,10 +44,6 @@ class QoiEvaluator(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, x) -> float:
         """Value at one normalized parameter vector."""
-
-    @property
-    def metadata(self) -> dict:
-        return {"name": self.name, "dim": self.dim}
 
     def _checked(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -90,17 +81,6 @@ class QoiEvaluator(abc.ABC):
         return values
 
 
-def evaluate_rows(evaluator, X):
-    """(values, failed) of :meth:`QoiEvaluator.evaluate_many` for any evaluator.
-
-    An object that only has ``evaluate(x)`` is evaluated row by row.
-    """
-    many = getattr(evaluator, "evaluate_many", None)
-    if many is None:
-        return QoiEvaluator.evaluate_many(evaluator, X)
-    return many(X)
-
-
 def evaluate_batch(evaluator: QoiEvaluator, X, on_error: str = "raise"):
     """Evaluate rows of X; returns (values, failed_indices).
 
@@ -109,7 +89,7 @@ def evaluate_batch(evaluator: QoiEvaluator, X, on_error: str = "raise"):
     """
     if on_error not in ("raise", "skip"):
         raise ContractViolation("on_error must be 'raise' or 'skip'")
-    values, failed = evaluate_rows(evaluator, np.atleast_2d(np.asarray(X, dtype=float)))
+    values, failed = evaluator.evaluate_many(np.atleast_2d(np.asarray(X, dtype=float)))
     if failed and on_error == "raise":
         i, exc = next(iter(failed.items()))
         if isinstance(exc, EvaluationError) and exc.index is None:
@@ -181,16 +161,6 @@ class Ridge(QoiEvaluator):
         self.dim = w.size
         self.name = f"ridge-{profile}"
 
-    @property
-    def metadata(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "profile": self.profile,
-            "noise_std": self.noise_std,
-            "noise_seed": self.noise_seed,
-        }
-
     def _profile_value(self, u: float) -> float:
         if self.profile == "linear":
             return u
@@ -249,42 +219,39 @@ def camber_lift(pair, quad_points: int = _LIFT_QUAD_POINTS):
     upper/lower mirror swap (U, L) -> (-L, -U), and exactly zero for
     mirror-symmetric pairs (the camber slope cancels term by term).
 
-    ``pair`` is one AirfoilSurfacePair, whose lift is a float, or a
-    DecodedStack, whose rows' lifts are an (N,) array with the bits of
-    each row's pair (rows that failed to decode hold arbitrary values).
+    ``pair`` is a DecodedStack, whose rows' lifts are an (N,) array with
+    the bits of each row's pair (rows that failed to decode hold arbitrary
+    values), or one AirfoilSurfacePair, whose lift is element 0 of its
+    1-row stack's.
     """
     k = int(quad_points)
     if k < 1:
         raise ContractViolation("quad_points must be positive")
     ell, weight = _lift_nodes(k)
-    if isinstance(pair, DecodedStack):
-        sums = [np.sum(0.5 * (slopes[:, 0] + slopes[:, 1]) * weight, axis=-1)
-                for slopes in pair.grid_blocks(ell, slope=True)]
-        return 2.0 * (np.pi / k) * np.concatenate(sums)
-    slope = 0.5 * (pair.upper.slope(ell) + pair.lower.slope(ell))
-    return 2.0 * (np.pi / k) * float(np.sum(slope * weight))
+    stack = pair if isinstance(pair, DecodedStack) else DecodedStack.of_pair(pair)
+    sums = [np.sum(0.5 * (slopes[:, 0] + slopes[:, 1]) * weight, axis=-1)
+            for slopes in stack.grid_blocks(ell, slope=True)]
+    lift = 2.0 * (np.pi / k) * np.concatenate(sums)
+    return lift if stack is pair else float(lift[0])
 
 
 def thickness_drag(pair, grid_size: int = 201):
     """Offset plus gain * (max thickness)^2 on a nose-resolving grid.
 
     Even under the upper/lower mirror swap: the gap U - L is unchanged
-    by (U, L) -> (-L, -U).  ``pair`` is one AirfoilSurfacePair, or the
-    StackValidity of a stack validated on the same grid, whose row-wise
-    maximum thickness gives an (N,) array.
+    by (U, L) -> (-L, -U).  ``pair`` is the StackValidity of a stack
+    validated on the same grid, whose row-wise maximum thickness gives an
+    (N,) array, or one AirfoilSurfacePair, whose drag is element 0 of
+    that of its 1-row stack validated by :func:`validate_airfoil`.
     """
-    if grid_size < 2:
-        raise ContractViolation("grid_size must be at least 2")
-    if isinstance(pair, StackValidity):
-        if pair.grid_size != grid_size:
-            raise ContractViolation(
-                f"validation ran on a {pair.grid_size}-point grid, not {grid_size}"
-            )
-        thickness = pair.thickness
-    else:
-        _, ell = nose_resolving_grid(grid_size)
-        thickness = float(np.max(pair.upper.height(ell) - pair.lower.height(ell)))
-    return PANEL_DRAG_OFFSET + PANEL_DRAG_GAIN * thickness * thickness
+    if not isinstance(pair, StackValidity):
+        validity = validate_airfoil(DecodedStack.of_pair(pair), grid_size)
+        return float(thickness_drag(validity, grid_size)[0])
+    if pair.grid_size != grid_size:
+        raise ContractViolation(
+            f"validation ran on a {pair.grid_size}-point grid, not {grid_size}"
+        )
+    return PANEL_DRAG_OFFSET + PANEL_DRAG_GAIN * pair.thickness * pair.thickness
 
 
 class PanelSurrogate(QoiEvaluator):
@@ -314,18 +281,6 @@ class PanelSurrogate(QoiEvaluator):
         self.box = (parsec if parameterization == "parsec" else cst).baseline_box()
         self.dim = self.box.dim
         self.name = f"panel-{objective}-{parameterization}"
-
-    @property
-    def metadata(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "parameterization": self.parameterization,
-            "objective": self.objective,
-            "grid_size": self.grid_size,
-            "drag_offset": PANEL_DRAG_OFFSET,
-            "drag_gain": PANEL_DRAG_GAIN,
-        }
 
     def evaluate_many(self, X):
         """One decode and one validation of the whole stack, then array reductions.
@@ -434,17 +389,6 @@ class DatasetQoi(QoiEvaluator):
     @property
     def has_outputs(self) -> bool:
         return self.outputs is not None
-
-    @property
-    def metadata(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "rows": self.rows.shape[0],
-            "tolerance": self.tolerance,
-            "provenance": self.provenance,
-            "has_outputs": self.has_outputs,
-        }
 
     def evaluate(self, x) -> float:
         arr = self._checked(x)

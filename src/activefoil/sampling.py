@@ -244,12 +244,13 @@ def write_matrix_csv(path, matrix, f=None, labels=None, meta=None):
 def read_matrix_csv(path):
     """Strict reader for the :func:`write_table` format.
 
-    Returns (matrix, f_or_None, labels, meta).  Any malformed row raises
+    Returns (matrix, f_or_None, labels, meta).  A malformed row, or else
+    the first field that parses to NaN or +-inf, raises
     :class:`DatasetError` carrying the 1-based line number.
     """
     meta = {}
     labels = None
-    rows = []
+    rows, linenos = [], []
     with open(path, newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -276,11 +277,16 @@ def read_matrix_csv(path):
                 rows.append([float(s) for s in parts])
             except ValueError as exc:
                 raise DatasetError(f"line {lineno}: {exc}", line=lineno) from exc
+            linenos.append(lineno)
     if labels is None:
         raise DatasetError("file has no header line")
     if not rows:
         raise DatasetError("file has no data rows")
     data = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        (i, j), line = bad[0], linenos[bad[0][0]]
+        raise DatasetError(f"line {line}: {labels[j]} is {data[i, j]}, not finite", line=line)
     if labels[-1] == "f":
         return data[:, :-1], data[:, -1], labels[:-1], meta
     return data, None, labels, meta

@@ -30,7 +30,7 @@ from activefoil.errors import (
     NoStructureError,
     SampleSizeWarning,
 )
-from activefoil.qoi import Ridge, seeded_quadratic
+from activefoil.qoi import QoiEvaluator, Ridge, seeded_quadratic
 from activefoil.sampling import sample, unit_box
 
 
@@ -374,7 +374,7 @@ def test_convergence_study_runs_and_validates():
 
 
 def test_convergence_study_wraps_evaluator_failures():
-    class Flaky:
+    class Flaky(QoiEvaluator):
         dim = 3
 
         def __init__(self):

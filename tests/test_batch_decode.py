@@ -9,6 +9,7 @@ tables.  The batched path must reproduce it bit for bit.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,16 @@ from hypothesis import strategies as st
 
 from activefoil import cli, cst, parsec, qoi
 from activefoil.errors import ConditioningError, ContractViolation, DomainError, EvaluationError
-from activefoil.geometry import REASONS, DecodedStack
+from activefoil.geometry import (
+    REASONS,
+    AirfoilSurfacePair,
+    DecodedStack,
+    ShapeCoefficients,
+    Surface,
+    ValidityReport,
+    naca_thickness_pair,
+    nose_resolving_grid,
+)
 from activefoil.sampling import denormalize, derive_seed, sample
 
 N_DESIGNS = 200
@@ -57,9 +67,11 @@ def _reference_parsec(physical):
             )
         a = np.linalg.solve(matrix, rhs)
         residual = float(np.max(np.abs(matrix @ a - rhs)))
+        residual /= float(np.max(np.abs(matrix))) * float(np.max(np.abs(a)))
         if residual > parsec.RESIDUAL_LIMIT:
             raise ConditioningError(
-                f"{surface} solve residual {residual:.3e} exceeds {parsec.RESIDUAL_LIMIT:g}"
+                f"{surface} solve residual {residual:.3e} relative to max|M| max|a| "
+                f"exceeds {parsec.RESIDUAL_LIMIT:g}"
             )
         out.append(a)
     return e, out[0], out[1]
@@ -292,7 +304,7 @@ def test_stacked_decoders_reject_misshapen_stacks():
 
 
 # ---------------------------------------------------------------------------
-# stacked validation, lift and drag against the one-pair functions
+# stacked validation, lift and drag against the one-pair reference
 
 _REASON_ERRORS = {"domain": DomainError, "conditioning": ConditioningError,
                   "contract": ContractViolation, "infeasible": EvaluationError,
@@ -304,8 +316,89 @@ _SINGLE_DECODE = {
 }
 
 
+# rows out to four half-widths from the centre, so some surfaces cross
+_near = st.floats(-4.0, 4.0, allow_nan=False)
+
+
 def _bits(value):
     return np.float64(value).tobytes()
+
+
+def _pair_reference(pair, grid_size=GRID, sharp_trailing_edge=False, endpoint_tol=1e-9):
+    """(report, lift, drag) of one pair from its own surfaces' heights and slopes.
+
+    This is the one-pair code validate_airfoil, camber_lift and
+    thickness_drag ran before a pair became its 1-row stack.
+    """
+    _, ell = nose_resolving_grid(grid_size)
+    up, lo = pair.upper.height(ell), pair.lower.height(ell)
+    gap = up[1:-1] - lo[1:-1]
+    ends = [0, -1] if sharp_trailing_edge else [0]
+    report = ValidityReport(
+        feasible=bool(np.all(gap > 0.0)),
+        min_gap=float(np.min(gap)),
+        endpoints_fixed=bool(np.all(np.abs(up[ends]) <= endpoint_tol)
+                             & np.all(np.abs(lo[ends]) <= endpoint_tol)),
+        endpoint_tol=float(endpoint_tol),
+        bounded=bool(np.all(np.isfinite(up)) & np.all(np.isfinite(lo))),
+        lower_bound=float(np.min(lo)),
+        upper_bound=float(np.max(up)),
+        grid_size=int(grid_size),
+        sharp_trailing_edge=bool(sharp_trailing_edge),
+    )
+    theta = (np.arange(LIFT_POINTS) + 0.5) * (np.pi / LIFT_POINTS)
+    nodes = 0.5 * (1.0 - np.cos(theta))
+    slope = 0.5 * (pair.upper.slope(nodes) + pair.lower.slope(nodes))
+    lift = 2.0 * (np.pi / LIFT_POINTS) * float(np.sum(slope * (np.cos(theta) - 1.0)))
+    thickness = float(np.max(up - lo))
+    return report, lift, qoi.PANEL_DRAG_OFFSET + qoi.PANEL_DRAG_GAIN * thickness * thickness
+
+
+def _check_pair_calls(pair, grid_size, sharp_trailing_edge):
+    report, lift, drag = _pair_reference(pair, grid_size, sharp_trailing_edge)
+    single = qoi.validate_airfoil(pair, grid_size, sharp_trailing_edge=sharp_trailing_edge)
+    assert repr(single) == repr(report)
+    assert single.to_dict() == report.to_dict()
+    single_lift, single_drag = qoi.camber_lift(pair), qoi.thickness_drag(pair, grid_size)
+    assert type(single_lift) is type(single_drag) is float
+    assert _bits(single_lift) == _bits(lift)
+    assert _bits(single_drag) == _bits(drag)
+
+
+@pytest.mark.parametrize("thickness, upper_scale, lower_scale, closed", [
+    (0.12, 1.0, 1.0, False), (0.12, 1.0, 1.0, True), (0.09, 1.3, 0.7, False),
+    (0.15, 0.8, -0.5, True), (0.12, 1.0, -1.0, False),  # the last two cross
+])
+@pytest.mark.parametrize("grid_size, sharp", [(3, False), (101, True), (201, False)])
+def test_naca_pair_calls_match_the_pair_reference(thickness, upper_scale, lower_scale,
+                                                  closed, grid_size, sharp):
+    pair = naca_thickness_pair(thickness, upper_scale, lower_scale, closed)
+    _check_pair_calls(pair, grid_size, sharp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_near, min_size=10, max_size=10), st.sampled_from([3, 101, 201]),
+       st.booleans())
+def test_cst_pair_calls_match_the_pair_reference(unit_row, grid_size, sharp):
+    row = denormalize(np.array(unit_row), cst.baseline_box())
+    _check_pair_calls(cst.surface_pair(cst.CstParams.from_flat(row)), grid_size, sharp)
+
+
+def test_overflowing_pair_stays_inside_the_block_guard():
+    # upper heights and slopes overflow inside grid_blocks, whose errstate
+    # keeps the 1-row path quiet; everything after it handles the infs
+    # without a floating-point warning
+    basis = cst.odd_basis(5)
+    pair = AirfoilSurfacePair(Surface(basis, ShapeCoefficients(np.full(6, 1e308))),
+                              Surface(basis, ShapeCoefficients(np.full(6, -1.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = qoi.validate_airfoil(pair)
+        lift, drag = qoi.camber_lift(pair), qoi.thickness_drag(pair)
+    assert not report.bounded and report.upper_bound == np.inf
+    assert lift == -np.inf and drag == np.inf
+    with np.errstate(all="ignore"):
+        _check_pair_calls(pair, GRID, False)
 
 
 def _check_stacked_qois(parameterization, physical):
@@ -335,8 +428,7 @@ def _check_stacked_qois(parameterization, physical):
             assert type(failed[i]) is type(exc) and str(failed[i]) == str(exc)
             continue
         with np.errstate(all="ignore"):
-            single = qoi.validate_airfoil(pair, GRID)
-            single_lift, single_drag = qoi.camber_lift(pair), qoi.thickness_drag(pair, GRID)
+            single, single_lift, single_drag = _pair_reference(pair)
         assert repr(report.row(i)) == repr(single)
         assert _bits(lift[i]) == _bits(single_lift)
         assert _bits(drag[i]) == _bits(single_drag)
@@ -348,10 +440,6 @@ def _check_stacked_qois(parameterization, physical):
             assert type(failed[i]) is EvaluationError
             assert repr(failed[i].report) == repr(single)
             assert np.isnan(values[i]).all()
-
-
-# rows out to four half-widths from the centre, so some surfaces cross
-_near = st.floats(-4.0, 4.0, allow_nan=False)
 
 
 @settings(max_examples=60, deadline=None)

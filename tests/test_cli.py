@@ -57,6 +57,25 @@ def test_runtime_error_is_json_exit_1(tmp_path):
     assert payload["message"]
 
 
+def test_bad_input_files_fail_with_dataset_errors(tmp_path, capsys):
+    # a NaN output and a model file without its linear term each stop the
+    # command before it writes anything
+    evals = tmp_path / "evals.csv"
+    write_matrix_csv(evals, [[0.1, 0.2], [0.3, 0.4]], f=[1.0, float("nan")],
+                     labels=["x1", "x2"])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"hessian": [[1.0]], "constant": 0.0}))
+    for argv, needle in ((["fit", "--data", str(evals)], "line 3"),
+                         (["eigs", "--model", str(model)], "'linear'")):
+        out = tmp_path / argv[0]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--out", str(out)])
+        assert exit_info.value.code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "DatasetError" and needle in payload["message"]
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_sample_is_reproducible(tmp_path):
     out_dir = tmp_path / "s"
     args = ("sample", "--box", "cst-table3", "--n", "40", "--seed", "7",

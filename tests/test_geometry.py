@@ -14,6 +14,7 @@ from activefoil.geometry import (
     AirfoilSurfacePair,
     BasisKind,
     BasisSpec,
+    DecodedStack,
     ShapeCoefficients,
     Surface,
     eval_shape,
@@ -27,6 +28,7 @@ from activefoil.geometry import (
     write_coordinate_loop,
     write_surface_table,
 )
+from activefoil.qoi import camber_lift, thickness_drag
 
 HALF = BasisSpec(BasisKind.HALF_INTEGER, 6)
 
@@ -63,14 +65,6 @@ def test_eval_shape_matches_literal_series():
     out = eval_shape(a, basis, np.array([0.1, 0.37]))
     assert isinstance(out, np.ndarray) and out.shape == (2,)
     assert isinstance(eval_shape(a, basis, 0.5), float)
-
-
-def test_scale_multiplies_heights():
-    a = np.array([0.3, -0.1, 0.02])
-    basis = BasisSpec(BasisKind.HALF_INTEGER, 3)
-    plain = eval_shape(ShapeCoefficients(a), basis, 0.4)
-    scaled = eval_shape(ShapeCoefficients(a, scale=2.5), basis, 0.4)
-    assert scaled == pytest.approx(2.5 * plain, rel=1e-15)
 
 
 def test_leading_edge_height_is_zero():
@@ -196,6 +190,21 @@ def test_validate_airfoil_sharp_te_flag():
         validate_airfoil(open_pair, grid_size=2)
 
 
+def test_pair_in_two_bases_is_rejected():
+    rng = np.random.Generator(np.random.PCG64(9))
+    values = ShapeCoefficients(rng.standard_normal(6))
+    half, odd = Surface(HALF, values), Surface(BasisSpec(BasisKind.ODD_T, 6), values)
+    short = Surface(HALF, ShapeCoefficients(values.values[:5]))
+    for pair in (AirfoilSurfacePair(half, odd), AirfoilSurfacePair(odd, half),
+                 AirfoilSurfacePair(half, short)):
+        for call in (DecodedStack.of_pair, validate_airfoil, camber_lift, thickness_drag):
+            with pytest.raises(ContractViolation):
+                call(pair)
+    stack = DecodedStack.of_pair(AirfoilSurfacePair(half, half))
+    assert stack.basis == HALF and stack.coefficients.shape == (1, 2, 6)
+    assert stack.coefficients.tobytes() == np.array([values.values] * 2).tobytes()
+
+
 def test_fit_coefficients_recovers_exactly():
     rng = np.random.Generator(np.random.PCG64(6))
     basis = BasisSpec(BasisKind.HALF_INTEGER, 4)
@@ -225,8 +234,6 @@ def test_coefficient_container_contracts():
         ShapeCoefficients([1.0, np.inf])
     with pytest.raises(ContractViolation):
         ShapeCoefficients([[1.0, 2.0]])
-    with pytest.raises(ContractViolation):
-        ShapeCoefficients([1.0], scale=0.0)
     frozen = ShapeCoefficients([1.0, 2.0])
     with pytest.raises(ValueError):
         frozen.values[0] = 5.0

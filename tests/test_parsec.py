@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from activefoil.errors import ConditioningError, ContractViolation, DomainError
-from activefoil.geometry import validate_airfoil
+from activefoil.geometry import REASONS, validate_airfoil
 from activefoil.parsec import (
     CONDITION_LIMIT,
     JSON_KEYS,
@@ -181,7 +181,23 @@ def test_conditioning_guard_near_degenerate_crest():
     values["x1"] = 1e-9  # crest collapsing onto the leading edge
     with pytest.raises(ConditioningError):
         solve_coefficients(ParsecParams.from_mapping(values))
-    assert CONDITION_LIMIT == 1e12 and RESIDUAL_LIMIT == 1e-10
+    assert CONDITION_LIMIT == 1e12 and RESIDUAL_LIMIT == 1e-12
+
+
+def test_crest_sweep_fails_on_conditioning_exactly_above_the_limit():
+    # upper crests from near the nose to 5% chord at the box centre: the
+    # residual test is relative to max|M| max|a|, so only the condition
+    # limit decides which systems fail, and every other row decodes
+    rows = np.repeat(baseline_box().center[np.newaxis], 400, axis=0)
+    rows[:, 0] = np.linspace(2e-3, 5e-2, rows.shape[0])
+    cond = np.array([[np.linalg.cond(build_constraint_system(ParsecParams.from_sequence(row),
+                                                             surface).matrix)
+                      for surface in ("upper", "lower")] for row in rows])
+    above = np.any(cond > CONDITION_LIMIT, axis=1)
+    assert 0 < above.sum() < rows.shape[0] // 4
+    reason = validate_airfoil(solve_coefficients(rows)).reason
+    np.testing.assert_array_equal(reason == REASONS.index("conditioning"), above)
+    assert set(REASONS[r] for r in reason) <= {"ok", "infeasible", "conditioning"}
 
 
 def test_center_airfoil_is_feasible():

@@ -8,7 +8,17 @@ from hypothesis import strategies as st
 
 from activefoil import cst
 from activefoil.errors import ContractViolation, DatasetError, EvaluationError
-from activefoil.geometry import naca_thickness_pair, nose_resolving_grid
+from activefoil.geometry import (
+    AirfoilSurfacePair,
+    BasisKind,
+    BasisSpec,
+    DecodedStack,
+    ShapeCoefficients,
+    Surface,
+    naca_thickness_pair,
+    nose_resolving_grid,
+    validate_airfoil,
+)
 from activefoil.qoi import (
     PANEL_DRAG_GAIN,
     PANEL_DRAG_OFFSET,
@@ -90,7 +100,7 @@ def test_ridge_noise_is_reproducible():
     assert noisy.evaluate(x) != noisy.evaluate(x + 1e-12)
     clean = Ridge([1.0, 2.0])
     assert abs(noisy.evaluate(x) - clean.evaluate(x)) < 5 * 0.5
-    assert noisy.metadata["noise_std"] == 0.5 and noisy.metadata["noise_seed"] == 3
+    assert noisy.noise_std == 0.5 and noisy.noise_seed == 3
 
 
 def test_evaluate_batch_error_modes():
@@ -109,24 +119,14 @@ def test_evaluate_batch_error_modes():
         evaluate_batch(data, X, on_error="ignore")
 
 
-class _ParabolicCamber:
-    """height 4h*ell*(1-ell); thin-airfoil lift of this camber line is 4*pi*h."""
-
-    def __init__(self, h):
-        self.h = h
-
-    def height(self, ell):
-        return 4.0 * self.h * ell * (1.0 - ell)
-
-    def slope(self, ell):
-        return 4.0 * self.h * (1.0 - 2.0 * ell)
-
-
 def test_camber_lift_parabolic_oracle():
+    # both surfaces on the camber line 4h*ell*(1-ell), whose thin-airfoil
+    # lift is 4*pi*h: coefficients (0, 4h, -4h, 0, 0) in the naca4-like basis
     h = 0.03
-    camber = _ParabolicCamber(h)
-    pair = type("Pair", (), {"upper": camber, "lower": camber})()
-    assert camber_lift(pair) == pytest.approx(4.0 * math.pi * h, rel=1e-12)
+    camber = Surface(BasisSpec(BasisKind.NACA4, 5),
+                     ShapeCoefficients([0.0, 4.0 * h, -4.0 * h, 0.0, 0.0]))
+    pair = AirfoilSurfacePair(camber, camber)
+    assert camber_lift(pair) == pytest.approx(4.0 * math.pi * h, rel=1e-14)
     with pytest.raises(ContractViolation):
         camber_lift(pair, quad_points=0)
 
@@ -152,8 +152,12 @@ def test_thickness_drag_literal_and_even():
     assert thickness_drag(cst.surface_pair(params)) == thickness_drag(cst.surface_pair(swapped))
 
     assert thickness_drag(naca_thickness_pair(0.144)) > thickness_drag(pair)
-    with pytest.raises(ContractViolation):
-        thickness_drag(pair, grid_size=1)
+    # a pair's drag is that of its validation, which needs three grid points
+    assert thickness_drag(pair, grid_size=3) == thickness_drag(
+        validate_airfoil(DecodedStack.of_pair(pair), 3), 3)[0]
+    for grid_size in (1, 2):
+        with pytest.raises(ContractViolation):
+            thickness_drag(pair, grid_size=grid_size)
 
 
 def test_panel_surrogate_binds_its_box():
@@ -202,7 +206,7 @@ def test_dataset_qoi_lookup():
     with pytest.raises(EvaluationError):
         data.evaluate([0.25, 0.25])
     assert data.has_outputs
-    assert data.metadata["rows"] == 3
+    assert data.rows.shape[0] == 3
     with pytest.raises(ContractViolation):
         DatasetQoi(X, [1.0, 2.0])
     with pytest.raises(ContractViolation):

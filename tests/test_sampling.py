@@ -244,6 +244,19 @@ def test_read_matrix_csv_error_lines(tmp_path):
         read_matrix_csv(path)
 
 
+@pytest.mark.parametrize("field", ["nan", "NaN", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("column", [0, 2])
+def test_read_matrix_csv_rejects_non_finite_fields(tmp_path, field, column):
+    path = tmp_path / "evals.csv"
+    row = ["0.5", "-0.25", "1.5"]
+    row[column] = field
+    path.write_text("# n=2\nx1,x2,f\n0.1,0.2,0.3\n" + ",".join(row) + "\n")
+    with pytest.raises(DatasetError) as info:
+        read_matrix_csv(path)
+    assert info.value.line == 4 and "line 4" in str(info.value)
+    assert ("x1", "f")[column // 2] in str(info.value)
+
+
 def test_read_matrix_csv_tolerates_blanks_and_crlf(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_bytes(b"# n=2\r\na,f\r\n\r\n1.5,2.5\r\n0.5,0.25\r\n")
