@@ -4,7 +4,7 @@ Once an active basis W1 is in hand, samples project to shadow
 coordinates y = W1' x; a low-order polynomial in y (the link function)
 summarizes f; and for a two-column drag basis the segment joining the
 single-objective minimizers sweeps out candidate trade-off designs
-x = W1 y (+ W2 z), which the fitted surfaces then score.
+x = W1 y, which the fitted surfaces then score.
 """
 
 from __future__ import annotations
@@ -175,9 +175,6 @@ def cube_minimum(w):
     return value, vertex
 
 
-Z_POLICIES = ("zero", "random-feasible")
-
-
 @dataclass(frozen=True, eq=False)
 class ParetoSegment:
     """Designs along the segment joining the single-objective minimizers."""
@@ -186,29 +183,16 @@ class ParetoSegment:
     coords: np.ndarray
     designs: np.ndarray
     feasible: np.ndarray
-    z_policy: str
     lift: np.ndarray | None = None
     drag: np.ndarray | None = None
 
 
-def _is_in_cube(x: np.ndarray) -> bool:
-    return bool(np.max(np.abs(x)) <= 1.0 + _FEASIBILITY_SLACK)
-
-
-def pareto_segment(
-    w1,
-    w2,
-    gamma_count: int = 101,
-    z_policy: str = "zero",
-    seed: int = 0,
-    max_tries: int = 10000,
-) -> ParetoSegment:
+def pareto_segment(w1, w2, gamma_count: int = 101) -> ParetoSegment:
     """Sweep y(gamma) = gamma*(y1min, 0) + (1-gamma)*(0, y2min).
 
     The endpoints are exactly (0, y2min) at gamma=0 and (y1min, 0) at
-    gamma=1.  Designs reconstruct as x = W1 y + W2 z, where z is either
-    zero or rejection-sampled until x lands in the cube (giving up
-    after ``max_tries`` draws and flagging the point infeasible).
+    gamma=1.  Designs reconstruct as x = W1 y with the inactive
+    coordinates at zero; a design outside the cube is flagged infeasible.
     """
     a = np.asarray(w1, dtype=float)
     b = np.asarray(w2, dtype=float)
@@ -219,43 +203,14 @@ def pareto_segment(
         raise ContractViolation("w1 and w2 must be orthonormal")
     if gamma_count < 2:
         raise ContractViolation("gamma_count must be at least 2")
-    if z_policy not in Z_POLICIES:
-        raise ContractViolation(f"z_policy must be one of {Z_POLICIES}")
-    m = a.size
 
     y1min, _ = cube_minimum(a)
     y2min, _ = cube_minimum(b)
     gamma = np.linspace(0.0, 1.0, gamma_count)
     coords = np.column_stack([gamma * y1min, (1.0 - gamma) * y2min])
     designs = coords @ basis.T
-    feasible = np.array([_is_in_cube(x) for x in designs])
-
-    if z_policy == "random-feasible":
-        # Orthonormal complement of span{w1, w2}.
-        _, _, vt = np.linalg.svd(basis.T, full_matrices=True)
-        comp = vt[2:].T
-        half_width = np.sqrt(m)
-        for i in range(gamma_count):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
-            )
-            found = False
-            for _ in range(max_tries):
-                z = rng.uniform(-half_width, half_width, m - 2)
-                candidate = designs[i] + comp @ z
-                if _is_in_cube(candidate):
-                    designs[i] = candidate
-                    found = True
-                    break
-            feasible[i] = found
-
-    return ParetoSegment(
-        gamma=gamma,
-        coords=coords,
-        designs=designs,
-        feasible=feasible,
-        z_policy=z_policy,
-    )
+    feasible = np.max(np.abs(designs), axis=1) <= 1.0 + _FEASIBILITY_SLACK
+    return ParetoSegment(gamma=gamma, coords=coords, designs=designs, feasible=feasible)
 
 
 def pareto_front(
@@ -329,6 +284,8 @@ def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, n: int = 
         raise ContractViolation("grid export needs a 2-D surface and 2-vector bounds")
     if not np.all(lo < hi):
         raise ContractViolation("grid bounds must satisfy low < high")
+    if n < 2:
+        raise ContractViolation("grid export needs at least 2 points per axis")
     y1 = np.linspace(lo[0], hi[0], n)
     y2 = np.linspace(lo[1], hi[1], n)
 

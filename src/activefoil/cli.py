@@ -121,18 +121,13 @@ def _resolve_box(spec: str) -> ParameterBox:
     )
 
 
-def _parameterization_for(args, box_spec: str | None) -> str:
+def _parameterization_for(box_spec: str | None) -> str:
     """Decoder of a built-in box: panel QoIs decode in that box only."""
     builtin = _BUILTIN_BOXES.get(box_spec)
     if builtin is None:
         raise ContractViolation(
             f"panel QoIs decode in a built-in box only, got box {box_spec!r}; "
             "use parsec-table2 or cst-table3"
-        )
-    explicit = getattr(args, "parameterization", None)
-    if explicit and explicit != builtin:
-        raise ContractViolation(
-            f"--parameterization {explicit} disagrees with box {box_spec} ({builtin})"
         )
     return builtin
 
@@ -143,9 +138,20 @@ def _check_dim_flag(dim, m: int) -> None:
         raise ContractViolation(f"--dim must lie in [1, {m - 1}], got {dim}")
 
 
+def _check_pareto_sizes(args) -> None:
+    """--gammas, --degree and --grid-n, checked before anything is written."""
+    if args.gammas < 2:
+        raise ContractViolation(f"--gammas must be at least 2, got {args.gammas}")
+    if args.degree < 0:
+        raise ContractViolation(f"--degree must be non-negative, got {args.degree}")
+    if args.grid_n < 2:
+        raise ContractViolation(f"--grid-n must be at least 2, got {args.grid_n}")
+
+
 def _check_run_sizes(args, n_rows: int, m: int) -> None:
-    """run-all's --dim, --nboot and row count, checked before anything is written."""
+    """run-all's size flags and row count, checked before anything is written."""
     _check_dim_flag(args.dim, m)
+    _check_pareto_sizes(args)
     if args.nboot < 1:
         raise ContractViolation("n_boot must be positive")
     p = asub.coefficient_count(m)
@@ -182,12 +188,12 @@ def _build_evaluator(spec: str, m: int, args, box_spec: str | None):
         }
     if spec in ("panel:lift", "panel:drag"):
         objective = spec.split(":", 1)[1]
-        parameterization = _parameterization_for(args, box_spec)
+        parameterization = _parameterization_for(box_spec)
         ev = qoi.PanelSurrogate(parameterization, objective)
         return ev, {"qoi": spec, "parameterization": parameterization}
     if spec.startswith("dataset:"):
         path = spec.split(":", 1)[1]
-        ev = qoi.load_dataset(path, tolerance=args.tolerance, provenance=path)
+        ev = qoi.load_dataset(path, tolerance=args.tolerance)
         return ev, {"qoi": spec, "tolerance": args.tolerance}
     raise ContractViolation(
         f"unknown QoI {spec!r}; use quadratic, ridge[:profile], "
@@ -351,13 +357,11 @@ def _pareto_artifacts(X1, f1, X2, f2, eigs1, eigs2, args, out: Path,
     plane = np.column_stack([w1, w2])
     drag_surface = analysis.fit_link_function(
         analysis.shadow_project(X2, f2, plane), args.degree)
-    child = derive_seed(args.seed, "pareto")
-    segment = analysis.pareto_segment(w1, w2, gamma_count=args.gammas,
-                                      z_policy=args.z_policy, seed=child)
+    segment = analysis.pareto_segment(w1, w2, gamma_count=args.gammas)
     scored = analysis.pareto_front(segment, lift_surface, drag_surface)
     y1_min, _ = analysis.cube_minimum(w1)
     y2_min, _ = analysis.cube_minimum(w2)
-    meta = _meta(args, child_seed=child, overlap=f"{overlap:.17g}",
+    meta = _meta(args, overlap=f"{overlap:.17g}",
                  y1_min=f"{y1_min:.17g}", y2_min=f"{y2_min:.17g}", **meta_extra)
     analysis.write_pareto_csv(scored, out / "pareto.csv", meta=meta)
     coords = X2 @ plane
@@ -371,6 +375,7 @@ def _pareto_artifacts(X1, f1, X2, f2, eigs1, eigs2, args, out: Path,
 
 
 def _cmd_pareto(args) -> None:
+    _check_pareto_sizes(args)
     X1, f1, _, _ = read_matrix_csv(args.data1)
     X2, f2, _, _ = read_matrix_csv(args.data2)
     f1 = _require_outputs(f1, args.data1)
@@ -384,7 +389,12 @@ def _cmd_pareto(args) -> None:
 def _cmd_convergence(args) -> None:
     box = _resolve_box(args.box)
     ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
-    schedule = tuple(int(v) for v in args.schedule.split(","))
+    try:
+        schedule = tuple(int(v) for v in args.schedule.split(","))
+    except ValueError:
+        raise ContractViolation(
+            f"--schedule must be a comma list of integers, got {args.schedule!r}"
+        ) from None
     child = derive_seed(args.seed, "convergence")
     cells = asub.convergence_study(box, ev, schedule, child, dim=args.dim,
                                    n_boot=args.nboot,
@@ -518,7 +528,7 @@ def _cmd_run_all(args) -> None:
         raise ContractViolation("run-all needs --box unless --qoi is dataset:PATH")
     box = _resolve_box(args.box)
     if args.qoi == "panel":
-        parameterization = _parameterization_for(args, args.box)
+        parameterization = _parameterization_for(args.box)
     _check_run_sizes(args, args.n, box.dim)
     out = _out_dir(args)
     child = derive_seed(args.seed, "sample")
@@ -568,9 +578,6 @@ def _add_qoi_flags(cmd) -> None:
                      help="ridge noise level (deterministic per point)")
     cmd.add_argument("--noise-seed", type=int, default=0,
                      help="seed folded into the per-point ridge noise")
-    cmd.add_argument("--parameterization", choices=("parsec", "cst"),
-                     default=None, help="decoder for panel QoIs "
-                                        "(must match the built-in box)")
     cmd.add_argument("--tolerance", type=float, default=1e-9,
                      help="dataset lookup tolerance")
     cmd.add_argument("--skip-infeasible", action="store_true",
@@ -665,9 +672,6 @@ def build_parser() -> _Parser:
                      help="link-function polynomial degree")
     cmd.add_argument("--gammas", type=int, default=101,
                      help="points on the segment")
-    cmd.add_argument("--z-policy", choices=analysis.Z_POLICIES,
-                     default="zero",
-                     help="inactive-coordinate reconstruction policy")
     cmd.add_argument("--grid-n", type=int, default=101,
                      help="contour grid resolution per axis")
     _add_seed_out(cmd)
@@ -702,7 +706,6 @@ def build_parser() -> _Parser:
                      help="override the log-gap dimension choice")
     cmd.add_argument("--degree", type=int, default=2)
     cmd.add_argument("--gammas", type=int, default=101)
-    cmd.add_argument("--z-policy", choices=analysis.Z_POLICIES, default="zero")
     cmd.add_argument("--grid-n", type=int, default=101)
     _add_qoi_flags(cmd)
     _add_convention(cmd)

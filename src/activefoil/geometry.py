@@ -402,7 +402,11 @@ def _nose_grid(n: int):
     return t, ell
 
 
-def _surface_checks(up, lo, endpoint_tol: float, sharp_trailing_edge: bool) -> dict:
+# Largest |height| at a checked endpoint that still counts as fixed at zero.
+ENDPOINT_TOL = 1e-9
+
+
+def _surface_checks(up, lo, sharp_trailing_edge: bool) -> dict:
     """Row-wise checks on the heights (..., G) of both surfaces on one grid.
 
     The arrays it returns are named as the fields of a StackValidity.
@@ -412,8 +416,8 @@ def _surface_checks(up, lo, endpoint_tol: float, sharp_trailing_edge: bool) -> d
     return {
         "feasible_rows": np.all(gap > 0.0, axis=-1),
         "min_gap": np.min(gap, axis=-1),
-        "endpoints_fixed": (np.all(np.abs(up[..., ends]) <= endpoint_tol, axis=-1)
-                            & np.all(np.abs(lo[..., ends]) <= endpoint_tol, axis=-1)),
+        "endpoints_fixed": (np.all(np.abs(up[..., ends]) <= ENDPOINT_TOL, axis=-1)
+                            & np.all(np.abs(lo[..., ends]) <= ENDPOINT_TOL, axis=-1)),
         "bounded_rows": np.all(np.isfinite(up), axis=-1) & np.all(np.isfinite(lo), axis=-1),
         "lower_bound": np.min(lo, axis=-1),
         "upper_bound": np.max(up, axis=-1),
@@ -421,18 +425,12 @@ def _surface_checks(up, lo, endpoint_tol: float, sharp_trailing_edge: bool) -> d
     }
 
 
-def validate_airfoil(
-    pair,
-    grid_size: int = 201,
-    *,
-    sharp_trailing_edge: bool = False,
-    endpoint_tol: float = 1e-9,
-):
+def validate_airfoil(pair, grid_size: int = 201, *, sharp_trailing_edge: bool = False):
     """Point-wise geometric checks on a grid uniform in t.
 
     feasible   : upper strictly above lower at every interior node
-    endpoints  : |s(0)| <= tol for both surfaces; the trailing edge is
-                 checked too only when declared sharp
+    endpoints  : |s(0)| <= ENDPOINT_TOL for both surfaces; the trailing
+                 edge is checked too only when declared sharp
     bounded    : all sampled heights finite; observed extrema reported
 
     ``pair`` is a DecodedStack, whose rows are checked block by block
@@ -443,7 +441,7 @@ def validate_airfoil(
         raise ContractViolation("grid_size must be at least 3")
     _, ell = nose_resolving_grid(grid_size)
     stack = pair if isinstance(pair, DecodedStack) else DecodedStack.of_pair(pair)
-    blocks = [_surface_checks(heights[:, 0], heights[:, 1], endpoint_tol, sharp_trailing_edge)
+    blocks = [_surface_checks(heights[:, 0], heights[:, 1], sharp_trailing_edge)
               for heights in stack.grid_blocks(ell)]
     rows = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
     reason = np.where(rows["feasible_rows"], 0, REASONS.index("infeasible")).astype(np.int8)
@@ -454,7 +452,7 @@ def validate_airfoil(
     validity = StackValidity(
         **rows,
         reason=reason,
-        endpoint_tol=float(endpoint_tol),
+        endpoint_tol=ENDPOINT_TOL,
         grid_size=ell.size,
         sharp_trailing_edge=bool(sharp_trailing_edge),
     )

@@ -201,8 +201,9 @@ def _decode(parameterization: str, physical: np.ndarray) -> DecodedStack:
 
 
 @functools.lru_cache(maxsize=None)
-def _lift_nodes(k: int):
-    """Read-only midpoint nodes ell(theta) and weights cos(theta) - 1 for k points."""
+def _lift_nodes():
+    """Read-only midpoint nodes ell(theta) and weights cos(theta) - 1."""
+    k = _LIFT_QUAD_POINTS
     theta = (np.arange(k) + 0.5) * (np.pi / k)
     ell = 0.5 * (1.0 - np.cos(theta))
     weight = np.cos(theta) - 1.0
@@ -211,7 +212,7 @@ def _lift_nodes(k: int):
     return ell, weight
 
 
-def camber_lift(pair, quad_points: int = _LIFT_QUAD_POINTS):
+def camber_lift(pair):
     """2 * Integral_0^pi camber'(ell(theta)) (cos(theta) - 1) dtheta, midpoint rule.
 
     ell(theta) = (1 - cos theta) / 2; for a parabolic camber line of
@@ -224,14 +225,11 @@ def camber_lift(pair, quad_points: int = _LIFT_QUAD_POINTS):
     values), or one AirfoilSurfacePair, whose lift is element 0 of its
     1-row stack's.
     """
-    k = int(quad_points)
-    if k < 1:
-        raise ContractViolation("quad_points must be positive")
-    ell, weight = _lift_nodes(k)
+    ell, weight = _lift_nodes()
     stack = pair if isinstance(pair, DecodedStack) else DecodedStack.of_pair(pair)
     sums = [np.sum(0.5 * (slopes[:, 0] + slopes[:, 1]) * weight, axis=-1)
             for slopes in stack.grid_blocks(ell, slope=True)]
-    lift = 2.0 * (np.pi / k) * np.concatenate(sums)
+    lift = 2.0 * (np.pi / _LIFT_QUAD_POINTS) * np.concatenate(sums)
     return lift if stack is pair else float(lift[0])
 
 
@@ -264,9 +262,11 @@ class PanelSurrogate(QoiEvaluator):
 
     Objective ``"both"`` gives each design a (lift, drag) row, so a
     two-objective study decodes and validates every design once.
+    Designs are validated on the default 201-point grid.  A row whose
+    lift or drag is not finite fails as ``unbounded``.
     """
 
-    def __init__(self, parameterization: str, objective: str, grid_size: int = 201):
+    def __init__(self, parameterization: str, objective: str):
         if parameterization not in PARAMETERIZATIONS:
             raise ContractViolation(
                 f"parameterization must be one of {PARAMETERIZATIONS}"
@@ -275,9 +275,6 @@ class PanelSurrogate(QoiEvaluator):
             raise ContractViolation(f"objective must be one of {PANEL_OBJECTIVES}")
         self.parameterization = parameterization
         self.objective = objective
-        self.grid_size = int(grid_size)
-        if self.grid_size < 3:
-            raise ContractViolation("grid_size must be at least 3")
         self.box = (parsec if parameterization == "parsec" else cst).baseline_box()
         self.dim = self.box.dim
         self.name = f"panel-{objective}-{parameterization}"
@@ -292,14 +289,15 @@ class PanelSurrogate(QoiEvaluator):
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             return super().evaluate_many(rows)  # every row fails its shape check
         decoded = _decode(self.parameterization, denormalize(rows, self.box))
-        report = validate_airfoil(decoded, self.grid_size)
+        report = validate_airfoil(decoded)
         columns = []
-        if self.objective != "drag":
-            columns.append(camber_lift(decoded))
-        if self.objective != "lift":
-            columns.append(thickness_drag(report, self.grid_size))
-        values = columns[0] if len(columns) == 1 else np.stack(columns, axis=1)
-        bad = np.flatnonzero(report.reason)
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows fail below
+            if self.objective != "drag":
+                columns.append(camber_lift(decoded))
+            if self.objective != "lift":
+                columns.append(thickness_drag(report))
+        values = np.column_stack(columns)
+        bad = np.flatnonzero((report.reason > 0) | ~np.all(np.isfinite(values), axis=1))
         values[bad] = np.nan
         failed = {}
         for i in bad.tolist():
@@ -307,11 +305,10 @@ class PanelSurrogate(QoiEvaluator):
                 failed[i] = decoded.errors[i]
                 continue
             row = report.row(i)
-            failed[i] = EvaluationError(
-                f"{self.name}: decoded surfaces infeasible (min gap {row.min_gap:.3e})",
-                report=row,
-            )
-        return values, failed
+            detail = (f"decoded surfaces infeasible (min gap {row.min_gap:.3e})"
+                      if report.reason[i] else "lift or drag is not finite (unbounded)")
+            failed[i] = EvaluationError(f"{self.name}: {detail}", report=row)
+        return (values if len(columns) > 1 else values[:, 0]), failed
 
     def evaluate(self, x):
         """Value at one design: the 1-row case of :meth:`evaluate_many`."""
@@ -338,7 +335,7 @@ class DatasetQoi(QoiEvaluator):
     the f of the nearest row, the lowest row index on ties.
     """
 
-    def __init__(self, X, f=None, tolerance: float = 1e-9, provenance: str = ""):
+    def __init__(self, X, f=None, tolerance: float = 1e-9):
         rows = np.atleast_2d(np.asarray(X, dtype=float))
         if rows.size == 0:
             raise ContractViolation("dataset must have at least one row")
@@ -351,7 +348,6 @@ class DatasetQoi(QoiEvaluator):
         if self.outputs is not None and self.outputs.shape != (rows.shape[0],):
             raise ContractViolation("f must have one value per row")
         self.tolerance = float(tolerance)
-        self.provenance = str(provenance)
         self.dim = rows.shape[1]
         self.name = "dataset"
         weights = np.random.default_rng(0).uniform(1.0, 2.0, self.dim)
@@ -408,8 +404,7 @@ class DatasetQoi(QoiEvaluator):
         return float(self.outputs[near[dist == dist.min()].min()])
 
 
-def load_dataset(path, tolerance: float = 1e-9, provenance: str | None = None) -> DatasetQoi:
-    matrix, f, _, meta = read_matrix_csv(path)
-    note = provenance if provenance is not None else meta.get("provenance", str(path))
-    return DatasetQoi(matrix, f, tolerance=tolerance, provenance=note)
+def load_dataset(path, tolerance: float = 1e-9) -> DatasetQoi:
+    matrix, f, _, _ = read_matrix_csv(path)
+    return DatasetQoi(matrix, f, tolerance=tolerance)
 

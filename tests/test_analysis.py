@@ -5,7 +5,6 @@ import pytest
 
 from activefoil.activesubspace import SubspacePartition
 from activefoil.analysis import (
-    Z_POLICIES,
     ParetoSegment,
     ShadowData,
     cube_minimum,
@@ -160,11 +159,10 @@ def test_pareto_segment_endpoints_and_affinity():
     np.testing.assert_allclose(segment.coords[-1], [y1min, 0.0], atol=0.0)
     # straight segment: vanishing second differences
     assert np.max(np.abs(np.diff(segment.coords, n=2, axis=0))) < 1e-14
-    # zero policy keeps designs inside span{w1, w2}
+    # designs stay inside span{w1, w2}
     np.testing.assert_allclose(
         segment.designs, segment.coords @ np.column_stack([w1, w2]).T, atol=0.0
     )
-    assert segment.z_policy == "zero"
     # unbalanced directions push both endpoint designs out of the cube
     assert not segment.feasible[0] and not segment.feasible[-1]
     assert segment.feasible[5]
@@ -178,25 +176,6 @@ def test_pareto_segment_validation():
         pareto_segment(w1, w1)
     with pytest.raises(ContractViolation):
         pareto_segment(w1, w2, gamma_count=1)
-    with pytest.raises(ContractViolation):
-        pareto_segment(w1, w2, z_policy="nearest")
-    assert Z_POLICIES == ("zero", "random-feasible")
-
-
-def test_pareto_segment_random_feasible_policy():
-    w1 = np.eye(4)[:, 0]
-    w2 = np.eye(4)[:, 1]
-    one = pareto_segment(w1, w2, gamma_count=21, z_policy="random-feasible", seed=5)
-    two = pareto_segment(w1, w2, gamma_count=21, z_policy="random-feasible", seed=5)
-    np.testing.assert_array_equal(one.designs, two.designs)
-    other = pareto_segment(w1, w2, gamma_count=21, z_policy="random-feasible", seed=6)
-    assert not np.array_equal(one.designs, other.designs)
-    assert np.all(one.feasible)
-    assert np.max(np.abs(one.designs)) <= 1.0 + 1e-12
-    # the inactive fill never disturbs the active coordinates
-    np.testing.assert_allclose(
-        one.designs @ np.column_stack([w1, w2]), one.coords, atol=1e-12
-    )
 
 
 def _scored_segment():
@@ -227,7 +206,6 @@ def test_pareto_front_scoring():
                 coords=segment.coords,
                 designs=segment.designs[:, :3],
                 feasible=segment.feasible,
-                z_policy="zero",
             ),
             lift_surface,
             drag_surface,
@@ -289,6 +267,10 @@ def test_export_surface_grid(tmp_path):
         export_surface_grid(one_d, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat")
     with pytest.raises(ContractViolation):
         export_surface_grid(surface, [1.0, -1.0], [-1.0, 1.0], tmp_path / "x.dat")
+    for n in (0, 1):
+        with pytest.raises(ContractViolation):
+            export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", n=n)
+    assert not (tmp_path / "x.dat").exists()
 
 
 def test_gnuplot_emitters(tmp_path):

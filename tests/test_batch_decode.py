@@ -404,7 +404,7 @@ def test_overflowing_pair_stays_inside_the_block_guard():
 def _check_stacked_qois(parameterization, physical):
     """The stacked calls on the decoded rows equal the one-pair calls row by
     row, and ``evaluate_many`` fails each row with the error its reason
-    code names."""
+    code names, or as unbounded when its lift or drag is not finite."""
     box = (parsec if parameterization == "parsec" else cst).baseline_box()
     with np.errstate(all="ignore"):
         X = (2.0 * physical - (box.lower + box.upper)) / box.width
@@ -415,8 +415,9 @@ def _check_stacked_qois(parameterization, physical):
         lift, drag = qoi.camber_lift(stack), qoi.thickness_drag(report, GRID)
         values, failed = qoi.PanelSurrogate(parameterization, "both").evaluate_many(X)
     assert len(report) == lift.size == drag.size == len(X)
-    assert list(failed) == np.flatnonzero(report.reason).tolist()
-    assert (report.feasible and report.bounded) == (not failed)
+    overflow = (report.reason == 0) & ~(np.isfinite(lift) & np.isfinite(drag))
+    assert list(failed) == np.flatnonzero((report.reason > 0) | overflow).tolist()
+    assert (report.feasible and report.bounded and not overflow.any()) == (not failed)
     for i, row in enumerate(physical):
         reason = REASONS[report.reason[i]]
         try:
@@ -432,9 +433,14 @@ def _check_stacked_qois(parameterization, physical):
         assert repr(report.row(i)) == repr(single)
         assert _bits(lift[i]) == _bits(single_lift)
         assert _bits(drag[i]) == _bits(single_drag)
-        if single.feasible and single.bounded:
+        finite = np.isfinite(single_lift) and np.isfinite(single_drag)
+        if single.feasible and single.bounded and finite:
             assert reason == "ok" and i not in failed
             assert values[i].tobytes() == np.array([single_lift, single_drag]).tobytes()
+        elif single.feasible and single.bounded:
+            assert reason == "ok" and type(failed[i]) is EvaluationError
+            assert str(failed[i]).endswith("(unbounded)")
+            assert np.isnan(values[i]).all()
         else:
             assert reason == ("infeasible" if single.bounded else "unbounded")
             assert type(failed[i]) is EvaluationError
@@ -461,6 +467,7 @@ def test_stacked_parsec_qois_match_each_pair(unit_rows, bad):
                           st.sampled_from(_CST_BAD + [1e300, -1e300])), max_size=4))
 @example(unit_rows=[[0.0] * 10, [0.0] * 10, [0.0, 0.0, 0.0, -1.0, -1.0] + [0.0] * 5],
          bad=[(0, 2, float("nan"))])  # contract, ok, crossed
+@example(unit_rows=[[0.0] * 10], bad=[(0, 0, 1e300)])  # lift and drag overflow
 def test_stacked_cst_qois_match_each_pair(unit_rows, bad):
     rows = denormalize(np.array(unit_rows), cst.baseline_box())
     for position, column, value in bad:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -168,9 +169,9 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     gp = (d / "shadow.gp").read_text()
     assert f"skip {len(meta) + 1}" in gp
 
-    # out-of-range dimensions, bootstrap and sample sizes, malformed boxes,
-    # and panel QoIs outside their built-in box are refused before any
-    # artifact is written
+    # out-of-range dimensions, bootstrap, Pareto and sample sizes, malformed
+    # boxes, and panel QoIs outside their built-in box are refused before
+    # any artifact is written
     box = parsec.baseline_box()
     upper = box.upper.copy()
     upper[10] += 0.5  # a custom box the panel decoder would silently ignore
@@ -191,11 +192,20 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
                  ("run-all", "--qoi", f"dataset:{d / 'few.csv'}"),
                  ("run-all", "--qoi", f"dataset:{d / 'evals.csv'}", "--dim", "6"),
                  ("run-all", "--box", str(d / "wide.json"), "--qoi", "panel",
-                  "--parameterization", "parsec", "--n", "200"),
-                 ("run-all", "--box", "cst-table3", "--qoi", "panel",
-                  "--parameterization", "parsec", "--n", "50"),
+                  "--n", "200"),
                  ("evaluate", "--samples", str(d / "samples.csv"),
-                  "--qoi", "panel:lift", "--parameterization", "parsec"),
+                  "--qoi", "panel:lift"),
+                 ("run-all", "--box", "cst-table3", "--qoi", "panel",
+                  "--n", "200", "--gammas", "1"),
+                 ("run-all", "--box", "cst-table3", "--qoi", "panel",
+                  "--n", "200", "--degree", "-1"),
+                 ("run-all", "--box", "cst-table3", "--qoi", "panel",
+                  "--n", "200", "--grid-n", "1"),
+                 *(("pareto", "--data1", str(d / "evals.csv"), "--eigs1", str(d / "eigs.json"),
+                    "--data2", str(d / "evals.csv"), "--eigs2", str(d / "eigs.json"),
+                    flag, value)
+                   for flag, value in (("--gammas", "1"), ("--degree", "-1"),
+                                       ("--grid-n", "1"))),
                  ("shadow", "--data", str(d / "evals.csv"),
                   "--eigs", str(d / "eigs.json"), "--dim", "3"),
                  ("shadow", "--data", str(d / "evals.csv"),
@@ -208,6 +218,45 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
         assert exit_info.value.code == 1, argv
         assert json.loads(capsys.readouterr().err)["error"] == "ContractViolation"
         assert not any(bad.glob("*")), argv
+
+
+@pytest.mark.parametrize("schedule", ["100,x", "100,,200", ""])
+def test_bad_schedule_is_a_contract_violation(tmp_path, capsys, schedule):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["convergence", "--box", "unit:4", "--qoi", "quadratic",
+                  "--schedule", schedule, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ContractViolation"
+    assert "--schedule" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_option_inventory():
+    """Every option of every subcommand: a new knob shows up as an edit here."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    inventory = {name: tuple(sorted(a.dest for a in cmd._actions if a.dest != "help"))
+                 for name, cmd in sub.choices.items()}
+    assert inventory == {
+        "sample": ("box", "n", "out", "physical", "seed"),
+        "shapes": ("grid", "name", "out", "parameterization", "params", "seed", "sharp_te"),
+        "evaluate": ("direction", "noise_seed", "noise_std", "out", "qoi", "samples", "seed",
+                     "skip_infeasible", "tolerance"),
+        "fit": ("data", "out", "seed"),
+        "eigs": ("convention", "data", "dim", "model", "out", "seed"),
+        "bootstrap": ("convention", "data", "dim", "nboot", "out", "seed"),
+        "shadow": ("data", "dim", "eigs", "out", "seed"),
+        "pareto": ("data1", "data2", "degree", "eigs1", "eigs2", "gammas", "grid_n", "out",
+                   "seed"),
+        "convergence": ("box", "convention", "dim", "direction", "nboot", "noise_seed",
+                        "noise_std", "out", "qoi", "schedule", "seed", "skip_infeasible",
+                        "tolerance"),
+        "validate": ("grid", "out", "parameterization", "params", "seed", "sharp_te"),
+        "run-all": ("box", "convention", "degree", "dim", "direction", "gammas", "grid_n",
+                    "n", "nboot", "noise_seed", "noise_std", "out", "qoi", "seed",
+                    "skip_infeasible", "tolerance"),
+    }
 
 
 def _data_lines(path):
