@@ -14,15 +14,19 @@ rows, refit, re-decompose, and compare each replicate's leading
 subspace against the point estimate with the projector distance
 ``|| W1 W1' - V1 V1' ||_2`` (the sine of the largest principal angle).
 
-The bootstrap factors the quadratic design D = QR once.  A replicate
-with row multiplicities c then solves one p x p system: the Cholesky
-factor of Q' diag(c) Q gives the weighted least-squares coefficients.
-Replicates are solved in blocks of at most about 1 MB per (B, p, p)
-stack and per (B, N) array of resampled row indices.  Each replicate's
-Gram matrix is formed over its distinct rows and factored at once in
-one (B, p, p) stack, allocated once per bootstrap call and reused by
-every block; the factors are inverted in place, and the block's
-certification bounds and solves are stacked numpy calls.  The eigen
+The quadratic design D of a sample matrix X is factored as D = QR once,
+and a one-entry cache keyed on X's shape and bytes hands that QR to the
+point fit and to the bootstrap of X, and to every other chain that fits
+the same X.  A resample with row multiplicities c then solves one p x p
+system: the Cholesky factor of Q' diag(c) Q gives the weighted
+least-squares coefficients.  The point fit is the resample whose
+multiplicities are all one.  Bootstrap replicates are solved in blocks
+of at most about 1 MB per (B, p, p) stack and per (B, N) array of
+resampled row indices.  Each replicate's Gram matrix is formed over its
+distinct rows and factored at once in one (B, p, p) stack, allocated
+once per bootstrap call and reused by every block; the factors are
+inverted in place, and the block's certification bounds and solves are
+stacked numpy calls.  The eigen
 stage (C matrices, eigendecompositions, sign rule and one subspace
 error call per dimension) runs on groups of a fixed number of
 consecutive replicates, so its call count does not grow as blocks
@@ -30,13 +34,14 @@ shrink.  One bootstrap call thus works in one (B, p, p) stack plus the
 eigen group's (G, m, m) arrays plus O(nboot * m), whatever nboot * m^2
 is.  The shortcut is taken only when an upper bound on the condition
 number of the resampled design certifies full rank at the 1e-10
-tolerance with a wide margin; otherwise the replicate is refitted from
-its resampled rows exactly as ``fit_quadratic`` would, so the redraw
-and skip decisions never depend on the shortcut.
+tolerance with a wide margin; otherwise the point fit or the replicate
+is refitted from its rows by ``lstsq``, so the rank errors and the
+redraw and skip decisions never depend on the shortcut.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -184,7 +189,7 @@ def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 class _ResampledFit:
-    """Refits of one quadratic design on resampled rows from a single QR.
+    """Refits of one sample matrix's quadratic design on resampled rows, from one QR.
 
     With D = QR and multiplicities c of the resampled rows, the resampled
     design is S Q R with (S Q)'(S Q) = G = Q' diag(c) Q.  Cholesky G = LL'
@@ -195,40 +200,42 @@ class _ResampledFit:
 
     stays below _CERTIFIED_RCOND / RANK_RCOND, an exact bound rather than
     a condition estimate; anything else goes through ``_solve_quadratic``
-    on the resampled rows, which raises IllPosedFitError as before.
+    on the resampled rows, which raises IllPosedFitError as before.  The
+    point fit is the resample whose counts are all one.  Only Q, R, R^-1
+    and cond_F(R) are kept, read-only, so one object serves every fit of
+    the same X (see ``_factored``).
     """
 
-    def __init__(self, X: np.ndarray, f: np.ndarray):
-        self.X, self.f = X, f
+    def __init__(self, X: np.ndarray):
         self.q, self.r = np.linalg.qr(quadratic_features(X))
-        # a singular R gives a non-finite cond_r, which certifies no replicate
+        # a singular R gives a non-finite cond_r, which certifies no resample
         with np.errstate(divide="ignore", invalid="ignore"):
             self.r_inv = _lower_inverse(self.r.T).T
             self.cond_r = np.linalg.norm(self.r) * np.linalg.norm(self.r_inv)
-        self._factors = np.empty((0,) + self.r.shape)
+        for arr in (self.q, self.r, self.r_inv):
+            arr.flags.writeable = False
 
-    def solve(self, draws):
-        """Coefficients (B, p) of each resample, and whether the shortcut certified each.
+    def solve(self, f, draws, factors):
+        """Coefficients (B, p) of f on each resample, and whether the shortcut certified each.
 
-        Each Gram matrix is Cholesky-factored as soon as it is formed, in
-        one (B, p, p) stack that later calls reuse; a member that is not
-        positive definite gets the identity as a placeholder factor.
+        Each Gram matrix is Cholesky-factored as soon as it is formed, into
+        ``factors``, a (>= B, p, p) work stack the caller reuses across
+        calls; a member that is not positive definite gets the identity as
+        a placeholder factor.
         """
         p = self.r.shape[0]
-        if len(draws) > len(self._factors):
-            self._factors = np.empty((len(draws), p, p))
-        factors = self._factors[: len(draws)]
+        factors = factors[: len(draws)]
         rhs = np.empty((len(draws), p))
         gram_norm = np.empty(len(draws))
         ok = np.ones(len(draws), dtype=bool)
         for i, idx in enumerate(draws):
-            counts = np.bincount(idx, minlength=self.f.size)
+            counts = np.bincount(idx, minlength=f.size)
             rows = np.flatnonzero(counts)
             root = np.sqrt(counts[rows])
             weighted = np.take(self.q, rows, axis=0)
             weighted *= root[:, np.newaxis]
             gram = np.matmul(weighted.T, weighted, out=factors[i])
-            rhs[i] = (root * self.f[rows]) @ weighted
+            rhs[i] = (root * f[rows]) @ weighted
             gram_norm[i] = np.sqrt(np.einsum("ij,ij->", gram, gram))
             try:
                 factors[i] = np.linalg.cholesky(gram)
@@ -250,7 +257,7 @@ class _ResampledFit:
         beta = (z @ self.r_inv.T)[:, 0]
         return beta, ok
 
-    def refit(self, rng):
+    def refit(self, X, f, rng, factors):
         """(H, v) of a replicate whose first draw the shortcut did not certify.
 
         The first draw is replayed from ``rng`` and refitted by
@@ -258,27 +265,40 @@ class _ResampledFit:
         same stream up to _MAX_RESAMPLE_RETRIES times.  None if every draw
         was rank deficient.
         """
-        n_rows, m = self.X.shape
+        n_rows, m = X.shape
         for attempt in range(_MAX_RESAMPLE_RETRIES + 1):
             idx = rng.integers(0, n_rows, size=n_rows)
             if attempt:
-                beta, ok = self.solve([idx])
+                beta, ok = self.solve(f, [idx], factors)
                 if ok[0]:
                     return _unpack_coefficients(beta[0], m)[:2]
             try:
-                model = _solve_quadratic(quadratic_features(self.X[idx]), self.f[idx], m)
+                model = _solve_quadratic(quadratic_features(X[idx]), f[idx], m)
             except IllPosedFitError:
                 continue
             return model.hessian, model.linear
         return None
 
 
+@functools.lru_cache(maxsize=1)
+def _factored(shape: tuple, x_bytes: bytes) -> _ResampledFit:
+    """The factorization of one sample matrix, looked up by its shape and bytes.
+
+    One entry is enough: a chain fits and then bootstraps the same X, and
+    the panel's lift and drag chains share theirs, so each sample matrix
+    is factored once.  A changed X is a new key, never a stale hit.
+    """
+    return _ResampledFit(np.frombuffer(x_bytes).reshape(shape))
+
+
 def fit_quadratic(X, f) -> QuadraticModel:
     """Least-squares quadratic surface over normalized samples.
 
     Requires N >= (m+2 choose 2) rows; warns (non-fatally) below twice
-    that.  Solved by orthogonal factorization with relative rank
-    tolerance 1e-10.
+    that.  Solved from the cached QR of the design (``_factored``) as the
+    resample whose counts are all one, when the bootstrap's condition
+    bound certifies full rank; otherwise by ``lstsq`` with relative rank
+    tolerance 1e-10, which raises IllPosedFitError below full rank.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     f = np.asarray(f, dtype=float)
@@ -294,7 +314,12 @@ def fit_quadratic(X, f) -> QuadraticModel:
             SampleSizeWarning,
             stacklevel=2,
         )
-    return _solve_quadratic(quadratic_features(X), f, m)
+    fac = _factored(X.shape, X.tobytes())
+    beta, ok = fac.solve(f, [np.arange(n)], np.empty((1, p, p)))
+    if not ok[0]:
+        return _solve_quadratic(quadratic_features(X), f, m)
+    residual = float(np.linalg.norm(fac.q @ (fac.r @ beta[0]) - f) / np.sqrt(n))
+    return QuadraticModel(*_unpack_coefficients(beta[0], m), residual)
 
 
 def _sigma_scale(convention: str) -> float:
@@ -520,21 +545,19 @@ def bootstrap(
     seed: int,
     n: int | None = None,
     convention: str = "identity",
-    point: QuadraticModel | None = None,
 ) -> BootstrapSummary:
     """Pairs bootstrap of the quadratic-model subspace estimate.
 
     Each replicate resamples the N rows with replacement (stream
     ``SeedSequence(seed, spawn_key=(k,))``), refits, rebuilds C under
     the same convention, and re-decomposes.  A rank-deficient resample
-    is redrawn up to 10 times, then counted as skipped.  Refits share
-    one QR factorization of the design and run in blocks of replicates,
+    is redrawn up to 10 times, then counted as skipped.  The point fit
+    and the refits share one QR factorization of the design, cached
+    across calls on the same X, and refits run in blocks of replicates,
     whose eigen stage runs in groups of consecutive replicates (see the
-    module docstring and ``_ResampledFit``).  Pass
-    ``point``, the ``fit_quadratic(X, f)`` model, when the caller has
-    it already.  Note the replicate ranges describe sampling
-    variability of the fit only; they are not calibrated confidence
-    intervals.
+    module docstring and ``_ResampledFit``).  Note the replicate ranges
+    describe sampling variability of the fit only; they are not
+    calibrated confidence intervals.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     f = np.asarray(f, dtype=float)
@@ -543,20 +566,19 @@ def bootstrap(
     n_rows, m = X.shape
     if f.shape != (n_rows,):
         raise ContractViolation("f must have one value per sample row")
-    if point is not None and point.dim != m:
-        raise ContractViolation("point model must match the sample dimension")
-    if point is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SampleSizeWarning)
-            point = fit_quadratic(X, f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)
+        point = fit_quadratic(X, f)
     eig = eigendecompose(gradient_outer_matrix(point, convention))
     if n is None:
         n = choose_dimension(eig.values)
     if not 1 <= n < m:
         raise ContractViolation(f"dimension must lie in [1, {m - 1}], got {n}")
 
-    refit = _ResampledFit(X, f)
+    refit = _factored(X.shape, X.tobytes())
     block = max(1, _BLOCK_BYTES // (8 * max(refit.r.size, n_rows)))
+    # the one (B, p, p) stack every block factors its Gram matrices in
+    factors = np.empty((min(block, n_boot),) + refit.r.shape)
     group = max(block, _EIGEN_GROUP)
     dims = np.arange(1, m)
     lam_rows = np.empty((n_boot, m))
@@ -565,13 +587,14 @@ def bootstrap(
     for start in range(0, n_boot, group):
         reps = slice(start, min(start + group, n_boot))
         betas, certified = zip(*(
-            refit.solve([_replicate_rng(seed, k).integers(0, n_rows, size=n_rows)
-                         for k in range(first, min(first + block, reps.stop))])
+            refit.solve(f, [_replicate_rng(seed, k).integers(0, n_rows, size=n_rows)
+                            for k in range(first, min(first + block, reps.stop))],
+                        factors)
             for first in range(start, reps.stop, block)
         ))
         hess, lin, _ = _unpack_coefficients(np.concatenate(betas), m)
         for i in np.flatnonzero(~np.concatenate(certified)):
-            fitted = refit.refit(_replicate_rng(seed, start + i))
+            fitted = refit.refit(X, f, _replicate_rng(seed, start + i), factors)
             if fitted is None:
                 kept[start + i] = False
             else:

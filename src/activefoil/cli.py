@@ -45,8 +45,8 @@ _HINTS = {
     "DegenerateIntervalError": "zero centers cannot be scaled multiplicatively; "
                                "provide explicit bounds in a box JSON file",
     "DomainError": "surface evaluations are defined on [0, 1] only",
-    "EvaluationError": "pass --skip-infeasible to drop failing designs "
-                       "instead of stopping",
+    "EvaluationError": "evaluate and run-all accept --skip-infeasible to drop "
+                       "failing designs instead of stopping",
     "FileNotFoundError": "check the path; inputs must exist before the command runs",
     "IllPosedFitError": "the quadratic design matrix is rank-deficient; "
                         "increase --n (need (m+1)(m+2)/2 well-spread rows)",
@@ -163,7 +163,12 @@ def _parse_direction(text: str, m: int) -> np.ndarray:
     if not text:
         # reproducible mixed default, no zero components
         return 1.0 / np.arange(1.0, m + 1.0)
-    w = np.array([float(v) for v in text.split(",")], dtype=float)
+    try:
+        w = np.array([float(v) for v in text.split(",")], dtype=float)
+    except ValueError:
+        raise ContractViolation(
+            f"--direction must be a comma list of numbers, got {text!r}"
+        ) from None
     if w.size != m:
         raise ContractViolation(
             f"--direction has {w.size} components, box has {m} parameters"
@@ -466,10 +471,10 @@ def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str,
 
 
 def _bootstrap_stage(X, f, n, args, out: Path, prefix: str, label: str,
-                     meta: dict, point=None):
+                     meta: dict):
     child = derive_seed(args.seed, label)
     summary = asub.bootstrap(X, f, args.nboot, child, n=n,
-                             convention=args.convention, point=point)
+                             convention=args.convention)
     meta = {**meta, "child_seed": child, "n_active": summary.n,
             "n_skipped": summary.n_skipped}
     write_table(out / f"{prefix}bootstrap_eigenvalues.csv",
@@ -506,8 +511,7 @@ def _single_chain(X, f, labels, args, out: Path, prefix: str,
                      meta={**meta, **(evals_meta or {})})
     model = _fit_stage(X, f, out, prefix, meta)
     eigs = _eigs_stage(model, args, out, prefix, meta)
-    _bootstrap_stage(X, f, eigs["n"], args, out, prefix, boot_label, meta,
-                     point=model)
+    _bootstrap_stage(X, f, eigs["n"], args, out, prefix, boot_label, meta)
     _shadow_stage(X, f, eigs, min(eigs["n"], 2), out, prefix, meta)
     return eigs
 
@@ -580,6 +584,9 @@ def _add_qoi_flags(cmd) -> None:
                      help="seed folded into the per-point ridge noise")
     cmd.add_argument("--tolerance", type=float, default=1e-9,
                      help="dataset lookup tolerance")
+
+
+def _add_skip_infeasible(cmd) -> None:
     cmd.add_argument("--skip-infeasible", action="store_true",
                      help="drop designs the evaluator rejects instead of failing")
 
@@ -627,6 +634,7 @@ def build_parser() -> _Parser:
     cmd.add_argument("--samples", required=True,
                      help="normalized samples.csv from `sample`")
     _add_qoi_flags(cmd)
+    _add_skip_infeasible(cmd)
     _add_seed_out(cmd)
     cmd.set_defaults(func=_cmd_evaluate)
 
@@ -708,6 +716,7 @@ def build_parser() -> _Parser:
     cmd.add_argument("--gammas", type=int, default=101)
     cmd.add_argument("--grid-n", type=int, default=101)
     _add_qoi_flags(cmd)
+    _add_skip_infeasible(cmd)
     _add_convention(cmd)
     _add_seed_out(cmd, default_out="run")
     cmd.set_defaults(func=_cmd_run_all)

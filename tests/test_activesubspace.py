@@ -91,6 +91,47 @@ def test_fit_rank_deficiency():
     assert info.value.rank < info.value.required == coefficient_count(2)
 
 
+def _packed(model):
+    """Coefficients of a model in the monomial order of ``quadratic_features``."""
+    m = model.dim
+    quad = model.hessian * (1.0 - 0.5 * np.eye(m))  # a square's coefficient is H_ii / 2
+    return np.concatenate([[model.constant], model.linear, quad[np.triu_indices(m)]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 8), extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_fit_matches_a_lstsq_reference(m, extra, seed):
+    # the point fit comes from the shared QR; lstsq on the design is the reference
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (2 * coefficient_count(m) + extra, m))
+    f = 0.5 * np.einsum("ij,ij->i", X, X) + X[:, 0] + rng.standard_normal(X.shape[0])
+    design = quadratic_features(X)
+    want = np.linalg.lstsq(design, f, rcond=1e-10)[0]
+    got = fit_quadratic(X, f)
+    np.testing.assert_allclose(_packed(got), want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+    rms = np.linalg.norm(design @ want - f) / np.sqrt(f.size)
+    assert got.residual_rms == pytest.approx(rms, rel=1e-10)
+
+    X[:, -1] = X[:, 0]  # two equal columns: the design loses rank
+    with pytest.raises(IllPosedFitError):
+        fit_quadratic(X, f)
+
+
+def test_fits_after_an_entry_of_X_changes_use_the_new_matrix():
+    m = 3
+    X = sample(unit_box(m), 40, seed=9).matrix.copy()
+    f = seeded_quadratic(m, 2)(X) + 0.01 * X[:, 1] ** 3
+    before = fit_quadratic(X, f)
+    X[5, 1] = -X[5, 1]  # in place, so only the content of X changes
+    changed = fit_quadratic(X, f)
+    boot = bootstrap(X, f, n_boot=8, seed=3)
+    asub._factored.cache_clear()
+    assert _packed(changed).tobytes() == _packed(fit_quadratic(X.copy(), f)).tobytes()
+    assert _packed(changed).tobytes() != _packed(before).tobytes()
+    asub._factored.cache_clear()
+    assert _summary_bits(boot) == _summary_bits(bootstrap(X.copy(), f, n_boot=8, seed=3))
+
+
 def test_model_validation_and_symmetrization():
     with pytest.raises(ContractViolation):
         QuadraticModel(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), 0.0)
@@ -502,15 +543,17 @@ def test_bootstrap_matches_lstsq_reference_on_noisy_ridge():
 
 
 def test_bootstrap_point_model_is_reused():
+    # the bootstrap's point estimate is the fit_quadratic model, from the same cached QR
     m = 3
     X = sample(unit_box(m), 60, seed=8).matrix
     f = seeded_quadratic(m, 4)(X) + 0.01 * X[:, 0] ** 3
+    asub._factored.cache_clear()
     fresh = bootstrap(X, f, n_boot=10, seed=2)
-    reused = bootstrap(X, f, n_boot=10, seed=2, point=fit_quadratic(X, f))
+    point = eigendecompose(gradient_outer_matrix(fit_quadratic(X, f), "identity"))
+    reused = bootstrap(X, f, n_boot=10, seed=2)
+    np.testing.assert_array_equal(fresh.eigenvalues, point.values)
     np.testing.assert_array_equal(fresh.eigenvalues, reused.eigenvalues)
     np.testing.assert_array_equal(fresh.error_mean, reused.error_mean)
-    with pytest.raises(ContractViolation):
-        bootstrap(X, f, n_boot=5, seed=1, point=fit_quadratic(X[:, :2], f))
     with pytest.raises(ContractViolation):
         bootstrap(X, f[:-1], n_boot=5, seed=1)
 
@@ -543,8 +586,9 @@ def test_bootstrap_rank_deficient_resamples_take_the_lstsq_path(monkeypatch):
     got = bootstrap(X, f, n_boot=30, seed=5, n=1)
     assert got.n_skipped == want["n_skipped"] > 0
     assert got.n_skipped < 30
-    # the point fit, then at least the 11 failed draws of each skipped replicate
-    assert len(calls) >= 1 + 11 * got.n_skipped
+    # the bound certifies the point fit, so every call is a replicate's:
+    # at least the 11 failed draws of each skipped replicate
+    assert len(calls) >= 11 * got.n_skipped
     np.testing.assert_allclose(got.eigenvalues_mean, want["eigenvalues_mean"],
                                rtol=0.0, atol=1e-9 * got.eigenvalues[0])
 
@@ -555,6 +599,7 @@ def test_bootstrap_memory_stays_bounded_at_small_m_and_large_n():
 
     X = sample(unit_box(2), 5000, seed=6).matrix
     f = seeded_quadratic(2, 1)(X)
+    asub._factored.cache_clear()
     tracemalloc.start()
     try:
         bootstrap(X, f, n_boot=1000, seed=4)
@@ -573,6 +618,7 @@ def test_bootstrap_memory_does_not_grow_with_nboot():
     f = seeded_quadratic(11, 1)(X)
     peaks = {}
     for n_boot in (200, 2000):
+        asub._factored.cache_clear()
         tracemalloc.start()
         try:
             bootstrap(X, f, n_boot=n_boot, seed=4)
@@ -590,6 +636,7 @@ def test_bootstrap_works_in_one_reused_factor_stack():
 
     X = sample(unit_box(11), 1000, seed=6).matrix
     f = seeded_quadratic(11, 1)(X)
+    asub._factored.cache_clear()
     tracemalloc.start()
     try:
         bootstrap(X, f, n_boot=2000, seed=4)
@@ -623,19 +670,19 @@ def _stacked_lower_inverse(low, out=None):
     return out
 
 
-def _stacked_cholesky_solve(refit, draws):
+def _stacked_cholesky_solve(refit, f, draws):
     """``_ResampledFit.solve`` as it was: a Gram stack, then one stacked Cholesky call."""
     p = refit.r.shape[0]
     grams = np.empty((len(draws), p, p))
     rhs = np.empty((len(draws), p))
     for i, idx in enumerate(draws):
-        counts = np.bincount(idx, minlength=refit.f.size)
+        counts = np.bincount(idx, minlength=f.size)
         rows = np.flatnonzero(counts)
         root = np.sqrt(counts[rows])
         weighted = np.take(refit.q, rows, axis=0)
         weighted *= root[:, np.newaxis]
         grams[i] = weighted.T @ weighted
-        rhs[i] = (root * refit.f[rows]) @ weighted
+        rhs[i] = (root * f[rows]) @ weighted
     gram_norm = np.sqrt(np.einsum("bij,bij->b", grams, grams))
     try:
         chol, ok = np.linalg.cholesky(grams), np.ones(len(draws), dtype=bool)
@@ -659,24 +706,24 @@ def _stacked_cholesky_solve(refit, draws):
 
 
 def test_factoring_each_gram_at_once_keeps_the_stacked_bits():
-    # one reused stack, sized up and down across calls, gives every
+    # one work stack, reused by calls of different sizes, gives every
     # replicate the bits of a fresh Gram stack and one stacked Cholesky call
     for (X, f), sizes in ((_noisy_ridge(11, 300, 1e-3), (40, 7, 1, 50)),
                           (_seven_row_design(), (30, 3, 1, 12))):
-        refit = asub._ResampledFit(X, f)
+        refit = asub._ResampledFit(X)
+        factors = np.empty((max(sizes),) + refit.r.shape)
         first = 0
         certified, positive = [], []
         for size in sizes:
             draws = [asub._replicate_rng(5, k).integers(0, len(f), size=len(f))
                      for k in range(first, first + size)]
             first += size
-            beta, ok = refit.solve(draws)
-            want_beta, want_ok, want_positive = _stacked_cholesky_solve(refit, draws)
+            beta, ok = refit.solve(f, draws, factors)
+            want_beta, want_ok, want_positive = _stacked_cholesky_solve(refit, f, draws)
             assert beta.tobytes() == want_beta.tobytes()
             assert ok.tobytes() == want_ok.tobytes()
             certified.extend(ok)
             positive.extend(want_positive)
-        assert len(refit._factors) == max(sizes)
     # the seven-row design resamples to Grams that are not positive
     # definite and to ones that are, certified or not
     assert any(certified) and not all(positive) and sum(positive) > sum(certified)

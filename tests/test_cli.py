@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import activefoil
-from activefoil import cli, parsec
+from activefoil import activesubspace, cli, parsec
 from activefoil.activesubspace import (
     eigendecompose,
     gradient_outer_matrix,
+    quadratic_features,
     subspace_distance,
 )
 from activefoil.qoi import seeded_quadratic
@@ -250,8 +251,7 @@ def test_option_inventory():
         "pareto": ("data1", "data2", "degree", "eigs1", "eigs2", "gammas", "grid_n", "out",
                    "seed"),
         "convergence": ("box", "convention", "dim", "direction", "nboot", "noise_seed",
-                        "noise_std", "out", "qoi", "schedule", "seed", "skip_infeasible",
-                        "tolerance"),
+                        "noise_std", "out", "qoi", "schedule", "seed", "tolerance"),
         "validate": ("grid", "out", "parameterization", "params", "seed", "sharp_te"),
         "run-all": ("box", "convention", "degree", "dim", "direction", "gammas", "grid_n",
                     "n", "nboot", "noise_seed", "noise_std", "out", "qoi", "seed",
@@ -332,6 +332,13 @@ def test_ridge_direction_flag(tmp_path):
     assert out.returncode == 1
     assert "3 parameters" in json.loads(out.stderr)["message"]
 
+    out = run("evaluate", "--samples", str(d / "samples.csv"),
+              "--qoi", "ridge", "--direction", "1,x,2", "--out", str(d))
+    assert out.returncode == 1
+    payload = json.loads(out.stderr)
+    assert payload["error"] == "ContractViolation"
+    assert "--direction" in payload["message"]
+
 
 def test_validate_baseline_is_feasible(tmp_path):
     out = run("validate", "--parameterization", "parsec",
@@ -409,6 +416,40 @@ def test_run_all_panel_pipeline_and_rerun_bytes(tmp_path):
     vectors = np.array(eigs["eigenvectors"], dtype=float)
     # rows of the payload are eigenvectors: orthonormal set
     np.testing.assert_allclose(vectors @ vectors.T, np.eye(11), atol=1e-8)
+
+
+def test_run_all_factors_each_sample_matrix_once(tmp_path, monkeypatch):
+    """One QR per sample matrix, shared by both panel chains, and no lstsq on it."""
+    qr_inputs, lstsq_inputs = [], []
+    qr, lstsq = np.linalg.qr, np.linalg.lstsq
+
+    def counting_qr(a, *args, **kwargs):
+        qr_inputs.append(np.asarray(a).tobytes())
+        return qr(a, *args, **kwargs)
+
+    def counting_lstsq(a, *args, **kwargs):
+        lstsq_inputs.append(np.asarray(a).tobytes())
+        return lstsq(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    activesubspace._factored.cache_clear()
+    X = np.random.default_rng(4).uniform(-1.0, 1.0, (300, 3))
+    write_matrix_csv(tmp_path / "data.csv", X, f=X[:, 0] + 0.5 * X[:, 1] ** 2)
+    for name, flags in (
+        ("panel", ("--box", "cst-table3", "--qoi", "panel", "--n", "200",
+                   "--skip-infeasible", "--gammas", "11", "--grid-n", "11")),
+        ("dataset", ("--qoi", f"dataset:{tmp_path / 'data.csv'}")),
+    ):
+        qr_inputs.clear()
+        lstsq_inputs.clear()
+        out = tmp_path / name
+        assert cli.main(["run-all", *flags, "--nboot", "4", "--seed", "7",
+                         "--out", str(out)]) == 0
+        evals = out / ("lift_evals.csv" if name == "panel" else "evals.csv")
+        design = quadratic_features(read_matrix_csv(evals)[0]).tobytes()
+        assert qr_inputs == [design], name
+        assert design not in lstsq_inputs, name
 
 
 def test_run_all_dataset_mode(tmp_path):
