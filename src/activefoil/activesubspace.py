@@ -54,11 +54,11 @@ from .errors import (
     NoStructureError,
     SampleSizeWarning,
 )
+from .frontend import CONVENTIONS  # noqa: F401  (one list for the flag and here)
 from .sampling import ParameterBox, _freeze, derive_seed, sample
 
 RANK_RCOND = 1e-10
 EIGENVALUE_FLOOR = 1e-14
-CONVENTIONS = ("identity", "third")
 
 _MAX_RESAMPLE_RETRIES = 10
 # Bootstrap replicates are solved in blocks whose (B, p, p) stacks and

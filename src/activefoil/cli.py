@@ -9,6 +9,10 @@ state only through files in the output directory.
 All randomness flows from the single ``--seed`` value; consumers derive
 child streams by labeled hashing (``sampling.derive_seed``), so the
 sampling stream does not shift when, say, ``--nboot`` changes.
+
+The parser and the entry point live in ``activefoil.frontend``, which
+loads no numpy; ``main`` here is that entry point, and each subcommand
+runs the ``_cmd_`` function of its name below.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from . import __version__, analysis, cst, parsec, qoi, sampling
 from . import activesubspace as asub
 from .activesubspace import QuadraticModel
 from .errors import ContractViolation, DatasetError
+from .frontend import build_parser, main  # noqa: F401
 from .geometry import validate_airfoil, write_coordinate_loop, write_surface_table
 from .sampling import (
     ParameterBox,
@@ -37,45 +42,9 @@ from .sampling import (
 
 _BUILTIN_BOXES = {"parsec-table2": "parsec", "cst-table3": "cst"}
 
-_HINTS = {
-    "ContractViolation": "run the subcommand with --help for the flag schema",
-    "ConditioningError": "constraint rows are nearly dependent; move crest "
-                         "positions away from 0 and 1",
-    "DatasetError": "check the file against the x1..xm[,f] CSV schema in the README",
-    "DegenerateIntervalError": "zero centers cannot be scaled multiplicatively; "
-                               "provide explicit bounds in a box JSON file",
-    "DomainError": "surface evaluations are defined on [0, 1] only",
-    "EvaluationError": "evaluate and run-all accept --skip-infeasible to drop "
-                       "failing designs instead of stopping",
-    "FileNotFoundError": "check the path; inputs must exist before the command runs",
-    "IllPosedFitError": "the quadratic design matrix is rank-deficient; "
-                        "increase --n (need (m+1)(m+2)/2 well-spread rows)",
-    "NoStructureError": "eigenvalues carry no usable gap; check that f varies "
-                        "over the box",
-    "OutOfBoxError": "point lies outside the box; sample and evaluate must "
-                     "use the same --box",
-}
-
-
-def _fail(error: str, message: str, code: int) -> None:
-    hint = _HINTS.get(error, "run with --help for the flag schema; "
-                             "see README for file formats")
-    payload = {"error": error, "hint": hint, "message": message}
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
-    sys.exit(code)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse front end whose usage errors are machine readable."""
-
-    def error(self, message):
-        _fail("UsageError", message, 2)
-
 
 def _config_hash(args: argparse.Namespace) -> str:
-    pairs = sorted(
-        f"{key}={args.__dict__[key]}" for key in vars(args) if key != "func"
-    )
+    pairs = sorted(f"{key}={value}" for key, value in vars(args).items())
     return hashlib.sha256("\n".join(pairs).encode()).hexdigest()[:12]
 
 
@@ -148,12 +117,17 @@ def _check_pareto_sizes(args) -> None:
         raise ContractViolation(f"--grid-n must be at least 2, got {args.grid_n}")
 
 
+def _check_boot_flags(args, m: int) -> None:
+    """--dim and --nboot, checked before any sampling, fit or write."""
+    _check_dim_flag(args.dim, m)
+    if args.nboot < 1:
+        raise ContractViolation(f"--nboot must be at least 1, got {args.nboot}")
+
+
 def _check_run_sizes(args, n_rows: int, m: int) -> None:
     """run-all's size flags and row count, checked before anything is written."""
-    _check_dim_flag(args.dim, m)
+    _check_boot_flags(args, m)
     _check_pareto_sizes(args)
-    if args.nboot < 1:
-        raise ContractViolation("n_boot must be positive")
     p = asub.coefficient_count(m)
     if n_rows < p:
         raise ContractViolation(f"need at least {p} samples for m={m}, got {n_rows}")
@@ -300,15 +274,19 @@ def _cmd_fit(args) -> None:
 
 
 def _model_from(args) -> QuadraticModel:
+    """The model of --model, or the fit of --data; --dim is checked before the fit."""
     if args.model:
         payload = _load_json(args.model, "model", ("hessian", "linear", "constant"))
-        return QuadraticModel(
+        model = QuadraticModel(
             np.array(payload["hessian"], dtype=float),
             np.array(payload["linear"], dtype=float),
             float(payload["constant"]),
             float(payload.get("residual_rms", 0.0)),
         )
+        _check_dim_flag(args.dim, model.dim)
+        return model
     X, f, _, _ = read_matrix_csv(args.data)
+    _check_dim_flag(args.dim, X.shape[1])
     return asub.fit_quadratic(X, _require_outputs(f, args.data))
 
 
@@ -321,6 +299,7 @@ def _cmd_eigs(args) -> None:
 
 def _cmd_bootstrap(args) -> None:
     X, f, _, _ = read_matrix_csv(args.data)
+    _check_boot_flags(args, X.shape[1])
     out = _out_dir(args)
     summary = _bootstrap_stage(X, _require_outputs(f, args.data), args.dim,
                                args, out, "", "bootstrap",
@@ -393,6 +372,7 @@ def _cmd_pareto(args) -> None:
 
 def _cmd_convergence(args) -> None:
     box = _resolve_box(args.box)
+    _check_boot_flags(args, box.dim)
     ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
     try:
         schedule = tuple(int(v) for v in args.schedule.split(","))
@@ -454,9 +434,8 @@ def _fit_stage(X, f, out: Path, prefix: str, meta: dict) -> QuadraticModel:
 
 def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str,
                 meta: dict) -> dict:
-    """Eigenpairs with n from --dim, which must lie in [1, m-1], or the log gap."""
+    """Eigenpairs with n from --dim, which callers check first, or the log gap."""
     m = model.dim
-    _check_dim_flag(args.dim, m)
     eig = asub.eigendecompose(asub.gradient_outer_matrix(model, args.convention))
     payload = {
         "eigenvalues": eig.values.tolist(),
@@ -518,6 +497,9 @@ def _single_chain(X, f, labels, args, out: Path, prefix: str,
 
 def _cmd_run_all(args) -> None:
     if args.qoi.startswith("dataset:"):
+        if args.box:
+            raise ContractViolation("--box does not apply to --qoi dataset:PATH, "
+                                    "whose rows are the designs; drop --box")
         path = args.qoi.split(":", 1)[1]
         X, f, labels, _ = read_matrix_csv(path)
         f = _require_outputs(f, path)
@@ -558,181 +540,6 @@ def _cmd_run_all(args) -> None:
     _pareto_artifacts(X, values[:, 0], X, values[:, 1], *eigs, args, out,
                       {"qoi": "panel", "parameterization": parameterization})
     print(f"pipeline artifacts in {out} (panel two-objective)")
-
-
-# ---------------------------------------------------------------------------
-# parser wiring
-
-
-def _add_seed_out(cmd, default_out: str = ".") -> None:
-    cmd.add_argument("--seed", type=int, default=0,
-                     help="root seed; children are derived by labeled hashing")
-    cmd.add_argument("--out", default=default_out,
-                     help="output directory (created if missing)")
-
-
-def _add_qoi_flags(cmd) -> None:
-    cmd.add_argument("--qoi", required=True,
-                     help="quadratic | ridge[:linear|quadratic|exp] | "
-                          "panel:lift | panel:drag | dataset:PATH")
-    cmd.add_argument("--direction", default="",
-                     help="comma list of ridge direction components "
-                          "(default 1, 1/2, ..., 1/m)")
-    cmd.add_argument("--noise-std", type=float, default=0.0,
-                     help="ridge noise level (deterministic per point)")
-    cmd.add_argument("--noise-seed", type=int, default=0,
-                     help="seed folded into the per-point ridge noise")
-    cmd.add_argument("--tolerance", type=float, default=1e-9,
-                     help="dataset lookup tolerance")
-
-
-def _add_skip_infeasible(cmd) -> None:
-    cmd.add_argument("--skip-infeasible", action="store_true",
-                     help="drop designs the evaluator rejects instead of failing")
-
-
-def _add_convention(cmd) -> None:
-    cmd.add_argument("--convention", choices=asub.CONVENTIONS, default="identity",
-                     help="second-moment weighting of the outer-product matrix")
-
-
-def _add_shape_flags(cmd) -> None:
-    cmd.add_argument("--parameterization", choices=("parsec", "cst"),
-                     required=True)
-    cmd.add_argument("--params", default=None,
-                     help="parameter JSON (default: built-in box center)")
-    cmd.add_argument("--grid", type=int, default=201,
-                     help="surface grid resolution")
-    cmd.add_argument("--sharp-te", action="store_true",
-                     help="also require a closed trailing edge")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="activefoil",
-                     description="active-subspace airfoil pipelines")
-    parser.add_argument("--version", action="version",
-                        version=f"activefoil {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cmd = sub.add_parser("sample", help="draw uniform designs from a box")
-    cmd.add_argument("--box", required=True,
-                     help="parsec-table2 | cst-table3 | unit:M | box JSON path")
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--physical", action="store_true",
-                     help="write physical instead of normalized coordinates")
-    _add_seed_out(cmd)
-    cmd.set_defaults(func=_cmd_sample)
-
-    cmd = sub.add_parser("shapes", help="decode parameters to surfaces")
-    _add_shape_flags(cmd)
-    cmd.add_argument("--name", default="airfoil",
-                     help="label written on the coordinate loop")
-    _add_seed_out(cmd)
-    cmd.set_defaults(func=_cmd_shapes)
-
-    cmd = sub.add_parser("evaluate", help="run a QoI over sampled designs")
-    cmd.add_argument("--samples", required=True,
-                     help="normalized samples.csv from `sample`")
-    _add_qoi_flags(cmd)
-    _add_skip_infeasible(cmd)
-    _add_seed_out(cmd)
-    cmd.set_defaults(func=_cmd_evaluate)
-
-    cmd = sub.add_parser("fit", help="least-squares quadratic model")
-    cmd.add_argument("--data", required=True, help="evals.csv with an f column")
-    _add_seed_out(cmd)
-    cmd.set_defaults(func=_cmd_fit)
-
-    cmd = sub.add_parser("eigs", help="outer-product matrix eigenpairs")
-    group = cmd.add_mutually_exclusive_group(required=True)
-    group.add_argument("--data", help="evals.csv with an f column")
-    group.add_argument("--model", help="model.json from `fit`")
-    cmd.add_argument("--dim", type=int, default=None,
-                     help="override the log-gap dimension choice")
-    _add_convention(cmd)
-    _add_seed_out(cmd)
-    cmd.set_defaults(func=_cmd_eigs)
-
-    cmd = sub.add_parser("bootstrap", help="replicate spread of the eigenpairs")
-    cmd.add_argument("--data", required=True, help="evals.csv with an f column")
-    cmd.add_argument("--nboot", type=int, default=100)
-    cmd.add_argument("--dim", type=int, default=None,
-                     help="override the log-gap dimension choice")
-    _add_convention(cmd)
-    _add_seed_out(cmd)
-    cmd.set_defaults(func=_cmd_bootstrap)
-
-    cmd = sub.add_parser("shadow", help="project outputs onto active coordinates")
-    cmd.add_argument("--data", required=True, help="evals.csv with an f column")
-    cmd.add_argument("--eigs", required=True, help="eigs.json from `eigs`")
-    cmd.add_argument("--dim", type=int, default=None,
-                     help="active coordinates to keep (1 or 2)")
-    _add_seed_out(cmd)
-    cmd.set_defaults(func=_cmd_shadow)
-
-    cmd = sub.add_parser("pareto",
-                         help="two-objective segment with response surfaces")
-    cmd.add_argument("--data1", required=True, help="objective-1 evals.csv")
-    cmd.add_argument("--eigs1", required=True, help="objective-1 eigs.json")
-    cmd.add_argument("--data2", required=True, help="objective-2 evals.csv")
-    cmd.add_argument("--eigs2", required=True, help="objective-2 eigs.json")
-    cmd.add_argument("--degree", type=int, default=2,
-                     help="link-function polynomial degree")
-    cmd.add_argument("--gammas", type=int, default=101,
-                     help="points on the segment")
-    cmd.add_argument("--grid-n", type=int, default=101,
-                     help="contour grid resolution per axis")
-    _add_seed_out(cmd)
-    cmd.set_defaults(func=_cmd_pareto)
-
-    cmd = sub.add_parser("convergence",
-                         help="bootstrap error across sample sizes")
-    cmd.add_argument("--box", required=True)
-    cmd.add_argument("--schedule", default="100,200,400,800,1600,3200,6400",
-                     help="comma list of ascending sample sizes")
-    cmd.add_argument("--nboot", type=int, default=100)
-    cmd.add_argument("--dim", type=int, default=1,
-                     help="subspace dimension tracked by the study")
-    _add_qoi_flags(cmd)
-    _add_convention(cmd)
-    _add_seed_out(cmd)
-    cmd.set_defaults(func=_cmd_convergence)
-
-    cmd = sub.add_parser("validate", help="grid feasibility check of one design")
-    _add_shape_flags(cmd)
-    cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--out", default=None,
-                     help="also write validity.json here")
-    cmd.set_defaults(func=_cmd_validate)
-
-    cmd = sub.add_parser("run-all", help="full pipeline into one directory")
-    cmd.add_argument("--box", default=None,
-                     help="required unless --qoi is dataset:PATH")
-    cmd.add_argument("--n", type=int, default=1000)
-    cmd.add_argument("--nboot", type=int, default=100)
-    cmd.add_argument("--dim", type=int, default=None,
-                     help="override the log-gap dimension choice")
-    cmd.add_argument("--degree", type=int, default=2)
-    cmd.add_argument("--gammas", type=int, default=101)
-    cmd.add_argument("--grid-n", type=int, default=101)
-    _add_qoi_flags(cmd)
-    _add_skip_infeasible(cmd)
-    _add_convention(cmd)
-    _add_seed_out(cmd, default_out="run")
-    cmd.set_defaults(func=_cmd_run_all)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        args.func(args)
-    except SystemExit:
-        raise
-    except Exception as exc:
-        _fail(type(exc).__name__, str(exc), 1)
-    return 0
 
 
 if __name__ == "__main__":

@@ -221,6 +221,37 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
         assert not any(bad.glob("*")), argv
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (("eigs", "--data", "{data}", "--dim", "0"), ("--dim",)),
+    (("bootstrap", "--data", "{data}", "--dim", "5"), ("--dim",)),
+    (("bootstrap", "--data", "{data}", "--nboot", "0"), ("--nboot",)),
+    (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--dim", "3"), ("--dim",)),
+    (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--nboot", "0"), ("--nboot",)),
+    (("run-all", "--qoi", "dataset:{missing}", "--box", "cst-table3"), ("--box", "--qoi")),
+], ids=["eigs-dim", "bootstrap-dim", "bootstrap-nboot", "convergence-dim",
+        "convergence-nboot", "dataset-box"])
+def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flags):
+    """Refused before sampling, fitting, reading a dataset or creating --out."""
+    X = np.random.default_rng(2).uniform(-1.0, 1.0, (40, 3))
+    write_matrix_csv(tmp_path / "data.csv", X, f=X[:, 0])
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the command did work before checking its flags")
+
+    for name in ("fit_quadratic", "bootstrap", "convergence_study"):
+        monkeypatch.setattr(activesubspace, name, reached)
+    monkeypatch.setattr(cli.sampling, "sample", reached)
+    argv = [a.format(data=tmp_path / "data.csv", missing=tmp_path / "missing.csv")
+            for a in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ContractViolation"
+    assert all(flag in payload["message"] for flag in flags), payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("schedule", ["100,x", "100,,200", ""])
 def test_bad_schedule_is_a_contract_violation(tmp_path, capsys, schedule):
     with pytest.raises(SystemExit) as exit_info:
