@@ -3,15 +3,15 @@
 Fit f(x) ~ 0.5 * x'Hx + v'x + c over normalized inputs on [-1, 1]^m,
 then eigendecompose the average outer product of the model gradient,
 
-    C = H * Sigma * H + v v',
+    C = E[(Hx + v)(Hx + v)'] = H H / 3 + v v',
 
-where Sigma is a covariance convention: the identity by default, or
-I/3 (the exact second moment of the uniform density on [-1, 1]^m).
-Directions with large eigenvalues are the ones along which the model
-says f moves; trailing directions are near-inactive.  Subspace
-uncertainty is estimated by a pairs bootstrap: resample the (x, f)
-rows, refit, re-decompose, and compare each replicate's leading
-subspace against the point estimate with the projector distance
+the exact mean under the uniform density on [-1, 1]^m that every sampler
+draws from: E[x] = 0 and E[xx'] = I/3.  Directions with large
+eigenvalues are the ones along which the model says f moves; trailing
+directions are near-inactive.  Subspace uncertainty is estimated by a
+pairs bootstrap: resample the (x, f) rows, refit, re-decompose, and
+compare each replicate's leading subspace against the point estimate
+with the projector distance
 ``|| W1 W1' - V1 V1' ||_2`` (the sine of the largest principal angle).
 
 The quadratic design D of a sample matrix X is factored as D = QR once,
@@ -54,7 +54,6 @@ from .errors import (
     NoStructureError,
     SampleSizeWarning,
 )
-from .frontend import CONVENTIONS  # noqa: F401  (one list for the flag and here)
 from .sampling import ParameterBox, _freeze, derive_seed, sample
 
 RANK_RCOND = 1e-10
@@ -322,24 +321,16 @@ def fit_quadratic(X, f) -> QuadraticModel:
     return QuadraticModel(*_unpack_coefficients(beta[0], m), residual)
 
 
-def _sigma_scale(convention: str) -> float:
-    if convention == "identity":
-        return 1.0
-    if convention == "third":
-        return 1.0 / 3.0
-    raise ContractViolation(f"unknown covariance convention {convention!r}")
-
-
-def _outer(hess: np.ndarray, lin: np.ndarray, convention: str) -> np.ndarray:
-    """C = H*Sigma*H + vv' (symmetrized) for each H of a (..., m, m) stack and v of (..., m)."""
-    c = _sigma_scale(convention) * (hess @ hess)
+def _outer(hess: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """C = HH/3 + vv' (symmetrized) for each H of a (..., m, m) stack and v of (..., m)."""
+    c = (hess @ hess) / 3.0
     c = c + lin[..., :, np.newaxis] * lin[..., np.newaxis, :]
     return 0.5 * (c + np.swapaxes(c, -1, -2))
 
 
-def gradient_outer_matrix(model: QuadraticModel, convention: str = "identity") -> np.ndarray:
-    """Average gradient outer product C = H*Sigma*H + vv' (symmetrized)."""
-    return _outer(model.hessian, model.linear, convention)
+def gradient_outer_matrix(model: QuadraticModel) -> np.ndarray:
+    """Mean gradient outer product C = HH/3 + vv' over the uniform [-1, 1]^m (symmetrized)."""
+    return _outer(model.hessian, model.linear)
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,7 +509,6 @@ class BootstrapSummary:
     n_boot: int
     seed: int
     n_skipped: int
-    convention: str
 
     def error_row(self, dim: int):
         i = int(dim) - 1
@@ -544,13 +534,12 @@ def bootstrap(
     n_boot: int,
     seed: int,
     n: int | None = None,
-    convention: str = "identity",
 ) -> BootstrapSummary:
     """Pairs bootstrap of the quadratic-model subspace estimate.
 
     Each replicate resamples the N rows with replacement (stream
-    ``SeedSequence(seed, spawn_key=(k,))``), refits, rebuilds C under
-    the same convention, and re-decomposes.  A rank-deficient resample
+    ``SeedSequence(seed, spawn_key=(k,))``), refits, rebuilds C as the
+    point estimate does, and re-decomposes.  A rank-deficient resample
     is redrawn up to 10 times, then counted as skipped.  The point fit
     and the refits share one QR factorization of the design, cached
     across calls on the same X, and refits run in blocks of replicates,
@@ -569,7 +558,7 @@ def bootstrap(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleSizeWarning)
         point = fit_quadratic(X, f)
-    eig = eigendecompose(gradient_outer_matrix(point, convention))
+    eig = eigendecompose(gradient_outer_matrix(point))
     if n is None:
         n = choose_dimension(eig.values)
     if not 1 <= n < m:
@@ -602,9 +591,7 @@ def bootstrap(
         ok = kept[reps]
         if not ok.any():  # every replicate of the group was skipped
             continue
-        lam_rows[reps][ok], vectors = _eigh_descending(
-            _outer(hess[ok], lin[ok], convention)
-        )
+        lam_rows[reps][ok], vectors = _eigh_descending(_outer(hess[ok], lin[ok]))
         # reduced per group, so no (nboot, m, m) eigenvector stack is kept
         err_rows[reps][ok] = np.column_stack(
             [subspace_distance(vectors[:, :, :d], eig.vectors[:, :d]) for d in dims]
@@ -628,7 +615,6 @@ def bootstrap(
         n_boot=int(n_boot),
         seed=int(seed),
         n_skipped=skipped,
-        convention=convention,
     )
 
 
@@ -647,7 +633,6 @@ def convergence_study(
     seed: int,
     dim: int = 1,
     n_boot: int = 100,
-    convention: str = "identity",
 ) -> list[ConvergenceCell]:
     """Bootstrap subspace error as the sample budget grows.
 
@@ -681,7 +666,6 @@ def convergence_study(
                 n_boot=n_boot,
                 seed=derive_seed(seed, f"cell{i}:boot"),
                 n=dim,
-                convention=convention,
             )
         mean, lo, hi = summary.error_row(dim)
         cells.append(ConvergenceCell(n_samples, mean, lo, hi))

@@ -199,7 +199,7 @@ def _load_json(path, kind: str, keys) -> dict:
 
 
 def _load_eigs(path) -> dict:
-    return _load_json(path, "eigenpair", ("eigenvalues", "eigenvectors", "n", "convention"))
+    return _load_json(path, "eigenpair", ("eigenvalues", "eigenvectors", "n"))
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +302,20 @@ def _cmd_bootstrap(args) -> None:
     _check_boot_flags(args, X.shape[1])
     out = _out_dir(args)
     summary = _bootstrap_stage(X, _require_outputs(f, args.data), args.dim,
-                               args, out, "", "bootstrap",
-                               _meta(args, convention=args.convention))
+                               args, out, "", "bootstrap", _meta(args))
     print(f"wrote {out / 'bootstrap_eigenvalues.csv'} "
           f"(n={summary.n}, skipped={summary.n_skipped})")
 
 
 def _cmd_shadow(args) -> None:
-    X, f, _, _ = read_matrix_csv(args.data)
     payload = _load_eigs(args.eigs)
     n = min(int(payload["n"]), 2) if args.dim is None else args.dim
+    if n not in (1, 2):
+        raise ContractViolation(
+            f"shadow plots support 1 or 2 active coordinates (--dim), got {n}")
+    X, f, _, _ = read_matrix_csv(args.data)
     out = _out_dir(args)
-    _shadow_stage(X, _require_outputs(f, args.data), payload, n, out, "",
-                  _meta(args, convention=payload["convention"]))
+    _shadow_stage(X, _require_outputs(f, args.data), payload, n, out, "", _meta(args))
     print(f"wrote {out / 'shadow.csv'} (n_active={n})")
 
 
@@ -333,9 +334,10 @@ def _plane_directions(eigs1: dict, eigs2: dict):
     return w1, w2, overlap
 
 
-def _pareto_artifacts(X1, f1, X2, f2, eigs1, eigs2, args, out: Path,
+def _pareto_artifacts(X1, f1, X2, f2, directions, args, out: Path,
                       meta_extra: dict) -> None:
-    w1, w2, overlap = _plane_directions(eigs1, eigs2)
+    """Pareto artifacts on the plane of ``directions``, from ``_plane_directions``."""
+    w1, w2, overlap = directions
     lift_surface = analysis.fit_link_function(
         analysis.shadow_project(X1, f1, w1.reshape(-1, 1)), args.degree)
     plane = np.column_stack([w1, w2])
@@ -360,13 +362,13 @@ def _pareto_artifacts(X1, f1, X2, f2, eigs1, eigs2, args, out: Path,
 
 def _cmd_pareto(args) -> None:
     _check_pareto_sizes(args)
+    directions = _plane_directions(_load_eigs(args.eigs1), _load_eigs(args.eigs2))
     X1, f1, _, _ = read_matrix_csv(args.data1)
     X2, f2, _, _ = read_matrix_csv(args.data2)
     f1 = _require_outputs(f1, args.data1)
     f2 = _require_outputs(f2, args.data2)
     out = _out_dir(args)
-    _pareto_artifacts(X1, f1, X2, f2, _load_eigs(args.eigs1),
-                      _load_eigs(args.eigs2), args, out, {})
+    _pareto_artifacts(X1, f1, X2, f2, directions, args, out, {})
     print(f"wrote {out / 'pareto.csv'} ({args.gammas} points)")
 
 
@@ -382,8 +384,7 @@ def _cmd_convergence(args) -> None:
         ) from None
     child = derive_seed(args.seed, "convergence")
     cells = asub.convergence_study(box, ev, schedule, child, dim=args.dim,
-                                   n_boot=args.nboot,
-                                   convention=args.convention)
+                                   n_boot=args.nboot)
     rows = [(c.n_samples, c.error_mean, c.error_min, c.error_max)
             for c in cells]
     out = _out_dir(args)
@@ -436,12 +437,11 @@ def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str,
                 meta: dict) -> dict:
     """Eigenpairs with n from --dim, which callers check first, or the log gap."""
     m = model.dim
-    eig = asub.eigendecompose(asub.gradient_outer_matrix(model, args.convention))
+    eig = asub.eigendecompose(asub.gradient_outer_matrix(model))
     payload = {
         "eigenvalues": eig.values.tolist(),
         "eigenvectors": [eig.vectors[:, j].tolist() for j in range(m)],
         "n": asub.choose_dimension(eig.values) if args.dim is None else args.dim,
-        "convention": args.convention,
         "seed": args.seed,
         "meta": meta,
     }
@@ -452,8 +452,7 @@ def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str,
 def _bootstrap_stage(X, f, n, args, out: Path, prefix: str, label: str,
                      meta: dict):
     child = derive_seed(args.seed, label)
-    summary = asub.bootstrap(X, f, args.nboot, child, n=n,
-                             convention=args.convention)
+    summary = asub.bootstrap(X, f, args.nboot, child, n=n)
     meta = {**meta, "child_seed": child, "n_active": summary.n,
             "n_skipped": summary.n_skipped}
     write_table(out / f"{prefix}bootstrap_eigenvalues.csv",
@@ -470,9 +469,6 @@ def _bootstrap_stage(X, f, n, args, out: Path, prefix: str, label: str,
 
 def _shadow_stage(X, f, eigs: dict, n: int, out: Path, prefix: str,
                   meta: dict) -> None:
-    if n not in (1, 2):
-        raise ContractViolation(
-            f"shadow plots support 1 or 2 active coordinates, got {n}")
     vectors = np.array(eigs["eigenvectors"], dtype=float)
     shadow = analysis.shadow_project(X, f, vectors[:n].T)
     meta = {**meta, "n_active": n}
@@ -537,8 +533,8 @@ def _cmd_run_all(args) -> None:
         eigs.append(_single_chain(X, values[:, column], box.labels, args, out,
                                   f"{objective}_", f"bootstrap:{objective}",
                                   qmeta, {"n_failed": n_failed}))
-    _pareto_artifacts(X, values[:, 0], X, values[:, 1], *eigs, args, out,
-                      {"qoi": "panel", "parameterization": parameterization})
+    _pareto_artifacts(X, values[:, 0], X, values[:, 1], _plane_directions(*eigs),
+                      args, out, {"qoi": "panel", "parameterization": parameterization})
     print(f"pipeline artifacts in {out} (panel two-objective)")
 
 

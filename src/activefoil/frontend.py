@@ -16,10 +16,6 @@ import sys
 
 from . import __version__
 
-# The --convention choices: the second-moment weightings that
-# ``activesubspace.gradient_outer_matrix`` accepts.
-CONVENTIONS = ("identity", "third")
-
 _HINTS = {
     "ContractViolation": "run the subcommand with --help for the flag schema",
     "ConditioningError": "constraint rows are nearly dependent; move crest "
@@ -82,11 +78,6 @@ def _add_skip_infeasible(cmd) -> None:
                      help="drop designs the evaluator rejects instead of failing")
 
 
-def _add_convention(cmd) -> None:
-    cmd.add_argument("--convention", choices=CONVENTIONS, default="identity",
-                     help="second-moment weighting of the outer-product matrix")
-
-
 def _add_shape_flags(cmd) -> None:
     cmd.add_argument("--parameterization", choices=("parsec", "cst"),
                      required=True)
@@ -136,7 +127,6 @@ def build_parser() -> _Parser:
     group.add_argument("--model", help="model.json from `fit`")
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
-    _add_convention(cmd)
     _add_seed_out(cmd)
 
     cmd = sub.add_parser("bootstrap", help="replicate spread of the eigenpairs")
@@ -144,7 +134,6 @@ def build_parser() -> _Parser:
     cmd.add_argument("--nboot", type=int, default=100)
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
-    _add_convention(cmd)
     _add_seed_out(cmd)
 
     cmd = sub.add_parser("shadow", help="project outputs onto active coordinates")
@@ -177,7 +166,6 @@ def build_parser() -> _Parser:
     cmd.add_argument("--dim", type=int, default=1,
                      help="subspace dimension tracked by the study")
     _add_qoi_flags(cmd)
-    _add_convention(cmd)
     _add_seed_out(cmd)
 
     cmd = sub.add_parser("validate", help="grid feasibility check of one design")
@@ -198,7 +186,6 @@ def build_parser() -> _Parser:
     cmd.add_argument("--grid-n", type=int, default=101)
     _add_qoi_flags(cmd)
     _add_skip_infeasible(cmd)
-    _add_convention(cmd)
     _add_seed_out(cmd, default_out="run")
 
     return parser

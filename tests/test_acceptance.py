@@ -67,10 +67,10 @@ def test_criterion_01_quadratic_exact_recovery(capsys):
 
     analytic = eigendecompose(
         gradient_outer_matrix(
-            QuadraticModel(truth.hessian, truth.linear, truth.constant), "identity"
+            QuadraticModel(truth.hessian, truth.linear, truth.constant)
         )
     )
-    fitted = eigendecompose(gradient_outer_matrix(model, "identity"))
+    fitted = eigendecompose(gradient_outer_matrix(model))
     dist = subspace_distance(fitted.vectors[:, :2], analytic.vectors[:, :2])
     elapsed = time.perf_counter() - start
 
@@ -90,7 +90,7 @@ def test_criterion_02_ridge_recovery(capsys):
     ok = True
     for profile in ("linear", "quadratic"):
         f = Ridge(w, profile=profile)(X)
-        eig = eigendecompose(gradient_outer_matrix(fit_quadratic(X, f), "identity"))
+        eig = eigendecompose(gradient_outer_matrix(fit_quadratic(X, f)))
         dist = subspace_distance(eig.vectors[:, 0], unit_w)
         gap = eig.values[0] > 1e6 * max(eig.values[1], 0.0)
         ok = ok and dist < 1e-6 and gap

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import activefoil.activesubspace as asub
 from activefoil.activesubspace import (
-    CONVENTIONS,
     EIGENVALUE_FLOOR,
     Eigenpairs,
     QuadraticModel,
@@ -143,25 +142,18 @@ def test_model_validation_and_symmetrization():
     assert model.dim == 2
 
 
-def test_gradient_outer_matrix_conventions():
-    hess, lin, _ = _random_quadratic(5, 4)
-    model = QuadraticModel(hess, lin, 0.0)
-    identity = gradient_outer_matrix(model, "identity")
-    third = gradient_outer_matrix(model, "third")
-    np.testing.assert_allclose(identity, hess @ hess + np.outer(lin, lin), atol=1e-12)
-    np.testing.assert_allclose(third, hess @ hess / 3.0 + np.outer(lin, lin), atol=1e-12)
-    # the two conventions differ exactly by the sigma scale on the H^2 part
-    np.testing.assert_allclose(
-        identity - np.outer(lin, lin), 3.0 * (third - np.outer(lin, lin)), atol=1e-12
-    )
-    assert CONVENTIONS == ("identity", "third")
-    with pytest.raises(ContractViolation):
-        gradient_outer_matrix(model, "half")
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_gradient_outer_matrix_is_hh_third_plus_vv(m, seed):
+    hess, lin, _ = _random_quadratic(m, seed)
+    c = gradient_outer_matrix(QuadraticModel(hess, lin, 0.0))
+    np.testing.assert_allclose(c, hess @ hess / 3.0 + np.outer(lin, lin), rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(c, c.T)
 
 
-def test_third_convention_matches_monte_carlo():
-    # oracle: with x ~ U[-1,1]^m the exact average of grad grad' is
-    # H Sigma H + vv' with Sigma = I/3; checked against 4e5 raw draws
+def test_gradient_outer_matrix_matches_monte_carlo():
+    # oracle: with x ~ U[-1,1]^m, E[xx'] = I/3, so the exact average of
+    # grad grad' is HH/3 + vv'; checked against 4e5 raw draws
     m = 4
     hess, lin, _ = _random_quadratic(m, 5)
     model = QuadraticModel(hess, lin, 0.0)
@@ -169,7 +161,7 @@ def test_third_convention_matches_monte_carlo():
     X = rng.uniform(-1.0, 1.0, (400_000, m))
     G = X @ hess + lin
     mc = G.T @ G / X.shape[0]
-    analytic = gradient_outer_matrix(model, "third")
+    analytic = gradient_outer_matrix(model)
     rel = np.linalg.norm(mc - analytic, 2) / np.linalg.norm(analytic, 2)
     assert rel < 1e-2  # measured ~1.4e-3 for this seed
 
@@ -369,7 +361,7 @@ def test_bootstrap_summary_structure():
     qoi = seeded_quadratic(m, 13)
     X = sample(unit_box(m), 120, seed=7).matrix
     f = qoi(X)
-    summary = bootstrap(X, f, n_boot=30, seed=11, convention="third")
+    summary = bootstrap(X, f, n_boot=30, seed=11)
     np.testing.assert_array_equal(summary.dimensions, [1, 2, 3])
     assert summary.eigenvalues.shape == (m,)
     assert np.all(summary.eigenvalues_min <= summary.eigenvalues_mean + 1e-15)
@@ -379,7 +371,6 @@ def test_bootstrap_summary_structure():
     assert np.all(summary.error_min >= 0.0)
     assert summary.n_boot == 30 and summary.seed == 11
     assert summary.n_skipped == 0
-    assert summary.convention == "third"
     assert 1 <= summary.n < m
 
     mean, lo, hi = summary.error_row(2)
@@ -442,7 +433,7 @@ def test_ridge_direction_recovery_invariant():
     X = sample(unit_box(m), 10 * p, seed=31).matrix
     f = qoi(X)
     model = fit_quadratic(X, f)
-    eig = eigendecompose(gradient_outer_matrix(model, "identity"))
+    eig = eigendecompose(gradient_outer_matrix(model))
     dist = subspace_distance(eig.vectors[:, 0], w / np.linalg.norm(w))
     assert dist < 1e-3
 
@@ -451,7 +442,7 @@ def test_ridge_direction_recovery_invariant():
     qoi_exp = Ridge(direction=w, profile="exp")
     f_exp = qoi_exp(X)
     model_exp = fit_quadratic(X, f_exp)
-    eig_exp = eigendecompose(gradient_outer_matrix(model_exp, "identity"))
+    eig_exp = eigendecompose(gradient_outer_matrix(model_exp))
     dist_exp = subspace_distance(eig_exp.vectors[:, 0], w / np.linalg.norm(w))
     assert dist_exp < 5e-2
 
@@ -459,11 +450,11 @@ def test_ridge_direction_recovery_invariant():
 # --- one-factorization bootstrap against the plain lstsq replicate loop ---
 
 
-def _reference_bootstrap(X, f, n_boot, seed, n=None, convention="identity"):
+def _reference_bootstrap(X, f, n_boot, seed, n=None):
     """Each replicate refitted by lstsq on its resampled rows; projector-norm errors."""
     n_rows, m = X.shape
     point = fit_quadratic(X, f)
-    eig = eigendecompose(gradient_outer_matrix(point, convention))
+    eig = eigendecompose(gradient_outer_matrix(point))
     n = choose_dimension(eig.values) if n is None else n
     design = quadratic_features(X)
     p = design.shape[1]
@@ -486,7 +477,7 @@ def _reference_bootstrap(X, f, n_boot, seed, n=None, convention="identity"):
         hess[np.triu_indices(m)] = beta[m + 1 :]
         hess = hess + hess.T
         rep = QuadraticModel(hess, beta[1 : m + 1], beta[0])
-        rep_eig = eigendecompose(gradient_outer_matrix(rep, convention))
+        rep_eig = eigendecompose(gradient_outer_matrix(rep))
         lam_rows.append(rep_eig.values)
         err_rows.append([
             np.linalg.norm(
@@ -549,7 +540,7 @@ def test_bootstrap_point_model_is_reused():
     f = seeded_quadratic(m, 4)(X) + 0.01 * X[:, 0] ** 3
     asub._factored.cache_clear()
     fresh = bootstrap(X, f, n_boot=10, seed=2)
-    point = eigendecompose(gradient_outer_matrix(fit_quadratic(X, f), "identity"))
+    point = eigendecompose(gradient_outer_matrix(fit_quadratic(X, f)))
     reused = bootstrap(X, f, n_boot=10, seed=2)
     np.testing.assert_array_equal(fresh.eigenvalues, point.values)
     np.testing.assert_array_equal(fresh.eigenvalues, reused.eigenvalues)

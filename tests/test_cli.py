@@ -13,7 +13,6 @@ import activefoil
 from activefoil import activesubspace, cli, parsec
 from activefoil.activesubspace import (
     eigendecompose,
-    gradient_outer_matrix,
     quadratic_features,
     subspace_distance,
 )
@@ -129,18 +128,14 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
 
     payload = json.loads((d / "eigs.json").read_text())
     truth = seeded_quadratic(6, derive_seed(7, "qoi:quadratic"))
+    # the exact C of the uniform cube, HH/3 + vv'
     expected = eigendecompose(
-        gradient_outer_matrix(
-            __import__("activefoil").activesubspace.QuadraticModel(
-                truth.hessian, truth.linear, 0.0
-            ),
-            "identity",
-        )
+        truth.hessian @ truth.hessian / 3.0 + np.outer(truth.linear, truth.linear)
     )
     np.testing.assert_allclose(payload["eigenvalues"], expected.values, rtol=1e-8)
     lead = np.array(payload["eigenvectors"][0])
     assert subspace_distance(lead, expected.vectors[:, 0]) < 1e-8
-    assert payload["convention"] == "identity"
+    assert set(payload) == {"eigenvalues", "eigenvectors", "n", "seed", "meta"}
     assert 1 <= payload["n"] < 6
 
     # bootstrap artifacts: one row per eigenvalue, one per dimension
@@ -169,6 +164,14 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     assert coords.shape == (400, n_active)
     gp = (d / "shadow.gp").read_text()
     assert f"skip {len(meta) + 1}" in gp
+
+    # an eigs.json written when it still had a "convention" key loads as before
+    legacy = dict(payload, convention="identity")
+    (d / "legacy_eigs.json").write_text(json.dumps(legacy))
+    assert run("shadow", "--data", str(d / "evals.csv"),
+               "--eigs", str(d / "legacy_eigs.json"), "--seed", seed,
+               "--out", str(d / "legacy")).returncode == 0
+    assert _data_lines(d / "legacy" / "shadow.csv") == _data_lines(d / "shadow.csv")
 
     # out-of-range dimensions, bootstrap, Pareto and sample sizes, malformed
     # boxes, and panel QoIs outside their built-in box are refused before
@@ -218,7 +221,7 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
             cli.main([*argv, "--out", str(bad)])
         assert exit_info.value.code == 1, argv
         assert json.loads(capsys.readouterr().err)["error"] == "ContractViolation"
-        assert not any(bad.glob("*")), argv
+        assert not bad.exists(), argv
 
 
 @pytest.mark.parametrize("argv, flags", [
@@ -228,12 +231,18 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--dim", "3"), ("--dim",)),
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--nboot", "0"), ("--nboot",)),
     (("run-all", "--qoi", "dataset:{missing}", "--box", "cst-table3"), ("--box", "--qoi")),
+    (("shadow", "--data", "{data}", "--eigs", "{eigs}", "--dim", "3"), ("--dim",)),
+    (("pareto", "--data1", "{data}", "--eigs1", "{eigs}", "--data2", "{data}",
+      "--eigs2", "{eigs}"), ()),
 ], ids=["eigs-dim", "bootstrap-dim", "bootstrap-nboot", "convergence-dim",
-        "convergence-nboot", "dataset-box"])
+        "convergence-nboot", "dataset-box", "shadow-dim", "pareto-collinear"])
 def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flags):
     """Refused before sampling, fitting, reading a dataset or creating --out."""
     X = np.random.default_rng(2).uniform(-1.0, 1.0, (40, 3))
     write_matrix_csv(tmp_path / "data.csv", X, f=X[:, 0])
+    # as both Pareto objectives, its leading directions are collinear
+    (tmp_path / "eigs.json").write_text(json.dumps(
+        {"eigenvalues": [3.0, 2.0, 1.0], "eigenvectors": np.eye(3).tolist(), "n": 1}))
 
     def reached(*args, **kwargs):
         raise AssertionError("the command did work before checking its flags")
@@ -241,7 +250,8 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     for name in ("fit_quadratic", "bootstrap", "convergence_study"):
         monkeypatch.setattr(activesubspace, name, reached)
     monkeypatch.setattr(cli.sampling, "sample", reached)
-    argv = [a.format(data=tmp_path / "data.csv", missing=tmp_path / "missing.csv")
+    argv = [a.format(data=tmp_path / "data.csv", eigs=tmp_path / "eigs.json",
+                     missing=tmp_path / "missing.csv")
             for a in argv]
     with pytest.raises(SystemExit) as exit_info:
         cli.main([*argv, "--out", str(tmp_path / "out")])
@@ -276,16 +286,16 @@ def test_option_inventory():
         "evaluate": ("direction", "noise_seed", "noise_std", "out", "qoi", "samples", "seed",
                      "skip_infeasible", "tolerance"),
         "fit": ("data", "out", "seed"),
-        "eigs": ("convention", "data", "dim", "model", "out", "seed"),
-        "bootstrap": ("convention", "data", "dim", "nboot", "out", "seed"),
+        "eigs": ("data", "dim", "model", "out", "seed"),
+        "bootstrap": ("data", "dim", "nboot", "out", "seed"),
         "shadow": ("data", "dim", "eigs", "out", "seed"),
         "pareto": ("data1", "data2", "degree", "eigs1", "eigs2", "gammas", "grid_n", "out",
                    "seed"),
-        "convergence": ("box", "convention", "dim", "direction", "nboot", "noise_seed",
-                        "noise_std", "out", "qoi", "schedule", "seed", "tolerance"),
+        "convergence": ("box", "dim", "direction", "nboot", "noise_seed", "noise_std",
+                        "out", "qoi", "schedule", "seed", "tolerance"),
         "validate": ("grid", "out", "parameterization", "params", "seed", "sharp_te"),
-        "run-all": ("box", "convention", "degree", "dim", "direction", "gammas", "grid_n",
-                    "n", "nboot", "noise_seed", "noise_std", "out", "qoi", "seed",
+        "run-all": ("box", "degree", "dim", "direction", "gammas", "grid_n", "n",
+                    "nboot", "noise_seed", "noise_std", "out", "qoi", "seed",
                     "skip_infeasible", "tolerance"),
     }
 
@@ -324,6 +334,15 @@ def test_run_all_is_the_single_step_chain(tmp_path):
     for name in ("model.json", "eigs.json"):
         assert _without_meta(whole / name) == _without_meta(steps / name), name
     assert "# n_failed=0" in (whole / "evals.csv").read_text().splitlines()
+
+
+def test_eigen_stage_and_bootstrap_build_the_same_c(tmp_path):
+    """The bootstrap's point column is the eigen stage's spectrum, float for float."""
+    assert cli.main(["run-all", "--box", "unit:5", "--qoi", "quadratic", "--n", "120",
+                     "--nboot", "4", "--seed", "3", "--out", str(tmp_path)]) == 0
+    eigenvalues = json.loads((tmp_path / "eigs.json").read_text())["eigenvalues"]
+    rows = _data_lines(tmp_path / "bootstrap_eigenvalues.csv")[1:]
+    assert [float(row.split(",")[1]) for row in rows] == eigenvalues
 
 
 def test_nboot_does_not_shift_the_sampling_stream(tmp_path):
