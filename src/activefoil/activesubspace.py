@@ -23,10 +23,10 @@ least-squares coefficients.  The point fit is the resample whose
 multiplicities are all one.  Bootstrap replicates are solved in blocks
 of at most about 1 MB per (B, p, p) stack and per (B, N) array of
 resampled row indices.  Each replicate's Gram matrix is formed over its
-distinct rows and factored at once in one (B, p, p) stack, allocated
-once per bootstrap call and reused by every block; the factors are
-inverted in place, and the block's certification bounds and solves are
-stacked numpy calls.  The eigen
+distinct rows and factored at once in one (B, p, p) stack that the
+solver allocates for its block and drops when it returns, so one stack
+is alive at a time; the factors are inverted in place, and the block's
+certification bounds and solves are stacked numpy calls.  The eigen
 stage (C matrices, eigendecompositions, sign rule and one subspace
 error call per dimension) runs on groups of a fixed number of
 consecutive replicates, so its call count does not grow as blocks
@@ -214,16 +214,16 @@ class _ResampledFit:
         for arr in (self.q, self.r, self.r_inv):
             arr.flags.writeable = False
 
-    def solve(self, f, draws, factors):
+    def solve(self, f, draws):
         """Coefficients (B, p) of f on each resample, and whether the shortcut certified each.
 
         Each Gram matrix is Cholesky-factored as soon as it is formed, into
-        ``factors``, a (>= B, p, p) work stack the caller reuses across
-        calls; a member that is not positive definite gets the identity as
+        one (B, p, p) work stack that this call allocates and inverts in
+        place; a member that is not positive definite gets the identity as
         a placeholder factor.
         """
         p = self.r.shape[0]
-        factors = factors[: len(draws)]
+        factors = np.empty((len(draws), p, p))
         rhs = np.empty((len(draws), p))
         gram_norm = np.empty(len(draws))
         ok = np.ones(len(draws), dtype=bool)
@@ -256,7 +256,7 @@ class _ResampledFit:
         beta = (z @ self.r_inv.T)[:, 0]
         return beta, ok
 
-    def refit(self, X, f, rng, factors):
+    def refit(self, X, f, rng):
         """(H, v) of a replicate whose first draw the shortcut did not certify.
 
         The first draw is replayed from ``rng`` and refitted by
@@ -268,7 +268,7 @@ class _ResampledFit:
         for attempt in range(_MAX_RESAMPLE_RETRIES + 1):
             idx = rng.integers(0, n_rows, size=n_rows)
             if attempt:
-                beta, ok = self.solve(f, [idx], factors)
+                beta, ok = self.solve(f, [idx])
                 if ok[0]:
                     return _unpack_coefficients(beta[0], m)[:2]
             try:
@@ -314,7 +314,7 @@ def fit_quadratic(X, f) -> QuadraticModel:
             stacklevel=2,
         )
     fac = _factored(X.shape, X.tobytes())
-    beta, ok = fac.solve(f, [np.arange(n)], np.empty((1, p, p)))
+    beta, ok = fac.solve(f, [np.arange(n)])
     if not ok[0]:
         return _solve_quadratic(quadratic_features(X), f, m)
     residual = float(np.linalg.norm(fac.q @ (fac.r @ beta[0]) - f) / np.sqrt(n))
@@ -429,39 +429,6 @@ def choose_dimension(values, max_n: int | None = None) -> int:
     return int(np.argmax(gaps)) + 1  # argmax takes the first maximum
 
 
-@dataclass(frozen=True, eq=False)
-class SubspacePartition:
-    """Active columns W1 and their orthonormal complement W2."""
-
-    active: np.ndarray
-    inactive: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        act = np.array(self.active, dtype=float)
-        inact = np.array(self.inactive, dtype=float)
-        if act.ndim != 2 or inact.ndim != 2 or act.shape[0] != inact.shape[0]:
-            raise ContractViolation("active and inactive must share the row dimension")
-        if act.shape[1] != self.n or act.shape[1] + inact.shape[1] != act.shape[0]:
-            raise ContractViolation("columns must split the full dimension as n + (m - n)")
-        full = np.hstack([act, inact])
-        if np.max(np.abs(full.T @ full - np.eye(full.shape[1]))) > 1e-10:
-            raise ContractViolation("[W1 W2] must be orthonormal to 1e-10")
-        _freeze(self, active=act, inactive=inact, n=int(self.n))
-
-    @property
-    def dim(self) -> int:
-        return self.active.shape[0]
-
-
-def partition(eig: Eigenpairs, n: int) -> SubspacePartition:
-    if not 1 <= n < eig.dim:
-        raise ContractViolation(f"n must lie in [1, {eig.dim - 1}], got {n}")
-    return SubspacePartition(
-        active=eig.vectors[:, :n], inactive=eig.vectors[:, n:], n=n
-    )
-
-
 def subspace_distance(A, B):
     """Projector distance || A A' - B B' ||_2 between equal-shape orthonormal bases.
 
@@ -543,8 +510,9 @@ def bootstrap(
     is redrawn up to 10 times, then counted as skipped.  The point fit
     and the refits share one QR factorization of the design, cached
     across calls on the same X, and refits run in blocks of replicates,
-    whose eigen stage runs in groups of consecutive replicates (see the
-    module docstring and ``_ResampledFit``).  Note the replicate ranges
+    each in the (B, p, p) work stack its solver allocates, whose eigen
+    stage runs in groups of consecutive replicates (see the module
+    docstring and ``_ResampledFit``).  Note the replicate ranges
     describe sampling variability of the fit only; they are not
     calibrated confidence intervals.
     """
@@ -566,8 +534,6 @@ def bootstrap(
 
     refit = _factored(X.shape, X.tobytes())
     block = max(1, _BLOCK_BYTES // (8 * max(refit.r.size, n_rows)))
-    # the one (B, p, p) stack every block factors its Gram matrices in
-    factors = np.empty((min(block, n_boot),) + refit.r.shape)
     group = max(block, _EIGEN_GROUP)
     dims = np.arange(1, m)
     lam_rows = np.empty((n_boot, m))
@@ -577,13 +543,12 @@ def bootstrap(
         reps = slice(start, min(start + group, n_boot))
         betas, certified = zip(*(
             refit.solve(f, [_replicate_rng(seed, k).integers(0, n_rows, size=n_rows)
-                            for k in range(first, min(first + block, reps.stop))],
-                        factors)
+                            for k in range(first, min(first + block, reps.stop))])
             for first in range(start, reps.stop, block)
         ))
         hess, lin, _ = _unpack_coefficients(np.concatenate(betas), m)
         for i in np.flatnonzero(~np.concatenate(certified)):
-            fitted = refit.refit(X, f, _replicate_rng(seed, start + i), factors)
+            fitted = refit.refit(X, f, _replicate_rng(seed, start + i))
             if fitted is None:
                 kept[start + i] = False
             else:

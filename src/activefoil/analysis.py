@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolation, IllPosedFitError
-from .activesubspace import SubspacePartition
 from .sampling import _freeze, write_table
 
 # Box-membership slack for reconstructed designs.
@@ -246,24 +245,34 @@ def write_pareto_csv(segment: ParetoSegment, path, meta=None):
     write_table(path, "gamma,y1,y2,feasible,drag_pred,lift_pred", rows, meta)
 
 
-def inactive_sensitivity_check(part: SubspacePartition, y_points, z_samples, evaluator):
+def inactive_sensitivity_check(basis, n: int, y_points, z_samples, evaluator):
     """Output spread over inactive perturbations at fixed active coordinates.
 
-    For each y, evaluates x = W1 y + W2 z at every z that keeps x in the
-    cube and returns (spread, feasible_count) per point.  Points with no
-    feasible z get spread NaN and count 0.
+    ``basis`` is an orthonormal m x m eigenvector matrix [W1 W2] whose
+    first n columns are active, 1 <= n < m.  For each y, evaluates
+    x = W1 y + W2 z at every z that keeps x in the cube and returns
+    (spread, feasible_count) per point.  Points with no feasible z get
+    spread NaN and count 0.
     """
+    w = np.asarray(basis, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ContractViolation("basis must be a square m x m matrix")
+    if np.max(np.abs(w.T @ w - np.eye(w.shape[0]))) > 1e-10:
+        raise ContractViolation("basis must be orthonormal to 1e-10")
+    m = w.shape[0]
+    if not 1 <= n < m:
+        raise ContractViolation(f"n must lie in [1, {m - 1}], got {n}")
     ys = np.atleast_2d(np.asarray(y_points, dtype=float))
     zs = np.atleast_2d(np.asarray(z_samples, dtype=float))
-    if ys.shape[1] != part.n:
-        raise ContractViolation(f"y points must have {part.n} columns")
-    if zs.shape[1] != part.dim - part.n:
-        raise ContractViolation(f"z samples must have {part.dim - part.n} columns")
+    if ys.shape[1] != n:
+        raise ContractViolation(f"y points must have {n} columns")
+    if zs.shape[1] != m - n:
+        raise ContractViolation(f"z samples must have {m - n} columns")
 
     spreads = np.full(ys.shape[0], np.nan)
     counts = np.zeros(ys.shape[0], dtype=int)
     for i, y in enumerate(ys):
-        candidates = y @ part.active.T + zs @ part.inactive.T
+        candidates = y @ w[:, :n].T + zs @ w[:, n:].T
         keep = np.max(np.abs(candidates), axis=1) <= 1.0 + _FEASIBILITY_SLACK
         if not np.any(keep):
             continue

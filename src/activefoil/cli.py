@@ -102,7 +102,10 @@ def _parameterization_for(box_spec: str | None) -> str:
 
 
 def _check_dim_flag(dim, m: int) -> None:
-    """--dim, when given, must lie in [1, m-1]."""
+    """At least two parameters, and --dim, when given, in [1, m-1]."""
+    if m < 2:
+        raise ContractViolation(
+            f"an active subspace needs at least 2 parameters, the input has {m}")
     if dim is not None and not 1 <= dim < m:
         raise ContractViolation(f"--dim must lie in [1, {m - 1}], got {dim}")
 
@@ -131,6 +134,12 @@ def _check_run_sizes(args, n_rows: int, m: int) -> None:
     p = asub.coefficient_count(m)
     if n_rows < p:
         raise ContractViolation(f"need at least {p} samples for m={m}, got {n_rows}")
+
+
+def _check_columns(X, data_flag: str, m: int, eigs_flag: str) -> None:
+    if X.shape[1] != m:
+        raise ContractViolation(f"{data_flag} has {X.shape[1]} columns but the "
+                                f"eigenvectors of {eigs_flag} have {m} components")
 
 
 def _parse_direction(text: str, m: int) -> np.ndarray:
@@ -314,6 +323,7 @@ def _cmd_shadow(args) -> None:
         raise ContractViolation(
             f"shadow plots support 1 or 2 active coordinates (--dim), got {n}")
     X, f, _, _ = read_matrix_csv(args.data)
+    _check_columns(X, "--data", len(payload["eigenvectors"][0]), "--eigs")
     out = _out_dir(args)
     _shadow_stage(X, _require_outputs(f, args.data), payload, n, out, "", _meta(args))
     print(f"wrote {out / 'shadow.csv'} (n_active={n})")
@@ -323,6 +333,9 @@ def _plane_directions(eigs1: dict, eigs2: dict):
     """Leading directions with w2 orthonormalized against w1."""
     w1 = np.array(eigs1["eigenvectors"][0], dtype=float)
     raw = np.array(eigs2["eigenvectors"][0], dtype=float)
+    if w1.size != raw.size:
+        raise ContractViolation(f"--eigs1 has {w1.size}-component eigenvectors, "
+                                f"--eigs2 has {raw.size}")
     overlap = abs(float(w1 @ raw))
     if overlap > 0.99:
         raise ContractViolation(
@@ -365,6 +378,8 @@ def _cmd_pareto(args) -> None:
     directions = _plane_directions(_load_eigs(args.eigs1), _load_eigs(args.eigs2))
     X1, f1, _, _ = read_matrix_csv(args.data1)
     X2, f2, _, _ = read_matrix_csv(args.data2)
+    _check_columns(X1, "--data1", directions[0].size, "--eigs1")
+    _check_columns(X2, "--data2", directions[0].size, "--eigs2")
     f1 = _require_outputs(f1, args.data1)
     f2 = _require_outputs(f2, args.data2)
     out = _out_dir(args)

@@ -15,8 +15,7 @@ purely odd polynomial in t of degree 2m + 1:
 so a CST surface with m coefficients is exactly an odd-in-t series with
 m + 1 terms.  For m = 5 the support is {t, t**3, t**5, t**7, t**9,
 t**11}: the same degrees the crest-constrained (half-integer power)
-parameterization spans, which is what makes the two families directly
-comparable.
+parameterization spans, so both decode into the one half-integer basis.
 """
 
 from __future__ import annotations
@@ -135,8 +134,11 @@ def expand_odd_polynomial(coeffs) -> ShapeCoefficients:
 
 
 def odd_basis(m: int) -> BasisSpec:
-    """Basis of the expansion of an m-coefficient surface."""
-    return BasisSpec(BasisKind.ODD_T, m + 1)
+    """Basis of the expansion of an m-coefficient surface.
+
+    It is the common series t, t**3, ..., t**(2m+1), PARSEC's ell**(j - 1/2).
+    """
+    return BasisSpec(BasisKind.HALF_INTEGER, m + 1)
 
 
 def _decode_stack(rows: np.ndarray) -> DecodedStack:

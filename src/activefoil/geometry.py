@@ -3,24 +3,21 @@
 An airfoil boundary splits into an upper surface ``s_U`` and a lower
 surface ``s_L``, each a linear combination of basis functions of
 the chord fraction ``ell`` in ``[0, 1]`` (leading edge at 0, trailing
-edge at 1).  Three exponent families cover the parameterizations used
-in this package:
+edge at 1).  Two exponent families cover the parameterizations used in
+this package:
 
 ``naca4-like``
     ``sqrt(ell), ell, ell**2, ell**3, ell**4`` -- the classic four-digit
     thickness series; exactly five terms.
 ``half-integer-powers``
-    ``ell**(j - 1/2)`` for ``j = 1..k``.
-``odd-powers-in-t``
-    ``t**(2j - 1)`` for ``j = 1..k`` in the nose-resolving coordinate
-    ``t = sqrt(ell)``.
+    ``ell**(j - 1/2)`` for ``j = 1..k``, which is ``t**(2j - 1)`` in the
+    nose-resolving coordinate ``t = sqrt(ell)``.  PARSEC and CST both
+    decode into this common series.
 
-The last two families describe the same curves (substitute
-``ell = t**2``); keeping them as distinct kinds records which
-coordinate a coefficient vector was derived in.  Every basis term
-vanishes at the leading edge.  A nonzero leading square-root term gives
-the round nose: heights grow like a multiple of ``sqrt(ell)`` and the
-slope ``ds/dell`` is singular at ``ell = 0``.  The chain rule
+Every basis term vanishes at the leading edge.  A nonzero leading
+square-root term gives the round nose: heights grow like a multiple of
+``sqrt(ell)`` and the slope ``ds/dell`` is singular at ``ell = 0``.
+The chain rule
 
     ds/dell = (1 / (2 sqrt(ell))) * ds/dt
 
@@ -50,7 +47,6 @@ from .sampling import _freeze
 class BasisKind(str, Enum):
     NACA4 = "naca4-like"
     HALF_INTEGER = "half-integer-powers"
-    ODD_T = "odd-powers-in-t"
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,6 @@ class BasisSpec:
         """Exponents of ell for each term."""
         if self.kind is BasisKind.NACA4:
             return np.array([0.5, 1.0, 2.0, 3.0, 4.0])
-        # Same ell-powers for both square-root families.
         return np.arange(1, self.term_count + 1) - 0.5
 
     def exponents_t(self) -> np.ndarray:
@@ -339,7 +334,7 @@ def eval_shape(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     """Surface height at chord fraction ``ell`` (scalar or array).
 
     Every basis term vanishes at ell = 0, so the leading edge height is
-    exactly zero for all three kinds.
+    exactly zero for both kinds.
     """
     a = _matched_values(coeffs, basis)
     out = _basis_table(basis, ell, slope=False) @ a
@@ -349,7 +344,7 @@ def eval_shape(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
 def eval_shape_t(coeffs: ShapeCoefficients, basis: BasisSpec, t):
     """Surface height as a function of t = sqrt(ell).
 
-    For the square-root families the t-form has purely odd powers with
+    For the half-integer series the t-form has purely odd powers with
     the same coefficients; the naca4-like series maps to
     ``t, t**2, t**4, t**6, t**8``.
     """

@@ -18,10 +18,10 @@ from activefoil.activesubspace import (
     eigendecompose,
     fit_quadratic,
     gradient_outer_matrix,
-    partition,
     quadratic_features,
     subspace_distance,
 )
+from activefoil.analysis import inactive_sensitivity_check
 from activefoil.errors import (
     ContractViolation,
     EvaluationError,
@@ -225,14 +225,19 @@ def test_choose_dimension_floor():
 
 
 def test_partition_shapes():
+    # the eigenvector matrix is the partition: its first n columns span
+    # the active subspace and the rest the inactive one
     eig = eigendecompose(np.diag([4.0, 3.0, 2.0, 1.0]))
-    part = partition(eig, 3)
-    assert part.active.shape == (4, 3) and part.inactive.shape == (4, 1)
-    assert part.n == 3 and part.dim == 4
-    np.testing.assert_allclose(part.active.T @ part.inactive, np.zeros((3, 1)), atol=1e-12)
+    active, inactive = eig.vectors[:, :3], eig.vectors[:, 3:]
+    assert active.shape == (4, 3) and inactive.shape == (4, 1)
+    assert eig.dim == 4
+    np.testing.assert_allclose(active.T @ inactive, np.zeros((3, 1)), atol=1e-12)
+    z_samples = sample(unit_box(1), 5, seed=3).matrix
     for bad in (0, 4):
-        with pytest.raises(ContractViolation):
-            partition(eig, bad)
+        with pytest.raises(ContractViolation, match="n must lie in"):
+            inactive_sensitivity_check(
+                eig.vectors, bad, np.zeros((1, bad)), z_samples, Ridge(np.ones(4))
+            )
 
 
 def test_subspace_distance_literals():
@@ -697,19 +702,19 @@ def _stacked_cholesky_solve(refit, f, draws):
 
 
 def test_factoring_each_gram_at_once_keeps_the_stacked_bits():
-    # one work stack, reused by calls of different sizes, gives every
-    # replicate the bits of a fresh Gram stack and one stacked Cholesky call
+    # factoring each Gram matrix into the solver's own work stack, in calls
+    # of different sizes, gives every replicate the bits of a fresh Gram
+    # stack and one stacked Cholesky call
     for (X, f), sizes in ((_noisy_ridge(11, 300, 1e-3), (40, 7, 1, 50)),
                           (_seven_row_design(), (30, 3, 1, 12))):
         refit = asub._ResampledFit(X)
-        factors = np.empty((max(sizes),) + refit.r.shape)
         first = 0
         certified, positive = [], []
         for size in sizes:
             draws = [asub._replicate_rng(5, k).integers(0, len(f), size=len(f))
                      for k in range(first, first + size)]
             first += size
-            beta, ok = refit.solve(f, draws, factors)
+            beta, ok = refit.solve(f, draws)
             want_beta, want_ok, want_positive = _stacked_cholesky_solve(refit, f, draws)
             assert beta.tobytes() == want_beta.tobytes()
             assert ok.tobytes() == want_ok.tobytes()

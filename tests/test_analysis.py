@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from activefoil.activesubspace import SubspacePartition
 from activefoil.analysis import (
     ParetoSegment,
     ShadowData,
@@ -231,20 +230,28 @@ def test_inactive_sensitivity_check():
     m = 4
     w = np.full(m, 0.5)
     basis = np.linalg.qr(np.column_stack([w, np.eye(m)[:, :3]]))[0]
-    part = SubspacePartition(active=basis[:, :1], inactive=basis[:, 1:], n=1)
     qoi = Ridge(w)
     y_points = np.array([[0.0], [0.4], [10.0]])  # last one unreachable in the cube
     z_samples = sample(unit_box(3), 50, seed=8).matrix * 0.5
-    spreads, counts = inactive_sensitivity_check(part, y_points, z_samples, qoi)
+    spreads, counts = inactive_sensitivity_check(basis, 1, y_points, z_samples, qoi)
     # an exact ridge is flat along the inactive subspace
     assert spreads[0] < 1e-12 and spreads[1] < 1e-12
     assert counts[0] > 0 and counts[1] > 0
     assert np.isnan(spreads[2]) and counts[2] == 0
 
     with pytest.raises(ContractViolation):
-        inactive_sensitivity_check(part, np.zeros((2, 2)), z_samples, qoi)
+        inactive_sensitivity_check(basis, 1, np.zeros((2, 2)), z_samples, qoi)
     with pytest.raises(ContractViolation):
-        inactive_sensitivity_check(part, y_points, np.zeros((5, 2)), qoi)
+        inactive_sensitivity_check(basis, 1, y_points, np.zeros((5, 2)), qoi)
+    # n must split the m = 4 columns into non-empty active and inactive sets
+    for n in (0, m):
+        with pytest.raises(ContractViolation, match="n must lie in"):
+            inactive_sensitivity_check(basis, n, np.zeros((1, n)), z_samples, qoi)
+    skewed = basis.copy()
+    skewed[0, 0] += 1e-6
+    for bad in (skewed, basis[:, :3]):
+        with pytest.raises(ContractViolation, match="basis must be"):
+            inactive_sensitivity_check(bad, 1, y_points, z_samples, qoi)
 
 
 def test_export_surface_grid(tmp_path):

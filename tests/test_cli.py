@@ -234,15 +234,42 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     (("shadow", "--data", "{data}", "--eigs", "{eigs}", "--dim", "3"), ("--dim",)),
     (("pareto", "--data1", "{data}", "--eigs1", "{eigs}", "--data2", "{data}",
       "--eigs2", "{eigs}"), ()),
+    (("eigs", "--data", "{one}"), ("2 parameters", "has 1")),
+    (("eigs", "--model", "{one_model}"), ("2 parameters", "has 1")),
+    (("bootstrap", "--data", "{one}"), ("2 parameters", "has 1")),
+    (("convergence", "--box", "unit:1", "--qoi", "quadratic"), ("2 parameters", "has 1")),
+    (("run-all", "--box", "unit:1", "--qoi", "ridge", "--n", "20", "--nboot", "2"),
+     ("2 parameters", "has 1")),
+    (("run-all", "--qoi", "dataset:{one}"), ("2 parameters", "has 1")),
+    (("pareto", "--data1", "{data}", "--eigs1", "{eigs}", "--data2", "{data}",
+      "--eigs2", "{eigs4}"), ("--eigs1", "--eigs2")),
+    (("pareto", "--data1", "{wide}", "--eigs1", "{eigs}", "--data2", "{data}",
+      "--eigs2", "{eigs_e2}"), ("--data1", "--eigs1")),
+    (("pareto", "--data1", "{data}", "--eigs1", "{eigs}", "--data2", "{wide}",
+      "--eigs2", "{eigs_e2}"), ("--data2", "--eigs2")),
+    (("shadow", "--data", "{wide}", "--eigs", "{eigs}"), ("--data", "--eigs")),
 ], ids=["eigs-dim", "bootstrap-dim", "bootstrap-nboot", "convergence-dim",
-        "convergence-nboot", "dataset-box", "shadow-dim", "pareto-collinear"])
+        "convergence-nboot", "dataset-box", "shadow-dim", "pareto-collinear",
+        "eigs-data-one-parameter", "eigs-model-one-parameter",
+        "bootstrap-one-parameter", "convergence-one-parameter",
+        "run-all-box-one-parameter", "run-all-dataset-one-parameter",
+        "pareto-eigs-lengths", "pareto-data1-columns", "pareto-data2-columns",
+        "shadow-data-columns"])
 def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flags):
     """Refused before sampling, fitting, reading a dataset or creating --out."""
-    X = np.random.default_rng(2).uniform(-1.0, 1.0, (40, 3))
-    write_matrix_csv(tmp_path / "data.csv", X, f=X[:, 0])
-    # as both Pareto objectives, its leading directions are collinear
-    (tmp_path / "eigs.json").write_text(json.dumps(
-        {"eigenvalues": [3.0, 2.0, 1.0], "eigenvectors": np.eye(3).tolist(), "n": 1}))
+    X = np.random.default_rng(2).uniform(-1.0, 1.0, (40, 4))
+    write_matrix_csv(tmp_path / "data.csv", X[:, :3], f=X[:, 0])
+    write_matrix_csv(tmp_path / "wide.csv", X, f=X[:, 0])
+    write_matrix_csv(tmp_path / "one.csv", X[:, :1], f=X[:, 0])
+    (tmp_path / "one_model.json").write_text(json.dumps(
+        {"hessian": [[1.0]], "linear": [0.5], "constant": 0.0}))
+    # eigs.json as both Pareto objectives has collinear leading directions;
+    # eigs_e2.json leads with e2, and eigs4.json has four components
+    for name, vectors in (("eigs", np.eye(3)), ("eigs_e2", np.eye(3)[[1, 0, 2]]),
+                          ("eigs4", np.eye(4))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"eigenvalues": list(range(len(vectors), 0, -1)),
+             "eigenvectors": vectors.tolist(), "n": 1}))
 
     def reached(*args, **kwargs):
         raise AssertionError("the command did work before checking its flags")
@@ -250,9 +277,10 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     for name in ("fit_quadratic", "bootstrap", "convergence_study"):
         monkeypatch.setattr(activesubspace, name, reached)
     monkeypatch.setattr(cli.sampling, "sample", reached)
-    argv = [a.format(data=tmp_path / "data.csv", eigs=tmp_path / "eigs.json",
-                     missing=tmp_path / "missing.csv")
-            for a in argv]
+    paths = {name: tmp_path / f"{name}.csv" for name in ("data", "wide", "one", "missing")}
+    paths.update({name: tmp_path / f"{name}.json"
+                  for name in ("eigs", "eigs_e2", "eigs4", "one_model")})
+    argv = [a.format(**paths) for a in argv]
     with pytest.raises(SystemExit) as exit_info:
         cli.main([*argv, "--out", str(tmp_path / "out")])
     assert exit_info.value.code == 1
@@ -309,6 +337,16 @@ def _without_meta(path):
     payload = json.loads(path.read_text())
     del payload["meta"]
     return payload
+
+
+def test_fit_accepts_one_parameter(tmp_path):
+    # only the eigen stages need two parameters; a 1-D quadratic still fits
+    x = np.linspace(-1.0, 1.0, 9)[:, np.newaxis]
+    write_matrix_csv(tmp_path / "one.csv", x, f=1.0 + 2.0 * x[:, 0] + 3.0 * x[:, 0] ** 2)
+    assert cli.main(["fit", "--data", str(tmp_path / "one.csv"),
+                     "--out", str(tmp_path / "out")]) == 0
+    model = json.loads((tmp_path / "out" / "model.json").read_text())
+    np.testing.assert_allclose(model["hessian"], [[6.0]], rtol=1e-12)
 
 
 def test_run_all_is_the_single_step_chain(tmp_path):

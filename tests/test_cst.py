@@ -92,7 +92,7 @@ def test_expansion_literal_m2():
     odd = expand_odd_polynomial([0.4, 0.1])
     np.testing.assert_allclose(odd.values, [0.4, 0.1 - 0.4, -0.1], rtol=1e-15)
     basis = odd_basis(2)
-    assert basis.kind is BasisKind.ODD_T and basis.term_count == 3
+    assert basis.kind is BasisKind.HALF_INTEGER and basis.term_count == 3
     np.testing.assert_array_equal(basis.exponents_t(), [1, 3, 5])
 
 

@@ -38,14 +38,11 @@ def test_exponent_families():
     assert np.array_equal(naca.exponents(), [0.5, 1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(naca.exponents_t(), [1.0, 2.0, 4.0, 6.0, 8.0])
 
+    # half-integer ell-powers are the odd integer t-powers
     half = BasisSpec(BasisKind.HALF_INTEGER, 4)
     assert np.array_equal(half.exponents(), [0.5, 1.5, 2.5, 3.5])
     assert np.array_equal(half.exponents_t(), [1.0, 3.0, 5.0, 7.0])
-
-    # same ell-powers, odd integer t-powers
-    odd = BasisSpec(BasisKind.ODD_T, 6)
-    assert np.array_equal(odd.exponents(), half.exponents().tolist() + [4.5, 5.5])
-    assert np.array_equal(odd.exponents_t(), [1, 3, 5, 7, 9, 11])
+    assert [kind.value for kind in BasisKind] == ["naca4-like", "half-integer-powers"]
 
 
 def test_basis_validation():
@@ -69,7 +66,7 @@ def test_eval_shape_matches_literal_series():
 
 def test_leading_edge_height_is_zero():
     rng = np.random.Generator(np.random.PCG64(0))
-    for kind, k in ((BasisKind.NACA4, 5), (BasisKind.HALF_INTEGER, 6), (BasisKind.ODD_T, 4)):
+    for kind, k in ((BasisKind.NACA4, 5), (BasisKind.HALF_INTEGER, 6), (BasisKind.HALF_INTEGER, 4)):
         coeffs = ShapeCoefficients(rng.standard_normal(k))
         assert eval_shape(coeffs, BasisSpec(kind, k), 0.0) == 0.0
         assert eval_shape_t(coeffs, BasisSpec(kind, k), 0.0) == 0.0
@@ -193,9 +190,10 @@ def test_validate_airfoil_sharp_te_flag():
 def test_pair_in_two_bases_is_rejected():
     rng = np.random.Generator(np.random.PCG64(9))
     values = ShapeCoefficients(rng.standard_normal(6))
-    half, odd = Surface(HALF, values), Surface(BasisSpec(BasisKind.ODD_T, 6), values)
+    half = Surface(HALF, values)
+    naca = Surface(BasisSpec(BasisKind.NACA4, 5), ShapeCoefficients(values.values[:5]))
     short = Surface(HALF, ShapeCoefficients(values.values[:5]))
-    for pair in (AirfoilSurfacePair(half, odd), AirfoilSurfacePair(odd, half),
+    for pair in (AirfoilSurfacePair(half, naca), AirfoilSurfacePair(naca, half),
                  AirfoilSurfacePair(half, short)):
         for call in (DecodedStack.of_pair, validate_airfoil, camber_lift, thickness_drag):
             with pytest.raises(ContractViolation):
@@ -203,6 +201,18 @@ def test_pair_in_two_bases_is_rejected():
     stack = DecodedStack.of_pair(AirfoilSurfacePair(half, half))
     assert stack.basis == HALF and stack.coefficients.shape == (1, 2, 6)
     assert stack.coefficients.tobytes() == np.array([values.values] * 2).tobytes()
+
+
+def test_parsec_and_cst_decode_into_one_series():
+    # PARSEC's ell**(j - 1/2) terms are CST's t**(2j - 1) terms
+    decoded = (parsec.solve_coefficients(parsec.baseline_box().lower[np.newaxis]),
+               cst.surface_pair(cst.baseline_box().lower[np.newaxis]))
+    assert decoded[0].basis == decoded[1].basis == HALF
+    mixed = AirfoilSurfacePair(parsec.solve_coefficients(parsec.baseline_center()).upper,
+                               cst.surface_pair(cst.baseline_center()).lower)
+    stack = DecodedStack.of_pair(mixed)
+    assert stack.basis == HALF and stack.coefficients.shape == (1, 2, 6)
+    assert validate_airfoil(mixed) == validate_airfoil(stack).row(0)
 
 
 def test_fit_coefficients_recovers_exactly():
