@@ -249,10 +249,11 @@ def inactive_sensitivity_check(basis, n: int, y_points, z_samples, evaluator):
     """Output spread over inactive perturbations at fixed active coordinates.
 
     ``basis`` is an orthonormal m x m eigenvector matrix [W1 W2] whose
-    first n columns are active, 1 <= n < m.  For each y, evaluates
-    x = W1 y + W2 z at every z that keeps x in the cube and returns
-    (spread, feasible_count) per point.  Points with no feasible z get
-    spread NaN and count 0.
+    first n columns are active, 1 <= n < m.  Every design x = W1 y + W2 z
+    that lies in the cube, for every y and z, goes to one
+    ``evaluator.evaluate_many`` call.  Returns (spread, count) per y over
+    the designs that evaluated; a design that fails is dropped from both.
+    Points that keep no design get spread NaN and count 0.
     """
     w = np.asarray(basis, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -269,19 +270,15 @@ def inactive_sensitivity_check(basis, n: int, y_points, z_samples, evaluator):
     if zs.shape[1] != m - n:
         raise ContractViolation(f"z samples must have {m - n} columns")
 
-    spreads = np.full(ys.shape[0], np.nan)
-    counts = np.zeros(ys.shape[0], dtype=int)
-    for i, y in enumerate(ys):
-        candidates = y @ w[:, :n].T + zs @ w[:, n:].T
-        keep = np.max(np.abs(candidates), axis=1) <= 1.0 + _FEASIBILITY_SLACK
-        if not np.any(keep):
-            continue
-        values, failed = evaluator.evaluate_many(candidates[keep])
-        if failed:
-            raise next(iter(failed.values()))
-        spreads[i] = float(values.max() - values.min())
-        counts[i] = int(keep.sum())
-    return spreads, counts
+    candidates = (ys @ w[:, :n].T)[:, np.newaxis] + zs @ w[:, n:].T  # (points, z, m)
+    kept = np.max(np.abs(candidates), axis=2) <= 1.0 + _FEASIBILITY_SLACK
+    values = np.zeros(kept.shape)
+    values[kept], failed = evaluator.evaluate_many(candidates[kept])
+    kept.flat[np.flatnonzero(kept)[list(failed)]] = False
+    counts = kept.sum(axis=1)
+    spreads = (np.max(values, axis=1, where=kept, initial=-np.inf)
+               - np.min(values, axis=1, where=kept, initial=np.inf))
+    return np.where(counts > 0, spreads, np.nan), counts
 
 
 def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, n: int = 101,

@@ -127,13 +127,18 @@ def _check_boot_flags(args, m: int) -> None:
         raise ContractViolation(f"--nboot must be at least 1, got {args.nboot}")
 
 
+def _check_rows(n_rows: int, m: int) -> None:
+    """Enough rows for the quadratic fit, checked before anything is written."""
+    p = asub.coefficient_count(m)
+    if n_rows < p:
+        raise ContractViolation(f"need at least {p} samples for m={m}, got {n_rows}")
+
+
 def _check_run_sizes(args, n_rows: int, m: int) -> None:
     """run-all's size flags and row count, checked before anything is written."""
     _check_boot_flags(args, m)
     _check_pareto_sizes(args)
-    p = asub.coefficient_count(m)
-    if n_rows < p:
-        raise ContractViolation(f"need at least {p} samples for m={m}, got {n_rows}")
+    _check_rows(n_rows, m)
 
 
 def _check_columns(X, data_flag: str, m: int, eigs_flag: str) -> None:
@@ -179,7 +184,7 @@ def _build_evaluator(spec: str, m: int, args, box_spec: str | None):
         parameterization = _parameterization_for(box_spec)
         ev = qoi.PanelSurrogate(parameterization, objective)
         return ev, {"qoi": spec, "parameterization": parameterization}
-    if spec.startswith("dataset:"):
+    if spec.startswith("dataset:"):  # only `evaluate` looks rows up, with --tolerance
         path = spec.split(":", 1)[1]
         ev = qoi.load_dataset(path, tolerance=args.tolerance)
         return ev, {"qoi": spec, "tolerance": args.tolerance}
@@ -277,8 +282,10 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_fit(args) -> None:
     X, f, _, _ = read_matrix_csv(args.data)
+    f = _require_outputs(f, args.data)
+    _check_rows(*X.shape)
     out = _out_dir(args)
-    model = _fit_stage(X, _require_outputs(f, args.data), out, "", _meta(args))
+    model = _fit_stage(X, f, out, "", _meta(args))
     print(f"wrote {out / 'model.json'} (residual_rms={model.residual_rms:.3e})")
 
 
@@ -309,9 +316,10 @@ def _cmd_eigs(args) -> None:
 def _cmd_bootstrap(args) -> None:
     X, f, _, _ = read_matrix_csv(args.data)
     _check_boot_flags(args, X.shape[1])
+    f = _require_outputs(f, args.data)
+    _check_rows(*X.shape)
     out = _out_dir(args)
-    summary = _bootstrap_stage(X, _require_outputs(f, args.data), args.dim,
-                               args, out, "", "bootstrap", _meta(args))
+    summary = _bootstrap_stage(X, f, args.dim, args, out, "", "bootstrap", _meta(args))
     print(f"wrote {out / 'bootstrap_eigenvalues.csv'} "
           f"(n={summary.n}, skipped={summary.n_skipped})")
 
@@ -324,8 +332,9 @@ def _cmd_shadow(args) -> None:
             f"shadow plots support 1 or 2 active coordinates (--dim), got {n}")
     X, f, _, _ = read_matrix_csv(args.data)
     _check_columns(X, "--data", len(payload["eigenvectors"][0]), "--eigs")
+    f = _require_outputs(f, args.data)
     out = _out_dir(args)
-    _shadow_stage(X, _require_outputs(f, args.data), payload, n, out, "", _meta(args))
+    _shadow_stage(X, f, payload, n, out, "", _meta(args))
     print(f"wrote {out / 'shadow.csv'} (n_active={n})")
 
 
@@ -388,6 +397,10 @@ def _cmd_pareto(args) -> None:
 
 
 def _cmd_convergence(args) -> None:
+    if args.qoi.startswith("dataset:"):
+        raise ContractViolation(
+            "convergence draws fresh designs, which a --qoi dataset:PATH cannot "
+            "look up; study a dataset with `run-all --qoi dataset:PATH`")
     box = _resolve_box(args.box)
     _check_boot_flags(args, box.dim)
     ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
@@ -524,23 +537,22 @@ def _cmd_run_all(args) -> None:
     if not args.box:
         raise ContractViolation("run-all needs --box unless --qoi is dataset:PATH")
     box = _resolve_box(args.box)
+    _check_run_sizes(args, args.n, box.dim)
     if args.qoi == "panel":
         parameterization = _parameterization_for(args.box)
-    _check_run_sizes(args, args.n, box.dim)
+        ev = qoi.PanelSurrogate(parameterization, "both")
+    else:
+        ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
     out = _out_dir(args)
     child = derive_seed(args.seed, "sample")
-    X = sampling.sample(box, args.n, child).matrix
+    X, values, n_failed = _evaluate_kept(ev, sampling.sample(box, args.n, child).matrix, args)
 
     if args.qoi != "panel":
-        ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
-        X, values, n_failed = _evaluate_kept(ev, X, args)
         _single_chain(X, values, box.labels, args, out, "", "bootstrap", qmeta,
                       {"n_failed": n_failed})
         print(f"pipeline artifacts in {out} ({values.size} rows)")
         return
 
-    ev = qoi.PanelSurrogate(parameterization, "both")
-    X, values, n_failed = _evaluate_kept(ev, X, args)
     eigs = []
     for column, objective in enumerate(("lift", "drag")):
         qmeta = {"qoi": f"panel:{objective}",

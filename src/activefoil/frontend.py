@@ -69,8 +69,6 @@ def _add_qoi_flags(cmd) -> None:
                      help="ridge noise level (deterministic per point)")
     cmd.add_argument("--noise-seed", type=int, default=0,
                      help="seed folded into the per-point ridge noise")
-    cmd.add_argument("--tolerance", type=float, default=1e-9,
-                     help="dataset lookup tolerance")
 
 
 def _add_skip_infeasible(cmd) -> None:
@@ -114,6 +112,8 @@ def build_parser() -> _Parser:
     cmd.add_argument("--samples", required=True,
                      help="normalized samples.csv from `sample`")
     _add_qoi_flags(cmd)
+    cmd.add_argument("--tolerance", type=float, default=1e-9,
+                     help="dataset lookup tolerance")
     _add_skip_infeasible(cmd)
     _add_seed_out(cmd)
 

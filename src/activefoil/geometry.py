@@ -27,7 +27,6 @@ moves derivatives between the two coordinates, and grids uniform in
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
@@ -176,12 +175,12 @@ class DecodedStack:
         ``values[b, s]`` is the height, or the slope, of surface s (upper,
         lower) of the block's row b at every point of ``ell``.  The one
         broadcast product per block runs one matrix-vector product per row
-        and surface on the cached power table, the same BLAS call as
-        :meth:`Surface.height`, so each row has the bits of its pair.  Rows
-        that failed to decode are evaluated as well; callers mask them.
-        An empty stack gives one empty block.
+        and surface on the grid's power table, built once per call, the
+        same BLAS call as :meth:`Surface.height`, so each row has the bits
+        of its pair.  Rows that failed to decode are evaluated as well;
+        callers mask them.  An empty stack gives one empty block.
         """
-        table = _basis_table(self.basis, ell, slope)
+        table = _power_table(self.basis, ell, slope)
         for start in range(0, max(len(self), 1), STACK_BLOCK_ROWS):
             coef = self.coefficients[start:start + STACK_BLOCK_ROWS, :, :, np.newaxis]
             with np.errstate(invalid="ignore", over="ignore"):
@@ -310,26 +309,6 @@ def _power_table(basis: BasisSpec, ell: np.ndarray, slope: bool) -> np.ndarray:
     return arr[..., np.newaxis] ** (e - 1.0) * e
 
 
-@functools.lru_cache(maxsize=64)
-def _fixed_table(basis: BasisSpec, slope: bool, ell_bytes: bytes) -> np.ndarray:
-    table = _power_table(basis, np.frombuffer(ell_bytes), slope)
-    table.flags.writeable = False
-    return table
-
-
-def _basis_table(basis: BasisSpec, ell, slope: bool) -> np.ndarray:
-    """Power table of the basis at ell, built once per (basis, grid) for fixed grids.
-
-    A read-only 1-D grid -- the nose-resolving grid, the lift quadrature
-    nodes -- is looked up by content, so evaluating many surfaces on it
-    builds its table and checks its domain only once.
-    """
-    arr = np.asarray(ell, dtype=float)
-    if arr.ndim == 1 and not arr.flags.writeable:
-        return _fixed_table(basis, slope, arr.tobytes())
-    return _power_table(basis, arr, slope)
-
-
 def eval_shape(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     """Surface height at chord fraction ``ell`` (scalar or array).
 
@@ -337,7 +316,7 @@ def eval_shape(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     exactly zero for both kinds.
     """
     a = _matched_values(coeffs, basis)
-    out = _basis_table(basis, ell, slope=False) @ a
+    out = _power_table(basis, ell, slope=False) @ a
     return float(out) if np.ndim(ell) == 0 else out
 
 
@@ -361,7 +340,7 @@ def shape_derivative(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     of a round-nosed surface has unbounded slope there.
     """
     a = _matched_values(coeffs, basis)
-    out = _basis_table(basis, ell, slope=True) @ a
+    out = _power_table(basis, ell, slope=True) @ a
     return float(out) if np.ndim(ell) == 0 else out
 
 
@@ -378,23 +357,11 @@ def shape_derivative_t(coeffs: ShapeCoefficients, basis: BasisSpec, t):
 
 
 def nose_resolving_grid(n: int):
-    """Uniform grid in t with its ell image; clusters points at the nose.
-
-    The two arrays are read-only and shared by every caller asking for
-    the same n, so surfaces evaluated on them reuse one power table.
-    """
+    """Uniform grid of n >= 2 points in t with its ell image; clusters points at the nose."""
     if n < 2:
         raise ContractViolation("grid needs at least two points")
-    return _nose_grid(operator.index(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _nose_grid(n: int):
-    t = np.linspace(0.0, 1.0, n)
-    ell = t * t
-    t.flags.writeable = False
-    ell.flags.writeable = False
-    return t, ell
+    t = np.linspace(0.0, 1.0, operator.index(n))
+    return t, t * t
 
 
 # Largest |height| at a checked endpoint that still counts as fixed at zero.

@@ -220,9 +220,10 @@ def _solve_stack(rows: np.ndarray) -> DecodedStack:
     """
     errors = _domain_errors(rows)
     good = np.array([i for i in range(rows.shape[0]) if i not in errors], dtype=int)
-    matrix, rhs = _stack_systems(rows[good])
     # An overflowed entry (a crest within ~1e-200 of the nose) gets its
     # condition number on its own, so one such row cannot fail the stack.
+    with np.errstate(over="ignore"):
+        matrix, rhs = _stack_systems(rows[good])
     finite = np.all(np.isfinite(matrix), axis=(-2, -1))
     cond = np.full(finite.shape, np.inf)
     cond[finite] = np.linalg.cond(matrix[finite], "fro")

@@ -19,7 +19,6 @@ input always returns the bitwise-same output.  Four families:
 from __future__ import annotations
 
 import abc
-import functools
 import hashlib
 import math
 
@@ -200,18 +199,6 @@ def _decode(parameterization: str, physical: np.ndarray) -> DecodedStack:
     return cst.surface_pair(physical)
 
 
-@functools.lru_cache(maxsize=None)
-def _lift_nodes():
-    """Read-only midpoint nodes ell(theta) and weights cos(theta) - 1."""
-    k = _LIFT_QUAD_POINTS
-    theta = (np.arange(k) + 0.5) * (np.pi / k)
-    ell = 0.5 * (1.0 - np.cos(theta))
-    weight = np.cos(theta) - 1.0
-    ell.flags.writeable = False
-    weight.flags.writeable = False
-    return ell, weight
-
-
 def camber_lift(pair):
     """2 * Integral_0^pi camber'(ell(theta)) (cos(theta) - 1) dtheta, midpoint rule.
 
@@ -225,11 +212,14 @@ def camber_lift(pair):
     values), or one AirfoilSurfacePair, whose lift is element 0 of its
     1-row stack's.
     """
-    ell, weight = _lift_nodes()
+    k = _LIFT_QUAD_POINTS
+    theta = (np.arange(k) + 0.5) * (np.pi / k)
+    ell = 0.5 * (1.0 - np.cos(theta))  # midpoint nodes
+    weight = np.cos(theta) - 1.0
     stack = pair if isinstance(pair, DecodedStack) else DecodedStack.of_pair(pair)
     sums = [np.sum(0.5 * (slopes[:, 0] + slopes[:, 1]) * weight, axis=-1)
             for slopes in stack.grid_blocks(ell, slope=True)]
-    lift = 2.0 * (np.pi / _LIFT_QUAD_POINTS) * np.concatenate(sums)
+    lift = 2.0 * (np.pi / k) * np.concatenate(sums)
     return lift if stack is pair else float(lift[0])
 
 

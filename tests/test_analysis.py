@@ -18,7 +18,7 @@ from activefoil.analysis import (
     write_pareto_csv,
     write_shadow_csv,
 )
-from activefoil.errors import ContractViolation, IllPosedFitError
+from activefoil.errors import ContractViolation, EvaluationError, IllPosedFitError
 from activefoil.qoi import Ridge
 from activefoil.sampling import read_matrix_csv, sample, unit_box
 
@@ -252,6 +252,76 @@ def test_inactive_sensitivity_check():
     for bad in (skewed, basis[:, :3]):
         with pytest.raises(ContractViolation, match="basis must be"):
             inactive_sensitivity_check(bad, 1, y_points, z_samples, qoi)
+
+
+class _FailingRidge(Ridge):
+    """Ridge that fails every design whose first coordinate exceeds 0.2."""
+
+    def evaluate(self, x):
+        if x[0] > 0.2:
+            raise EvaluationError("first coordinate above 0.2")
+        return super().evaluate(x)
+
+
+class _CountingRidge(Ridge):
+    calls = 0
+
+    def evaluate_many(self, X):
+        self.calls += 1
+        return super().evaluate_many(X)
+
+
+def _inactive_setup(m=4):
+    w = np.full(m, 0.5)
+    basis = np.linalg.qr(np.column_stack([w, np.eye(m)[:, :m - 1]]))[0]
+    y_points = np.array([[-0.6], [0.0], [0.4], [10.0]])  # the last is outside the cube
+    z_samples = sample(unit_box(m - 1), 80, seed=8).matrix
+    return w, basis, y_points, z_samples
+
+
+def _per_point_check(basis, n, y_points, z_samples, evaluator):
+    """The check one point at a time: spread and count of the designs that evaluate."""
+    spreads, counts = np.full(len(y_points), np.nan), np.zeros(len(y_points), dtype=int)
+    for i, y in enumerate(y_points):
+        x = y @ basis[:, :n].T + z_samples @ basis[:, n:].T
+        values = []
+        for row in x[np.max(np.abs(x), axis=1) <= 1.0 + 1e-12]:
+            try:
+                values.append(evaluator.evaluate(row))
+            except EvaluationError:
+                pass
+        if values:
+            spreads[i], counts[i] = max(values) - min(values), len(values)
+    return spreads, counts
+
+
+def test_inactive_check_drops_failed_designs():
+    w, basis, y_points, z_samples = _inactive_setup()
+    _, in_cube = inactive_sensitivity_check(basis, 1, y_points, z_samples, Ridge(w))
+    spreads, counts = inactive_sensitivity_check(basis, 1, y_points, z_samples,
+                                                 _FailingRidge(w))
+    assert np.all(counts[:3] > 0) and np.all(counts[:3] < in_cube[:3])
+    assert np.all(spreads[:3] < 1e-12)  # an exact ridge is flat along the inactive subspace
+    assert counts[3] == 0 and np.isnan(spreads[3])
+
+
+def test_inactive_check_makes_one_stacked_evaluation():
+    w, basis, y_points, z_samples = _inactive_setup()
+    evaluator = _CountingRidge(w)
+    inactive_sensitivity_check(basis, 1, y_points, z_samples, evaluator)
+    assert evaluator.calls == 1
+
+
+def test_inactive_check_matches_a_per_point_loop_on_a_noisy_ridge():
+    # n = 1 gives each design the bits of the per-point product, which the
+    # ridge's noise hashes, so both draw the same noise
+    w, basis, y_points, z_samples = _inactive_setup(5)
+    evaluator = _FailingRidge(w, "exp", noise_std=0.05, noise_seed=3)
+    spreads, counts = inactive_sensitivity_check(basis, 1, y_points, z_samples, evaluator)
+    expected = _per_point_check(basis, 1, y_points, z_samples, evaluator)
+    np.testing.assert_array_equal(counts, expected[1])
+    np.testing.assert_allclose(spreads, expected[0], rtol=0.0, atol=1e-15)
+    assert np.all(spreads[:3] > 0.05) and np.isnan(spreads[3])
 
 
 def test_export_surface_grid(tmp_path):

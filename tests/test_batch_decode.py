@@ -17,7 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activefoil import cli, cst, parsec, qoi
-from activefoil.errors import ConditioningError, ContractViolation, DomainError, EvaluationError
+from activefoil.errors import (
+    ConditioningError,
+    ContractViolation,
+    DomainError,
+    EvaluationError,
+    SampleSizeWarning,
+)
 from activefoil.geometry import (
     REASONS,
     AirfoilSurfacePair,
@@ -303,6 +309,28 @@ def test_stacked_decoders_reject_misshapen_stacks():
     assert len(cst.surface_pair(np.zeros((0, 10)))) == 0
 
 
+def test_parsec_stack_overflow_fails_its_row_without_a_warning():
+    rows = np.repeat(parsec.baseline_box().center[np.newaxis], 2, axis=0)
+    rows[0, 0] = 1e-300  # upper crest at the nose: its curvature row overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = parsec.solve_coefficients(rows)
+    assert list(stack.errors) == [0]
+    assert type(stack.errors[0]) is ConditioningError
+    assert "cond ~ inf" in str(stack.errors[0])
+
+
+def test_cst_stack_overflow_fails_its_row_without_a_warning():
+    rows = np.repeat(cst.baseline_box().center[np.newaxis], 2, axis=0)
+    rows[0, :2] = 1e308, -1e308  # finite, but x_1 - x_0 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = cst.surface_pair(rows)
+    assert list(stack.errors) == [0]
+    assert type(stack.errors[0]) is ContractViolation
+    assert str(stack.errors[0]) == "coefficients must be finite"
+
+
 # ---------------------------------------------------------------------------
 # stacked validation, lift and drag against the one-pair reference
 
@@ -550,9 +578,10 @@ def test_run_all_decodes_and_validates_each_design_once(box, tmp_path, monkeypat
     monkeypatch.setattr(cst, "surface_pair", counting(cst.surface_pair, "decoded"))
     monkeypatch.setattr(qoi, "validate_airfoil", counting(qoi.validate_airfoil, "validated"))
     n = 120
-    code = cli.main(["run-all", "--box", box, "--qoi", "panel", "--n", str(n),
-                     "--nboot", "3", "--gammas", "5", "--grid-n", "5", "--seed", "7",
-                     "--skip-infeasible", "--out", str(tmp_path)])
+    with pytest.warns(SampleSizeWarning):  # fewer rows than twice the 78 or 66 coefficients
+        code = cli.main(["run-all", "--box", box, "--qoi", "panel", "--n", str(n),
+                         "--nboot", "3", "--gammas", "5", "--grid-n", "5", "--seed", "7",
+                         "--skip-infeasible", "--out", str(tmp_path)])
     assert code == 0
     assert counts == {"decoded": n, "validated": n}
     header = (tmp_path / "lift_evals.csv").read_text().splitlines()

@@ -224,43 +224,71 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
         assert not bad.exists(), argv
 
 
-@pytest.mark.parametrize("argv, flags", [
-    (("eigs", "--data", "{data}", "--dim", "0"), ("--dim",)),
-    (("bootstrap", "--data", "{data}", "--dim", "5"), ("--dim",)),
-    (("bootstrap", "--data", "{data}", "--nboot", "0"), ("--nboot",)),
-    (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--dim", "3"), ("--dim",)),
-    (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--nboot", "0"), ("--nboot",)),
-    (("run-all", "--qoi", "dataset:{missing}", "--box", "cst-table3"), ("--box", "--qoi")),
-    (("shadow", "--data", "{data}", "--eigs", "{eigs}", "--dim", "3"), ("--dim",)),
+@pytest.mark.parametrize("argv, flags, error", [
+    (("eigs", "--data", "{data}", "--dim", "0"), ("--dim",), "ContractViolation"),
+    (("bootstrap", "--data", "{data}", "--dim", "5"), ("--dim",), "ContractViolation"),
+    (("bootstrap", "--data", "{data}", "--nboot", "0"), ("--nboot",), "ContractViolation"),
+    (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--dim", "3"), ("--dim",),
+     "ContractViolation"),
+    (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--nboot", "0"), ("--nboot",),
+     "ContractViolation"),
+    (("run-all", "--qoi", "dataset:{missing}", "--box", "cst-table3"), ("--box", "--qoi"),
+     "ContractViolation"),
+    (("shadow", "--data", "{data}", "--eigs", "{eigs}", "--dim", "3"), ("--dim",),
+     "ContractViolation"),
     (("pareto", "--data1", "{data}", "--eigs1", "{eigs}", "--data2", "{data}",
-      "--eigs2", "{eigs}"), ()),
-    (("eigs", "--data", "{one}"), ("2 parameters", "has 1")),
-    (("eigs", "--model", "{one_model}"), ("2 parameters", "has 1")),
-    (("bootstrap", "--data", "{one}"), ("2 parameters", "has 1")),
-    (("convergence", "--box", "unit:1", "--qoi", "quadratic"), ("2 parameters", "has 1")),
+      "--eigs2", "{eigs}"), (), "ContractViolation"),
+    (("eigs", "--data", "{one}"), ("2 parameters", "has 1"), "ContractViolation"),
+    (("eigs", "--model", "{one_model}"), ("2 parameters", "has 1"), "ContractViolation"),
+    (("bootstrap", "--data", "{one}"), ("2 parameters", "has 1"), "ContractViolation"),
+    (("convergence", "--box", "unit:1", "--qoi", "quadratic"), ("2 parameters", "has 1"),
+     "ContractViolation"),
     (("run-all", "--box", "unit:1", "--qoi", "ridge", "--n", "20", "--nboot", "2"),
-     ("2 parameters", "has 1")),
-    (("run-all", "--qoi", "dataset:{one}"), ("2 parameters", "has 1")),
+     ("2 parameters", "has 1"), "ContractViolation"),
+    (("run-all", "--qoi", "dataset:{one}"), ("2 parameters", "has 1"), "ContractViolation"),
     (("pareto", "--data1", "{data}", "--eigs1", "{eigs}", "--data2", "{data}",
-      "--eigs2", "{eigs4}"), ("--eigs1", "--eigs2")),
+      "--eigs2", "{eigs4}"), ("--eigs1", "--eigs2"), "ContractViolation"),
     (("pareto", "--data1", "{wide}", "--eigs1", "{eigs}", "--data2", "{data}",
-      "--eigs2", "{eigs_e2}"), ("--data1", "--eigs1")),
+      "--eigs2", "{eigs_e2}"), ("--data1", "--eigs1"), "ContractViolation"),
     (("pareto", "--data1", "{data}", "--eigs1", "{eigs}", "--data2", "{wide}",
-      "--eigs2", "{eigs_e2}"), ("--data2", "--eigs2")),
-    (("shadow", "--data", "{wide}", "--eigs", "{eigs}"), ("--data", "--eigs")),
+      "--eigs2", "{eigs_e2}"), ("--data2", "--eigs2"), "ContractViolation"),
+    (("shadow", "--data", "{wide}", "--eigs", "{eigs}"), ("--data", "--eigs"),
+     "ContractViolation"),
+    # an evaluator that cannot be built is refused before sampling
+    (("run-all", "--box", "unit:3", "--qoi", "ridge", "--direction", "1,2"), ("--direction",),
+     "ContractViolation"),
+    (("run-all", "--box", "unit:3", "--qoi", "bogus"), ("bogus",), "ContractViolation"),
+    (("run-all", "--box", "unit:3", "--qoi", "ridge:cubic"), ("profile",), "ContractViolation"),
+    (("run-all", "--box", "unit:3", "--qoi", "ridge", "--noise-std", "-1"), ("noise_std",),
+     "ContractViolation"),
+    (("run-all", "--box", "unit:3", "--qoi", "panel:lift"), ("built-in box",),
+     "ContractViolation"),
+    (("fit", "--data", "{nof}"), ("no f column",), "DatasetError"),
+    (("fit", "--data", "{few}"), ("at least 10", "got 8"), "ContractViolation"),
+    (("bootstrap", "--data", "{nof}"), ("no f column",), "DatasetError"),
+    (("bootstrap", "--data", "{few}"), ("at least 10", "got 8"), "ContractViolation"),
+    (("shadow", "--data", "{nof}", "--eigs", "{eigs}"), ("no f column",), "DatasetError"),
+    (("convergence", "--box", "unit:3", "--qoi", "dataset:{data}"),
+     ("--qoi", "run-all --qoi dataset:PATH"), "ContractViolation"),
 ], ids=["eigs-dim", "bootstrap-dim", "bootstrap-nboot", "convergence-dim",
         "convergence-nboot", "dataset-box", "shadow-dim", "pareto-collinear",
         "eigs-data-one-parameter", "eigs-model-one-parameter",
         "bootstrap-one-parameter", "convergence-one-parameter",
         "run-all-box-one-parameter", "run-all-dataset-one-parameter",
         "pareto-eigs-lengths", "pareto-data1-columns", "pareto-data2-columns",
-        "shadow-data-columns"])
-def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flags):
+        "shadow-data-columns", "run-all-ridge-direction", "run-all-unknown-qoi",
+        "run-all-ridge-profile", "run-all-noise-std", "run-all-panel-unit-box",
+        "fit-no-f", "fit-few-rows", "bootstrap-no-f", "bootstrap-few-rows", "shadow-no-f",
+        "convergence-dataset"])
+def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flags,
+                                                 error):
     """Refused before sampling, fitting, reading a dataset or creating --out."""
     X = np.random.default_rng(2).uniform(-1.0, 1.0, (40, 4))
     write_matrix_csv(tmp_path / "data.csv", X[:, :3], f=X[:, 0])
     write_matrix_csv(tmp_path / "wide.csv", X, f=X[:, 0])
     write_matrix_csv(tmp_path / "one.csv", X[:, :1], f=X[:, 0])
+    write_matrix_csv(tmp_path / "nof.csv", X[:, :3])
+    write_matrix_csv(tmp_path / "few.csv", X[:8, :3], f=X[:8, 0])  # m = 3 needs 10 rows
     (tmp_path / "one_model.json").write_text(json.dumps(
         {"hessian": [[1.0]], "linear": [0.5], "constant": 0.0}))
     # eigs.json as both Pareto objectives has collinear leading directions;
@@ -277,7 +305,8 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     for name in ("fit_quadratic", "bootstrap", "convergence_study"):
         monkeypatch.setattr(activesubspace, name, reached)
     monkeypatch.setattr(cli.sampling, "sample", reached)
-    paths = {name: tmp_path / f"{name}.csv" for name in ("data", "wide", "one", "missing")}
+    paths = {name: tmp_path / f"{name}.csv"
+             for name in ("data", "wide", "one", "nof", "few", "missing")}
     paths.update({name: tmp_path / f"{name}.json"
                   for name in ("eigs", "eigs_e2", "eigs4", "one_model")})
     argv = [a.format(**paths) for a in argv]
@@ -285,7 +314,7 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
         cli.main([*argv, "--out", str(tmp_path / "out")])
     assert exit_info.value.code == 1
     payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "ContractViolation"
+    assert payload["error"] == error
     assert all(flag in payload["message"] for flag in flags), payload["message"]
     assert not (tmp_path / "out").exists()
 
@@ -320,11 +349,11 @@ def test_option_inventory():
         "pareto": ("data1", "data2", "degree", "eigs1", "eigs2", "gammas", "grid_n", "out",
                    "seed"),
         "convergence": ("box", "dim", "direction", "nboot", "noise_seed", "noise_std",
-                        "out", "qoi", "schedule", "seed", "tolerance"),
+                        "out", "qoi", "schedule", "seed"),
         "validate": ("grid", "out", "parameterization", "params", "seed", "sharp_te"),
         "run-all": ("box", "degree", "dim", "direction", "gammas", "grid_n", "n",
                     "nboot", "noise_seed", "noise_std", "out", "qoi", "seed",
-                    "skip_infeasible", "tolerance"),
+                    "skip_infeasible"),
     }
 
 
