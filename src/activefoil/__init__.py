@@ -40,8 +40,8 @@ _EXPORTS = {
                 "Surface ValidityReport eval_shape eval_shape_t fit_coefficients "
                 "shape_derivative shape_derivative_t validate_airfoil",
     "parsec": "ConstraintSystem ParsecParams build_constraint_system solve_coefficients",
-    "qoi": "DatasetQoi PanelSurrogate QoiEvaluator Ridge SyntheticQuadratic camber_lift "
-           "evaluate_batch load_dataset seeded_quadratic thickness_drag",
+    "qoi": "PanelSurrogate QoiEvaluator Ridge SyntheticQuadratic camber_lift "
+           "evaluate_batch seeded_quadratic thickness_drag",
     "sampling": "ParameterBox SampleSet denormalize derive_seed make_box normalize "
                 "sample unit_box",
 }

@@ -184,13 +184,12 @@ def _build_evaluator(spec: str, m: int, args, box_spec: str | None):
         parameterization = _parameterization_for(box_spec)
         ev = qoi.PanelSurrogate(parameterization, objective)
         return ev, {"qoi": spec, "parameterization": parameterization}
-    if spec.startswith("dataset:"):  # only `evaluate` looks rows up, with --tolerance
-        path = spec.split(":", 1)[1]
-        ev = qoi.load_dataset(path, tolerance=args.tolerance)
-        return ev, {"qoi": spec, "tolerance": args.tolerance}
+    if spec.startswith("dataset:"):
+        raise ContractViolation(
+            "--qoi dataset:PATH holds precomputed rows and cannot evaluate designs; "
+            "study a dataset with `run-all --qoi dataset:PATH`")
     raise ContractViolation(
-        f"unknown QoI {spec!r}; use quadratic, ridge[:profile], "
-        "panel:lift, panel:drag, or dataset:PATH"
+        f"unknown QoI {spec!r}; use quadratic, ridge[:profile], panel:lift or panel:drag"
     )
 
 
@@ -397,10 +396,6 @@ def _cmd_pareto(args) -> None:
 
 
 def _cmd_convergence(args) -> None:
-    if args.qoi.startswith("dataset:"):
-        raise ContractViolation(
-            "convergence draws fresh designs, which a --qoi dataset:PATH cannot "
-            "look up; study a dataset with `run-all --qoi dataset:PATH`")
     box = _resolve_box(args.box)
     _check_boot_flags(args, box.dim)
     ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)

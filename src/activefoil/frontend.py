@@ -61,7 +61,7 @@ def _add_seed_out(cmd, default_out: str = ".") -> None:
 def _add_qoi_flags(cmd) -> None:
     cmd.add_argument("--qoi", required=True,
                      help="quadratic | ridge[:linear|quadratic|exp] | "
-                          "panel:lift | panel:drag | dataset:PATH")
+                          "panel:lift | panel:drag | dataset:PATH (run-all only)")
     cmd.add_argument("--direction", default="",
                      help="comma list of ridge direction components "
                           "(default 1, 1/2, ..., 1/m)")
@@ -112,8 +112,6 @@ def build_parser() -> _Parser:
     cmd.add_argument("--samples", required=True,
                      help="normalized samples.csv from `sample`")
     _add_qoi_flags(cmd)
-    cmd.add_argument("--tolerance", type=float, default=1e-9,
-                     help="dataset lookup tolerance")
     _add_skip_infeasible(cmd)
     _add_seed_out(cmd)
 

@@ -1,7 +1,8 @@
 """Quantities of interest over normalized parameter vectors.
 
-Evaluators map x in [-1, 1]^m to a scalar, deterministically: the same
-input always returns the bitwise-same output.  Four families:
+Evaluators map each row x of a stack X in [-1, 1]^m to a scalar,
+deterministically: a row's value has the same bits whatever stack it
+sits in.  Three families:
 
 * synthetic quadratic  -- exact 0.5 x'Hx + v'x + c, for calibration;
 * ridge                -- g(w'x / ||w||) with a linear, quadratic, or
@@ -11,73 +12,62 @@ input always returns the bitwise-same output.  Four families:
                           returns a lift-like or drag-like number from
                           thin-airfoil-style camber and thickness
                           integrals (qualitative stand-in for a flow
-                          solver, nothing more);
-* dataset              -- looks evaluations up from a CSV of precomputed
-                          rows.
+                          solver, nothing more).
 """
 
 from __future__ import annotations
 
 import abc
-import hashlib
-import math
 
 import numpy as np
 
 from . import cst, parsec
-from .errors import (
-    ContractViolation,
-    DatasetError,
-    EvaluationError,
-)
+from .errors import ContractViolation, EvaluationError
 from .geometry import DecodedStack, StackValidity, validate_airfoil
-from .sampling import denormalize, read_matrix_csv
+from .sampling import denormalize
 
 
 class QoiEvaluator(abc.ABC):
-    """Scalar quantity of interest over normalized inputs."""
+    """Scalar quantity of interest over the rows of normalized stacks."""
 
     name: str = "qoi"
     dim: int = 0
 
     @abc.abstractmethod
-    def evaluate(self, x) -> float:
-        """Value at one normalized parameter vector."""
-
-    def _checked(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.dim,):
-            raise ContractViolation(
-                f"{self.name} expects a vector of length {self.dim}, got shape {arr.shape}"
-            )
-        return arr
-
     def evaluate_many(self, X):
-        """Values at the rows of X and the error of each failing row.
+        """Values at the rows of the (N, dim) stack X and the error of each failing row.
 
         Returns (values, failed): ``values[i]`` is NaN where row i
         failed, and ``failed`` maps each failing row, in row order, to
-        the exception its evaluation raised.  This default evaluates
-        row by row; evaluators with a batched path override it.
+        the exception its evaluation raised.  A stack of another shape
+        raises a ContractViolation (see :meth:`_stack`).
         """
-        rows = np.atleast_2d(np.asarray(X, dtype=float))
-        values = np.full(rows.shape[0], np.nan)
-        failed = {}
-        for i, row in enumerate(rows):
-            try:
-                values[i] = self.evaluate(row)
-            except Exception as exc:
-                failed[i] = exc
-        return values, failed
+
+    def _stack(self, X) -> np.ndarray:
+        rows = np.asarray(X, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise ContractViolation(
+                f"{self.name} expects rows of length {self.dim}, got shape {rows.shape}"
+            )
+        return rows
+
+    def evaluate(self, x):
+        """Value at one design: the 1-row case of :meth:`evaluate_many`.
+
+        A design that fails raises its row's error.
+        """
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim != 1:
+            raise ContractViolation(f"{self.name} expects one design, got shape {arr.shape}")
+        values, failed = self.evaluate_many(arr[np.newaxis])
+        if failed:
+            raise failed[0]
+        return values[0]
 
     def __call__(self, X):
-        arr = np.asarray(X, dtype=float)
-        if arr.ndim == 1:
-            return self.evaluate(arr)
-        values, failed = self.evaluate_many(arr)
-        if failed:
-            raise next(iter(failed.values()))
-        return values
+        """Values at the rows of X, or at the one design X; a failure raises."""
+        values, _ = evaluate_batch(self, X)
+        return values[0] if np.ndim(X) == 1 else values
 
 
 def evaluate_batch(evaluator: QoiEvaluator, X, on_error: str = "raise"):
@@ -115,9 +105,13 @@ class SyntheticQuadratic(QoiEvaluator):
         self.dim = lin.size
         self.name = "synthetic-quadratic"
 
-    def evaluate(self, x) -> float:
-        arr = self._checked(x)
-        return float(0.5 * arr @ self.hessian @ arr + self.linear @ arr + self.constant)
+    def evaluate_many(self, X):
+        """Elementwise products summed along the last axis, so no row's bits
+        depend on its stack (a BLAS product's blocking does)."""
+        rows = self._stack(X)
+        hx = (rows[:, np.newaxis, :] * self.hessian).sum(axis=-1)
+        quadratic = 0.5 * (hx * rows).sum(axis=-1)
+        return quadratic + (rows * self.linear).sum(axis=-1) + self.constant, {}
 
 
 def seeded_quadratic(dim: int, seed: int) -> SyntheticQuadratic:
@@ -136,9 +130,13 @@ class Ridge(QoiEvaluator):
     """f(x) = g(w'x / ||w||), constant on slices orthogonal to w.
 
     With ``noise_std > 0`` a reproducible perturbation is added: the
-    noise is a deterministic function of (noise_seed, x), so the
-    determinism contract still holds bitwise while distinct samples see
-    independent-looking draws.
+    noise is a deterministic function of (noise_seed, x rounded to the
+    grid 2^-20), so the determinism contract still holds bitwise while
+    distinct samples see independent-looking draws.  Two constructions
+    of one design that differ in the last bits, such as a stacked and a
+    per-point product, draw the same noise unless a coordinate lies
+    within an ulp of a grid midpoint: for |x| < 1 that happens with
+    probability about 2^-32 per coordinate.
     """
 
     def __init__(self, direction, profile: str = "linear",
@@ -160,27 +158,40 @@ class Ridge(QoiEvaluator):
         self.dim = w.size
         self.name = f"ridge-{profile}"
 
-    def _profile_value(self, u: float) -> float:
-        if self.profile == "linear":
-            return u
-        if self.profile == "quadratic":
-            return u * u
-        return math.exp(u)
+    def _noise(self, rows: np.ndarray) -> np.ndarray:
+        """One standard normal per row, times noise_std, keyed on the rounded row.
 
-    def _noise(self, arr: np.ndarray) -> float:
-        digest = hashlib.sha256(
-            self.noise_seed.to_bytes(8, "little", signed=True) + arr.tobytes()
-        ).digest()
-        key = int.from_bytes(digest[:8], "little")
-        rng = np.random.Generator(np.random.PCG64(key))
-        return self.noise_std * float(rng.standard_normal())
+        Each coordinate's rounded bits (+0.0 folds -0.0 into 0.0) pass
+        through SplitMix64 with a per-coordinate key derived from the
+        seed; the XOR of the results, mixed again, gives two uniforms for
+        a Box-Muller draw.
+        """
+        cells = (np.rint(rows * 2.0 ** 20) + 0.0).view(np.uint64)
+        lanes = _splitmix64(np.arange(self.dim, dtype=np.uint64)
+                            + np.uint64(self.noise_seed % 2 ** 64))
+        key = _splitmix64(np.bitwise_xor.reduce(_splitmix64(cells ^ lanes), axis=-1))
+        u1 = (key >> 11) * 2.0 ** -53
+        u2 = (_splitmix64(key) >> 11) * 2.0 ** -53
+        return self.noise_std * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
-    def evaluate(self, x) -> float:
-        arr = self._checked(x)
-        value = self._profile_value(float(self.direction @ arr))
+    def evaluate_many(self, X):
+        """The projection is an elementwise product summed along the last axis,
+        so no row's bits depend on its stack (a BLAS product's blocking does)."""
+        rows = self._stack(X)
+        u = (rows * self.direction).sum(axis=-1)
+        values = (u if self.profile == "linear"
+                  else u * u if self.profile == "quadratic" else np.exp(u))
         if self.noise_std > 0.0:
-            value += self._noise(arr)
-        return value
+            values = values + self._noise(rows)
+        return values, {}
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 output function of z, elementwise with wrapping uint64 arithmetic."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
 
 
 PARAMETERIZATIONS = ("parsec", "cst")
@@ -275,9 +286,7 @@ class PanelSurrogate(QoiEvaluator):
         Lift and drag are computed for every row at once; only failing
         rows are visited one by one, to attach their errors.
         """
-        rows = np.atleast_2d(np.asarray(X, dtype=float))
-        if rows.ndim != 2 or rows.shape[1] != self.dim:
-            return super().evaluate_many(rows)  # every row fails its shape check
+        rows = self._stack(X)
         decoded = _decode(self.parameterization, denormalize(rows, self.box))
         report = validate_airfoil(decoded)
         columns = []
@@ -299,102 +308,3 @@ class PanelSurrogate(QoiEvaluator):
                       if report.reason[i] else "lift or drag is not finite (unbounded)")
             failed[i] = EvaluationError(f"{self.name}: {detail}", report=row)
         return (values if len(columns) > 1 else values[:, 0]), failed
-
-    def evaluate(self, x):
-        """Value at one design: the 1-row case of :meth:`evaluate_many`."""
-        values, failed = self.evaluate_many(self._checked(x)[np.newaxis])
-        if failed:
-            raise failed[0]
-        return values[0]
-
-
-class DatasetQoi(QoiEvaluator):
-    """Lookup evaluator over precomputed (x, f) rows.
-
-    Construction rejects duplicate inputs (within the lookup tolerance,
-    Euclidean) that disagree on f.  A dataset without an f column loads
-    as an unevaluated design set: ``has_outputs`` is False and
-    evaluation raises.
-
-    Rows are kept sorted by their projection on a fixed unit direction
-    whose weights are unequal and free of small rational relations.  Two
-    points within the tolerance in Euclidean distance have projections
-    within it too, so a lookup only measures the rows whose projection
-    lies in that window; unlike a single coordinate, the projection does
-    not collapse on gridded sweeps or constant columns.  A query takes
-    the f of the nearest row, the lowest row index on ties.
-    """
-
-    def __init__(self, X, f=None, tolerance: float = 1e-9):
-        rows = np.atleast_2d(np.asarray(X, dtype=float))
-        if rows.size == 0:
-            raise ContractViolation("dataset must have at least one row")
-        if tolerance <= 0.0:
-            raise ContractViolation("tolerance must be positive")
-        if not np.all(np.isfinite(rows)):
-            raise DatasetError("dataset inputs must be finite")
-        self.rows = rows
-        self.outputs = None if f is None else np.asarray(f, dtype=float)
-        if self.outputs is not None and self.outputs.shape != (rows.shape[0],):
-            raise ContractViolation("f must have one value per row")
-        self.tolerance = float(tolerance)
-        self.dim = rows.shape[1]
-        self.name = "dataset"
-        weights = np.random.default_rng(0).uniform(1.0, 2.0, self.dim)
-        self._direction = weights / np.linalg.norm(weights)
-        keys = rows @ self._direction
-        self._order = np.argsort(keys, kind="stable")
-        self._keys = keys[self._order]
-        if self.outputs is not None:
-            self._check_duplicates()
-
-    def _reach(self, points):
-        """Half-width of the projection window around each of ``points``.
-
-        It is the tolerance padded by a relative 1e-12 of the point's size,
-        so that rounding in the projection or the distance never drops a
-        row within the tolerance.
-        """
-        return self.tolerance + 1e-12 * (self.tolerance + np.abs(points) @ self._direction)
-
-    def _check_duplicates(self) -> None:
-        keys = self._keys
-        stops = np.searchsorted(keys, keys + self._reach(self.rows[self._order]), side="right")
-        for pos in np.flatnonzero(stops > np.arange(1, keys.size + 1)).tolist():
-            i = int(self._order[pos])
-            near = self._order[pos + 1 : stops[pos]]
-            dist = np.linalg.norm(self.rows[near] - self.rows[i], axis=1)
-            for j in near[dist <= self.tolerance].tolist():
-                if abs(self.outputs[i] - self.outputs[j]) > self.tolerance:
-                    a, b = sorted((i, j))
-                    raise DatasetError(
-                        f"rows {a} and {b} duplicate x within {self.tolerance:g} "
-                        f"but disagree on f ({self.outputs[a]!r} vs {self.outputs[b]!r})"
-                    )
-
-    @property
-    def has_outputs(self) -> bool:
-        return self.outputs is not None
-
-    def evaluate(self, x) -> float:
-        arr = self._checked(x)
-        if self.outputs is None:
-            raise EvaluationError("dataset has no outputs (unevaluated design set)")
-        key, reach = arr @ self._direction, self._reach(arr)
-        start = np.searchsorted(self._keys, key - reach, side="left")
-        stop = np.searchsorted(self._keys, key + reach, side="right")
-        near = self._order[start:stop]
-        dist = np.linalg.norm(self.rows[near] - arr, axis=1)
-        if not np.any(dist <= self.tolerance):
-            nearest = float(np.min(np.linalg.norm(self.rows - arr, axis=1)))
-            raise EvaluationError(
-                f"no dataset row within {self.tolerance:g} of the query "
-                f"(nearest at {nearest:.3e})"
-            )
-        return float(self.outputs[near[dist == dist.min()].min()])
-
-
-def load_dataset(path, tolerance: float = 1e-9) -> DatasetQoi:
-    matrix, f, _, _ = read_matrix_csv(path)
-    return DatasetQoi(matrix, f, tolerance=tolerance)
-

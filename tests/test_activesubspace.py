@@ -414,14 +414,10 @@ def test_convergence_study_wraps_evaluator_failures():
     class Flaky(QoiEvaluator):
         dim = 3
 
-        def __init__(self):
-            self.calls = 0
-
-        def evaluate(self, x):
-            self.calls += 1
-            if self.calls == 3:
-                raise RuntimeError("boom")
-            return float(x[0])
+        def evaluate_many(self, X):
+            values = X[:, 0].copy()
+            values[2] = np.nan
+            return values, {2: RuntimeError("boom")}
 
     with pytest.raises(EvaluationError) as info:
         convergence_study(unit_box(3), Flaky(), schedule=[30], seed=2, n_boot=5)

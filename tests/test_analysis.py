@@ -257,10 +257,11 @@ def test_inactive_sensitivity_check():
 class _FailingRidge(Ridge):
     """Ridge that fails every design whose first coordinate exceeds 0.2."""
 
-    def evaluate(self, x):
-        if x[0] > 0.2:
-            raise EvaluationError("first coordinate above 0.2")
-        return super().evaluate(x)
+    def evaluate_many(self, X):
+        values, _ = super().evaluate_many(X)
+        bad = np.flatnonzero(X[:, 0] > 0.2)
+        values[bad] = np.nan
+        return values, {i: EvaluationError("first coordinate above 0.2") for i in bad.tolist()}
 
 
 class _CountingRidge(Ridge):
@@ -313,15 +314,16 @@ def test_inactive_check_makes_one_stacked_evaluation():
 
 
 def test_inactive_check_matches_a_per_point_loop_on_a_noisy_ridge():
-    # n = 1 gives each design the bits of the per-point product, which the
-    # ridge's noise hashes, so both draw the same noise
     w, basis, y_points, z_samples = _inactive_setup(5)
     evaluator = _FailingRidge(w, "exp", noise_std=0.05, noise_seed=3)
-    spreads, counts = inactive_sensitivity_check(basis, 1, y_points, z_samples, evaluator)
-    expected = _per_point_check(basis, 1, y_points, z_samples, evaluator)
-    np.testing.assert_array_equal(counts, expected[1])
-    np.testing.assert_allclose(spreads, expected[0], rtol=0.0, atol=1e-15)
-    assert np.all(spreads[:3] > 0.05) and np.isnan(spreads[3])
+    for n in (1, 2):
+        ys = np.column_stack([y_points, 0.3 * y_points])[:, :n]
+        zs = z_samples[:, :5 - n]
+        spreads, counts = inactive_sensitivity_check(basis, n, ys, zs, evaluator)
+        expected = _per_point_check(basis, n, ys, zs, evaluator)
+        np.testing.assert_array_equal(counts, expected[1])
+        np.testing.assert_allclose(spreads, expected[0], rtol=0.0, atol=1e-15)
+        assert np.all(spreads[:3] > 0.05) and np.isnan(spreads[3])
 
 
 def test_export_surface_grid(tmp_path):

@@ -270,6 +270,8 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     (("shadow", "--data", "{nof}", "--eigs", "{eigs}"), ("no f column",), "DatasetError"),
     (("convergence", "--box", "unit:3", "--qoi", "dataset:{data}"),
      ("--qoi", "run-all --qoi dataset:PATH"), "ContractViolation"),
+    (("evaluate", "--samples", "{data}", "--qoi", "dataset:{data}"),
+     ("run-all --qoi dataset:PATH",), "ContractViolation"),
 ], ids=["eigs-dim", "bootstrap-dim", "bootstrap-nboot", "convergence-dim",
         "convergence-nboot", "dataset-box", "shadow-dim", "pareto-collinear",
         "eigs-data-one-parameter", "eigs-model-one-parameter",
@@ -279,7 +281,7 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
         "shadow-data-columns", "run-all-ridge-direction", "run-all-unknown-qoi",
         "run-all-ridge-profile", "run-all-noise-std", "run-all-panel-unit-box",
         "fit-no-f", "fit-few-rows", "bootstrap-no-f", "bootstrap-few-rows", "shadow-no-f",
-        "convergence-dataset"])
+        "convergence-dataset", "evaluate-dataset"])
 def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flags,
                                                  error):
     """Refused before sampling, fitting, reading a dataset or creating --out."""
@@ -341,7 +343,7 @@ def test_option_inventory():
         "sample": ("box", "n", "out", "physical", "seed"),
         "shapes": ("grid", "name", "out", "parameterization", "params", "seed", "sharp_te"),
         "evaluate": ("direction", "noise_seed", "noise_std", "out", "qoi", "samples", "seed",
-                     "skip_infeasible", "tolerance"),
+                     "skip_infeasible"),
         "fit": ("data", "out", "seed"),
         "eigs": ("data", "dim", "model", "out", "seed"),
         "bootstrap": ("data", "dim", "nboot", "out", "seed"),

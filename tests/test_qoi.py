@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from activefoil import cst
-from activefoil.errors import ContractViolation, DatasetError, EvaluationError
+from activefoil.errors import ContractViolation, EvaluationError
 from activefoil.geometry import (
     AirfoilSurfacePair,
     BasisKind,
@@ -23,17 +22,16 @@ from activefoil.geometry import (
 from activefoil.qoi import (
     PANEL_DRAG_GAIN,
     PANEL_DRAG_OFFSET,
-    DatasetQoi,
     PanelSurrogate,
+    QoiEvaluator,
     Ridge,
     SyntheticQuadratic,
     camber_lift,
     evaluate_batch,
-    load_dataset,
     seeded_quadratic,
     thickness_drag,
 )
-from activefoil.sampling import sample, unit_box, write_matrix_csv
+from activefoil.sampling import sample, unit_box
 
 
 def test_synthetic_quadratic_literal():
@@ -98,26 +96,84 @@ def test_ridge_noise_is_reproducible():
     x = np.array([0.2, -0.4])
     assert noisy.evaluate(x) == noisy.evaluate(x)  # bitwise
     assert noisy.evaluate(x) != Ridge([1.0, 2.0], noise_std=0.5, noise_seed=4).evaluate(x)
-    assert noisy.evaluate(x) != noisy.evaluate(x + 1e-12)
+
+    def noise(point):
+        return noisy._noise(np.asarray(point)[np.newaxis])[0]
+
+    # the draw is keyed on x rounded to the grid 2^-20: a last-bit change
+    # keeps it, one grid step redraws it
+    assert noise(np.nextafter(x, 2.0)) == noise(x)
+    assert noise(x + 2.0 ** -20) != noise(x)
     clean = Ridge([1.0, 2.0])
     assert abs(noisy.evaluate(x) - clean.evaluate(x)) < 5 * 0.5
     assert noisy.noise_std == 0.5 and noisy.noise_seed == 3
 
 
+class _FailsInside(QoiEvaluator):
+    """f(x) = 5 + x1; a row with 0 < x1 < 1 fails."""
+
+    dim = 2
+
+    def evaluate_many(self, X):
+        rows = self._stack(X)
+        values = 5.0 + rows[:, 0]
+        bad = np.flatnonzero((rows[:, 0] > 0.0) & (rows[:, 0] < 1.0))
+        values[bad] = np.nan
+        return values, {i: EvaluationError("x1 inside (0, 1)") for i in bad.tolist()}
+
+
 def test_evaluate_batch_error_modes():
-    data = DatasetQoi([[0.0, 0.0], [1.0, 1.0]], [5.0, 6.0], tolerance=1e-6)
+    ev = _FailsInside()
     X = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
     with pytest.raises(EvaluationError) as info:
-        evaluate_batch(data, X, on_error="raise")
+        evaluate_batch(ev, X, on_error="raise")
     assert info.value.index == 1
 
-    values, failed = evaluate_batch(data, X, on_error="skip")
+    values, failed = evaluate_batch(ev, X, on_error="skip")
     assert failed == [1]
     assert values[0] == 5.0 and values[2] == 6.0
     assert np.isnan(values[1])
 
     with pytest.raises(ContractViolation):
-        evaluate_batch(data, X, on_error="ignore")
+        evaluate_batch(ev, X, on_error="ignore")
+    # one design raises its row's error; a stack of the wrong width is refused once
+    with pytest.raises(EvaluationError, match="inside"):
+        ev.evaluate(X[1])
+    for bad in (np.zeros((3, 3)), np.zeros(3)):
+        with pytest.raises(ContractViolation, match="rows of length 2"):
+            evaluate_batch(ev, bad)
+    with pytest.raises(ContractViolation, match="one design"):
+        ev.evaluate(X[:1])
+
+
+_STACK_EVALUATORS = {
+    "quadratic": lambda m: seeded_quadratic(m, 5),
+    "ridge": lambda m: Ridge(1.0 / np.arange(1.0, m + 1.0), "exp"),
+    "noisy-ridge": lambda m: Ridge(1.0 / np.arange(1.0, m + 1.0), "quadratic",
+                                   noise_std=0.1, noise_seed=11),
+    "panel-both": lambda m: PanelSurrogate("cst", "both"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_STACK_EVALUATORS)), m=st.integers(1, 30), data=st.data())
+def test_rows_keep_their_bits_in_any_stack(kind, m, data):
+    ev = _STACK_EVALUATORS[kind](m)
+    n = data.draw(st.integers(1, 24))
+    X = np.array(data.draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=ev.dim,
+                                             max_size=ev.dim), min_size=n, max_size=n)))
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=4))) - {n})
+    values, failed = ev.evaluate_many(X)
+    blocks = [ev.evaluate_many(block) for block in np.split(X, cuts)]
+    assert np.concatenate([v for v, _ in blocks]).tobytes() == values.tobytes()
+    starts = [0, *cuts]
+    assert [start + i for start, (_, f) in zip(starts, blocks) for i in f] == list(failed)
+    for i, row in enumerate(X):
+        if i in failed:
+            with pytest.raises(type(failed[i])):
+                ev.evaluate(row)
+        else:
+            assert np.asarray(ev.evaluate(row)).tobytes() == values[i].tobytes()
 
 
 def test_camber_lift_parabolic_oracle():
@@ -216,109 +272,3 @@ def test_panel_surrogate_deterministic():
     lift = PanelSurrogate("parsec", "lift")
     x = sample(unit_box(11), 1, seed=40).matrix[0]
     assert lift.evaluate(x) == lift.evaluate(x)
-
-
-def test_dataset_qoi_lookup():
-    X = [[0.0, 0.0], [0.5, 0.5], [1.0, -1.0]]
-    data = DatasetQoi(X, [1.0, 2.0, 3.0], tolerance=1e-6)
-    assert data.evaluate([0.5, 0.5]) == 2.0
-    assert data.evaluate([0.5 + 1e-8, 0.5]) == 2.0  # within tolerance
-    with pytest.raises(EvaluationError):
-        data.evaluate([0.25, 0.25])
-    assert data.has_outputs
-    assert data.rows.shape[0] == 3
-    with pytest.raises(ContractViolation):
-        DatasetQoi(X, [1.0, 2.0])
-    with pytest.raises(ContractViolation):
-        DatasetQoi(X, [1.0, 2.0, 3.0], tolerance=0.0)
-    with pytest.raises(DatasetError):
-        DatasetQoi([[0.0, np.nan], [0.0, 0.0]], [1.0, 2.0])
-
-
-def test_dataset_qoi_duplicate_rules():
-    with pytest.raises(DatasetError):
-        DatasetQoi([[0.0, 0.0], [0.0, 0.0]], [1.0, 2.0], tolerance=1e-6)
-    agreeing = DatasetQoi([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0], tolerance=1e-6)
-    assert agreeing.evaluate([0.0, 0.0]) == 1.0
-
-
-# Grid points k * 0.25 keep every coordinate, difference and tolerance
-# exact, and (3, 4, 5) steps put pairs at exactly the tolerance.
-_GRID = st.integers(-4, 4).map(lambda k: 0.25 * k)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    m=st.integers(1, 3),
-    data=st.data(),
-    steps=st.integers(1, 5),
-)
-def test_dataset_lookup_matches_brute_force(m, data, steps):
-    tol = 0.25 * steps
-    rows = np.array(data.draw(st.lists(st.lists(_GRID, min_size=m, max_size=m),
-                                       min_size=1, max_size=12)))
-    f = tol * np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(rows),
-                                          max_size=len(rows))), dtype=float)
-    conflict = any(
-        np.linalg.norm(rows[i] - rows[j]) <= tol and abs(f[i] - f[j]) > tol
-        for i in range(len(rows)) for j in range(i + 1, len(rows))
-    )
-    if conflict:
-        with pytest.raises(DatasetError):
-            DatasetQoi(rows, f, tolerance=tol)
-        return
-    dataset = DatasetQoi(rows, f, tolerance=tol)
-    queries = data.draw(st.lists(st.lists(_GRID, min_size=m, max_size=m), max_size=6))
-    for query in [*rows.tolist(), *queries]:
-        dist = np.linalg.norm(rows - np.array(query), axis=1)
-        if dist.min() > tol:
-            with pytest.raises(EvaluationError, match=re.escape(f"nearest at {dist.min():.3e}")):
-                dataset.evaluate(query)
-        else:
-            # the nearest row answers, the lowest index on ties
-            assert dataset.evaluate(query) == f[np.flatnonzero(dist == dist.min())[0]]
-
-
-def test_dataset_lookup_counts_the_tolerance_itself():
-    # rows 1 and 2 are exactly 1.25 apart (a 3-4-5 step); rows 2 and 3 tie in x1
-    rows = [[1.0, 0.0], [0.0, 0.0], [0.75, 1.0], [0.75, 3.0]]
-    with pytest.raises(DatasetError, match="rows 1 and 2"):
-        DatasetQoi(rows, [1.0, 0.0, 1.5, 0.0], tolerance=1.25)
-    data = DatasetQoi(rows, [1.0, 0.0, 1.25, 5.0], tolerance=1.25)
-    assert data.evaluate([0.0, -1.25]) == 0.0  # row 1, at exactly the tolerance
-    assert data.evaluate([0.5, 0.0]) == 1.0  # rows 0 and 1 tie: the lower index
-    assert data.evaluate([0.75, 2.0]) == 1.25  # rows 2 and 3 tie: the lower index
-    with pytest.raises(EvaluationError, match=re.escape("nearest at 2.000e+00")):
-        data.evaluate([3.0, 0.0])
-
-
-def test_dataset_lookup_window_does_not_collapse_on_a_grid():
-    # a 3^5 factorial sweep behind a constant first column: every row shares
-    # its first coordinate, yet each row's lookup window holds that row alone
-    levels = [-1.0, 0.0, 1.0]
-    grid = np.stack(np.meshgrid(*[levels] * 5, indexing="ij"), axis=-1).reshape(-1, 5)
-    rows = np.column_stack([np.full(len(grid), 0.3), grid])
-    f = np.arange(len(rows), dtype=float)
-    data = DatasetQoi(rows, f, tolerance=1e-6)
-    reach = data._reach(rows[data._order])
-    width = (np.searchsorted(data._keys, data._keys + reach, side="right")
-             - np.searchsorted(data._keys, data._keys - reach, side="left"))
-    assert width.max() == 1
-    assert [data.evaluate(row) for row in rows] == f.tolist()
-
-
-def test_dataset_without_outputs():
-    designs = DatasetQoi([[0.0, 1.0]], tolerance=1e-6)
-    assert not designs.has_outputs
-    with pytest.raises(EvaluationError):
-        designs.evaluate([0.0, 1.0])
-
-
-def test_load_dataset_csv(tmp_path):
-    path = tmp_path / "runs.csv"
-    write_matrix_csv(
-        path, [[0.1, 0.2], [0.3, 0.4]], f=[7.0, 8.0], meta={"provenance": "solver-v2"}
-    )
-    data = load_dataset(path)
-    assert data.evaluate([0.3, 0.4]) == 8.0
-
