@@ -37,11 +37,12 @@ from activefoil.geometry import (
     ShapeCoefficients,
     eval_shape,
     eval_shape_t,
+    naca_thickness_pair,
     shape_derivative,
     shape_derivative_t,
 )
 from activefoil.qoi import Ridge, seeded_quadratic
-from activefoil.sampling import sample, unit_box
+from activefoil.sampling import make_box, sample, unit_box
 
 
 def _report(capsys, num: int, label: str, ok: bool) -> None:
@@ -266,16 +267,22 @@ def test_criterion_09_builtin_box_tables(capsys):
             pbox.upper,
             [0.363, 0.363, 0.072, -0.048, 0.004, 0.012, -2.223, 11.1, -0.4, 0.6, 0.018],
         )
-        and np.array_equal(
-            cbox.lower, [0.12, 0.8, 0.8, 0.8, 0.8, -0.18, 0.8, 0.8, 0.8, 0.8]
-        )
-        and np.array_equal(
-            cbox.upper, [0.18, 1.2, 1.2, 1.2, 1.2, -0.12, 1.2, 1.2, 1.2, 1.2]
-        )
         and bool(np.all(pbox.lower < pbox.upper))
         and bool(np.all(cbox.lower < cbox.upper))
     )
-    _report(capsys, 9, "built-in parameter boxes stored literally", ok)
+    # the CST box is +/-20% around a symmetric pair within 5e-4 of the
+    # closed NACA 0012, so its centre is an airfoil
+    ell = np.linspace(0.0, 1.0, 1001)
+    naca = naca_thickness_pair(0.12, closed=True)
+    center = cst.surface_pair(cst.baseline_center())
+    ok = (
+        ok
+        and np.array_equal(cbox.lower, make_box(cbox.center, 0.2).lower)
+        and np.max(np.abs(center.upper.height(ell) - naca.upper.height(ell))) < 5e-4
+        and np.max(np.abs(center.lower.height(ell) - naca.lower.height(ell))) < 5e-4
+        and bool(np.all(center.lower.height(ell[1:-1]) <= 0.0))
+    )
+    _report(capsys, 9, "built-in boxes: PARSEC table, CST around the NACA 0012", ok)
 
 
 def _run_cli(*argv):

@@ -150,6 +150,8 @@ def test_panel_batch_matches_per_row_loop(parameterization):
     box, X = _designs(parameterization)
     if parameterization == "parsec":
         X[17, 0] = -20.0  # crest behind the nose: a DomainError mid-batch
+    else:
+        X[17] = -4.0 * box.center / box.width  # the centre's mirror image: surfaces cross
     reference = {}
     for column, objective in enumerate(("lift", "drag")):
         ref_values, ref_failed, ref_first = _reference_batch(parameterization, objective, X, box)

@@ -233,15 +233,14 @@ def test_panel_surrogate_binds_its_box():
 def test_panel_surrogate_frozen_center_values():
     lift, drag = PanelSurrogate("cst", "lift"), PanelSurrogate("cst", "drag")
     center = np.zeros(10)
-    assert lift.evaluate(center) == pytest.approx(8.253968254092284, rel=1e-12)
-    assert drag.evaluate(center) == pytest.approx(0.006666434986206055, rel=1e-12)
+    assert lift.evaluate(center) == 0.0  # the centre is a mirror-symmetric pair
+    assert drag.evaluate(center) == pytest.approx(0.00703407401213271, rel=1e-12)
 
 
 def test_panel_surrogate_rejects_infeasible_decode():
     drag = PanelSurrogate("cst", "drag")
-    # upper coefficients at their lower bounds, lower at their upper
-    # bounds: the surfaces cross near mid-chord
-    x = np.array([-1.0] * 5 + [1.0] * 5)
+    # the centre's mirror image, upper -a and lower a: the surfaces cross
+    x = -4.0 * drag.box.center / drag.box.width
     with pytest.raises(EvaluationError) as info:
         drag.evaluate(x)
     assert info.value.report is not None and not info.value.report.feasible
