@@ -60,8 +60,8 @@ def _add_seed_out(cmd, default_out: str = ".") -> None:
 
 def _add_qoi_flags(cmd) -> None:
     cmd.add_argument("--qoi", required=True,
-                     help="quadratic | ridge[:linear|quadratic|exp] | "
-                          "panel:lift | panel:drag | dataset:PATH (run-all only)")
+                     help="quadratic | ridge[:linear|quadratic|exp] | panel:lift | "
+                          "panel:drag; run-all only: panel (both) | dataset:PATH")
     cmd.add_argument("--direction", default="",
                      help="comma list of ridge direction components "
                           "(default 1, 1/2, ..., 1/m)")
