@@ -4,7 +4,7 @@ Decode airfoil parameter vectors into surface geometry, sample their
 design boxes, fit a global quadratic model to any scalar quantity of
 interest, and read dominant directions out of the gradient outer
 product -- with bootstrap spread, shadow plots, link functions, and a
-two-objective Pareto-segment study on top.
+two-objective Pareto front on top.
 
 Importing the package defaults ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to ``1`` before numpy loads: the BLAS/LAPACK calls

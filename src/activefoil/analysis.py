@@ -1,15 +1,16 @@
-"""Shadow projections, link-function fits, and Pareto-segment studies.
+"""Shadow projections, link-function fits, and two-objective Pareto fronts.
 
 Once an active basis W1 is in hand, samples project to shadow
 coordinates y = W1' x; a low-order polynomial in y (the link function)
-summarizes f; and for a two-column drag basis the segment joining the
-single-objective minimizers sweeps out candidate trade-off designs
-x = W1 y, which the fitted surfaces then score.
+summarizes f; and on the plane of two leading directions, designs in the
+cube that reach the zonotope Z = W'[-1, 1]^m are scored by the fitted
+surfaces, and the nondominated ones form the Pareto front.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,8 +18,9 @@ import numpy as np
 from .errors import ContractViolation, IllPosedFitError
 from .sampling import _freeze, write_table
 
-# Box-membership slack for reconstructed designs.
+# Slack of box membership for designs and of polygon membership for points.
 _FEASIBILITY_SLACK = 1e-12
+_SLICES, _SLICE_POINTS = 401, 9  # Pareto candidates: y1-slices of Z, designs per slice
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,19 +75,15 @@ def write_shadow_csv(shadow: ShadowData, path, meta=None):
 
 
 def _monomial_powers(n_vars: int, degree: int):
-    powers = []
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n_vars), total):
-            p = [0] * n_vars
-            for idx in combo:
-                p[idx] += 1
-            powers.append(tuple(p))
-    return tuple(powers)
+    return tuple(tuple(combo.count(i) for i in range(n_vars)) for total in range(degree + 1)
+                 for combo in itertools.combinations_with_replacement(range(n_vars), total))
 
 
 def _monomial_design(Y: np.ndarray, powers) -> np.ndarray:
-    cols = [np.prod(Y**np.asarray(p, dtype=float), axis=1) for p in powers]
-    return np.column_stack(cols)
+    # y**k by repeated products: pow() per element costs several times more
+    table = list(itertools.accumulate([Y.T] * max(map(sum, powers)), np.multiply,
+                                      initial=np.ones_like(Y.T)))
+    return np.column_stack([math.prod(table[e][i] for i, e in enumerate(p)) for p in powers])
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +172,32 @@ def cube_minimum(w):
     return value, vertex
 
 
+def in_polygon(polygon, points) -> np.ndarray:
+    """Whether each 2-D point is inside every edge of a counter-clockwise convex polygon."""
+    edges = np.roll(polygon, -1, axis=0) - polygon  # a repeated vertex gives an empty edge
+    rel = np.asarray(points, dtype=float)[:, np.newaxis, :] - polygon
+    return np.all(edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0] >= -_FEASIBILITY_SLACK,
+                  axis=1)
+
+
+def convex_hull(points) -> np.ndarray:
+    """Convex hull vertices of 2-D points, counter-clockwise (monotone chain)."""
+    hull = []
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))  # by x, then y
+    for chain in (pts, pts[::-1]):  # the lower chain, then the upper
+        base = len(hull)
+        for x, y in chain:
+            while len(hull) > base + 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                            <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+                hull.pop()
+            hull.append((x, y))
+        hull.pop()  # each chain ends where the other starts
+    return np.array(hull or pts).reshape(-1, 2)
+
+
 @dataclass(frozen=True, eq=False)
 class ParetoSegment:
-    """Designs along the segment joining the single-objective minimizers."""
+    """Designs in the reachable plane Z, front positions gamma, Z's vertices."""
 
     gamma: np.ndarray
     coords: np.ndarray
@@ -184,14 +205,16 @@ class ParetoSegment:
     feasible: np.ndarray
     lift: np.ndarray | None = None
     drag: np.ndarray | None = None
+    region: np.ndarray | None = None
 
 
 def pareto_segment(w1, w2, gamma_count: int = 101) -> ParetoSegment:
-    """Sweep y(gamma) = gamma*(y1min, 0) + (1-gamma)*(0, y2min).
+    """Candidate designs over Z = W'[-1, 1]^m, W = [w1 w2], for gamma_count rows.
 
-    The endpoints are exactly (0, y2min) at gamma=0 and (y1min, 0) at
-    gamma=1.  Designs reconstruct as x = W1 y with the inactive
-    coordinates at zero; a design outside the cube is flagged infeasible.
+    With each generator (w1_i, w2_i) turned rightwards by a sign s_i, flipping
+    the signs of W'(-s) by increasing (decreasing) generator angle walks Z's
+    lower (upper) boundary.  Each y1-slice of Z spans the two: convex combinations
+    of cube vertices, in the cube by construction, as ``feasible`` checks.
     """
     a = np.asarray(w1, dtype=float)
     b = np.asarray(w2, dtype=float)
@@ -202,27 +225,35 @@ def pareto_segment(w1, w2, gamma_count: int = 101) -> ParetoSegment:
         raise ContractViolation("w1 and w2 must be orthonormal")
     if gamma_count < 2:
         raise ContractViolation("gamma_count must be at least 2")
-
+    s = np.where((a > 0) | ((a == 0) & (b >= 0)), 1.0, -1.0)
+    rank = np.argsort(np.argsort(np.arctan2(s * b, s * a), kind="stable"))
+    flips = np.arange(a.size + 1)[:, np.newaxis]  # row k of a chain has k signs flipped
+    chains = np.where(rank < flips, s, -s), np.where(a.size - 1 - rank < flips, s, -s)
     y1min, _ = cube_minimum(a)
-    y2min, _ = cube_minimum(b)
-    gamma = np.linspace(0.0, 1.0, gamma_count)
-    coords = np.column_stack([gamma * y1min, (1.0 - gamma) * y2min])
-    designs = coords @ basis.T
-    feasible = np.max(np.abs(designs), axis=1) <= 1.0 + _FEASIBILITY_SLACK
-    return ParetoSegment(gamma=gamma, coords=coords, designs=designs, feasible=feasible)
+    y1 = np.linspace(y1min, -y1min, _SLICES)[:, np.newaxis]
+    ends = []
+    for chain, side in zip(chains, ("left", "right")):  # least, then greatest y2 at each y1
+        at = chain @ a
+        k = np.clip(np.searchsorted(at, y1, side=side), 1, a.size)
+        run = at[k] - at[k - 1]
+        frac = np.clip(np.divide(y1 - at[k - 1], run, out=np.zeros_like(y1), where=run > 0), 0, 1)
+        ends.append(chain[k - 1] + frac[..., np.newaxis] * (chain[k] - chain[k - 1]))
+    along = np.linspace(0.0, 1.0, _SLICE_POINTS)[:, np.newaxis]
+    designs = (ends[0] + along * (ends[1] - ends[0])).reshape(-1, a.size)
+    return ParetoSegment(gamma=np.linspace(0.0, 1.0, gamma_count), coords=designs @ basis,
+                         designs=designs,
+                         feasible=np.max(np.abs(designs), axis=1) <= 1.0 + _FEASIBILITY_SLACK,
+                         region=np.vstack([chains[0], chains[1][::-1]]) @ basis)
 
 
 def pareto_front(
     segment: ParetoSegment,
     lift_surface: ResponseSurface,
     drag_surface: ResponseSurface,
-    strict: bool = False,
 ) -> ParetoSegment:
-    """Score the segment designs with each surface in its own active coordinates.
-
-    With ``strict`` on, infeasible points are skipped: their predictions
-    are NaN and the feasibility flags mark them.
-    """
+    """One candidate per gamma: the least drag (most lift among ties) with lift
+    at least (1 - gamma) l0 + gamma lmax, where l0 is the least-drag candidate's
+    lift and lmax the greatest, so that no candidate dominates it."""
     for surface in (lift_surface, drag_surface):
         if surface.basis.shape[0] != segment.designs.shape[1]:
             raise ContractViolation(
@@ -230,10 +261,15 @@ def pareto_front(
             )
     lift = lift_surface.predict(segment.designs)
     drag = drag_surface.predict(segment.designs)
-    if strict:
-        lift = np.where(segment.feasible, lift, np.nan)
-        drag = np.where(segment.feasible, drag, np.nan)
-    return replace(segment, lift=lift, drag=drag)
+    order = np.argsort(-lift)  # most lift first; a level takes every candidate of a lift
+    ranked = drag[order]
+    record = np.r_[True, ranked[1:] < np.minimum.accumulate(ranked)[:-1]]
+    best = order[np.maximum.accumulate(np.where(record, np.arange(order.size), 0))]
+    top = lift[order[0]]
+    levels = np.minimum((1.0 - segment.gamma) * lift[best[-1]] + segment.gamma * top, top)
+    rows = best[np.searchsorted(-lift[order], -levels, side="right") - 1]
+    return replace(segment, coords=segment.coords[rows], designs=segment.designs[rows],
+                   feasible=segment.feasible[rows], lift=lift[rows], drag=drag[rows])
 
 
 def write_pareto_csv(segment: ParetoSegment, path, meta=None):
@@ -282,8 +318,8 @@ def inactive_sensitivity_check(basis, n: int, y_points, z_samples, evaluator):
 
 
 def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, n: int = 101,
-                        meta=None):
-    """Uniform n x n grid of a 2-D response surface, gnuplot block layout."""
+                        meta=None, region=None):
+    """Uniform n x n grid of a 2-D response surface, NaN outside ``region``, gnuplot layout."""
     lo = np.asarray(y_low, dtype=float)
     hi = np.asarray(y_high, dtype=float)
     if surface.basis.shape[1] != 2 or lo.shape != (2,) or hi.shape != (2,):
@@ -298,7 +334,10 @@ def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, n: int = 
     def blocks():  # one block per y1 value, streamed
         for a in y1:
             block = np.column_stack([np.full(n, a), y2])
-            yield from np.column_stack([block, surface.predict_active(block)]).tolist()
+            values = surface.predict_active(block)
+            if region is not None:
+                values[~in_polygon(region, block)] = np.nan
+            yield from np.column_stack([block, values]).tolist()
             yield ()
 
     write_table(path, "# columns: y1,y2,value", blocks(), meta)

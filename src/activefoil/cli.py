@@ -364,19 +364,18 @@ def _pareto_artifacts(X1, f1, X2, f2, directions, args, out: Path,
     plane = np.column_stack([w1, w2])
     drag_surface = analysis.fit_link_function(
         analysis.shadow_project(X2, f2, plane), args.degree)
-    segment = analysis.pareto_segment(w1, w2, gamma_count=args.gammas)
-    scored = analysis.pareto_front(segment, lift_surface, drag_surface)
-    y1_min, _ = analysis.cube_minimum(w1)
-    y2_min, _ = analysis.cube_minimum(w2)
-    meta = _meta(args, overlap=f"{overlap:.17g}",
-                 y1_min=f"{y1_min:.17g}", y2_min=f"{y2_min:.17g}", **meta_extra)
-    analysis.write_pareto_csv(scored, out / "pareto.csv", meta=meta)
+    front = analysis.pareto_front(analysis.pareto_segment(w1, w2, gamma_count=args.gammas),
+                                  lift_surface, drag_surface)
     coords = X2 @ plane
+    sampled = analysis.in_polygon(analysis.convex_hull(coords), front.coords)
+    meta = _meta(args, overlap=f"{overlap:.17g}", n_feasible=int(front.feasible.sum()),
+                 n_extrapolated=int(np.sum(~sampled)), **meta_extra)
+    analysis.write_pareto_csv(front, out / "pareto.csv", meta=meta)
     low, high = coords.min(axis=0), coords.max(axis=0)
     pad = np.where(high > low, 0.0, 0.5)
     analysis.export_surface_grid(drag_surface, low - pad, high + pad,
                                  out / "pareto_grid.dat", n=args.grid_n,
-                                 meta=meta)
+                                 meta=meta, region=front.region)
     analysis.emit_pareto_gnuplot("pareto.csv", "pareto_grid.dat",
                                  out / "pareto.gp", skip_lines=len(meta) + 1)
 

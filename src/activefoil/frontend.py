@@ -142,7 +142,7 @@ def build_parser() -> _Parser:
     _add_seed_out(cmd)
 
     cmd = sub.add_parser("pareto",
-                         help="two-objective segment with response surfaces")
+                         help="two-objective Pareto front over the reachable plane")
     cmd.add_argument("--data1", required=True, help="objective-1 evals.csv")
     cmd.add_argument("--eigs1", required=True, help="objective-1 eigs.json")
     cmd.add_argument("--data2", required=True, help="objective-2 evals.csv")
@@ -150,7 +150,7 @@ def build_parser() -> _Parser:
     cmd.add_argument("--degree", type=int, default=2,
                      help="link-function polynomial degree")
     cmd.add_argument("--gammas", type=int, default=101,
-                     help="points on the segment")
+                     help="rows along the Pareto front")
     cmd.add_argument("--grid-n", type=int, default=101,
                      help="contour grid resolution per axis")
     _add_seed_out(cmd)

@@ -7,6 +7,7 @@ spot in the log and fails the suite.
 
 import hashlib
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -237,10 +238,12 @@ def test_criterion_08_pareto_machinery(capsys):
     w1 = np.array([0.8, 0.6, 0.0, 0.0])
     w2 = np.array([-0.6, 0.8, 0.0, 0.0])
     segment = pareto_segment(w1, w2, gamma_count=21)
-    y1min = -float(np.sum(np.abs(w1)))
-    y2min = -float(np.sum(np.abs(w2)))
-    ok = ok and segment.coords[0, 0] == 0.0 and segment.coords[0, 1] == y2min
-    ok = ok and segment.coords[-1, 0] == y1min and segment.coords[-1, 1] == 0.0
+    # Z of these generators is the square W'[-1, 1]^2 of the two nonzero ones
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=2))) @ np.array(
+        [w1[:2], w2[:2]]).T
+    gaps = np.linalg.norm(segment.region[:, np.newaxis] - corners, axis=2)
+    ok = ok and gaps.min(axis=0).max() < 1e-12 and gaps.min(axis=1).max() < 1e-12
+    ok = ok and bool(segment.feasible.all())
 
     # constructed ridge: fixed active coordinate, zero spread over z
     m = 4
@@ -252,7 +255,7 @@ def test_criterion_08_pareto_machinery(capsys):
     )
     ok = ok and bool(np.all(counts > 0)) and float(np.nanmax(spreads)) < 1e-12
 
-    _report(capsys, 8, "cube minima, segment endpoints, inactive flatness", ok)
+    _report(capsys, 8, "cube minima, zonotope vertices, inactive flatness", ok)
 
 
 def test_criterion_09_builtin_box_tables(capsys):
@@ -319,3 +322,63 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
         second = _run_cli(*argv)
         ok = ok and second.returncode == 0 and _tree_digest(out_dir) == digest
     _report(capsys, 10, "byte-identical CLI reruns", ok)
+
+
+def _pareto_table(path):
+    meta, rows = {}, []
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition("=")
+            meta[key] = value
+        elif not line.startswith("gamma"):
+            rows.append([float(v) for v in line.split(",")])
+    return meta, np.array(rows)
+
+
+def _dense_zonotope(plane, angles=4000, steps=21, radii=41):
+    """At least 10^4 points filling Z = W'[-1, 1]^m, built apart from analysis:
+    the support vertices W'sign(W d) of many directions d, fanned from 0."""
+    theta = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
+    vertices = np.sign(np.column_stack([np.cos(theta), np.sin(theta)]) @ plane.T) @ plane
+    ring = vertices[np.r_[True, np.any(np.abs(np.diff(vertices, axis=0)) > 1e-12, axis=1)]]
+    t = np.linspace(0.0, 1.0, steps)[:, np.newaxis, np.newaxis]
+    boundary = ((1.0 - t) * ring + t * np.roll(ring, -1, axis=0)).reshape(-1, 2)
+    return (np.linspace(0.0, 1.0, radii)[:, np.newaxis, np.newaxis] * boundary).reshape(-1, 2)
+
+
+@pytest.mark.slow
+def test_criterion_11_pareto_front_on_the_builtin_boxes(capsys, reference_outputs):
+    from activefoil import analysis, cli
+    from activefoil.sampling import read_matrix_csv
+
+    panels = sorted(name for name in reference_outputs if "-panel-" in name)
+    ok = len(panels) == 4  # both boxes at seeds 7 and 1702
+    for out in (reference_outputs[name] for name in panels):
+        meta, rows = _pareto_table(out / "pareto.csv")
+        eigs = [json.loads((out / f"{p}_eigs.json").read_text()) for p in ("lift", "drag")]
+        w1, w2, _ = cli._plane_directions(*eigs)
+        plane = np.column_stack([w1, w2])
+        X1, f1, _, _ = read_matrix_csv(out / "lift_evals.csv")
+        X2, f2, _, _ = read_matrix_csv(out / "drag_evals.csv")
+        lift = analysis.fit_link_function(analysis.shadow_project(X1, f1, w1[:, None]), 2)
+        drag = analysis.fit_link_function(analysis.shadow_project(X2, f2, plane), 2)
+        front = analysis.pareto_front(analysis.pareto_segment(w1, w2, 101), lift, drag)
+        ok = ok and rows.shape == (101, 6) and bool(np.all(rows[:, 3] == 1.0))
+        ok = ok and meta["n_feasible"] == "101" and int(meta["n_extrapolated"]) <= 101
+        # the in-process rebuild writes the same rows, and their designs are exact
+        ok = ok and np.array_equal(rows, np.column_stack(
+            [front.gamma, front.coords, front.feasible, front.drag, front.lift]))
+        ok = ok and np.max(np.abs(front.designs)) <= 1.0 + 1e-12
+        ok = ok and np.max(np.abs(front.designs @ plane - rows[:, 1:3])) <= 1e-12
+        no_worse = ((rows[:, None, 5] >= rows[None, :, 5])
+                    & (rows[:, None, 4] <= rows[None, :, 4]))
+        better = (rows[:, None, 5] > rows[None, :, 5]) | (rows[:, None, 4] < rows[None, :, 4])
+        ok = ok and not np.any(no_worse & better)
+        # the ends of the front reach the surfaces' extremes over Z
+        dense = _dense_zonotope(plane)
+        lift_dense = lift.predict_active(dense[:, :1])
+        drag_dense = drag.predict_active(dense)
+        ok = ok and dense.shape[0] >= 10**4
+        ok = ok and abs(rows[:, 5].max() - lift_dense.max()) <= 1e-6 * np.ptp(lift_dense)
+        ok = ok and abs(rows[:, 4].min() - drag_dense.min()) <= 1e-3 * np.ptp(drag_dense)
+    _report(capsys, 11, "feasible, exact, nondominated Pareto fronts on both boxes", ok)

@@ -2,15 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from activefoil import analysis
 from activefoil.analysis import (
     ParetoSegment,
+    ResponseSurface,
     ShadowData,
+    convex_hull,
     cube_minimum,
     emit_pareto_gnuplot,
     emit_shadow_gnuplot,
     export_surface_grid,
     fit_link_function,
+    in_polygon,
     inactive_sensitivity_check,
     pareto_front,
     pareto_segment,
@@ -151,20 +157,18 @@ def test_cube_minimum_against_vertex_enumeration():
 def test_pareto_segment_endpoints_and_affinity():
     w1, w2 = _orthopair()
     segment = pareto_segment(w1, w2, gamma_count=11)
+    assert segment.gamma.size == 11
     assert segment.gamma[0] == 0.0 and segment.gamma[-1] == 1.0
-    y1min = -np.sum(np.abs(w1))
-    y2min = -np.sum(np.abs(w2))
-    np.testing.assert_allclose(segment.coords[0], [0.0, y2min], atol=0.0)
-    np.testing.assert_allclose(segment.coords[-1], [y1min, 0.0], atol=0.0)
-    # straight segment: vanishing second differences
-    assert np.max(np.abs(np.diff(segment.coords, n=2, axis=0))) < 1e-14
-    # designs stay inside span{w1, w2}
-    np.testing.assert_allclose(
-        segment.designs, segment.coords @ np.column_stack([w1, w2]).T, atol=0.0
-    )
-    # unbalanced directions push both endpoint designs out of the cube
-    assert not segment.feasible[0] and not segment.feasible[-1]
-    assert segment.feasible[5]
+    # the y1-slices run between Z's extremes -||w1||_1 and ||w1||_1
+    y1max = np.sum(np.abs(w1))
+    assert segment.coords[:, 0].min() == pytest.approx(-y1max, abs=1e-12)
+    assert segment.coords[:, 0].max() == pytest.approx(y1max, abs=1e-12)
+    # the designs along one slice are affine in their position on it
+    slices = segment.designs.reshape(-1, analysis._SLICE_POINTS, w1.size)
+    assert np.max(np.abs(np.diff(slices, n=2, axis=1))) < 1e-14
+    np.testing.assert_array_equal(segment.coords, segment.designs @ np.column_stack([w1, w2]))
+    # the sweep this replaced left the cube at both ends; every candidate is in it
+    assert segment.feasible.all() and np.max(np.abs(segment.designs)) <= 1.0 + 1e-12
 
 
 def test_pareto_segment_validation():
@@ -175,6 +179,13 @@ def test_pareto_segment_validation():
         pareto_segment(w1, w1)
     with pytest.raises(ContractViolation):
         pareto_segment(w1, w2, gamma_count=1)
+
+
+def _some_row_dominated(lift, drag) -> bool:
+    """Whether some row has no less lift and no more drag than another, and differs."""
+    no_worse = (lift[:, np.newaxis] >= lift) & (drag[:, np.newaxis] <= drag)
+    better = (lift[:, np.newaxis] > lift) | (drag[:, np.newaxis] < drag)
+    return bool(np.any(no_worse & better))
 
 
 def _scored_segment():
@@ -191,12 +202,13 @@ def test_pareto_front_scoring():
     scored = pareto_front(segment, lift_surface, drag_surface)
     assert scored.lift.shape == (11,) and scored.drag.shape == (11,)
     # the lift link is y1 itself and the drag link is y2^2
-    np.testing.assert_allclose(scored.lift, segment.coords[:, 0], atol=1e-12)
-    np.testing.assert_allclose(scored.drag, segment.coords[:, 1] ** 2, atol=1e-12)
+    np.testing.assert_allclose(scored.lift, scored.coords[:, 0], atol=1e-12)
+    np.testing.assert_allclose(scored.drag, scored.coords[:, 1] ** 2, atol=1e-12)
 
-    strict = pareto_front(segment, lift_surface, drag_surface, strict=True)
-    assert np.isnan(strict.lift[0]) and np.isnan(strict.lift[-1])
-    assert not np.isnan(strict.lift[5])
+    # the front runs from the least drag to the most lift over every candidate
+    assert scored.feasible.all() and not _some_row_dominated(scored.lift, scored.drag)
+    assert scored.drag[0] == pytest.approx(np.min(segment.coords[:, 1] ** 2), abs=1e-12)
+    assert scored.lift[-1] == pytest.approx(np.sum(np.abs(_orthopair()[0])), abs=1e-12)
 
     with pytest.raises(ContractViolation):
         pareto_front(
@@ -224,6 +236,54 @@ def test_write_pareto_csv(tmp_path):
     assert len(lines) == 2 + 11
     fields = lines[2].split(",")
     assert float(fields[0]) == 0.0 and fields[3] in ("0", "1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), zero=st.integers(0, 3),
+       parallel=st.integers(0, 3), vertical=st.integers(0, 2), gammas=st.integers(2, 40))
+def test_pareto_front_is_feasible_exact_and_nondominated(m, seed, zero, parallel, vertical,
+                                                         gammas):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((m, 2))
+    for _ in range(parallel):  # rows of the basis stay parallel under the QR below
+        i, j = rng.choice(m, 2, replace=False)
+        raw[j] = rng.uniform(-2.0, 2.0) * raw[i]
+    raw[rng.choice(m, min(vertical, m), replace=False), 0] = 0.0  # w1_i = 0
+    raw[rng.choice(m, min(zero, m), replace=False)] = 0.0  # zero generators
+    if np.linalg.matrix_rank(raw) < 2:  # keep two independent generators
+        raw[-2:] = np.eye(2)
+    basis = np.linalg.qr(raw)[0]
+    w1, w2 = basis.T
+    lift = ResponseSurface(basis=w1[:, np.newaxis], degree=2, powers=((0,), (1,), (2,)),
+                           coefficients=rng.standard_normal(3), residual_rms=0.0, r_squared=1.0)
+    powers = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    drag = ResponseSurface(basis=basis, degree=2, powers=powers,
+                           coefficients=rng.standard_normal(6), residual_rms=0.0, r_squared=1.0)
+    front = pareto_front(pareto_segment(w1, w2, gamma_count=gammas), lift, drag)
+    assert front.gamma.size == gammas
+    assert front.designs.shape == (gammas, m) and front.lift.shape == front.drag.shape == (gammas,)
+    assert front.feasible.all() and np.max(np.abs(front.designs)) <= 1.0 + 1e-12
+    assert np.max(np.abs(front.designs @ basis - front.coords)) <= 1e-12
+    assert not _some_row_dominated(front.lift, front.drag)
+
+
+def test_convex_hull_and_in_polygon():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    points = np.vstack([square, [[0.5, 0.5], [0.5, 0.0], [0.25, 0.75]]])
+    hull = convex_hull(points[::-1])
+    np.testing.assert_array_equal(hull, square)  # counter-clockwise from the lowest-left
+    assert in_polygon(hull, points).all()
+    outside = np.array([[1.5, 0.5], [0.5, -1e-9], [-0.1, 1.1]])
+    assert not in_polygon(hull, outside).any()
+    # repeated vertices make empty edges, which every point passes
+    assert in_polygon(np.repeat(square, 2, axis=0), points).all()
+
+    cloud = sample(unit_box(2), 200, seed=3).matrix
+    hull = convex_hull(cloud)
+    assert in_polygon(hull, cloud).all()
+    edges = np.roll(hull, -1, axis=0) - hull
+    turns = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+    assert np.all(turns > 0)  # strictly convex, counter-clockwise
 
 
 def test_inactive_sensitivity_check():
@@ -350,6 +410,21 @@ def test_export_surface_grid(tmp_path):
         with pytest.raises(ContractViolation):
             export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", n=n)
     assert not (tmp_path / "x.dat").exists()
+
+
+def test_export_surface_grid_writes_nan_outside_the_region(tmp_path):
+    X = sample(unit_box(4), 80, seed=10).matrix
+    f = X[:, 0] + 2.0 * X[:, 1]
+    surface = fit_link_function(shadow_project(X, f, np.eye(4)[:, :2]), degree=1)
+    diamond = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    path = tmp_path / "grid.dat"
+    export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, n=5, region=diamond)
+    cells = np.array([[float(v) for v in line.split(",")]
+                      for line in path.read_text().splitlines() if line and line[0] != "#"])
+    outside = np.abs(cells[:, 0]) + np.abs(cells[:, 1]) > 1.0
+    assert outside.sum() == 12 and np.isnan(cells[outside, 2]).all()
+    np.testing.assert_allclose(cells[~outside, 2],
+                               surface.predict_active(cells[~outside, :2]), rtol=1e-15)
 
 
 def test_gnuplot_emitters(tmp_path):
