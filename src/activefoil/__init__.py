@@ -29,10 +29,9 @@ __version__ = "0.1.0"
 
 # Each public name, listed under the submodule it is imported from.
 _EXPORTS = {
-    "activesubspace": "BootstrapSummary ConvergenceCell Eigenpairs QuadraticModel "
-                      "bootstrap choose_dimension coefficient_count convergence_study "
-                      "eigendecompose fit_quadratic gradient_outer_matrix "
-                      "quadratic_features subspace_distance",
+    "activesubspace": "BootstrapSummary Eigenpairs QuadraticModel bootstrap "
+                      "choose_dimension coefficient_count eigendecompose fit_quadratic "
+                      "gradient_outer_matrix quadratic_features subspace_distance",
     "analysis": "ParetoSegment ResponseSurface ShadowData cube_minimum fit_link_function "
                 "inactive_sensitivity_check pareto_front pareto_segment shadow_project",
     "cst": "CstParams class_function cst_surface expand_odd_polynomial",

@@ -37,6 +37,9 @@ number of the resampled design certifies full rank at the 1e-10
 tolerance with a wide margin; otherwise the point fit or the replicate
 is refitted from its rows by ``lstsq``, so the rank errors and the
 redraw and skip decisions never depend on the shortcut.
+
+The module holds numerics only: it draws no samples and evaluates no
+quantity of interest.
 """
 
 from __future__ import annotations
@@ -47,14 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    EvaluationError,
-    IllPosedFitError,
-    NoStructureError,
-    SampleSizeWarning,
-)
-from .sampling import ParameterBox, _freeze, derive_seed, sample
+from .errors import ContractViolation, IllPosedFitError, NoStructureError, SampleSizeWarning
+from .sampling import _freeze
 
 RANK_RCOND = 1e-10
 EIGENVALUE_FLOOR = 1e-14
@@ -581,57 +578,3 @@ def bootstrap(
         seed=int(seed),
         n_skipped=skipped,
     )
-
-
-@dataclass(frozen=True)
-class ConvergenceCell:
-    n_samples: int
-    error_mean: float
-    error_min: float
-    error_max: float
-
-
-def convergence_study(
-    box: ParameterBox,
-    evaluator,
-    schedule,
-    seed: int,
-    dim: int = 1,
-    n_boot: int = 100,
-) -> list[ConvergenceCell]:
-    """Bootstrap subspace error as the sample budget grows.
-
-    For each N in the ascending schedule: draw a fresh sample, evaluate
-    the quantity of interest, fit, bootstrap, and record the replicate
-    error spread for the requested dimension.  Cell seeds derive from
-    the root seed by labeled hashing, so cells are independent and the
-    whole table is reproducible.
-    """
-    sizes = [int(v) for v in schedule]
-    if not sizes:
-        raise ContractViolation("schedule must be non-empty")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
-        raise ContractViolation("schedule must be strictly ascending and positive")
-
-    cells = []
-    for i, n_samples in enumerate(sizes):
-        draws = sample(box, n_samples, derive_seed(seed, f"cell{i}:sample"))
-        values, failed = evaluator.evaluate_many(draws.matrix)
-        if failed:
-            row, exc = next(iter(failed.items()))
-            raise EvaluationError(
-                f"evaluator failed at sample {row} of cell N={n_samples}: {exc}",
-                index=row,
-            ) from exc
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SampleSizeWarning)
-            summary = bootstrap(
-                draws.matrix,
-                values,
-                n_boot=n_boot,
-                seed=derive_seed(seed, f"cell{i}:boot"),
-                n=dim,
-            )
-        mean, lo, hi = summary.error_row(dim)
-        cells.append(ConvergenceCell(n_samples, mean, lo, hi))
-    return cells

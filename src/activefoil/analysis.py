@@ -172,18 +172,34 @@ def cube_minimum(w):
     return value, vertex
 
 
-def in_polygon(polygon, points) -> np.ndarray:
-    """Whether each 2-D point is inside every edge of a counter-clockwise convex polygon."""
+def _edge_sides(polygon, points) -> np.ndarray:
+    """(N, edges) cross products, positive where a point is left of a polygon edge."""
     edges = np.roll(polygon, -1, axis=0) - polygon  # a repeated vertex gives an empty edge
     rel = np.asarray(points, dtype=float)[:, np.newaxis, :] - polygon
-    return np.all(edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0] >= -_FEASIBILITY_SLACK,
-                  axis=1)
+    return edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0]
+
+
+def in_polygon(polygon, points) -> np.ndarray:
+    """Whether each 2-D point is inside every edge of a counter-clockwise convex polygon."""
+    return np.all(_edge_sides(polygon, points) >= -_FEASIBILITY_SLACK, axis=1)
 
 
 def convex_hull(points) -> np.ndarray:
-    """Convex hull vertices of 2-D points, counter-clockwise (monotone chain)."""
+    """Convex hull vertices of 2-D points, counter-clockwise (monotone chain).
+
+    The chain skips the points strictly inside the polygon of the extreme
+    points in eight directions, which lies in the hull; with no slack, a
+    point on its edges is kept, and exact cross products give the same hull.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts):
+        angles = np.arange(8) * (np.pi / 4)
+        extreme = np.argmax(pts @ np.array([np.cos(angles), np.sin(angles)]), axis=0)
+        inner = pts[extreme[extreme != np.roll(extreme, 1)]]  # no empty edges
+        if len(inner) >= 3:
+            pts = pts[~np.all(_edge_sides(inner, pts) > 0.0, axis=1)]
     hull = []
-    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))  # by x, then y
+    pts = sorted(set(map(tuple, pts.tolist())))  # by x, then y
     for chain in (pts, pts[::-1]):  # the lower chain, then the upper
         base = len(hull)
         for x, y in chain:

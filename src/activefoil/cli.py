@@ -12,7 +12,9 @@ sampling stream does not shift when, say, ``--nboot`` changes.
 
 The parser and the entry point live in ``activefoil.frontend``, which
 loads no numpy; ``main`` here is that entry point, and each subcommand
-runs the ``_cmd_`` function of its name below.
+runs the ``_cmd_`` function of its name below.  Commands, ``convergence``
+included, compose ``sampling.sample``, ``qoi.evaluate_batch`` (the one
+failure policy of evaluations) and the stages at the end of this module.
 """
 
 from __future__ import annotations
@@ -399,16 +401,22 @@ def _cmd_convergence(args) -> None:
     _check_boot_flags(args, box.dim)
     ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
     try:
-        schedule = tuple(int(v) for v in args.schedule.split(","))
+        schedule = [int(v) for v in args.schedule.split(",")]
     except ValueError:
         raise ContractViolation(
             f"--schedule must be a comma list of integers, got {args.schedule!r}"
         ) from None
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ContractViolation(f"--schedule must be strictly ascending, got {args.schedule!r}")
+    _check_rows(schedule[0], box.dim)  # so every size is positive and every cell fits
     child = derive_seed(args.seed, "convergence")
-    cells = asub.convergence_study(box, ev, schedule, child, dim=args.dim,
-                                   n_boot=args.nboot)
-    rows = [(c.n_samples, c.error_mean, c.error_min, c.error_max)
-            for c in cells]
+    rows = []
+    for i, n in enumerate(schedule):
+        X = sampling.sample(box, n, derive_seed(child, f"cell{i}:sample")).matrix
+        values, _ = qoi.evaluate_batch(ev, X)
+        summary = asub.bootstrap(X, values, args.nboot, derive_seed(child, f"cell{i}:boot"),
+                                 n=args.dim)
+        rows.append((n, *summary.error_row(args.dim)))
     out = _out_dir(args)
     write_table(out / "convergence.csv", "n,error_mean,error_min,error_max",
                 rows, _meta(args, child_seed=child, **qmeta))

@@ -107,9 +107,13 @@ class SyntheticQuadratic(QoiEvaluator):
 
     def evaluate_many(self, X):
         """Elementwise products summed along the last axis, so no row's bits
-        depend on its stack (a BLAS product's blocking does)."""
+        depend on its stack (a BLAS product's blocking does).  Hx is formed
+        for blocks of rows whose (rows, m, m) products stay near 1 MB."""
         rows = self._stack(X)
-        hx = (rows[:, np.newaxis, :] * self.hessian).sum(axis=-1)
+        block = max(1, 2**17 // self.hessian.size)  # 2**17 doubles are 1 MB
+        hx = np.empty_like(rows)
+        for i in range(0, len(rows), block):
+            (rows[i:i + block, np.newaxis, :] * self.hessian).sum(axis=-1, out=hx[i:i + block])
         quadratic = 0.5 * (hx * rows).sum(axis=-1)
         return quadratic + (rows * self.linear).sum(axis=-1) + self.constant, {}
 

@@ -5,6 +5,8 @@ directory with ``--out out``, so the resolved configuration, whose hash
 every artifact records, is the same wherever the runs are made.  The
 run-all runs use the benchmark's flags (``perfbench/run.py``) at its two
 seeds; the ridge dataset comes from ``perfbench/run.py::write_ridge_dataset``.
+The two convergence runs pin ``convergence.csv`` for a panel QoI and for a
+noisy ridge.
 
 The digests depend on the floating-point library, so
 ``tests/reference_digests.json`` records the numpy version, the BLAS
@@ -51,6 +53,13 @@ RUNS = {
        for p in ("parsec", "cst")},
     **{f"validate-{p}": ("validate", "--parameterization", p, "--sharp-te", "--out", "out")
        for p in ("parsec", "cst")},
+    "convergence-parsec-drag": ("convergence", "--box", "parsec-table2", "--qoi", "panel:drag",
+                                "--schedule", "200,400,800", "--nboot", "20", "--seed", "7",
+                                "--out", "out"),
+    "convergence-ridge": ("convergence", "--box", "unit:5", "--qoi", "ridge:linear",
+                          "--direction", "1,2,0,0,-0.5", "--noise-std", "0.1",
+                          "--noise-seed", "11", "--schedule", "100,200,400", "--nboot", "50",
+                          "--seed", "101", "--out", "out"),
 }
 
 

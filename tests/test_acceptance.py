@@ -18,9 +18,9 @@ import pytest
 
 from activefoil import cst, parsec
 from activefoil.activesubspace import (
+    bootstrap,
     choose_dimension,
     coefficient_count,
-    convergence_study,
     eigendecompose,
     fit_quadratic,
     gradient_outer_matrix,
@@ -42,8 +42,8 @@ from activefoil.geometry import (
     shape_derivative,
     shape_derivative_t,
 )
-from activefoil.qoi import Ridge, seeded_quadratic
-from activefoil.sampling import make_box, sample, unit_box
+from activefoil.qoi import Ridge, evaluate_batch, seeded_quadratic
+from activefoil.sampling import derive_seed, make_box, sample, unit_box
 
 
 def _report(capsys, num: int, label: str, ok: bool) -> None:
@@ -206,13 +206,14 @@ def test_criterion_07_bootstrap_convergence_trend(capsys):
     start = time.perf_counter()
     qoi = Ridge([1.0, 2.0, 0.0, 0.0, -0.5], profile="linear",
                 noise_std=0.1, noise_seed=11)
-    cells = convergence_study(
-        unit_box(5), qoi, [100, 200, 400, 800, 1600, 3200, 6400],
-        seed=101, dim=1, n_boot=100,
-    )
-    ns = np.array([c.n_samples for c in cells], dtype=float)
-    errs = np.array([c.error_mean for c in cells])
-    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
+    schedule = [100, 200, 400, 800, 1600, 3200, 6400]
+    errs = []
+    for i, n in enumerate(schedule):
+        X = sample(unit_box(5), n, derive_seed(101, f"cell{i}:sample")).matrix
+        values, _ = evaluate_batch(qoi, X)
+        summary = bootstrap(X, values, 100, derive_seed(101, f"cell{i}:boot"), n=1)
+        errs.append(summary.error_row(1)[0])
+    slope = float(np.polyfit(np.log(schedule), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - start
     _report(
         capsys,

@@ -14,7 +14,6 @@ from activefoil.activesubspace import (
     bootstrap,
     choose_dimension,
     coefficient_count,
-    convergence_study,
     eigendecompose,
     fit_quadratic,
     gradient_outer_matrix,
@@ -24,12 +23,11 @@ from activefoil.activesubspace import (
 from activefoil.analysis import inactive_sensitivity_check
 from activefoil.errors import (
     ContractViolation,
-    EvaluationError,
     IllPosedFitError,
     NoStructureError,
     SampleSizeWarning,
 )
-from activefoil.qoi import QoiEvaluator, Ridge, seeded_quadratic
+from activefoil.qoi import Ridge, seeded_quadratic
 from activefoil.sampling import sample, unit_box
 
 
@@ -394,34 +392,6 @@ def test_bootstrap_summary_structure():
         bootstrap(X, f, n_boot=0, seed=1)
     with pytest.raises(ContractViolation):
         bootstrap(X, f, n_boot=5, seed=1, n=m)
-
-
-def test_convergence_study_runs_and_validates():
-    box = unit_box(3)
-    qoi = Ridge(direction=[1.0, 2.0, -1.0], profile="quadratic")
-    cells = convergence_study(box, qoi, schedule=[30, 60], seed=21, dim=1, n_boot=10)
-    assert [c.n_samples for c in cells] == [30, 60]
-    for cell in cells:
-        assert 0.0 <= cell.error_min <= cell.error_mean <= cell.error_max
-        assert cell.error_max < 1e-6  # noiseless quadratic ridge is fit exactly
-    with pytest.raises(ContractViolation):
-        convergence_study(box, qoi, schedule=[60, 30], seed=1)
-    with pytest.raises(ContractViolation):
-        convergence_study(box, qoi, schedule=[], seed=1)
-
-
-def test_convergence_study_wraps_evaluator_failures():
-    class Flaky(QoiEvaluator):
-        dim = 3
-
-        def evaluate_many(self, X):
-            values = X[:, 0].copy()
-            values[2] = np.nan
-            return values, {2: RuntimeError("boom")}
-
-    with pytest.raises(EvaluationError) as info:
-        convergence_study(unit_box(3), Flaky(), schedule=[30], seed=2, n_boot=5)
-    assert info.value.index == 2
 
 
 def test_ridge_direction_recovery_invariant():

@@ -286,6 +286,51 @@ def test_convex_hull_and_in_polygon():
     assert np.all(turns > 0)  # strictly convex, counter-clockwise
 
 
+def _monotone_chain(points):
+    """The monotone chain over every point: the reference for convex_hull's filter."""
+    hull = []
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
+    for chain in (pts, pts[::-1]):
+        base = len(hull)
+        for x, y in chain:
+            while len(hull) > base + 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                            <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+                hull.pop()
+            hull.append((x, y))
+        hull.pop()
+    return np.array(hull or pts).reshape(-1, 2)
+
+
+def _grid_points(low, high, min_size=1, max_size=80):
+    """Points with few significant bits, so every cross product is exact."""
+    coord = st.integers(low, high).map(lambda k: k / 8.0)
+    return st.lists(st.tuples(coord, coord), min_size=min_size, max_size=max_size).map(
+        lambda pts: np.array(pts, dtype=float).reshape(-1, 2))
+
+
+def _collinear_points():
+    ints = st.integers(-20, 20)
+    return st.builds(lambda x0, y0, dx, dy, ts: np.array([(x0 + t * dx, y0 + t * dy)
+                                                          for t in ts], dtype=float),
+                     ints, ints, ints, ints, st.lists(ints, min_size=1, max_size=40))
+
+
+_POINT_SETS = st.one_of(
+    st.builds(lambda seed, n: np.random.default_rng(seed).standard_normal((n, 2)),
+              st.integers(0, 2**32 - 1), st.integers(1, 400)),  # general position
+    _grid_points(-2**16, 2**16),
+    _grid_points(-3, 3),  # many duplicated and collinear points
+    _collinear_points(),
+    _grid_points(-2**16, 2**16, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_POINT_SETS)
+def test_convex_hull_filter_keeps_the_unfiltered_chains_hull(points):
+    np.testing.assert_array_equal(convex_hull(points), _monotone_chain(points))
+
+
 def test_inactive_sensitivity_check():
     m = 4
     w = np.full(m, 0.5)

@@ -16,7 +16,8 @@ from activefoil.activesubspace import (
     quadratic_features,
     subspace_distance,
 )
-from activefoil.qoi import seeded_quadratic
+from activefoil.errors import EvaluationError
+from activefoil.qoi import QoiEvaluator, seeded_quadratic
 from activefoil.sampling import ParameterBox, derive_seed, read_matrix_csv, write_matrix_csv
 
 
@@ -272,6 +273,12 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
      ("--qoi", "run-all --qoi dataset:PATH"), "ContractViolation"),
     (("evaluate", "--samples", "{data}", "--qoi", "dataset:{data}"),
      ("run-all --qoi dataset:PATH",), "ContractViolation"),
+    (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "200,100"),
+     ("--schedule", "ascending"), "ContractViolation"),
+    (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "0,100"),
+     ("at least 10", "got 0"), "ContractViolation"),
+    (("convergence", "--box", "unit:4", "--qoi", "quadratic", "--schedule", "10,100"),
+     ("at least 15", "got 10"), "ContractViolation"),
 ], ids=["eigs-dim", "bootstrap-dim", "bootstrap-nboot", "convergence-dim",
         "convergence-nboot", "dataset-box", "shadow-dim", "pareto-collinear",
         "eigs-data-one-parameter", "eigs-model-one-parameter",
@@ -281,7 +288,8 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
         "shadow-data-columns", "run-all-ridge-direction", "run-all-unknown-qoi",
         "run-all-ridge-profile", "run-all-noise-std", "run-all-panel-unit-box",
         "fit-no-f", "fit-few-rows", "bootstrap-no-f", "bootstrap-few-rows", "shadow-no-f",
-        "convergence-dataset", "evaluate-dataset"])
+        "convergence-dataset", "evaluate-dataset", "convergence-descending",
+        "convergence-zero-size", "convergence-first-size-below-fit"])
 def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flags,
                                                  error):
     """Refused before sampling, fitting, reading a dataset or creating --out."""
@@ -304,7 +312,7 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     def reached(*args, **kwargs):
         raise AssertionError("the command did work before checking its flags")
 
-    for name in ("fit_quadratic", "bootstrap", "convergence_study"):
+    for name in ("fit_quadratic", "bootstrap"):
         monkeypatch.setattr(activesubspace, name, reached)
     monkeypatch.setattr(cli.sampling, "sample", reached)
     paths = {name: tmp_path / f"{name}.csv"
@@ -499,6 +507,38 @@ def test_convergence_csv(tmp_path):
     )
     assert meta["qoi"] == "ridge:linear"
     assert int(meta["child_seed"]) == derive_seed(3, "convergence")
+
+
+def test_convergence_fits_a_noiseless_quadratic_ridge_exactly(tmp_path):
+    cli.main(["convergence", "--box", "unit:3", "--qoi", "ridge:quadratic",
+              "--direction", "1,2,-1", "--schedule", "30,60", "--nboot", "10",
+              "--seed", "21", "--out", str(tmp_path)])
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    cells = [[float(v) for v in line.split(",")] for line in lines
+             if not line.startswith(("#", "n,"))]
+    assert [n for n, *_ in cells] == [30, 60]
+    for _, error_mean, error_min, error_max in cells:
+        assert 0.0 <= error_min <= error_mean <= error_max
+        assert error_max < 1e-6  # noiseless quadratic ridge is fit exactly
+
+
+def test_convergence_raises_the_first_evaluator_failure_with_its_index(tmp_path,
+                                                                       monkeypatch):
+    class Flaky(QoiEvaluator):
+        dim = 3
+
+        def evaluate_many(self, X):
+            values = X[:, 0].copy()
+            values[2] = np.nan
+            return values, {2: RuntimeError("boom")}
+
+    monkeypatch.setattr(cli, "_build_evaluator", lambda *args: (Flaky(), {}))
+    args = cli.build_parser().parse_args(
+        ["convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "30",
+         "--nboot", "5", "--seed", "2", "--out", str(tmp_path / "out")])
+    with pytest.raises(EvaluationError) as info:
+        cli._cmd_convergence(args)
+    assert info.value.index == 2
 
 
 @pytest.mark.slow

@@ -65,6 +65,27 @@ def test_seeded_quadratic_reconstruction():
         seeded_quadratic(0, seed=1)
 
 
+def test_synthetic_quadratic_blocks_keep_each_rows_bits_and_bound_memory():
+    # Hx is formed in row blocks; each row keeps the unblocked elementwise sum
+    import tracemalloc
+
+    m = 78
+    qoi = seeded_quadratic(m, seed=5)
+    X = sample(unit_box(m), 300, seed=6).matrix
+    hx = (X[:, np.newaxis, :] * qoi.hessian).sum(axis=-1)  # one (300, m, m) product
+    unblocked = 0.5 * (hx * X).sum(axis=-1) + (X * qoi.linear).sum(axis=-1) + qoi.constant
+    np.testing.assert_array_equal(qoi(X), unblocked)
+
+    X = sample(unit_box(m), 1000, seed=7).matrix
+    tracemalloc.start()
+    try:
+        qoi(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the unblocked (1000, m, m) product alone is 49 MB
+
+
 def test_ridge_profile_literals():
     lin = Ridge([3.0, 4.0], profile="linear")
     np.testing.assert_allclose(lin.direction, [0.6, 0.8], rtol=1e-15)
