@@ -39,7 +39,8 @@ is refitted from its rows by ``lstsq``, so the rank errors and the
 redraw and skip decisions never depend on the shortcut.
 
 The module holds numerics only: it draws no samples and evaluates no
-quantity of interest.
+quantity of interest; its replicate streams come from
+``sampling.substream``, the one constructor of per-row streams.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, IllPosedFitError, NoStructureError, SampleSizeWarning
-from .sampling import _freeze
+from .sampling import _freeze, substream
 
 RANK_RCOND = 1e-10
 EIGENVALUE_FLOOR = 1e-14
@@ -403,7 +404,7 @@ def eigendecompose(matrix) -> Eigenpairs:
     return Eigenpairs(vectors=vectors, values=values)
 
 
-def choose_dimension(values, max_n: int | None = None) -> int:
+def choose_dimension(values) -> int:
     """Largest log-gap rule with an eigenvalue floor.
 
     Eigenvalues are floored at 1e-14 * lambda_1 before the ratios are
@@ -419,10 +420,7 @@ def choose_dimension(values, max_n: int | None = None) -> int:
         raise NoStructureError("all eigenvalues at the floor; no gap to select")
     floor = EIGENVALUE_FLOOR * lam[0]
     lam = np.maximum(lam, floor)
-    top = lam.size - 1 if max_n is None else min(int(max_n), lam.size - 1)
-    if top < 1:
-        raise ContractViolation("max_n must allow at least dimension 1")
-    gaps = np.log(lam[:top] / lam[1 : top + 1])
+    gaps = np.log(lam[:-1] / lam[1:])
     return int(np.argmax(gaps)) + 1  # argmax takes the first maximum
 
 
@@ -485,13 +483,6 @@ class BootstrapSummary:
         )
 
 
-def _replicate_rng(seed: int, k: int) -> np.random.Generator:
-    """Resampling stream of bootstrap replicate k."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
-    )
-
-
 def bootstrap(
     X,
     f,
@@ -501,11 +492,12 @@ def bootstrap(
 ) -> BootstrapSummary:
     """Pairs bootstrap of the quadratic-model subspace estimate.
 
-    Each replicate resamples the N rows with replacement (stream
-    ``SeedSequence(seed, spawn_key=(k,))``), refits, rebuilds C as the
-    point estimate does, and re-decomposes.  A rank-deficient resample
-    is redrawn up to 10 times, then counted as skipped.  The point fit
-    and the refits share one QR factorization of the design, cached
+    Each replicate k resamples the N rows with replacement from its own
+    stream ``sampling.substream(seed, k)``, which ``sample`` draws its
+    rows from too, refits, rebuilds C as the point estimate does, and
+    re-decomposes.  A rank-deficient resample is redrawn up to 10 times
+    from the same stream, then counted as skipped.  The point fit and
+    the refits share one QR factorization of the design, cached
     across calls on the same X, and refits run in blocks of replicates,
     each in the (B, p, p) work stack its solver allocates, whose eigen
     stage runs in groups of consecutive replicates (see the module
@@ -539,13 +531,13 @@ def bootstrap(
     for start in range(0, n_boot, group):
         reps = slice(start, min(start + group, n_boot))
         betas, certified = zip(*(
-            refit.solve(f, [_replicate_rng(seed, k).integers(0, n_rows, size=n_rows)
+            refit.solve(f, [substream(seed, k).integers(0, n_rows, size=n_rows)
                             for k in range(first, min(first + block, reps.stop))])
             for first in range(start, reps.stop, block)
         ))
         hess, lin, _ = _unpack_coefficients(np.concatenate(betas), m)
         for i in np.flatnonzero(~np.concatenate(certified)):
-            fitted = refit.refit(X, f, _replicate_rng(seed, start + i))
+            fitted = refit.refit(X, f, substream(seed, start + i))
             if fitted is None:
                 kept[start + i] = False
             else:

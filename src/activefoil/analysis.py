@@ -30,7 +30,6 @@ class ShadowData:
     coords: np.ndarray
     outputs: np.ndarray
     basis: np.ndarray
-    labels: tuple
 
     def __post_init__(self):
         y = np.array(self.coords, dtype=float)
@@ -40,19 +39,14 @@ class ShadowData:
             raise ContractViolation("coords must be N x n with one output per row")
         if w.ndim != 2 or w.shape[1] != y.shape[1]:
             raise ContractViolation("basis must be m x n matching the coords")
-        labels = tuple(self.labels) if self.labels else tuple(
-            f"y{i}" for i in range(1, y.shape[1] + 1)
-        )
-        if len(labels) != y.shape[1]:
-            raise ContractViolation("one label per active coordinate required")
-        _freeze(self, coords=y, outputs=f, basis=w, labels=labels)
+        _freeze(self, coords=y, outputs=f, basis=w)
 
     @property
     def n(self) -> int:
         return self.coords.shape[1]
 
 
-def shadow_project(X, f, basis, labels=None) -> ShadowData:
+def shadow_project(X, f, basis) -> ShadowData:
     """Project samples onto an active basis, keeping outputs row-for-row."""
     rows = np.atleast_2d(np.asarray(X, dtype=float))
     w = np.asarray(basis, dtype=float)
@@ -62,15 +56,14 @@ def shadow_project(X, f, basis, labels=None) -> ShadowData:
         raise ContractViolation(
             f"basis rows {w.shape[0]} must match sample dimension {rows.shape[1]}"
         )
-    return ShadowData(coords=rows @ w, outputs=np.asarray(f, dtype=float),
-                      basis=w, labels=labels)
+    return ShadowData(coords=rows @ w, outputs=np.asarray(f, dtype=float), basis=w)
 
 
 def write_shadow_csv(shadow: ShadowData, path, meta=None):
     """CSV schema y1[,y2],f; only 1-D and 2-D shadows are exported."""
     if shadow.n > 2:
         raise ContractViolation("shadow export supports at most two active coordinates")
-    write_table(path, ",".join([*shadow.labels, "f"]),
+    write_table(path, ",".join([*(f"y{i}" for i in range(1, shadow.n + 1)), "f"]),
                 np.column_stack([shadow.coords, shadow.outputs]), meta)
 
 
@@ -110,16 +103,6 @@ class ResponseSurface:
         rows = np.atleast_2d(np.asarray(X, dtype=float))
         out = self.predict_active(rows @ self.basis)
         return float(out[0]) if np.ndim(X) == 1 else out
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "powers": [list(p) for p in self.powers],
-            "coefficients": [float(v) for v in self.coefficients],
-            "basis": [[float(v) for v in row] for row in self.basis],
-            "residual_rms": self.residual_rms,
-            "r_squared": self.r_squared,
-        }
 
 
 def fit_link_function(shadow: ShadowData, degree: int) -> ResponseSurface:

@@ -129,18 +129,19 @@ def _check_boot_flags(args, m: int) -> None:
         raise ContractViolation(f"--nboot must be at least 1, got {args.nboot}")
 
 
-def _check_rows(n_rows: int, m: int) -> None:
-    """Enough rows for the quadratic fit, checked before anything is written."""
+def _check_rows(n_rows: int, m: int, flag: str) -> None:
+    """Enough rows, set by ``flag``, for the quadratic fit; checked before any write."""
     p = asub.coefficient_count(m)
     if n_rows < p:
-        raise ContractViolation(f"need at least {p} samples for m={m}, got {n_rows}")
+        raise ContractViolation(
+            f"need at least {p} samples for m={m}, got {n_rows} from {flag}")
 
 
-def _check_run_sizes(args, n_rows: int, m: int) -> None:
+def _check_run_sizes(args, n_rows: int, m: int, flag: str) -> None:
     """run-all's size flags and row count, checked before anything is written."""
     _check_boot_flags(args, m)
     _check_pareto_sizes(args)
-    _check_rows(n_rows, m)
+    _check_rows(n_rows, m, flag)
 
 
 def _check_columns(X, data_flag: str, m: int, eigs_flag: str) -> None:
@@ -284,31 +285,16 @@ def _cmd_evaluate(args) -> None:
 def _cmd_fit(args) -> None:
     X, f, _, _ = read_matrix_csv(args.data)
     f = _require_outputs(f, args.data)
-    _check_rows(*X.shape)
+    _check_rows(*X.shape, "--data")
     out = _out_dir(args)
     model = _fit_stage(X, f, out, "", _meta(args))
     print(f"wrote {out / 'model.json'} (residual_rms={model.residual_rms:.3e})")
 
 
-def _model_from(args) -> QuadraticModel:
-    """The model of --model, or the fit of --data; --dim is checked before the fit."""
-    if args.model:
-        payload = _load_json(args.model, "model", ("hessian", "linear", "constant"))
-        model = QuadraticModel(
-            np.array(payload["hessian"], dtype=float),
-            np.array(payload["linear"], dtype=float),
-            float(payload["constant"]),
-            float(payload.get("residual_rms", 0.0)),
-        )
-        _check_dim_flag(args.dim, model.dim)
-        return model
-    X, f, _, _ = read_matrix_csv(args.data)
-    _check_dim_flag(args.dim, X.shape[1])
-    return asub.fit_quadratic(X, _require_outputs(f, args.data))
-
-
 def _cmd_eigs(args) -> None:
-    model = _model_from(args)
+    saved = _load_json(args.model, "model", ("hessian", "linear", "constant"))
+    model = QuadraticModel(saved["hessian"], saved["linear"], saved["constant"])
+    _check_dim_flag(args.dim, model.dim)
     out = _out_dir(args)
     payload = _eigs_stage(model, args, out, "", _meta(args))
     print(f"wrote {out / 'eigs.json'} (n={payload['n']})")
@@ -318,7 +304,7 @@ def _cmd_bootstrap(args) -> None:
     X, f, _, _ = read_matrix_csv(args.data)
     _check_boot_flags(args, X.shape[1])
     f = _require_outputs(f, args.data)
-    _check_rows(*X.shape)
+    _check_rows(*X.shape, "--data")
     out = _out_dir(args)
     summary = _bootstrap_stage(X, f, args.dim, args, out, "", "bootstrap", _meta(args))
     print(f"wrote {out / 'bootstrap_eigenvalues.csv'} "
@@ -408,7 +394,7 @@ def _cmd_convergence(args) -> None:
         ) from None
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ContractViolation(f"--schedule must be strictly ascending, got {args.schedule!r}")
-    _check_rows(schedule[0], box.dim)  # so every size is positive and every cell fits
+    _check_rows(schedule[0], box.dim, "--schedule")  # every size positive, every cell fits
     child = derive_seed(args.seed, "convergence")
     rows = []
     for i, n in enumerate(schedule):
@@ -529,7 +515,7 @@ def _cmd_run_all(args) -> None:
         path = args.qoi.split(":", 1)[1]
         X, f, labels, _ = read_matrix_csv(path)
         f = _require_outputs(f, path)
-        _check_run_sizes(args, *X.shape)
+        _check_run_sizes(args, *X.shape, "--qoi dataset:PATH")
         out = _out_dir(args)
         _single_chain(X, f, labels, args, out, "", "bootstrap",
                       {"qoi": args.qoi})
@@ -539,7 +525,7 @@ def _cmd_run_all(args) -> None:
     if not args.box:
         raise ContractViolation("run-all needs --box unless --qoi is dataset:PATH")
     box = _resolve_box(args.box)
-    _check_run_sizes(args, args.n, box.dim)
+    _check_run_sizes(args, args.n, box.dim, "--n")
     if args.qoi == "panel":
         parameterization = _parameterization_for(args.box)
         ev = qoi.PanelSurrogate(parameterization, "both")

@@ -76,7 +76,12 @@ class CstParams:
 
     @classmethod
     def from_json(cls, text: str) -> "CstParams":
+        """Params of a JSON object with keys upper, lower and, optionally, m."""
         payload = json.loads(text)
+        missing = [k for k in ("upper", "lower")
+                   if not isinstance(payload, dict) or k not in payload]
+        if missing:
+            raise ContractViolation(f"missing parameter keys: {missing}")
         params = cls(upper=np.asarray(payload["upper"], dtype=float),
                      lower=np.asarray(payload["lower"], dtype=float))
         if "m" in payload and int(payload["m"]) != params.m:

@@ -21,9 +21,8 @@ _HINTS = {
     "ConditioningError": "constraint rows are nearly dependent; move crest "
                          "positions away from 0 and 1",
     "DatasetError": "check the file against the x1..xm[,f] CSV schema in the README",
-    "DegenerateIntervalError": "zero centers cannot be scaled multiplicatively; "
-                               "provide explicit bounds in a box JSON file",
-    "DomainError": "surface evaluations are defined on [0, 1] only",
+    "DomainError": "a PARSEC --params value lies outside its admissible range; "
+                   "the message names the parameter",
     "EvaluationError": "evaluate and run-all accept --skip-infeasible to drop "
                        "failing designs instead of stopping",
     "FileNotFoundError": "check the path; inputs must exist before the command runs",
@@ -31,8 +30,6 @@ _HINTS = {
                         "increase --n (need (m+1)(m+2)/2 well-spread rows)",
     "NoStructureError": "eigenvalues carry no usable gap; check that f varies "
                         "over the box",
-    "OutOfBoxError": "point lies outside the box; sample and evaluate must "
-                     "use the same --box",
 }
 
 
@@ -120,9 +117,7 @@ def build_parser() -> _Parser:
     _add_seed_out(cmd)
 
     cmd = sub.add_parser("eigs", help="outer-product matrix eigenpairs")
-    group = cmd.add_mutually_exclusive_group(required=True)
-    group.add_argument("--data", help="evals.csv with an f column")
-    group.add_argument("--model", help="model.json from `fit`")
+    cmd.add_argument("--model", required=True, help="model.json from `fit`")
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
     _add_seed_out(cmd)

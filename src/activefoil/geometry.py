@@ -37,7 +37,6 @@ from .errors import (
     ConditioningError,
     ContractViolation,
     DomainError,
-    IllPosedFitError,
     SingularityError,
 )
 from .sampling import _freeze
@@ -134,11 +133,7 @@ class DecodedStack:
         errors = dict(self.errors)
         finite = np.all(np.isfinite(self.coefficients), axis=(1, 2))
         for i in np.flatnonzero(~finite).tolist():
-            if i not in errors:
-                try:
-                    self._pair(i)
-                except ContractViolation as exc:
-                    errors[i] = exc
+            errors.setdefault(i, ContractViolation("coefficients must be finite"))
         _freeze(self, coefficients=self.coefficients, errors=dict(sorted(errors.items())))
 
     @classmethod
@@ -270,13 +265,6 @@ class StackValidity:
             grid_size=self.grid_size,
             sharp_trailing_edge=self.sharp_trailing_edge,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class FitResult:
-    coefficients: ShapeCoefficients
-    residual_norm: float
-    rank: int
 
 
 def _matched_values(coeffs: ShapeCoefficients, basis: BasisSpec) -> np.ndarray:
@@ -419,35 +407,6 @@ def validate_airfoil(pair, grid_size: int = 201, *, sharp_trailing_edge: bool = 
         sharp_trailing_edge=bool(sharp_trailing_edge),
     )
     return validity if stack is pair else validity.row(0)
-
-
-def fit_coefficients(targets, basis: BasisSpec) -> FitResult:
-    """Least-squares fit of basis coefficients to (ell, height) targets.
-
-    Needs at least as many targets as basis terms; solved with an
-    orthogonal factorization (never normal equations).
-    """
-    pts = np.asarray(targets, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ContractViolation("targets must be a sequence of (ell, height) pairs")
-    if pts.shape[0] < basis.term_count:
-        raise ContractViolation(
-            f"need at least {basis.term_count} targets, got {pts.shape[0]}"
-        )
-    ell = _checked_coordinate(pts[:, 0], "ell")
-    heights = pts[:, 1]
-
-    design = ell[:, np.newaxis] ** basis.exponents()
-    beta, _, rank, _ = np.linalg.lstsq(design, heights, rcond=None)
-    if rank < basis.term_count:
-        raise IllPosedFitError(
-            f"design matrix rank {rank} < {basis.term_count}; "
-            "targets do not determine the coefficients",
-            rank=int(rank),
-            required=basis.term_count,
-        )
-    residual = float(np.linalg.norm(design @ beta - heights))
-    return FitResult(ShapeCoefficients(beta), residual, int(rank))
 
 
 # Classic four-digit thickness series (unit thickness parameter, open

@@ -22,6 +22,7 @@ import abc
 import numpy as np
 
 from . import cst, parsec
+from .activesubspace import QuadraticModel
 from .errors import ContractViolation, EvaluationError
 from .geometry import DecodedStack, StackValidity, validate_airfoil
 from .sampling import denormalize
@@ -90,19 +91,11 @@ def evaluate_batch(evaluator: QoiEvaluator, X, on_error: str = "raise"):
 
 class SyntheticQuadratic(QoiEvaluator):
     def __init__(self, hessian, linear, constant):
-        hess = np.asarray(hessian, dtype=float)
-        lin = np.asarray(linear, dtype=float)
-        if hess.ndim != 2 or hess.shape[0] != hess.shape[1]:
-            raise ContractViolation("hessian must be square")
-        if lin.shape != (hess.shape[0],):
-            raise ContractViolation("linear term must match hessian dimension")
-        scale = max(1.0, float(np.max(np.abs(hess))))
-        if np.max(np.abs(hess - hess.T)) > 1e-12 * scale:
-            raise ContractViolation("hessian must be symmetric")
-        self.hessian = hess
-        self.linear = lin
-        self.constant = float(constant)
-        self.dim = lin.size
+        model = QuadraticModel(hessian, linear, constant)  # checks shapes and symmetry
+        self.hessian = model.hessian
+        self.linear = model.linear
+        self.constant = model.constant
+        self.dim = model.dim
         self.name = "synthetic-quadratic"
 
     def evaluate_many(self, X):

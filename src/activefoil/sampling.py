@@ -5,7 +5,8 @@ in normalized coordinates on [-1, 1]^m.  Sampling is reproducible and
 order-independent: row ``i`` of a sample draws from its own stream
 ``PCG64(SeedSequence(seed, spawn_key=(i,)))`` (scheme tag
 ``pcg64-rowwise-v1``), so generating rows in any order or in parallel
-yields identical matrices.
+yields identical matrices.  :func:`substream` builds that stream, and
+bootstrap replicate ``k`` resamples from stream ``k`` of its own seed.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class ParameterBox:
             raise DatasetError(f"box file {path} missing key {exc}") from exc
 
 
-def make_box(center, fraction: float = 0.2, labels=None) -> ParameterBox:
+def make_box(center, fraction: float = 0.2) -> ParameterBox:
     """Multiplicative box: each interval is centre_i * (1 -/+ fraction), sorted.
 
     Sorting canonicalizes negative centres (their raw bounds come out
@@ -118,11 +119,7 @@ def make_box(center, fraction: float = 0.2, labels=None) -> ParameterBox:
         )
     raw_lo = c * (1.0 - fraction)
     raw_up = c * (1.0 + fraction)
-    return ParameterBox(
-        lower=np.minimum(raw_lo, raw_up),
-        upper=np.maximum(raw_lo, raw_up),
-        labels=labels,
-    )
+    return ParameterBox(lower=np.minimum(raw_lo, raw_up), upper=np.maximum(raw_lo, raw_up))
 
 
 def unit_box(dim: int) -> ParameterBox:
@@ -190,9 +187,13 @@ def sample(box: ParameterBox, n: int, seed: int) -> SampleSet:
         raise ContractViolation("sample count must be positive")
     rows = np.empty((n, box.dim))
     for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
-        rows[i] = rng.uniform(-1.0, 1.0, box.dim)
+        rows[i] = substream(seed, i).uniform(-1.0, 1.0, box.dim)
     return SampleSet(matrix=rows, seed=seed, box=box)
+
+
+def substream(seed: int, i: int) -> np.random.Generator:
+    """Stream i of ``seed``: row i of a sample, or replicate i of a bootstrap."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
 
 
 def derive_seed(root: int, label: str) -> int:

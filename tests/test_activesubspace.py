@@ -28,7 +28,7 @@ from activefoil.errors import (
     SampleSizeWarning,
 )
 from activefoil.qoi import Ridge, seeded_quadratic
-from activefoil.sampling import sample, unit_box
+from activefoil.sampling import sample, substream, unit_box
 
 
 def _random_quadratic(m, seed):
@@ -205,13 +205,10 @@ def test_eigenpairs_validation():
 def test_choose_dimension_literals():
     assert choose_dimension([10.0, 9.0, 1e-3, 1e-4]) == 2
     assert choose_dimension([100.0, 1.0, 0.01]) == 1  # equal gaps: first wins
-    assert choose_dimension([10.0, 9.0, 1e-3, 1e-4], max_n=1) == 1
     with pytest.raises(ContractViolation):
         choose_dimension([1.0])
     with pytest.raises(ContractViolation):
         choose_dimension([1.0, 2.0])
-    with pytest.raises(ContractViolation):
-        choose_dimension([10.0, 1.0], max_n=0)
     with pytest.raises(NoStructureError):
         choose_dimension([0.0, 0.0, 0.0])
 
@@ -677,7 +674,7 @@ def test_factoring_each_gram_at_once_keeps_the_stacked_bits():
         first = 0
         certified, positive = [], []
         for size in sizes:
-            draws = [asub._replicate_rng(5, k).integers(0, len(f), size=len(f))
+            draws = [substream(5, k).integers(0, len(f), size=len(f))
                      for k in range(first, first + size)]
             first += size
             beta, ok = refit.solve(f, draws)

@@ -42,21 +42,17 @@ def test_shadow_project_basics():
     shadow = shadow_project(X, f, w)
     np.testing.assert_array_equal(shadow.coords, X @ w)
     np.testing.assert_array_equal(shadow.outputs, f)
-    assert shadow.labels == ("y1", "y2")
     assert shadow.n == 2
 
     one = shadow_project(X, f, np.eye(4)[:, 0])  # 1-D basis promoted
     assert one.coords.shape == (30, 1)
 
-    named = shadow_project(X, f, w, labels=("u", "v"))
-    assert named.labels == ("u", "v")
-
     with pytest.raises(ContractViolation):
         shadow_project(X, f, np.eye(3)[:, :1])
     with pytest.raises(ContractViolation):
-        ShadowData(coords=X @ w, outputs=f[:-1], basis=w, labels=None)
+        ShadowData(coords=X @ w, outputs=f[:-1], basis=w)
     with pytest.raises(ContractViolation):
-        ShadowData(coords=X @ w, outputs=f, basis=w, labels=("only",))
+        ShadowData(coords=X @ w, outputs=f, basis=w[:, :1])
 
 
 def test_write_shadow_csv(tmp_path):
@@ -93,12 +89,7 @@ def test_link_function_exact_quadratic():
         surface.predict_active(y[:, np.newaxis]), f, atol=1e-12
     )
     assert isinstance(surface.predict(X[0]), float)
-
-    d = surface.to_dict()
-    assert sorted(d) == [
-        "basis", "coefficients", "degree", "powers", "r_squared", "residual_rms",
-    ]
-    assert d["degree"] == 2
+    assert surface.degree == 2
 
 
 def test_link_function_monomial_order_2d():

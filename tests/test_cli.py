@@ -190,8 +190,6 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
                   "--n", "60", "--nboot", "0"),
                  ("run-all", "--box", "unit:4", "--qoi", "quadratic",
                   "--n", "60", "--nboot", "-5"),
-                 ("run-all", "--box", "unit:4", "--qoi", "quadratic",
-                  "--n", "10"),
                  ("run-all", "--box", "unit:x", "--qoi", "quadratic",
                   "--n", "60"),
                  ("run-all", "--qoi", f"dataset:{d / 'few.csv'}"),
@@ -226,7 +224,7 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, flags, error", [
-    (("eigs", "--data", "{data}", "--dim", "0"), ("--dim",), "ContractViolation"),
+    (("eigs", "--model", "{model}", "--dim", "0"), ("--dim",), "ContractViolation"),
     (("bootstrap", "--data", "{data}", "--dim", "5"), ("--dim",), "ContractViolation"),
     (("bootstrap", "--data", "{data}", "--nboot", "0"), ("--nboot",), "ContractViolation"),
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--dim", "3"), ("--dim",),
@@ -239,7 +237,6 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
      "ContractViolation"),
     (("pareto", "--data1", "{data}", "--eigs1", "{eigs}", "--data2", "{data}",
       "--eigs2", "{eigs}"), (), "ContractViolation"),
-    (("eigs", "--data", "{one}"), ("2 parameters", "has 1"), "ContractViolation"),
     (("eigs", "--model", "{one_model}"), ("2 parameters", "has 1"), "ContractViolation"),
     (("bootstrap", "--data", "{one}"), ("2 parameters", "has 1"), "ContractViolation"),
     (("convergence", "--box", "unit:1", "--qoi", "quadratic"), ("2 parameters", "has 1"),
@@ -265,9 +262,10 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     (("run-all", "--box", "unit:3", "--qoi", "panel:lift"), ("built-in box",),
      "ContractViolation"),
     (("fit", "--data", "{nof}"), ("no f column",), "DatasetError"),
-    (("fit", "--data", "{few}"), ("at least 10", "got 8"), "ContractViolation"),
+    (("fit", "--data", "{few}"), ("at least 10", "got 8 from --data"), "ContractViolation"),
     (("bootstrap", "--data", "{nof}"), ("no f column",), "DatasetError"),
-    (("bootstrap", "--data", "{few}"), ("at least 10", "got 8"), "ContractViolation"),
+    (("bootstrap", "--data", "{few}"), ("at least 10", "got 8 from --data"),
+     "ContractViolation"),
     (("shadow", "--data", "{nof}", "--eigs", "{eigs}"), ("no f column",), "DatasetError"),
     (("convergence", "--box", "unit:3", "--qoi", "dataset:{data}"),
      ("--qoi", "run-all --qoi dataset:PATH"), "ContractViolation"),
@@ -278,10 +276,14 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "0,100"),
      ("at least 10", "got 0"), "ContractViolation"),
     (("convergence", "--box", "unit:4", "--qoi", "quadratic", "--schedule", "10,100"),
-     ("at least 15", "got 10"), "ContractViolation"),
+     ("at least 15", "got 10 from --schedule"), "ContractViolation"),
+    (("run-all", "--box", "unit:4", "--qoi", "quadratic", "--n", "10"),
+     ("at least 15", "got 10 from --n"), "ContractViolation"),
+    (("run-all", "--qoi", "dataset:{few}"), ("at least 10", "got 8 from --qoi dataset:PATH"),
+     "ContractViolation"),
 ], ids=["eigs-dim", "bootstrap-dim", "bootstrap-nboot", "convergence-dim",
         "convergence-nboot", "dataset-box", "shadow-dim", "pareto-collinear",
-        "eigs-data-one-parameter", "eigs-model-one-parameter",
+        "eigs-model-one-parameter",
         "bootstrap-one-parameter", "convergence-one-parameter",
         "run-all-box-one-parameter", "run-all-dataset-one-parameter",
         "pareto-eigs-lengths", "pareto-data1-columns", "pareto-data2-columns",
@@ -289,7 +291,8 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
         "run-all-ridge-profile", "run-all-noise-std", "run-all-panel-unit-box",
         "fit-no-f", "fit-few-rows", "bootstrap-no-f", "bootstrap-few-rows", "shadow-no-f",
         "convergence-dataset", "evaluate-dataset", "convergence-descending",
-        "convergence-zero-size", "convergence-first-size-below-fit"])
+        "convergence-zero-size", "convergence-first-size-below-fit", "run-all-few-rows",
+        "run-all-dataset-few-rows"])
 def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flags,
                                                  error):
     """Refused before sampling, fitting, reading a dataset or creating --out."""
@@ -301,6 +304,8 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     write_matrix_csv(tmp_path / "few.csv", X[:8, :3], f=X[:8, 0])  # m = 3 needs 10 rows
     (tmp_path / "one_model.json").write_text(json.dumps(
         {"hessian": [[1.0]], "linear": [0.5], "constant": 0.0}))
+    (tmp_path / "model.json").write_text(json.dumps(
+        {"hessian": np.eye(3).tolist(), "linear": [0.5, 0.0, 0.0], "constant": 0.0}))
     # eigs.json as both Pareto objectives has collinear leading directions;
     # eigs_e2.json leads with e2, and eigs4.json has four components
     for name, vectors in (("eigs", np.eye(3)), ("eigs_e2", np.eye(3)[[1, 0, 2]]),
@@ -318,7 +323,7 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     paths = {name: tmp_path / f"{name}.csv"
              for name in ("data", "wide", "one", "nof", "few", "missing")}
     paths.update({name: tmp_path / f"{name}.json"
-                  for name in ("eigs", "eigs_e2", "eigs4", "one_model")})
+                  for name in ("eigs", "eigs_e2", "eigs4", "one_model", "model")})
     argv = [a.format(**paths) for a in argv]
     with pytest.raises(SystemExit) as exit_info:
         cli.main([*argv, "--out", str(tmp_path / "out")])
@@ -327,6 +332,25 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     assert payload["error"] == error
     assert all(flag in payload["message"] for flag in flags), payload["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("parameterization, params, error, needle", [
+    ("cst", {"upper": [0.1, 0.2]}, "ContractViolation", "missing parameter keys: ['lower']"),
+    ("cst", [[0.1, 0.2], [-0.1, -0.2]], "ContractViolation", "missing parameter keys"),
+    ("parsec", {**parsec.baseline_center().to_mapping(), "x11": -0.01}, "DomainError",
+     "le_radius"),
+], ids=["cst-no-lower", "cst-list", "parsec-le-radius"])
+def test_bad_params_files_are_refused_by_name(tmp_path, capsys, parameterization, params,
+                                              error, needle):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["validate", "--parameterization", parameterization, "--params", str(path)])
+    assert exit_info.value.code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == error and needle in payload["message"], payload
+    if error == "DomainError":  # the one source of a DomainError on the command line
+        assert "--params" in payload["hint"], payload
 
 
 @pytest.mark.parametrize("schedule", ["100,x", "100,,200", ""])
@@ -353,7 +377,7 @@ def test_option_inventory():
         "evaluate": ("direction", "noise_seed", "noise_std", "out", "qoi", "samples", "seed",
                      "skip_infeasible"),
         "fit": ("data", "out", "seed"),
-        "eigs": ("data", "dim", "model", "out", "seed"),
+        "eigs": ("dim", "model", "out", "seed"),
         "bootstrap": ("data", "dim", "nboot", "out", "seed"),
         "shadow": ("data", "dim", "eigs", "out", "seed"),
         "pareto": ("data1", "data2", "degree", "eigs1", "eigs2", "gammas", "grid_n", "out",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,18 @@ def test_params_flat_layout_and_json():
         CstParams(upper=[np.nan], lower=[1.0])
     with pytest.raises(ContractViolation):
         CstParams.from_json('{"m": 4, "upper": [1, 2], "lower": [3, 4]}')
+
+
+@pytest.mark.parametrize("text, missing", [
+    ('{"upper": [1, 2]}', "['lower']"),
+    ('{"m": 2}', "['upper', 'lower']"),
+    ('[[1, 2], [3, 4]]', "['upper', 'lower']"),
+    ('["upper", "lower"]', "['upper', 'lower']"),
+], ids=["no-lower", "no-coefficients", "list", "list-of-keys"])
+def test_from_json_refuses_missing_keys(text, missing):
+    # the refusal of ParsecParams.from_mapping, not a KeyError or TypeError
+    with pytest.raises(ContractViolation, match=re.escape(f"missing parameter keys: {missing}")):
+        CstParams.from_json(text)
 
 
 def test_expansion_literal_m2():

@@ -76,6 +76,26 @@ def test_public_names_are_their_submodules_objects():
         activefoil.no_such_name
 
 
+def test_public_name_inventory():
+    """Every public name: a new one shows up as an edit here."""
+    assert activefoil.__all__ == [
+        "AirfoilSurfacePair", "BasisKind", "BasisSpec", "BootstrapSummary",
+        "ConstraintSystem", "CstParams", "Eigenpairs", "PanelSurrogate", "ParameterBox",
+        "ParetoSegment", "ParsecParams", "QoiEvaluator", "QuadraticModel",
+        "ResponseSurface", "Ridge", "SampleSet", "ShadowData", "ShapeCoefficients",
+        "Surface", "SyntheticQuadratic", "ValidityReport", "bootstrap",
+        "build_constraint_system", "camber_lift", "choose_dimension", "class_function",
+        "coefficient_count", "cst_surface", "cube_minimum", "denormalize", "derive_seed",
+        "eigendecompose", "eval_shape", "eval_shape_t", "evaluate_batch",
+        "expand_odd_polynomial", "fit_link_function", "fit_quadratic",
+        "gradient_outer_matrix", "inactive_sensitivity_check", "make_box", "normalize",
+        "pareto_front", "pareto_segment", "quadratic_features", "sample",
+        "seeded_quadratic", "shadow_project", "shape_derivative", "shape_derivative_t",
+        "solve_coefficients", "subspace_distance", "thickness_drag", "unit_box",
+        "validate_airfoil",
+    ]
+
+
 def test_readme_python_session_runs():
     readme = (ROOT / "README.md").read_text()
     session = re.search(r"```python\n(.*?)```", readme, re.S).group(1)

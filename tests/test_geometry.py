@@ -5,7 +5,6 @@ from activefoil import cst, parsec
 from activefoil.errors import (
     ContractViolation,
     DomainError,
-    IllPosedFitError,
     SingularityError,
 )
 from activefoil.geometry import (
@@ -19,7 +18,6 @@ from activefoil.geometry import (
     Surface,
     eval_shape,
     eval_shape_t,
-    fit_coefficients,
     naca_thickness_pair,
     nose_resolving_grid,
     shape_derivative,
@@ -213,30 +211,6 @@ def test_parsec_and_cst_decode_into_one_series():
     stack = DecodedStack.of_pair(mixed)
     assert stack.basis == HALF and stack.coefficients.shape == (1, 2, 6)
     assert validate_airfoil(mixed) == validate_airfoil(stack).row(0)
-
-
-def test_fit_coefficients_recovers_exactly():
-    rng = np.random.Generator(np.random.PCG64(6))
-    basis = BasisSpec(BasisKind.HALF_INTEGER, 4)
-    truth = rng.standard_normal(4)
-    ell = np.linspace(0.05, 1.0, 12)
-    targets = np.column_stack([ell, eval_shape(ShapeCoefficients(truth), basis, ell)])
-    fit = fit_coefficients(targets, basis)
-    np.testing.assert_allclose(fit.coefficients.values, truth, atol=1e-10)
-    assert fit.residual_norm < 1e-10
-    assert fit.rank == 4
-
-
-def test_fit_coefficients_failure_modes():
-    basis = BasisSpec(BasisKind.HALF_INTEGER, 3)
-    with pytest.raises(ContractViolation):
-        fit_coefficients(np.zeros((2, 2)), basis)  # too few targets
-    with pytest.raises(ContractViolation):
-        fit_coefficients(np.zeros((4, 3)), basis)  # not (ell, height) pairs
-    repeated = np.array([[0.5, 0.1]] * 5)
-    with pytest.raises(IllPosedFitError) as info:
-        fit_coefficients(repeated, basis)
-    assert info.value.rank < info.value.required == 3
 
 
 def test_coefficient_container_contracts():

@@ -68,7 +68,8 @@ def test_box_default_labels():
 
 
 def test_box_save_load_roundtrip(tmp_path):
-    box = make_box([0.1, -0.5, 3.0], labels=("p", "q", "r"))
+    base = make_box([0.1, -0.5, 3.0])
+    box = ParameterBox(base.lower, base.upper, labels=("p", "q", "r"))
     path = tmp_path / "box.json"
     box.save(path)
     again = ParameterBox.load(path)
