@@ -35,9 +35,8 @@ _EXPORTS = {
     "analysis": "ParetoSegment ResponseSurface ShadowData cube_minimum fit_link_function "
                 "inactive_sensitivity_check pareto_front pareto_segment shadow_project",
     "cst": "CstParams class_function cst_surface expand_odd_polynomial",
-    "geometry": "AirfoilSurfacePair BasisKind BasisSpec ShapeCoefficients Surface "
-                "ValidityReport eval_shape eval_shape_t shape_derivative "
-                "shape_derivative_t validate_airfoil",
+    "geometry": "BasisKind BasisSpec ShapeCoefficients ValidityReport eval_shape "
+                "eval_shape_t shape_derivative shape_derivative_t validate_airfoil",
     "parsec": "ConstraintSystem ParsecParams build_constraint_system solve_coefficients",
     "qoi": "PanelSurrogate QoiEvaluator Ridge SyntheticQuadratic camber_lift "
            "evaluate_batch seeded_quadratic thickness_drag",

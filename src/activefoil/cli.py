@@ -37,6 +37,7 @@ from .geometry import validate_airfoil, write_coordinate_loop, write_surface_tab
 from .sampling import (
     ParameterBox,
     derive_seed,
+    read_json_file,
     read_matrix_csv,
     write_matrix_csv,
     write_table,
@@ -204,18 +205,9 @@ def _require_outputs(f, path) -> np.ndarray:
     return f
 
 
-def _load_json(path, kind: str, keys) -> dict:
-    """JSON object in ``path``; a missing key raises a DatasetError naming it."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    for key in keys:
-        if key not in payload:
-            raise DatasetError(f"{path} is missing {kind} key {key!r}")
-    return payload
-
-
 def _load_eigs(path) -> dict:
-    return _load_json(path, "eigenpair", ("eigenvalues", "eigenvectors", "n"))
+    return read_json_file(path, {"eigenvalues": "a list of numbers", "n": "an integer",
+                                 "eigenvectors": "a matrix of numbers"}, "eigenpair")
 
 
 # ---------------------------------------------------------------------------
@@ -238,29 +230,31 @@ def _cmd_sample(args) -> None:
     print(f"wrote {out / 'samples.csv'} ({args.n} rows, {coords})")
 
 
-def _surface_pair_from(args):
+def _design_from(args):
+    """(1-row stack of --params or of the box centre, the report of its --grid check).
+
+    A design that fails to decode raises its error.
+    """
+    text = Path(args.params).read_text() if args.params else None
     if args.parameterization == "parsec":
-        if args.params:
-            params = parsec.ParsecParams.from_json(Path(args.params).read_text())
-        else:
-            params = parsec.baseline_center()
-        return parsec.solve_coefficients(params)
-    if args.params:
-        params = cst.CstParams.from_json(Path(args.params).read_text())
+        params = parsec.ParsecParams.from_json(text) if args.params else parsec.baseline_center()
+        stack = parsec.solve_coefficients([params.to_sequence()])
     else:
-        params = cst.baseline_center()
-    return cst.surface_pair(params)
+        params = cst.CstParams.from_json(text) if args.params else cst.baseline_center()
+        stack = cst.surface_pair([params.to_flat()])
+    if stack.errors:
+        raise stack.errors[0]
+    return stack, validate_airfoil(stack, args.grid, sharp_trailing_edge=args.sharp_te).row(0)
 
 
 def _cmd_shapes(args) -> None:
-    pair = _surface_pair_from(args)
-    report = validate_airfoil(pair, args.grid, sharp_trailing_edge=args.sharp_te)
+    stack, report = _design_from(args)
     meta = _meta(args, parameterization=args.parameterization,
                  params=args.params or "baseline-center", grid=args.grid)
     out = _out_dir(args)
-    write_surface_table(pair.upper, out / "upper.csv", n=args.grid, meta=meta)
-    write_surface_table(pair.lower, out / "lower.csv", n=args.grid, meta=meta)
-    write_coordinate_loop(pair, out / "loop.dat", n=args.grid, name=args.name)
+    for surface, name in enumerate(("upper", "lower")):
+        write_surface_table(stack, surface, out / f"{name}.csv", n=args.grid, meta=meta)
+    write_coordinate_loop(stack, out / "loop.dat", n=args.grid, name=args.name)
     payload = report.to_dict()
     payload["meta"] = meta
     _write_json(out / "shape_report.json", payload)
@@ -292,7 +286,9 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_eigs(args) -> None:
-    saved = _load_json(args.model, "model", ("hessian", "linear", "constant"))
+    saved = read_json_file(args.model, {"hessian": "a matrix of numbers",
+                                        "linear": "a list of numbers", "constant": "a number"},
+                           "model")
     model = QuadraticModel(saved["hessian"], saved["linear"], saved["constant"])
     _check_dim_flag(args.dim, model.dim)
     out = _out_dir(args)
@@ -410,8 +406,7 @@ def _cmd_convergence(args) -> None:
 
 
 def _cmd_validate(args) -> None:
-    pair = _surface_pair_from(args)
-    report = validate_airfoil(pair, args.grid, sharp_trailing_edge=args.sharp_te)
+    _, report = _design_from(args)
     payload = report.to_dict()
     payload["parameterization"] = args.parameterization
     payload["meta"] = _meta(args, params=args.params or "baseline-center")

@@ -16,6 +16,8 @@ so a CST surface with m coefficients is exactly an odd-in-t series with
 m + 1 terms.  For m = 5 the support is {t, t**3, t**5, t**7, t**9,
 t**11}: the same degrees the crest-constrained (half-integer power)
 parameterization spans, so both decode into the one half-integer basis.
+:func:`surface_pair` decodes an (N, 2m) stack of flat rows into one
+DecodedStack; one design is the 1-row stack.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from .geometry import (
     BasisSpec,
     DecodedStack,
     ShapeCoefficients,
+    eval_shape,
     naca_thickness_pair,
 )
-from .sampling import ParameterBox, _freeze, make_box
+from .sampling import ParameterBox, _freeze, make_box, read_json_object
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,14 +80,11 @@ class CstParams:
     @classmethod
     def from_json(cls, text: str) -> "CstParams":
         """Params of a JSON object with keys upper, lower and, optionally, m."""
-        payload = json.loads(text)
-        missing = [k for k in ("upper", "lower")
-                   if not isinstance(payload, dict) or k not in payload]
-        if missing:
-            raise ContractViolation(f"missing parameter keys: {missing}")
-        params = cls(upper=np.asarray(payload["upper"], dtype=float),
-                     lower=np.asarray(payload["lower"], dtype=float))
-        if "m" in payload and int(payload["m"]) != params.m:
+        payload = read_json_object(
+            text, {"upper": "a list of numbers", "lower": "a list of numbers",
+                   "m": "an integer"}, "parameter", ContractViolation, optional=("m",))
+        params = cls(upper=payload["upper"], lower=payload["lower"])
+        if "m" in payload and payload["m"] != params.m:
             raise ContractViolation(
                 f"declared m={payload['m']} does not match coefficient length {params.m}"
             )
@@ -156,21 +156,17 @@ def _decode_stack(rows: np.ndarray) -> DecodedStack:
     return DecodedStack(odd_basis(half), odd, {})
 
 
-def surface_pair(params):
-    """Decode both surfaces into their exact odd-in-t series.
+def surface_pair(rows) -> DecodedStack:
+    """Decode both surfaces of every row into their exact odd-in-t series.
 
-    ``params`` is one CstParams, whose AirfoilSurfacePair is returned,
-    or an (N, 2m) stack of flat rows (upper then lower coefficients),
-    decoded together into a DecodedStack that keeps each failing row's
-    error.  One design is the 1-row stack.
+    ``rows`` is an (N, 2m) stack of flat rows (upper then lower
+    coefficients), decoded together into a DecodedStack that keeps each
+    failing row's error.  One design is the 1-row stack.
     """
-    if isinstance(params, CstParams):
-        return _decode_stack(params.to_flat()[np.newaxis]).pair(0)
-    rows = np.asarray(params, dtype=float)
+    rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] < 2 or rows.shape[1] % 2:
         raise ContractViolation(
-            f"expected one CstParams or an (N, 2m) stack of flat rows, got shape {rows.shape}"
-        )
+            f"expected an (N, 2m) stack of flat rows, got shape {rows.shape}")
     return _decode_stack(rows)
 
 
@@ -187,12 +183,13 @@ def baseline_box() -> ParameterBox:
     trailing-edge NACA-0012 half-thickness, which matches the class
     function's closed trailing edge, at 399 uniform interior chord
     stations; the largest deviation there is about 2.7e-4.  The lower
-    coefficients are -a, so the centre is the symmetric pair; the flat
+    coefficients are -a, so the centre is the symmetric design; the flat
     layout is upper then lower.
     """
     ell = np.arange(1, 400) / 400.0
     design = class_function(ell)[:, np.newaxis] * ell[:, np.newaxis] ** np.arange(5)
-    target = naca_thickness_pair(0.12, closed=True).upper.height(ell)
+    naca = naca_thickness_pair(0.12, closed=True)
+    target = eval_shape(ShapeCoefficients(naca.coefficients[0, 0]), naca.basis, ell)
     a = np.linalg.lstsq(design, target, rcond=None)[0]
     return make_box(np.concatenate([a, -a]), 0.2)
 

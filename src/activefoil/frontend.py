@@ -20,7 +20,7 @@ _HINTS = {
     "ContractViolation": "run the subcommand with --help for the flag schema",
     "ConditioningError": "constraint rows are nearly dependent; move crest "
                          "positions away from 0 and 1",
-    "DatasetError": "check the file against the x1..xm[,f] CSV schema in the README",
+    "DatasetError": "check the file against its format in the README",
     "DomainError": "a PARSEC --params value lies outside its admissible range; "
                    "the message names the parameter",
     "EvaluationError": "evaluate and run-all accept --skip-infeasible to drop "

@@ -14,6 +14,11 @@ this package:
     nose-resolving coordinate ``t = sqrt(ell)``.  PARSEC and CST both
     decode into this common series.
 
+The one decoded form is the :class:`DecodedStack`: the (N, 2, k)
+coefficients of N designs, upper then lower surface.  One design is the
+1-row stack, and :func:`validate_airfoil` checks every row into one
+:class:`StackValidity`.
+
 Every basis term vanishes at the leading edge.  A nonzero leading
 square-root term gives the round nose: heights grow like a multiple of
 ``sqrt(ell)`` and the slope ``ds/dell`` is singular at ``ell = 0``.
@@ -88,26 +93,6 @@ class ShapeCoefficients:
         _freeze(self, values=vals)
 
 
-@dataclass(frozen=True, eq=False)
-class Surface:
-    """One airfoil surface: a basis and its coefficients."""
-
-    basis: BasisSpec
-    coeffs: ShapeCoefficients
-
-    def height(self, ell):
-        return eval_shape(self.coeffs, self.basis, ell)
-
-    def slope(self, ell):
-        return shape_derivative(self.coeffs, self.basis, ell)
-
-
-@dataclass(frozen=True, eq=False)
-class AirfoilSurfacePair:
-    upper: Surface
-    lower: Surface
-
-
 # Rows per block when a decoded stack is evaluated on a grid, so each
 # block's (B, 2, G) values stay a few hundred KB whatever the stack size.
 STACK_BLOCK_ROWS = 128
@@ -118,11 +103,10 @@ class DecodedStack:
     """Surface coefficients decoded from a stack of designs, one entry per row.
 
     ``coefficients[i]`` holds the upper and lower series of row i in
-    ``basis``.  ``errors`` maps each row that failed to decode, in row
-    order, to the exception the single-design decode of that row raises;
-    a row whose coefficients are not finite fails here.  Pairs are built
-    on request, so the stack holds one (N, 2, k) array; one pair is the
-    1-row stack of :meth:`of_pair`.
+    ``basis``, an (N, 2, basis.term_count) array.  ``errors`` maps each
+    row that failed to decode, in row order, to the exception the decode
+    of that row alone, its 1-row stack, records; a row whose coefficients
+    are not finite fails here.
     """
 
     basis: BasisSpec
@@ -130,39 +114,18 @@ class DecodedStack:
     errors: dict
 
     def __post_init__(self):
+        coefficients = np.asarray(self.coefficients, dtype=float)
+        if coefficients.ndim != 3 or coefficients.shape[1:] != (2, self.basis.term_count):
+            raise ContractViolation(f"coefficients must have shape (N, 2, "
+                                    f"{self.basis.term_count}), got {coefficients.shape}")
         errors = dict(self.errors)
-        finite = np.all(np.isfinite(self.coefficients), axis=(1, 2))
+        finite = np.all(np.isfinite(coefficients), axis=(1, 2))
         for i in np.flatnonzero(~finite).tolist():
             errors.setdefault(i, ContractViolation("coefficients must be finite"))
-        _freeze(self, coefficients=self.coefficients, errors=dict(sorted(errors.items())))
-
-    @classmethod
-    def of_pair(cls, pair: AirfoilSurfacePair) -> "DecodedStack":
-        """The 1-row stack of one pair, whose row 0 has the pair's bits."""
-        if pair.upper.basis != pair.lower.basis:
-            raise ContractViolation(
-                f"upper and lower surfaces use different bases: "
-                f"{pair.upper.basis} vs {pair.lower.basis}"
-            )
-        rows = [_matched_values(s.coeffs, s.basis) for s in (pair.upper, pair.lower)]
-        return cls(pair.upper.basis, np.array([rows]), {})
+        _freeze(self, coefficients=coefficients, errors=dict(sorted(errors.items())))
 
     def __len__(self) -> int:
         return self.coefficients.shape[0]
-
-    def _pair(self, i: int) -> AirfoilSurfacePair:
-        upper, lower = self.coefficients[i]
-        return AirfoilSurfacePair(
-            upper=Surface(self.basis, ShapeCoefficients(upper)),
-            lower=Surface(self.basis, ShapeCoefficients(lower)),
-        )
-
-    def pair(self, i: int) -> AirfoilSurfacePair:
-        """Pair of row i; raises that row's decode error if it has one."""
-        error = self.errors.get(i)
-        if error is not None:
-            raise error
-        return self._pair(i)
 
     def grid_blocks(self, ell, slope: bool = False):
         """Values of every row on ``ell``, one block of STACK_BLOCK_ROWS rows at a time.
@@ -171,8 +134,8 @@ class DecodedStack:
         lower) of the block's row b at every point of ``ell``.  The one
         broadcast product per block runs one matrix-vector product per row
         and surface on the grid's power table, built once per call, the
-        same BLAS call as :meth:`Surface.height`, so each row has the bits
-        of its pair.  Rows that failed to decode are evaluated as well;
+        same BLAS call as :func:`eval_shape`, so each row has the bits of
+        its 1-row stack.  Rows that failed to decode are evaluated as well;
         callers mask them.  An empty stack gives one empty block.
         """
         table = _power_table(self.basis, ell, slope)
@@ -184,7 +147,7 @@ class DecodedStack:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of the point-wise geometric checks on a surface pair."""
+    """Outcome of the point-wise geometric checks on one design."""
 
     feasible: bool
     min_gap: float
@@ -219,11 +182,11 @@ def _decode_reason(exc: Exception) -> int:
 class StackValidity:
     """Outcome of :func:`validate_airfoil` on every row of a DecodedStack.
 
-    The per-row arrays hold what a ValidityReport holds for one pair, plus
-    each row's maximum thickness on the grid and its ``reason`` code
+    The per-row arrays hold what a ValidityReport holds for one design,
+    plus each row's maximum thickness on the grid and its ``reason`` code
     (an index into REASONS; 0 is a valid row).  ``feasible`` and
-    ``bounded`` are single truth values over every row, as for one pair;
-    a row that failed to decode counts as neither.
+    ``bounded`` are single truth values over every row; a row that failed
+    to decode counts as neither.
     """
 
     feasible_rows: np.ndarray
@@ -253,7 +216,7 @@ class StackValidity:
         return self.reason.size
 
     def row(self, i: int) -> ValidityReport:
-        """Report of row i, equal to ``validate_airfoil`` on that row's pair."""
+        """Report of row i, equal to row 0 of ``validate_airfoil`` on its 1-row stack."""
         return ValidityReport(
             feasible=bool(self.feasible_rows[i]),
             min_gap=float(self.min_gap[i]),
@@ -375,22 +338,20 @@ def _surface_checks(up, lo, sharp_trailing_edge: bool) -> dict:
     }
 
 
-def validate_airfoil(pair, grid_size: int = 201, *, sharp_trailing_edge: bool = False):
-    """Point-wise geometric checks on a grid uniform in t.
+def validate_airfoil(stack: DecodedStack, grid_size: int = 201, *,
+                     sharp_trailing_edge: bool = False) -> StackValidity:
+    """Point-wise geometric checks of every row on a grid uniform in t.
 
     feasible   : upper strictly above lower at every interior node
     endpoints  : |s(0)| <= ENDPOINT_TOL for both surfaces; the trailing
                  edge is checked too only when declared sharp
     bounded    : all sampled heights finite; observed extrema reported
 
-    ``pair`` is a DecodedStack, whose rows are checked block by block
-    into one StackValidity, or one AirfoilSurfacePair, checked as its
-    1-row stack into the ValidityReport of that row.
+    The rows are checked block by block into one StackValidity.
     """
     if grid_size < 3:
         raise ContractViolation("grid_size must be at least 3")
     _, ell = nose_resolving_grid(grid_size)
-    stack = pair if isinstance(pair, DecodedStack) else DecodedStack.of_pair(pair)
     blocks = [_surface_checks(heights[:, 0], heights[:, 1], sharp_trailing_edge)
               for heights in stack.grid_blocks(ell)]
     rows = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
@@ -399,14 +360,13 @@ def validate_airfoil(pair, grid_size: int = 201, *, sharp_trailing_edge: bool = 
     for i, exc in stack.errors.items():
         reason[i] = _decode_reason(exc)
         rows["feasible_rows"][i] = rows["bounded_rows"][i] = False
-    validity = StackValidity(
+    return StackValidity(
         **rows,
         reason=reason,
         endpoint_tol=ENDPOINT_TOL,
         grid_size=ell.size,
         sharp_trailing_edge=bool(sharp_trailing_edge),
     )
-    return validity if stack is pair else validity.row(0)
 
 
 # Classic four-digit thickness series (unit thickness parameter, open
@@ -421,8 +381,8 @@ def naca_thickness_pair(
     upper_scale: float = 1.0,
     lower_scale: float = 1.0,
     closed: bool = False,
-) -> AirfoilSurfacePair:
-    """Symmetric-family two-parameter pair: s_U = x1 * tau * series, s_L = -x2 * tau * series.
+) -> DecodedStack:
+    """1-row stack of the symmetric family s_U = x1 * tau * series, s_L = -x2 * tau * series.
 
     tau = 5 * thickness is folded into the coefficient values.
     """
@@ -430,17 +390,24 @@ def naca_thickness_pair(
         raise DomainError("thickness must be positive")
     base = NACA4_THICKNESS_COEFFS_CLOSED if closed else NACA4_THICKNESS_COEFFS
     a = np.asarray(base, dtype=float)
-    basis = BasisSpec(BasisKind.NACA4, 5)
     tau = 5.0 * thickness
-    upper = Surface(basis, ShapeCoefficients(tau * upper_scale * a))
-    lower = Surface(basis, ShapeCoefficients(-tau * lower_scale * a))
-    return AirfoilSurfacePair(upper, lower)
+    return DecodedStack(BasisSpec(BasisKind.NACA4, 5),
+                        np.array([[tau * upper_scale * a, -tau * lower_scale * a]]), {})
 
 
-def write_surface_table(surface: Surface, path, n: int = 201, meta: dict | None = None):
-    """Two-column (ell, height) text table, 15 significant digits, LF endings."""
+def _height(stack: DecodedStack, surface: int, ell):
+    """Heights of surface 0 (upper) or 1 (lower) of row 0 of ``stack`` at ell."""
+    return eval_shape(ShapeCoefficients(stack.coefficients[0, surface]), stack.basis, ell)
+
+
+def write_surface_table(stack: DecodedStack, surface: int, path, n: int = 201,
+                        meta: dict | None = None):
+    """(ell, height) of surface 0 (upper) or 1 (lower) of row 0 of ``stack``.
+
+    A two-column text table, 15 significant digits, LF endings.
+    """
     _, ell = nose_resolving_grid(n)
-    heights = surface.height(ell)
+    heights = _height(stack, surface, ell)
     with open(path, "w", newline="\n") as fh:
         for key in sorted(meta or {}):
             fh.write(f"# {key}={meta[key]}\n")
@@ -448,17 +415,14 @@ def write_surface_table(surface: Surface, path, n: int = 201, meta: dict | None 
             fh.write(f"{x:.15g} {y:.15g}\n")
 
 
-def write_coordinate_loop(
-    pair: AirfoilSurfacePair, path, n: int = 201, name: str = "airfoil"
-):
-    """Closed-loop coordinate file for external mesh/CFD tools.
+def write_coordinate_loop(stack: DecodedStack, path, n: int = 201, name: str = "airfoil"):
+    """Closed-loop coordinate file of row 0 of ``stack`` for external mesh/CFD tools.
 
     Order: trailing edge -> upper surface -> leading edge -> lower
     surface -> trailing edge, with the leading edge listed once.
     """
     _, ell = nose_resolving_grid(n)
-    up = pair.upper.height(ell)
-    lo = pair.lower.height(ell)
+    up, lo = _height(stack, 0, ell), _height(stack, 1, ell)
     xs = np.concatenate([ell[::-1], ell[1:]])
     ys = np.concatenate([up[::-1], lo[1:]])
     with open(path, "w", newline="\n") as fh:

@@ -27,6 +27,9 @@ Convention note: the two trailing-edge angles enter as slopes
 i.e. x7 steers the mean camber direction at the trailing edge and x8
 opens the wedge.  Other sign/offset conventions exist in the wild; all
 results in this package are self-consistent with the one above.
+
+:func:`solve_coefficients` decodes an (N, 11) stack of rows into one
+DecodedStack; one design is the 1-row stack.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .geometry import (
     BasisSpec,
     DecodedStack,
 )
-from .sampling import ParameterBox, _freeze
+from .sampling import ParameterBox, _freeze, read_json_object
 
 TERM_COUNT = 6
 CONDITION_LIMIT = 1e12
@@ -109,7 +112,9 @@ class ParsecParams:
 
     @classmethod
     def from_json(cls, text: str) -> "ParsecParams":
-        return cls.from_mapping(json.loads(text))
+        """Params of a JSON object with a number under each of the keys x1..x11."""
+        return cls.from_mapping(read_json_object(
+            text, dict.fromkeys(JSON_KEYS, "a number"), "parameter", ContractViolation))
 
 
 JSON_KEYS = tuple(f"x{i}" for i in range(1, 12))
@@ -253,21 +258,16 @@ def _solve_stack(rows: np.ndarray) -> DecodedStack:
     return DecodedStack(_BASIS, coefficients, errors)
 
 
-def solve_coefficients(params):
-    """Solve both surfaces; returns half-integer-power series of six terms each.
+def solve_coefficients(rows) -> DecodedStack:
+    """Both surfaces of every row as half-integer-power series of six terms each.
 
-    ``params`` is one ParsecParams, whose AirfoilSurfacePair is returned
-    (raising its DomainError or ConditioningError), or an (N, 11) stack
-    of physical rows, decoded together into a DecodedStack that keeps
-    each failing row's error.  One design is the 1-row stack.
+    ``rows`` is an (N, 11) stack of physical rows, decoded together into a
+    DecodedStack that keeps each failing row's DomainError or
+    ConditioningError.  One design is the 1-row stack.
     """
-    if isinstance(params, ParsecParams):
-        return _solve_stack(np.array([params.to_sequence()])).pair(0)
-    rows = np.asarray(params, dtype=float)
+    rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != len(JSON_KEYS):
-        raise ContractViolation(
-            f"expected one ParsecParams or an (N, 11) stack of rows, got shape {rows.shape}"
-        )
+        raise ContractViolation(f"expected an (N, 11) stack of rows, got shape {rows.shape}")
     return _solve_stack(rows)
 
 

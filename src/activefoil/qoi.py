@@ -13,6 +13,9 @@ sits in.  Three families:
                           thin-airfoil-style camber and thickness
                           integrals (qualitative stand-in for a flow
                           solver, nothing more).
+
+:func:`camber_lift` reads a DecodedStack and :func:`thickness_drag` its
+StackValidity, one value per row; one design is the 1-row stack.
 """
 
 from __future__ import annotations
@@ -207,47 +210,33 @@ def _decode(parameterization: str, physical: np.ndarray) -> DecodedStack:
     return cst.surface_pair(physical)
 
 
-def camber_lift(pair):
+def camber_lift(stack: DecodedStack) -> np.ndarray:
     """2 * Integral_0^pi camber'(ell(theta)) (cos(theta) - 1) dtheta, midpoint rule.
 
     ell(theta) = (1 - cos theta) / 2; for a parabolic camber line of
     height h this evaluates to the classical 4*pi*h.  Odd under the
     upper/lower mirror swap (U, L) -> (-L, -U), and exactly zero for
-    mirror-symmetric pairs (the camber slope cancels term by term).
+    mirror-symmetric designs (the camber slope cancels term by term).
 
-    ``pair`` is a DecodedStack, whose rows' lifts are an (N,) array with
-    the bits of each row's pair (rows that failed to decode hold arbitrary
-    values), or one AirfoilSurfacePair, whose lift is element 0 of its
-    1-row stack's.
+    One lift per row of ``stack``, with the bits of that row's 1-row
+    stack; rows that failed to decode hold arbitrary values.
     """
     k = _LIFT_QUAD_POINTS
     theta = (np.arange(k) + 0.5) * (np.pi / k)
     ell = 0.5 * (1.0 - np.cos(theta))  # midpoint nodes
     weight = np.cos(theta) - 1.0
-    stack = pair if isinstance(pair, DecodedStack) else DecodedStack.of_pair(pair)
     sums = [np.sum(0.5 * (slopes[:, 0] + slopes[:, 1]) * weight, axis=-1)
             for slopes in stack.grid_blocks(ell, slope=True)]
-    lift = 2.0 * (np.pi / k) * np.concatenate(sums)
-    return lift if stack is pair else float(lift[0])
+    return 2.0 * (np.pi / k) * np.concatenate(sums)
 
 
-def thickness_drag(pair, grid_size: int = 201):
-    """Offset plus gain * (max thickness)^2 on a nose-resolving grid.
+def thickness_drag(validity: StackValidity) -> np.ndarray:
+    """Offset plus gain * (max thickness)^2 of each row, on the grid ``validity`` ran on.
 
     Even under the upper/lower mirror swap: the gap U - L is unchanged
-    by (U, L) -> (-L, -U).  ``pair`` is the StackValidity of a stack
-    validated on the same grid, whose row-wise maximum thickness gives an
-    (N,) array, or one AirfoilSurfacePair, whose drag is element 0 of
-    that of its 1-row stack validated by :func:`validate_airfoil`.
+    by (U, L) -> (-L, -U).
     """
-    if not isinstance(pair, StackValidity):
-        validity = validate_airfoil(DecodedStack.of_pair(pair), grid_size)
-        return float(thickness_drag(validity, grid_size)[0])
-    if pair.grid_size != grid_size:
-        raise ContractViolation(
-            f"validation ran on a {pair.grid_size}-point grid, not {grid_size}"
-        )
-    return PANEL_DRAG_OFFSET + PANEL_DRAG_GAIN * pair.thickness * pair.thickness
+    return PANEL_DRAG_OFFSET + PANEL_DRAG_GAIN * validity.thickness * validity.thickness
 
 
 class PanelSurrogate(QoiEvaluator):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,58 @@ from .errors import (
 RNG_SCHEME = "pcg64-rowwise-v1"
 # Slack applied to box membership tests, relative to interval width.
 _EDGE_SLACK = 1e-12
+
+
+def _is_number(value) -> bool:
+    """A float, or an int within float range; a boolean is not a number."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+# The kinds of value read_json_object checks, named as its messages name them;
+# a matrix is a non-empty list of equal-length lists.
+_JSON_KINDS = {
+    "a number": _is_number,
+    "an integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    "a list of numbers": _is_numbers,
+    "a matrix of numbers": lambda v: (
+        isinstance(v, list) and all(map(_is_numbers, v)) and len({len(r) for r in v}) == 1),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+}
+
+
+def read_json_object(text: str, kinds: dict, noun: str, fail, optional=()) -> dict:
+    """The JSON object in ``text`` whose value under each key of ``kinds`` is of that kind.
+
+    ``kinds`` maps each key to a kind of ``_JSON_KINDS``; booleans and
+    integers beyond float range are not numbers.  Keys in ``optional`` may
+    be absent.  Text that is not JSON, is not an object, misses a key or
+    holds a value of another kind raises ``fail(message)``; a missing key
+    gives "missing {noun} keys: [...]", which lists every key for a value
+    that is not an object.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise fail(f"{noun} file is not JSON: {exc}") from None
+    present = payload if isinstance(payload, dict) else {}
+    missing = [key for key in kinds if key not in present and key not in optional]
+    if missing:
+        raise fail(f"missing {noun} keys: {missing}")
+    for key, kind in kinds.items():
+        if key in present and not _JSON_KINDS[kind](present[key]):
+            raise fail(f"{noun} key {key!r} must be {kind}")
+    return payload
+
+
+def read_json_file(path, kinds: dict, noun: str) -> dict:
+    """:func:`read_json_object` of the file ``path``, failing with a DatasetError that names it."""
+    with open(path) as fh:
+        return read_json_object(fh.read(), kinds, noun,
+                                lambda message: DatasetError(f"{path}: {message}"))
 
 
 def _freeze(obj, **fields) -> None:
@@ -89,16 +142,9 @@ class ParameterBox:
 
     @classmethod
     def load(cls, path) -> "ParameterBox":
-        with open(path) as fh:
-            payload = json.load(fh)
-        try:
-            return cls(
-                lower=np.asarray(payload["lower"], dtype=float),
-                upper=np.asarray(payload["upper"], dtype=float),
-                labels=tuple(payload["labels"]),
-            )
-        except KeyError as exc:
-            raise DatasetError(f"box file {path} missing key {exc}") from exc
+        payload = read_json_file(path, {"lower": "a list of numbers", "upper": "a list of numbers",
+                                        "labels": "a list of strings"}, "box")
+        return cls(lower=payload["lower"], upper=payload["upper"], labels=payload["labels"])
 
 
 def make_box(center, fraction: float = 0.2) -> ParameterBox:

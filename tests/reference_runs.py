@@ -6,7 +6,9 @@ every artifact records, is the same wherever the runs are made.  The
 run-all runs use the benchmark's flags (``perfbench/run.py``) at its two
 seeds; the ridge dataset comes from ``perfbench/run.py::write_ridge_dataset``.
 The two convergence runs pin ``convergence.csv`` for a panel QoI and for a
-noisy ridge.
+noisy ridge.  The built-in box centres are mirror-symmetric, so two more
+``shapes`` runs decode an asymmetric design of each box, whose ``--params``
+file ``PARAMS`` writes: PARSEC at lower + width/4, CST at lower + 0.7 width.
 
 The digests depend on the floating-point library, so
 ``tests/reference_digests.json`` records the numpy version, the BLAS
@@ -36,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).resolve().parent / "reference_digests.json"
 SEEDS = (7, 1702)
 RIDGE_DATA = "ridge.csv"
+PARAMS_FILE = "params.json"
 
 
 def _panel(box, seed):
@@ -53,6 +56,9 @@ RUNS = {
        for p in ("parsec", "cst")},
     **{f"validate-{p}": ("validate", "--parameterization", p, "--sharp-te", "--out", "out")
        for p in ("parsec", "cst")},
+    **{f"shapes-{p}-asymmetric": ("shapes", "--parameterization", p, "--params", PARAMS_FILE,
+                                  "--grid", "101", "--out", "out")
+       for p in ("parsec", "cst")},
     "convergence-parsec-drag": ("convergence", "--box", "parsec-table2", "--qoi", "panel:drag",
                                 "--schedule", "200,400,800", "--nboot", "20", "--seed", "7",
                                 "--out", "out"),
@@ -61,6 +67,21 @@ RUNS = {
                           "--noise-seed", "11", "--schedule", "100,200,400", "--nboot", "50",
                           "--seed", "101", "--out", "out"),
 }
+
+
+def _asymmetric_params(parameterization: str) -> str:
+    """JSON of the built-in box's design at lower + fraction * width (see ``PARAMS``)."""
+    from activefoil import cst, parsec
+
+    if parameterization == "parsec":
+        box = parsec.baseline_box()
+        return parsec.ParsecParams.from_sequence(box.lower + 0.25 * box.width).to_json()
+    box = cst.baseline_box()
+    return cst.CstParams.from_flat(box.lower + 0.7 * box.width).to_json()
+
+
+# run name -> parameterization whose asymmetric design the run's PARAMS_FILE holds
+PARAMS = {f"shapes-{p}-asymmetric": p for p in ("parsec", "cst")}
 
 
 def _write_ridge_dataset(path: Path, seed: int) -> None:
@@ -87,6 +108,8 @@ def run_references(workdir: Path, src: Path = ROOT / "src") -> dict:
         cwd.mkdir(parents=True)
         if name.startswith("ridge-dataset-"):
             _write_ridge_dataset(cwd / RIDGE_DATA, int(name.rsplit("-", 1)[1]))
+        if name in PARAMS:
+            (cwd / PARAMS_FILE).write_text(_asymmetric_params(PARAMS[name]))
         proc = subprocess.run([sys.executable, "-m", "activefoil", *argv], cwd=cwd, env=env,
                               stdin=subprocess.DEVNULL, capture_output=True, text=True)
         if proc.returncode != 0:

@@ -1,0 +1,37 @@
+"""One design's surfaces read from its 1-row DecodedStack, for the tests.
+
+A design is the 1-row stack its decoder returns.  The heights and slopes
+here come from the one-surface references ``eval_shape`` and
+``shape_derivative`` on the coefficients of one surface of one row, so a
+test compares the stacked code with them and not with itself.
+"""
+
+from activefoil import cst, parsec
+from activefoil.geometry import ShapeCoefficients, eval_shape, shape_derivative
+
+UPPER, LOWER = 0, 1
+
+
+def decoded(params):
+    """The 1-row stack of one ParsecParams or CstParams; a design that fails raises its error."""
+    if isinstance(params, parsec.ParsecParams):
+        stack = parsec.solve_coefficients([params.to_sequence()])
+    else:
+        stack = cst.surface_pair([params.to_flat()])
+    if stack.errors:
+        raise stack.errors[0]
+    return stack
+
+
+def coefficients(stack, surface, row=0):
+    """Coefficient vector of surface UPPER or LOWER of one row."""
+    return stack.coefficients[row, surface]
+
+
+def height(stack, surface, ell, row=0):
+    return eval_shape(ShapeCoefficients(coefficients(stack, surface, row)), stack.basis, ell)
+
+
+def slope(stack, surface, ell, row=0):
+    return shape_derivative(ShapeCoefficients(coefficients(stack, surface, row)), stack.basis,
+                            ell)

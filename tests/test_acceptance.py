@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from surfaces import LOWER, UPPER, coefficients, decoded, height, slope
 
 from activefoil import cst, parsec
 from activefoil.activesubspace import (
@@ -106,19 +107,19 @@ def test_criterion_03_parsec_constraint_residuals(capsys):
     worst_crest = 0.0
     for row in rows:
         params = parsec.ParsecParams.from_sequence(row)
-        pair = parsec.solve_coefficients(params)
-        for surface in ("upper", "lower"):
+        stack = decoded(params)
+        for s, surface in enumerate(("upper", "lower")):
             system = parsec.build_constraint_system(params, surface)
-            a = getattr(pair, surface).coeffs.values
+            a = coefficients(stack, s)
             worst_residual = max(
                 worst_residual, float(np.max(np.abs(system.matrix @ a - system.rhs)))
             )
         worst_crest = max(
             worst_crest,
-            abs(pair.upper.height(params.upper_crest_x) - params.upper_crest_y),
-            abs(pair.lower.height(params.lower_crest_x) - params.lower_crest_y),
-            abs(pair.upper.slope(params.upper_crest_x)),
-            abs(pair.lower.slope(params.lower_crest_x)),
+            abs(height(stack, UPPER, params.upper_crest_x) - params.upper_crest_y),
+            abs(height(stack, LOWER, params.lower_crest_x) - params.lower_crest_y),
+            abs(slope(stack, UPPER, params.upper_crest_x)),
+            abs(slope(stack, LOWER, params.lower_crest_x)),
         )
 
     sharp_ok = True
@@ -126,10 +127,10 @@ def test_criterion_03_parsec_constraint_residuals(capsys):
         values = parsec.ParsecParams.from_sequence(row).to_mapping()
         values["x5"] = 0.0
         values["x6"] = 0.0
-        pair = parsec.solve_coefficients(parsec.ParsecParams.from_mapping(values))
+        stack = decoded(parsec.ParsecParams.from_mapping(values))
         sharp_ok = sharp_ok and (
-            abs(float(np.sum(pair.upper.coeffs.values))) < 1e-9
-            and abs(float(np.sum(pair.lower.coeffs.values))) < 1e-9
+            abs(float(np.sum(coefficients(stack, UPPER)))) < 1e-9
+            and abs(float(np.sum(coefficients(stack, LOWER)))) < 1e-9
         )
 
     _report(
@@ -146,17 +147,17 @@ def test_criterion_04_leading_edge_osculation(capsys):
     center = parsec.baseline_center().to_sequence()
     for row in [center, *rows]:
         params = parsec.ParsecParams.from_sequence(row)
-        pair = parsec.solve_coefficients(params)
+        stack = decoded(params)
         eps = params.le_radius
         ell = (eps / 10.0) * np.logspace(-3.0, 0.0, 40)
-        dev = np.max(np.abs(pair.upper.height(ell) / np.sqrt(2.0 * eps * ell) - 1.0))
+        dev = np.max(np.abs(height(stack, UPPER, ell) / np.sqrt(2.0 * eps * ell) - 1.0))
         ok = ok and float(dev) < 0.05
 
     cst_params = cst.baseline_center()
-    cst_pair = cst.surface_pair(cst_params)
+    cst_stack = decoded(cst_params)
     eps = cst.leading_edge_radius(cst_params.upper[0])
     ell = (eps / 10.0) * np.logspace(-3.0, 0.0, 40)
-    dev = np.max(np.abs(cst_pair.upper.height(ell) / np.sqrt(2.0 * eps * ell) - 1.0))
+    dev = np.max(np.abs(height(cst_stack, UPPER, ell) / np.sqrt(2.0 * eps * ell) - 1.0))
     ok = ok and float(dev) < 0.05
 
     _report(capsys, 4, "leading-edge circle osculation (crest + class/shape)", ok)
@@ -274,17 +275,17 @@ def test_criterion_09_builtin_box_tables(capsys):
         and bool(np.all(pbox.lower < pbox.upper))
         and bool(np.all(cbox.lower < cbox.upper))
     )
-    # the CST box is +/-20% around a symmetric pair within 5e-4 of the
+    # the CST box is +/-20% around a symmetric design within 5e-4 of the
     # closed NACA 0012, so its centre is an airfoil
     ell = np.linspace(0.0, 1.0, 1001)
     naca = naca_thickness_pair(0.12, closed=True)
-    center = cst.surface_pair(cst.baseline_center())
+    center = decoded(cst.baseline_center())
     ok = (
         ok
         and np.array_equal(cbox.lower, make_box(cbox.center, 0.2).lower)
-        and np.max(np.abs(center.upper.height(ell) - naca.upper.height(ell))) < 5e-4
-        and np.max(np.abs(center.lower.height(ell) - naca.lower.height(ell))) < 5e-4
-        and bool(np.all(center.lower.height(ell[1:-1]) <= 0.0))
+        and np.max(np.abs(height(center, UPPER, ell) - height(naca, UPPER, ell))) < 5e-4
+        and np.max(np.abs(height(center, LOWER, ell) - height(naca, LOWER, ell))) < 5e-4
+        and bool(np.all(height(center, LOWER, ell[1:-1]) <= 0.0))
     )
     _report(capsys, 9, "built-in boxes: PARSEC table, CST around the NACA 0012", ok)
 

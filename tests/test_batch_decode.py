@@ -4,10 +4,12 @@ The reference below is a test-local copy of the per-row evaluation loop
 the panel surrogate used before decoding became batched: one PARSEC
 6x6 solve per surface with its own cond/solve/residual check, one CST
 expansion per surface, and heights and slopes from freshly built power
-tables.  The batched path must reproduce it bit for bit.
+tables.  The batched path must reproduce it bit for bit, and each row of
+a stack must have the bits of its own 1-row stack, the one-design path.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from surfaces import LOWER, UPPER, height, slope
 
 from activefoil import cli, cst, parsec, qoi
 from activefoil.errors import (
@@ -26,10 +29,9 @@ from activefoil.errors import (
 )
 from activefoil.geometry import (
     REASONS,
-    AirfoilSurfacePair,
+    BasisKind,
+    BasisSpec,
     DecodedStack,
-    ShapeCoefficients,
-    Surface,
     ValidityReport,
     naca_thickness_pair,
     nose_resolving_grid,
@@ -193,12 +195,6 @@ def test_single_design_evaluate_is_the_one_row_batch():
 # stacked decode against the one-design decode
 
 
-def _same_pair(a, b):
-    return (a.upper.coeffs.values.tobytes() == b.upper.coeffs.values.tobytes()
-            and a.lower.coeffs.values.tobytes() == b.lower.coeffs.values.tobytes()
-            and a.upper.basis == b.upper.basis)
-
-
 def _single_outcome(call):
     try:
         return call(), None
@@ -207,22 +203,23 @@ def _single_outcome(call):
 
 
 def _check_stack(stack, rows, single, reference):
-    """Each row of the stack decodes as its one-design call and the old per-row code."""
+    """Each row of the stack decodes as its own 1-row stack and the old per-row code."""
     assert isinstance(stack, DecodedStack) and len(stack) == len(rows)
     for i, row in enumerate(rows):
-        expected, error = _single_outcome(lambda: single(row))
+        one = single(row)
+        assert len(one) == 1 and one.basis == stack.basis
+        expected, reference_error = _single_outcome(lambda: reference(row))
+        error = one.errors.get(0)
         if error is None:
-            assert i not in stack.errors
-            pair = stack.pair(i)
-            assert _same_pair(pair, expected)
-            _, upper, lower = reference(row)
-            assert pair.upper.coeffs.values.tobytes() == upper.tobytes()
-            assert pair.lower.coeffs.values.tobytes() == lower.tobytes()
+            assert i not in stack.errors and reference_error is None
+            assert stack.coefficients[i].tobytes() == one.coefficients[0].tobytes()
+            _, upper, lower = expected
+            assert stack.coefficients[i, UPPER].tobytes() == upper.tobytes()
+            assert stack.coefficients[i, LOWER].tobytes() == lower.tobytes()
         else:
-            with pytest.raises(type(error)) as info:
-                stack.pair(i)
-            assert type(info.value) is type(error)
-            assert str(info.value) == str(error)
+            for other in (stack.errors[i], reference_error):
+                assert type(other) is type(error)
+                assert str(other) == str(error)
 
 
 _u = st.floats(-1.5, 1.5, allow_nan=False)
@@ -244,8 +241,7 @@ def test_parsec_stack_matches_single_design(unit_rows, bad):
         rows[position % len(rows), column] = value
     with np.errstate(over="ignore"):
         stack = parsec.solve_coefficients(rows)
-        _check_stack(stack, rows, lambda r: parsec.solve_coefficients(
-            parsec.ParsecParams.from_sequence(r)), _reference_parsec)
+        _check_stack(stack, rows, lambda r: parsec.solve_coefficients([r]), _reference_parsec)
     for position, _ in bad:
         assert (position % len(rows)) in stack.errors
     assert len(stack.errors) <= len(bad)
@@ -275,8 +271,8 @@ def test_parsec_condition_screen_keeps_every_decision(limit, crests, monkeypatch
         if error is None:
             _, upper, lower = want
             assert i not in stack.errors
-            assert stack.pair(i).upper.coeffs.values.tobytes() == upper.tobytes()
-            assert stack.pair(i).lower.coeffs.values.tobytes() == lower.tobytes()
+            assert stack.coefficients[i, UPPER].tobytes() == upper.tobytes()
+            assert stack.coefficients[i, LOWER].tobytes() == lower.tobytes()
         else:
             assert type(stack.errors[i]) is type(error)
             assert str(stack.errors[i]) == str(error)
@@ -297,8 +293,7 @@ def test_cst_stack_matches_single_design(unit_rows, bad):
     for position, column, value in bad:
         rows[position % len(rows), column] = value
     stack = cst.surface_pair(rows)
-    _check_stack(stack, rows, lambda r: cst.surface_pair(cst.CstParams.from_flat(r)),
-                 _reference_cst)
+    _check_stack(stack, rows, lambda r: cst.surface_pair([r]), _reference_cst)
     assert set(stack.errors) == {position % len(rows) for position, _, _ in bad}
 
 
@@ -309,6 +304,17 @@ def test_stacked_decoders_reject_misshapen_stacks():
         cst.surface_pair(np.zeros((3, 9)))
     assert len(parsec.solve_coefficients(np.zeros((0, 11)))) == 0
     assert len(cst.surface_pair(np.zeros((0, 10)))) == 0
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 5), (1, 2, 7), (3, 3, 6), (1, 1, 6), (2, 12), (12,)])
+def test_decoded_stack_refuses_other_shapes(shape):
+    # rows of (N, 2, term_count) are the one layout, so one row cannot mix
+    # surfaces of two term counts or carry a third surface
+    basis = BasisSpec(BasisKind.HALF_INTEGER, 6)
+    with pytest.raises(ContractViolation, match=re.escape(f"got {shape}")):
+        DecodedStack(basis, np.zeros(shape), {})
+    for n in (0, 1, 3):
+        assert len(DecodedStack(basis, np.zeros((n, 2, 6)), {})) == n
 
 
 def test_parsec_stack_overflow_fails_its_row_without_a_warning():
@@ -334,15 +340,15 @@ def test_cst_stack_overflow_fails_its_row_without_a_warning():
 
 
 # ---------------------------------------------------------------------------
-# stacked validation, lift and drag against the one-pair reference
+# stacked validation, lift and drag against the one-design reference
 
 _REASON_ERRORS = {"domain": DomainError, "conditioning": ConditioningError,
                   "contract": ContractViolation, "infeasible": EvaluationError,
                   "unbounded": EvaluationError}
 
 _SINGLE_DECODE = {
-    "parsec": lambda r: parsec.solve_coefficients(parsec.ParsecParams.from_sequence(r)),
-    "cst": lambda r: cst.surface_pair(cst.CstParams.from_flat(r)),
+    "parsec": lambda r: parsec.solve_coefficients([r]),
+    "cst": lambda r: cst.surface_pair([r]),
 }
 
 
@@ -354,14 +360,14 @@ def _bits(value):
     return np.float64(value).tobytes()
 
 
-def _pair_reference(pair, grid_size=GRID, sharp_trailing_edge=False, endpoint_tol=1e-9):
-    """(report, lift, drag) of one pair from its own surfaces' heights and slopes.
+def _design_reference(stack, grid_size=GRID, sharp_trailing_edge=False, endpoint_tol=1e-9):
+    """(report, lift, drag) of the design of a 1-row stack from its surfaces' heights and slopes.
 
-    This is the one-pair code validate_airfoil, camber_lift and
-    thickness_drag ran before a pair became its 1-row stack.
+    This is the one-design code validate_airfoil, camber_lift and
+    thickness_drag ran before one design became its 1-row stack.
     """
     _, ell = nose_resolving_grid(grid_size)
-    up, lo = pair.upper.height(ell), pair.lower.height(ell)
+    up, lo = height(stack, UPPER, ell), height(stack, LOWER, ell)
     gap = up[1:-1] - lo[1:-1]
     ends = [0, -1] if sharp_trailing_edge else [0]
     report = ValidityReport(
@@ -378,21 +384,22 @@ def _pair_reference(pair, grid_size=GRID, sharp_trailing_edge=False, endpoint_to
     )
     theta = (np.arange(LIFT_POINTS) + 0.5) * (np.pi / LIFT_POINTS)
     nodes = 0.5 * (1.0 - np.cos(theta))
-    slope = 0.5 * (pair.upper.slope(nodes) + pair.lower.slope(nodes))
-    lift = 2.0 * (np.pi / LIFT_POINTS) * float(np.sum(slope * (np.cos(theta) - 1.0)))
+    camber_slope = 0.5 * (slope(stack, UPPER, nodes) + slope(stack, LOWER, nodes))
+    lift = 2.0 * (np.pi / LIFT_POINTS) * float(np.sum(camber_slope * (np.cos(theta) - 1.0)))
     thickness = float(np.max(up - lo))
     return report, lift, qoi.PANEL_DRAG_OFFSET + qoi.PANEL_DRAG_GAIN * thickness * thickness
 
 
-def _check_pair_calls(pair, grid_size, sharp_trailing_edge):
-    report, lift, drag = _pair_reference(pair, grid_size, sharp_trailing_edge)
-    single = qoi.validate_airfoil(pair, grid_size, sharp_trailing_edge=sharp_trailing_edge)
+def _check_design_calls(stack, grid_size, sharp_trailing_edge):
+    report, lift, drag = _design_reference(stack, grid_size, sharp_trailing_edge)
+    validity = qoi.validate_airfoil(stack, grid_size, sharp_trailing_edge=sharp_trailing_edge)
+    single = validity.row(0)
     assert repr(single) == repr(report)
     assert single.to_dict() == report.to_dict()
-    single_lift, single_drag = qoi.camber_lift(pair), qoi.thickness_drag(pair, grid_size)
-    assert type(single_lift) is type(single_drag) is float
-    assert _bits(single_lift) == _bits(lift)
-    assert _bits(single_drag) == _bits(drag)
+    single_lift, single_drag = qoi.camber_lift(stack), qoi.thickness_drag(validity)
+    assert single_lift.shape == single_drag.shape == (1,)
+    assert _bits(single_lift[0]) == _bits(lift)
+    assert _bits(single_drag[0]) == _bits(drag)
 
 
 @pytest.mark.parametrize("thickness, upper_scale, lower_scale, closed", [
@@ -402,8 +409,8 @@ def _check_pair_calls(pair, grid_size, sharp_trailing_edge):
 @pytest.mark.parametrize("grid_size, sharp", [(3, False), (101, True), (201, False)])
 def test_naca_pair_calls_match_the_pair_reference(thickness, upper_scale, lower_scale,
                                                   closed, grid_size, sharp):
-    pair = naca_thickness_pair(thickness, upper_scale, lower_scale, closed)
-    _check_pair_calls(pair, grid_size, sharp)
+    stack = naca_thickness_pair(thickness, upper_scale, lower_scale, closed)
+    _check_design_calls(stack, grid_size, sharp)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,30 +418,29 @@ def test_naca_pair_calls_match_the_pair_reference(thickness, upper_scale, lower_
        st.booleans())
 def test_cst_pair_calls_match_the_pair_reference(unit_row, grid_size, sharp):
     row = denormalize(np.array(unit_row), cst.baseline_box())
-    _check_pair_calls(cst.surface_pair(cst.CstParams.from_flat(row)), grid_size, sharp)
+    _check_design_calls(cst.surface_pair([row]), grid_size, sharp)
 
 
 def test_overflowing_pair_stays_inside_the_block_guard():
     # upper heights and slopes overflow inside grid_blocks, whose errstate
     # keeps the 1-row path quiet; everything after it handles the infs
     # without a floating-point warning
-    basis = cst.odd_basis(5)
-    pair = AirfoilSurfacePair(Surface(basis, ShapeCoefficients(np.full(6, 1e308))),
-                              Surface(basis, ShapeCoefficients(np.full(6, -1.0))))
+    stack = DecodedStack(cst.odd_basis(5), np.array([[np.full(6, 1e308), np.full(6, -1.0)]]), {})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = qoi.validate_airfoil(pair)
-        lift, drag = qoi.camber_lift(pair), qoi.thickness_drag(pair)
-    assert not report.bounded and report.upper_bound == np.inf
-    assert lift == -np.inf and drag == np.inf
+        report = qoi.validate_airfoil(stack)
+        lift, drag = qoi.camber_lift(stack), qoi.thickness_drag(report)
+    assert not report.bounded and report.row(0).upper_bound == np.inf
+    assert lift[0] == -np.inf and drag[0] == np.inf
     with np.errstate(all="ignore"):
-        _check_pair_calls(pair, GRID, False)
+        _check_design_calls(stack, GRID, False)
 
 
 def _check_stacked_qois(parameterization, physical):
-    """The stacked calls on the decoded rows equal the one-pair calls row by
-    row, and ``evaluate_many`` fails each row with the error its reason
-    code names, or as unbounded when its lift or drag is not finite."""
+    """The stacked calls on the decoded rows equal, row by row, the calls on
+    each row's own 1-row stack and the one-design reference, and
+    ``evaluate_many`` fails each row with the error its reason code names,
+    or as unbounded when its lift or drag is not finite."""
     box = (parsec if parameterization == "parsec" else cst).baseline_box()
     with np.errstate(all="ignore"):
         X = (2.0 * physical - (box.lower + box.upper)) / box.width
@@ -442,7 +448,7 @@ def _check_stacked_qois(parameterization, physical):
         stack = (parsec.solve_coefficients if parameterization == "parsec"
                  else cst.surface_pair)(physical)
         report = qoi.validate_airfoil(stack, GRID)
-        lift, drag = qoi.camber_lift(stack), qoi.thickness_drag(report, GRID)
+        lift, drag = qoi.camber_lift(stack), qoi.thickness_drag(report)
         values, failed = qoi.PanelSurrogate(parameterization, "both").evaluate_many(X)
     assert len(report) == lift.size == drag.size == len(X)
     overflow = (report.reason == 0) & ~(np.isfinite(lift) & np.isfinite(drag))
@@ -450,19 +456,21 @@ def _check_stacked_qois(parameterization, physical):
     assert (report.feasible and report.bounded and not overflow.any()) == (not failed)
     for i, row in enumerate(physical):
         reason = REASONS[report.reason[i]]
-        try:
-            with np.errstate(all="ignore"):
-                pair = _SINGLE_DECODE[parameterization](row)
-        except Exception as exc:
+        with np.errstate(all="ignore"):
+            one = _SINGLE_DECODE[parameterization](row)
+        if one.errors:
+            exc = one.errors[0]
             assert isinstance(exc, _REASON_ERRORS[reason]) and reason in (
                 "domain", "conditioning", "contract")
             assert type(failed[i]) is type(exc) and str(failed[i]) == str(exc)
             continue
         with np.errstate(all="ignore"):
-            single, single_lift, single_drag = _pair_reference(pair)
-        assert repr(report.row(i)) == repr(single)
-        assert _bits(lift[i]) == _bits(single_lift)
-        assert _bits(drag[i]) == _bits(single_drag)
+            single, single_lift, single_drag = _design_reference(one)
+            one_report = qoi.validate_airfoil(one, GRID)
+            one_lift, one_drag = qoi.camber_lift(one), qoi.thickness_drag(one_report)
+        assert repr(report.row(i)) == repr(single) == repr(one_report.row(0))
+        assert _bits(lift[i]) == _bits(single_lift) == _bits(one_lift[0])
+        assert _bits(drag[i]) == _bits(single_drag) == _bits(one_drag[0])
         finite = np.isfinite(single_lift) and np.isfinite(single_drag)
         if single.feasible and single.bounded and finite:
             assert reason == "ok" and i not in failed
@@ -506,8 +514,8 @@ def test_stacked_cst_qois_match_each_pair(unit_rows, bad):
 
 
 def test_stacked_validation_gives_each_reason_code():
-    center = cst.surface_pair(cst.baseline_center())
-    upper, lower = center.upper.coeffs.values, center.lower.coeffs.values
+    center = cst.surface_pair([cst.baseline_center().to_flat()])
+    upper, lower = center.coefficients[0]
     huge = np.full(upper.size, 1e308)
     coefficients = np.array([
         [upper, lower],        # ok
@@ -519,7 +527,7 @@ def test_stacked_validation_gives_each_reason_code():
         [upper, np.nan * lower],
     ])
     errors = {4: DomainError("crest"), 5: ConditioningError("cond")}
-    stack = DecodedStack(center.upper.basis, coefficients, errors)
+    stack = DecodedStack(center.basis, coefficients, errors)
     with np.errstate(over="ignore", invalid="ignore"):
         report = qoi.validate_airfoil(stack)
     assert [REASONS[r] for r in report.reason] == [
@@ -529,9 +537,7 @@ def test_stacked_validation_gives_each_reason_code():
     assert report.bounded_rows.tolist() == [True, True, False, False, False, False, False]
     ok = qoi.validate_airfoil(DecodedStack(stack.basis, coefficients[:1], {}))
     assert ok.feasible is True and ok.bounded is True
-    assert repr(ok.row(0)) == repr(qoi.validate_airfoil(center))
-    with pytest.raises(ContractViolation, match="201-point grid"):
-        qoi.thickness_drag(report, 101)
+    assert repr(ok.row(0)) == repr(qoi.validate_airfoil(center).row(0))
     with pytest.raises(ValueError):
         report.reason[0] = 1  # read-only like every stacked array
 
@@ -571,7 +577,7 @@ def test_run_all_decodes_and_validates_each_design_once(box, tmp_path, monkeypat
         # a stack of rows, or the DecodedStack validated in one call, counts
         # each of its designs
         def wrapper(arg, *args, **kwargs):
-            counts[key] += len(arg) if isinstance(arg, (np.ndarray, DecodedStack)) else 1
+            counts[key] += len(arg)
             return fn(arg, *args, **kwargs)
         return wrapper
 

@@ -334,16 +334,35 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "out").exists()
 
 
+_CST_PARAMS = {"upper": [0.1, 0.2], "lower": [-0.1, -0.2]}
+
+
 @pytest.mark.parametrize("parameterization, params, error, needle", [
     ("cst", {"upper": [0.1, 0.2]}, "ContractViolation", "missing parameter keys: ['lower']"),
     ("cst", [[0.1, 0.2], [-0.1, -0.2]], "ContractViolation", "missing parameter keys"),
     ("parsec", {**parsec.baseline_center().to_mapping(), "x11": -0.01}, "DomainError",
      "le_radius"),
-], ids=["cst-no-lower", "cst-list", "parsec-le-radius"])
+    ("parsec", 5, "ContractViolation", "missing parameter keys: ['x1', 'x2', 'x3'"),
+    ("parsec", {**parsec.baseline_center().to_mapping(), "x1": "0.3"}, "ContractViolation",
+     "parameter key 'x1' must be a number"),
+    ("parsec", {**parsec.baseline_center().to_mapping(), "x1": None}, "ContractViolation",
+     "parameter key 'x1' must be a number"),
+    ("cst", {**_CST_PARAMS, "m": "x"}, "ContractViolation",
+     "parameter key 'm' must be an integer"),
+    ("cst", {**_CST_PARAMS, "upper": "abc"}, "ContractViolation",
+     "parameter key 'upper' must be a list of numbers"),
+    ("parsec", '{"x1": 0.3,', "ContractViolation", "parameter file is not JSON"),
+    ("cst", {**_CST_PARAMS, "m": 2.7}, "ContractViolation",
+     "parameter key 'm' must be an integer"),
+    ("parsec", {**parsec.baseline_center().to_mapping(), "x5": 10**400}, "ContractViolation",
+     "parameter key 'x5' must be a number"),
+], ids=["cst-no-lower", "cst-list", "parsec-le-radius", "parsec-number", "parsec-string",
+        "parsec-null", "cst-m-string", "cst-upper-string", "parsec-not-json",
+        "cst-m-fraction", "parsec-huge-integer"])
 def test_bad_params_files_are_refused_by_name(tmp_path, capsys, parameterization, params,
                                               error, needle):
     path = tmp_path / "params.json"
-    path.write_text(json.dumps(params))
+    path.write_text(params if isinstance(params, str) else json.dumps(params))
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["validate", "--parameterization", parameterization, "--params", str(path)])
     assert exit_info.value.code == 1
@@ -351,6 +370,43 @@ def test_bad_params_files_are_refused_by_name(tmp_path, capsys, parameterization
     assert payload["error"] == error and needle in payload["message"], payload
     if error == "DomainError":  # the one source of a DomainError on the command line
         assert "--params" in payload["hint"], payload
+
+
+@pytest.mark.parametrize("argv, content, needle", [
+    (("sample", "--box", "{path}", "--n", "5"), 5, "missing box keys: ['lower', 'upper'"),
+    (("sample", "--box", "{path}", "--n", "5"), [1], "missing box keys: ['lower', 'upper'"),
+    (("sample", "--box", "{path}", "--n", "5"), {"lower": [0.0], "upper": [1.0], "labels": [1]},
+     "box key 'labels' must be a list of strings"),
+    (("sample", "--box", "{path}", "--n", "5"), '{"lower": [0.0]', "box file is not JSON"),
+    (("eigs", "--model", "{path}"), 5, "missing model keys: ['hessian', 'linear', 'constant']"),
+    (("eigs", "--model", "{path}"),
+     {"hessian": [[1.0, 0.0], [0.0, 1.0]], "linear": [0.5, 0.0], "constant": "x"},
+     "model key 'constant' must be a number"),
+    (("eigs", "--model", "{path}"),
+     {"hessian": [[1.0, 0.0], [0.0]], "linear": [0.5, 0.0], "constant": 0.0},
+     "model key 'hessian' must be a matrix of numbers"),
+    (("shadow", "--data", "{data}", "--eigs", "{path}"),
+     {"eigenvalues": [2.0, 1.0], "eigenvectors": [[1.0, 0.0], [0.0, 1.0]], "n": "1"},
+     "eigenpair key 'n' must be an integer"),
+    (("shadow", "--data", "{data}", "--eigs", "{path}"),
+     {"eigenvalues": [], "eigenvectors": [], "n": 1},
+     "eigenpair key 'eigenvectors' must be a matrix of numbers"),
+], ids=["box-number", "box-list", "box-labels", "box-not-json", "model-number",
+        "model-constant-string", "model-ragged-hessian", "eigs-n-string", "eigs-empty"])
+def test_bad_json_inputs_are_refused_by_file_and_key(tmp_path, capsys, argv, content, needle):
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    data = tmp_path / "data.csv"
+    write_matrix_csv(data, np.random.default_rng(3).uniform(-1.0, 1.0, (12, 2)), f=np.ones(12))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*(a.format(path=path, data=data) for a in argv), "--out", str(out)])
+    assert exit_info.value.code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "DatasetError", payload
+    assert payload["message"].startswith(f"{path}: ") and needle in payload["message"], payload
+    assert payload["hint"] == "check the file against its format in the README"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("schedule", ["100,x", "100,,200", ""])

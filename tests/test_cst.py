@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
+from surfaces import LOWER, UPPER, height
 
 from activefoil.cst import (
     CstParams,
@@ -141,24 +142,24 @@ def test_expansion_rejects_other_class_exponents():
 
 def test_surface_pair_consistency():
     params = baseline_center()
-    pair = surface_pair(params)
+    stack = surface_pair([params.to_flat()])
     ell = np.linspace(0.0, 1.0, 41)
     np.testing.assert_allclose(
-        pair.upper.height(ell), cst_surface(ell, params.upper), atol=1e-14
+        height(stack, UPPER, ell), cst_surface(ell, params.upper), atol=1e-14
     )
     np.testing.assert_allclose(
-        pair.lower.height(ell), cst_surface(ell, params.lower), atol=1e-14
+        height(stack, LOWER, ell), cst_surface(ell, params.lower), atol=1e-14
     )
-    assert pair.upper.height(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert height(stack, UPPER, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_leading_edge_radius_osculation():
     params = baseline_center()
-    pair = surface_pair(params)
+    stack = surface_pair([params.to_flat()])
     radius = leading_edge_radius(params.upper[0])
     assert radius == 0.5 * params.upper[0] ** 2
     for ell in (radius / 10, radius / 40, radius / 160):
-        dev = abs(pair.upper.height(ell) / math.sqrt(2 * radius * ell) - 1.0)
+        dev = abs(height(stack, UPPER, ell) / math.sqrt(2 * radius * ell) - 1.0)
         assert dev < 0.05
 
 
@@ -169,9 +170,9 @@ def test_baseline_box_is_stored_literally():
     np.testing.assert_array_equal(box.lower[:5], -box.upper[5:])
     ell = np.linspace(0.0, 1.0, 1001)
     naca = naca_thickness_pair(0.12, closed=True)
-    pair = surface_pair(baseline_center())
-    assert np.max(np.abs(pair.upper.height(ell) - naca.upper.height(ell))) < 5e-4
-    assert np.max(np.abs(pair.lower.height(ell) - naca.lower.height(ell))) < 5e-4
-    assert np.all(pair.lower.height(ell[1:-1]) <= 0.0)
+    stack = surface_pair([baseline_center().to_flat()])
+    assert np.max(np.abs(height(stack, UPPER, ell) - height(naca, UPPER, ell))) < 5e-4
+    assert np.max(np.abs(height(stack, LOWER, ell) - height(naca, LOWER, ell))) < 5e-4
+    assert np.all(height(stack, LOWER, ell[1:-1]) <= 0.0)
     # lower-surface leading coefficient interval is negative and ordered
     assert box.lower[5] < box.upper[5] < 0.0

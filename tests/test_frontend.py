@@ -79,11 +79,11 @@ def test_public_names_are_their_submodules_objects():
 def test_public_name_inventory():
     """Every public name: a new one shows up as an edit here."""
     assert activefoil.__all__ == [
-        "AirfoilSurfacePair", "BasisKind", "BasisSpec", "BootstrapSummary",
+        "BasisKind", "BasisSpec", "BootstrapSummary",
         "ConstraintSystem", "CstParams", "Eigenpairs", "PanelSurrogate", "ParameterBox",
         "ParetoSegment", "ParsecParams", "QoiEvaluator", "QuadraticModel",
         "ResponseSurface", "Ridge", "SampleSet", "ShadowData", "ShapeCoefficients",
-        "Surface", "SyntheticQuadratic", "ValidityReport", "bootstrap",
+        "SyntheticQuadratic", "ValidityReport", "bootstrap",
         "build_constraint_system", "camber_lift", "choose_dimension", "class_function",
         "coefficient_count", "cst_surface", "cube_minimum", "denormalize", "derive_seed",
         "eigendecompose", "eval_shape", "eval_shape_t", "evaluate_batch",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from surfaces import LOWER, UPPER, height
 
 from activefoil import cst, parsec
 from activefoil.errors import (
@@ -10,12 +11,10 @@ from activefoil.errors import (
 from activefoil.geometry import (
     NACA4_THICKNESS_COEFFS,
     NACA4_THICKNESS_COEFFS_CLOSED,
-    AirfoilSurfacePair,
     BasisKind,
     BasisSpec,
     DecodedStack,
     ShapeCoefficients,
-    Surface,
     eval_shape,
     eval_shape_t,
     naca_thickness_pair,
@@ -26,7 +25,6 @@ from activefoil.geometry import (
     write_coordinate_loop,
     write_surface_table,
 )
-from activefoil.qoi import camber_lift, thickness_drag
 
 HALF = BasisSpec(BasisKind.HALF_INTEGER, 6)
 
@@ -127,21 +125,22 @@ def test_t_and_ell_forms_agree():
 
 
 def test_naca_thickness_literal_formula():
-    pair = naca_thickness_pair(thickness=0.12)
+    stack = naca_thickness_pair(thickness=0.12)
     x = 0.3
     expected = 0.6 * (
         0.2969 * np.sqrt(x) - 0.1260 * x - 0.3516 * x**2 + 0.2843 * x**3 - 0.1015 * x**4
     )
-    assert pair.upper.height(x) == pytest.approx(expected, rel=1e-15)
-    assert pair.lower.height(x) == pytest.approx(-expected, rel=1e-15)
+    assert len(stack) == 1 and stack.basis == BasisSpec(BasisKind.NACA4, 5)
+    assert height(stack, UPPER, x) == pytest.approx(expected, rel=1e-15)
+    assert height(stack, LOWER, x) == pytest.approx(-expected, rel=1e-15)
 
 
 def test_naca_trailing_edge_open_vs_closed():
     open_pair = naca_thickness_pair(0.12)
     closed_pair = naca_thickness_pair(0.12, closed=True)
-    assert open_pair.upper.height(1.0) == pytest.approx(0.6 * sum(NACA4_THICKNESS_COEFFS))
-    assert abs(open_pair.upper.height(1.0)) > 1e-4
-    assert abs(closed_pair.upper.height(1.0)) < 1e-15
+    assert height(open_pair, UPPER, 1.0) == pytest.approx(0.6 * sum(NACA4_THICKNESS_COEFFS))
+    assert abs(height(open_pair, UPPER, 1.0)) > 1e-4
+    assert abs(height(closed_pair, UPPER, 1.0)) < 1e-15
     assert abs(sum(NACA4_THICKNESS_COEFFS_CLOSED)) < 1e-15
     with pytest.raises(DomainError):
         naca_thickness_pair(0.0)
@@ -158,7 +157,7 @@ def test_nose_resolving_grid_clusters_at_nose():
 
 
 def test_validate_airfoil_feasible_report():
-    report = validate_airfoil(naca_thickness_pair(0.12), grid_size=201)
+    report = validate_airfoil(naca_thickness_pair(0.12), grid_size=201).row(0)
     assert report.feasible and report.bounded and report.endpoints_fixed
     assert report.min_gap > 0.0
     assert report.lower_bound < 0.0 < report.upper_bound
@@ -170,7 +169,7 @@ def test_validate_airfoil_feasible_report():
 def test_validate_airfoil_detects_crossing():
     # lower_scale < 0 flips the lower surface on top of the upper one
     crossed = naca_thickness_pair(0.12, lower_scale=-1.0)
-    report = validate_airfoil(crossed, grid_size=101)
+    report = validate_airfoil(crossed, grid_size=101).row(0)
     assert not report.feasible
     assert report.min_gap <= 0.0
 
@@ -178,25 +177,23 @@ def test_validate_airfoil_detects_crossing():
 def test_validate_airfoil_sharp_te_flag():
     open_pair = naca_thickness_pair(0.12)
     closed_pair = naca_thickness_pair(0.12, closed=True)
-    assert validate_airfoil(open_pair).endpoints_fixed
-    assert not validate_airfoil(open_pair, sharp_trailing_edge=True).endpoints_fixed
-    assert validate_airfoil(closed_pair, sharp_trailing_edge=True).endpoints_fixed
+    assert validate_airfoil(open_pair).row(0).endpoints_fixed
+    assert not validate_airfoil(open_pair, sharp_trailing_edge=True).row(0).endpoints_fixed
+    assert validate_airfoil(closed_pair, sharp_trailing_edge=True).row(0).endpoints_fixed
     with pytest.raises(ContractViolation):
         validate_airfoil(open_pair, grid_size=2)
 
 
 def test_pair_in_two_bases_is_rejected():
+    # a stack has one basis, so surfaces of another term count cannot enter it
     rng = np.random.Generator(np.random.PCG64(9))
     values = ShapeCoefficients(rng.standard_normal(6))
-    half = Surface(HALF, values)
-    naca = Surface(BasisSpec(BasisKind.NACA4, 5), ShapeCoefficients(values.values[:5]))
-    short = Surface(HALF, ShapeCoefficients(values.values[:5]))
-    for pair in (AirfoilSurfacePair(half, naca), AirfoilSurfacePair(naca, half),
-                 AirfoilSurfacePair(half, short)):
-        for call in (DecodedStack.of_pair, validate_airfoil, camber_lift, thickness_drag):
-            with pytest.raises(ContractViolation):
-                call(pair)
-    stack = DecodedStack.of_pair(AirfoilSurfacePair(half, half))
+    naca = BasisSpec(BasisKind.NACA4, 5)
+    for basis, coefficients in ((naca, [[values.values] * 2]),
+                                (HALF, [[values.values[:5]] * 2])):
+        with pytest.raises(ContractViolation, match=r"shape \(N, 2, \d\)"):
+            DecodedStack(basis, np.array(coefficients), {})
+    stack = DecodedStack(HALF, np.array([[values.values] * 2]), {})
     assert stack.basis == HALF and stack.coefficients.shape == (1, 2, 6)
     assert stack.coefficients.tobytes() == np.array([values.values] * 2).tobytes()
 
@@ -206,11 +203,12 @@ def test_parsec_and_cst_decode_into_one_series():
     decoded = (parsec.solve_coefficients(parsec.baseline_box().lower[np.newaxis]),
                cst.surface_pair(cst.baseline_box().lower[np.newaxis]))
     assert decoded[0].basis == decoded[1].basis == HALF
-    mixed = AirfoilSurfacePair(parsec.solve_coefficients(parsec.baseline_center()).upper,
-                               cst.surface_pair(cst.baseline_center()).lower)
-    stack = DecodedStack.of_pair(mixed)
-    assert stack.basis == HALF and stack.coefficients.shape == (1, 2, 6)
-    assert validate_airfoil(mixed) == validate_airfoil(stack).row(0)
+    # so PARSEC's upper surface and CST's lower one make one design
+    rows = np.array([decoded[0].coefficients[0, 0], decoded[1].coefficients[0, 1]])
+    mixed = DecodedStack(HALF, rows[np.newaxis], {})
+    stack = DecodedStack(HALF, np.array([decoded[0].coefficients[0], rows]), {})
+    assert mixed.basis == HALF and mixed.coefficients.shape == (1, 2, 6)
+    assert validate_airfoil(mixed).row(0) == validate_airfoil(stack).row(1)
 
 
 def test_coefficient_container_contracts():
@@ -232,8 +230,8 @@ def test_coefficient_container_contracts():
 
 def test_surface_table_file(tmp_path):
     path = tmp_path / "upper.csv"
-    pair = naca_thickness_pair(0.12)
-    write_surface_table(pair.upper, path, n=21, meta={"b": "two", "a": 1})
+    stack = naca_thickness_pair(0.12)
+    write_surface_table(stack, UPPER, path, n=21, meta={"b": "two", "a": 1})
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
@@ -242,13 +240,13 @@ def test_surface_table_file(tmp_path):
     assert data.shape == (21, 2)
     _, ell = nose_resolving_grid(21)
     np.testing.assert_allclose(data[:, 0], ell, atol=1e-14)
-    np.testing.assert_allclose(data[:, 1], pair.upper.height(ell), rtol=1e-14)
+    np.testing.assert_allclose(data[:, 1], height(stack, UPPER, ell), rtol=1e-14)
 
 
 def test_coordinate_loop_file(tmp_path):
     path = tmp_path / "loop.dat"
-    pair = naca_thickness_pair(0.12)
-    write_coordinate_loop(pair, path, n=51, name="demo")
+    stack = naca_thickness_pair(0.12)
+    write_coordinate_loop(stack, path, n=51, name="demo")
     lines = path.read_text().splitlines()
     assert lines[0] == "demo"
     points = np.array([[float(v) for v in line.split()] for line in lines[1:]])
@@ -259,10 +257,15 @@ def test_coordinate_loop_file(tmp_path):
 
 
 def test_surface_objects_delegate():
+    # each surface of a 1-row stack has on a grid the bits eval_shape and
+    # shape_derivative give its coefficients
     rng = np.random.Generator(np.random.PCG64(8))
     a = ShapeCoefficients(rng.standard_normal(6))
-    surface = Surface(HALF, a)
-    assert surface.height(0.3) == eval_shape(a, HALF, 0.3)
-    assert surface.slope(0.3) == shape_derivative(a, HALF, 0.3)
-    pair = AirfoilSurfacePair(upper=surface, lower=surface)
-    assert pair.upper is surface and pair.lower is surface
+    stack = DecodedStack(HALF, np.array([[a.values, a.values]]), {})
+    ell = np.array([0.3])
+    heights, = stack.grid_blocks(ell)
+    slopes, = stack.grid_blocks(ell, slope=True)
+    assert heights.shape == slopes.shape == (1, 2, 1)
+    for surface in (UPPER, LOWER):
+        assert heights[0, surface].tobytes() == eval_shape(a, HALF, ell).tobytes()
+        assert slopes[0, surface].tobytes() == shape_derivative(a, HALF, ell).tobytes()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from surfaces import LOWER, UPPER, coefficients, decoded, height, slope
 
 from activefoil.errors import ConditioningError, ContractViolation, DomainError
 from activefoil.geometry import REASONS, validate_airfoil
@@ -107,30 +108,37 @@ def test_constraint_rows_are_the_documented_ones():
 
 def test_solved_surfaces_satisfy_geometry():
     params = baseline_center()
-    pair = solve_coefficients(params)
+    stack = decoded(params)
     h = 1e-6
 
-    assert pair.upper.height(params.upper_crest_x) == pytest.approx(params.upper_crest_y, abs=1e-12)
-    assert pair.lower.height(params.lower_crest_x) == pytest.approx(params.lower_crest_y, abs=1e-12)
-    assert pair.upper.slope(params.upper_crest_x) == pytest.approx(0.0, abs=1e-10)
-    assert pair.lower.slope(params.lower_crest_x) == pytest.approx(0.0, abs=1e-10)
+    assert height(stack, UPPER, params.upper_crest_x) == pytest.approx(params.upper_crest_y,
+                                                                      abs=1e-12)
+    assert height(stack, LOWER, params.lower_crest_x) == pytest.approx(params.lower_crest_y,
+                                                                      abs=1e-12)
+    assert slope(stack, UPPER, params.upper_crest_x) == pytest.approx(0.0, abs=1e-10)
+    assert slope(stack, LOWER, params.lower_crest_x) == pytest.approx(0.0, abs=1e-10)
 
-    assert pair.upper.height(1.0) == pytest.approx(params.te_y + params.te_half_thickness, abs=1e-12)
-    assert pair.lower.height(1.0) == pytest.approx(params.te_y - params.te_half_thickness, abs=1e-12)
-    assert pair.upper.slope(1.0) == pytest.approx(
+    assert height(stack, UPPER, 1.0) == pytest.approx(
+        params.te_y + params.te_half_thickness, abs=1e-12)
+    assert height(stack, LOWER, 1.0) == pytest.approx(
+        params.te_y - params.te_half_thickness, abs=1e-12)
+    assert slope(stack, UPPER, 1.0) == pytest.approx(
         math.tan(math.radians(params.te_angle_deg - params.te_wedge_deg)), abs=1e-10
     )
-    assert pair.lower.slope(1.0) == pytest.approx(
+    assert slope(stack, LOWER, 1.0) == pytest.approx(
         math.tan(math.radians(params.te_angle_deg + params.te_wedge_deg)), abs=1e-10
     )
 
     # crest curvature via central differences of the slope
-    fd = (pair.upper.slope(params.upper_crest_x + h) - pair.upper.slope(params.upper_crest_x - h)) / (2 * h)
+    fd = (slope(stack, UPPER, params.upper_crest_x + h)
+          - slope(stack, UPPER, params.upper_crest_x - h)) / (2 * h)
     assert fd == pytest.approx(params.upper_curvature, rel=1e-5)
 
     # leading-edge coefficient carries the radius
-    assert pair.upper.coeffs.values[0] == pytest.approx(math.sqrt(2 * params.le_radius), rel=1e-12)
-    assert pair.lower.coeffs.values[0] == pytest.approx(-math.sqrt(2 * params.le_radius), rel=1e-12)
+    assert coefficients(stack, UPPER)[0] == pytest.approx(math.sqrt(2 * params.le_radius),
+                                                          rel=1e-12)
+    assert coefficients(stack, LOWER)[0] == pytest.approx(-math.sqrt(2 * params.le_radius),
+                                                          rel=1e-12)
 
 
 def test_residuals_small_across_the_box():
@@ -143,44 +151,44 @@ def test_residuals_small_across_the_box():
             system = build_constraint_system(params, surface)
             a = np.linalg.solve(system.matrix, system.rhs)
             worst = max(worst, float(np.max(np.abs(system.matrix @ a - system.rhs))))
-        solve_coefficients(params)  # must not raise anywhere in the box
+        decoded(params)  # must not raise anywhere in the box
     assert worst < 1e-9
 
 
 def test_leading_edge_osculation():
     params = baseline_center()
-    pair = solve_coefficients(params)
+    stack = decoded(params)
     eps = params.le_radius
     for ell in (eps / 10, eps / 40, eps / 160):
-        dev = abs(pair.upper.height(ell) / math.sqrt(2 * eps * ell) - 1.0)
+        dev = abs(height(stack, UPPER, ell) / math.sqrt(2 * eps * ell) - 1.0)
         assert dev < 0.05
     # deviation shrinks as the nose is approached
-    d1 = abs(pair.upper.height(eps / 10) / math.sqrt(2 * eps * eps / 10) - 1.0)
-    d2 = abs(pair.upper.height(eps / 160) / math.sqrt(2 * eps * eps / 160) - 1.0)
+    d1 = abs(height(stack, UPPER, eps / 10) / math.sqrt(2 * eps * eps / 10) - 1.0)
+    d2 = abs(height(stack, UPPER, eps / 160) / math.sqrt(2 * eps * eps / 160) - 1.0)
     assert d2 < d1
 
 
 def test_mirror_symmetry_is_bitwise():
     sym = _mirror(baseline_center())
-    pair = solve_coefficients(sym)
-    np.testing.assert_array_equal(pair.upper.coeffs.values, -pair.lower.coeffs.values)
+    stack = decoded(sym)
+    np.testing.assert_array_equal(coefficients(stack, UPPER), -coefficients(stack, LOWER))
 
 
 def test_sharp_trailing_edge():
     values = baseline_center().to_mapping()
     values["x5"] = 0.0
     values["x6"] = 0.0
-    pair = solve_coefficients(ParsecParams.from_mapping(values))
-    assert sum(pair.upper.coeffs.values) == pytest.approx(0.0, abs=1e-12)
-    assert pair.upper.height(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert pair.lower.height(1.0) == pytest.approx(0.0, abs=1e-12)
+    stack = decoded(ParsecParams.from_mapping(values))
+    assert sum(coefficients(stack, UPPER)) == pytest.approx(0.0, abs=1e-12)
+    assert height(stack, UPPER, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert height(stack, LOWER, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditioning_guard_near_degenerate_crest():
     values = baseline_center().to_mapping()
     values["x1"] = 1e-9  # crest collapsing onto the leading edge
     with pytest.raises(ConditioningError):
-        solve_coefficients(ParsecParams.from_mapping(values))
+        decoded(ParsecParams.from_mapping(values))
     assert CONDITION_LIMIT == 1e12 and RESIDUAL_LIMIT == 1e-12
 
 
@@ -201,7 +209,7 @@ def test_crest_sweep_fails_on_conditioning_exactly_above_the_limit():
 
 
 def test_center_airfoil_is_feasible():
-    report = validate_airfoil(solve_coefficients(baseline_center()), grid_size=401)
+    report = validate_airfoil(decoded(baseline_center()), grid_size=401).row(0)
     assert report.feasible
     assert report.min_gap == pytest.approx(0.0008660156623361556, rel=1e-9)
 

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from surfaces import LOWER, UPPER, height
 
 from activefoil import cst
 from activefoil.errors import ContractViolation, EvaluationError
 from activefoil.geometry import (
-    AirfoilSurfacePair,
     BasisKind,
     BasisSpec,
     DecodedStack,
-    ShapeCoefficients,
-    Surface,
     naca_thickness_pair,
     nose_resolving_grid,
     validate_airfoil,
@@ -201,39 +199,39 @@ def test_camber_lift_parabolic_oracle():
     # both surfaces on the camber line 4h*ell*(1-ell), whose thin-airfoil
     # lift is 4*pi*h: coefficients (0, 4h, -4h, 0, 0) in the naca4-like basis
     h = 0.03
-    camber = Surface(BasisSpec(BasisKind.NACA4, 5),
-                     ShapeCoefficients([0.0, 4.0 * h, -4.0 * h, 0.0, 0.0]))
-    pair = AirfoilSurfacePair(camber, camber)
-    assert camber_lift(pair) == pytest.approx(4.0 * math.pi * h, rel=1e-14)
+    camber = [0.0, 4.0 * h, -4.0 * h, 0.0, 0.0]
+    stack = DecodedStack(BasisSpec(BasisKind.NACA4, 5), np.array([[camber, camber]]), {})
+    assert camber_lift(stack)[0] == pytest.approx(4.0 * math.pi * h, rel=1e-14)
 
 
 def test_camber_lift_is_odd_under_mirror_swap():
     params = cst.CstParams(upper=[0.16, 1.1, 0.9, 1.0, 1.05], lower=[-0.13, 0.85, 1.2, 0.95, 1.0])
     swapped = cst.CstParams(upper=-params.lower, lower=-params.upper)
-    assert camber_lift(cst.surface_pair(swapped)) == -camber_lift(cst.surface_pair(params))
+    assert (camber_lift(cst.surface_pair([swapped.to_flat()]))[0]
+            == -camber_lift(cst.surface_pair([params.to_flat()]))[0])
 
 
 def test_camber_lift_zero_for_mirror_pairs():
-    assert camber_lift(naca_thickness_pair(0.12)) == 0.0
+    assert camber_lift(naca_thickness_pair(0.12))[0] == 0.0
+
+
+def _drag(stack):
+    """Drag of the one design of a 1-row stack, validated on the default grid."""
+    return thickness_drag(validate_airfoil(stack))[0]
 
 
 def test_thickness_drag_literal_and_even():
-    pair = naca_thickness_pair(0.12)
+    stack = naca_thickness_pair(0.12)
     _, ell = nose_resolving_grid(201)
-    tmax = float(np.max(pair.upper.height(ell) - pair.lower.height(ell)))
-    assert thickness_drag(pair) == PANEL_DRAG_OFFSET + PANEL_DRAG_GAIN * tmax * tmax
+    tmax = float(np.max(height(stack, UPPER, ell) - height(stack, LOWER, ell)))
+    assert _drag(stack) == PANEL_DRAG_OFFSET + PANEL_DRAG_GAIN * tmax * tmax
 
     params = cst.CstParams(upper=[0.16, 1.1, 0.9, 1.0, 1.05], lower=[-0.13, 0.85, 1.2, 0.95, 1.0])
     swapped = cst.CstParams(upper=-params.lower, lower=-params.upper)
-    assert thickness_drag(cst.surface_pair(params)) == thickness_drag(cst.surface_pair(swapped))
+    assert (_drag(cst.surface_pair([params.to_flat()]))
+            == _drag(cst.surface_pair([swapped.to_flat()])))
 
-    assert thickness_drag(naca_thickness_pair(0.144)) > thickness_drag(pair)
-    # a pair's drag is that of its validation, which needs three grid points
-    assert thickness_drag(pair, grid_size=3) == thickness_drag(
-        validate_airfoil(DecodedStack.of_pair(pair), 3), 3)[0]
-    for grid_size in (1, 2):
-        with pytest.raises(ContractViolation):
-            thickness_drag(pair, grid_size=grid_size)
+    assert _drag(naca_thickness_pair(0.144)) > _drag(stack)
 
 
 def test_panel_surrogate_binds_its_box():
