@@ -31,12 +31,21 @@ stage (C matrices, eigendecompositions, sign rule and one subspace
 error call per dimension) runs on groups of a fixed number of
 consecutive replicates, so its call count does not grow as blocks
 shrink.  One bootstrap call thus works in one (B, p, p) stack plus the
-eigen group's (G, m, m) arrays plus O(nboot * m), whatever nboot * m^2
-is.  The shortcut is taken only when an upper bound on the condition
+eigen group's (G, m, m) arrays plus O(nboot * m) per output, whatever
+nboot * m^2 is.  The shortcut is taken only when an upper bound on the condition
 number of the resampled design certifies full rank at the 1e-10
 tolerance with a wide margin; otherwise the point fit or the replicate
 is refitted from its rows by ``lstsq``, so the rank errors and the
 redraw and skip decisions never depend on the shortcut.
+
+The bootstrap takes one output per row or an (N, k) matrix of k outputs
+of the same designs, such as the panel's lift and drag.  Each replicate
+then resamples the rows once for all k: its draws, Gram matrix, Cholesky
+factor, inverse and certificate depend on X alone and are made once, and
+only each output's right-hand side, solves and eigen stage run per
+column, the same operations as for that output alone, so each column
+keeps the bits of its own bootstrap.  Rank decisions depend on X alone
+too, so a skipped replicate is skipped for every output.
 
 The module holds numerics only: it draws no samples and evaluates no
 quantity of interest; its replicate streams come from
@@ -47,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -213,26 +222,33 @@ class _ResampledFit:
             arr.flags.writeable = False
 
     def solve(self, f, draws):
-        """Coefficients (B, p) of f on each resample, and whether the shortcut certified each.
+        """Coefficients of f on each resample, and whether the shortcut certified each.
 
-        Each Gram matrix is Cholesky-factored as soon as it is formed, into
-        one (B, p, p) work stack that this call allocates and inverts in
-        place; a member that is not positive definite gets the identity as
-        a placeholder factor.
+        ``f`` is one output per row, (N,), or k of them, (N, k); the
+        coefficients are (B, p) or (k, B, p).  Each Gram matrix is
+        Cholesky-factored as soon as it is formed, into one (B, p, p) work
+        stack that this call allocates and inverts in place; a member that
+        is not positive definite gets the identity as a placeholder factor.
+        The draws, Gram matrices, factors and certificates depend on X
+        alone, so they are made once for every column; each column then
+        gets its own right-hand side and solves, the same operations as a
+        call with that column alone, so it gets the same bits.
         """
         p = self.r.shape[0]
+        cols = f.reshape(f.shape[0], -1).T
         factors = np.empty((len(draws), p, p))
-        rhs = np.empty((len(draws), p))
+        rhs = np.empty((len(cols), len(draws), p))
         gram_norm = np.empty(len(draws))
         ok = np.ones(len(draws), dtype=bool)
         for i, idx in enumerate(draws):
-            counts = np.bincount(idx, minlength=f.size)
+            counts = np.bincount(idx, minlength=f.shape[0])
             rows = np.flatnonzero(counts)
             root = np.sqrt(counts[rows])
             weighted = np.take(self.q, rows, axis=0)
             weighted *= root[:, np.newaxis]
             gram = np.matmul(weighted.T, weighted, out=factors[i])
-            rhs[i] = (root * f[rows]) @ weighted
+            for j, col in enumerate(cols):
+                rhs[j, i] = (root * col[rows]) @ weighted
             gram_norm[i] = np.sqrt(np.einsum("ij,ij->", gram, gram))
             try:
                 factors[i] = np.linalg.cholesky(gram)
@@ -246,13 +262,15 @@ class _ResampledFit:
             * np.sqrt(np.einsum("bij,bij->b", chol_inv, chol_inv))
         )
         ok &= bound < _CERTIFIED_RCOND / RANK_RCOND
-        y = chol_inv @ rhs[..., np.newaxis]
-        z = np.swapaxes(np.swapaxes(chol_inv, 1, 2) @ y, 1, 2)
-        # (B, 1, p) x (p, p) runs one product per replicate, so a replicate's
-        # bits do not depend on how many share its block; a (B, p) x (p, p)
-        # product lets BLAS pick its kernel by B.
-        beta = (z @ self.r_inv.T)[:, 0]
-        return beta, ok
+        beta = np.empty(rhs.shape)
+        for j in range(len(cols)):
+            y = chol_inv @ rhs[j, :, :, np.newaxis]
+            z = np.swapaxes(np.swapaxes(chol_inv, 1, 2) @ y, 1, 2)
+            # (B, 1, p) x (p, p) runs one product per replicate, so a
+            # replicate's bits do not depend on how many share its block;
+            # a (B, p) x (p, p) product lets BLAS pick its kernel by B.
+            beta[j] = (z @ self.r_inv.T)[:, 0]
+        return (beta if f.ndim == 2 else beta[0]), ok
 
     def refit(self, X, f, rng):
         """(H, v) of a replicate whose first draw the shortcut did not certify.
@@ -456,7 +474,10 @@ class BootstrapSummary:
     ``eigenvalues`` is the point estimate; the *_min/mean/max arrays are
     per eigen-index over replicates.  ``error_*`` rows cover every
     candidate dimension 1..m-1 against the point-estimate basis;
-    ``n`` marks the selected active dimension.
+    ``n`` marks the selected active dimension.  A bootstrap of k outputs
+    gives each per-index array a leading k axis and makes ``n`` a k-tuple;
+    ``column(j)`` is output j's own summary.  ``n_boot`` and ``n_skipped``
+    count replicates, which every output shares.
     """
 
     eigenvalues: np.ndarray
@@ -467,12 +488,21 @@ class BootstrapSummary:
     error_mean: np.ndarray
     error_min: np.ndarray
     error_max: np.ndarray
-    n: int
+    n: int | tuple
     n_boot: int
     seed: int
     n_skipped: int
 
+    def column(self, j: int) -> "BootstrapSummary":
+        """The summary of output j of a bootstrap of k outputs."""
+        if isinstance(self.n, int):
+            raise ContractViolation("a bootstrap of one output has no columns")
+        return replace(self, n=self.n[j], **{
+            name: value[j] for name, value in vars(self).items() if np.ndim(value) == 2})
+
     def error_row(self, dim: int):
+        if not isinstance(self.n, int):
+            raise ContractViolation("error_row reads one output's summary; take column(j)")
         i = int(dim) - 1
         if not 0 <= i < self.dimensions.size:
             raise ContractViolation(f"no bootstrap row for dimension {dim}")
@@ -504,68 +534,74 @@ def bootstrap(
     docstring and ``_ResampledFit``).  Note the replicate ranges
     describe sampling variability of the fit only; they are not
     calibrated confidence intervals.
+
+    ``f`` holds one output per row, (N,), or k outputs, (N, k).  The k
+    outputs share each replicate's rows: its draws, Gram matrix, factor
+    and rank decisions are made once, so a replicate skipped for one
+    output is skipped for all.  Column j of the summary (see
+    ``BootstrapSummary.column``) has the bits of ``bootstrap(X, f[:, j],
+    n_boot, seed, n)``.  ``n``, when given, is every output's dimension.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     f = np.asarray(f, dtype=float)
     if not 1 <= n_boot:
         raise ContractViolation("n_boot must be positive")
     n_rows, m = X.shape
-    if f.shape != (n_rows,):
-        raise ContractViolation("f must have one value per sample row")
+    if f.shape != (n_rows,) and (f.ndim != 2 or f.shape[0] != n_rows or not f.shape[1]):
+        raise ContractViolation("f must have one value per sample row, or one column per output")
+    F = f.reshape(n_rows, -1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleSizeWarning)
-        point = fit_quadratic(X, f)
-    eig = eigendecompose(gradient_outer_matrix(point))
-    if n is None:
-        n = choose_dimension(eig.values)
-    if not 1 <= n < m:
-        raise ContractViolation(f"dimension must lie in [1, {m - 1}], got {n}")
+        points = [fit_quadratic(X, col) for col in F.T]
+    eigs = [eigendecompose(gradient_outer_matrix(point)) for point in points]
+    chosen = [choose_dimension(eig.values) if n is None else n for eig in eigs]
+    for dim in chosen:
+        if not 1 <= dim < m:
+            raise ContractViolation(f"dimension must lie in [1, {m - 1}], got {dim}")
 
     refit = _factored(X.shape, X.tobytes())
     block = max(1, _BLOCK_BYTES // (8 * max(refit.r.size, n_rows)))
     group = max(block, _EIGEN_GROUP)
     dims = np.arange(1, m)
-    lam_rows = np.empty((n_boot, m))
-    err_rows = np.empty((n_boot, m - 1))
+    lam_rows = np.empty((len(eigs), n_boot, m))
+    err_rows = np.empty((len(eigs), n_boot, m - 1))
     kept = np.ones(n_boot, dtype=bool)
     for start in range(0, n_boot, group):
         reps = slice(start, min(start + group, n_boot))
         betas, certified = zip(*(
-            refit.solve(f, [substream(seed, k).integers(0, n_rows, size=n_rows)
+            refit.solve(F, [substream(seed, k).integers(0, n_rows, size=n_rows)
                             for k in range(first, min(first + block, reps.stop))])
             for first in range(start, reps.stop, block)
         ))
-        hess, lin, _ = _unpack_coefficients(np.concatenate(betas), m)
+        hess, lin, _ = _unpack_coefficients(np.concatenate(betas, axis=1), m)
         for i in np.flatnonzero(~np.concatenate(certified)):
-            fitted = refit.refit(X, f, substream(seed, start + i))
-            if fitted is None:
-                kept[start + i] = False
-            else:
-                hess[i], lin[i] = fitted
+            for j, col in enumerate(F.T):
+                fitted = refit.refit(X, col, substream(seed, start + i))
+                if fitted is None:  # rank depends on X alone: skipped for every output
+                    kept[start + i] = False
+                    break
+                hess[j, i], lin[j, i] = fitted
         ok = kept[reps]
         if not ok.any():  # every replicate of the group was skipped
             continue
-        lam_rows[reps][ok], vectors = _eigh_descending(_outer(hess[ok], lin[ok]))
-        # reduced per group, so no (nboot, m, m) eigenvector stack is kept
-        err_rows[reps][ok] = np.column_stack(
-            [subspace_distance(vectors[:, :, :d], eig.vectors[:, :d]) for d in dims]
-        )
+        for j, eig in enumerate(eigs):
+            lam_rows[j, reps][ok], vectors = _eigh_descending(_outer(hess[j, ok], lin[j, ok]))
+            # reduced per group, so no (nboot, m, m) eigenvector stack is kept
+            err_rows[j, reps][ok] = np.column_stack(
+                [subspace_distance(vectors[:, :, :d], eig.vectors[:, :d]) for d in dims]
+            )
     skipped = int(n_boot - kept.sum())
     if skipped == n_boot:
         raise IllPosedFitError("every bootstrap replicate was rank deficient")
-    lam_rows = lam_rows[kept]
-    err_rows = err_rows[kept]
-
+    # each output reduces its own (kept, m) rows, as a bootstrap of it alone does
+    stats = {"eigenvalues": [eig.values for eig in eigs]}
+    for name, rows in (("eigenvalues", lam_rows), ("error", err_rows)):
+        for reduce in ("min", "mean", "max"):
+            stats[f"{name}_{reduce}"] = [getattr(r[kept], reduce)(axis=0) for r in rows]
     return BootstrapSummary(
-        eigenvalues=eig.values,
-        eigenvalues_min=lam_rows.min(axis=0),
-        eigenvalues_mean=lam_rows.mean(axis=0),
-        eigenvalues_max=lam_rows.max(axis=0),
+        **{name: np.array(value) if f.ndim == 2 else value[0] for name, value in stats.items()},
         dimensions=dims,
-        error_mean=err_rows.mean(axis=0),
-        error_min=err_rows.min(axis=0),
-        error_max=err_rows.max(axis=0),
-        n=int(n),
+        n=tuple(map(int, chosen)) if f.ndim == 2 else int(chosen[0]),
         n_boot=int(n_boot),
         seed=int(seed),
         n_skipped=skipped,

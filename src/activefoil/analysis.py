@@ -21,6 +21,9 @@ from .sampling import _freeze, write_table
 # Slack of box membership for designs and of polygon membership for points.
 _FEASIBILITY_SLACK = 1e-12
 _SLICES, _SLICE_POINTS = 401, 9  # Pareto candidates: y1-slices of Z, designs per slice
+# export_surface_grid tests points for its region in chunks whose (points, edges, 2)
+# temporary stays near this size, so that all of in_polygon's stay under about 1 MB
+_GRID_CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,19 +330,18 @@ def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, n: int = 
         raise ContractViolation("grid bounds must satisfy low < high")
     if n < 2:
         raise ContractViolation("grid export needs at least 2 points per axis")
-    y1 = np.linspace(lo[0], hi[0], n)
-    y2 = np.linspace(lo[1], hi[1], n)
-
-    def blocks():  # one block per y1 value, streamed
-        for a in y1:
-            block = np.column_stack([np.full(n, a), y2])
-            values = surface.predict_active(block)
-            if region is not None:
-                values[~in_polygon(region, block)] = np.nan
-            yield from np.column_stack([block, values]).tolist()
-            yield ()
-
-    write_table(path, "# columns: y1,y2,value", blocks(), meta)
+    grid = np.empty((n, n, 3))  # one gnuplot block per y1 value
+    grid[..., 0] = np.linspace(lo[0], hi[0], n)[:, np.newaxis]
+    grid[..., 1] = np.linspace(lo[1], hi[1], n)
+    edges = 1 if region is None else len(region)
+    step = max(1, _GRID_CHUNK_BYTES // (16 * n * edges))
+    for start in range(0, n, step):
+        points = grid[start:start + step, :, :2].reshape(-1, 2)
+        values = surface.predict_active(points)
+        if region is not None:
+            values[~in_polygon(region, points)] = np.nan
+        grid[start:start + step, :, 2] = values.reshape(-1, n)
+    write_table(path, "# columns: y1,y2,value", grid, meta)
 
 
 def emit_shadow_gnuplot(csv_name: str, out_path, n_active: int, skip_lines: int):

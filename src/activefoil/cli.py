@@ -8,7 +8,12 @@ state only through files in the output directory.
 
 All randomness flows from the single ``--seed`` value; consumers derive
 child streams by labeled hashing (``sampling.derive_seed``), so the
-sampling stream does not shift when, say, ``--nboot`` changes.
+sampling stream does not shift when, say, ``--nboot`` changes.  Every
+bootstrap draws from the label ``bootstrap``: ``run-all`` fits each of
+its outputs (one, or the panel's lift and drag) and then bootstraps them
+in one call that resamples each replicate's rows once for all of them,
+so a chain's bootstrap tables are those of the ``bootstrap`` command on
+that chain's evals file.
 
 The parser and the entry point live in ``activefoil.frontend``, which
 loads no numpy; ``main`` here is that entry point, and each subcommand
@@ -286,10 +291,10 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_eigs(args) -> None:
-    saved = read_json_file(args.model, {"hessian": "a matrix of numbers",
-                                        "linear": "a list of numbers", "constant": "a number"},
-                           "model")
-    model = QuadraticModel(saved["hessian"], saved["linear"], saved["constant"])
+    model = read_json_file(
+        args.model, {"hessian": "a matrix of numbers", "linear": "a list of numbers",
+                     "constant": "a number"}, "model",
+        lambda saved: QuadraticModel(saved["hessian"], saved["linear"], saved["constant"]))
     _check_dim_flag(args.dim, model.dim)
     out = _out_dir(args)
     payload = _eigs_stage(model, args, out, "", _meta(args))
@@ -302,9 +307,9 @@ def _cmd_bootstrap(args) -> None:
     f = _require_outputs(f, args.data)
     _check_rows(*X.shape, "--data")
     out = _out_dir(args)
-    summary = _bootstrap_stage(X, f, args.dim, args, out, "", "bootstrap", _meta(args))
+    summary = _bootstrap_stage(X, f[:, np.newaxis], args, out, [("", _meta(args))])
     print(f"wrote {out / 'bootstrap_eigenvalues.csv'} "
-          f"(n={summary.n}, skipped={summary.n_skipped})")
+          f"(n={summary.n[0]}, skipped={summary.n_skipped})")
 
 
 def _cmd_shadow(args) -> None:
@@ -401,7 +406,7 @@ def _cmd_convergence(args) -> None:
         rows.append((n, *summary.error_row(args.dim)))
     out = _out_dir(args)
     write_table(out / "convergence.csv", "n,error_mean,error_min,error_max",
-                rows, _meta(args, child_seed=child, **qmeta))
+                np.array(rows), _meta(args, child_seed=child, **qmeta))
     print(f"wrote {out / 'convergence.csv'} ({len(rows)} cells)")
 
 
@@ -460,21 +465,28 @@ def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str,
     return payload
 
 
-def _bootstrap_stage(X, f, n, args, out: Path, prefix: str, label: str,
-                     meta: dict):
-    child = derive_seed(args.seed, label)
-    summary = asub.bootstrap(X, f, args.nboot, child, n=n)
-    meta = {**meta, "child_seed": child, "n_active": summary.n,
-            "n_skipped": summary.n_skipped}
-    write_table(out / f"{prefix}bootstrap_eigenvalues.csv",
-                "index,point,min,mean,max",
-                zip(range(1, summary.eigenvalues.size + 1), summary.eigenvalues,
-                    summary.eigenvalues_min, summary.eigenvalues_mean,
-                    summary.eigenvalues_max), meta)
-    write_table(out / f"{prefix}bootstrap_dimensions.csv",
-                "dim,error_mean,error_min,error_max",
-                zip(summary.dimensions.tolist(), summary.error_mean,
-                    summary.error_min, summary.error_max), meta)
+def _bootstrap_stage(X, F, args, out: Path, chains) -> asub.BootstrapSummary:
+    """One bootstrap of every column of the (N, k) outputs F, then each column's two tables.
+
+    ``chains`` holds a (prefix, meta) pair per column.  Every chain draws
+    its replicates from the one label ``bootstrap``, so the columns share
+    each replicate's rows, and a column's tables are those of the
+    ``bootstrap`` command on that column alone.
+    """
+    child = derive_seed(args.seed, "bootstrap")
+    summary = asub.bootstrap(X, F, args.nboot, child, n=args.dim)
+    for j, (prefix, meta) in enumerate(chains):
+        column = summary.column(j)
+        meta = {**meta, "child_seed": child, "n_active": column.n,
+                "n_skipped": summary.n_skipped}
+        write_table(out / f"{prefix}bootstrap_eigenvalues.csv", "index,point,min,mean,max",
+                    np.column_stack([np.arange(1, column.eigenvalues.size + 1),
+                                     column.eigenvalues, column.eigenvalues_min,
+                                     column.eigenvalues_mean, column.eigenvalues_max]), meta)
+        write_table(out / f"{prefix}bootstrap_dimensions.csv",
+                    "dim,error_mean,error_min,error_max",
+                    np.column_stack([column.dimensions, column.error_mean,
+                                     column.error_min, column.error_max]), meta)
     return summary
 
 
@@ -489,16 +501,20 @@ def _shadow_stage(X, f, eigs: dict, n: int, out: Path, prefix: str,
                                  skip_lines=len(meta) + 1)
 
 
-def _single_chain(X, f, labels, args, out: Path, prefix: str,
-                  boot_label: str, qmeta: dict, evals_meta=None) -> dict:
-    """evals -> model -> eigs -> bootstrap -> shadow for one output."""
-    meta = _meta(args, **qmeta)
-    write_matrix_csv(out / f"{prefix}evals.csv", X, f=f, labels=labels,
-                     meta={**meta, **(evals_meta or {})})
-    model = _fit_stage(X, f, out, prefix, meta)
-    eigs = _eigs_stage(model, args, out, prefix, meta)
-    _bootstrap_stage(X, f, eigs["n"], args, out, prefix, boot_label, meta)
-    _shadow_stage(X, f, eigs, min(eigs["n"], 2), out, prefix, meta)
+def _chains(X, F, labels, args, out: Path, chains, evals_meta=None) -> list:
+    """evals -> model -> eigs per column of F, one bootstrap of them all,
+    then each column's shadow; ``chains`` holds a (prefix, qoi meta) pair
+    per column.  Returns each column's eigs payload."""
+    F = F.reshape(len(F), -1)
+    metas = [(prefix, _meta(args, **qmeta)) for prefix, qmeta in chains]
+    eigs = []
+    for f, (prefix, meta) in zip(F.T, metas):
+        write_matrix_csv(out / f"{prefix}evals.csv", X, f=f, labels=labels,
+                         meta={**meta, **(evals_meta or {})})
+        eigs.append(_eigs_stage(_fit_stage(X, f, out, prefix, meta), args, out, prefix, meta))
+    _bootstrap_stage(X, F, args, out, metas)
+    for f, (prefix, meta), payload in zip(F.T, metas, eigs):
+        _shadow_stage(X, f, payload, min(payload["n"], 2), out, prefix, meta)
     return eigs
 
 
@@ -512,8 +528,7 @@ def _cmd_run_all(args) -> None:
         f = _require_outputs(f, path)
         _check_run_sizes(args, *X.shape, "--qoi dataset:PATH")
         out = _out_dir(args)
-        _single_chain(X, f, labels, args, out, "", "bootstrap",
-                      {"qoi": args.qoi})
+        _chains(X, f, labels, args, out, [("", {"qoi": args.qoi})])
         print(f"pipeline artifacts in {out} (dataset, {f.size} rows)")
         return
 
@@ -524,25 +539,20 @@ def _cmd_run_all(args) -> None:
     if args.qoi == "panel":
         parameterization = _parameterization_for(args.box)
         ev = qoi.PanelSurrogate(parameterization, "both")
+        chains = [(f"{objective}_", {"qoi": f"panel:{objective}",
+                                     "parameterization": parameterization})
+                  for objective in ("lift", "drag")]
     else:
         ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
+        chains = [("", qmeta)]
     out = _out_dir(args)
     child = derive_seed(args.seed, "sample")
     X, values, n_failed = _evaluate_kept(ev, sampling.sample(box, args.n, child).matrix, args)
-
+    eigs = _chains(X, values, box.labels, args, out, chains, {"n_failed": n_failed})
     if args.qoi != "panel":
-        _single_chain(X, values, box.labels, args, out, "", "bootstrap", qmeta,
-                      {"n_failed": n_failed})
         print(f"pipeline artifacts in {out} ({values.size} rows)")
         return
 
-    eigs = []
-    for column, objective in enumerate(("lift", "drag")):
-        qmeta = {"qoi": f"panel:{objective}",
-                 "parameterization": parameterization}
-        eigs.append(_single_chain(X, values[:, column], box.labels, args, out,
-                                  f"{objective}_", f"bootstrap:{objective}",
-                                  qmeta, {"n_failed": n_failed}))
     _pareto_artifacts(X, values[:, 0], X, values[:, 1], _plane_directions(*eigs),
                       args, out, {"qoi": "panel", "parameterization": parameterization})
     print(f"pipeline artifacts in {out} (panel two-objective)")

@@ -515,6 +515,10 @@ def test_bootstrap_point_model_is_reused():
     np.testing.assert_array_equal(fresh.error_mean, reused.error_mean)
     with pytest.raises(ContractViolation):
         bootstrap(X, f[:-1], n_boot=5, seed=1)
+    F = np.column_stack([f, f])
+    for bad in (F[:-1], F[:, :0], F[..., np.newaxis]):
+        with pytest.raises(ContractViolation):
+            bootstrap(X, bad, n_boot=5, seed=1)
 
 
 def _seven_row_design():
@@ -575,17 +579,21 @@ def test_bootstrap_memory_does_not_grow_with_nboot():
 
     X = sample(unit_box(11), 1000, seed=6).matrix
     f = seeded_quadratic(11, 1)(X)
-    peaks = {}
-    for n_boot in (200, 2000):
-        asub._factored.cache_clear()
-        tracemalloc.start()
-        try:
-            bootstrap(X, f, n_boot=n_boot, seed=4)
-            peaks[n_boot] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[2000] < 7 * 2**20
-    assert peaks[2000] - peaks[200] < 0.5 * 2**20
+    # two outputs share each block's draws and factor stack; only their
+    # (nboot, 2m - 1) eigenvalue and error rows grow with nboot
+    two = np.column_stack([f, seeded_quadratic(11, 2)(X)])
+    for k, outputs in ((1, f), (2, two)):
+        peaks = {}
+        for n_boot in (200, 2000):
+            asub._factored.cache_clear()
+            tracemalloc.start()
+            try:
+                bootstrap(X, outputs, n_boot=n_boot, seed=4)
+                peaks[n_boot] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2000] < 7 * 2**20
+        assert peaks[2000] - peaks[200] < k * 0.5 * 2**20
 
 
 def test_bootstrap_works_in_one_reused_factor_stack():
@@ -699,6 +707,13 @@ def test_bootstrap_block_layout_does_not_change_results(monkeypatch):
 
     default = bootstrap(X, f, n_boot=30, seed=5, n=1)
     ridge = bootstrap(ridge_X, ridge_f, n_boot=60, seed=3)
+    # two outputs of each design: the skips and the blocks are shared
+    pair = np.column_stack([f, f[::-1]])
+    ridge_pair = np.column_stack([ridge_f, np.cos(ridge_X[:, 1])])
+    both = bootstrap(X, pair, n_boot=30, seed=5, n=1)
+    ridge_both = bootstrap(ridge_X, ridge_pair, n_boot=60, seed=3)
+    assert _summary_bits(both.column(0)) == _summary_bits(default)
+    assert _summary_bits(ridge_both.column(0)) == _summary_bits(ridge)
     with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
         bootstrap(X[:6], f[:6], n_boot=5, seed=1, n=1)
     # skipped replicates leave empty groups, which must not be reduced
@@ -718,6 +733,45 @@ def test_bootstrap_block_layout_does_not_change_results(monkeypatch):
             bootstrap(X[:6], f[:6], n_boot=5, seed=1, n=1)
         one = bootstrap(ridge_X, ridge_f, n_boot=60, seed=3)
         assert _summary_bits(one) == _summary_bits(ridge)
+        assert _summary_bits(bootstrap(X, pair, n_boot=30, seed=5, n=1)) == _summary_bits(both)
+        assert (_summary_bits(bootstrap(ridge_X, ridge_pair, n_boot=60, seed=3))
+                == _summary_bits(ridge_both))
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.sampled_from((1, 2, 3)), n_boot=st.sampled_from((1, 7, 30, 140)),
+       seed=st.integers(0, 2**63 - 1), data=st.data())
+def test_each_output_of_a_shared_resample_has_its_own_bootstrap_bits(k, n_boot, seed, data):
+    # column j of a bootstrap of k outputs is the bootstrap of output j alone;
+    # the seven-row design forces lstsq refits, whose skips every output shares
+    if data.draw(st.booleans(), label="seven-row design"):
+        X, f = _seven_row_design()
+        outputs = [f, X[:, 1] ** 2 - 0.4 * X[:, 0], np.exp(X[:, 0]) + 1e-2 * np.arange(7)]
+        n = 1
+    else:
+        X, f = _noisy_ridge(4, 60, 0.05, seed=seed % 1000)
+        outputs = [f, np.sin(3.0 * X[:, 0]) * X[:, 2], X @ np.arange(1.0, 5.0)]
+        n = data.draw(st.sampled_from((None, 2)), label="n")
+    F = np.column_stack(outputs[:k])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)
+        try:
+            each = [bootstrap(X, F[:, j], n_boot=n_boot, seed=seed, n=n) for j in range(k)]
+        except IllPosedFitError:  # every replicate skipped: so for the k outputs too
+            with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
+                bootstrap(X, F, n_boot=n_boot, seed=seed, n=n)
+            return
+        shared = bootstrap(X, F, n_boot=n_boot, seed=seed, n=n)
+    assert shared.n == tuple(one.n for one in each)
+    assert {one.n_skipped for one in each} == {shared.n_skipped}
+    assert shared.n_boot == n_boot and shared.eigenvalues.shape == (k, X.shape[1])
+    for j, one in enumerate(each):
+        assert _summary_bits(shared.column(j)) == _summary_bits(one)
+        assert shared.column(j).error_row(1) == one.error_row(1)
+    with pytest.raises(ContractViolation):
+        each[0].column(0)
+    with pytest.raises(ContractViolation):
+        shared.error_row(1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -391,8 +391,17 @@ def test_bad_params_files_are_refused_by_name(tmp_path, capsys, parameterization
     (("shadow", "--data", "{data}", "--eigs", "{path}"),
      {"eigenvalues": [], "eigenvectors": [], "n": 1},
      "eigenpair key 'eigenvectors' must be a matrix of numbers"),
+    (("eigs", "--model", "{path}"), {"hessian": [[1, 2]], "linear": [0.5], "constant": 0},
+     "hessian must be square"),
+    (("sample", "--box", "{path}", "--n", "5"),
+     {"lower": [0.0, 0.0], "upper": [1.0], "labels": ["a", "b"]},
+     "lower and upper must be equal-length 1-D vectors"),
+    (("sample", "--box", "{path}", "--n", "5"),
+     {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "labels": ["a"]},
+     "one label per coordinate required"),
 ], ids=["box-number", "box-list", "box-labels", "box-not-json", "model-number",
-        "model-constant-string", "model-ragged-hessian", "eigs-n-string", "eigs-empty"])
+        "model-constant-string", "model-ragged-hessian", "eigs-n-string", "eigs-empty",
+        "model-hessian-not-square", "box-bounds-unequal", "box-labels-short"])
 def test_bad_json_inputs_are_refused_by_file_and_key(tmp_path, capsys, argv, content, needle):
     path = tmp_path / "input.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))
@@ -491,6 +500,25 @@ def test_run_all_is_the_single_step_chain(tmp_path):
     for name in ("model.json", "eigs.json"):
         assert _without_meta(whole / name) == _without_meta(steps / name), name
     assert "# n_failed=0" in (whole / "evals.csv").read_text().splitlines()
+
+
+def test_panel_run_all_bootstraps_are_the_bootstrap_command_on_each_column(tmp_path):
+    """Both panel chains resample the same rows, each as `bootstrap` does alone."""
+    whole = tmp_path / "whole"
+    assert cli.main(["run-all", "--box", "cst-table3", "--qoi", "panel", "--n", "200",
+                     "--nboot", "9", "--skip-infeasible", "--gammas", "11", "--grid-n", "11",
+                     "--seed", "13", "--out", str(whole)]) == 0
+    seeds = set()
+    for objective in ("lift", "drag"):
+        steps = tmp_path / objective
+        assert cli.main(["bootstrap", "--data", str(whole / f"{objective}_evals.csv"),
+                         "--nboot", "9", "--seed", "13", "--out", str(steps)]) == 0
+        for name in ("bootstrap_eigenvalues.csv", "bootstrap_dimensions.csv"):
+            assert (_data_lines(whole / f"{objective}_{name}")
+                    == _data_lines(steps / name)), (objective, name)
+        seeds.add(read_matrix_csv(whole / f"{objective}_bootstrap_dimensions.csv")[3]
+                  ["child_seed"])
+    assert seeds == {str(derive_seed(13, "bootstrap"))}
 
 
 def test_eigen_stage_and_bootstrap_build_the_same_c(tmp_path):

@@ -304,11 +304,14 @@ def test_write_table_meta_sorted_and_rows_exact(tmp_path, rows, meta):
 
 
 def test_write_table_exact_text(tmp_path):
-    # whole floats print like integers (the pareto 0/1 flags); () is a blank line
+    # whole floats print like integers (the pareto 0/1 flags); each block of
+    # a 3-D table ends with a blank line
     path = tmp_path / "grid.dat"
-    write_table(path, "# columns: y1,y2", [(1, 0.5), (), (2.0, -0.0), ()],
+    write_table(path, "# columns: y1,y2", np.array([[[1, 0.5]], [[2.0, -0.0]]]),
                 {"k": 1, "a": "x"})
     assert path.read_bytes() == b"# a=x\n# k=1\n# columns: y1,y2\n1,0.5\n\n2,-0\n\n"
+    with pytest.raises(ContractViolation):
+        write_table(path, "h", np.ones(3))
 
 
 _CELL = st.one_of(
@@ -329,23 +332,49 @@ def _per_value_text(header, rows):
 
 
 @_FILE_EXAMPLES
-@given(width=st.integers(1, 4), form=st.sampled_from(("generator", "zip", "ndarray")),
-       data=st.data())
+@given(width=st.integers(1, 4), form=st.sampled_from(("lists", "ndarray")), data=st.data())
 def test_write_table_text_matches_per_value_format(tmp_path, width, form, data):
     if form == "ndarray":
         n = data.draw(st.integers(0, 6))
         rows = data.draw(arrays(np.float64, (n, width), elements=st.floats()))
         given_rows = rows
-    elif form == "zip":
+    else:  # any number-like cell, converted to float by the writer
         rows = data.draw(st.lists(st.lists(_CELL, min_size=width, max_size=width),
-                                  max_size=6))
-        given_rows = zip(*([row[j] for row in rows] for j in range(width)))
-    else:  # ragged rows, blank () lines included
-        rows = data.draw(st.lists(st.lists(_CELL, max_size=width), max_size=6))
-        given_rows = (tuple(row) for row in rows)
+                                  min_size=1, max_size=6))
+        given_rows = rows
     path = tmp_path / "table.csv"
     write_table(path, "h", given_rows)
     assert path.read_bytes() == _per_value_text("h", rows).encode()
+
+
+def _row_at_a_time_text(header, table):
+    # reference: one % per row, a blank line after each block of a 3-D table
+    blocks = table if table.ndim == 3 else table[np.newaxis]
+    template = ",".join(["%.17g"] * table.shape[-1]) + "\n"
+    return header + "\n" + "".join(
+        "".join(template % tuple(row) for row in block.tolist())
+        + ("\n" if table.ndim == 3 else "")
+        for block in blocks)
+
+
+@_FILE_EXAMPLES
+@given(shape=st.one_of(st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(1, 4)),
+                       st.tuples(st.integers(1, 2), st.integers(1, 2600), st.integers(1, 3))),
+       data=st.data())
+def test_write_table_blocks_match_row_at_a_time_output(tmp_path, shape, data):
+    # integer-valued and NaN cells, and blocks longer than one formatting chunk
+    cells = st.one_of(st.integers(-10**6, 10**6).map(float), st.just(float("nan")),
+                      st.floats(allow_infinity=False))
+    table = data.draw(arrays(np.float64, shape, elements=cells,
+                             fill=st.sampled_from((1.0, 0.0, -3.0, float("nan")))))
+    for form in (table, table.reshape(-1, shape[-1])):
+        path = tmp_path / "grid.dat"
+        write_table(path, "# columns: y1,y2,value", form)
+        assert path.read_bytes() == _row_at_a_time_text("# columns: y1,y2,value",
+                                                        form).encode()
+    if shape[0] * shape[1]:
+        text = (tmp_path / "grid.dat").read_text()
+        assert "\n\n" not in text  # a 2-D table has no block breaks
 
 
 @_FILE_EXAMPLES
