@@ -139,15 +139,18 @@ class QuadraticModel:
         return self.linear.size
 
     def predict(self, X):
+        """Values at the rows of X, or at the one design X, from elementwise products
+        summed along the last axis, so no row's bits depend on its stack (a BLAS
+        product's blocking does).  Hx is formed in blocks of about 1 MB."""
         arr = np.asarray(X, dtype=float)
-        single = arr.ndim == 1
         rows = np.atleast_2d(arr)
-        out = (
-            0.5 * np.einsum("ij,jk,ik->i", rows, self.hessian, rows)
-            + rows @ self.linear
-            + self.constant
-        )
-        return float(out[0]) if single else out
+        block = max(1, 2**17 // self.hessian.size)  # 2**17 doubles are 1 MB
+        hx = np.empty_like(rows)
+        for i in range(0, len(rows), block):
+            (rows[i:i + block, np.newaxis, :] * self.hessian).sum(axis=-1, out=hx[i:i + block])
+        quadratic = 0.5 * (hx * rows).sum(axis=-1)
+        out = quadratic + (rows * self.linear).sum(axis=-1) + self.constant
+        return float(out[0]) if arr.ndim == 1 else out
 
     def gradient(self, X):
         arr = np.asarray(X, dtype=float)
@@ -275,18 +278,14 @@ class _ResampledFit:
     def refit(self, X, f, rng):
         """(H, v) of a replicate whose first draw the shortcut did not certify.
 
-        The first draw is replayed from ``rng`` and refitted by
-        ``_solve_quadratic``; a rank-deficient resample is redrawn from the
-        same stream up to _MAX_RESAMPLE_RETRIES times.  None if every draw
-        was rank deficient.
+        The first draw is replayed from ``rng``, and a rank-deficient
+        resample is redrawn from the same stream up to _MAX_RESAMPLE_RETRIES
+        times; every draw is refitted by ``_solve_quadratic``.  None if every
+        draw was rank deficient.
         """
         n_rows, m = X.shape
-        for attempt in range(_MAX_RESAMPLE_RETRIES + 1):
+        for _ in range(_MAX_RESAMPLE_RETRIES + 1):
             idx = rng.integers(0, n_rows, size=n_rows)
-            if attempt:
-                beta, ok = self.solve(f, [idx])
-                if ok[0]:
-                    return _unpack_coefficients(beta[0], m)[:2]
             try:
                 model = _solve_quadratic(quadratic_features(X[idx]), f[idx], m)
             except IllPosedFitError:
@@ -363,10 +362,6 @@ class Eigenpairs:
             raise ContractViolation("vectors must be m x m with m eigenvalues")
         _check_eigenpairs(vec, val)
         _freeze(self, vectors=vec, values=val)
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
 
 def _check_eigenpairs(vectors: np.ndarray, values: np.ndarray) -> None:

@@ -44,6 +44,7 @@ from .sampling import (
     derive_seed,
     read_json_file,
     read_matrix_csv,
+    write_json,
     write_matrix_csv,
     write_table,
 )
@@ -70,11 +71,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _resolve_box(spec: str) -> ParameterBox:
@@ -211,8 +207,16 @@ def _require_outputs(f, path) -> np.ndarray:
 
 
 def _load_eigs(path) -> dict:
+    """An eigs.json payload: m eigenvalues, m eigenvectors of m components, 1 <= n < m."""
+    def build(eigs):
+        m, shape, n = len(eigs["eigenvalues"]), np.shape(eigs["eigenvectors"]), eigs["n"]
+        if shape != (m, m) or not 1 <= n < m:
+            raise ContractViolation(f"{m} eigenvalues need {m} eigenvectors of {m} components "
+                                    f"and 1 <= n < {m}, got eigenvectors {shape} and n={n}")
+        return eigs
+
     return read_json_file(path, {"eigenvalues": "a list of numbers", "n": "an integer",
-                                 "eigenvectors": "a matrix of numbers"}, "eigenpair")
+                                 "eigenvectors": "a matrix of numbers"}, "eigenpair", build)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +266,7 @@ def _cmd_shapes(args) -> None:
     write_coordinate_loop(stack, out / "loop.dat", n=args.grid, name=args.name)
     payload = report.to_dict()
     payload["meta"] = meta
-    _write_json(out / "shape_report.json", payload)
+    write_json(out / "shape_report.json", payload)
     print(f"wrote {out / 'loop.dat'} (feasible={report.feasible})")
 
 
@@ -417,7 +421,7 @@ def _cmd_validate(args) -> None:
     payload["meta"] = _meta(args, params=args.params or "baseline-center")
     print(json.dumps(payload, sort_keys=True, indent=2))
     if args.out:
-        _write_json(_out_dir(args) / "validity.json", payload)
+        write_json(_out_dir(args) / "validity.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +441,7 @@ def _evaluate_kept(ev, X, args):
 
 def _fit_stage(X, f, out: Path, prefix: str, meta: dict) -> QuadraticModel:
     model = asub.fit_quadratic(X, f)
-    _write_json(out / f"{prefix}model.json", {
+    write_json(out / f"{prefix}model.json", {
         "m": X.shape[1],
         "n_samples": X.shape[0],
         "constant": model.constant,
@@ -461,7 +465,7 @@ def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str,
         "seed": args.seed,
         "meta": meta,
     }
-    _write_json(out / f"{prefix}eigs.json", payload)
+    write_json(out / f"{prefix}eigs.json", payload)
     return payload
 
 

@@ -124,21 +124,6 @@ def _expand_rows(x: np.ndarray) -> np.ndarray:
     return odd
 
 
-def expand_odd_polynomial(coeffs) -> ShapeCoefficients:
-    """Closed-form odd-in-t series equal to the class/shape product.
-
-    The m input coefficients map to m + 1 odd-term coefficients
-
-        (x_0, x_1 - x_0, ..., x_{m-1} - x_{m-2}, -x_{m-1})
-
-    pairing with t**1, t**3, ..., t**(2m+1).
-    """
-    x = np.asarray(coeffs, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ContractViolation("coefficient vector must be 1-D and non-empty")
-    return ShapeCoefficients(_expand_rows(x[np.newaxis])[0])
-
-
 def odd_basis(m: int) -> BasisSpec:
     """Basis of the expansion of an m-coefficient surface.
 

@@ -212,9 +212,6 @@ class StackValidity:
     def bounded(self) -> bool:
         return bool(np.all(self.bounded_rows))
 
-    def __len__(self) -> int:
-        return self.reason.size
-
     def row(self, i: int) -> ValidityReport:
         """Report of row i, equal to row 0 of ``validate_airfoil`` on its 1-row stack."""
         return ValidityReport(

@@ -120,25 +120,6 @@ class ParsecParams:
 JSON_KEYS = tuple(f"x{i}" for i in range(1, 12))
 
 
-@dataclass(frozen=True, eq=False)
-class ConstraintSystem:
-    matrix: np.ndarray
-    rhs: np.ndarray
-    surface: str
-
-
-def leading_edge_coefficient(radius: float, surface: str) -> float:
-    """First series coefficient from the leading-edge radius: +/- sqrt(2 * radius)."""
-    if radius <= 0.0:
-        raise DomainError("leading-edge radius must be positive")
-    root = math.sqrt(2.0 * radius)
-    if surface == "upper":
-        return root
-    if surface == "lower":
-        return -root
-    raise ContractViolation(f"surface must be 'upper' or 'lower', got {surface!r}")
-
-
 _SURFACES = ("upper", "lower")
 # Columns of (crest position, crest height, crest curvature) per surface.
 _SURFACE_COLUMNS = ((0, 2, 8), (1, 3, 9))
@@ -148,8 +129,8 @@ def _stack_systems(rows: np.ndarray):
     """(N, 2, 6, 6) matrices and (N, 2, 6) right-hand sides, upper then lower.
 
     Rows are admissible parameter sequences.  The trailing-edge slopes
-    and the leading-edge coefficient use ``math`` per row, so each
-    entry carries the bits of the one-design system.
+    and the leading-edge coefficient a_1 = +/- sqrt(2 * r_le) use ``math``
+    per row, so each entry has the same bits in any stack.
     """
     n = rows.shape[0]
     e = _EXPS
@@ -170,18 +151,9 @@ def _stack_systems(rows: np.ndarray):
     for i, (angle, wedge, radius) in enumerate(rows[:, [6, 7, 10]].tolist()):
         rhs[i, 0, 3] = math.tan(math.radians(angle - wedge))
         rhs[i, 1, 3] = math.tan(math.radians(angle + wedge))
-        rhs[i, 0, 5] = leading_edge_coefficient(radius, "upper")
-        rhs[i, 1, 5] = leading_edge_coefficient(radius, "lower")
+        rhs[i, 0, 5] = math.sqrt(2.0 * radius)
+        rhs[i, 1, 5] = -math.sqrt(2.0 * radius)
     return matrix, rhs
-
-
-def build_constraint_system(params: ParsecParams, surface: str) -> ConstraintSystem:
-    """Assemble the 6x6 system M a = p for one surface."""
-    if surface not in _SURFACES:
-        raise ContractViolation(f"surface must be 'upper' or 'lower', got {surface!r}")
-    matrix, rhs = _stack_systems(np.array([params.to_sequence()]))
-    s = _SURFACES.index(surface)
-    return ConstraintSystem(matrix=matrix[0, s], rhs=rhs[0, s], surface=surface)
 
 
 def _check_solution(surface: str, matrix: np.ndarray, cond: float, residual: float) -> None:

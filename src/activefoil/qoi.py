@@ -55,19 +55,6 @@ class QoiEvaluator(abc.ABC):
             )
         return rows
 
-    def evaluate(self, x):
-        """Value at one design: the 1-row case of :meth:`evaluate_many`.
-
-        A design that fails raises its row's error.
-        """
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim != 1:
-            raise ContractViolation(f"{self.name} expects one design, got shape {arr.shape}")
-        values, failed = self.evaluate_many(arr[np.newaxis])
-        if failed:
-            raise failed[0]
-        return values[0]
-
     def __call__(self, X):
         """Values at the rows of X, or at the one design X; a failure raises."""
         values, _ = evaluate_batch(self, X)
@@ -94,24 +81,13 @@ def evaluate_batch(evaluator: QoiEvaluator, X, on_error: str = "raise"):
 
 class SyntheticQuadratic(QoiEvaluator):
     def __init__(self, hessian, linear, constant):
-        model = QuadraticModel(hessian, linear, constant)  # checks shapes and symmetry
-        self.hessian = model.hessian
-        self.linear = model.linear
-        self.constant = model.constant
-        self.dim = model.dim
+        self.model = QuadraticModel(hessian, linear, constant)  # checks shapes and symmetry
+        self.dim = self.model.dim
         self.name = "synthetic-quadratic"
 
     def evaluate_many(self, X):
-        """Elementwise products summed along the last axis, so no row's bits
-        depend on its stack (a BLAS product's blocking does).  Hx is formed
-        for blocks of rows whose (rows, m, m) products stay near 1 MB."""
-        rows = self._stack(X)
-        block = max(1, 2**17 // self.hessian.size)  # 2**17 doubles are 1 MB
-        hx = np.empty_like(rows)
-        for i in range(0, len(rows), block):
-            (rows[i:i + block, np.newaxis, :] * self.hessian).sum(axis=-1, out=hx[i:i + block])
-        quadratic = 0.5 * (hx * rows).sum(axis=-1)
-        return quadratic + (rows * self.linear).sum(axis=-1) + self.constant, {}
+        """The model's prediction at each row, with the same bits in any stack."""
+        return self.model.predict(self._stack(X)), {}
 
 
 def seeded_quadratic(dim: int, seed: int) -> SyntheticQuadratic:

@@ -98,6 +98,12 @@ def read_json_file(path, kinds: dict, noun: str, build=None):
         raise fail(str(exc)) from None
 
 
+def write_json(path, payload: dict) -> None:
+    """``payload`` as JSON with sorted keys, two-space indents and a final LF."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _freeze(obj, **fields) -> None:
     """Set fields of a frozen dataclass instance; array values become read-only."""
     for name, value in fields.items():
@@ -132,6 +138,12 @@ class ParameterBox:
         labels = tuple(str(s) for s in labels)
         if len(labels) != lo.size:
             raise ContractViolation("one label per coordinate required")
+        for label in labels:
+            if (not label or label != label.strip() or label.startswith("#") or label == "f"
+                    or any(c in label for c in ",\r\n")):
+                raise ContractViolation(
+                    f"label {label!r} cannot head a CSV column: it is empty, 'f', starts "
+                    "with '#', has surrounding whitespace or holds a comma or line break")
         _freeze(self, lower=lo, upper=up, labels=labels)
 
     @property
@@ -147,14 +159,11 @@ class ParameterBox:
         return self.upper - self.lower
 
     def save(self, path):
-        payload = {
+        write_json(path, {
             "labels": list(self.labels),
             "lower": [float(v) for v in self.lower],
             "upper": [float(v) for v in self.upper],
-        }
-        with open(path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
     @classmethod
     def load(cls, path) -> "ParameterBox":
@@ -234,10 +243,6 @@ class SampleSet:
         if mat.ndim != 2 or mat.shape[1] != self.box.dim:
             raise ContractViolation("matrix must be N x dim(box)")
         _freeze(self, matrix=mat, seed=int(self.seed))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
     def physical(self) -> np.ndarray:
         return denormalize(self.matrix, self.box)

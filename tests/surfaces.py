@@ -2,9 +2,12 @@
 
 A design is the 1-row stack its decoder returns.  The heights and slopes
 here come from the one-surface references ``eval_shape`` and
-``shape_derivative`` on the coefficients of one surface of one row, so a
-test compares the stacked code with them and not with itself.
+``shape_derivative`` on the coefficients of one surface of one row, and
+the curvature from the second derivative of the basis terms, so a test
+compares the stacked code with them and not with itself.
 """
+
+import numpy as np
 
 from activefoil import cst, parsec
 from activefoil.geometry import ShapeCoefficients, eval_shape, shape_derivative
@@ -35,3 +38,10 @@ def height(stack, surface, ell, row=0):
 def slope(stack, surface, ell, row=0):
     return shape_derivative(ShapeCoefficients(coefficients(stack, surface, row)), stack.basis,
                             ell)
+
+
+def curvature(stack, surface, ell, row=0):
+    """d2s/dell2 = sum_j a_j e_j (e_j - 1) ell**(e_j - 2) for ell in (0, 1]."""
+    e = stack.basis.exponents()
+    terms = e * (e - 1.0) * np.asarray(ell, dtype=float)[..., np.newaxis] ** (e - 2.0)
+    return terms @ coefficients(stack, surface, row)

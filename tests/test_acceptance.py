@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 import pytest
-from surfaces import LOWER, UPPER, coefficients, decoded, height, slope
+from surfaces import LOWER, UPPER, coefficients, curvature, decoded, height, slope
 
 from activefoil import cst, parsec
 from activefoil.activesubspace import (
@@ -32,7 +32,6 @@ from activefoil.analysis import (
     inactive_sensitivity_check,
     pareto_segment,
 )
-from activefoil.activesubspace import QuadraticModel
 from activefoil.geometry import (
     BasisKind,
     BasisSpec,
@@ -63,16 +62,12 @@ def test_criterion_01_quadratic_exact_recovery(capsys):
     model = fit_quadratic(X, f)
 
     coeff_ok = (
-        float(np.max(np.abs(model.hessian - truth.hessian))) < 1e-9
-        and float(np.max(np.abs(model.linear - truth.linear))) < 1e-9
-        and abs(model.constant - truth.constant) < 1e-9
+        float(np.max(np.abs(model.hessian - truth.model.hessian))) < 1e-9
+        and float(np.max(np.abs(model.linear - truth.model.linear))) < 1e-9
+        and abs(model.constant - truth.model.constant) < 1e-9
     )
 
-    analytic = eigendecompose(
-        gradient_outer_matrix(
-            QuadraticModel(truth.hessian, truth.linear, truth.constant)
-        )
-    )
+    analytic = eigendecompose(gradient_outer_matrix(truth.model))
     fitted = eigendecompose(gradient_outer_matrix(model))
     dist = subspace_distance(fitted.vectors[:, :2], analytic.vectors[:, :2])
     elapsed = time.perf_counter() - start
@@ -101,43 +96,51 @@ def test_criterion_02_ridge_recovery(capsys):
 
 
 def test_criterion_03_parsec_constraint_residuals(capsys):
+    # the six constraints of each surface, read off the decoded surfaces
     box = parsec.baseline_box()
     rows = sample(box, 1000, seed=3).physical()
+    stack = parsec.solve_coefficients(rows)
     worst_residual = 0.0
     worst_crest = 0.0
-    for row in rows:
+    for i, row in enumerate(rows):
         params = parsec.ParsecParams.from_sequence(row)
-        stack = decoded(params)
-        for s, surface in enumerate(("upper", "lower")):
-            system = parsec.build_constraint_system(params, surface)
-            a = coefficients(stack, s)
+        for s, crest_x, crest_y, crest_curvature, te_y, te_slope, a1 in (
+            (UPPER, params.upper_crest_x, params.upper_crest_y, params.upper_curvature,
+             params.te_y + params.te_half_thickness, params.te_angle_deg - params.te_wedge_deg,
+             math.sqrt(2.0 * params.le_radius)),
+            (LOWER, params.lower_crest_x, params.lower_crest_y, params.lower_curvature,
+             params.te_y - params.te_half_thickness, params.te_angle_deg + params.te_wedge_deg,
+             -math.sqrt(2.0 * params.le_radius)),
+        ):
             worst_residual = max(
-                worst_residual, float(np.max(np.abs(system.matrix @ a - system.rhs)))
+                worst_residual,
+                abs(curvature(stack, s, crest_x, i) - crest_curvature),
+                abs(height(stack, s, 1.0, i) - te_y),
+                abs(slope(stack, s, 1.0, i) - math.tan(math.radians(te_slope))),
+                abs(coefficients(stack, s, i)[0] - a1),
             )
-        worst_crest = max(
-            worst_crest,
-            abs(height(stack, UPPER, params.upper_crest_x) - params.upper_crest_y),
-            abs(height(stack, LOWER, params.lower_crest_x) - params.lower_crest_y),
-            abs(slope(stack, UPPER, params.upper_crest_x)),
-            abs(slope(stack, LOWER, params.lower_crest_x)),
-        )
+            worst_crest = max(
+                worst_crest,
+                abs(height(stack, s, crest_x, i) - crest_y),
+                abs(slope(stack, s, crest_x, i)),
+            )
 
     sharp_ok = True
     for row in rows[:50]:
         values = parsec.ParsecParams.from_sequence(row).to_mapping()
         values["x5"] = 0.0
         values["x6"] = 0.0
-        stack = decoded(parsec.ParsecParams.from_mapping(values))
+        sharp = decoded(parsec.ParsecParams.from_mapping(values))
         sharp_ok = sharp_ok and (
-            abs(float(np.sum(coefficients(stack, UPPER)))) < 1e-9
-            and abs(float(np.sum(coefficients(stack, LOWER)))) < 1e-9
+            abs(float(np.sum(coefficients(sharp, UPPER)))) < 1e-9
+            and abs(float(np.sum(coefficients(sharp, LOWER)))) < 1e-9
         )
 
     _report(
         capsys,
         3,
         "crest-constraint residuals over 1000 box draws",
-        worst_residual < 1e-9 and worst_crest < 1e-9 and sharp_ok,
+        not stack.errors and worst_residual < 1e-9 and worst_crest < 1e-9 and sharp_ok,
     )
 
 
@@ -164,16 +167,19 @@ def test_criterion_04_leading_edge_osculation(capsys):
 
 
 def test_criterion_05_cst_expansion_equivalence(capsys):
+    # each draw decoded by the production path as both surfaces of one row
     draws = sample(unit_box(5), 1000, seed=5).matrix
     t = np.linspace(0.0, 1.0, 101)
     ell = t * t
-    basis = cst.odd_basis(5)
+    stack = cst.surface_pair(np.hstack([draws, draws]))
     worst = 0.0
-    for coeffs in draws:
+    for i, coeffs in enumerate(draws):
         direct = cst.cst_surface(ell, coeffs)
-        series = eval_shape_t(cst.expand_odd_polynomial(coeffs), basis, t)
-        worst = max(worst, float(np.max(np.abs(direct - series))))
-    support_ok = np.array_equal(basis.exponents_t(), [1, 3, 5, 7, 9, 11])
+        for s in (UPPER, LOWER):
+            series = eval_shape_t(ShapeCoefficients(coefficients(stack, s, i)), stack.basis, t)
+            worst = max(worst, float(np.max(np.abs(direct - series))))
+    support_ok = (stack.basis == cst.odd_basis(5)
+                  and np.array_equal(stack.basis.exponents_t(), [1, 3, 5, 7, 9, 11]))
     _report(
         capsys,
         5,

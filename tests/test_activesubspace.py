@@ -199,7 +199,7 @@ def test_eigenpairs_validation():
     with pytest.raises(ContractViolation):
         Eigenpairs(vectors=np.eye(2), values=np.array([1.0, -1.0]))
     good = Eigenpairs(vectors=np.eye(3), values=np.array([3.0, 2.0, 1.0]))
-    assert good.dim == 3
+    assert good.values.shape == (3,) and good.vectors.shape == (3, 3)
 
 
 def test_choose_dimension_literals():
@@ -225,7 +225,7 @@ def test_partition_shapes():
     eig = eigendecompose(np.diag([4.0, 3.0, 2.0, 1.0]))
     active, inactive = eig.vectors[:, :3], eig.vectors[:, 3:]
     assert active.shape == (4, 3) and inactive.shape == (4, 1)
-    assert eig.dim == 4
+    assert eig.values.shape == (4,)
     np.testing.assert_allclose(active.T @ inactive, np.zeros((3, 1)), atol=1e-12)
     z_samples = sample(unit_box(1), 5, seed=3).matrix
     for bad in (0, 4):

@@ -384,7 +384,7 @@ def _per_point_check(basis, n, y_points, z_samples, evaluator):
         values = []
         for row in x[np.max(np.abs(x), axis=1) <= 1.0 + 1e-12]:
             try:
-                values.append(evaluator.evaluate(row))
+                values.append(evaluator(row))
             except EvaluationError:
                 pass
         if values:

@@ -184,9 +184,9 @@ def test_single_design_evaluate_is_the_one_row_batch():
     for i in range(20):
         if i in failed:
             with pytest.raises(EvaluationError):
-                ev.evaluate(X[i])
+                ev(X[i])
         else:
-            assert ev.evaluate(X[i]) == values[i]
+            assert ev(X[i]) == values[i]
     ok = [i for i in range(20) if i not in failed]
     assert ev(X[ok]).tobytes() == values[ok].tobytes()
 
@@ -450,7 +450,7 @@ def _check_stacked_qois(parameterization, physical):
         report = qoi.validate_airfoil(stack, GRID)
         lift, drag = qoi.camber_lift(stack), qoi.thickness_drag(report)
         values, failed = qoi.PanelSurrogate(parameterization, "both").evaluate_many(X)
-    assert len(report) == lift.size == drag.size == len(X)
+    assert report.reason.size == lift.size == drag.size == len(X)
     overflow = (report.reason == 0) & ~(np.isfinite(lift) & np.isfinite(drag))
     assert list(failed) == np.flatnonzero((report.reason > 0) | overflow).tolist()
     assert (report.feasible and report.bounded and not overflow.any()) == (not failed)

@@ -131,7 +131,8 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     truth = seeded_quadratic(6, derive_seed(7, "qoi:quadratic"))
     # the exact C of the uniform cube, HH/3 + vv'
     expected = eigendecompose(
-        truth.hessian @ truth.hessian / 3.0 + np.outer(truth.linear, truth.linear)
+        truth.model.hessian @ truth.model.hessian / 3.0
+        + np.outer(truth.model.linear, truth.model.linear)
     )
     np.testing.assert_allclose(payload["eigenvalues"], expected.values, rtol=1e-8)
     lead = np.array(payload["eigenvectors"][0])
@@ -399,9 +400,34 @@ def test_bad_params_files_are_refused_by_name(tmp_path, capsys, parameterization
     (("sample", "--box", "{path}", "--n", "5"),
      {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "labels": ["a"]},
      "one label per coordinate required"),
+    *[(("sample", "--box", "{path}", "--n", "5"),
+       {"lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0, 1.0], "labels": ["a", label, "c"]},
+       f"label {label!r} cannot head a CSV column")
+      for label in ("f", "a,b", "", "#b", " b", "b ", "b\nc", "b\rc")],
+    (("shadow", "--data", "{data}", "--eigs", "{path}"),
+     {"eigenvalues": [2.0, 1.0], "eigenvectors": [[1.0, 0.0]], "n": 1},
+     "2 eigenvalues need 2 eigenvectors of 2 components and 1 <= n < 2, "
+     "got eigenvectors (1, 2) and n=1"),
+    (("shadow", "--data", "{data}", "--eigs", "{path}"),
+     {"eigenvalues": [3.0, 2.0, 1.0], "eigenvectors": [[1.0, 0.0], [0.0, 1.0]], "n": 1},
+     "got eigenvectors (2, 2) and n=1"),
+    (("shadow", "--data", "{data}", "--eigs", "{path}"),
+     {"eigenvalues": [2.0, 1.0], "eigenvectors": [[1.0, 0.0], [0.0, 1.0]], "n": 0},
+     "1 <= n < 2, got eigenvectors (2, 2) and n=0"),
+    (("shadow", "--data", "{data}", "--eigs", "{path}"),
+     {"eigenvalues": [2.0, 1.0], "eigenvectors": [[1.0, 0.0], [0.0, 1.0]], "n": 2},
+     "1 <= n < 2, got eigenvectors (2, 2) and n=2"),
+    (("pareto", "--eigs1", "{path}", "--eigs2", "{path}", "--data1", "{data}",
+      "--data2", "{data}"),
+     {"eigenvalues": [2.0, 1.0], "eigenvectors": [[1.0, 0.0], [0.0, 1.0]], "n": 2},
+     "1 <= n < 2, got eigenvectors (2, 2) and n=2"),
 ], ids=["box-number", "box-list", "box-labels", "box-not-json", "model-number",
         "model-constant-string", "model-ragged-hessian", "eigs-n-string", "eigs-empty",
-        "model-hessian-not-square", "box-bounds-unequal", "box-labels-short"])
+        "model-hessian-not-square", "box-bounds-unequal", "box-labels-short",
+        "box-label-f", "box-label-comma", "box-label-empty", "box-label-hash",
+        "box-label-leading-space", "box-label-trailing-space", "box-label-lf",
+        "box-label-cr", "eigs-one-vector", "eigs-values-longer", "eigs-n-zero", "eigs-n-m",
+        "pareto-eigs-n-m"])
 def test_bad_json_inputs_are_refused_by_file_and_key(tmp_path, capsys, argv, content, needle):
     path = tmp_path / "input.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))

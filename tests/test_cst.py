@@ -15,13 +15,12 @@ from activefoil.cst import (
     baseline_center,
     class_function,
     cst_surface,
-    expand_odd_polynomial,
     leading_edge_radius,
     odd_basis,
     surface_pair,
 )
 from activefoil.errors import ContractViolation, DomainError
-from activefoil.geometry import BasisKind, eval_shape_t, naca_thickness_pair
+from activefoil.geometry import BasisKind, ShapeCoefficients, eval_shape_t, naca_thickness_pair
 from activefoil.sampling import sample, unit_box
 
 
@@ -103,41 +102,47 @@ def test_from_json_refuses_missing_keys(text, missing):
 
 
 def test_expansion_literal_m2():
-    odd = expand_odd_polynomial([0.4, 0.1])
-    np.testing.assert_allclose(odd.values, [0.4, 0.1 - 0.4, -0.1], rtol=1e-15)
+    stack = surface_pair([[0.4, 0.1, -0.4, -0.1]])
+    np.testing.assert_allclose(stack.coefficients[0, UPPER], [0.4, 0.1 - 0.4, -0.1], rtol=1e-15)
+    np.testing.assert_array_equal(stack.coefficients[0, LOWER], -stack.coefficients[0, UPPER])
     basis = odd_basis(2)
+    assert stack.basis == basis
     assert basis.kind is BasisKind.HALF_INTEGER and basis.term_count == 3
     np.testing.assert_array_equal(basis.exponents_t(), [1, 3, 5])
 
 
 def test_expansion_matches_product_across_draws():
-    # 300 random m=5 surfaces agree to 1e-12 on a 101-point grid
+    # 300 random m=5 surfaces, each decoded as both surfaces of one row,
+    # agree with the product form to 1e-12 on a 101-point grid
     draws = sample(unit_box(5), 300, seed=29).matrix
     t = np.linspace(0.0, 1.0, 101)
     ell = t * t
-    basis = odd_basis(5)
+    stack = surface_pair(np.hstack([draws, draws]))
     worst = 0.0
-    for coeffs in draws:
+    for i, coeffs in enumerate(draws):
         direct = cst_surface(ell, coeffs)
-        series = eval_shape_t(expand_odd_polynomial(coeffs), basis, t)
-        worst = max(worst, float(np.max(np.abs(direct - series))))
+        for surface in (UPPER, LOWER):
+            series = eval_shape_t(ShapeCoefficients(stack.coefficients[i, surface]),
+                                  stack.basis, t)
+            worst = max(worst, float(np.max(np.abs(direct - series))))
     assert worst <= 1e-12
 
 
 def test_expansion_support_is_odd_degrees():
     basis = odd_basis(5)
-    assert expand_odd_polynomial(np.ones(5)).values.size == 6
+    assert surface_pair(np.ones((1, 10))).coefficients.shape == (1, 2, 6)
     np.testing.assert_array_equal(basis.exponents_t(), [1, 3, 5, 7, 9, 11])
 
 
 def test_expansion_rejects_other_class_exponents():
     # the class exponents are fixed at (1/2, 1): there is no way to pass others
     with pytest.raises(TypeError):
-        expand_odd_polynomial([1.0, 2.0], (0.5, 0.5))
+        surface_pair([[1.0, 2.0]], (0.5, 0.5))
     with pytest.raises(TypeError):
         class_function(0.5, (1.0, 1.0))
-    with pytest.raises(ContractViolation):
-        expand_odd_polynomial([])
+    for empty in ([], [[]]):
+        with pytest.raises(ContractViolation):
+            surface_pair(empty)
 
 
 def test_surface_pair_consistency():

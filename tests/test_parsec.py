@@ -13,10 +13,9 @@ from activefoil.parsec import (
     RESIDUAL_LIMIT,
     TERM_COUNT,
     ParsecParams,
+    _stack_systems,
     baseline_box,
     baseline_center,
-    build_constraint_system,
-    leading_edge_coefficient,
     solve_coefficients,
 )
 from activefoil.sampling import sample
@@ -67,26 +66,31 @@ def test_json_roundtrip_uses_x_keys():
 
 
 def test_leading_edge_coefficient_signs():
-    assert leading_edge_coefficient(0.015, "upper") == math.sqrt(0.03)
-    assert leading_edge_coefficient(0.015, "lower") == -math.sqrt(0.03)
-    with pytest.raises(DomainError):
-        leading_edge_coefficient(0.0, "upper")
-    with pytest.raises(ContractViolation):
-        leading_edge_coefficient(0.01, "camber")
+    # a_1 = +sqrt(2 r) on the upper surface and -sqrt(2 r) on the lower one;
+    # a radius that is not positive is the row's DomainError
+    rows = np.repeat([baseline_center().to_sequence()], 2, axis=0)
+    rows[:, 10] = 0.015, 0.0
+    _, rhs = _stack_systems(rows[:1])
+    assert rhs[0, 0, 5] == math.sqrt(0.03) and rhs[0, 1, 5] == -math.sqrt(0.03)
+    stack = solve_coefficients(rows)
+    assert coefficients(stack, UPPER)[0] == pytest.approx(math.sqrt(0.03), rel=1e-12)
+    assert coefficients(stack, LOWER)[0] == pytest.approx(-math.sqrt(0.03), rel=1e-12)
+    assert list(stack.errors) == [1] and isinstance(stack.errors[1], DomainError)
 
 
 def test_constraint_rows_are_the_documented_ones():
     params = baseline_center()
-    system = build_constraint_system(params, "upper")
-    assert system.matrix.shape == (TERM_COUNT, TERM_COUNT)
+    matrix, rhs = _stack_systems(np.array([params.to_sequence()]))
+    assert matrix.shape == (1, 2, TERM_COUNT, TERM_COUNT) and rhs.shape == (1, 2, TERM_COUNT)
+    system, lower_rhs = matrix[0, 0], rhs[0, 1]
     e = np.arange(TERM_COUNT) + 0.5
     p = params.upper_crest_x
-    np.testing.assert_allclose(system.matrix[0], p**e, rtol=1e-15)
-    np.testing.assert_array_equal(system.matrix[1], np.ones(6))
-    np.testing.assert_allclose(system.matrix[2], e * p ** (e - 1), rtol=1e-15)
-    np.testing.assert_array_equal(system.matrix[3], e)
-    np.testing.assert_allclose(system.matrix[4], e * (e - 1) * p ** (e - 2), rtol=1e-15)
-    np.testing.assert_array_equal(system.matrix[5], [1, 0, 0, 0, 0, 0])
+    np.testing.assert_allclose(system[0], p**e, rtol=1e-15)
+    np.testing.assert_array_equal(system[1], np.ones(6))
+    np.testing.assert_allclose(system[2], e * p ** (e - 1), rtol=1e-15)
+    np.testing.assert_array_equal(system[3], e)
+    np.testing.assert_allclose(system[4], e * (e - 1) * p ** (e - 2), rtol=1e-15)
+    np.testing.assert_array_equal(system[5], [1, 0, 0, 0, 0, 0])
 
     expected_rhs = [
         params.upper_crest_y,
@@ -96,14 +100,12 @@ def test_constraint_rows_are_the_documented_ones():
         params.upper_curvature,
         math.sqrt(2.0 * params.le_radius),
     ]
-    np.testing.assert_array_equal(system.rhs, expected_rhs)
+    np.testing.assert_array_equal(rhs[0, 0], expected_rhs)
 
-    lower = build_constraint_system(params, "lower")
-    assert lower.rhs[1] == params.te_y - params.te_half_thickness
-    assert lower.rhs[3] == math.tan(math.radians(params.te_angle_deg + params.te_wedge_deg))
-    assert lower.rhs[5] == -math.sqrt(2.0 * params.le_radius)
-    with pytest.raises(ContractViolation):
-        build_constraint_system(params, "middle")
+    assert lower_rhs[1] == params.te_y - params.te_half_thickness
+    assert lower_rhs[3] == math.tan(math.radians(params.te_angle_deg + params.te_wedge_deg))
+    assert lower_rhs[5] == -math.sqrt(2.0 * params.le_radius)
+    np.testing.assert_allclose(matrix[0, 1, 0], params.lower_crest_x**e, rtol=1e-15)
 
 
 def test_solved_surfaces_satisfy_geometry():
@@ -144,15 +146,10 @@ def test_solved_surfaces_satisfy_geometry():
 def test_residuals_small_across_the_box():
     box = baseline_box()
     draws = sample(box, 200, seed=17).physical()
-    worst = 0.0
-    for row in draws:
-        params = ParsecParams.from_sequence(row)
-        for surface in ("upper", "lower"):
-            system = build_constraint_system(params, surface)
-            a = np.linalg.solve(system.matrix, system.rhs)
-            worst = max(worst, float(np.max(np.abs(system.matrix @ a - system.rhs))))
-        decoded(params)  # must not raise anywhere in the box
-    assert worst < 1e-9
+    matrix, rhs = _stack_systems(draws)
+    a = np.linalg.solve(matrix, rhs[..., np.newaxis])
+    assert float(np.max(np.abs(matrix @ a - rhs[..., np.newaxis]))) < 1e-9
+    assert solve_coefficients(draws).errors == {}  # nothing fails anywhere in the box
 
 
 def test_leading_edge_osculation():
@@ -198,9 +195,7 @@ def test_crest_sweep_fails_on_conditioning_exactly_above_the_limit():
     # limit decides which systems fail, and every other row decodes
     rows = np.repeat(baseline_box().center[np.newaxis], 400, axis=0)
     rows[:, 0] = np.linspace(2e-3, 5e-2, rows.shape[0])
-    cond = np.array([[np.linalg.cond(build_constraint_system(ParsecParams.from_sequence(row),
-                                                             surface).matrix)
-                      for surface in ("upper", "lower")] for row in rows])
+    cond = np.linalg.cond(_stack_systems(rows)[0])
     above = np.any(cond > CONDITION_LIMIT, axis=1)
     assert 0 < above.sum() < rows.shape[0] // 4
     reason = validate_airfoil(solve_coefficients(rows)).reason

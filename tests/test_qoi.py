@@ -34,11 +34,11 @@ from activefoil.sampling import sample, unit_box
 
 def test_synthetic_quadratic_literal():
     qoi = SyntheticQuadratic([[2.0, 0.0], [0.0, 0.0]], [0.0, 1.0], 3.0)
-    assert qoi.evaluate([2.0, 5.0]) == 4.0 + 5.0 + 3.0
+    assert qoi([2.0, 5.0]) == 4.0 + 5.0 + 3.0
     assert qoi.dim == 2
     assert qoi([[2.0, 5.0], [0.0, 0.0]]).tolist() == [12.0, 3.0]
     with pytest.raises(ContractViolation):
-        qoi.evaluate([1.0, 2.0, 3.0])
+        qoi([1.0, 2.0, 3.0])
     with pytest.raises(ContractViolation):
         SyntheticQuadratic([[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0], 0.0)
     with pytest.raises(ContractViolation):
@@ -48,17 +48,17 @@ def test_synthetic_quadratic_literal():
 def test_seeded_quadratic_reconstruction():
     qoi = seeded_quadratic(4, seed=20)
     again = seeded_quadratic(4, seed=20)
-    np.testing.assert_array_equal(qoi.hessian, again.hessian)
-    np.testing.assert_array_equal(qoi.linear, again.linear)
-    np.testing.assert_array_equal(qoi.hessian, qoi.hessian.T)
-    assert qoi.constant == 0.0
+    np.testing.assert_array_equal(qoi.model.hessian, again.model.hessian)
+    np.testing.assert_array_equal(qoi.model.linear, again.model.linear)
+    np.testing.assert_array_equal(qoi.model.hessian, qoi.model.hessian.T)
+    assert qoi.model.constant == 0.0
 
     rng = np.random.Generator(np.random.PCG64(20))
     square = rng.standard_normal((4, 4))
-    np.testing.assert_array_equal(qoi.hessian, 0.5 * (square + square.T))
-    np.testing.assert_array_equal(qoi.linear, rng.standard_normal(4))
+    np.testing.assert_array_equal(qoi.model.hessian, 0.5 * (square + square.T))
+    np.testing.assert_array_equal(qoi.model.linear, rng.standard_normal(4))
 
-    assert not np.array_equal(qoi.hessian, seeded_quadratic(4, seed=21).hessian)
+    assert not np.array_equal(qoi.model.hessian, seeded_quadratic(4, seed=21).model.hessian)
     with pytest.raises(ContractViolation):
         seeded_quadratic(0, seed=1)
 
@@ -70,8 +70,9 @@ def test_synthetic_quadratic_blocks_keep_each_rows_bits_and_bound_memory():
     m = 78
     qoi = seeded_quadratic(m, seed=5)
     X = sample(unit_box(m), 300, seed=6).matrix
-    hx = (X[:, np.newaxis, :] * qoi.hessian).sum(axis=-1)  # one (300, m, m) product
-    unblocked = 0.5 * (hx * X).sum(axis=-1) + (X * qoi.linear).sum(axis=-1) + qoi.constant
+    model = qoi.model
+    hx = (X[:, np.newaxis, :] * model.hessian).sum(axis=-1)  # one (300, m, m) product
+    unblocked = 0.5 * (hx * X).sum(axis=-1) + (X * model.linear).sum(axis=-1) + model.constant
     np.testing.assert_array_equal(qoi(X), unblocked)
 
     X = sample(unit_box(m), 1000, seed=7).matrix
@@ -87,16 +88,16 @@ def test_synthetic_quadratic_blocks_keep_each_rows_bits_and_bound_memory():
 def test_ridge_profile_literals():
     lin = Ridge([3.0, 4.0], profile="linear")
     np.testing.assert_allclose(lin.direction, [0.6, 0.8], rtol=1e-15)
-    assert lin.evaluate([1.0, 1.0]) == pytest.approx(1.4, rel=1e-15)
-    assert Ridge([3.0, 4.0], "quadratic").evaluate([1.0, 1.0]) == pytest.approx(1.96, rel=1e-15)
-    assert Ridge([3.0, 4.0], "exp").evaluate([1.0, 1.0]) == pytest.approx(math.exp(1.4), rel=1e-15)
+    assert lin([1.0, 1.0]) == pytest.approx(1.4, rel=1e-15)
+    assert Ridge([3.0, 4.0], "quadratic")([1.0, 1.0]) == pytest.approx(1.96, rel=1e-15)
+    assert Ridge([3.0, 4.0], "exp")([1.0, 1.0]) == pytest.approx(math.exp(1.4), rel=1e-15)
 
 
 def test_ridge_constant_on_orthogonal_slices():
     qoi = Ridge([1.0, 0.0, 0.0])
-    base = qoi.evaluate([0.3, 0.0, 0.0])
+    base = qoi([0.3, 0.0, 0.0])
     for a, b in ((1.0, -1.0), (0.25, 0.75), (-0.9, 0.1)):
-        assert qoi.evaluate([0.3, a, b]) == base
+        assert qoi([0.3, a, b]) == base
 
 
 def test_ridge_validation():
@@ -113,8 +114,8 @@ def test_ridge_validation():
 def test_ridge_noise_is_reproducible():
     noisy = Ridge([1.0, 2.0], noise_std=0.5, noise_seed=3)
     x = np.array([0.2, -0.4])
-    assert noisy.evaluate(x) == noisy.evaluate(x)  # bitwise
-    assert noisy.evaluate(x) != Ridge([1.0, 2.0], noise_std=0.5, noise_seed=4).evaluate(x)
+    assert noisy(x) == noisy(x)  # bitwise
+    assert noisy(x) != Ridge([1.0, 2.0], noise_std=0.5, noise_seed=4)(x)
 
     def noise(point):
         return noisy._noise(np.asarray(point)[np.newaxis])[0]
@@ -124,7 +125,7 @@ def test_ridge_noise_is_reproducible():
     assert noise(np.nextafter(x, 2.0)) == noise(x)
     assert noise(x + 2.0 ** -20) != noise(x)
     clean = Ridge([1.0, 2.0])
-    assert abs(noisy.evaluate(x) - clean.evaluate(x)) < 5 * 0.5
+    assert abs(noisy(x) - clean(x)) < 5 * 0.5
     assert noisy.noise_std == 0.5 and noisy.noise_seed == 3
 
 
@@ -155,14 +156,14 @@ def test_evaluate_batch_error_modes():
 
     with pytest.raises(ContractViolation):
         evaluate_batch(ev, X, on_error="ignore")
-    # one design raises its row's error; a stack of the wrong width is refused once
-    with pytest.raises(EvaluationError, match="inside"):
-        ev.evaluate(X[1])
+    # one design raises its row's error, as row 0 of its 1-row stack; a
+    # stack of the wrong width is refused once
+    with pytest.raises(EvaluationError, match="inside") as info:
+        ev(X[1])
+    assert info.value.index == 0
     for bad in (np.zeros((3, 3)), np.zeros(3)):
         with pytest.raises(ContractViolation, match="rows of length 2"):
             evaluate_batch(ev, bad)
-    with pytest.raises(ContractViolation, match="one design"):
-        ev.evaluate(X[:1])
 
 
 _STACK_EVALUATORS = {
@@ -188,11 +189,12 @@ def test_rows_keep_their_bits_in_any_stack(kind, m, data):
     starts = [0, *cuts]
     assert [start + i for start, (_, f) in zip(starts, blocks) for i in f] == list(failed)
     for i, row in enumerate(X):
-        if i in failed:
-            with pytest.raises(type(failed[i])):
-                ev.evaluate(row)
+        if i in failed:  # an error that is not an EvaluationError is the cause of one
+            with pytest.raises(EvaluationError) as info:
+                ev(row)
+            assert type(info.value.__cause__ or info.value) is type(failed[i])
         else:
-            assert np.asarray(ev.evaluate(row)).tobytes() == values[i].tobytes()
+            assert np.asarray(ev(row)).tobytes() == values[i].tobytes()
 
 
 def test_camber_lift_parabolic_oracle():
@@ -252,8 +254,8 @@ def test_panel_surrogate_binds_its_box():
 def test_panel_surrogate_frozen_center_values():
     lift, drag = PanelSurrogate("cst", "lift"), PanelSurrogate("cst", "drag")
     center = np.zeros(10)
-    assert lift.evaluate(center) == 0.0  # the centre is a mirror-symmetric pair
-    assert drag.evaluate(center) == pytest.approx(0.00703407401213271, rel=1e-12)
+    assert lift(center) == 0.0  # the centre is a mirror-symmetric pair
+    assert drag(center) == pytest.approx(0.00703407401213271, rel=1e-12)
 
 
 def test_panel_surrogate_rejects_infeasible_decode():
@@ -261,7 +263,7 @@ def test_panel_surrogate_rejects_infeasible_decode():
     # the centre's mirror image, upper -a and lower a: the surfaces cross
     x = -4.0 * drag.box.center / drag.box.width
     with pytest.raises(EvaluationError) as info:
-        drag.evaluate(x)
+        drag(x)
     assert info.value.report is not None and not info.value.report.feasible
 
 
@@ -283,10 +285,10 @@ def test_panel_surrogate_fails_non_finite_values_as_unbounded():
         assert np.all(np.isnan(values[bad]))
         assert np.all(np.isfinite(np.delete(values, bad, axis=0)))
     with pytest.raises(EvaluationError, match="unbounded"):
-        PanelSurrogate("cst", "drag").evaluate(X[1])
+        PanelSurrogate("cst", "drag")(X[1])
 
 
 def test_panel_surrogate_deterministic():
     lift = PanelSurrogate("parsec", "lift")
     x = sample(unit_box(11), 1, seed=40).matrix[0]
-    assert lift.evaluate(x) == lift.evaluate(x)
+    assert lift(x) == lift(x)

@@ -39,6 +39,13 @@ _WORD = st.text(alphabet=string.ascii_letters + string.digits + "_", min_size=1,
                 max_size=8)
 
 
+def _header_label(label):
+    """A label a CSV header holds: not empty or f, no leading #, no
+    surrounding whitespace, no comma or line break."""
+    return (bool(label) and label == label.strip() and not label.startswith("#")
+            and label != "f" and not any(c in label for c in ",\r\n"))
+
+
 def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.uint64)
 
@@ -139,7 +146,7 @@ def test_sample_shape_range_determinism():
     s1 = sample(box, 50, seed=123)
     s2 = sample(box, 50, seed=123)
     assert s1.matrix.shape == (50, 5)
-    assert s1.n == 50 and s1.seed == 123
+    assert s1.seed == 123
     assert np.all(np.abs(s1.matrix) <= 1.0)
     np.testing.assert_array_equal(s1.matrix, s2.matrix)
     assert not np.array_equal(s1.matrix, sample(box, 50, seed=124).matrix)
@@ -384,11 +391,34 @@ def test_write_table_blocks_match_row_at_a_time_output(tmp_path, shape, data):
 def test_box_save_load_roundtrip_is_exact(tmp_path, bounds, data):
     lower = [min(b) for b in bounds]
     upper = [max(b) for b in bounds]
-    labels = tuple(data.draw(st.lists(st.text(max_size=6), min_size=len(bounds),
-                                      max_size=len(bounds))))
+    labels = tuple(data.draw(st.lists(st.text(max_size=6).filter(_header_label),
+                                      min_size=len(bounds), max_size=len(bounds))))
     box = ParameterBox(lower=lower, upper=upper, labels=labels)
     box.save(tmp_path / "box.json")
     again = ParameterBox.load(tmp_path / "box.json")
     np.testing.assert_array_equal(_bits(again.lower), _bits(box.lower))
     np.testing.assert_array_equal(_bits(again.upper), _bits(box.upper))
     assert again.labels == labels
+
+
+@_FILE_EXAMPLES
+@given(labels=st.lists(st.one_of(st.text(max_size=6), st.text("abfx1#, \t\r\n", max_size=4)),
+                       min_size=1, max_size=4))
+def test_box_labels_come_back_unchanged_from_a_csv_header(tmp_path, labels):
+    # the box refuses a label that a CSV header cannot hold; any other comes
+    # back unchanged, with or without the f column
+    lower = np.zeros(len(labels))
+    try:
+        box = ParameterBox(lower, lower + 1.0, labels)
+    except ContractViolation as exc:
+        assert "cannot head a CSV column" in str(exc)
+        assert not all(map(_header_label, labels))
+        return
+    assert all(map(_header_label, labels))
+    X = sample(box, 3, seed=1).matrix
+    for f in (None, np.arange(3.0)):
+        write_matrix_csv(tmp_path / "x.csv", X, f=f, labels=box.labels)
+        back, f_back, labels_back, _ = read_matrix_csv(tmp_path / "x.csv")
+        assert tuple(labels_back) == box.labels == tuple(labels)
+        np.testing.assert_array_equal(back, X)
+        assert f_back is None if f is None else np.array_equal(f_back, f)
