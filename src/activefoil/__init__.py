@@ -40,8 +40,7 @@ _EXPORTS = {
     "parsec": "ParsecParams solve_coefficients",
     "qoi": "PanelSurrogate QoiEvaluator Ridge SyntheticQuadratic camber_lift "
            "evaluate_batch seeded_quadratic thickness_drag",
-    "sampling": "ParameterBox SampleSet denormalize derive_seed make_box normalize "
-                "sample unit_box",
+    "sampling": "ParameterBox SampleSet denormalize derive_seed make_box sample unit_box",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_SOURCE)

@@ -10,8 +10,8 @@ draws from: E[x] = 0 and E[xx'] = I/3.  Directions with large
 eigenvalues are the ones along which the model says f moves; trailing
 directions are near-inactive.  Subspace uncertainty is estimated by a
 pairs bootstrap: resample the (x, f) rows, refit, re-decompose, and
-compare each replicate's leading subspace against the point estimate
-with the projector distance
+compare each replicate's leading subspace against the caller's point
+estimate with the projector distance
 ``|| W1 W1' - V1 V1' ||_2`` (the sine of the largest principal angle).
 
 The quadratic design D of a sample matrix X is factored as D = QR once,
@@ -38,9 +38,11 @@ tolerance with a wide margin; otherwise the point fit or the replicate
 is refitted from its rows by ``lstsq``, so the rank errors and the
 redraw and skip decisions never depend on the shortcut.
 
-The bootstrap takes one output per row or an (N, k) matrix of k outputs
-of the same designs, such as the panel's lift and drag.  Each replicate
-then resamples the rows once for all k: its draws, Gram matrix, Cholesky
+The bootstrap takes an (N, k) matrix of k outputs of the same designs,
+such as the panel's lift and drag, with the point eigenpairs the caller
+already built from each column's ``fit_quadratic`` model; it fits,
+decomposes and chooses no point estimate of its own.  Each replicate
+resamples the rows once for all k: its draws, Gram matrix, Cholesky
 factor, inverse and certificate depend on X alone and are made once, and
 only each output's right-hand side, solves and eigen stage run per
 column, the same operations as for that output alone, so each column
@@ -224,11 +226,11 @@ class _ResampledFit:
         for arr in (self.q, self.r, self.r_inv):
             arr.flags.writeable = False
 
-    def solve(self, f, draws):
-        """Coefficients of f on each resample, and whether the shortcut certified each.
+    def solve(self, F, draws):
+        """Coefficients of the k outputs F, (N, k), on each resample, (k, B, p),
+        and whether the shortcut certified each resample.
 
-        ``f`` is one output per row, (N,), or k of them, (N, k); the
-        coefficients are (B, p) or (k, B, p).  Each Gram matrix is
+        Each Gram matrix is
         Cholesky-factored as soon as it is formed, into one (B, p, p) work
         stack that this call allocates and inverts in place; a member that
         is not positive definite gets the identity as a placeholder factor.
@@ -238,13 +240,13 @@ class _ResampledFit:
         call with that column alone, so it gets the same bits.
         """
         p = self.r.shape[0]
-        cols = f.reshape(f.shape[0], -1).T
+        cols = F.T
         factors = np.empty((len(draws), p, p))
         rhs = np.empty((len(cols), len(draws), p))
         gram_norm = np.empty(len(draws))
         ok = np.ones(len(draws), dtype=bool)
         for i, idx in enumerate(draws):
-            counts = np.bincount(idx, minlength=f.shape[0])
+            counts = np.bincount(idx, minlength=F.shape[0])
             rows = np.flatnonzero(counts)
             root = np.sqrt(counts[rows])
             weighted = np.take(self.q, rows, axis=0)
@@ -273,7 +275,7 @@ class _ResampledFit:
             # replicate's bits do not depend on how many share its block;
             # a (B, p) x (p, p) product lets BLAS pick its kernel by B.
             beta[j] = (z @ self.r_inv.T)[:, 0]
-        return (beta if f.ndim == 2 else beta[0]), ok
+        return beta, ok
 
     def refit(self, X, f, rng):
         """(H, v) of a replicate whose first draw the shortcut did not certify.
@@ -329,11 +331,11 @@ def fit_quadratic(X, f) -> QuadraticModel:
             stacklevel=2,
         )
     fac = _factored(X.shape, X.tobytes())
-    beta, ok = fac.solve(f, [np.arange(n)])
+    beta, ok = fac.solve(f[:, np.newaxis], [np.arange(n)])
     if not ok[0]:
         return _solve_quadratic(quadratic_features(X), f, m)
-    residual = float(np.linalg.norm(fac.q @ (fac.r @ beta[0]) - f) / np.sqrt(n))
-    return QuadraticModel(*_unpack_coefficients(beta[0], m), residual)
+    residual = float(np.linalg.norm(fac.q @ (fac.r @ beta[0, 0]) - f) / np.sqrt(n))
+    return QuadraticModel(*_unpack_coefficients(beta[0, 0], m), residual)
 
 
 def _outer(hess: np.ndarray, lin: np.ndarray) -> np.ndarray:
@@ -464,18 +466,15 @@ def subspace_distance(A, B):
 
 @dataclass(frozen=True, eq=False)
 class BootstrapSummary:
-    """Replicate spread of the eigenvalues and of the subspace error.
+    """Replicate spread of the eigenvalues and of the subspace error of k outputs.
 
-    ``eigenvalues`` is the point estimate; the *_min/mean/max arrays are
-    per eigen-index over replicates.  ``error_*`` rows cover every
-    candidate dimension 1..m-1 against the point-estimate basis;
-    ``n`` marks the selected active dimension.  A bootstrap of k outputs
-    gives each per-index array a leading k axis and makes ``n`` a k-tuple;
-    ``column(j)`` is output j's own summary.  ``n_boot`` and ``n_skipped``
-    count replicates, which every output shares.
+    The *_min/mean/max arrays hold, for each output, the per eigen-index
+    spread over replicates, with a leading k axis.  ``error_*`` rows cover
+    every candidate dimension 1..m-1 against the caller's point-estimate
+    basis.  ``column(j)`` is output j's own summary.  ``n_boot`` and
+    ``n_skipped`` count replicates, which every output shares.
     """
 
-    eigenvalues: np.ndarray
     eigenvalues_min: np.ndarray
     eigenvalues_mean: np.ndarray
     eigenvalues_max: np.ndarray
@@ -483,83 +482,65 @@ class BootstrapSummary:
     error_mean: np.ndarray
     error_min: np.ndarray
     error_max: np.ndarray
-    n: int | tuple
     n_boot: int
     seed: int
     n_skipped: int
 
     def column(self, j: int) -> "BootstrapSummary":
-        """The summary of output j of a bootstrap of k outputs."""
-        if isinstance(self.n, int):
-            raise ContractViolation("a bootstrap of one output has no columns")
-        return replace(self, n=self.n[j], **{
+        """The summary of output j, without the leading k axis."""
+        return replace(self, **{
             name: value[j] for name, value in vars(self).items() if np.ndim(value) == 2})
 
     def error_row(self, dim: int):
-        if not isinstance(self.n, int):
-            raise ContractViolation("error_row reads one output's summary; take column(j)")
+        """(mean, min, max) subspace error at dimension ``dim``, one per output of a
+        summary and a scalar each of a ``column``."""
         i = int(dim) - 1
         if not 0 <= i < self.dimensions.size:
             raise ContractViolation(f"no bootstrap row for dimension {dim}")
-        return (
-            float(self.error_mean[i]),
-            float(self.error_min[i]),
-            float(self.error_max[i]),
-        )
+        return self.error_mean[..., i], self.error_min[..., i], self.error_max[..., i]
 
 
-def bootstrap(
-    X,
-    f,
-    n_boot: int,
-    seed: int,
-    n: int | None = None,
-) -> BootstrapSummary:
-    """Pairs bootstrap of the quadratic-model subspace estimate.
+def bootstrap(X, F, n_boot: int, seed: int, points) -> BootstrapSummary:
+    """Pairs bootstrap of the quadratic-model subspace estimates of k outputs.
 
-    Each replicate k resamples the N rows with replacement from its own
-    stream ``sampling.substream(seed, k)``, which ``sample`` draws its
-    rows from too, refits, rebuilds C as the point estimate does, and
-    re-decomposes.  A rank-deficient resample is redrawn up to 10 times
-    from the same stream, then counted as skipped.  The point fit and
-    the refits share one QR factorization of the design, cached
-    across calls on the same X, and refits run in blocks of replicates,
-    each in the (B, p, p) work stack its solver allocates, whose eigen
-    stage runs in groups of consecutive replicates (see the module
-    docstring and ``_ResampledFit``).  Note the replicate ranges
-    describe sampling variability of the fit only; they are not
-    calibrated confidence intervals.
+    ``F`` is the (N, k) output matrix and ``points`` holds the k point
+    ``Eigenpairs`` of the caller, the eigendecompositions of each column's
+    ``fit_quadratic`` model.  Each replicate k resamples the N rows with
+    replacement from its own stream ``sampling.substream(seed, k)``, which
+    ``sample`` draws its rows from too, refits, rebuilds C as the point
+    estimate does, and re-decomposes.  A rank-deficient resample is
+    redrawn up to 10 times from the same stream, then counted as skipped.
+    The refits share the QR factorization of the design that the caller's
+    point fits cached, and run in blocks of replicates, each in the
+    (B, p, p) work stack its solver allocates, whose eigen stage runs in
+    groups of consecutive replicates (see the module docstring and
+    ``_ResampledFit``).  Note the replicate ranges describe sampling
+    variability of the fit only; they are not calibrated confidence
+    intervals.
 
-    ``f`` holds one output per row, (N,), or k outputs, (N, k).  The k
-    outputs share each replicate's rows: its draws, Gram matrix, factor
-    and rank decisions are made once, so a replicate skipped for one
-    output is skipped for all.  Column j of the summary (see
-    ``BootstrapSummary.column``) has the bits of ``bootstrap(X, f[:, j],
-    n_boot, seed, n)``.  ``n``, when given, is every output's dimension.
+    The k outputs share each replicate's rows: its draws, Gram matrix,
+    factor and rank decisions are made once, so a replicate skipped for
+    one output is skipped for all.  Column j of the summary (see
+    ``BootstrapSummary.column``) has the bits of ``bootstrap(X, F[:, [j]],
+    n_boot, seed, [points[j]])``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    f = np.asarray(f, dtype=float)
+    F = np.asarray(F, dtype=float)
     if not 1 <= n_boot:
         raise ContractViolation("n_boot must be positive")
     n_rows, m = X.shape
-    if f.shape != (n_rows,) and (f.ndim != 2 or f.shape[0] != n_rows or not f.shape[1]):
-        raise ContractViolation("f must have one value per sample row, or one column per output")
-    F = f.reshape(n_rows, -1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SampleSizeWarning)
-        points = [fit_quadratic(X, col) for col in F.T]
-    eigs = [eigendecompose(gradient_outer_matrix(point)) for point in points]
-    chosen = [choose_dimension(eig.values) if n is None else n for eig in eigs]
-    for dim in chosen:
-        if not 1 <= dim < m:
-            raise ContractViolation(f"dimension must lie in [1, {m - 1}], got {dim}")
+    if F.ndim != 2 or F.shape[0] != n_rows or not F.shape[1]:
+        raise ContractViolation("F must have one row per sample row and one column per output")
+    if m < 2 or len(points) != F.shape[1] or any(eig.vectors.shape != (m, m) for eig in points):
+        raise ContractViolation(f"need m >= 2 and one {m} x {m} point Eigenpairs per column "
+                                f"of F, got {len(points)} for {F.shape[1]} columns")
 
     refit = _factored(X.shape, X.tobytes())
     block = max(1, _BLOCK_BYTES // (8 * max(refit.r.size, n_rows)))
     group = max(block, _EIGEN_GROUP)
     dims = np.arange(1, m)
-    lam_rows = np.empty((len(eigs), n_boot, m))
-    err_rows = np.empty((len(eigs), n_boot, m - 1))
+    lam_rows = np.empty((len(points), n_boot, m))
+    err_rows = np.empty((len(points), n_boot, m - 1))
     kept = np.ones(n_boot, dtype=bool)
     for start in range(0, n_boot, group):
         reps = slice(start, min(start + group, n_boot))
@@ -579,25 +560,18 @@ def bootstrap(
         ok = kept[reps]
         if not ok.any():  # every replicate of the group was skipped
             continue
-        for j, eig in enumerate(eigs):
+        for j, point in enumerate(points):
             lam_rows[j, reps][ok], vectors = _eigh_descending(_outer(hess[j, ok], lin[j, ok]))
             # reduced per group, so no (nboot, m, m) eigenvector stack is kept
             err_rows[j, reps][ok] = np.column_stack(
-                [subspace_distance(vectors[:, :, :d], eig.vectors[:, :d]) for d in dims]
+                [subspace_distance(vectors[:, :, :d], point.vectors[:, :d]) for d in dims]
             )
     skipped = int(n_boot - kept.sum())
     if skipped == n_boot:
         raise IllPosedFitError("every bootstrap replicate was rank deficient")
     # each output reduces its own (kept, m) rows, as a bootstrap of it alone does
-    stats = {"eigenvalues": [eig.values for eig in eigs]}
-    for name, rows in (("eigenvalues", lam_rows), ("error", err_rows)):
-        for reduce in ("min", "mean", "max"):
-            stats[f"{name}_{reduce}"] = [getattr(r[kept], reduce)(axis=0) for r in rows]
-    return BootstrapSummary(
-        **{name: np.array(value) if f.ndim == 2 else value[0] for name, value in stats.items()},
-        dimensions=dims,
-        n=tuple(map(int, chosen)) if f.ndim == 2 else int(chosen[0]),
-        n_boot=int(n_boot),
-        seed=int(seed),
-        n_skipped=skipped,
-    )
+    stats = {f"{name}_{reduce}": np.array([getattr(r[kept], reduce)(axis=0) for r in rows])
+             for name, rows in (("eigenvalues", lam_rows), ("error", err_rows))
+             for reduce in ("min", "mean", "max")}
+    return BootstrapSummary(**stats, dimensions=dims, n_boot=int(n_boot), seed=int(seed),
+                            n_skipped=skipped)

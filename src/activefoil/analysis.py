@@ -319,8 +319,8 @@ def inactive_sensitivity_check(basis, n: int, y_points, z_samples, evaluator):
     return np.where(counts > 0, spreads, np.nan), counts
 
 
-def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, n: int = 101,
-                        meta=None, region=None):
+def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, region,
+                        n: int = 101, meta=None):
     """Uniform n x n grid of a 2-D response surface, NaN outside ``region``, gnuplot layout."""
     lo = np.asarray(y_low, dtype=float)
     hi = np.asarray(y_high, dtype=float)
@@ -333,13 +333,11 @@ def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, n: int = 
     grid = np.empty((n, n, 3))  # one gnuplot block per y1 value
     grid[..., 0] = np.linspace(lo[0], hi[0], n)[:, np.newaxis]
     grid[..., 1] = np.linspace(lo[1], hi[1], n)
-    edges = 1 if region is None else len(region)
-    step = max(1, _GRID_CHUNK_BYTES // (16 * n * edges))
+    step = max(1, _GRID_CHUNK_BYTES // (16 * n * len(region)))
     for start in range(0, n, step):
         points = grid[start:start + step, :, :2].reshape(-1, 2)
         values = surface.predict_active(points)
-        if region is not None:
-            values[~in_polygon(region, points)] = np.nan
+        values[~in_polygon(region, points)] = np.nan
         grid[start:start + step, :, 2] = values.reshape(-1, n)
     write_table(path, "# columns: y1,y2,value", grid, meta)
 

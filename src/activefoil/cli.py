@@ -9,11 +9,12 @@ state only through files in the output directory.
 All randomness flows from the single ``--seed`` value; consumers derive
 child streams by labeled hashing (``sampling.derive_seed``), so the
 sampling stream does not shift when, say, ``--nboot`` changes.  Every
-bootstrap draws from the label ``bootstrap``: ``run-all`` fits each of
-its outputs (one, or the panel's lift and drag) and then bootstraps them
-in one call that resamples each replicate's rows once for all of them,
-so a chain's bootstrap tables are those of the ``bootstrap`` command on
-that chain's evals file.
+bootstrap draws from the label ``bootstrap``: ``run-all`` fits and
+decomposes each of its outputs (one, or the panel's lift and drag) once,
+and then bootstraps them around those point estimates in one call that
+resamples each replicate's rows once for all of them, so a chain's
+bootstrap tables are those of the ``bootstrap`` command, which builds its
+point estimate the same way, on that chain's evals file.
 
 The parser and the entry point live in ``activefoil.frontend``, which
 loads no numpy; ``main`` here is that entry point, and each subcommand
@@ -301,8 +302,8 @@ def _cmd_eigs(args) -> None:
         lambda saved: QuadraticModel(saved["hessian"], saved["linear"], saved["constant"]))
     _check_dim_flag(args.dim, model.dim)
     out = _out_dir(args)
-    payload = _eigs_stage(model, args, out, "", _meta(args))
-    print(f"wrote {out / 'eigs.json'} (n={payload['n']})")
+    _, n = _eigs_stage(model, args, out, "", _meta(args))
+    print(f"wrote {out / 'eigs.json'} (n={n})")
 
 
 def _cmd_bootstrap(args) -> None:
@@ -310,10 +311,10 @@ def _cmd_bootstrap(args) -> None:
     _check_boot_flags(args, X.shape[1])
     f = _require_outputs(f, args.data)
     _check_rows(*X.shape, "--data")
+    eig, n = _point_estimate(asub.fit_quadratic(X, f), args.dim)
     out = _out_dir(args)
-    summary = _bootstrap_stage(X, f[:, np.newaxis], args, out, [("", _meta(args))])
-    print(f"wrote {out / 'bootstrap_eigenvalues.csv'} "
-          f"(n={summary.n[0]}, skipped={summary.n_skipped})")
+    summary = _bootstrap_stage(X, f[:, np.newaxis], [(eig, n)], args, out, [("", _meta(args))])
+    print(f"wrote {out / 'bootstrap_eigenvalues.csv'} (n={n}, skipped={summary.n_skipped})")
 
 
 def _cmd_shadow(args) -> None:
@@ -326,14 +327,14 @@ def _cmd_shadow(args) -> None:
     _check_columns(X, "--data", len(payload["eigenvectors"][0]), "--eigs")
     f = _require_outputs(f, args.data)
     out = _out_dir(args)
-    _shadow_stage(X, f, payload, n, out, "", _meta(args))
+    _shadow_stage(X, f, np.array(payload["eigenvectors"], dtype=float)[:n].T, out, "",
+                  _meta(args))
     print(f"wrote {out / 'shadow.csv'} (n_active={n})")
 
 
-def _plane_directions(eigs1: dict, eigs2: dict):
-    """Leading directions with w2 orthonormalized against w1."""
-    w1 = np.array(eigs1["eigenvectors"][0], dtype=float)
-    raw = np.array(eigs2["eigenvectors"][0], dtype=float)
+def _plane_directions(w1, raw):
+    """Leading directions w1 and raw, with w2 = raw orthonormalized against w1."""
+    w1, raw = np.array(w1, dtype=float), np.array(raw, dtype=float)
     if w1.size != raw.size:
         raise ContractViolation(f"--eigs1 has {w1.size}-component eigenvectors, "
                                 f"--eigs2 has {raw.size}")
@@ -367,15 +368,16 @@ def _pareto_artifacts(X1, f1, X2, f2, directions, args, out: Path,
     low, high = coords.min(axis=0), coords.max(axis=0)
     pad = np.where(high > low, 0.0, 0.5)
     analysis.export_surface_grid(drag_surface, low - pad, high + pad,
-                                 out / "pareto_grid.dat", n=args.grid_n,
-                                 meta=meta, region=front.region)
+                                 out / "pareto_grid.dat", front.region, n=args.grid_n,
+                                 meta=meta)
     analysis.emit_pareto_gnuplot("pareto.csv", "pareto_grid.dat",
                                  out / "pareto.gp", skip_lines=len(meta) + 1)
 
 
 def _cmd_pareto(args) -> None:
     _check_pareto_sizes(args)
-    directions = _plane_directions(_load_eigs(args.eigs1), _load_eigs(args.eigs2))
+    directions = _plane_directions(_load_eigs(args.eigs1)["eigenvectors"][0],
+                                   _load_eigs(args.eigs2)["eigenvectors"][0])
     X1, f1, _, _ = read_matrix_csv(args.data1)
     X2, f2, _, _ = read_matrix_csv(args.data2)
     _check_columns(X1, "--data1", directions[0].size, "--eigs1")
@@ -405,9 +407,10 @@ def _cmd_convergence(args) -> None:
     for i, n in enumerate(schedule):
         X = sampling.sample(box, n, derive_seed(child, f"cell{i}:sample")).matrix
         values, _ = qoi.evaluate_batch(ev, X)
-        summary = asub.bootstrap(X, values, args.nboot, derive_seed(child, f"cell{i}:boot"),
-                                 n=args.dim)
-        rows.append((n, *summary.error_row(args.dim)))
+        point, _ = _point_estimate(asub.fit_quadratic(X, values), args.dim)
+        summary = asub.bootstrap(X, values[:, np.newaxis], args.nboot,
+                                 derive_seed(child, f"cell{i}:boot"), [point])
+        rows.append((n, *summary.column(0).error_row(args.dim)))
     out = _out_dir(args)
     write_table(out / "convergence.csv", "n,error_mean,error_min,error_max",
                 np.array(rows), _meta(args, child_seed=child, **qmeta))
@@ -453,39 +456,42 @@ def _fit_stage(X, f, out: Path, prefix: str, meta: dict) -> QuadraticModel:
     return model
 
 
-def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str,
-                meta: dict) -> dict:
-    """Eigenpairs with n from --dim, which callers check first, or the log gap."""
-    m = model.dim
+def _point_estimate(model: QuadraticModel, dim):
+    """(Eigenpairs of the model's C, n from ``dim``, which callers check first, or the log gap)."""
     eig = asub.eigendecompose(asub.gradient_outer_matrix(model))
-    payload = {
+    return eig, asub.choose_dimension(eig.values) if dim is None else dim
+
+
+def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str, meta: dict):
+    """The (Eigenpairs, n) of ``_point_estimate``, written to eigs.json."""
+    eig, n = _point_estimate(model, args.dim)
+    write_json(out / f"{prefix}eigs.json", {
         "eigenvalues": eig.values.tolist(),
-        "eigenvectors": [eig.vectors[:, j].tolist() for j in range(m)],
-        "n": asub.choose_dimension(eig.values) if args.dim is None else args.dim,
+        "eigenvectors": eig.vectors.T.tolist(),
+        "n": n,
         "seed": args.seed,
         "meta": meta,
-    }
-    write_json(out / f"{prefix}eigs.json", payload)
-    return payload
+    })
+    return eig, n
 
 
-def _bootstrap_stage(X, F, args, out: Path, chains) -> asub.BootstrapSummary:
+def _bootstrap_stage(X, F, points, args, out: Path, chains) -> asub.BootstrapSummary:
     """One bootstrap of every column of the (N, k) outputs F, then each column's two tables.
 
-    ``chains`` holds a (prefix, meta) pair per column.  Every chain draws
-    its replicates from the one label ``bootstrap``, so the columns share
-    each replicate's rows, and a column's tables are those of the
-    ``bootstrap`` command on that column alone.
+    ``points`` holds each column's (Eigenpairs, n) from ``_point_estimate``,
+    and ``chains`` its (prefix, meta) pair.  Every chain draws its
+    replicates from the one label ``bootstrap``, so the columns share each
+    replicate's rows, and a column's tables are those of the ``bootstrap``
+    command on that column alone.
     """
     child = derive_seed(args.seed, "bootstrap")
-    summary = asub.bootstrap(X, F, args.nboot, child, n=args.dim)
-    for j, (prefix, meta) in enumerate(chains):
+    summary = asub.bootstrap(X, F, args.nboot, child, [eig for eig, _ in points])
+    for j, ((prefix, meta), (eig, n)) in enumerate(zip(chains, points)):
         column = summary.column(j)
-        meta = {**meta, "child_seed": child, "n_active": column.n,
-                "n_skipped": summary.n_skipped}
+        meta = {**meta, "child_seed": child, "n_active": n, "n_skipped": summary.n_skipped}
         write_table(out / f"{prefix}bootstrap_eigenvalues.csv", "index,point,min,mean,max",
-                    np.column_stack([np.arange(1, column.eigenvalues.size + 1),
-                                     column.eigenvalues, column.eigenvalues_min,
+                    np.column_stack([np.arange(1, eig.values.size + 1),
+                                     eig.values, column.eigenvalues_min,
                                      column.eigenvalues_mean, column.eigenvalues_max]), meta)
         write_table(out / f"{prefix}bootstrap_dimensions.csv",
                     "dim,error_mean,error_min,error_max",
@@ -494,10 +500,10 @@ def _bootstrap_stage(X, F, args, out: Path, chains) -> asub.BootstrapSummary:
     return summary
 
 
-def _shadow_stage(X, f, eigs: dict, n: int, out: Path, prefix: str,
-                  meta: dict) -> None:
-    vectors = np.array(eigs["eigenvectors"], dtype=float)
-    shadow = analysis.shadow_project(X, f, vectors[:n].T)
+def _shadow_stage(X, f, basis, out: Path, prefix: str, meta: dict) -> None:
+    """Shadow of f on the (m, n) active ``basis``."""
+    n = basis.shape[1]
+    shadow = analysis.shadow_project(X, f, basis)
     meta = {**meta, "n_active": n}
     analysis.write_shadow_csv(shadow, out / f"{prefix}shadow.csv", meta=meta)
     analysis.emit_shadow_gnuplot(f"{prefix}shadow.csv",
@@ -506,20 +512,21 @@ def _shadow_stage(X, f, eigs: dict, n: int, out: Path, prefix: str,
 
 
 def _chains(X, F, labels, args, out: Path, chains, evals_meta=None) -> list:
-    """evals -> model -> eigs per column of F, one bootstrap of them all,
-    then each column's shadow; ``chains`` holds a (prefix, qoi meta) pair
-    per column.  Returns each column's eigs payload."""
+    """evals -> model -> eigs per column of F, one bootstrap of them all
+    around those point estimates, then each column's shadow; ``chains``
+    holds a (prefix, qoi meta) pair per column.  Returns each column's
+    (Eigenpairs, n)."""
     F = F.reshape(len(F), -1)
     metas = [(prefix, _meta(args, **qmeta)) for prefix, qmeta in chains]
-    eigs = []
+    points = []
     for f, (prefix, meta) in zip(F.T, metas):
         write_matrix_csv(out / f"{prefix}evals.csv", X, f=f, labels=labels,
                          meta={**meta, **(evals_meta or {})})
-        eigs.append(_eigs_stage(_fit_stage(X, f, out, prefix, meta), args, out, prefix, meta))
-    _bootstrap_stage(X, F, args, out, metas)
-    for f, (prefix, meta), payload in zip(F.T, metas, eigs):
-        _shadow_stage(X, f, payload, min(payload["n"], 2), out, prefix, meta)
-    return eigs
+        points.append(_eigs_stage(_fit_stage(X, f, out, prefix, meta), args, out, prefix, meta))
+    _bootstrap_stage(X, F, points, args, out, metas)
+    for f, (prefix, meta), (eig, n) in zip(F.T, metas, points):
+        _shadow_stage(X, f, eig.vectors[:, :min(n, 2)], out, prefix, meta)
+    return points
 
 
 def _cmd_run_all(args) -> None:
@@ -552,12 +559,13 @@ def _cmd_run_all(args) -> None:
     out = _out_dir(args)
     child = derive_seed(args.seed, "sample")
     X, values, n_failed = _evaluate_kept(ev, sampling.sample(box, args.n, child).matrix, args)
-    eigs = _chains(X, values, box.labels, args, out, chains, {"n_failed": n_failed})
+    points = _chains(X, values, box.labels, args, out, chains, {"n_failed": n_failed})
     if args.qoi != "panel":
         print(f"pipeline artifacts in {out} ({values.size} rows)")
         return
 
-    _pareto_artifacts(X, values[:, 0], X, values[:, 1], _plane_directions(*eigs),
+    directions = _plane_directions(*(eig.vectors[:, 0] for eig, _ in points))
+    _pareto_artifacts(X, values[:, 0], X, values[:, 1], directions,
                       args, out, {"qoi": "panel", "parameterization": parameterization})
     print(f"pipeline artifacts in {out} (panel two-objective)")
 

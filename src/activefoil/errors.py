@@ -17,14 +17,6 @@ class SingularityError(DomainError):
     """Evaluation requested exactly at a singular point (round-nose slope at the leading edge)."""
 
 
-class OutOfBoxError(DomainError):
-    """A coordinate falls outside the parameter box it is being normalized against."""
-
-    def __init__(self, message, coordinate=None):
-        super().__init__(message)
-        self.coordinate = coordinate
-
-
 class DegenerateIntervalError(DomainError):
     """A requested box interval collapses to a point (zero centre with multiplicative bounds)."""
 

@@ -218,8 +218,9 @@ def test_criterion_07_bootstrap_convergence_trend(capsys):
     for i, n in enumerate(schedule):
         X = sample(unit_box(5), n, derive_seed(101, f"cell{i}:sample")).matrix
         values, _ = evaluate_batch(qoi, X)
-        summary = bootstrap(X, values, 100, derive_seed(101, f"cell{i}:boot"), n=1)
-        errs.append(summary.error_row(1)[0])
+        point = eigendecompose(gradient_outer_matrix(fit_quadratic(X, values)))
+        summary = bootstrap(X, values[:, None], 100, derive_seed(101, f"cell{i}:boot"), [point])
+        errs.append(summary.column(0).error_row(1)[0])
     slope = float(np.polyfit(np.log(schedule), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - start
     _report(
@@ -364,7 +365,7 @@ def test_criterion_11_pareto_front_on_the_builtin_boxes(capsys, reference_output
     for out in (reference_outputs[name] for name in panels):
         meta, rows = _pareto_table(out / "pareto.csv")
         eigs = [json.loads((out / f"{p}_eigs.json").read_text()) for p in ("lift", "drag")]
-        w1, w2, _ = cli._plane_directions(*eigs)
+        w1, w2, _ = cli._plane_directions(*(e["eigenvectors"][0] for e in eigs))
         plane = np.column_stack([w1, w2])
         X1, f1, _, _ = read_matrix_csv(out / "lift_evals.csv")
         X2, f2, _, _ = read_matrix_csv(out / "drag_evals.csv")

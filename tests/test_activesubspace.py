@@ -37,6 +37,16 @@ def _random_quadratic(m, seed):
     return 0.5 * (square + square.T), rng.standard_normal(m), float(rng.standard_normal())
 
 
+def _point(X, f):
+    """The caller's point estimate of f: the eigenpairs of its fitted model's C."""
+    return eigendecompose(gradient_outer_matrix(fit_quadratic(X, f)))
+
+
+def _boot(X, f, n_boot, seed):
+    """The bootstrap of the one output f around its own point estimate."""
+    return bootstrap(X, f[:, np.newaxis], n_boot, seed, [_point(X, f)])
+
+
 def test_coefficient_count_literals():
     assert coefficient_count(1) == 3
     assert coefficient_count(2) == 6
@@ -121,12 +131,12 @@ def test_fits_after_an_entry_of_X_changes_use_the_new_matrix():
     before = fit_quadratic(X, f)
     X[5, 1] = -X[5, 1]  # in place, so only the content of X changes
     changed = fit_quadratic(X, f)
-    boot = bootstrap(X, f, n_boot=8, seed=3)
+    boot = _boot(X, f, n_boot=8, seed=3)
     asub._factored.cache_clear()
     assert _packed(changed).tobytes() == _packed(fit_quadratic(X.copy(), f)).tobytes()
     assert _packed(changed).tobytes() != _packed(before).tobytes()
     asub._factored.cache_clear()
-    assert _summary_bits(boot) == _summary_bits(bootstrap(X.copy(), f, n_boot=8, seed=3))
+    assert _summary_bits(boot) == _summary_bits(_boot(X.copy(), f, n_boot=8, seed=3))
 
 
 def test_model_validation_and_symmetrization():
@@ -347,12 +357,12 @@ def test_bootstrap_is_deterministic():
     qoi = seeded_quadratic(m, 12)
     X = sample(unit_box(m), 80, seed=6).matrix
     f = qoi(X)
-    one = bootstrap(X, f, n_boot=25, seed=9)
-    two = bootstrap(X, f, n_boot=25, seed=9)
+    one = _boot(X, f, n_boot=25, seed=9)
+    two = _boot(X, f, n_boot=25, seed=9)
     np.testing.assert_array_equal(one.eigenvalues_mean, two.eigenvalues_mean)
     np.testing.assert_array_equal(one.error_mean, two.error_mean)
     assert not np.array_equal(
-        one.error_mean, bootstrap(X, f, n_boot=25, seed=10).error_mean
+        one.error_mean, _boot(X, f, n_boot=25, seed=10).error_mean
     )
 
 
@@ -361,9 +371,12 @@ def test_bootstrap_summary_structure():
     qoi = seeded_quadratic(m, 13)
     X = sample(unit_box(m), 120, seed=7).matrix
     f = qoi(X)
-    summary = bootstrap(X, f, n_boot=30, seed=11)
+    point = _point(X, f)
+    whole = bootstrap(X, f[:, np.newaxis], 30, 11, [point])
+    assert whole.eigenvalues_mean.shape == (1, m) and whole.error_mean.shape == (1, m - 1)
+    summary = whole.column(0)
     np.testing.assert_array_equal(summary.dimensions, [1, 2, 3])
-    assert summary.eigenvalues.shape == (m,)
+    assert summary.eigenvalues_mean.shape == (m,)
     assert np.all(summary.eigenvalues_min <= summary.eigenvalues_mean + 1e-15)
     assert np.all(summary.eigenvalues_mean <= summary.eigenvalues_max + 1e-15)
     assert np.all(summary.error_min <= summary.error_mean + 1e-15)
@@ -371,7 +384,6 @@ def test_bootstrap_summary_structure():
     assert np.all(summary.error_min >= 0.0)
     assert summary.n_boot == 30 and summary.seed == 11
     assert summary.n_skipped == 0
-    assert 1 <= summary.n < m
 
     mean, lo, hi = summary.error_row(2)
     assert (mean, lo, hi) == (
@@ -381,14 +393,33 @@ def test_bootstrap_summary_structure():
     )
     with pytest.raises(ContractViolation):
         summary.error_row(m)
+    # a summary of k outputs gives each output's row
+    assert np.array_equal(whole.error_row(2), [whole.error_mean[:, 1], whole.error_min[:, 1],
+                                               whole.error_max[:, 1]])
 
     # exact quadratic data: every replicate refits the same surface
     assert float(summary.error_max.max()) < 1e-6
 
     with pytest.raises(ContractViolation):
-        bootstrap(X, f, n_boot=0, seed=1)
-    with pytest.raises(ContractViolation):
-        bootstrap(X, f, n_boot=5, seed=1, n=m)
+        bootstrap(X, f[:, np.newaxis], 0, 1, [point])
+
+
+def test_bootstrap_refuses_points_that_do_not_match_F_before_any_draw(monkeypatch):
+    m = 4
+    X = sample(unit_box(m), 120, seed=7).matrix
+    F = np.column_stack([seeded_quadratic(m, 13)(X), X[:, 0]])
+    points = [_point(X, col) for col in F.T]
+    draws = []
+    monkeypatch.setattr(asub, "substream", lambda *key: draws.append(key))
+    short = Eigenpairs(vectors=np.eye(m - 1), values=np.arange(m - 1.0, 0.0, -1.0))
+    for bad in ([], points[:1], points * 2, [points[0], short], [short, short]):
+        with pytest.raises(ContractViolation, match="point Eigenpairs per column"):
+            bootstrap(X, F, 5, 1, bad)
+    # one parameter has no subspace to compare, whatever its point
+    one = Eigenpairs(vectors=np.eye(1), values=[1.0])
+    with pytest.raises(ContractViolation, match="point Eigenpairs per column"):
+        bootstrap(X[:, :1], F, 5, 1, [one, one])
+    assert draws == []
 
 
 def test_ridge_direction_recovery_invariant():
@@ -418,12 +449,11 @@ def test_ridge_direction_recovery_invariant():
 # --- one-factorization bootstrap against the plain lstsq replicate loop ---
 
 
-def _reference_bootstrap(X, f, n_boot, seed, n=None):
-    """Each replicate refitted by lstsq on its resampled rows; projector-norm errors."""
+def _reference_bootstrap(X, f, n_boot, seed):
+    """Each replicate refitted by lstsq on its resampled rows; projector-norm errors
+    against the point estimate of ``_point``."""
     n_rows, m = X.shape
-    point = fit_quadratic(X, f)
-    eig = eigendecompose(gradient_outer_matrix(point))
-    n = choose_dimension(eig.values) if n is None else n
+    eig = _point(X, f)
     design = quadratic_features(X)
     p = design.shape[1]
     lam_rows, err_rows, skipped = [], [], 0
@@ -463,7 +493,6 @@ def _reference_bootstrap(X, f, n_boot, seed, n=None):
         "error_min": err.min(axis=0),
         "error_mean": err.mean(axis=0),
         "error_max": err.max(axis=0),
-        "n": n,
         "n_skipped": skipped,
     }
 
@@ -475,9 +504,9 @@ def test_bootstrap_matches_lstsq_reference_on_separated_spectrum():
     X = sample(unit_box(m), 150, seed=4).matrix
     noise = np.random.Generator(np.random.PCG64(5)).standard_normal(X.shape[0])
     f = 0.5 * np.einsum("ij,jk,ik->i", X, hess, X) + 0.2 * noise
-    got = bootstrap(X, f, n_boot=40, seed=17)
+    got = _boot(X, f, n_boot=40, seed=17).column(0)
     want = _reference_bootstrap(X, f, n_boot=40, seed=17)
-    assert got.n == want["n"] and got.n_skipped == want["n_skipped"] == 0
+    assert got.n_skipped == want["n_skipped"] == 0
     for name in ("eigenvalues_min", "eigenvalues_mean", "eigenvalues_max",
                  "error_min", "error_mean", "error_max"):
         np.testing.assert_allclose(getattr(got, name), want[name], rtol=1e-12, atol=0.0,
@@ -487,10 +516,11 @@ def test_bootstrap_matches_lstsq_reference_on_separated_spectrum():
 def test_bootstrap_matches_lstsq_reference_on_noisy_ridge():
     # f = u + u^2/2 + 1e-3 noise with u = w'x, m = 11: one dominant eigenvalue
     X, f = _noisy_ridge(11, 300, 1e-3)
-    got = bootstrap(X, f, n_boot=20, seed=3)
+    point = _point(X, f)
+    got = bootstrap(X, f[:, np.newaxis], 20, 3, [point]).column(0)
     want = _reference_bootstrap(X, f, n_boot=20, seed=3)
-    assert got.n == want["n"] == 1 and got.n_skipped == want["n_skipped"] == 0
-    scale = 1e-12 * got.eigenvalues[0]
+    assert choose_dimension(point.values) == 1 and got.n_skipped == want["n_skipped"] == 0
+    scale = 1e-12 * point.values[0]
     for name in ("eigenvalues_min", "eigenvalues_mean", "eigenvalues_max"):
         np.testing.assert_allclose(getattr(got, name), want[name], rtol=0.0, atol=scale,
                                    err_msg=name)
@@ -502,23 +532,21 @@ def test_bootstrap_matches_lstsq_reference_on_noisy_ridge():
 
 
 def test_bootstrap_point_model_is_reused():
-    # the bootstrap's point estimate is the fit_quadratic model, from the same cached QR
+    # the caller's point fit factors X, and the bootstrap refits from that cached QR
     m = 3
     X = sample(unit_box(m), 60, seed=8).matrix
     f = seeded_quadratic(m, 4)(X) + 0.01 * X[:, 0] ** 3
     asub._factored.cache_clear()
-    fresh = bootstrap(X, f, n_boot=10, seed=2)
-    point = eigendecompose(gradient_outer_matrix(fit_quadratic(X, f)))
-    reused = bootstrap(X, f, n_boot=10, seed=2)
-    np.testing.assert_array_equal(fresh.eigenvalues, point.values)
-    np.testing.assert_array_equal(fresh.eigenvalues, reused.eigenvalues)
+    point = _point(X, f)
+    fresh = bootstrap(X, f[:, np.newaxis], 10, 2, [point])
+    assert asub._factored.cache_info().misses == 1
+    reused = bootstrap(X, f[:, np.newaxis], 10, 2, [point])
+    np.testing.assert_array_equal(fresh.eigenvalues_mean, reused.eigenvalues_mean)
     np.testing.assert_array_equal(fresh.error_mean, reused.error_mean)
-    with pytest.raises(ContractViolation):
-        bootstrap(X, f[:-1], n_boot=5, seed=1)
     F = np.column_stack([f, f])
-    for bad in (F[:-1], F[:, :0], F[..., np.newaxis]):
+    for bad in (f, F[:-1], F[:, :0], F[..., np.newaxis]):
         with pytest.raises(ContractViolation):
-            bootstrap(X, bad, n_boot=5, seed=1)
+            bootstrap(X, bad, 5, 1, [point, point])
 
 
 def _seven_row_design():
@@ -537,7 +565,9 @@ def test_bootstrap_rank_deficient_resamples_take_the_lstsq_path(monkeypatch):
     X, f = _seven_row_design()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleSizeWarning)
-        want = _reference_bootstrap(X, f, n_boot=30, seed=5, n=1)
+        want = _reference_bootstrap(X, f, n_boot=30, seed=5)
+    with pytest.warns(SampleSizeWarning):  # seven rows for six coefficients
+        point = _point(X, f)
     calls = []
     original = asub_module._solve_quadratic
 
@@ -546,14 +576,14 @@ def test_bootstrap_rank_deficient_resamples_take_the_lstsq_path(monkeypatch):
         return original(design, values, m)
 
     monkeypatch.setattr(asub_module, "_solve_quadratic", counting)
-    got = bootstrap(X, f, n_boot=30, seed=5, n=1)
+    got = bootstrap(X, f[:, np.newaxis], 30, 5, [point]).column(0)
     assert got.n_skipped == want["n_skipped"] > 0
     assert got.n_skipped < 30
-    # the bound certifies the point fit, so every call is a replicate's:
+    # the bound certified the point fit, so every call is a replicate's:
     # at least the 11 failed draws of each skipped replicate
     assert len(calls) >= 11 * got.n_skipped
     np.testing.assert_allclose(got.eigenvalues_mean, want["eigenvalues_mean"],
-                               rtol=0.0, atol=1e-9 * got.eigenvalues[0])
+                               rtol=0.0, atol=1e-9 * point.values[0])
 
 
 def test_bootstrap_memory_stays_bounded_at_small_m_and_large_n():
@@ -565,7 +595,7 @@ def test_bootstrap_memory_stays_bounded_at_small_m_and_large_n():
     asub._factored.cache_clear()
     tracemalloc.start()
     try:
-        bootstrap(X, f, n_boot=1000, seed=4)
+        _boot(X, f, n_boot=1000, seed=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -582,13 +612,13 @@ def test_bootstrap_memory_does_not_grow_with_nboot():
     # two outputs share each block's draws and factor stack; only their
     # (nboot, 2m - 1) eigenvalue and error rows grow with nboot
     two = np.column_stack([f, seeded_quadratic(11, 2)(X)])
-    for k, outputs in ((1, f), (2, two)):
+    for k, outputs in ((1, f[:, np.newaxis]), (2, two)):
         peaks = {}
         for n_boot in (200, 2000):
             asub._factored.cache_clear()
             tracemalloc.start()
             try:
-                bootstrap(X, outputs, n_boot=n_boot, seed=4)
+                bootstrap(X, outputs, n_boot, 4, [_point(X, col) for col in outputs.T])
                 peaks[n_boot] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -606,7 +636,7 @@ def test_bootstrap_works_in_one_reused_factor_stack():
     asub._factored.cache_clear()
     tracemalloc.start()
     try:
-        bootstrap(X, f, n_boot=2000, seed=4)
+        _boot(X, f, n_boot=2000, seed=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -685,9 +715,9 @@ def test_factoring_each_gram_at_once_keeps_the_stacked_bits():
             draws = [substream(5, k).integers(0, len(f), size=len(f))
                      for k in range(first, first + size)]
             first += size
-            beta, ok = refit.solve(f, draws)
+            beta, ok = refit.solve(f[:, np.newaxis], draws)
             want_beta, want_ok, want_positive = _stacked_cholesky_solve(refit, f, draws)
-            assert beta.tobytes() == want_beta.tobytes()
+            assert beta[0].tobytes() == want_beta.tobytes()
             assert ok.tobytes() == want_ok.tobytes()
             certified.extend(ok)
             positive.extend(want_positive)
@@ -704,18 +734,22 @@ def _summary_bits(summary):
 def test_bootstrap_block_layout_does_not_change_results(monkeypatch):
     X, f = _seven_row_design()
     ridge_X, ridge_f = _noisy_ridge(5, 200, 0.05)
-
-    default = bootstrap(X, f, n_boot=30, seed=5, n=1)
-    ridge = bootstrap(ridge_X, ridge_f, n_boot=60, seed=3)
     # two outputs of each design: the skips and the blocks are shared
     pair = np.column_stack([f, f[::-1]])
     ridge_pair = np.column_stack([ridge_f, np.cos(ridge_X[:, 1])])
-    both = bootstrap(X, pair, n_boot=30, seed=5, n=1)
-    ridge_both = bootstrap(ridge_X, ridge_pair, n_boot=60, seed=3)
-    assert _summary_bits(both.column(0)) == _summary_bits(default)
-    assert _summary_bits(ridge_both.column(0)) == _summary_bits(ridge)
+    with pytest.warns(SampleSizeWarning):  # seven rows, and six, for six coefficients
+        points = [_point(X, col) for col in pair.T]
+        six = [_point(X[:6], f[:6])]
+    ridge_points = [_point(ridge_X, col) for col in ridge_pair.T]
+
+    default = bootstrap(X, f[:, np.newaxis], 30, 5, points[:1])
+    ridge = bootstrap(ridge_X, ridge_f[:, np.newaxis], 60, 3, ridge_points[:1])
+    both = bootstrap(X, pair, 30, 5, points)
+    ridge_both = bootstrap(ridge_X, ridge_pair, 60, 3, ridge_points)
+    assert _summary_bits(both.column(0)) == _summary_bits(default.column(0))
+    assert _summary_bits(ridge_both.column(0)) == _summary_bits(ridge.column(0))
     with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
-        bootstrap(X[:6], f[:6], n_boot=5, seed=1, n=1)
+        bootstrap(X[:6], f[:6, np.newaxis], 5, 1, six)
     # skipped replicates leave empty groups, which must not be reduced
     assert 0 < default.n_skipped < 30
     assert ridge.n_skipped == 0
@@ -728,13 +762,14 @@ def test_bootstrap_block_layout_does_not_change_results(monkeypatch):
     for block_bytes, group in ((1, asub._EIGEN_GROUP), (1, 1), (ridge_block, 10)):
         monkeypatch.setattr(asub, "_BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(asub, "_EIGEN_GROUP", group)
-        assert _summary_bits(bootstrap(X, f, n_boot=30, seed=5, n=1)) == _summary_bits(default)
+        assert (_summary_bits(bootstrap(X, f[:, np.newaxis], 30, 5, points[:1]))
+                == _summary_bits(default))
         with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
-            bootstrap(X[:6], f[:6], n_boot=5, seed=1, n=1)
-        one = bootstrap(ridge_X, ridge_f, n_boot=60, seed=3)
+            bootstrap(X[:6], f[:6, np.newaxis], 5, 1, six)
+        one = bootstrap(ridge_X, ridge_f[:, np.newaxis], 60, 3, ridge_points[:1])
         assert _summary_bits(one) == _summary_bits(ridge)
-        assert _summary_bits(bootstrap(X, pair, n_boot=30, seed=5, n=1)) == _summary_bits(both)
-        assert (_summary_bits(bootstrap(ridge_X, ridge_pair, n_boot=60, seed=3))
+        assert _summary_bits(bootstrap(X, pair, 30, 5, points)) == _summary_bits(both)
+        assert (_summary_bits(bootstrap(ridge_X, ridge_pair, 60, 3, ridge_points))
                 == _summary_bits(ridge_both))
 
 
@@ -747,31 +782,27 @@ def test_each_output_of_a_shared_resample_has_its_own_bootstrap_bits(k, n_boot, 
     if data.draw(st.booleans(), label="seven-row design"):
         X, f = _seven_row_design()
         outputs = [f, X[:, 1] ** 2 - 0.4 * X[:, 0], np.exp(X[:, 0]) + 1e-2 * np.arange(7)]
-        n = 1
     else:
         X, f = _noisy_ridge(4, 60, 0.05, seed=seed % 1000)
         outputs = [f, np.sin(3.0 * X[:, 0]) * X[:, 2], X @ np.arange(1.0, 5.0)]
-        n = data.draw(st.sampled_from((None, 2)), label="n")
     F = np.column_stack(outputs[:k])
-    with warnings.catch_warnings():
+    with warnings.catch_warnings():  # the seven-row design fits seven rows for six coefficients
         warnings.simplefilter("ignore", SampleSizeWarning)
-        try:
-            each = [bootstrap(X, F[:, j], n_boot=n_boot, seed=seed, n=n) for j in range(k)]
-        except IllPosedFitError:  # every replicate skipped: so for the k outputs too
-            with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
-                bootstrap(X, F, n_boot=n_boot, seed=seed, n=n)
-            return
-        shared = bootstrap(X, F, n_boot=n_boot, seed=seed, n=n)
-    assert shared.n == tuple(one.n for one in each)
+        points = [_point(X, col) for col in F.T]
+    try:
+        each = [bootstrap(X, F[:, [j]], n_boot, seed, points[j:j + 1]) for j in range(k)]
+    except IllPosedFitError:  # every replicate skipped: so for the k outputs too
+        with pytest.raises(IllPosedFitError, match="every bootstrap replicate"):
+            bootstrap(X, F, n_boot, seed, points)
+        return
+    shared = bootstrap(X, F, n_boot, seed, points)
     assert {one.n_skipped for one in each} == {shared.n_skipped}
-    assert shared.n_boot == n_boot and shared.eigenvalues.shape == (k, X.shape[1])
+    assert shared.n_boot == n_boot and shared.eigenvalues_mean.shape == (k, X.shape[1])
     for j, one in enumerate(each):
-        assert _summary_bits(shared.column(j)) == _summary_bits(one)
-        assert shared.column(j).error_row(1) == one.error_row(1)
-    with pytest.raises(ContractViolation):
-        each[0].column(0)
-    with pytest.raises(ContractViolation):
-        shared.error_row(1)
+        assert _summary_bits(shared.column(j)) == _summary_bits(one.column(0))
+        assert shared.column(j).error_row(1) == one.column(0).error_row(1)
+    assert (np.array(shared.error_row(1)).T.tobytes()
+            == np.array([one.column(0).error_row(1) for one in each]).tobytes())
 
 
 @settings(max_examples=60, deadline=None)

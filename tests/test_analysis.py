@@ -428,7 +428,8 @@ def test_export_surface_grid(tmp_path):
     f = X[:, 0] + 2.0 * X[:, 1]
     surface = fit_link_function(shadow_project(X, f, basis), degree=1)
     path = tmp_path / "grid.dat"
-    export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, n=5, meta={"k": 1})
+    square = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])  # encloses the grid
+    export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, square, n=5, meta={"k": 1})
     blocks = path.read_text().split("\n\n")
     assert len(blocks) == 5 + 1  # trailing newline after the last block
     head = blocks[0].splitlines()
@@ -436,15 +437,17 @@ def test_export_surface_grid(tmp_path):
     y1, y2, val = (float(s) for s in head[2].split(","))
     assert (y1, y2) == (-1.0, -1.0)
     assert val == pytest.approx(surface.predict_active([[-1.0, -1.0]])[0], rel=1e-15)
+    assert "nan" not in path.read_text()
 
     one_d = fit_link_function(shadow_project(X, f, basis[:, :1]), degree=1)
     with pytest.raises(ContractViolation):
-        export_surface_grid(one_d, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat")
+        export_surface_grid(one_d, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", square)
     with pytest.raises(ContractViolation):
-        export_surface_grid(surface, [1.0, -1.0], [-1.0, 1.0], tmp_path / "x.dat")
+        export_surface_grid(surface, [1.0, -1.0], [-1.0, 1.0], tmp_path / "x.dat", square)
     for n in (0, 1):
         with pytest.raises(ContractViolation):
-            export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", n=n)
+            export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", square,
+                                n=n)
     assert not (tmp_path / "x.dat").exists()
 
 
@@ -454,7 +457,7 @@ def test_export_surface_grid_writes_nan_outside_the_region(tmp_path):
     surface = fit_link_function(shadow_project(X, f, np.eye(4)[:, :2]), degree=1)
     diamond = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     path = tmp_path / "grid.dat"
-    export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, n=5, region=diamond)
+    export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, diamond, n=5)
     cells = np.array([[float(v) for v in line.split(",")]
                       for line in path.read_text().splitlines() if line and line[0] != "#"])
     outside = np.abs(cells[:, 0]) + np.abs(cells[:, 1]) > 1.0

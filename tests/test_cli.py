@@ -712,9 +712,10 @@ def test_run_all_panel_pipeline_and_rerun_bytes(tmp_path):
 
 
 def test_run_all_factors_each_sample_matrix_once(tmp_path, monkeypatch):
-    """One QR per sample matrix, shared by both panel chains, and no lstsq on it."""
-    qr_inputs, lstsq_inputs = [], []
-    qr, lstsq = np.linalg.qr, np.linalg.lstsq
+    """One QR per sample matrix, shared by both panel chains, no lstsq on it, and
+    one fit per chain, whose point estimate the bootstrap reuses."""
+    qr_inputs, lstsq_inputs, fits = [], [], []
+    qr, lstsq, fit = np.linalg.qr, np.linalg.lstsq, activesubspace.fit_quadratic
 
     def counting_qr(a, *args, **kwargs):
         qr_inputs.append(np.asarray(a).tobytes())
@@ -724,18 +725,24 @@ def test_run_all_factors_each_sample_matrix_once(tmp_path, monkeypatch):
         lstsq_inputs.append(np.asarray(a).tobytes())
         return lstsq(a, *args, **kwargs)
 
+    def counting_fit(X, f):
+        fits.append(len(f))
+        return fit(X, f)
+
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    monkeypatch.setattr(activesubspace, "fit_quadratic", counting_fit)
     activesubspace._factored.cache_clear()
     X = np.random.default_rng(4).uniform(-1.0, 1.0, (300, 3))
     write_matrix_csv(tmp_path / "data.csv", X, f=X[:, 0] + 0.5 * X[:, 1] ** 2)
-    for name, flags in (
+    for name, flags, chains in (
         ("panel", ("--box", "cst-table3", "--qoi", "panel", "--n", "200",
-                   "--skip-infeasible", "--gammas", "11", "--grid-n", "11")),
-        ("dataset", ("--qoi", f"dataset:{tmp_path / 'data.csv'}")),
+                   "--skip-infeasible", "--gammas", "11", "--grid-n", "11"), 2),
+        ("dataset", ("--qoi", f"dataset:{tmp_path / 'data.csv'}"), 1),
     ):
         qr_inputs.clear()
         lstsq_inputs.clear()
+        fits.clear()
         out = tmp_path / name
         assert cli.main(["run-all", *flags, "--nboot", "4", "--seed", "7",
                          "--out", str(out)]) == 0
@@ -743,6 +750,7 @@ def test_run_all_factors_each_sample_matrix_once(tmp_path, monkeypatch):
         design = quadratic_features(read_matrix_csv(evals)[0]).tobytes()
         assert qr_inputs == [design], name
         assert design not in lstsq_inputs, name
+        assert len(fits) == chains, name
 
 
 def test_run_all_dataset_mode(tmp_path):

@@ -7,19 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from activefoil.errors import (
-    ContractViolation,
-    DatasetError,
-    DegenerateIntervalError,
-    OutOfBoxError,
-)
+from activefoil.errors import ContractViolation, DatasetError, DegenerateIntervalError
 from activefoil.sampling import (
     RNG_SCHEME,
     ParameterBox,
     denormalize,
     derive_seed,
     make_box,
-    normalize,
     read_matrix_csv,
     sample,
     unit_box,
@@ -112,33 +106,15 @@ def test_unit_box():
         unit_box(0)
 
 
-def test_normalize_roundtrip_and_corners():
-    box = make_box([1.0, -2.0, 0.3])
-    rng = np.random.Generator(np.random.PCG64(1))
-    u = rng.uniform(-1.0, 1.0, (40, 3))
-    x = denormalize(u, box)
-    np.testing.assert_allclose(normalize(x, box), u, atol=1e-14)
-    np.testing.assert_allclose(normalize(box.lower, box), -np.ones(3), atol=1e-14)
-    np.testing.assert_allclose(normalize(box.upper, box), np.ones(3), atol=1e-14)
-
-
-def test_normalize_rejects_and_names_coordinate():
-    box = ParameterBox(lower=[0.0, 0.0], upper=[1.0, 2.0], labels=("alpha", "beta"))
-    with pytest.raises(OutOfBoxError) as info:
-        normalize([0.5, 2.5], box)
-    assert info.value.coordinate == "beta"
-    assert "beta" in str(info.value)
-    # a hair outside the edge is tolerated, far outside is not
-    normalize([1.0 + 1e-13, 1.0], box)
-    with pytest.raises(OutOfBoxError):
-        normalize([1.0 + 1e-9, 1.0], box)
-    with pytest.raises(ContractViolation):
-        normalize([0.5, 0.5, 0.5], box)
-
-
 def test_denormalize_is_total():
     box = unit_box(2)
     np.testing.assert_array_equal(denormalize([3.0, -7.0], box), [3.0, -7.0])
+    # the corners of [-1, 1]^m land on the box's corners
+    box = make_box([1.0, -2.0, 0.3])
+    np.testing.assert_allclose(denormalize(-np.ones(3), box), box.lower, atol=1e-14)
+    np.testing.assert_allclose(denormalize(np.ones(3), box), box.upper, atol=1e-14)
+    with pytest.raises(ContractViolation):
+        denormalize([0.5, 0.5], box)
 
 
 def test_sample_shape_range_determinism():
