@@ -9,7 +9,7 @@ the exact mean under the uniform density on [-1, 1]^m that every sampler
 draws from: E[x] = 0 and E[xx'] = I/3.  Directions with large
 eigenvalues are the ones along which the model says f moves; trailing
 directions are near-inactive.  Subspace uncertainty is estimated by a
-pairs bootstrap: resample the (x, f) rows, refit, re-decompose, and
+pairs bootstrap: resample the (x, f) rows, fit again, re-decompose, and
 compare each replicate's leading subspace against the caller's point
 estimate with the projector distance
 ``|| W1 W1' - V1 V1' ||_2`` (the sine of the largest principal angle).
@@ -32,11 +32,12 @@ error call per dimension) runs on groups of a fixed number of
 consecutive replicates, so its call count does not grow as blocks
 shrink.  One bootstrap call thus works in one (B, p, p) stack plus the
 eigen group's (G, m, m) arrays plus O(nboot * m) per output, whatever
-nboot * m^2 is.  The shortcut is taken only when an upper bound on the condition
-number of the resampled design certifies full rank at the 1e-10
-tolerance with a wide margin; otherwise the point fit or the replicate
-is refitted from its rows by ``lstsq``, so the rank errors and the
-redraw and skip decisions never depend on the shortcut.
+nboot * m^2 is.  Every fit is certified by an exact upper bound on the
+condition number of its design: the bound must clear full rank at the
+1e-10 tolerance with a wide margin.  An uncertified point fit raises
+IllPosedFitError; an uncertified replicate is redrawn from its own
+stream, each redraw solved and certified the same way, and skipped when
+no redraw is certified.
 
 The bootstrap takes an (N, k) matrix of k outputs of the same designs,
 such as the panel's lift and drag, with the point eigenpairs the caller
@@ -75,7 +76,7 @@ _BLOCK_BYTES = 2**20
 # The eigen stage of the bootstrap runs on at least this many replicates
 # at a time, whatever the block size.
 _EIGEN_GROUP = 128
-# The bootstrap's one-factorization shortcut must certify
+# Every fit from the one factorization must certify
 # cond(resampled design) * RANK_RCOND below this, far from the rank cut.
 _CERTIFIED_RCOND = 1e-2
 
@@ -162,19 +163,6 @@ class QuadraticModel:
         return out[0] if single else out
 
 
-def _solve_quadratic(design: np.ndarray, f: np.ndarray, m: int):
-    beta, _, rank, _ = np.linalg.lstsq(design, f, rcond=RANK_RCOND)
-    p = design.shape[1]
-    if rank < p:
-        raise IllPosedFitError(
-            f"quadratic design matrix rank {rank} < {p}",
-            rank=int(rank),
-            required=p,
-        )
-    residual = float(np.linalg.norm(design @ beta - f) / np.sqrt(design.shape[0]))
-    return QuadraticModel(*_unpack_coefficients(beta, m), residual)
-
-
 def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of each lower-triangular matrix of a (..., n, n) stack, by 2 x 2 blocks.
 
@@ -200,21 +188,21 @@ def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 class _ResampledFit:
-    """Refits of one sample matrix's quadratic design on resampled rows, from one QR.
+    """Fits of one sample matrix's quadratic design on resampled rows, from one QR.
 
     With D = QR and multiplicities c of the resampled rows, the resampled
     design is S Q R with (S Q)'(S Q) = G = Q' diag(c) Q.  Cholesky G = LL'
-    gives beta = R^-1 L'^-1 L^-1 Q'(c*f).  The shortcut is used only when
+    gives beta = R^-1 L'^-1 L^-1 Q'(c*f).  A fit is certified only when
 
         cond2(D[idx]) <= cond2(R) sqrt(cond2(G))
                       <= |R|_F |R^-1|_F sqrt(|G|_F |L^-1|_F^2)
 
     stays below _CERTIFIED_RCOND / RANK_RCOND, an exact bound rather than
-    a condition estimate; anything else goes through ``_solve_quadratic``
-    on the resampled rows, which raises IllPosedFitError as before.  The
-    point fit is the resample whose counts are all one.  Only Q, R, R^-1
-    and cond_F(R) are kept, read-only, so one object serves every fit of
-    the same X (see ``_factored``).
+    a condition estimate.  This certificate is the only rank decision:
+    ``fit_quadratic`` refuses an uncertified point fit and ``bootstrap``
+    redraws an uncertified replicate.  The point fit is the resample whose
+    counts are all one.  Only Q, R, R^-1 and cond_F(R) are kept, read-only,
+    so one object serves every fit of the same X (see ``_factored``).
     """
 
     def __init__(self, X: np.ndarray):
@@ -228,7 +216,7 @@ class _ResampledFit:
 
     def solve(self, F, draws):
         """Coefficients of the k outputs F, (N, k), on each resample, (k, B, p),
-        and whether the shortcut certified each resample.
+        and whether the condition bound certified each resample.
 
         Each Gram matrix is
         Cholesky-factored as soon as it is formed, into one (B, p, p) work
@@ -277,24 +265,6 @@ class _ResampledFit:
             beta[j] = (z @ self.r_inv.T)[:, 0]
         return beta, ok
 
-    def refit(self, X, f, rng):
-        """(H, v) of a replicate whose first draw the shortcut did not certify.
-
-        The first draw is replayed from ``rng``, and a rank-deficient
-        resample is redrawn from the same stream up to _MAX_RESAMPLE_RETRIES
-        times; every draw is refitted by ``_solve_quadratic``.  None if every
-        draw was rank deficient.
-        """
-        n_rows, m = X.shape
-        for _ in range(_MAX_RESAMPLE_RETRIES + 1):
-            idx = rng.integers(0, n_rows, size=n_rows)
-            try:
-                model = _solve_quadratic(quadratic_features(X[idx]), f[idx], m)
-            except IllPosedFitError:
-                continue
-            return model.hessian, model.linear
-        return None
-
 
 @functools.lru_cache(maxsize=1)
 def _factored(shape: tuple, x_bytes: bytes) -> _ResampledFit:
@@ -312,9 +282,9 @@ def fit_quadratic(X, f) -> QuadraticModel:
 
     Requires N >= (m+2 choose 2) rows; warns (non-fatally) below twice
     that.  Solved from the cached QR of the design (``_factored``) as the
-    resample whose counts are all one, when the bootstrap's condition
-    bound certifies full rank; otherwise by ``lstsq`` with relative rank
-    tolerance 1e-10, which raises IllPosedFitError below full rank.
+    resample whose counts are all one.  Raises IllPosedFitError unless the
+    bootstrap's condition bound certifies full rank; its ``rank`` counts the
+    singular values of R (the design's) above 1e-10 times the largest.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     f = np.asarray(f, dtype=float)
@@ -333,7 +303,11 @@ def fit_quadratic(X, f) -> QuadraticModel:
     fac = _factored(X.shape, X.tobytes())
     beta, ok = fac.solve(f[:, np.newaxis], [np.arange(n)])
     if not ok[0]:
-        return _solve_quadratic(quadratic_features(X), f, m)
+        sv = np.linalg.svd(fac.r, compute_uv=False)
+        rank = int(np.sum(sv > RANK_RCOND * sv[0]))
+        why = (f"rank {rank} < {p}" if rank < p else f"has full rank {p} but a condition "
+               f"bound above {_CERTIFIED_RCOND / RANK_RCOND:.0e}, too ill-conditioned to certify")
+        raise IllPosedFitError(f"quadratic design matrix {why}", rank=rank, required=p)
     residual = float(np.linalg.norm(fac.q @ (fac.r @ beta[0, 0]) - f) / np.sqrt(n))
     return QuadraticModel(*_unpack_coefficients(beta[0, 0], m), residual)
 
@@ -507,11 +481,12 @@ def bootstrap(X, F, n_boot: int, seed: int, points) -> BootstrapSummary:
     ``Eigenpairs`` of the caller, the eigendecompositions of each column's
     ``fit_quadratic`` model.  Each replicate k resamples the N rows with
     replacement from its own stream ``sampling.substream(seed, k)``, which
-    ``sample`` draws its rows from too, refits, rebuilds C as the point
-    estimate does, and re-decomposes.  A rank-deficient resample is
-    redrawn up to 10 times from the same stream, then counted as skipped.
-    The refits share the QR factorization of the design that the caller's
-    point fits cached, and run in blocks of replicates, each in the
+    ``sample`` draws its rows from too, fits it, rebuilds C as the point
+    estimate does, and re-decomposes.  A resample whose fit the condition
+    bound does not certify is redrawn up to 10 times from the same stream,
+    each redraw certified the same way, then counted as skipped.  The
+    replicate fits share the QR factorization of the design that the
+    caller's point fits cached, and run in blocks of replicates, each in the
     (B, p, p) work stack its solver allocates, whose eigen stage runs in
     groups of consecutive replicates (see the module docstring and
     ``_ResampledFit``).  Note the replicate ranges describe sampling
@@ -535,8 +510,8 @@ def bootstrap(X, F, n_boot: int, seed: int, points) -> BootstrapSummary:
         raise ContractViolation(f"need m >= 2 and one {m} x {m} point Eigenpairs per column "
                                 f"of F, got {len(points)} for {F.shape[1]} columns")
 
-    refit = _factored(X.shape, X.tobytes())
-    block = max(1, _BLOCK_BYTES // (8 * max(refit.r.size, n_rows)))
+    fac = _factored(X.shape, X.tobytes())
+    block = max(1, _BLOCK_BYTES // (8 * max(fac.r.size, n_rows)))
     group = max(block, _EIGEN_GROUP)
     dims = np.arange(1, m)
     lam_rows = np.empty((len(points), n_boot, m))
@@ -545,18 +520,21 @@ def bootstrap(X, F, n_boot: int, seed: int, points) -> BootstrapSummary:
     for start in range(0, n_boot, group):
         reps = slice(start, min(start + group, n_boot))
         betas, certified = zip(*(
-            refit.solve(F, [substream(seed, k).integers(0, n_rows, size=n_rows)
-                            for k in range(first, min(first + block, reps.stop))])
+            fac.solve(F, [substream(seed, k).integers(0, n_rows, size=n_rows)
+                          for k in range(first, min(first + block, reps.stop))])
             for first in range(start, reps.stop, block)
         ))
         hess, lin, _ = _unpack_coefficients(np.concatenate(betas, axis=1), m)
         for i in np.flatnonzero(~np.concatenate(certified)):
-            for j, col in enumerate(F.T):
-                fitted = refit.refit(X, col, substream(seed, start + i))
-                if fitted is None:  # rank depends on X alone: skipped for every output
-                    kept[start + i] = False
+            rng = substream(seed, start + i)
+            rng.integers(0, n_rows, size=n_rows)  # the first draw, already refused
+            for _ in range(_MAX_RESAMPLE_RETRIES):
+                beta, good = fac.solve(F, [rng.integers(0, n_rows, size=n_rows)])
+                if good[0]:
+                    hess[:, i], lin[:, i], _ = _unpack_coefficients(beta[:, 0], m)
                     break
-                hess[j, i], lin[j, i] = fitted
+            else:  # rank depends on X alone: skipped for every output
+                kept[start + i] = False
         ok = kept[reps]
         if not ok.any():  # every replicate of the group was skipped
             continue
@@ -568,7 +546,8 @@ def bootstrap(X, F, n_boot: int, seed: int, points) -> BootstrapSummary:
             )
     skipped = int(n_boot - kept.sum())
     if skipped == n_boot:
-        raise IllPosedFitError("every bootstrap replicate was rank deficient")
+        raise IllPosedFitError("every bootstrap replicate was uncertified: rank-deficient "
+                               "or too ill-conditioned")
     # each output reduces its own (kept, m) rows, as a bootstrap of it alone does
     stats = {f"{name}_{reduce}": np.array([getattr(r[kept], reduce)(axis=0) for r in rows])
              for name, rows in (("eigenvalues", lam_rows), ("error", err_rows))

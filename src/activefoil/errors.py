@@ -22,7 +22,7 @@ class DegenerateIntervalError(DomainError):
 
 
 class IllPosedFitError(ActivefoilError, RuntimeError):
-    """A least-squares design matrix is rank deficient."""
+    """A least-squares design matrix is rank-deficient or too ill-conditioned to certify."""
 
     def __init__(self, message, rank=None, required=None):
         super().__init__(message)

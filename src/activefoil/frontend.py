@@ -6,6 +6,7 @@ first and imports ``activefoil.cli``, with numpy and the numerical
 modules, only once a command will run.  Subcommand ``NAME`` runs
 ``cli._cmd_NAME``, with dashes as underscores.  Errors leave as one JSON
 object on stderr: usage errors exit 2, failures of a command exit 1.
+A warning prints as one ``Category: message`` line on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import __version__
 
@@ -26,8 +28,8 @@ _HINTS = {
     "EvaluationError": "evaluate and run-all accept --skip-infeasible to drop "
                        "failing designs instead of stopping",
     "FileNotFoundError": "check the path; inputs must exist before the command runs",
-    "IllPosedFitError": "the quadratic design matrix is rank-deficient; "
-                        "increase --n (need (m+1)(m+2)/2 well-spread rows)",
+    "IllPosedFitError": "the quadratic design is rank-deficient or too ill-conditioned "
+                        "to certify; increase --n (need (m+1)(m+2)/2 well-spread rows)",
     "NoStructureError": "eigenvalues carry no usable gap; check that f varies "
                         "over the box",
 }
@@ -186,6 +188,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     from . import cli
 
     try:

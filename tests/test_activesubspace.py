@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -559,31 +560,111 @@ def _seven_row_design():
     return X, f
 
 
-def test_bootstrap_rank_deficient_resamples_take_the_lstsq_path(monkeypatch):
-    import activefoil.activesubspace as asub_module
+def _recorded_solves(monkeypatch):
+    """Record each ``_ResampledFit.solve`` call: its draws, each with its certificate."""
+    calls = []
+    original = asub._ResampledFit.solve
 
+    def recording(self, F, draws):
+        beta, ok = original(self, F, draws)
+        calls.append([(idx.tobytes(), bool(good)) for idx, good in zip(draws, ok)])
+        return beta, ok
+
+    monkeypatch.setattr(asub._ResampledFit, "solve", recording)
+    return calls
+
+
+def test_bootstrap_rank_deficient_resamples_are_redrawn_by_the_certificate(monkeypatch):
     X, f = _seven_row_design()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleSizeWarning)
         want = _reference_bootstrap(X, f, n_boot=30, seed=5)
     with pytest.warns(SampleSizeWarning):  # seven rows for six coefficients
         point = _point(X, f)
-    calls = []
-    original = asub_module._solve_quadratic
-
-    def counting(design, values, m):
-        calls.append(design.shape[0])
-        return original(design, values, m)
-
-    monkeypatch.setattr(asub_module, "_solve_quadratic", counting)
+    calls = _recorded_solves(monkeypatch)
     got = bootstrap(X, f[:, np.newaxis], 30, 5, [point]).column(0)
     assert got.n_skipped == want["n_skipped"] > 0
     assert got.n_skipped < 30
-    # the bound certified the point fit, so every call is a replicate's:
-    # at least the 11 failed draws of each skipped replicate
-    assert len(calls) >= 11 * got.n_skipped
+    # the 30 first draws share one call, so every one-draw call is a
+    # redraw: at least the 10 refused redraws of each skipped replicate
+    assert len(calls[0]) == 30
+    assert sum(len(call) == 1 for call in calls) >= 10 * got.n_skipped
     np.testing.assert_allclose(got.eigenvalues_mean, want["eigenvalues_mean"],
                                rtol=0.0, atol=1e-9 * point.values[0])
+
+
+def _certified_redraws(X, f, n_boot, seed):
+    """Every draw of every replicate, each with its certificate, and the
+    coefficients of each replicate's first certified draw (None when it is
+    skipped), each draw certified by ``_stacked_cholesky_solve``."""
+    refit = asub._ResampledFit(X)
+    n_rows = len(f)
+    draws, betas = [], []
+    for k in range(n_boot):
+        rng = substream(seed, k)
+        beta = None
+        for _ in range(11):
+            idx = rng.integers(0, n_rows, size=n_rows)
+            coef, ok, _ = _stacked_cholesky_solve(refit, f, [idx])
+            draws.append((idx.tobytes(), bool(ok[0])))
+            if ok[0]:
+                beta = coef[0]
+                break
+        betas.append(beta)
+    return draws, betas
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from((2, 3)), extra=st.integers(0, 4), repeats=st.integers(0, 3),
+       n_boot=st.integers(1, 20), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_redraw_and_skip_decisions_follow_the_certificate(m, extra, repeats, n_boot,
+                                                          seed, data):
+    # a replicate redraws exactly when its draw is uncertified, takes the
+    # first certified redraw, and is skipped after 10 uncertified ones
+    if data.draw(st.booleans(), label="seven-row design"):
+        X, f = _seven_row_design()
+    else:
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, (coefficient_count(m) + extra, m))
+        X = np.vstack([X, X[:repeats]])  # repeated rows make more resamples singular
+        f = np.sin(2.0 * X[:, 0]) + X[:, -1] ** 2
+    m = X.shape[1]
+    draws, betas = _certified_redraws(X, f, n_boot, seed)
+    kept = [beta for beta in betas if beta is not None]
+    eye = Eigenpairs(np.eye(m), np.ones(m))  # the redraws do not depend on the point
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _recorded_solves(patch)
+        try:
+            got = bootstrap(X, f[:, np.newaxis], n_boot, seed, [eye]).column(0)
+        except IllPosedFitError:
+            got = None
+    # the same draws with the same certificates, whatever the solves' layout
+    assert Counter(draw for call in calls for draw in call) == Counter(draws)
+    if got is None:
+        assert not kept
+        return
+    assert got.n_skipped == n_boot - len(kept)
+    hess, lin, _ = asub._unpack_coefficients(np.array(kept), m)
+    lam = np.linalg.eigvalsh(asub._outer(hess, lin))[:, ::-1]
+    scale = 1e-12 * max(1.0, float(lam.max()))
+    for reduce in ("min", "mean", "max"):
+        np.testing.assert_allclose(getattr(got, f"eigenvalues_{reduce}"),
+                                   getattr(lam, reduce)(axis=0), rtol=0.0, atol=scale)
+
+
+def test_a_full_rank_design_too_ill_conditioned_to_certify_is_refused():
+    # lstsq finds this design full rank at 1e-10, but its cond2 is near 1e9,
+    # above the 1e8 the certificate clears, so no fit is made from it
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.0, 1.0, (200, 3))
+    X[:, 1] = X[:, 0] + 1e-4 * rng.uniform(-1.0, 1.0, 200)
+    design = quadratic_features(X)
+    f = X[:, 0] ** 2 + X[:, 2]
+    assert np.linalg.lstsq(design, f, rcond=1e-10)[2] == coefficient_count(3)
+    assert np.linalg.cond(design) > 1e8
+    with pytest.raises(IllPosedFitError, match="too ill-conditioned to certify") as info:
+        fit_quadratic(X, f)
+    assert info.value.rank == info.value.required == coefficient_count(3)
 
 
 def test_bootstrap_memory_stays_bounded_at_small_m_and_large_n():

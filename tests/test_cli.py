@@ -18,7 +18,14 @@ from activefoil.activesubspace import (
 )
 from activefoil.errors import EvaluationError
 from activefoil.qoi import QoiEvaluator, seeded_quadratic
-from activefoil.sampling import ParameterBox, derive_seed, read_matrix_csv, write_matrix_csv
+from activefoil.sampling import (
+    ParameterBox,
+    derive_seed,
+    read_matrix_csv,
+    sample,
+    unit_box,
+    write_matrix_csv,
+)
 
 
 def run(*argv):
@@ -57,6 +64,21 @@ def test_runtime_error_is_json_exit_1(tmp_path):
     payload = json.loads(out.stderr)
     assert payload["error"] == "FileNotFoundError"
     assert payload["message"]
+
+
+def test_sample_size_warning_is_one_stderr_line(tmp_path):
+    # 15 rows for the 10 coefficients at m = 3 warn, below the 20 recommended
+    X = sample(unit_box(3), 15, seed=4).matrix
+    evals = tmp_path / "evals.csv"
+    write_matrix_csv(evals, X, f=X[:, 0] ** 2 + X[:, 1] * X[:, 2], labels=["x1", "x2", "x3"])
+    line = "SampleSizeWarning: only 15 samples for 10 coefficients; recommend at least 20\n"
+    for argv in (["fit", "--data", str(evals)],
+                 ["bootstrap", "--data", str(evals), "--nboot", "5"],
+                 ["convergence", "--box", "unit:3", "--qoi", "quadratic",
+                  "--schedule", "15", "--nboot", "5"]):
+        out = run(*argv, "--out", str(tmp_path / argv[0]))
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == line, argv[0]
 
 
 def test_bad_input_files_fail_with_dataset_errors(tmp_path, capsys):

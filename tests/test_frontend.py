@@ -135,6 +135,13 @@ def test_every_public_name_is_reached():
     assert unreached == sorted(_FORMAT_NAMES)
 
 
+def test_activesubspace_has_one_least_squares_solver():
+    """The certified QR solve is the only quadratic fit: no ``lstsq`` beside it."""
+    tree = ast.parse((ROOT / "src" / "activefoil" / "activesubspace.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "lstsq"]
+
+
 def test_readme_python_session_runs():
     readme = (ROOT / "README.md").read_text()
     session = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
