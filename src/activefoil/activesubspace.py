@@ -155,13 +155,6 @@ class QuadraticModel:
         out = quadratic + (rows * self.linear).sum(axis=-1) + self.constant
         return float(out[0]) if arr.ndim == 1 else out
 
-    def gradient(self, X):
-        arr = np.asarray(X, dtype=float)
-        single = arr.ndim == 1
-        rows = np.atleast_2d(arr)
-        out = rows @ self.hessian + self.linear
-        return out[0] if single else out
-
 
 def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of each lower-triangular matrix of a (..., n, n) stack, by 2 x 2 blocks.

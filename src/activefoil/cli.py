@@ -2,19 +2,22 @@
 
 Artifacts are plain CSV / JSON / gnuplot text with LF endings and no
 timestamps: rerunning a command with identical flags reproduces every
-output byte for byte.  Each artifact records the tool version, the root
-seed and a short hash of the resolved configuration.  Commands share
-state only through files in the output directory.
+output byte for byte.  Each table and JSON artifact records the tool
+version and a short hash of the resolved configuration, and the root seed
+when the command takes one.  Commands share state only through files in
+the output directory.
 
-All randomness flows from the single ``--seed`` value; consumers derive
-child streams by labeled hashing (``sampling.derive_seed``), so the
-sampling stream does not shift when, say, ``--nboot`` changes.  Every
-bootstrap draws from the label ``bootstrap``: ``run-all`` fits and
-decomposes each of its outputs (one, or the panel's lift and drag) once,
-and then bootstraps them around those point estimates in one call that
-resamples each replicate's rows once for all of them, so a chain's
-bootstrap tables are those of the ``bootstrap`` command, which builds its
-point estimate the same way, on that chain's evals file.
+Only the commands that draw (sample, evaluate, bootstrap, convergence
+and run-all) take ``--seed``, and all their randomness flows from it;
+consumers derive child streams by labeled hashing
+(``sampling.derive_seed``), so the sampling stream does not shift when,
+say, ``--nboot`` changes.  Every bootstrap draws from the label
+``bootstrap``: ``run-all`` fits and decomposes each of its outputs (one,
+or the panel's lift and drag) once, and then bootstraps them around
+those point estimates in one call that resamples each replicate's rows
+once for all of them, so a chain's bootstrap tables are those of the
+``bootstrap`` command, which builds its point estimate the same way, on
+that chain's evals file.
 
 The parser and the entry point live in ``activefoil.frontend``, which
 loads no numpy; ``main`` here is that entry point, and each subcommand
@@ -39,7 +42,7 @@ from . import activesubspace as asub
 from .activesubspace import QuadraticModel
 from .errors import ContractViolation, DatasetError
 from .frontend import build_parser, main  # noqa: F401
-from .geometry import validate_airfoil, write_coordinate_loop, write_surface_table
+from .geometry import nose_resolving_grid, validate_airfoil, write_coordinate_loop
 from .sampling import (
     ParameterBox,
     derive_seed,
@@ -59,13 +62,9 @@ def _config_hash(args: argparse.Namespace) -> str:
 
 
 def _meta(args: argparse.Namespace, **extra) -> dict:
-    meta = {
-        "tool": f"activefoil {__version__}",
-        "seed": getattr(args, "seed", 0),
-        "config": _config_hash(args),
-    }
-    meta.update(extra)
-    return meta
+    """Tool version, the root seed of a command that takes one, config hash and ``extra``."""
+    seed = {"seed": args.seed} if "seed" in vars(args) else {}
+    return {"tool": f"activefoil {__version__}", **seed, "config": _config_hash(args), **extra}
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -262,8 +261,9 @@ def _cmd_shapes(args) -> None:
     meta = _meta(args, parameterization=args.parameterization,
                  params=args.params or "baseline-center", grid=args.grid)
     out = _out_dir(args)
-    for surface, name in enumerate(("upper", "lower")):
-        write_surface_table(stack, surface, out / f"{name}.csv", n=args.grid, meta=meta)
+    _, ell = nose_resolving_grid(args.grid)
+    for name, heights in zip(("upper", "lower"), next(stack.grid_blocks(ell))[0]):
+        write_table(out / f"{name}.csv", "ell,height", np.column_stack([ell, heights]), meta)
     write_coordinate_loop(stack, out / "loop.dat", n=args.grid, name=args.name)
     payload = report.to_dict()
     payload["meta"] = meta
@@ -469,7 +469,6 @@ def _eigs_stage(model: QuadraticModel, args, out: Path, prefix: str, meta: dict)
         "eigenvalues": eig.values.tolist(),
         "eigenvectors": eig.vectors.T.tolist(),
         "n": n,
-        "seed": args.seed,
         "meta": meta,
     })
     return eig, n

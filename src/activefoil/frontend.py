@@ -50,11 +50,23 @@ class _Parser(argparse.ArgumentParser):
         _fail("UsageError", message, 2)
 
 
-def _add_seed_out(cmd, default_out: str = ".") -> None:
-    cmd.add_argument("--seed", type=int, default=0,
-                     help="root seed; children are derived by labeled hashing")
+def _add_out(cmd, default_out: str = ".") -> None:
     cmd.add_argument("--out", default=default_out,
                      help="output directory (created if missing)")
+
+
+def _add_seed_out(cmd, default_out: str = ".") -> None:
+    """--seed, for the commands that draw, and --out."""
+    cmd.add_argument("--seed", type=int, default=0,
+                     help="root seed; children are derived by labeled hashing")
+    _add_out(cmd, default_out)
+
+
+def _one_line(text: str) -> str:
+    """--name, the first line of loop.dat: a line break would add points."""
+    if "\r" in text or "\n" in text:
+        raise argparse.ArgumentTypeError(f"must be one line, got {text!r}")
+    return text
 
 
 def _add_qoi_flags(cmd) -> None:
@@ -103,9 +115,9 @@ def build_parser() -> _Parser:
 
     cmd = sub.add_parser("shapes", help="decode parameters to surfaces")
     _add_shape_flags(cmd)
-    cmd.add_argument("--name", default="airfoil",
-                     help="label written on the coordinate loop")
-    _add_seed_out(cmd)
+    cmd.add_argument("--name", default="airfoil", type=_one_line,
+                     help="label written as the first line of the coordinate loop")
+    _add_out(cmd)
 
     cmd = sub.add_parser("evaluate", help="run a QoI over sampled designs")
     cmd.add_argument("--samples", required=True,
@@ -116,13 +128,13 @@ def build_parser() -> _Parser:
 
     cmd = sub.add_parser("fit", help="least-squares quadratic model")
     cmd.add_argument("--data", required=True, help="evals.csv with an f column")
-    _add_seed_out(cmd)
+    _add_out(cmd)
 
     cmd = sub.add_parser("eigs", help="outer-product matrix eigenpairs")
     cmd.add_argument("--model", required=True, help="model.json from `fit`")
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
-    _add_seed_out(cmd)
+    _add_out(cmd)
 
     cmd = sub.add_parser("bootstrap", help="replicate spread of the eigenpairs")
     cmd.add_argument("--data", required=True, help="evals.csv with an f column")
@@ -136,7 +148,7 @@ def build_parser() -> _Parser:
     cmd.add_argument("--eigs", required=True, help="eigs.json from `eigs`")
     cmd.add_argument("--dim", type=int, default=None,
                      help="active coordinates to keep (1 or 2)")
-    _add_seed_out(cmd)
+    _add_out(cmd)
 
     cmd = sub.add_parser("pareto",
                          help="two-objective Pareto front over the reachable plane")
@@ -150,7 +162,7 @@ def build_parser() -> _Parser:
                      help="rows along the Pareto front")
     cmd.add_argument("--grid-n", type=int, default=101,
                      help="contour grid resolution per axis")
-    _add_seed_out(cmd)
+    _add_out(cmd)
 
     cmd = sub.add_parser("convergence",
                          help="bootstrap error across sample sizes")
@@ -165,7 +177,6 @@ def build_parser() -> _Parser:
 
     cmd = sub.add_parser("validate", help="grid feasibility check of one design")
     _add_shape_flags(cmd)
-    cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--out", default=None,
                      help="also write validity.json here")
 

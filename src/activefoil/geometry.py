@@ -373,13 +373,8 @@ NACA4_THICKNESS_COEFFS = (0.2969, -0.1260, -0.3516, 0.2843, -0.1015)
 NACA4_THICKNESS_COEFFS_CLOSED = (0.2969, -0.1260, -0.3516, 0.2843, -0.1036)
 
 
-def naca_thickness_pair(
-    thickness: float = 0.12,
-    upper_scale: float = 1.0,
-    lower_scale: float = 1.0,
-    closed: bool = False,
-) -> DecodedStack:
-    """1-row stack of the symmetric family s_U = x1 * tau * series, s_L = -x2 * tau * series.
+def naca_thickness_pair(thickness: float = 0.12, closed: bool = False) -> DecodedStack:
+    """1-row stack of the symmetric family s_U = tau * series, s_L = -tau * series.
 
     tau = 5 * thickness is folded into the coefficient values.
     """
@@ -388,38 +383,18 @@ def naca_thickness_pair(
     base = NACA4_THICKNESS_COEFFS_CLOSED if closed else NACA4_THICKNESS_COEFFS
     a = np.asarray(base, dtype=float)
     tau = 5.0 * thickness
-    return DecodedStack(BasisSpec(BasisKind.NACA4, 5),
-                        np.array([[tau * upper_scale * a, -tau * lower_scale * a]]), {})
-
-
-def _height(stack: DecodedStack, surface: int, ell):
-    """Heights of surface 0 (upper) or 1 (lower) of row 0 of ``stack`` at ell."""
-    return eval_shape(ShapeCoefficients(stack.coefficients[0, surface]), stack.basis, ell)
-
-
-def write_surface_table(stack: DecodedStack, surface: int, path, n: int = 201,
-                        meta: dict | None = None):
-    """(ell, height) of surface 0 (upper) or 1 (lower) of row 0 of ``stack``.
-
-    A two-column text table, 15 significant digits, LF endings.
-    """
-    _, ell = nose_resolving_grid(n)
-    heights = _height(stack, surface, ell)
-    with open(path, "w", newline="\n") as fh:
-        for key in sorted(meta or {}):
-            fh.write(f"# {key}={meta[key]}\n")
-        for x, y in zip(ell, heights):
-            fh.write(f"{x:.15g} {y:.15g}\n")
+    return DecodedStack(BasisSpec(BasisKind.NACA4, 5), np.array([[tau * a, -tau * a]]), {})
 
 
 def write_coordinate_loop(stack: DecodedStack, path, n: int = 201, name: str = "airfoil"):
     """Closed-loop coordinate file of row 0 of ``stack`` for external mesh/CFD tools.
 
     Order: trailing edge -> upper surface -> leading edge -> lower
-    surface -> trailing edge, with the leading edge listed once.
+    surface -> trailing edge, with the leading edge listed once.  The
+    first line is ``name``.
     """
     _, ell = nose_resolving_grid(n)
-    up, lo = _height(stack, 0, ell), _height(stack, 1, ell)
+    up, lo = next(stack.grid_blocks(ell))[0]
     xs = np.concatenate([ell[::-1], ell[1:]])
     ys = np.concatenate([up[::-1], lo[1:]])
     with open(path, "w", newline="\n") as fh:

@@ -17,7 +17,8 @@ outputs, rewrite the file with
 
     PYTHONPATH=src python tests/reference_runs.py
 
-and list the files whose digest moved in CHANGES.md.
+and list the files whose digest moved in CHANGES.md: it prints the names
+it moved, added and removed against the file it replaces.
 """
 
 from __future__ import annotations
@@ -133,11 +134,17 @@ def fingerprint() -> dict:
 
 
 def main() -> int:
+    old = json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as work:
         payload = {"fingerprint": fingerprint(),
                    "digests": digests(run_references(Path(work)))}
     DIGESTS.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {DIGESTS} ({len(payload['digests'])} files)")
+    new = payload["digests"]
+    print(f"wrote {DIGESTS} ({len(new)} files)")
+    for change, names in (("moved", [k for k in old.keys() & new.keys() if old[k] != new[k]]),
+                          ("added", new.keys() - old.keys()),
+                          ("removed", old.keys() - new.keys())):
+        print(f"{change}: {len(names)}", *sorted(names), sep="\n  ")
     return 0
 
 

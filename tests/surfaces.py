@@ -10,7 +10,13 @@ compares the stacked code with them and not with itself.
 import numpy as np
 
 from activefoil import cst, parsec
-from activefoil.geometry import ShapeCoefficients, eval_shape, shape_derivative
+from activefoil.geometry import (
+    DecodedStack,
+    ShapeCoefficients,
+    eval_shape,
+    naca_thickness_pair,
+    shape_derivative,
+)
 
 UPPER, LOWER = 0, 1
 
@@ -45,3 +51,10 @@ def curvature(stack, surface, ell, row=0):
     e = stack.basis.exponents()
     terms = e * (e - 1.0) * np.asarray(ell, dtype=float)[..., np.newaxis] ** (e - 2.0)
     return terms @ coefficients(stack, surface, row)
+
+
+def scaled_naca(thickness, upper_scale, lower_scale, closed=False):
+    """``naca_thickness_pair`` with its upper surface times ``upper_scale`` and its
+    lower surface times ``lower_scale``; a negative ``lower_scale`` crosses them."""
+    stack = naca_thickness_pair(thickness, closed)
+    return DecodedStack(stack.basis, stack.coefficients * [[upper_scale], [lower_scale]], {})

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from surfaces import LOWER, UPPER, height, slope
+from surfaces import LOWER, UPPER, height, scaled_naca, slope
 
 from activefoil import cli, cst, parsec, qoi
 from activefoil.errors import (
@@ -33,7 +33,6 @@ from activefoil.geometry import (
     BasisSpec,
     DecodedStack,
     ValidityReport,
-    naca_thickness_pair,
     nose_resolving_grid,
 )
 from activefoil.sampling import denormalize, derive_seed, sample
@@ -409,7 +408,7 @@ def _check_design_calls(stack, grid_size, sharp_trailing_edge):
 @pytest.mark.parametrize("grid_size, sharp", [(3, False), (101, True), (201, False)])
 def test_naca_pair_calls_match_the_pair_reference(thickness, upper_scale, lower_scale,
                                                   closed, grid_size, sharp):
-    stack = naca_thickness_pair(thickness, upper_scale, lower_scale, closed)
+    stack = scaled_naca(thickness, upper_scale, lower_scale, closed)
     _check_design_calls(stack, grid_size, sharp)
 
 

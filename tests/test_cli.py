@@ -8,15 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from surfaces import decoded
 
 import activefoil
-from activefoil import activesubspace, cli, parsec
+from activefoil import activesubspace, cli, cst, parsec
 from activefoil.activesubspace import (
     eigendecompose,
     quadratic_features,
     subspace_distance,
 )
 from activefoil.errors import EvaluationError
+from activefoil.geometry import nose_resolving_grid
 from activefoil.qoi import QoiEvaluator, seeded_quadratic
 from activefoil.sampling import (
     ParameterBox,
@@ -140,10 +142,8 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     assert run("evaluate", "--samples", str(d / "samples.csv"),
                "--qoi", "quadratic", "--seed", seed,
                "--out", str(d)).returncode == 0
-    assert run("fit", "--data", str(d / "evals.csv"), "--seed", seed,
-               "--out", str(d)).returncode == 0
-    assert run("eigs", "--model", str(d / "model.json"), "--seed", seed,
-               "--out", str(d)).returncode == 0
+    assert run("fit", "--data", str(d / "evals.csv"), "--out", str(d)).returncode == 0
+    assert run("eigs", "--model", str(d / "model.json"), "--out", str(d)).returncode == 0
 
     model = json.loads((d / "model.json").read_text())
     assert model["m"] == 6 and model["n_samples"] == 400
@@ -159,7 +159,8 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     np.testing.assert_allclose(payload["eigenvalues"], expected.values, rtol=1e-8)
     lead = np.array(payload["eigenvectors"][0])
     assert subspace_distance(lead, expected.vectors[:, 0]) < 1e-8
-    assert set(payload) == {"eigenvalues", "eigenvectors", "n", "seed", "meta"}
+    assert set(payload) == {"eigenvalues", "eigenvectors", "n", "meta"}
+    assert "seed" not in payload["meta"]  # eigs draws nothing
     assert 1 <= payload["n"] < 6
 
     # bootstrap artifacts: one row per eigenvalue, one per dimension
@@ -180,8 +181,7 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
 
     # shadow artifacts follow the chosen dimension, capped at 2
     assert run("shadow", "--data", str(d / "evals.csv"),
-               "--eigs", str(d / "eigs.json"), "--seed", seed,
-               "--out", str(d)).returncode == 0
+               "--eigs", str(d / "eigs.json"), "--out", str(d)).returncode == 0
     coords, fcol, labels, meta = read_matrix_csv(d / "shadow.csv")
     n_active = min(payload["n"], 2)
     assert labels == [f"y{i}" for i in range(1, n_active + 1)]
@@ -193,7 +193,7 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     legacy = dict(payload, convention="identity")
     (d / "legacy_eigs.json").write_text(json.dumps(legacy))
     assert run("shadow", "--data", str(d / "evals.csv"),
-               "--eigs", str(d / "legacy_eigs.json"), "--seed", seed,
+               "--eigs", str(d / "legacy_eigs.json"),
                "--out", str(d / "legacy")).returncode == 0
     assert _data_lines(d / "legacy" / "shadow.csv") == _data_lines(d / "shadow.csv")
 
@@ -486,18 +486,17 @@ def test_option_inventory():
                  for name, cmd in sub.choices.items()}
     assert inventory == {
         "sample": ("box", "n", "out", "physical", "seed"),
-        "shapes": ("grid", "name", "out", "parameterization", "params", "seed", "sharp_te"),
+        "shapes": ("grid", "name", "out", "parameterization", "params", "sharp_te"),
         "evaluate": ("direction", "noise_seed", "noise_std", "out", "qoi", "samples", "seed",
                      "skip_infeasible"),
-        "fit": ("data", "out", "seed"),
-        "eigs": ("dim", "model", "out", "seed"),
+        "fit": ("data", "out"),
+        "eigs": ("dim", "model", "out"),
         "bootstrap": ("data", "dim", "nboot", "out", "seed"),
-        "shadow": ("data", "dim", "eigs", "out", "seed"),
-        "pareto": ("data1", "data2", "degree", "eigs1", "eigs2", "gammas", "grid_n", "out",
-                   "seed"),
+        "shadow": ("data", "dim", "eigs", "out"),
+        "pareto": ("data1", "data2", "degree", "eigs1", "eigs2", "gammas", "grid_n", "out"),
         "convergence": ("box", "dim", "direction", "nboot", "noise_seed", "noise_std",
                         "out", "qoi", "schedule", "seed"),
-        "validate": ("grid", "out", "parameterization", "params", "seed", "sharp_te"),
+        "validate": ("grid", "out", "parameterization", "params", "sharp_te"),
         "run-all": ("box", "degree", "dim", "direction", "gammas", "grid_n", "n",
                     "nboot", "noise_seed", "noise_std", "out", "qoi", "seed",
                     "skip_infeasible"),
@@ -527,21 +526,21 @@ def test_fit_accepts_one_parameter(tmp_path):
 
 def test_run_all_is_the_single_step_chain(tmp_path):
     """run-all composes the same stages as sample -> ... -> shadow."""
-    common = ("--seed", "5")
+    seed = ("--seed", "5")  # taken by the commands that draw
     whole, steps = tmp_path / "whole", tmp_path / "steps"
     assert cli.main(["run-all", "--box", "unit:4", "--qoi", "quadratic",
-                     "--n", "150", "--nboot", "12", *common,
+                     "--n", "150", "--nboot", "12", *seed,
                      "--out", str(whole)]) == 0
     for argv in (
-        ("sample", "--box", "unit:4", "--n", "150"),
-        ("evaluate", "--samples", str(steps / "samples.csv"), "--qoi", "quadratic"),
+        ("sample", "--box", "unit:4", "--n", "150", *seed),
+        ("evaluate", "--samples", str(steps / "samples.csv"), "--qoi", "quadratic", *seed),
         ("fit", "--data", str(steps / "evals.csv")),
         ("eigs", "--model", str(steps / "model.json")),
-        ("bootstrap", "--data", str(steps / "evals.csv"), "--nboot", "12"),
+        ("bootstrap", "--data", str(steps / "evals.csv"), "--nboot", "12", *seed),
         ("shadow", "--data", str(steps / "evals.csv"),
          "--eigs", str(steps / "eigs.json")),
     ):
-        assert cli.main([*argv, *common, "--out", str(steps)]) == 0
+        assert cli.main([*argv, "--out", str(steps)]) == 0
     for name in ("evals.csv", "bootstrap_eigenvalues.csv",
                  "bootstrap_dimensions.csv", "shadow.csv"):
         assert _data_lines(whole / name) == _data_lines(steps / name), name
@@ -646,7 +645,40 @@ def test_shapes_artifacts(tmp_path):
     assert report["feasible"] is True and report["grid_size"] == 101
     upper = (tmp_path / "upper.csv").read_text().splitlines()
     assert upper[0].startswith("#")
-    assert len([line for line in upper if not line.startswith("#")]) == 101
+    assert len([line for line in upper if not line.startswith("#")]) == 1 + 101  # header
+
+
+@pytest.mark.parametrize("parameterization", ["parsec", "cst"])
+def test_shapes_surface_tables_read_back(tmp_path, parameterization):
+    """upper.csv and lower.csv are write_table files of the decoded stack's heights."""
+    box = (parsec if parameterization == "parsec" else cst).baseline_box()
+    row = box.lower + 0.3 * box.width  # an asymmetric design
+    params = (parsec.ParsecParams.from_sequence(row) if parameterization == "parsec"
+              else cst.CstParams.from_flat(row))
+    (tmp_path / "params.json").write_text(params.to_json())
+    assert cli.main(["shapes", "--parameterization", parameterization, "--params",
+                     str(tmp_path / "params.json"), "--grid", "51",
+                     "--out", str(tmp_path / "out")]) == 0
+    _, ell = nose_resolving_grid(51)
+    heights, = decoded(params).grid_blocks(ell)
+    for surface, name in enumerate(("upper", "lower")):
+        table, f, labels, meta = read_matrix_csv(tmp_path / "out" / f"{name}.csv")
+        assert labels == ["ell", "height"] and f is None
+        assert meta["grid"] == "51" and "seed" not in meta
+        assert table[:, 0].tobytes() == ell.tobytes()
+        assert table[:, 1].tobytes() == heights[0, surface].tobytes()
+
+
+@pytest.mark.parametrize("name", ["wing\n0.5 0.5", "wing\r", "\r\nwing"])
+def test_shapes_refuses_a_name_with_a_line_break(tmp_path, capsys, name):
+    # --name is the first line of loop.dat, so a line break would add points
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["shapes", "--parameterization", "cst", "--name", name,
+                  "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "UsageError" and "--name" in payload["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_convergence_csv(tmp_path):

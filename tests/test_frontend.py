@@ -6,6 +6,7 @@
 imported from its submodule on first use.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -14,11 +15,13 @@ import re
 import subprocess
 import sys
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import activefoil
+from activefoil import frontend
 
 ROOT = Path(__file__).resolve().parents[1]
 PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
@@ -98,41 +101,141 @@ def test_public_name_inventory():
     ]
 
 
-def _reads(path, skip=None):
-    """Names and attribute names the code of ``path`` reads, outside the
-    top-level definition named ``skip``."""
-    names = set()
-    for top in ast.parse(path.read_text()).body:
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
-            continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+SRC = ROOT / "src" / "activefoil"
+# Reached from outside src/: the entry point, and the writers of the formats
+# that --params and --box take.  The _cmd_ functions, which frontend.main
+# dispatches to by name, are reached too.
+_ALLOWED = {"frontend.main", "sampling.ParameterBox.save", "parsec.ParsecParams.to_json",
+            "cst.CstParams.to_json"}
 
 
-# Public names reached only as the reader of a file format a command writes.
-_FORMAT_NAMES = set()
+def _names(node) -> Counter:
+    """How often each name and attribute name occurs under ``node``."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def _definitions(trees):
+    """(qualified name, class name or None, node) of every module-level function
+    and class, every method and every ``__init__``, named as its class; other
+    dunders are reached by the language."""
+    for stem, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("__"):
+                yield f"{stem}.{top.name}", None, top
+            for node in top.body if isinstance(top, ast.ClassDef) else ():
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    yield f"{stem}.{top.name}.{node.name}", top.name, node
+                elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    yield f"{stem}.{top.name}", top.name, node
+
+
+def _passes(call, index, name) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at position ``index`` unless
+    it is keyword-only (``index`` None); a * or ** argument passes every one."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def _unreached_parameters(qualified, owner, node, calls):
+    """The parameters with a default of the function ``node`` that no call of its
+    name in ``calls`` passes; an ``__init__`` is called by its class's name."""
+    args = node.args
+    name = owner if node.name == "__init__" else node.name
+    bound = owner is not None and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    positional = args.posonlyargs + args.args
+    defaulted = [(i - bound, a.arg) for i, a in enumerate(positional)
+                 if i >= len(positional) - len(args.defaults)]
+    defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+    own = {id(sub) for sub in ast.walk(node)}
+    mine = [c for c in calls if id(c) not in own and name in (
+        getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+    return [f"{qualified}({param}=)" for index, param in defaulted
+            if not any(_passes(c, index, param) for c in mine)]
+
+
+def _option_reads(tree) -> dict:
+    """cli function -> (the ``args`` attributes it reads, the cli functions it names).
+
+    A read inside a ``_meta`` call or as a value of a dict display only records
+    the option, so it does not count; ``getattr(args, "name", ...)`` reads it.
+    """
+    funcs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    graph = {}
+    for name, node in funcs.items():
+        recorded = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_meta":
+                recorded.update(id(n) for n in ast.walk(sub))
+            elif isinstance(sub, ast.Dict):
+                recorded.update(id(n) for value in sub.values for n in ast.walk(value))
+        reads = set()
+        for sub in ast.walk(node):
+            if id(sub) in recorded:
+                continue
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "args"):
+                reads.add(sub.attr)
+            elif (isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "getattr"
+                  and getattr(sub.args[0], "id", None) == "args"):
+                reads.add(sub.args[1].value)
+        graph[name] = reads, {n.id for n in ast.walk(node)
+                              if isinstance(n, ast.Name) and n.id in funcs}
+    return graph
+
+
+def _unreached_options(graph):
+    """Each subcommand option that the command's ``_cmd_`` function, and the cli
+    functions it reaches other than ``_meta`` and ``_config_hash``, never read."""
+    parser = frontend.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, cmd in sub.choices.items():
+        todo, seen, reads = ["_cmd_" + command.replace("-", "_")], set(), set()
+        while todo:
+            name = todo.pop()
+            if name in seen or name in ("_meta", "_config_hash"):
+                continue
+            seen.add(name)
+            reads |= graph[name][0]
+            todo.extend(graph[name][1])
+        yield from (f"{command} {action.option_strings[0]}" for action in cmd._actions
+                    if action.dest not in reads and action.dest != "help")
 
 
 def test_every_public_name_is_reached():
-    """A public name is used in src/ outside its own definition, wrapped by the
-    benchmark's tracer, or used by an acceptance criterion."""
+    """A definition, parameter or option stays only when something reaches it.
+
+    A module-level function or class, or a method, is reached when its name
+    is read in src/ outside its own definition, is wrapped by the
+    benchmark's tracer or is read by an acceptance criterion.  A parameter
+    with a default is reached when a call of its function's name in src/,
+    outside that function, or in an acceptance criterion passes it.  An
+    option of a subcommand is reached when the command reads it for more
+    than recording it in the artifacts' metadata.
+    """
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    reached = {name for _, name, _ in tracer.WRAPS}
-    reached |= _reads(ROOT / "tests" / "test_acceptance.py")
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    read = sum(map(_names, trees.values()), Counter())
+    reached = {name for _, name, _ in tracer.WRAPS} | set(_names(acceptance))
+    calls = [sub for tree in (*trees.values(), acceptance) for sub in ast.walk(tree)
+             if isinstance(sub, ast.Call)]
     unreached = []
-    for name in activefoil.__all__:
-        home = activefoil._SOURCE[name]
-        if name not in reached and not any(
-                name in _reads(path, name if path.stem == home else None)
-                for path in (ROOT / "src" / "activefoil").glob("*.py")):
-            unreached.append(name)
-    assert unreached == sorted(_FORMAT_NAMES)
+    for qualified, owner, node in _definitions(trees):
+        if qualified in _ALLOWED or node.name.startswith("_cmd_"):
+            continue
+        if node.name != "__init__" and node.name not in reached and (
+                read[node.name] == _names(node)[node.name]):
+            unreached.append(qualified)
+        if isinstance(node, ast.FunctionDef):
+            unreached += _unreached_parameters(qualified, owner, node, calls)
+    unreached += _unreached_options(_option_reads(trees["cli"]))
+    assert not unreached, f"unreached: {', '.join(unreached)}"
 
 
 def test_activesubspace_has_one_least_squares_solver():

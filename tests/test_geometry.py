@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from surfaces import LOWER, UPPER, height
+from surfaces import LOWER, UPPER, height, scaled_naca
 
 from activefoil import cst, parsec
 from activefoil.errors import (
@@ -23,7 +23,6 @@ from activefoil.geometry import (
     shape_derivative_t,
     validate_airfoil,
     write_coordinate_loop,
-    write_surface_table,
 )
 
 HALF = BasisSpec(BasisKind.HALF_INTEGER, 6)
@@ -168,7 +167,7 @@ def test_validate_airfoil_feasible_report():
 
 def test_validate_airfoil_detects_crossing():
     # lower_scale < 0 flips the lower surface on top of the upper one
-    crossed = naca_thickness_pair(0.12, lower_scale=-1.0)
+    crossed = scaled_naca(0.12, 1.0, -1.0)
     report = validate_airfoil(crossed, grid_size=101).row(0)
     assert not report.feasible
     assert report.min_gap <= 0.0
@@ -226,21 +225,6 @@ def test_coefficient_container_contracts():
             stack.coefficients[0, 0, 0] = 5.0
     with pytest.raises(ContractViolation):
         eval_shape(frozen, BasisSpec(BasisKind.HALF_INTEGER, 3), 0.5)
-
-
-def test_surface_table_file(tmp_path):
-    path = tmp_path / "upper.csv"
-    stack = naca_thickness_pair(0.12)
-    write_surface_table(stack, UPPER, path, n=21, meta={"b": "two", "a": 1})
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    lines = raw.decode().splitlines()
-    assert lines[0] == "# a=1" and lines[1] == "# b=two"  # sorted meta keys
-    data = np.array([[float(v) for v in line.split()] for line in lines[2:]])
-    assert data.shape == (21, 2)
-    _, ell = nose_resolving_grid(21)
-    np.testing.assert_allclose(data[:, 0], ell, atol=1e-14)
-    np.testing.assert_allclose(data[:, 1], height(stack, UPPER, ell), rtol=1e-14)
 
 
 def test_coordinate_loop_file(tmp_path):
