@@ -255,7 +255,9 @@ class _ResampledFit:
             # (B, 1, p) x (p, p) runs one product per replicate, so a
             # replicate's bits do not depend on how many share its block;
             # a (B, p) x (p, p) product lets BLAS pick its kernel by B.
-            beta[j] = (z @ self.r_inv.T)[:, 0]
+            # A singular R's non-finite inverse gives NaN fits, all uncertified.
+            with np.errstate(invalid="ignore"):
+                beta[j] = (z @ self.r_inv.T)[:, 0]
         return beta, ok
 
 
@@ -265,7 +267,10 @@ def _factored(shape: tuple, x_bytes: bytes) -> _ResampledFit:
 
     One entry is enough: a chain fits and then bootstraps the same X, and
     the panel's lift and drag chains share theirs, so each sample matrix
-    is factored once.  A changed X is a new key, never a stale hit.
+    is factored once.  The Pareto link fits (``analysis.fit_link_function``)
+    factor their shadow coordinates here too, after X's last use, so they
+    evict X's entry only once nothing needs it.  A changed X is a new key,
+    never a stale hit.
     """
     return _ResampledFit(np.frombuffer(x_bytes).reshape(shape))
 

@@ -1,21 +1,22 @@
 """Shadow projections, link-function fits, and two-objective Pareto fronts.
 
 Once an active basis W1 is in hand, samples project to shadow
-coordinates y = W1' x; a low-order polynomial in y (the link function)
-summarizes f; and on the plane of two leading directions, designs in the
-cube that reach the zonotope Z = W'[-1, 1]^m are scored by the fitted
-surfaces, and the nondominated ones form the Pareto front.
+coordinates y = W1' x; a quadratic in y (the link function), fitted by
+the certified solve of ``activesubspace.fit_quadratic`` that fits the
+model, summarizes f; and on the plane of two leading directions, designs
+in the cube that reach the zonotope Z = W'[-1, 1]^m are scored by the
+fitted surfaces, and the nondominated ones form the Pareto front.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation, IllPosedFitError
+from .activesubspace import QuadraticModel, fit_quadratic
+from .errors import ContractViolation, SampleSizeWarning
 from .sampling import _freeze, write_table
 
 # Slack of box membership for designs and of polygon membership for points.
@@ -70,78 +71,32 @@ def write_shadow_csv(shadow: ShadowData, path, meta=None):
                 np.column_stack([shadow.coords, shadow.outputs]), meta)
 
 
-def _monomial_powers(n_vars: int, degree: int):
-    return tuple(tuple(combo.count(i) for i in range(n_vars)) for total in range(degree + 1)
-                 for combo in itertools.combinations_with_replacement(range(n_vars), total))
-
-
-def _monomial_design(Y: np.ndarray, powers) -> np.ndarray:
-    # y**k by repeated products: pow() per element costs several times more
-    table = list(itertools.accumulate([Y.T] * max(map(sum, powers)), np.multiply,
-                                      initial=np.ones_like(Y.T)))
-    return np.column_stack([math.prod(table[e][i] for i, e in enumerate(p)) for p in powers])
-
-
 @dataclass(frozen=True, eq=False)
 class ResponseSurface:
-    """Polynomial link function g(y) over a fixed active basis."""
+    """Quadratic link function g(y) over a fixed active basis."""
 
     basis: np.ndarray
-    degree: int
-    powers: tuple
-    coefficients: np.ndarray
-    residual_rms: float
-    r_squared: float
+    model: QuadraticModel
 
     def predict_active(self, Y):
-        y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if y.shape[1] != self.basis.shape[1]:
-            raise ContractViolation(
-                f"expected {self.basis.shape[1]} active coordinates, got {y.shape[1]}"
-            )
-        out = _monomial_design(y, self.powers) @ self.coefficients
-        return float(out[0]) if np.ndim(Y) == 1 else out
+        """Values at the rows of Y, or at the one point Y, in active coordinates."""
+        y = np.asarray(Y, dtype=float)
+        if (n := np.atleast_2d(y).shape[1]) != self.basis.shape[1]:
+            raise ContractViolation(f"expected {self.basis.shape[1]} active coordinates, got {n}")
+        return self.model.predict(y)
 
     def predict(self, X):
-        rows = np.atleast_2d(np.asarray(X, dtype=float))
-        out = self.predict_active(rows @ self.basis)
-        return float(out[0]) if np.ndim(X) == 1 else out
+        """Values at the rows of X, or at the one design X, in the full coordinates."""
+        return self.predict_active(np.asarray(X, dtype=float) @ self.basis)
 
 
-def fit_link_function(shadow: ShadowData, degree: int) -> ResponseSurface:
-    """Least-squares polynomial of total degree <= degree in the shadow coords.
-
-    Reports the in-sample residual RMS and R^2 (R^2 = 1 when the
-    outputs are constant, which the constant term fits exactly).
-    """
-    if degree < 0:
-        raise ContractViolation("degree must be non-negative")
-    powers = _monomial_powers(shadow.n, degree)
-    design = _monomial_design(shadow.coords, powers)
-    n_rows, n_cols = design.shape
-    if n_rows < n_cols:
-        raise ContractViolation(
-            f"need at least {n_cols} samples for degree {degree} in {shadow.n} variables"
-        )
-    beta, _, rank, _ = np.linalg.lstsq(design, shadow.outputs, rcond=None)
-    if rank < n_cols:
-        raise IllPosedFitError(
-            f"link design matrix rank {rank} < {n_cols}", rank=int(rank), required=n_cols
-        )
-    resid = design @ beta - shadow.outputs
-    rms = float(np.linalg.norm(resid) / np.sqrt(n_rows))
-    ss_res = float(resid @ resid)
-    centered = shadow.outputs - shadow.outputs.mean()
-    ss_tot = float(centered @ centered)
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return ResponseSurface(
-        basis=shadow.basis,
-        degree=int(degree),
-        powers=powers,
-        coefficients=beta,
-        residual_rms=rms,
-        r_squared=r2,
-    )
+def fit_link_function(shadow: ShadowData) -> ResponseSurface:
+    """The quadratic in the shadow coordinates, by ``fit_quadratic``'s certified solve;
+    the chain's model fit, with more coefficients, gives any sample-size warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)
+        model = fit_quadratic(shadow.coords, shadow.outputs)
+    return ResponseSurface(basis=shadow.basis, model=model)
 
 
 def cube_minimum(w):

@@ -115,11 +115,9 @@ def _check_dim_flag(dim, m: int) -> None:
 
 
 def _check_pareto_sizes(args) -> None:
-    """--gammas, --degree and --grid-n, checked before anything is written."""
+    """--gammas and --grid-n, checked before anything is written."""
     if args.gammas < 2:
         raise ContractViolation(f"--gammas must be at least 2, got {args.gammas}")
-    if args.degree < 0:
-        raise ContractViolation(f"--degree must be non-negative, got {args.degree}")
     if args.grid_n < 2:
         raise ContractViolation(f"--grid-n must be at least 2, got {args.grid_n}")
 
@@ -353,11 +351,9 @@ def _pareto_artifacts(X1, f1, X2, f2, directions, args, out: Path,
                       meta_extra: dict) -> None:
     """Pareto artifacts on the plane of ``directions``, from ``_plane_directions``."""
     w1, w2, overlap = directions
-    lift_surface = analysis.fit_link_function(
-        analysis.shadow_project(X1, f1, w1.reshape(-1, 1)), args.degree)
+    lift_surface = analysis.fit_link_function(analysis.shadow_project(X1, f1, w1.reshape(-1, 1)))
     plane = np.column_stack([w1, w2])
-    drag_surface = analysis.fit_link_function(
-        analysis.shadow_project(X2, f2, plane), args.degree)
+    drag_surface = analysis.fit_link_function(analysis.shadow_project(X2, f2, plane))
     front = analysis.pareto_front(analysis.pareto_segment(w1, w2, gamma_count=args.gammas),
                                   lift_surface, drag_surface)
     coords = X2 @ plane

@@ -156,8 +156,6 @@ def build_parser() -> _Parser:
     cmd.add_argument("--eigs1", required=True, help="objective-1 eigs.json")
     cmd.add_argument("--data2", required=True, help="objective-2 evals.csv")
     cmd.add_argument("--eigs2", required=True, help="objective-2 eigs.json")
-    cmd.add_argument("--degree", type=int, default=2,
-                     help="link-function polynomial degree")
     cmd.add_argument("--gammas", type=int, default=101,
                      help="rows along the Pareto front")
     cmd.add_argument("--grid-n", type=int, default=101,
@@ -187,7 +185,6 @@ def build_parser() -> _Parser:
     cmd.add_argument("--nboot", type=int, default=100)
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
-    cmd.add_argument("--degree", type=int, default=2)
     cmd.add_argument("--gammas", type=int, default=101)
     cmd.add_argument("--grid-n", type=int, default=101)
     _add_qoi_flags(cmd)

@@ -96,6 +96,9 @@ def test_fit_rank_deficiency():
     with pytest.raises(IllPosedFitError) as info:
         fit_quadratic(X, np.ones(20))
     assert info.value.rank < info.value.required == coefficient_count(2)
+    # an exactly singular R is refused without a RuntimeWarning on the way
+    with pytest.raises(IllPosedFitError):
+        fit_quadratic(np.zeros((12, 2)), np.zeros(12))
 
 
 def _packed(model):
@@ -858,7 +861,7 @@ def test_bootstrap_block_layout_does_not_change_results(monkeypatch):
        seed=st.integers(0, 2**63 - 1), data=st.data())
 def test_each_output_of_a_shared_resample_has_its_own_bootstrap_bits(k, n_boot, seed, data):
     # column j of a bootstrap of k outputs is the bootstrap of output j alone;
-    # the seven-row design forces lstsq refits, whose skips every output shares
+    # the seven-row design forces certificate redraws, whose skips every output shares
     if data.draw(st.booleans(), label="seven-row design"):
         X, f = _seven_row_design()
         outputs = [f, X[:, 1] ** 2 - 0.4 * X[:, 0], np.exp(X[:, 0]) + 1e-2 * np.arange(7)]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from activefoil import analysis
+from activefoil.activesubspace import QuadraticModel
 from activefoil.analysis import (
     ParetoSegment,
     ResponseSurface,
@@ -72,54 +73,40 @@ def test_write_shadow_csv(tmp_path):
 
 
 def test_link_function_exact_quadratic():
-    rng = np.random.Generator(np.random.PCG64(3))
+    # exact recovery on 1, 2 and 3 shadow coordinates
     X = sample(unit_box(5), 60, seed=3).matrix
-    w = np.full(5, 1.0 / np.sqrt(5.0))
-    y = X @ w
-    f = 2.0 + 3.0 * y - y * y
-    surface = fit_link_function(shadow_project(X, f, w), degree=2)
-    assert surface.powers == ((0,), (1,), (2,))  # degree-major monomial order
-    np.testing.assert_allclose(surface.coefficients, [2.0, 3.0, -1.0], atol=1e-12)
-    assert surface.residual_rms < 1e-12
-    assert surface.r_squared == pytest.approx(1.0, abs=1e-12)
+    rng = np.random.Generator(np.random.PCG64(3))
+    for n in (1, 2, 3):
+        w = np.linalg.qr(rng.standard_normal((5, n)))[0]
+        hess = rng.standard_normal((n, n))
+        hess = hess + hess.T
+        lin, const = rng.standard_normal(n), 2.0
+        y = X @ w
+        f = 0.5 * np.einsum("ij,jk,ik->i", y, hess, y) + y @ lin + const
+        surface = fit_link_function(shadow_project(X, f, w))
+        np.testing.assert_allclose(surface.model.hessian, hess, atol=1e-12)
+        np.testing.assert_allclose(surface.model.linear, lin, atol=1e-12)
+        assert surface.model.constant == pytest.approx(const, abs=1e-12)
+        assert surface.model.residual_rms < 1e-12
 
-    # predictions agree between active and full coordinates
-    np.testing.assert_allclose(surface.predict(X), f, atol=1e-12)
-    np.testing.assert_allclose(
-        surface.predict_active(y[:, np.newaxis]), f, atol=1e-12
-    )
-    assert isinstance(surface.predict(X[0]), float)
-    assert surface.degree == 2
-
-
-def test_link_function_monomial_order_2d():
-    X = sample(unit_box(4), 80, seed=4).matrix
-    basis = np.eye(4)[:, :2]
-    f = X[:, 0] * X[:, 1]
-    surface = fit_link_function(shadow_project(X, f, basis), degree=2)
-    assert surface.powers == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    np.testing.assert_allclose(surface.coefficients, [0, 0, 0, 0, 1, 0], atol=1e-12)
-
-
-def test_link_function_r2_for_constant_outputs():
-    X = sample(unit_box(3), 20, seed=5).matrix
-    shadow = shadow_project(X, np.full(20, 7.5), np.eye(3)[:, :1])
-    surface = fit_link_function(shadow, degree=1)
-    assert surface.r_squared == 1.0
-    assert surface.residual_rms < 1e-12
+        # predictions agree between active and full coordinates
+        np.testing.assert_allclose(surface.predict(X), f, atol=1e-12)
+        np.testing.assert_allclose(surface.predict_active(y), f, atol=1e-12)
+        assert isinstance(surface.predict(X[0]), float)
+        with pytest.raises(ContractViolation, match=f"expected {n} active coordinates"):
+            surface.predict_active(np.zeros((2, n + 1)))
 
 
 def test_link_function_failure_modes():
     X = sample(unit_box(3), 20, seed=6).matrix
-    shadow = shadow_project(X, X[:, 0], np.eye(3)[:, :1])
-    with pytest.raises(ContractViolation):
-        fit_link_function(shadow, degree=-1)
     tiny = shadow_project(X[:2], X[:2, 0], np.eye(3)[:, :1])
     with pytest.raises(ContractViolation):
-        fit_link_function(tiny, degree=3)
+        fit_link_function(tiny)
+    # four rows for three coefficients fit, with no SampleSizeWarning (an error here)
+    fit_link_function(shadow_project(X[:4], X[:4, 0], np.eye(3)[:, :1]))
     flat = shadow_project(np.zeros((10, 3)), np.zeros(10), np.eye(3)[:, :1])
     with pytest.raises(IllPosedFitError):
-        fit_link_function(flat, degree=1)
+        fit_link_function(flat)
 
 
 def test_cube_minimum_literal():
@@ -182,8 +169,8 @@ def _some_row_dominated(lift, drag) -> bool:
 def _scored_segment():
     w1, w2 = _orthopair()
     X = sample(unit_box(4), 120, seed=7).matrix
-    lift_surface = fit_link_function(shadow_project(X, X @ w1, w1), degree=1)
-    drag_surface = fit_link_function(shadow_project(X, (X @ w2) ** 2, w2), degree=2)
+    lift_surface = fit_link_function(shadow_project(X, X @ w1, w1))
+    drag_surface = fit_link_function(shadow_project(X, (X @ w2) ** 2, w2))
     segment = pareto_segment(w1, w2, gamma_count=11)
     return segment, lift_surface, drag_surface
 
@@ -245,11 +232,11 @@ def test_pareto_front_is_feasible_exact_and_nondominated(m, seed, zero, parallel
         raw[-2:] = np.eye(2)
     basis = np.linalg.qr(raw)[0]
     w1, w2 = basis.T
-    lift = ResponseSurface(basis=w1[:, np.newaxis], degree=2, powers=((0,), (1,), (2,)),
-                           coefficients=rng.standard_normal(3), residual_rms=0.0, r_squared=1.0)
-    powers = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    drag = ResponseSurface(basis=basis, degree=2, powers=powers,
-                           coefficients=rng.standard_normal(6), residual_rms=0.0, r_squared=1.0)
+    hess = rng.standard_normal((2, 2))
+    lift = ResponseSurface(basis=w1[:, np.newaxis], model=QuadraticModel(
+        rng.standard_normal((1, 1)), rng.standard_normal(1), rng.standard_normal()))
+    drag = ResponseSurface(basis=basis, model=QuadraticModel(
+        hess + hess.T, rng.standard_normal(2), rng.standard_normal()))
     front = pareto_front(pareto_segment(w1, w2, gamma_count=gammas), lift, drag)
     assert front.gamma.size == gammas
     assert front.designs.shape == (gammas, m) and front.lift.shape == front.drag.shape == (gammas,)
@@ -426,7 +413,7 @@ def test_export_surface_grid(tmp_path):
     X = sample(unit_box(4), 80, seed=10).matrix
     basis = np.eye(4)[:, :2]
     f = X[:, 0] + 2.0 * X[:, 1]
-    surface = fit_link_function(shadow_project(X, f, basis), degree=1)
+    surface = fit_link_function(shadow_project(X, f, basis))
     path = tmp_path / "grid.dat"
     square = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])  # encloses the grid
     export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, square, n=5, meta={"k": 1})
@@ -439,7 +426,7 @@ def test_export_surface_grid(tmp_path):
     assert val == pytest.approx(surface.predict_active([[-1.0, -1.0]])[0], rel=1e-15)
     assert "nan" not in path.read_text()
 
-    one_d = fit_link_function(shadow_project(X, f, basis[:, :1]), degree=1)
+    one_d = fit_link_function(shadow_project(X, f, basis[:, :1]))
     with pytest.raises(ContractViolation):
         export_surface_grid(one_d, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", square)
     with pytest.raises(ContractViolation):
@@ -454,7 +441,7 @@ def test_export_surface_grid(tmp_path):
 def test_export_surface_grid_writes_nan_outside_the_region(tmp_path):
     X = sample(unit_box(4), 80, seed=10).matrix
     f = X[:, 0] + 2.0 * X[:, 1]
-    surface = fit_link_function(shadow_project(X, f, np.eye(4)[:, :2]), degree=1)
+    surface = fit_link_function(shadow_project(X, f, np.eye(4)[:, :2]))
     diamond = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     path = tmp_path / "grid.dat"
     export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, diamond, n=5)

@@ -224,14 +224,11 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
                  ("run-all", "--box", "cst-table3", "--qoi", "panel",
                   "--n", "200", "--gammas", "1"),
                  ("run-all", "--box", "cst-table3", "--qoi", "panel",
-                  "--n", "200", "--degree", "-1"),
-                 ("run-all", "--box", "cst-table3", "--qoi", "panel",
                   "--n", "200", "--grid-n", "1"),
                  *(("pareto", "--data1", str(d / "evals.csv"), "--eigs1", str(d / "eigs.json"),
                     "--data2", str(d / "evals.csv"), "--eigs2", str(d / "eigs.json"),
                     flag, value)
-                   for flag, value in (("--gammas", "1"), ("--degree", "-1"),
-                                       ("--grid-n", "1"))),
+                   for flag, value in (("--gammas", "1"), ("--grid-n", "1"))),
                  ("shadow", "--data", str(d / "evals.csv"),
                   "--eigs", str(d / "eigs.json"), "--dim", "3"),
                  ("shadow", "--data", str(d / "evals.csv"),
@@ -493,13 +490,12 @@ def test_option_inventory():
         "eigs": ("dim", "model", "out"),
         "bootstrap": ("data", "dim", "nboot", "out", "seed"),
         "shadow": ("data", "dim", "eigs", "out"),
-        "pareto": ("data1", "data2", "degree", "eigs1", "eigs2", "gammas", "grid_n", "out"),
+        "pareto": ("data1", "data2", "eigs1", "eigs2", "gammas", "grid_n", "out"),
         "convergence": ("box", "dim", "direction", "nboot", "noise_seed", "noise_std",
                         "out", "qoi", "schedule", "seed"),
         "validate": ("grid", "out", "parameterization", "params", "sharp_te"),
-        "run-all": ("box", "degree", "dim", "direction", "gammas", "grid_n", "n",
-                    "nboot", "noise_seed", "noise_std", "out", "qoi", "seed",
-                    "skip_infeasible"),
+        "run-all": ("box", "dim", "direction", "gammas", "grid_n", "n", "nboot",
+                    "noise_seed", "noise_std", "out", "qoi", "seed", "skip_infeasible"),
     }
 
 
@@ -669,6 +665,20 @@ def test_shapes_surface_tables_read_back(tmp_path, parameterization):
         assert table[:, 1].tobytes() == heights[0, surface].tobytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ("pareto", "--data1", "e.csv", "--eigs1", "e.json", "--data2", "e.csv", "--eigs2", "e.json"),
+    ("run-all", "--box", "cst-table3", "--qoi", "panel"),
+], ids=["pareto", "run-all"])
+def test_pareto_takes_no_degree(tmp_path, capsys, argv):
+    # the links are the certified quadratic, so there is no degree to set
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--degree", "2", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "UsageError" and "--degree" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["wing\n0.5 0.5", "wing\r", "\r\nwing"])
 def test_shapes_refuses_a_name_with_a_line_break(tmp_path, capsys, name):
     # --name is the first line of loop.dat, so a line break would add points
@@ -766,8 +776,9 @@ def test_run_all_panel_pipeline_and_rerun_bytes(tmp_path):
 
 
 def test_run_all_factors_each_sample_matrix_once(tmp_path, monkeypatch):
-    """One QR per sample matrix, shared by both panel chains, no lstsq on it, and
-    one fit per chain, whose point estimate the bootstrap reuses."""
+    """One QR per sample matrix, shared by both panel chains, one per Pareto link
+    design, none of them passed to lstsq, and one fit per chain, whose point
+    estimate the bootstrap reuses."""
     qr_inputs, lstsq_inputs, fits = [], [], []
     qr, lstsq, fit = np.linalg.qr, np.linalg.lstsq, activesubspace.fit_quadratic
 
@@ -801,9 +812,15 @@ def test_run_all_factors_each_sample_matrix_once(tmp_path, monkeypatch):
         assert cli.main(["run-all", *flags, "--nboot", "4", "--seed", "7",
                          "--out", str(out)]) == 0
         evals = out / ("lift_evals.csv" if name == "panel" else "evals.csv")
-        design = quadratic_features(read_matrix_csv(evals)[0]).tobytes()
-        assert qr_inputs == [design], name
-        assert design not in lstsq_inputs, name
+        X = read_matrix_csv(evals)[0]
+        designs = [quadratic_features(X).tobytes()]
+        if name == "panel":  # the lift link on w1, then the drag link on the plane
+            w1, w2, _ = cli._plane_directions(*(json.loads(
+                (out / f"{p}_eigs.json").read_text())["eigenvectors"][0] for p in ("lift", "drag")))
+            designs += [quadratic_features(X @ basis).tobytes()
+                        for basis in (w1.reshape(-1, 1), np.column_stack([w1, w2]))]
+        assert qr_inputs == designs, name
+        assert not set(designs) & set(lstsq_inputs), name
         assert len(fits) == chains, name
 
 

@@ -110,9 +110,11 @@ _ALLOWED = {"frontend.main", "sampling.ParameterBox.save", "parsec.ParsecParams.
 
 
 def _names(node) -> Counter:
-    """How often each name and attribute name occurs under ``node``."""
+    """How often each name and attribute name is read under ``node``; a stored
+    name, such as a dataclass field, is no read."""
     return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
-                   if isinstance(sub, (ast.Name, ast.Attribute)))
+                   if isinstance(sub, (ast.Name, ast.Attribute))
+                   and isinstance(sub.ctx, ast.Load))
 
 
 def _definitions(trees):
@@ -210,19 +212,26 @@ def test_every_public_name_is_reached():
 
     A module-level function or class, or a method, is reached when its name
     is read in src/ outside its own definition, is wrapped by the
-    benchmark's tracer or is read by an acceptance criterion.  A parameter
+    benchmark's tracer, is read by one of the tracer's count functions (as
+    ``perfbench/tracer.py::_infeasible`` reads ``StackValidity.bounded``) or
+    is read by an acceptance criterion.  A parameter
     with a default is reached when a call of its function's name in src/,
     outside that function, or in an acceptance criterion passes it.  An
     option of a subcommand is reached when the command reads it for more
     than recording it in the artifacts' metadata.
     """
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", tracer_path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    counts = {fn.__name__ for _, _, fn in tracer.WRAPS if fn is not None}
+    counted = [node for node in ast.parse(tracer_path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name in counts]
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
     read = sum(map(_names, trees.values()), Counter())
-    reached = {name for _, name, _ in tracer.WRAPS} | set(_names(acceptance))
+    reached = ({name for _, name, _ in tracer.WRAPS} | set(_names(acceptance))
+               | set(sum(map(_names, counted), Counter())))
     calls = [sub for tree in (*trees.values(), acceptance) for sub in ast.walk(tree)
              if isinstance(sub, ast.Call)]
     unreached = []
@@ -239,10 +248,12 @@ def test_every_public_name_is_reached():
 
 
 def test_activesubspace_has_one_least_squares_solver():
-    """The certified QR solve is the only quadratic fit: no ``lstsq`` beside it."""
-    tree = ast.parse((ROOT / "src" / "activefoil" / "activesubspace.py").read_text())
-    assert not [node.lineno for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and node.attr == "lstsq"]
+    """The certified QR solve is the only quadratic fit, of the model and of the
+    Pareto links: no ``lstsq`` beside it in either module."""
+    for module in ("activesubspace", "analysis"):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "lstsq"], module
 
 
 def test_readme_python_session_runs():
