@@ -19,11 +19,11 @@ once for all of them, so a chain's bootstrap tables are those of the
 ``bootstrap`` command, which builds its point estimate the same way, on
 that chain's evals file.
 
-The parser and the entry point live in ``activefoil.frontend``, which
-loads no numpy; ``main`` here is that entry point, and each subcommand
-runs the ``_cmd_`` function of its name below.  Commands, ``convergence``
-included, compose ``sampling.sample``, ``qoi.evaluate_batch`` (the one
-failure policy of evaluations) and the stages at the end of this module.
+The parser, which holds each flag range that needs no data, and the entry
+point live in ``activefoil.frontend``, which loads no numpy; ``main`` here
+is that entry point.  Each ``_cmd_`` function below checks its flags
+against the data and composes ``sampling.sample``, ``qoi.evaluate_batch``
+(the one failure policy of evaluations) and the stages of this module.
 """
 
 from __future__ import annotations
@@ -114,34 +114,12 @@ def _check_dim_flag(dim, m: int) -> None:
         raise ContractViolation(f"--dim must lie in [1, {m - 1}], got {dim}")
 
 
-def _check_pareto_sizes(args) -> None:
-    """--gammas and --grid-n, checked before anything is written."""
-    if args.gammas < 2:
-        raise ContractViolation(f"--gammas must be at least 2, got {args.gammas}")
-    if args.grid_n < 2:
-        raise ContractViolation(f"--grid-n must be at least 2, got {args.grid_n}")
-
-
-def _check_boot_flags(args, m: int) -> None:
-    """--dim and --nboot, checked before any sampling, fit or write."""
-    _check_dim_flag(args.dim, m)
-    if args.nboot < 1:
-        raise ContractViolation(f"--nboot must be at least 1, got {args.nboot}")
-
-
 def _check_rows(n_rows: int, m: int, flag: str) -> None:
     """Enough rows, set by ``flag``, for the quadratic fit; checked before any write."""
     p = asub.coefficient_count(m)
     if n_rows < p:
         raise ContractViolation(
             f"need at least {p} samples for m={m}, got {n_rows} from {flag}")
-
-
-def _check_run_sizes(args, n_rows: int, m: int, flag: str) -> None:
-    """run-all's size flags and row count, checked before anything is written."""
-    _check_boot_flags(args, m)
-    _check_pareto_sizes(args)
-    _check_rows(n_rows, m, flag)
 
 
 def _check_columns(X, data_flag: str, m: int, eigs_flag: str) -> None:
@@ -204,14 +182,13 @@ def _require_outputs(f, path) -> np.ndarray:
     return f
 
 
-def _load_eigs(path) -> dict:
-    """An eigs.json payload: m eigenvalues, m eigenvectors of m components, 1 <= n < m."""
-    def build(eigs):
-        m, shape, n = len(eigs["eigenvalues"]), np.shape(eigs["eigenvectors"]), eigs["n"]
-        if shape != (m, m) or not 1 <= n < m:
-            raise ContractViolation(f"{m} eigenvalues need {m} eigenvectors of {m} components "
-                                    f"and 1 <= n < {m}, got eigenvectors {shape} and n={n}")
-        return eigs
+def _load_eigs(path):
+    """The (Eigenpairs, n) that ``_eigs_stage`` wrote to the eigs.json ``path``."""
+    def build(saved):
+        eig = asub.Eigenpairs(np.transpose(saved["eigenvectors"]), saved["eigenvalues"])
+        if not 1 <= saved["n"] < eig.values.size:
+            raise ContractViolation(f"n must lie in [1, {eig.values.size - 1}], got {saved['n']}")
+        return eig, int(saved["n"])
 
     return read_json_file(path, {"eigenvalues": "a list of numbers", "n": "an integer",
                                  "eigenvectors": "a matrix of numbers"}, "eigenpair", build)
@@ -306,7 +283,7 @@ def _cmd_eigs(args) -> None:
 
 def _cmd_bootstrap(args) -> None:
     X, f, _, _ = read_matrix_csv(args.data)
-    _check_boot_flags(args, X.shape[1])
+    _check_dim_flag(args.dim, X.shape[1])
     f = _require_outputs(f, args.data)
     _check_rows(*X.shape, "--data")
     eig, n = _point_estimate(asub.fit_quadratic(X, f), args.dim)
@@ -316,17 +293,13 @@ def _cmd_bootstrap(args) -> None:
 
 
 def _cmd_shadow(args) -> None:
-    payload = _load_eigs(args.eigs)
-    n = min(int(payload["n"]), 2) if args.dim is None else args.dim
-    if n not in (1, 2):
-        raise ContractViolation(
-            f"shadow plots support 1 or 2 active coordinates (--dim), got {n}")
+    eig, n = _load_eigs(args.eigs)
+    n = min(n, 2) if args.dim is None else args.dim
     X, f, _, _ = read_matrix_csv(args.data)
-    _check_columns(X, "--data", len(payload["eigenvectors"][0]), "--eigs")
+    _check_columns(X, "--data", eig.values.size, "--eigs")
     f = _require_outputs(f, args.data)
     out = _out_dir(args)
-    _shadow_stage(X, f, np.array(payload["eigenvectors"], dtype=float)[:n].T, out, "",
-                  _meta(args))
+    _shadow_stage(X, f, eig.vectors[:, :n], out, "", _meta(args))
     print(f"wrote {out / 'shadow.csv'} (n_active={n})")
 
 
@@ -371,9 +344,8 @@ def _pareto_artifacts(X1, f1, X2, f2, directions, args, out: Path,
 
 
 def _cmd_pareto(args) -> None:
-    _check_pareto_sizes(args)
-    directions = _plane_directions(_load_eigs(args.eigs1)["eigenvectors"][0],
-                                   _load_eigs(args.eigs2)["eigenvectors"][0])
+    points = [_load_eigs(args.eigs1), _load_eigs(args.eigs2)]
+    directions = _plane_directions(*(eig.vectors[:, 0] for eig, _ in points))
     X1, f1, _, _ = read_matrix_csv(args.data1)
     X2, f2, _, _ = read_matrix_csv(args.data2)
     _check_columns(X1, "--data1", directions[0].size, "--eigs1")
@@ -387,20 +359,12 @@ def _cmd_pareto(args) -> None:
 
 def _cmd_convergence(args) -> None:
     box = _resolve_box(args.box)
-    _check_boot_flags(args, box.dim)
+    _check_dim_flag(args.dim, box.dim)
     ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
-    try:
-        schedule = [int(v) for v in args.schedule.split(",")]
-    except ValueError:
-        raise ContractViolation(
-            f"--schedule must be a comma list of integers, got {args.schedule!r}"
-        ) from None
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ContractViolation(f"--schedule must be strictly ascending, got {args.schedule!r}")
-    _check_rows(schedule[0], box.dim, "--schedule")  # every size positive, every cell fits
+    _check_rows(args.schedule[0], box.dim, "--schedule")  # ascending: every cell fits
     child = derive_seed(args.seed, "convergence")
     rows = []
-    for i, n in enumerate(schedule):
+    for i, n in enumerate(args.schedule):
         X = sampling.sample(box, n, derive_seed(child, f"cell{i}:sample")).matrix
         values, _ = qoi.evaluate_batch(ev, X)
         point, _ = _point_estimate(asub.fit_quadratic(X, values), args.dim)
@@ -532,7 +496,8 @@ def _cmd_run_all(args) -> None:
         path = args.qoi.split(":", 1)[1]
         X, f, labels, _ = read_matrix_csv(path)
         f = _require_outputs(f, path)
-        _check_run_sizes(args, *X.shape, "--qoi dataset:PATH")
+        _check_dim_flag(args.dim, X.shape[1])
+        _check_rows(*X.shape, "--qoi dataset:PATH")
         out = _out_dir(args)
         _chains(X, f, labels, args, out, [("", {"qoi": args.qoi})])
         print(f"pipeline artifacts in {out} (dataset, {f.size} rows)")
@@ -541,7 +506,8 @@ def _cmd_run_all(args) -> None:
     if not args.box:
         raise ContractViolation("run-all needs --box unless --qoi is dataset:PATH")
     box = _resolve_box(args.box)
-    _check_run_sizes(args, args.n, box.dim, "--n")
+    _check_dim_flag(args.dim, box.dim)
+    _check_rows(args.n, box.dim, "--n")
     if args.qoi == "panel":
         parameterization = _parameterization_for(args.box)
         ev = qoi.PanelSurrogate(parameterization, "both")

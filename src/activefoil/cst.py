@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError
+from .errors import ContractViolation
 from .geometry import (
     BasisKind,
     BasisSpec,
     DecodedStack,
     ShapeCoefficients,
+    _checked_coordinate,
     eval_shape,
     naca_thickness_pair,
 )
@@ -93,9 +94,7 @@ class CstParams:
 
 def class_function(ell):
     """sqrt(ell) * (1 - ell) on [0, 1]."""
-    arr = np.asarray(ell, dtype=float)
-    if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0)):
-        raise DomainError("ell must lie in [0, 1]")
+    arr = _checked_coordinate(ell, "ell")
     out = np.sqrt(arr) * (1.0 - arr)
     return float(out) if np.ndim(ell) == 0 else out
 

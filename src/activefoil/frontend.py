@@ -4,9 +4,9 @@ This module imports the standard library only, so ``--version``,
 ``--help`` and usage errors answer before numpy loads.  ``main`` parses
 first and imports ``activefoil.cli``, with numpy and the numerical
 modules, only once a command will run.  Subcommand ``NAME`` runs
-``cli._cmd_NAME``, with dashes as underscores.  Errors leave as one JSON
-object on stderr: usage errors exit 2, failures of a command exit 1.
-A warning prints as one ``Category: message`` line on stderr.
+``cli._cmd_NAME``, with dashes as underscores.  On stderr, errors leave as
+one JSON object (usage errors, out-of-range flags too, exit 2; failures
+of a command exit 1) and a warning as one ``Category: message`` line.
 """
 
 from __future__ import annotations
@@ -69,6 +69,29 @@ def _one_line(text: str) -> str:
     return text
 
 
+def _int_from(low: int):
+    """argparse type: an integer of at least ``low``; "invalid int value" if not one."""
+    def parse(text):
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _schedule(text: str) -> list:
+    """--schedule: a comma list of strictly ascending integers."""
+    try:
+        sizes = [int(v) for v in text.split(",")]
+    except ValueError:
+        sizes = []
+    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of strictly ascending integers, got {text!r}")
+    return sizes
+
+
 def _add_qoi_flags(cmd) -> None:
     cmd.add_argument("--qoi", required=True,
                      help="quadratic | ridge[:linear|quadratic|exp] | panel:lift | "
@@ -92,7 +115,7 @@ def _add_shape_flags(cmd) -> None:
                      required=True)
     cmd.add_argument("--params", default=None,
                      help="parameter JSON (default: built-in box center)")
-    cmd.add_argument("--grid", type=int, default=201,
+    cmd.add_argument("--grid", type=_int_from(3), default=201,
                      help="surface grid resolution")
     cmd.add_argument("--sharp-te", action="store_true",
                      help="also require a closed trailing edge")
@@ -108,7 +131,7 @@ def build_parser() -> _Parser:
     cmd = sub.add_parser("sample", help="draw uniform designs from a box")
     cmd.add_argument("--box", required=True,
                      help="parsec-table2 | cst-table3 | unit:M | box JSON path")
-    cmd.add_argument("--n", type=int, required=True)
+    cmd.add_argument("--n", type=_int_from(1), required=True)
     cmd.add_argument("--physical", action="store_true",
                      help="write physical instead of normalized coordinates")
     _add_seed_out(cmd)
@@ -138,7 +161,7 @@ def build_parser() -> _Parser:
 
     cmd = sub.add_parser("bootstrap", help="replicate spread of the eigenpairs")
     cmd.add_argument("--data", required=True, help="evals.csv with an f column")
-    cmd.add_argument("--nboot", type=int, default=100)
+    cmd.add_argument("--nboot", type=_int_from(1), default=100)
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
     _add_seed_out(cmd)
@@ -146,7 +169,7 @@ def build_parser() -> _Parser:
     cmd = sub.add_parser("shadow", help="project outputs onto active coordinates")
     cmd.add_argument("--data", required=True, help="evals.csv with an f column")
     cmd.add_argument("--eigs", required=True, help="eigs.json from `eigs`")
-    cmd.add_argument("--dim", type=int, default=None,
+    cmd.add_argument("--dim", type=int, choices=(1, 2), default=None,
                      help="active coordinates to keep (1 or 2)")
     _add_out(cmd)
 
@@ -156,18 +179,18 @@ def build_parser() -> _Parser:
     cmd.add_argument("--eigs1", required=True, help="objective-1 eigs.json")
     cmd.add_argument("--data2", required=True, help="objective-2 evals.csv")
     cmd.add_argument("--eigs2", required=True, help="objective-2 eigs.json")
-    cmd.add_argument("--gammas", type=int, default=101,
+    cmd.add_argument("--gammas", type=_int_from(2), default=101,
                      help="rows along the Pareto front")
-    cmd.add_argument("--grid-n", type=int, default=101,
+    cmd.add_argument("--grid-n", type=_int_from(2), default=101,
                      help="contour grid resolution per axis")
     _add_out(cmd)
 
     cmd = sub.add_parser("convergence",
                          help="bootstrap error across sample sizes")
     cmd.add_argument("--box", required=True)
-    cmd.add_argument("--schedule", default="100,200,400,800,1600,3200,6400",
+    cmd.add_argument("--schedule", type=_schedule, default="100,200,400,800,1600,3200,6400",
                      help="comma list of ascending sample sizes")
-    cmd.add_argument("--nboot", type=int, default=100)
+    cmd.add_argument("--nboot", type=_int_from(1), default=100)
     cmd.add_argument("--dim", type=int, default=1,
                      help="subspace dimension tracked by the study")
     _add_qoi_flags(cmd)
@@ -182,11 +205,11 @@ def build_parser() -> _Parser:
     cmd.add_argument("--box", default=None,
                      help="required unless --qoi is dataset:PATH, which takes none")
     cmd.add_argument("--n", type=int, default=1000)
-    cmd.add_argument("--nboot", type=int, default=100)
+    cmd.add_argument("--nboot", type=_int_from(1), default=100)
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
-    cmd.add_argument("--gammas", type=int, default=101)
-    cmd.add_argument("--grid-n", type=int, default=101)
+    cmd.add_argument("--gammas", type=_int_from(2), default=101)
+    cmd.add_argument("--grid-n", type=_int_from(2), default=101)
     _add_qoi_flags(cmd)
     _add_skip_infeasible(cmd)
     _add_seed_out(cmd, default_out="run")

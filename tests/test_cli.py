@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from surfaces import decoded
 
 import activefoil
@@ -199,7 +201,8 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
 
     # out-of-range dimensions, bootstrap, Pareto and sample sizes, malformed
     # boxes, and panel QoIs outside their built-in box are refused before
-    # any artifact is written
+    # any artifact is written; a range that needs no data is the parser's,
+    # a usage error
     box = parsec.baseline_box()
     upper = box.upper.copy()
     upper[10] += 0.5  # a custom box the panel decoder would silently ignore
@@ -207,12 +210,22 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     evals_X, evals_f, _, _ = read_matrix_csv(d / "evals.csv")
     write_matrix_csv(d / "few.csv", evals_X[:20], f=evals_f[:20])  # m=6 needs 28 rows
     bad = d / "bad"
+    usage = (("run-all", "--box", "unit:4", "--qoi", "quadratic",
+              "--n", "60", "--nboot", "0"),
+             ("run-all", "--box", "unit:4", "--qoi", "quadratic",
+              "--n", "60", "--nboot", "-5"),
+             ("run-all", "--box", "cst-table3", "--qoi", "panel",
+              "--n", "200", "--gammas", "1"),
+             ("run-all", "--box", "cst-table3", "--qoi", "panel",
+              "--n", "200", "--grid-n", "1"),
+             *(("pareto", "--data1", str(d / "evals.csv"), "--eigs1", str(d / "eigs.json"),
+                "--data2", str(d / "evals.csv"), "--eigs2", str(d / "eigs.json"),
+                flag, value)
+               for flag, value in (("--gammas", "1"), ("--grid-n", "1"))),
+             *(("shadow", "--data", str(d / "evals.csv"),
+                "--eigs", str(d / "eigs.json"), "--dim", dim) for dim in ("3", "0", "-2")))
     for argv in (("run-all", "--box", "unit:4", "--qoi", "quadratic",
                   "--n", "60", "--dim", "7"),
-                 ("run-all", "--box", "unit:4", "--qoi", "quadratic",
-                  "--n", "60", "--nboot", "0"),
-                 ("run-all", "--box", "unit:4", "--qoi", "quadratic",
-                  "--n", "60", "--nboot", "-5"),
                  ("run-all", "--box", "unit:x", "--qoi", "quadratic",
                   "--n", "60"),
                  ("run-all", "--qoi", f"dataset:{d / 'few.csv'}"),
@@ -221,40 +234,28 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
                   "--n", "200"),
                  ("evaluate", "--samples", str(d / "samples.csv"),
                   "--qoi", "panel:lift"),
-                 ("run-all", "--box", "cst-table3", "--qoi", "panel",
-                  "--n", "200", "--gammas", "1"),
-                 ("run-all", "--box", "cst-table3", "--qoi", "panel",
-                  "--n", "200", "--grid-n", "1"),
-                 *(("pareto", "--data1", str(d / "evals.csv"), "--eigs1", str(d / "eigs.json"),
-                    "--data2", str(d / "evals.csv"), "--eigs2", str(d / "eigs.json"),
-                    flag, value)
-                   for flag, value in (("--gammas", "1"), ("--grid-n", "1"))),
-                 ("shadow", "--data", str(d / "evals.csv"),
-                  "--eigs", str(d / "eigs.json"), "--dim", "3"),
-                 ("shadow", "--data", str(d / "evals.csv"),
-                  "--eigs", str(d / "eigs.json"), "--dim", "0"),
-                 ("shadow", "--data", str(d / "evals.csv"),
-                  "--eigs", str(d / "eigs.json"), "--dim", "-2"),
-                 ("eigs", "--model", str(d / "model.json"), "--dim", "6")):
+                 ("eigs", "--model", str(d / "model.json"), "--dim", "6"),
+                 *usage):
         with pytest.raises(SystemExit) as exit_info:
             cli.main([*argv, "--out", str(bad)])
-        assert exit_info.value.code == 1, argv
-        assert json.loads(capsys.readouterr().err)["error"] == "ContractViolation"
+        code, error = (2, "UsageError") if argv in usage else (1, "ContractViolation")
+        assert exit_info.value.code == code, argv
+        assert json.loads(capsys.readouterr().err)["error"] == error
         assert not bad.exists(), argv
 
 
 @pytest.mark.parametrize("argv, flags, error", [
     (("eigs", "--model", "{model}", "--dim", "0"), ("--dim",), "ContractViolation"),
     (("bootstrap", "--data", "{data}", "--dim", "5"), ("--dim",), "ContractViolation"),
-    (("bootstrap", "--data", "{data}", "--nboot", "0"), ("--nboot",), "ContractViolation"),
+    (("bootstrap", "--data", "{data}", "--nboot", "0"), ("--nboot",), "UsageError"),
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--dim", "3"), ("--dim",),
      "ContractViolation"),
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--nboot", "0"), ("--nboot",),
-     "ContractViolation"),
+     "UsageError"),
     (("run-all", "--qoi", "dataset:{missing}", "--box", "cst-table3"), ("--box", "--qoi"),
      "ContractViolation"),
     (("shadow", "--data", "{data}", "--eigs", "{eigs}", "--dim", "3"), ("--dim",),
-     "ContractViolation"),
+     "UsageError"),
     (("pareto", "--data1", "{data}", "--eigs1", "{eigs}", "--data2", "{data}",
       "--eigs2", "{eigs}"), (), "ContractViolation"),
     (("eigs", "--model", "{one_model}"), ("2 parameters", "has 1"), "ContractViolation"),
@@ -292,7 +293,7 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     (("evaluate", "--samples", "{data}", "--qoi", "dataset:{data}"),
      ("run-all --qoi dataset:PATH",), "ContractViolation"),
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "200,100"),
-     ("--schedule", "ascending"), "ContractViolation"),
+     ("--schedule", "ascending"), "UsageError"),
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "0,100"),
      ("at least 10", "got 0"), "ContractViolation"),
     (("convergence", "--box", "unit:4", "--qoi", "quadratic", "--schedule", "10,100"),
@@ -315,7 +316,8 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
         "run-all-dataset-few-rows"])
 def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flags,
                                                  error):
-    """Refused before sampling, fitting, reading a dataset or creating --out."""
+    """Refused before sampling, fitting, reading a dataset or creating --out; a range
+    that needs no data is the parser's, a usage error."""
     X = np.random.default_rng(2).uniform(-1.0, 1.0, (40, 4))
     write_matrix_csv(tmp_path / "data.csv", X[:, :3], f=X[:, 0])
     write_matrix_csv(tmp_path / "wide.csv", X, f=X[:, 0])
@@ -347,7 +349,7 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     argv = [a.format(**paths) for a in argv]
     with pytest.raises(SystemExit) as exit_info:
         cli.main([*argv, "--out", str(tmp_path / "out")])
-    assert exit_info.value.code == 1
+    assert exit_info.value.code == (2 if error == "UsageError" else 1)
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == error
     assert all(flag in payload["message"] for flag in flags), payload["message"]
@@ -425,28 +427,37 @@ def test_bad_params_files_are_refused_by_name(tmp_path, capsys, parameterization
       for label in ("f", "a,b", "", "#b", " b", "b ", "b\nc", "b\rc")],
     (("shadow", "--data", "{data}", "--eigs", "{path}"),
      {"eigenvalues": [2.0, 1.0], "eigenvectors": [[1.0, 0.0]], "n": 1},
-     "2 eigenvalues need 2 eigenvectors of 2 components and 1 <= n < 2, "
-     "got eigenvectors (1, 2) and n=1"),
+     "vectors must be m x m with m eigenvalues"),
     (("shadow", "--data", "{data}", "--eigs", "{path}"),
      {"eigenvalues": [3.0, 2.0, 1.0], "eigenvectors": [[1.0, 0.0], [0.0, 1.0]], "n": 1},
-     "got eigenvectors (2, 2) and n=1"),
+     "vectors must be m x m with m eigenvalues"),
     (("shadow", "--data", "{data}", "--eigs", "{path}"),
      {"eigenvalues": [2.0, 1.0], "eigenvectors": [[1.0, 0.0], [0.0, 1.0]], "n": 0},
-     "1 <= n < 2, got eigenvectors (2, 2) and n=0"),
+     "n must lie in [1, 1], got 0"),
     (("shadow", "--data", "{data}", "--eigs", "{path}"),
      {"eigenvalues": [2.0, 1.0], "eigenvectors": [[1.0, 0.0], [0.0, 1.0]], "n": 2},
-     "1 <= n < 2, got eigenvectors (2, 2) and n=2"),
+     "n must lie in [1, 1], got 2"),
     (("pareto", "--eigs1", "{path}", "--eigs2", "{path}", "--data1", "{data}",
       "--data2", "{data}"),
      {"eigenvalues": [2.0, 1.0], "eigenvectors": [[1.0, 0.0], [0.0, 1.0]], "n": 2},
-     "1 <= n < 2, got eigenvectors (2, 2) and n=2"),
+     "n must lie in [1, 1], got 2"),
+    # the parts fit together but are not the eigenpairs `eigs` writes
+    *[(argv, {"eigenvalues": values, "eigenvectors": vectors, "n": 1}, needle)
+      for argv in (("shadow", "--data", "{data}", "--eigs", "{path}"),
+                   ("pareto", "--eigs1", "{path}", "--eigs2", "{path}", "--data1", "{data}",
+                    "--data2", "{data}"))
+      for values, vectors, needle in (
+          ([2.0, 1.0], [[2.0, 0.0], [0.0, 1.0]], "eigenvectors must be orthonormal to 1e-10"),
+          ([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], "eigenvalues must be non-increasing"),
+          ([2.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], "eigenvalues must be non-negative"))],
 ], ids=["box-number", "box-list", "box-labels", "box-not-json", "model-number",
         "model-constant-string", "model-ragged-hessian", "eigs-n-string", "eigs-empty",
         "model-hessian-not-square", "box-bounds-unequal", "box-labels-short",
         "box-label-f", "box-label-comma", "box-label-empty", "box-label-hash",
         "box-label-leading-space", "box-label-trailing-space", "box-label-lf",
         "box-label-cr", "eigs-one-vector", "eigs-values-longer", "eigs-n-zero", "eigs-n-m",
-        "pareto-eigs-n-m"])
+        "pareto-eigs-n-m", "eigs-scaled-vector", "eigs-increasing", "eigs-negative-value",
+        "pareto-eigs-scaled-vector", "pareto-eigs-increasing", "pareto-eigs-negative-value"])
 def test_bad_json_inputs_are_refused_by_file_and_key(tmp_path, capsys, argv, content, needle):
     path = tmp_path / "input.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))
@@ -463,16 +474,24 @@ def test_bad_json_inputs_are_refused_by_file_and_key(tmp_path, capsys, argv, con
     assert not out.exists()
 
 
-@pytest.mark.parametrize("schedule", ["100,x", "100,,200", ""])
-def test_bad_schedule_is_a_contract_violation(tmp_path, capsys, schedule):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(["convergence", "--box", "unit:4", "--qoi", "quadratic",
-                  "--schedule", schedule, "--out", str(tmp_path / "out")])
-    assert exit_info.value.code == 1
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "ContractViolation"
-    assert "--schedule" in payload["message"]
-    assert not (tmp_path / "out").exists()
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.integers(2, 8), exponent=st.integers(-12, 12), rank_one=st.booleans(),
+       dim=st.one_of(st.none(), st.integers(1, 7)), seed=st.integers(0, 2**32 - 1))
+def test_saved_eigenpairs_read_back_bit_for_bit(tmp_path, m, exponent, rank_one, dim, seed):
+    """The eigs.json that `_eigs_stage` writes for a random C = HH/3 + vv' reads back
+    through `_load_eigs` as the same (Eigenpairs, n), bit for bit."""
+    rng = np.random.default_rng(seed)
+    h = np.zeros((m, m)) if rank_one else rng.standard_normal((m, m))
+    model = activesubspace.QuadraticModel((h + h.T) * 10.0 ** exponent,
+                                          rng.standard_normal(m) * 10.0 ** exponent, 0.0)
+    args = argparse.Namespace(dim=None if dim is None else min(dim, m - 1))
+    eig, n = cli._eigs_stage(model, args, tmp_path, "", {})
+    back, n_back = cli._load_eigs(tmp_path / "eigs.json")
+    assert n_back == n and type(n_back) is int
+    for saved, read in ((eig.values, back.values), (eig.vectors, back.vectors)):
+        assert read.shape == saved.shape
+        np.testing.assert_array_equal(read.view(np.int64), saved.view(np.int64))
 
 
 def test_option_inventory():
@@ -562,6 +581,24 @@ def test_panel_run_all_bootstraps_are_the_bootstrap_command_on_each_column(tmp_p
         seeds.add(read_matrix_csv(whole / f"{objective}_bootstrap_dimensions.csv")[3]
                   ["child_seed"])
     assert seeds == {str(derive_seed(13, "bootstrap"))}
+
+
+def test_pareto_on_a_panels_own_chains_is_run_alls_pareto(tmp_path):
+    """`pareto` on run-all's lift and drag evals and eigs files writes run-all's front
+    and drag grid, line for line."""
+    whole, steps = tmp_path / "whole", tmp_path / "steps"
+    sizes = ("--gammas", "11", "--grid-n", "9")
+    assert cli.main(["run-all", "--box", "cst-table3", "--qoi", "panel", "--n", "200",
+                     "--nboot", "3", "--skip-infeasible", *sizes, "--seed", "13",
+                     "--out", str(whole)]) == 0
+    chains = [(flag, str(whole / f"{objective}_{name}"))
+              for i, objective in ((1, "lift"), (2, "drag"))
+              for flag, name in ((f"--data{i}", "evals.csv"), (f"--eigs{i}", "eigs.json"))]
+    assert cli.main(["pareto", *(arg for pair in chains for arg in pair), *sizes,
+                     "--out", str(steps)]) == 0
+    for name in ("pareto.csv", "pareto_grid.dat"):
+        lines = _data_lines(steps / name)
+        assert len(lines) > 11 and lines == _data_lines(whole / name), name
 
 
 def test_eigen_stage_and_bootstrap_build_the_same_c(tmp_path):

@@ -44,23 +44,77 @@ def _run_with_imports(*python_args):
     return out, modules
 
 
+def _numerical(modules) -> list:
+    """The numpy and activefoil modules, the front end aside, among ``modules``."""
+    return sorted(m for m in modules if m.split(".")[0] == "numpy"
+                  or (m.startswith("activefoil.") and m != "activefoil.frontend"))
+
+
 @pytest.mark.parametrize("python_args, code", [
     (("-m", "activefoil", "--version"), 0),
     (_console_script("--version"), 0),
     (("-m", "activefoil", "--help"), 0),
     (("-m", "activefoil", "run-all", "--help"), 0),
     (("-m", "activefoil", "sample", "--n", "5"), 2),
+    (("-m", "activefoil", "bootstrap", "--data", "x.csv", "--nboot", "0"), 2),
     (("-c", "import activefoil"), 0),
 ], ids=["version", "console-script-version", "help", "run-all-help", "usage-error",
-        "import"])
+        "bootstrap-nboot", "import"])
 def test_front_end_loads_no_numpy(python_args, code):
     out, modules = _run_with_imports(*python_args)
     assert out.returncode == code, out.stderr
     if code == 2:
         assert json.loads(out.stderr)["error"] == "UsageError"
-    numerical = sorted(m for m in modules if m.split(".")[0] == "numpy"
-                       or (m.startswith("activefoil.") and m != "activefoil.frontend"))
-    assert numerical == []
+    assert _numerical(modules) == []
+
+
+_PARETO = ("pareto", "--data1", "a.csv", "--eigs1", "a.json", "--data2", "b.csv",
+           "--eigs2", "b.json")
+_CONVERGENCE = ("convergence", "--box", "unit:3", "--qoi", "quadratic")
+_RUN_ALL = ("run-all", "--box", "unit:3", "--qoi", "quadratic")
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("bootstrap", "--data", "x.csv", "--nboot", "0"),
+     "argument --nboot: must be at least 1, got 0"),
+    ((*_CONVERGENCE, "--nboot", "0"), "argument --nboot: must be at least 1, got 0"),
+    ((*_RUN_ALL, "--nboot", "-5"), "argument --nboot: must be at least 1, got -5"),
+    ((*_PARETO, "--gammas", "1"), "argument --gammas: must be at least 2, got 1"),
+    ((*_PARETO, "--grid-n", "1"), "argument --grid-n: must be at least 2, got 1"),
+    ((*_RUN_ALL, "--gammas", "1"), "argument --gammas: must be at least 2, got 1"),
+    ((*_RUN_ALL, "--grid-n", "0"), "argument --grid-n: must be at least 2, got 0"),
+    ((*_CONVERGENCE, "--schedule", "100,x"),
+     "argument --schedule: must be a comma list of strictly ascending integers, "
+     "got '100,x'"),
+    ((*_CONVERGENCE, "--schedule", "100,,200"), "argument --schedule: must be a comma list"),
+    ((*_CONVERGENCE, "--schedule", ""), "argument --schedule: must be a comma list"),
+    ((*_CONVERGENCE, "--schedule", "200,100"), "argument --schedule: must be a comma list"),
+    ((*_CONVERGENCE, "--schedule", "100,100"), "argument --schedule: must be a comma list"),
+    (("shadow", "--data", "x.csv", "--eigs", "e.json", "--dim", "3"),
+     "argument --dim: invalid choice: 3"),
+    (("sample", "--box", "unit:3", "--n", "0"), "argument --n: must be at least 1, got 0"),
+    (("shapes", "--parameterization", "cst", "--grid", "2"),
+     "argument --grid: must be at least 3, got 2"),
+    (("validate", "--parameterization", "parsec", "--grid", "2"),
+     "argument --grid: must be at least 3, got 2"),
+    (("bootstrap", "--data", "x.csv", "--nboot", "x"), "argument --nboot: invalid int value: 'x'"),
+    ((*_PARETO, "--gammas", "1.5"), "argument --gammas: invalid int value: '1.5'"),
+    (("shadow", "--data", "x.csv", "--eigs", "e.json", "--dim", "one"),
+     "argument --dim: invalid int value: 'one'"),
+], ids=["bootstrap-nboot", "convergence-nboot", "run-all-nboot", "pareto-gammas",
+        "pareto-grid-n", "run-all-gammas", "run-all-grid-n", "convergence-schedule-not-integer",
+        "convergence-schedule-empty-field", "convergence-schedule-empty",
+        "convergence-schedule-descending", "convergence-schedule-repeated", "shadow-dim",
+        "sample-n", "shapes-grid", "validate-grid", "bootstrap-nboot-not-integer",
+        "pareto-gammas-not-integer", "shadow-dim-not-integer"])
+def test_out_of_range_flags_are_usage_errors(tmp_path, argv, needle):
+    """A flag range that needs no data is the parser's: exit 2 before numpy or --out."""
+    out, modules = _run_with_imports("-m", "activefoil", *argv, "--out", str(tmp_path / "out"))
+    assert out.returncode == 2, out.stderr
+    payload = json.loads(out.stderr)
+    assert payload["error"] == "UsageError" and needle in payload["message"], payload
+    assert not (tmp_path / "out").exists()
+    assert _numerical(modules) == []
 
 
 def test_version_matches_pyproject_and_both_entry_points_print_it():
