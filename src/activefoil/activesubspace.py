@@ -275,6 +275,14 @@ def _factored(shape: tuple, x_bytes: bytes) -> _ResampledFit:
     return _ResampledFit(np.frombuffer(x_bytes).reshape(shape))
 
 
+def _finite(X, F):
+    """X as a 2-D float array and F as a float array, refused unless both are finite."""
+    X, F = np.atleast_2d(np.asarray(X, dtype=float)), np.asarray(F, dtype=float)
+    if not (np.isfinite(X).all() and np.isfinite(F).all()):
+        raise ContractViolation("samples and outputs must be finite")
+    return X, F
+
+
 def fit_quadratic(X, f) -> QuadraticModel:
     """Least-squares quadratic surface over normalized samples.
 
@@ -284,8 +292,7 @@ def fit_quadratic(X, f) -> QuadraticModel:
     bootstrap's condition bound certifies full rank; its ``rank`` counts the
     singular values of R (the design's) above 1e-10 times the largest.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    f = np.asarray(f, dtype=float)
+    X, f = _finite(X, f)
     n, m = X.shape
     if f.shape != (n,):
         raise ContractViolation("f must have one value per sample row")
@@ -497,8 +504,7 @@ def bootstrap(X, F, n_boot: int, seed: int, points) -> BootstrapSummary:
     ``BootstrapSummary.column``) has the bits of ``bootstrap(X, F[:, [j]],
     n_boot, seed, [points[j]])``.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    F = np.asarray(F, dtype=float)
+    X, F = _finite(X, F)
     if not 1 <= n_boot:
         raise ContractViolation("n_boot must be positive")
     n_rows, m = X.shape

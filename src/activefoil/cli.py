@@ -19,11 +19,13 @@ once for all of them, so a chain's bootstrap tables are those of the
 ``bootstrap`` command, which builds its point estimate the same way, on
 that chain's evals file.
 
-The parser, which holds each flag range that needs no data, and the entry
+The parser, which holds each flag rule that needs no data, and the entry
 point live in ``activefoil.frontend``, which loads no numpy; ``main`` here
-is that entry point.  Each ``_cmd_`` function below checks its flags
-against the data and composes ``sampling.sample``, ``qoi.evaluate_batch``
-(the one failure policy of evaluations) and the stages of this module.
+is that entry point.  ``_resolve_box`` and ``_build_evaluator`` give a
+parsed ``--box`` or ``--qoi`` spec its meaning.  Each ``_cmd_`` function
+below checks its flags against the data and composes ``sampling.sample``,
+``qoi.evaluate_batch`` (the one failure policy of evaluations) and the
+stages of this module.
 """
 
 from __future__ import annotations
@@ -74,35 +76,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _resolve_box(spec: str) -> ParameterBox:
+    """The box of a --box spec, whose grammar the parser checked."""
     if spec == "parsec-table2":
         return parsec.baseline_box()
     if spec == "cst-table3":
         return cst.baseline_box()
     if spec.startswith("unit:"):
-        try:
-            dim = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ContractViolation(
-                f"box {spec!r} needs an integer dimension, as in unit:4"
-            ) from None
-        return sampling.unit_box(dim)
+        return sampling.unit_box(int(spec[5:]))
     if os.path.exists(spec):
         return ParameterBox.load(spec)
-    raise ContractViolation(
-        f"unknown box {spec!r}; use parsec-table2, cst-table3, unit:M, "
-        "or the path of a box JSON file"
-    )
-
-
-def _parameterization_for(box_spec: str | None) -> str:
-    """Decoder of a built-in box: panel QoIs decode in that box only."""
-    builtin = _BUILTIN_BOXES.get(box_spec)
-    if builtin is None:
-        raise ContractViolation(
-            f"panel QoIs decode in a built-in box only, got box {box_spec!r}; "
-            "use parsec-table2 or cst-table3"
-        )
-    return builtin
+    raise ContractViolation(f"unknown box {spec!r}; use parsec-table2, cst-table3, unit:M, "
+                            "or the path of a box JSON file")
 
 
 def _check_dim_flag(dim, m: int) -> None:
@@ -136,50 +120,43 @@ def _parse_direction(text: str, m: int) -> np.ndarray:
         w = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise ContractViolation(
-            f"--direction must be a comma list of numbers, got {text!r}"
-        ) from None
+            f"--direction must be a comma list of numbers, got {text!r}") from None
     if w.size != m:
-        raise ContractViolation(
-            f"--direction has {w.size} components, box has {m} parameters"
-        )
+        raise ContractViolation(f"--direction has {w.size} components, box has {m} parameters")
     return w
 
 
 def _build_evaluator(spec: str, m: int, args, box_spec: str | None):
-    """Returns (evaluator, meta entries describing it)."""
+    """(evaluator, a (prefix, qoi meta) chain per output) of a --qoi spec that the
+    parser accepted, dataset:PATH aside; panel gives the lift_ and drag_ chains."""
     if spec == "quadratic":
         child = derive_seed(args.seed, "qoi:quadratic")
-        return qoi.seeded_quadratic(m, child), {"qoi": spec, "qoi_seed": child}
-    if spec == "ridge" or spec.startswith("ridge:"):
-        profile = spec.split(":", 1)[1] if ":" in spec else "linear"
-        w = _parse_direction(getattr(args, "direction", ""), m)
-        ev = qoi.Ridge(w, profile, noise_std=args.noise_std,
-                       noise_seed=args.noise_seed)
-        return ev, {
-            "qoi": f"ridge:{profile}",
-            "noise_std": args.noise_std,
-            "noise_seed": args.noise_seed,
-        }
-    if spec in ("panel:lift", "panel:drag"):
-        objective = spec.split(":", 1)[1]
-        parameterization = _parameterization_for(box_spec)
-        ev = qoi.PanelSurrogate(parameterization, objective)
-        return ev, {"qoi": spec, "parameterization": parameterization}
-    if spec.startswith("dataset:"):
+        return qoi.seeded_quadratic(m, child), [("", {"qoi": spec, "qoi_seed": child})]
+    if spec.startswith("ridge"):
+        profile = spec[6:] or "linear"
+        ev = qoi.Ridge(_parse_direction(args.direction, m), profile,
+                       noise_std=args.noise_std, noise_seed=args.noise_seed)
+        return ev, [("", {"qoi": f"ridge:{profile}", "noise_std": args.noise_std,
+                          "noise_seed": args.noise_seed})]
+    parameterization = _BUILTIN_BOXES.get(box_spec)
+    if parameterization is None:
         raise ContractViolation(
-            "--qoi dataset:PATH holds precomputed rows and cannot evaluate designs; "
-            "study a dataset with `run-all --qoi dataset:PATH`")
-    raise ContractViolation(
-        f"unknown QoI {spec!r}; use quadratic, ridge[:profile], panel:lift or panel:drag"
-    )
+            f"panel QoIs decode in a built-in box only, got box {box_spec!r}; "
+            "use parsec-table2 or cst-table3")
+    if spec != "panel":
+        return qoi.PanelSurrogate(parameterization, spec[6:]), [
+            ("", {"qoi": spec, "parameterization": parameterization})]
+    return qoi.PanelSurrogate(parameterization, "both"), [
+        (f"{objective}_", {"qoi": f"panel:{objective}", "parameterization": parameterization})
+        for objective in ("lift", "drag")]
 
 
-def _require_outputs(f, path) -> np.ndarray:
+def _read_evals(path):
+    """(X, f, labels) of an evals file, which must have an f column."""
+    X, f, labels, _ = read_matrix_csv(path)
     if f is None:
-        raise DatasetError(
-            f"{path} has no f column; produce one with `activefoil evaluate`"
-        )
-    return f
+        raise DatasetError(f"{path} has no f column; produce one with `activefoil evaluate`")
+    return X, f, labels
 
 
 def _load_eigs(path):
@@ -253,7 +230,7 @@ def _cmd_evaluate(args) -> None:
             "evaluators consume normalized coordinates; "
             "re-run `activefoil sample` without --physical"
         )
-    ev, qmeta = _build_evaluator(args.qoi, X.shape[1], args, smeta.get("box"))
+    ev, [(_, qmeta)] = _build_evaluator(args.qoi, X.shape[1], args, smeta.get("box"))
     X, values, n_failed = _evaluate_kept(ev, X, args)
     meta = _meta(args, n_failed=n_failed, **qmeta)
     out = _out_dir(args)
@@ -262,8 +239,7 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_fit(args) -> None:
-    X, f, _, _ = read_matrix_csv(args.data)
-    f = _require_outputs(f, args.data)
+    X, f, _ = _read_evals(args.data)
     _check_rows(*X.shape, "--data")
     out = _out_dir(args)
     model = _fit_stage(X, f, out, "", _meta(args))
@@ -282,9 +258,8 @@ def _cmd_eigs(args) -> None:
 
 
 def _cmd_bootstrap(args) -> None:
-    X, f, _, _ = read_matrix_csv(args.data)
+    X, f, _ = _read_evals(args.data)
     _check_dim_flag(args.dim, X.shape[1])
-    f = _require_outputs(f, args.data)
     _check_rows(*X.shape, "--data")
     eig, n = _point_estimate(asub.fit_quadratic(X, f), args.dim)
     out = _out_dir(args)
@@ -294,10 +269,10 @@ def _cmd_bootstrap(args) -> None:
 
 def _cmd_shadow(args) -> None:
     eig, n = _load_eigs(args.eigs)
+    _check_dim_flag(args.dim, eig.values.size)
     n = min(n, 2) if args.dim is None else args.dim
-    X, f, _, _ = read_matrix_csv(args.data)
+    X, f, _ = _read_evals(args.data)
     _check_columns(X, "--data", eig.values.size, "--eigs")
-    f = _require_outputs(f, args.data)
     out = _out_dir(args)
     _shadow_stage(X, f, eig.vectors[:, :n], out, "", _meta(args))
     print(f"wrote {out / 'shadow.csv'} (n_active={n})")
@@ -346,12 +321,10 @@ def _pareto_artifacts(X1, f1, X2, f2, directions, args, out: Path,
 def _cmd_pareto(args) -> None:
     points = [_load_eigs(args.eigs1), _load_eigs(args.eigs2)]
     directions = _plane_directions(*(eig.vectors[:, 0] for eig, _ in points))
-    X1, f1, _, _ = read_matrix_csv(args.data1)
-    X2, f2, _, _ = read_matrix_csv(args.data2)
+    X1, f1, _ = _read_evals(args.data1)
+    X2, f2, _ = _read_evals(args.data2)
     _check_columns(X1, "--data1", directions[0].size, "--eigs1")
     _check_columns(X2, "--data2", directions[0].size, "--eigs2")
-    f1 = _require_outputs(f1, args.data1)
-    f2 = _require_outputs(f2, args.data2)
     out = _out_dir(args)
     _pareto_artifacts(X1, f1, X2, f2, directions, args, out, {})
     print(f"wrote {out / 'pareto.csv'} ({args.gammas} points)")
@@ -360,7 +333,7 @@ def _cmd_pareto(args) -> None:
 def _cmd_convergence(args) -> None:
     box = _resolve_box(args.box)
     _check_dim_flag(args.dim, box.dim)
-    ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
+    ev, [(_, qmeta)] = _build_evaluator(args.qoi, box.dim, args, args.box)
     _check_rows(args.schedule[0], box.dim, "--schedule")  # ascending: every cell fits
     child = derive_seed(args.seed, "convergence")
     rows = []
@@ -470,7 +443,7 @@ def _shadow_stage(X, f, basis, out: Path, prefix: str, meta: dict) -> None:
                                  skip_lines=len(meta) + 1)
 
 
-def _chains(X, F, labels, args, out: Path, chains, evals_meta=None) -> list:
+def _chains(X, F, labels, args, out: Path, chains, evals_meta) -> list:
     """evals -> model -> eigs per column of F, one bootstrap of them all
     around those point estimates, then each column's shadow; ``chains``
     holds a (prefix, qoi meta) pair per column.  Returns each column's
@@ -480,7 +453,7 @@ def _chains(X, F, labels, args, out: Path, chains, evals_meta=None) -> list:
     points = []
     for f, (prefix, meta) in zip(F.T, metas):
         write_matrix_csv(out / f"{prefix}evals.csv", X, f=f, labels=labels,
-                         meta={**meta, **(evals_meta or {})})
+                         meta={**meta, **evals_meta})
         points.append(_eigs_stage(_fit_stage(X, f, out, prefix, meta), args, out, prefix, meta))
     _bootstrap_stage(X, F, points, args, out, metas)
     for f, (prefix, meta), (eig, n) in zip(F.T, metas, points):
@@ -489,46 +462,31 @@ def _chains(X, F, labels, args, out: Path, chains, evals_meta=None) -> list:
 
 
 def _cmd_run_all(args) -> None:
-    if args.qoi.startswith("dataset:"):
-        if args.box:
-            raise ContractViolation("--box does not apply to --qoi dataset:PATH, "
-                                    "whose rows are the designs; drop --box")
-        path = args.qoi.split(":", 1)[1]
-        X, f, labels, _ = read_matrix_csv(path)
-        f = _require_outputs(f, path)
-        _check_dim_flag(args.dim, X.shape[1])
-        _check_rows(*X.shape, "--qoi dataset:PATH")
-        out = _out_dir(args)
-        _chains(X, f, labels, args, out, [("", {"qoi": args.qoi})])
-        print(f"pipeline artifacts in {out} (dataset, {f.size} rows)")
-        return
-
-    if not args.box:
-        raise ContractViolation("run-all needs --box unless --qoi is dataset:PATH")
-    box = _resolve_box(args.box)
-    _check_dim_flag(args.dim, box.dim)
-    _check_rows(args.n, box.dim, "--n")
-    if args.qoi == "panel":
-        parameterization = _parameterization_for(args.box)
-        ev = qoi.PanelSurrogate(parameterization, "both")
-        chains = [(f"{objective}_", {"qoi": f"panel:{objective}",
-                                     "parameterization": parameterization})
-                  for objective in ("lift", "drag")]
+    dataset = args.qoi.startswith("dataset:")
+    if dataset == bool(args.box):
+        raise ContractViolation("run-all needs --box or --qoi dataset:PATH, whose rows "
+                                "are the designs, but not both")
+    if dataset:
+        X, F, labels = _read_evals(args.qoi[8:])
+        chains, shape, flag = [("", {"qoi": args.qoi})], X.shape, "--qoi dataset:PATH"
     else:
-        ev, qmeta = _build_evaluator(args.qoi, box.dim, args, args.box)
-        chains = [("", qmeta)]
+        box = _resolve_box(args.box)
+        ev, chains = _build_evaluator(args.qoi, box.dim, args, args.box)
+        shape, flag, labels = (args.n, box.dim), "--n", box.labels
+    _check_dim_flag(args.dim, shape[1])
+    _check_rows(*shape, flag)
     out = _out_dir(args)
-    child = derive_seed(args.seed, "sample")
-    X, values, n_failed = _evaluate_kept(ev, sampling.sample(box, args.n, child).matrix, args)
-    points = _chains(X, values, box.labels, args, out, chains, {"n_failed": n_failed})
-    if args.qoi != "panel":
-        print(f"pipeline artifacts in {out} ({values.size} rows)")
-        return
-
-    directions = _plane_directions(*(eig.vectors[:, 0] for eig, _ in points))
-    _pareto_artifacts(X, values[:, 0], X, values[:, 1], directions,
-                      args, out, {"qoi": "panel", "parameterization": parameterization})
-    print(f"pipeline artifacts in {out} (panel two-objective)")
+    evals_meta = {}
+    if not dataset:
+        X = sampling.sample(box, args.n, derive_seed(args.seed, "sample")).matrix
+        X, F, n_failed = _evaluate_kept(ev, X, args)
+        evals_meta = {"n_failed": n_failed}
+    points = _chains(X, F, labels, args, out, chains, evals_meta)
+    if len(points) == 2:
+        directions = _plane_directions(*(eig.vectors[:, 0] for eig, _ in points))
+        _pareto_artifacts(X, F[:, 0], X, F[:, 1], directions, args, out, {
+            "qoi": args.qoi, "parameterization": chains[0][1]["parameterization"]})
+    print(f"pipeline artifacts in {out} ({len(X)} rows, --qoi {args.qoi})")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ This module imports the standard library only, so ``--version``,
 ``--help`` and usage errors answer before numpy loads.  ``main`` parses
 first and imports ``activefoil.cli``, with numpy and the numerical
 modules, only once a command will run.  Subcommand ``NAME`` runs
-``cli._cmd_NAME``, with dashes as underscores.  On stderr, errors leave as
-one JSON object (usage errors, out-of-range flags too, exit 2; failures
+``cli._cmd_NAME``, with dashes as underscores.  Flag rules that need no
+data, the grammar of ``--box`` and ``--qoi`` specs too, are the parser's.
+On stderr, errors leave as one JSON object (usage errors exit 2, failures
 of a command exit 1) and a warning as one ``Category: message`` line.
 """
 
@@ -69,14 +70,16 @@ def _one_line(text: str) -> str:
     return text
 
 
-def _int_from(low: int):
-    """argparse type: an integer of at least ``low``; "invalid int value" if not one."""
+def _number_from(low, kind=int):
+    """argparse type: a finite ``kind``, int or float, of at least ``low``; "invalid
+    int value" or "invalid float value" if the text is not one."""
     def parse(text):
-        if (value := int(text)) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if not low <= (value := kind(text)) < float("inf"):
+            finite = "finite and " if kind is float else ""
+            raise argparse.ArgumentTypeError(f"must be {finite}at least {low}, got {value}")
         return value
 
-    parse.__name__ = "int"
+    parse.__name__ = kind.__name__
     return parse
 
 
@@ -92,14 +95,40 @@ def _schedule(text: str) -> list:
     return sizes
 
 
-def _add_qoi_flags(cmd) -> None:
-    cmd.add_argument("--qoi", required=True,
-                     help="quadratic | ridge[:linear|quadratic|exp] | panel:lift | "
-                          "panel:drag; run-all only: panel (both) | dataset:PATH")
+def _box(text: str) -> str:
+    """--box: parsec-table2, cst-table3, unit:M with an integer M >= 1, or a path,
+    which cli opens; the value is the text itself."""
+    if text.startswith("unit:") and not (text[5:].isdecimal() and int(text[5:]) >= 1):
+        raise argparse.ArgumentTypeError(f"unit:M needs an integer M >= 1, got {text!r}")
+    return text
+
+
+# the ridge profiles are qoi.RIDGE_PROFILES, named here without loading numpy
+_QOI_FORMS = ("quadratic", "ridge", "ridge:linear", "ridge:quadratic", "ridge:exp",
+              "panel:lift", "panel:drag")
+_QOI_HELP = " | ".join(_QOI_FORMS) + "; run-all only: panel (lift and drag) | dataset:PATH"
+
+
+def _qoi_from(run_all: bool):
+    """argparse type of --qoi: a _QOI_FORMS entry, or in run-all also panel or dataset:PATH."""
+    def parse(text):
+        run_all_only = text == "panel" or text.startswith("dataset:")
+        if text in _QOI_FORMS or run_all and run_all_only:
+            return text
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is for run-all only: study a dataset with `run-all --qoi dataset:PATH`, "
+            "both panel objectives with `run-all --qoi panel`" if run_all_only
+            else f"unknown QoI {text!r}; use {_QOI_HELP}")
+
+    return parse
+
+
+def _add_qoi_flags(cmd, run_all: bool = False) -> None:
+    cmd.add_argument("--qoi", required=True, type=_qoi_from(run_all), help=_QOI_HELP)
     cmd.add_argument("--direction", default="",
                      help="comma list of ridge direction components "
                           "(default 1, 1/2, ..., 1/m)")
-    cmd.add_argument("--noise-std", type=float, default=0.0,
+    cmd.add_argument("--noise-std", type=_number_from(0, float), default=0.0,
                      help="ridge noise level (deterministic per point)")
     cmd.add_argument("--noise-seed", type=int, default=0,
                      help="seed folded into the per-point ridge noise")
@@ -115,7 +144,7 @@ def _add_shape_flags(cmd) -> None:
                      required=True)
     cmd.add_argument("--params", default=None,
                      help="parameter JSON (default: built-in box center)")
-    cmd.add_argument("--grid", type=_int_from(3), default=201,
+    cmd.add_argument("--grid", type=_number_from(3), default=201,
                      help="surface grid resolution")
     cmd.add_argument("--sharp-te", action="store_true",
                      help="also require a closed trailing edge")
@@ -129,9 +158,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cmd = sub.add_parser("sample", help="draw uniform designs from a box")
-    cmd.add_argument("--box", required=True,
+    cmd.add_argument("--box", required=True, type=_box,
                      help="parsec-table2 | cst-table3 | unit:M | box JSON path")
-    cmd.add_argument("--n", type=_int_from(1), required=True)
+    cmd.add_argument("--n", type=_number_from(1), required=True)
     cmd.add_argument("--physical", action="store_true",
                      help="write physical instead of normalized coordinates")
     _add_seed_out(cmd)
@@ -161,7 +190,7 @@ def build_parser() -> _Parser:
 
     cmd = sub.add_parser("bootstrap", help="replicate spread of the eigenpairs")
     cmd.add_argument("--data", required=True, help="evals.csv with an f column")
-    cmd.add_argument("--nboot", type=_int_from(1), default=100)
+    cmd.add_argument("--nboot", type=_number_from(1), default=100)
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
     _add_seed_out(cmd)
@@ -179,18 +208,18 @@ def build_parser() -> _Parser:
     cmd.add_argument("--eigs1", required=True, help="objective-1 eigs.json")
     cmd.add_argument("--data2", required=True, help="objective-2 evals.csv")
     cmd.add_argument("--eigs2", required=True, help="objective-2 eigs.json")
-    cmd.add_argument("--gammas", type=_int_from(2), default=101,
+    cmd.add_argument("--gammas", type=_number_from(2), default=101,
                      help="rows along the Pareto front")
-    cmd.add_argument("--grid-n", type=_int_from(2), default=101,
+    cmd.add_argument("--grid-n", type=_number_from(2), default=101,
                      help="contour grid resolution per axis")
     _add_out(cmd)
 
     cmd = sub.add_parser("convergence",
                          help="bootstrap error across sample sizes")
-    cmd.add_argument("--box", required=True)
+    cmd.add_argument("--box", required=True, type=_box)
     cmd.add_argument("--schedule", type=_schedule, default="100,200,400,800,1600,3200,6400",
                      help="comma list of ascending sample sizes")
-    cmd.add_argument("--nboot", type=_int_from(1), default=100)
+    cmd.add_argument("--nboot", type=_number_from(1), default=100)
     cmd.add_argument("--dim", type=int, default=1,
                      help="subspace dimension tracked by the study")
     _add_qoi_flags(cmd)
@@ -202,15 +231,15 @@ def build_parser() -> _Parser:
                      help="also write validity.json here")
 
     cmd = sub.add_parser("run-all", help="full pipeline into one directory")
-    cmd.add_argument("--box", default=None,
+    cmd.add_argument("--box", default=None, type=_box,
                      help="required unless --qoi is dataset:PATH, which takes none")
     cmd.add_argument("--n", type=int, default=1000)
-    cmd.add_argument("--nboot", type=_int_from(1), default=100)
+    cmd.add_argument("--nboot", type=_number_from(1), default=100)
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")
-    cmd.add_argument("--gammas", type=_int_from(2), default=101)
-    cmd.add_argument("--grid-n", type=_int_from(2), default=101)
-    _add_qoi_flags(cmd)
+    cmd.add_argument("--gammas", type=_number_from(2), default=101)
+    cmd.add_argument("--grid-n", type=_number_from(2), default=101)
+    _add_qoi_flags(cmd, run_all=True)
     _add_skip_infeasible(cmd)
     _add_seed_out(cmd, default_out="run")
 

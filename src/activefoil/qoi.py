@@ -125,8 +125,8 @@ class Ridge(QoiEvaluator):
             raise ContractViolation("direction must be nonzero")
         if profile not in RIDGE_PROFILES:
             raise ContractViolation(f"profile must be one of {RIDGE_PROFILES}")
-        if noise_std < 0.0:
-            raise ContractViolation("noise_std must be non-negative")
+        if not 0.0 <= noise_std < np.inf:
+            raise ContractViolation("noise_std must be finite and non-negative")
         self.direction = w / norm
         self.profile = profile
         self.noise_std = float(noise_std)

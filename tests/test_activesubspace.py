@@ -91,6 +91,28 @@ def test_fit_sample_size_rules():
         fit_quadratic(X, f[:-1])
 
 
+def test_fit_refuses_non_finite_samples_or_outputs():
+    """An inf output would give an all-NaN model, and a NaN sample a bare SVD failure."""
+    X = sample(unit_box(3), 40, seed=3).matrix
+    f = X[:, 0] ** 2
+    bad_X, bad_f = X.copy(), f.copy()
+    bad_X[7, 1], bad_f[5] = np.nan, np.inf
+    for args in ((X, bad_f), (bad_X, f)):
+        with pytest.raises(ContractViolation, match="finite"):
+            fit_quadratic(*args)
+
+
+def test_bootstrap_refuses_non_finite_samples_or_outputs():
+    X = sample(unit_box(3), 40, seed=3).matrix
+    F = X[:, :2] ** 2
+    bad_X, bad_F = X.copy(), F.copy()
+    bad_X[7, 1], bad_F[5, 1] = np.nan, -np.inf
+    points = [eigendecompose(np.diag([3.0, 2.0, 1.0]))] * 2
+    for args in ((X, bad_F), (bad_X, F)):
+        with pytest.raises(ContractViolation, match="finite"):
+            bootstrap(*args, 5, 0, points)
+
+
 def test_fit_rank_deficiency():
     X = np.tile([[0.1, 0.2]], (20, 1))  # one repeated point
     with pytest.raises(IllPosedFitError) as info:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from surfaces import decoded
 
 import activefoil
-from activefoil import activesubspace, cli, cst, parsec
+from activefoil import activesubspace, cli, cst, frontend, parsec, qoi
 from activefoil.activesubspace import (
     eigendecompose,
     quadratic_features,
@@ -210,7 +210,9 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     evals_X, evals_f, _, _ = read_matrix_csv(d / "evals.csv")
     write_matrix_csv(d / "few.csv", evals_X[:20], f=evals_f[:20])  # m=6 needs 28 rows
     bad = d / "bad"
-    usage = (("run-all", "--box", "unit:4", "--qoi", "quadratic",
+    usage = (("run-all", "--box", "unit:x", "--qoi", "quadratic",
+              "--n", "60"),
+             ("run-all", "--box", "unit:4", "--qoi", "quadratic",
               "--n", "60", "--nboot", "0"),
              ("run-all", "--box", "unit:4", "--qoi", "quadratic",
               "--n", "60", "--nboot", "-5"),
@@ -226,8 +228,6 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
                 "--eigs", str(d / "eigs.json"), "--dim", dim) for dim in ("3", "0", "-2")))
     for argv in (("run-all", "--box", "unit:4", "--qoi", "quadratic",
                   "--n", "60", "--dim", "7"),
-                 ("run-all", "--box", "unit:x", "--qoi", "quadratic",
-                  "--n", "60"),
                  ("run-all", "--qoi", f"dataset:{d / 'few.csv'}"),
                  ("run-all", "--qoi", f"dataset:{d / 'evals.csv'}", "--dim", "6"),
                  ("run-all", "--box", str(d / "wide.json"), "--qoi", "panel",
@@ -256,6 +256,8 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
      "ContractViolation"),
     (("shadow", "--data", "{data}", "--eigs", "{eigs}", "--dim", "3"), ("--dim",),
      "UsageError"),
+    (("shadow", "--data", "{two}", "--eigs", "{eigs2}", "--dim", "2"), ("--dim", "[1, 1]"),
+     "ContractViolation"),
     (("pareto", "--data1", "{data}", "--eigs1", "{eigs}", "--data2", "{data}",
       "--eigs2", "{eigs}"), (), "ContractViolation"),
     (("eigs", "--model", "{one_model}"), ("2 parameters", "has 1"), "ContractViolation"),
@@ -276,10 +278,11 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     # an evaluator that cannot be built is refused before sampling
     (("run-all", "--box", "unit:3", "--qoi", "ridge", "--direction", "1,2"), ("--direction",),
      "ContractViolation"),
-    (("run-all", "--box", "unit:3", "--qoi", "bogus"), ("bogus",), "ContractViolation"),
-    (("run-all", "--box", "unit:3", "--qoi", "ridge:cubic"), ("profile",), "ContractViolation"),
-    (("run-all", "--box", "unit:3", "--qoi", "ridge", "--noise-std", "-1"), ("noise_std",),
-     "ContractViolation"),
+    (("run-all", "--box", "unit:3", "--qoi", "bogus"), ("--qoi", "bogus"), "UsageError"),
+    (("run-all", "--box", "unit:3", "--qoi", "ridge:cubic"), ("--qoi", "ridge:cubic"),
+     "UsageError"),
+    (("run-all", "--box", "unit:3", "--qoi", "ridge", "--noise-std", "-1"), ("--noise-std",),
+     "UsageError"),
     (("run-all", "--box", "unit:3", "--qoi", "panel:lift"), ("built-in box",),
      "ContractViolation"),
     (("fit", "--data", "{nof}"), ("no f column",), "DatasetError"),
@@ -289,9 +292,9 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
      "ContractViolation"),
     (("shadow", "--data", "{nof}", "--eigs", "{eigs}"), ("no f column",), "DatasetError"),
     (("convergence", "--box", "unit:3", "--qoi", "dataset:{data}"),
-     ("--qoi", "run-all --qoi dataset:PATH"), "ContractViolation"),
+     ("--qoi", "run-all --qoi dataset:PATH"), "UsageError"),
     (("evaluate", "--samples", "{data}", "--qoi", "dataset:{data}"),
-     ("run-all --qoi dataset:PATH",), "ContractViolation"),
+     ("run-all --qoi dataset:PATH",), "UsageError"),
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "200,100"),
      ("--schedule", "ascending"), "UsageError"),
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "0,100"),
@@ -303,7 +306,8 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     (("run-all", "--qoi", "dataset:{few}"), ("at least 10", "got 8 from --qoi dataset:PATH"),
      "ContractViolation"),
 ], ids=["eigs-dim", "bootstrap-dim", "bootstrap-nboot", "convergence-dim",
-        "convergence-nboot", "dataset-box", "shadow-dim", "pareto-collinear",
+        "convergence-nboot", "dataset-box", "shadow-dim", "shadow-dim-of-two-parameters",
+        "pareto-collinear",
         "eigs-model-one-parameter",
         "bootstrap-one-parameter", "convergence-one-parameter",
         "run-all-box-one-parameter", "run-all-dataset-one-parameter",
@@ -322,6 +326,7 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     write_matrix_csv(tmp_path / "data.csv", X[:, :3], f=X[:, 0])
     write_matrix_csv(tmp_path / "wide.csv", X, f=X[:, 0])
     write_matrix_csv(tmp_path / "one.csv", X[:, :1], f=X[:, 0])
+    write_matrix_csv(tmp_path / "two.csv", X[:, :2], f=X[:, 0])
     write_matrix_csv(tmp_path / "nof.csv", X[:, :3])
     write_matrix_csv(tmp_path / "few.csv", X[:8, :3], f=X[:8, 0])  # m = 3 needs 10 rows
     (tmp_path / "one_model.json").write_text(json.dumps(
@@ -329,9 +334,10 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
     (tmp_path / "model.json").write_text(json.dumps(
         {"hessian": np.eye(3).tolist(), "linear": [0.5, 0.0, 0.0], "constant": 0.0}))
     # eigs.json as both Pareto objectives has collinear leading directions;
-    # eigs_e2.json leads with e2, and eigs4.json has four components
+    # eigs_e2.json leads with e2, and eigs2.json and eigs4.json have two and four
+    # components
     for name, vectors in (("eigs", np.eye(3)), ("eigs_e2", np.eye(3)[[1, 0, 2]]),
-                          ("eigs4", np.eye(4))):
+                          ("eigs2", np.eye(2)), ("eigs4", np.eye(4))):
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {"eigenvalues": list(range(len(vectors), 0, -1)),
              "eigenvectors": vectors.tolist(), "n": 1}))
@@ -343,9 +349,9 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
         monkeypatch.setattr(activesubspace, name, reached)
     monkeypatch.setattr(cli.sampling, "sample", reached)
     paths = {name: tmp_path / f"{name}.csv"
-             for name in ("data", "wide", "one", "nof", "few", "missing")}
+             for name in ("data", "wide", "one", "two", "nof", "few", "missing")}
     paths.update({name: tmp_path / f"{name}.json"
-                  for name in ("eigs", "eigs_e2", "eigs4", "one_model", "model")})
+                  for name in ("eigs", "eigs_e2", "eigs2", "eigs4", "one_model", "model")})
     argv = [a.format(**paths) for a in argv]
     with pytest.raises(SystemExit) as exit_info:
         cli.main([*argv, "--out", str(tmp_path / "out")])
@@ -626,10 +632,28 @@ def test_evaluate_requires_known_qoi(tmp_path):
     run("sample", "--box", "unit:3", "--n", "12", "--out", str(tmp_path))
     out = run("evaluate", "--samples", str(tmp_path / "samples.csv"),
               "--qoi", "magic", "--out", str(tmp_path))
-    assert out.returncode == 1
+    assert out.returncode == 2
     payload = json.loads(out.stderr)
-    assert payload["error"] == "ContractViolation"
-    assert "magic" in payload["message"]
+    assert payload["error"] == "UsageError"
+    assert "argument --qoi" in payload["message"] and "magic" in payload["message"]
+
+
+def test_every_parsed_qoi_form_resolves():
+    """The parser's --qoi grammar and cli's resolver agree: every form the parser
+    takes, panel forms on a built-in box, builds an evaluator whose chains record
+    parsed forms, and the parser's ridge profiles are qoi.RIDGE_PROFILES."""
+    forms = frontend._QOI_FORMS
+    assert tuple(f[6:] for f in forms if f.startswith("ridge:")) == qoi.RIDGE_PROFILES
+    for form in (*forms, "panel"):
+        args = cli.build_parser().parse_args(["run-all", "--box", "cst-table3", "--qoi", form])
+        box = cli._resolve_box(args.box)
+        ev, chains = cli._build_evaluator(args.qoi, box.dim, args, args.box)
+        assert ev.dim == box.dim, form
+        assert len(chains) == (2 if form == "panel" else 1), form
+        assert all(meta["qoi"] in forms for _, meta in chains), form
+    for form in forms:
+        assert cli.build_parser().parse_args(["evaluate", "--samples", "x.csv",
+                                              "--qoi", form]).qoi == form
 
 
 def test_ridge_direction_flag(tmp_path):
@@ -767,7 +791,7 @@ def test_convergence_raises_the_first_evaluator_failure_with_its_index(tmp_path,
             values[2] = np.nan
             return values, {2: RuntimeError("boom")}
 
-    monkeypatch.setattr(cli, "_build_evaluator", lambda *args: (Flaky(), {}))
+    monkeypatch.setattr(cli, "_build_evaluator", lambda *args: (Flaky(), [("", {})]))
     args = cli.build_parser().parse_args(
         ["convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "30",
          "--nboot", "5", "--seed", "2", "--out", str(tmp_path / "out")])

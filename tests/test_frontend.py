@@ -101,12 +101,35 @@ _RUN_ALL = ("run-all", "--box", "unit:3", "--qoi", "quadratic")
     ((*_PARETO, "--gammas", "1.5"), "argument --gammas: invalid int value: '1.5'"),
     (("shadow", "--data", "x.csv", "--eigs", "e.json", "--dim", "one"),
      "argument --dim: invalid int value: 'one'"),
+    (("sample", "--box", "unit:0", "--n", "5"),
+     "argument --box: unit:M needs an integer M >= 1, got 'unit:0'"),
+    (("sample", "--box", "unit:x", "--n", "5"),
+     "argument --box: unit:M needs an integer M >= 1, got 'unit:x'"),
+    (("run-all", "--box", "unit:3", "--qoi", "bogus"), "argument --qoi: unknown QoI 'bogus'"),
+    (("run-all", "--box", "unit:3", "--qoi", "ridge:cubic"),
+     "argument --qoi: unknown QoI 'ridge:cubic'"),
+    ((*_RUN_ALL, "--noise-std", "-1"),
+     "argument --noise-std: must be finite and at least 0, got -1.0"),
+    ((*_RUN_ALL, "--noise-std", "inf"),
+     "argument --noise-std: must be finite and at least 0, got inf"),
+    ((*_RUN_ALL, "--noise-std", "nan"),
+     "argument --noise-std: must be finite and at least 0, got nan"),
+    (("evaluate", "--samples", "x.csv", "--qoi", "dataset:x.csv"),
+     "argument --qoi: 'dataset:x.csv' is for run-all only: study a dataset with "
+     "`run-all --qoi dataset:PATH`"),
+    (("evaluate", "--samples", "x.csv", "--qoi", "panel"),
+     "argument --qoi: 'panel' is for run-all only"),
+    (("convergence", "--box", "unit:3", "--qoi", "panel"),
+     "both panel objectives with `run-all --qoi panel`"),
 ], ids=["bootstrap-nboot", "convergence-nboot", "run-all-nboot", "pareto-gammas",
         "pareto-grid-n", "run-all-gammas", "run-all-grid-n", "convergence-schedule-not-integer",
         "convergence-schedule-empty-field", "convergence-schedule-empty",
         "convergence-schedule-descending", "convergence-schedule-repeated", "shadow-dim",
         "sample-n", "shapes-grid", "validate-grid", "bootstrap-nboot-not-integer",
-        "pareto-gammas-not-integer", "shadow-dim-not-integer"])
+        "pareto-gammas-not-integer", "shadow-dim-not-integer", "box-unit-zero",
+        "box-unit-not-integer", "qoi-unknown", "qoi-ridge-profile", "noise-std-negative",
+        "noise-std-inf", "noise-std-nan", "evaluate-dataset", "evaluate-panel",
+        "convergence-panel"])
 def test_out_of_range_flags_are_usage_errors(tmp_path, argv, needle):
     """A flag range that needs no data is the parser's: exit 2 before numpy or --out."""
     out, modules = _run_with_imports("-m", "activefoil", *argv, "--out", str(tmp_path / "out"))

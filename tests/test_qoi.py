@@ -105,8 +105,9 @@ def test_ridge_validation():
         Ridge([0.0, 0.0])
     with pytest.raises(ContractViolation):
         Ridge([1.0], profile="cubic")
-    with pytest.raises(ContractViolation):
-        Ridge([1.0], noise_std=-0.1)
+    for noise_std in (-0.1, np.inf, np.nan):
+        with pytest.raises(ContractViolation, match="noise_std"):
+            Ridge([1.0], noise_std=noise_std)
     with pytest.raises(ContractViolation):
         Ridge([[1.0, 2.0]])
 
