@@ -34,10 +34,10 @@ _EXPORTS = {
                       "gradient_outer_matrix quadratic_features subspace_distance",
     "analysis": "ParetoSegment ResponseSurface ShadowData cube_minimum fit_link_function "
                 "inactive_sensitivity_check pareto_front pareto_segment shadow_project",
-    "cst": "CstParams class_function cst_surface",
+    "cst": "class_function cst_surface",
     "geometry": "BasisKind BasisSpec ShapeCoefficients ValidityReport eval_shape "
                 "eval_shape_t shape_derivative shape_derivative_t validate_airfoil",
-    "parsec": "ParsecParams solve_coefficients",
+    "parsec": "solve_coefficients",
     "qoi": "PanelSurrogate QoiEvaluator Ridge SyntheticQuadratic camber_lift "
            "evaluate_batch seeded_quadratic thickness_drag",
     "sampling": "ParameterBox SampleSet denormalize derive_seed make_box sample unit_box",

@@ -113,14 +113,11 @@ def _check_columns(X, data_flag: str, m: int, eigs_flag: str) -> None:
 
 
 def _parse_direction(text: str, m: int) -> np.ndarray:
+    """The --direction vector, whose grammar the parser checked, or the default."""
     if not text:
         # reproducible mixed default, no zero components
         return 1.0 / np.arange(1.0, m + 1.0)
-    try:
-        w = np.array([float(v) for v in text.split(",")], dtype=float)
-    except ValueError:
-        raise ContractViolation(
-            f"--direction must be a comma list of numbers, got {text!r}") from None
+    w = np.array([float(v) for v in text.split(",")])
     if w.size != m:
         raise ContractViolation(f"--direction has {w.size} components, box has {m} parameters")
     return w
@@ -196,13 +193,10 @@ def _design_from(args):
 
     A design that fails to decode raises its error.
     """
-    text = Path(args.params).read_text() if args.params else None
-    if args.parameterization == "parsec":
-        params = parsec.ParsecParams.from_json(text) if args.params else parsec.baseline_center()
-        stack = parsec.solve_coefficients([params.to_sequence()])
-    else:
-        params = cst.CstParams.from_json(text) if args.params else cst.baseline_center()
-        stack = cst.surface_pair([params.to_flat()])
+    module = parsec if args.parameterization == "parsec" else cst
+    row = (module.read_params(Path(args.params).read_text()) if args.params
+           else module.baseline_box().center)
+    stack = qoi._decode(args.parameterization, row[np.newaxis])
     if stack.errors:
         raise stack.errors[0]
     return stack, validate_airfoil(stack, args.grid, sharp_trailing_edge=args.sharp_te).row(0)

@@ -16,14 +16,12 @@ so a CST surface with m coefficients is exactly an odd-in-t series with
 m + 1 terms.  For m = 5 the support is {t, t**3, t**5, t**7, t**9,
 t**11}: the same degrees the crest-constrained (half-integer power)
 parameterization spans, so both decode into the one half-integer basis.
-:func:`surface_pair` decodes an (N, 2m) stack of flat rows into one
-DecodedStack; one design is the 1-row stack.
+:func:`surface_pair` decodes an (N, 2m) stack of flat rows, upper then
+lower coefficients, into one DecodedStack; one design is the 1-row
+stack, and :func:`read_params` reads a ``--params`` file into that row.
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,59 +35,22 @@ from .geometry import (
     eval_shape,
     naca_thickness_pair,
 )
-from .sampling import ParameterBox, _freeze, make_box, read_json_object
+from .sampling import ParameterBox, make_box, read_json_object
 
 
-@dataclass(frozen=True, eq=False)
-class CstParams:
-    """Shape-polynomial coefficients for both surfaces (equal length m)."""
-
-    upper: np.ndarray
-    lower: np.ndarray
-
-    def __post_init__(self):
-        up = np.array(self.upper, dtype=float)
-        lo = np.array(self.lower, dtype=float)
-        if up.ndim != 1 or up.size == 0 or up.shape != lo.shape:
-            raise ContractViolation("upper and lower must be equal-length 1-D vectors")
-        if not (np.all(np.isfinite(up)) and np.all(np.isfinite(lo))):
-            raise ContractViolation("coefficients must be finite")
-        _freeze(self, upper=up, lower=lo)
-
-    @property
-    def m(self) -> int:
-        return self.upper.size
-
-    @classmethod
-    def from_flat(cls, values) -> "CstParams":
-        """Flat layout: first half upper coefficients, second half lower."""
-        vals = np.asarray(list(values), dtype=float)
-        if vals.ndim != 1 or vals.size < 2 or vals.size % 2:
-            raise ContractViolation("flat parameter vector must have even length >= 2")
-        half = vals.size // 2
-        return cls(upper=vals[:half], lower=vals[half:])
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate([self.upper, self.lower])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"m": self.m, "upper": list(self.upper), "lower": list(self.lower)},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CstParams":
-        """Params of a JSON object with keys upper, lower and, optionally, m."""
-        payload = read_json_object(
-            text, {"upper": "a list of numbers", "lower": "a list of numbers",
-                   "m": "an integer"}, "parameter", ContractViolation, optional=("m",))
-        params = cls(upper=payload["upper"], lower=payload["lower"])
-        if "m" in payload and payload["m"] != params.m:
-            raise ContractViolation(
-                f"declared m={payload['m']} does not match coefficient length {params.m}"
-            )
-        return params
+def read_params(text: str) -> np.ndarray:
+    """The flat row, upper then lower coefficients, of a --params JSON object with keys
+    upper, lower and, optionally, m."""
+    payload = read_json_object(
+        text, {"upper": "a list of numbers", "lower": "a list of numbers", "m": "an integer"},
+        "parameter", ContractViolation, optional=("m",))
+    upper, lower = payload["upper"], payload["lower"]
+    if not upper or len(upper) != len(lower):
+        raise ContractViolation("upper and lower must be equal-length 1-D vectors")
+    if payload.get("m", len(upper)) != len(upper):
+        raise ContractViolation(
+            f"declared m={payload['m']} does not match coefficient length {len(upper)}")
+    return np.array(upper + lower, dtype=float)
 
 
 def class_function(ell):
@@ -176,8 +137,3 @@ def baseline_box() -> ParameterBox:
     target = eval_shape(ShapeCoefficients(naca.coefficients[0, 0]), naca.basis, ell)
     a = np.linalg.lstsq(design, target, rcond=None)[0]
     return make_box(np.concatenate([a, -a]), 0.2)
-
-
-def baseline_center() -> CstParams:
-    box = baseline_box()
-    return CstParams.from_flat(0.5 * (box.lower + box.upper))

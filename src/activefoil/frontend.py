@@ -103,6 +103,21 @@ def _box(text: str) -> str:
     return text
 
 
+def _direction(text: str) -> str:
+    """--direction: "" for the default, or a comma list of finite numbers that are not
+    all zero; the value is the text itself, whose length cli checks against m."""
+    if not text:
+        return text
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not any(values) or not all(abs(v) < float("inf") for v in values):
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of finite numbers, not all zero, got {text!r}")
+    return text
+
+
 # the ridge profiles are qoi.RIDGE_PROFILES, named here without loading numpy
 _QOI_FORMS = ("quadratic", "ridge", "ridge:linear", "ridge:quadratic", "ridge:exp",
               "panel:lift", "panel:drag")
@@ -125,7 +140,7 @@ def _qoi_from(run_all: bool):
 
 def _add_qoi_flags(cmd, run_all: bool = False) -> None:
     cmd.add_argument("--qoi", required=True, type=_qoi_from(run_all), help=_QOI_HELP)
-    cmd.add_argument("--direction", default="",
+    cmd.add_argument("--direction", default="", type=_direction,
                      help="comma list of ridge direction components "
                           "(default 1, 1/2, ..., 1/m)")
     cmd.add_argument("--noise-std", type=_number_from(0, float), default=0.0,

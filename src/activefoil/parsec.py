@@ -29,14 +29,17 @@ opens the wedge.  Other sign/offset conventions exist in the wild; all
 results in this package are self-consistent with the one above.
 
 :func:`solve_coefficients` decodes an (N, 11) stack of rows into one
-DecodedStack; one design is the 1-row stack.
+DecodedStack; one design is the 1-row stack, and :func:`read_params`
+reads a ``--params`` file into that row.  A row outside the domain fails
+with a DomainError that names the first rule it breaks, by the
+parameter's name in ``FIELDS``: every value finite, both crest positions
+strictly inside (0, 1), a positive leading-edge radius, a non-negative
+trailing-edge half-thickness.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .geometry import (
     BasisSpec,
     DecodedStack,
 )
-from .sampling import ParameterBox, _freeze, read_json_object
+from .sampling import ParameterBox, read_json_object
 
 TERM_COUNT = 6
 CONDITION_LIMIT = 1e12
@@ -57,67 +60,18 @@ RESIDUAL_LIMIT = 1e-12
 _BASIS = BasisSpec(BasisKind.HALF_INTEGER, TERM_COUNT)
 _EXPS = _BASIS.exponents()
 
-
-@dataclass(frozen=True)
-class ParsecParams:
-    upper_crest_x: float
-    lower_crest_x: float
-    upper_crest_y: float
-    lower_crest_y: float
-    te_y: float
-    te_half_thickness: float
-    te_angle_deg: float
-    te_wedge_deg: float
-    upper_curvature: float
-    lower_curvature: float
-    le_radius: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not np.isfinite(value):
-                raise DomainError(f"{f.name} must be finite")
-            _freeze(self, **{f.name: float(value)})
-        for name in ("upper_crest_x", "lower_crest_x"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise DomainError(f"{name} must lie strictly inside (0, 1), got {value}")
-        if self.le_radius <= 0.0:
-            raise DomainError("le_radius must be positive")
-        if self.te_half_thickness < 0.0:
-            raise DomainError("te_half_thickness must be non-negative")
-
-    @classmethod
-    def from_sequence(cls, values) -> "ParsecParams":
-        vals = list(values)
-        if len(vals) != 11:
-            raise ContractViolation(f"expected 11 parameters, got {len(vals)}")
-        return cls(*vals)
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "ParsecParams":
-        missing = [k for k in JSON_KEYS if k not in mapping]
-        if missing:
-            raise ContractViolation(f"missing parameter keys: {missing}")
-        return cls.from_sequence([mapping[k] for k in JSON_KEYS])
-
-    def to_sequence(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
-
-    def to_mapping(self) -> dict:
-        return dict(zip(JSON_KEYS, self.to_sequence()))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_mapping(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParsecParams":
-        """Params of a JSON object with a number under each of the keys x1..x11."""
-        return cls.from_mapping(read_json_object(
-            text, dict.fromkeys(JSON_KEYS, "a number"), "parameter", ContractViolation))
-
-
 JSON_KEYS = tuple(f"x{i}" for i in range(1, 12))
+# The name of each column, as a DomainError names it.
+FIELDS = ("upper_crest_x", "lower_crest_x", "upper_crest_y", "lower_crest_y", "te_y",
+          "te_half_thickness", "te_angle_deg", "te_wedge_deg", "upper_curvature",
+          "lower_curvature", "le_radius")
+
+
+def read_params(text: str) -> np.ndarray:
+    """The row of a --params JSON object with a number under each of the keys x1..x11."""
+    payload = read_json_object(text, dict.fromkeys(JSON_KEYS, "a number"), "parameter",
+                               ContractViolation)
+    return np.array([payload[key] for key in JSON_KEYS], dtype=float)
 
 
 _SURFACES = ("upper", "lower")
@@ -174,18 +128,21 @@ def _check_solution(surface: str, matrix: np.ndarray, cond: float, residual: flo
         )
 
 
+# Each domain rule's message and the column it reads, in the order of _domain_errors' mask.
+_RULES = (*(f"{name} must be finite" for name in FIELDS),
+          *(f"{name} must lie strictly inside (0, 1), got {{}}" for name in FIELDS[:2]),
+          "le_radius must be positive", "te_half_thickness must be non-negative")
+_RULE_COLUMNS = (*range(len(FIELDS)), 0, 1, 10, 5)
+
+
 def _domain_errors(rows: np.ndarray) -> dict:
-    """Row index -> the DomainError ParsecParams raises, for inadmissible rows."""
-    bad = ~np.all(np.isfinite(rows), axis=1)
-    bad |= np.any((rows[:, :2] <= 0.0) | (rows[:, :2] >= 1.0), axis=1)
-    bad |= (rows[:, 10] <= 0.0) | (rows[:, 5] < 0.0)
-    errors = {}
-    for i in np.flatnonzero(bad).tolist():
-        try:
-            ParsecParams.from_sequence(rows[i])
-        except DomainError as exc:
-            errors[i] = exc
-    return errors
+    """Row index -> DomainError of each row outside the domain, naming the first rule it breaks."""
+    crest = rows[:, :2]
+    broken = np.column_stack([~np.isfinite(rows), (crest <= 0.0) | (crest >= 1.0),
+                              rows[:, 10] <= 0.0, rows[:, 5] < 0.0])
+    bad = np.flatnonzero(broken.any(axis=1))
+    return {i: DomainError(_RULES[rule].format(rows[i, _RULE_COLUMNS[rule]].item()))
+            for i, rule in zip(bad.tolist(), np.argmax(broken[bad], axis=1).tolist())}
 
 
 def _solve_stack(rows: np.ndarray) -> DecodedStack:
@@ -261,8 +218,3 @@ def baseline_box() -> ParameterBox:
         upper=np.array(_BASELINE_UPPER),
         labels=JSON_KEYS,
     )
-
-
-def baseline_center() -> ParsecParams:
-    box = baseline_box()
-    return ParsecParams.from_sequence(0.5 * (box.lower + box.upper))

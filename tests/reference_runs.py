@@ -71,14 +71,17 @@ RUNS = {
 
 
 def _asymmetric_params(parameterization: str) -> str:
-    """JSON of the built-in box's design at lower + fraction * width (see ``PARAMS``)."""
+    """JSON of the built-in box's design at lower + fraction * width (see ``PARAMS``),
+    in the README's ``--params`` format."""
     from activefoil import cst, parsec
 
     if parameterization == "parsec":
         box = parsec.baseline_box()
-        return parsec.ParsecParams.from_sequence(box.lower + 0.25 * box.width).to_json()
+        row = (box.lower + 0.25 * box.width).tolist()
+        return json.dumps(dict(zip(parsec.JSON_KEYS, row)), sort_keys=True)
     box = cst.baseline_box()
-    return cst.CstParams.from_flat(box.lower + 0.7 * box.width).to_json()
+    row = (box.lower + 0.7 * box.width).tolist()
+    return json.dumps({"m": 5, "upper": row[:5], "lower": row[5:]}, sort_keys=True)
 
 
 # run name -> parameterization whose asymmetric design the run's PARAMS_FILE holds

@@ -21,12 +21,10 @@ from activefoil.geometry import (
 UPPER, LOWER = 0, 1
 
 
-def decoded(params):
-    """The 1-row stack of one ParsecParams or CstParams; a design that fails raises its error."""
-    if isinstance(params, parsec.ParsecParams):
-        stack = parsec.solve_coefficients([params.to_sequence()])
-    else:
-        stack = cst.surface_pair([params.to_flat()])
+def decoded(parameterization, row):
+    """The 1-row stack of one "parsec" or "cst" row; a design that fails raises its error."""
+    decode = parsec.solve_coefficients if parameterization == "parsec" else cst.surface_pair
+    stack = decode([row])
     if stack.errors:
         raise stack.errors[0]
     return stack

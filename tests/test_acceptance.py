@@ -103,14 +103,13 @@ def test_criterion_03_parsec_constraint_residuals(capsys):
     worst_residual = 0.0
     worst_crest = 0.0
     for i, row in enumerate(rows):
-        params = parsec.ParsecParams.from_sequence(row)
+        (upper_x, lower_x, upper_y, lower_y, te_offset, te_half_thickness, te_angle, te_wedge,
+         upper_curvature, lower_curvature, le_radius) = row.tolist()
         for s, crest_x, crest_y, crest_curvature, te_y, te_slope, a1 in (
-            (UPPER, params.upper_crest_x, params.upper_crest_y, params.upper_curvature,
-             params.te_y + params.te_half_thickness, params.te_angle_deg - params.te_wedge_deg,
-             math.sqrt(2.0 * params.le_radius)),
-            (LOWER, params.lower_crest_x, params.lower_crest_y, params.lower_curvature,
-             params.te_y - params.te_half_thickness, params.te_angle_deg + params.te_wedge_deg,
-             -math.sqrt(2.0 * params.le_radius)),
+            (UPPER, upper_x, upper_y, upper_curvature, te_offset + te_half_thickness,
+             te_angle - te_wedge, math.sqrt(2.0 * le_radius)),
+            (LOWER, lower_x, lower_y, lower_curvature, te_offset - te_half_thickness,
+             te_angle + te_wedge, -math.sqrt(2.0 * le_radius)),
         ):
             worst_residual = max(
                 worst_residual,
@@ -127,10 +126,9 @@ def test_criterion_03_parsec_constraint_residuals(capsys):
 
     sharp_ok = True
     for row in rows[:50]:
-        values = parsec.ParsecParams.from_sequence(row).to_mapping()
-        values["x5"] = 0.0
-        values["x6"] = 0.0
-        sharp = decoded(parsec.ParsecParams.from_mapping(values))
+        row = row.copy()
+        row[4] = row[5] = 0.0  # trailing-edge offset and half-thickness
+        sharp = decoded("parsec", row)
         sharp_ok = sharp_ok and (
             abs(float(np.sum(coefficients(sharp, UPPER)))) < 1e-9
             and abs(float(np.sum(coefficients(sharp, LOWER)))) < 1e-9
@@ -147,18 +145,17 @@ def test_criterion_03_parsec_constraint_residuals(capsys):
 def test_criterion_04_leading_edge_osculation(capsys):
     ok = True
     rows = sample(parsec.baseline_box(), 100, seed=4).physical()
-    center = parsec.baseline_center().to_sequence()
+    center = parsec.baseline_box().center
     for row in [center, *rows]:
-        params = parsec.ParsecParams.from_sequence(row)
-        stack = decoded(params)
-        eps = params.le_radius
+        stack = decoded("parsec", row)
+        eps = row[10]  # leading-edge radius
         ell = (eps / 10.0) * np.logspace(-3.0, 0.0, 40)
         dev = np.max(np.abs(height(stack, UPPER, ell) / np.sqrt(2.0 * eps * ell) - 1.0))
         ok = ok and float(dev) < 0.05
 
-    cst_params = cst.baseline_center()
-    cst_stack = decoded(cst_params)
-    eps = cst.leading_edge_radius(cst_params.upper[0])
+    cst_center = cst.baseline_box().center
+    cst_stack = decoded("cst", cst_center)
+    eps = cst.leading_edge_radius(cst_center[0])  # the first upper coefficient
     ell = (eps / 10.0) * np.logspace(-3.0, 0.0, 40)
     dev = np.max(np.abs(height(cst_stack, UPPER, ell) / np.sqrt(2.0 * eps * ell) - 1.0))
     ok = ok and float(dev) < 0.05
@@ -286,7 +283,7 @@ def test_criterion_09_builtin_box_tables(capsys):
     # closed NACA 0012, so its centre is an airfoil
     ell = np.linspace(0.0, 1.0, 1001)
     naca = naca_thickness_pair(0.12, closed=True)
-    center = decoded(cst.baseline_center())
+    center = decoded("cst", cbox.center)
     ok = (
         ok
         and np.array_equal(cbox.lower, make_box(cbox.center, 0.2).lower)

@@ -46,21 +46,44 @@ LIFT_POINTS = 256
 # reference: the per-row loop
 
 
+# each parameter's name, as a domain error names it
+_PARSEC_FIELDS = ("upper_crest_x", "lower_crest_x", "upper_crest_y", "lower_crest_y", "te_y",
+                  "te_half_thickness", "te_angle_deg", "te_wedge_deg", "upper_curvature",
+                  "lower_curvature", "le_radius")
+
+
+def _reference_domain(physical):
+    """Raise the DomainError of the first domain rule the row breaks, one value at a time."""
+    values = dict(zip(_PARSEC_FIELDS, physical.tolist()))
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite")
+    for name in ("upper_crest_x", "lower_crest_x"):
+        if not 0.0 < values[name] < 1.0:
+            raise DomainError(f"{name} must lie strictly inside (0, 1), got {values[name]}")
+    if values["le_radius"] <= 0.0:
+        raise DomainError("le_radius must be positive")
+    if values["te_half_thickness"] < 0.0:
+        raise DomainError("te_half_thickness must be non-negative")
+
+
 def _reference_parsec(physical):
-    params = parsec.ParsecParams.from_sequence(physical)
+    _reference_domain(physical)
+    (upper_x, lower_x, upper_y, lower_y, te_y, te_half_thickness, te_angle, te_wedge,
+     upper_curvature, lower_curvature, le_radius) = physical.tolist()
     e = np.arange(1, 7) - 0.5
     out = []
     for surface in ("upper", "lower"):
         if surface == "upper":
-            ell_int, crest_y = params.upper_crest_x, params.upper_crest_y
-            te_height = params.te_y + params.te_half_thickness
-            te_slope = math.tan(math.radians(params.te_angle_deg - params.te_wedge_deg))
-            curvature, le = params.upper_curvature, math.sqrt(2.0 * params.le_radius)
+            ell_int, crest_y = upper_x, upper_y
+            te_height = te_y + te_half_thickness
+            te_slope = math.tan(math.radians(te_angle - te_wedge))
+            curvature, le = upper_curvature, math.sqrt(2.0 * le_radius)
         else:
-            ell_int, crest_y = params.lower_crest_x, params.lower_crest_y
-            te_height = params.te_y - params.te_half_thickness
-            te_slope = math.tan(math.radians(params.te_angle_deg + params.te_wedge_deg))
-            curvature, le = params.lower_curvature, -math.sqrt(2.0 * params.le_radius)
+            ell_int, crest_y = lower_x, lower_y
+            te_height = te_y - te_half_thickness
+            te_slope = math.tan(math.radians(te_angle + te_wedge))
+            curvature, le = lower_curvature, -math.sqrt(2.0 * le_radius)
         matrix = np.vstack([
             ell_int**e, np.ones(6), e * ell_int ** (e - 1.0), e.copy(),
             e * (e - 1.0) * ell_int ** (e - 2.0), np.eye(6)[0],
@@ -85,15 +108,16 @@ def _reference_parsec(physical):
 
 
 def _reference_cst(physical):
-    params = cst.CstParams.from_flat(physical)
+    if not np.all(np.isfinite(physical)):
+        raise ContractViolation("coefficients must be finite")
     out = []
-    for x in (params.upper, params.lower):
+    for x in np.split(physical, 2):
         odd = np.empty(x.size + 1)
         odd[0] = x[0]
         odd[1:-1] = x[1:] - x[:-1]
         odd[-1] = -x[-1]
         out.append(odd)
-    return np.arange(1, params.m + 2) - 0.5, out[0], out[1]
+    return np.arange(1, physical.size // 2 + 2) - 0.5, out[0], out[1]
 
 
 def _reference_evaluate(parameterization, objective, x, box):
@@ -244,6 +268,36 @@ def test_parsec_stack_matches_single_design(unit_rows, bad):
     for position, _ in bad:
         assert (position % len(rows)) in stack.errors
     assert len(stack.errors) <= len(bad)
+
+
+# (column, value) outside the domain: each crest at, before and beyond its ends,
+# a radius that is not positive, a negative half-thickness, values that are not finite
+_DOMAIN_BAD = [(0, 0.0), (1, 1.0), (0, -0.2), (1, 1.5), (10, 0.0), (10, -0.01), (5, -0.001),
+               (3, float("nan")), (7, float("inf")), (0, float("nan")), (10, -float("inf"))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_u, min_size=11, max_size=11), min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_DOMAIN_BAD)), max_size=12))
+@example(unit_rows=[[0.0] * 11] * 4,
+         bad=[(0, (5, -0.001)), (0, (10, -0.01)), (1, (1, 1.5)), (1, (7, float("inf"))),
+              (2, (1, 1.5)), (2, (0, 0.0)), (3, (5, -0.001))])
+def test_domain_errors_match_each_row_and_the_rule_order(unit_rows, bad):
+    # the stacked rule gives each row the error of its own 1-row stack and
+    # of the per-row reference, which checks the rules one value at a time
+    rows = denormalize(np.array(unit_rows), parsec.baseline_box())
+    for position, (column, value) in bad:
+        rows[position % len(rows), column] = value
+    errors = parsec._domain_errors(rows)
+    for i, row in enumerate(rows):
+        _, want = _single_outcome(lambda: _reference_domain(row))
+        one = parsec._domain_errors(rows[i:i + 1])
+        if want is None:
+            assert i not in errors and one == {}
+        else:
+            for got in (errors[i], one[0]):
+                assert type(got) is DomainError and str(got) == str(want)
+    assert set(errors) <= {position % len(rows) for position, _ in bad}
 
 
 @pytest.mark.parametrize("limit, crests", [
@@ -513,7 +567,7 @@ def test_stacked_cst_qois_match_each_pair(unit_rows, bad):
 
 
 def test_stacked_validation_gives_each_reason_code():
-    center = cst.surface_pair([cst.baseline_center().to_flat()])
+    center = cst.surface_pair([cst.baseline_box().center])
     upper, lower = center.coefficients[0]
     huge = np.full(upper.size, 1e308)
     coefficients = np.array([

@@ -363,17 +363,17 @@ def test_bad_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, ar
 
 
 _CST_PARAMS = {"upper": [0.1, 0.2], "lower": [-0.1, -0.2]}
+_PARSEC_CENTER = dict(zip(parsec.JSON_KEYS, parsec.baseline_box().center.tolist()))
 
 
 @pytest.mark.parametrize("parameterization, params, error, needle", [
     ("cst", {"upper": [0.1, 0.2]}, "ContractViolation", "missing parameter keys: ['lower']"),
     ("cst", [[0.1, 0.2], [-0.1, -0.2]], "ContractViolation", "missing parameter keys"),
-    ("parsec", {**parsec.baseline_center().to_mapping(), "x11": -0.01}, "DomainError",
-     "le_radius"),
+    ("parsec", {**_PARSEC_CENTER, "x11": -0.01}, "DomainError", "le_radius"),
     ("parsec", 5, "ContractViolation", "missing parameter keys: ['x1', 'x2', 'x3'"),
-    ("parsec", {**parsec.baseline_center().to_mapping(), "x1": "0.3"}, "ContractViolation",
+    ("parsec", {**_PARSEC_CENTER, "x1": "0.3"}, "ContractViolation",
      "parameter key 'x1' must be a number"),
-    ("parsec", {**parsec.baseline_center().to_mapping(), "x1": None}, "ContractViolation",
+    ("parsec", {**_PARSEC_CENTER, "x1": None}, "ContractViolation",
      "parameter key 'x1' must be a number"),
     ("cst", {**_CST_PARAMS, "m": "x"}, "ContractViolation",
      "parameter key 'm' must be an integer"),
@@ -382,11 +382,31 @@ _CST_PARAMS = {"upper": [0.1, 0.2], "lower": [-0.1, -0.2]}
     ("parsec", '{"x1": 0.3,', "ContractViolation", "parameter file is not JSON"),
     ("cst", {**_CST_PARAMS, "m": 2.7}, "ContractViolation",
      "parameter key 'm' must be an integer"),
-    ("parsec", {**parsec.baseline_center().to_mapping(), "x5": 10**400}, "ContractViolation",
+    ("parsec", {**_PARSEC_CENTER, "x5": 10**400}, "ContractViolation",
      "parameter key 'x5' must be a number"),
+    ("parsec", {**_PARSEC_CENTER, "x1": 0}, "DomainError",
+     "upper_crest_x must lie strictly inside (0, 1), got 0.0"),
+    ("parsec", {**_PARSEC_CENTER, "x2": 1.5}, "DomainError",
+     "lower_crest_x must lie strictly inside (0, 1), got 1.5"),
+    ("parsec", {**_PARSEC_CENTER, "x3": float("nan")}, "DomainError",
+     "upper_crest_y must be finite"),
+    ("parsec", {**_PARSEC_CENTER, "x6": -0.1}, "DomainError",
+     "te_half_thickness must be non-negative"),
+    ("parsec", {**_PARSEC_CENTER, "x6": -0.1, "x11": -0.01}, "DomainError",
+     "le_radius must be positive"),
+    ("cst", {"upper": [0.1, 0.2], "lower": [-0.1]}, "ContractViolation",
+     "upper and lower must be equal-length 1-D vectors"),
+    ("cst", {"upper": [], "lower": []}, "ContractViolation",
+     "upper and lower must be equal-length 1-D vectors"),
+    ("cst", {**_CST_PARAMS, "m": 4}, "ContractViolation",
+     "declared m=4 does not match coefficient length 2"),
+    ("cst", {**_CST_PARAMS, "upper": [0.1, float("nan")]}, "ContractViolation",
+     "coefficients must be finite"),
 ], ids=["cst-no-lower", "cst-list", "parsec-le-radius", "parsec-number", "parsec-string",
         "parsec-null", "cst-m-string", "cst-upper-string", "parsec-not-json",
-        "cst-m-fraction", "parsec-huge-integer"])
+        "cst-m-fraction", "parsec-huge-integer", "parsec-crest-zero", "parsec-crest-beyond",
+        "parsec-nan", "parsec-te-thickness", "parsec-le-radius-first", "cst-unequal",
+        "cst-empty", "cst-m-mismatch", "cst-nan"])
 def test_bad_params_files_are_refused_by_name(tmp_path, capsys, parameterization, params,
                                               error, needle):
     path = tmp_path / "params.json"
@@ -671,13 +691,6 @@ def test_ridge_direction_flag(tmp_path):
     assert out.returncode == 1
     assert "3 parameters" in json.loads(out.stderr)["message"]
 
-    out = run("evaluate", "--samples", str(d / "samples.csv"),
-              "--qoi", "ridge", "--direction", "1,x,2", "--out", str(d))
-    assert out.returncode == 1
-    payload = json.loads(out.stderr)
-    assert payload["error"] == "ContractViolation"
-    assert "--direction" in payload["message"]
-
 
 def test_validate_baseline_is_feasible(tmp_path):
     out = run("validate", "--parameterization", "parsec",
@@ -705,19 +718,50 @@ def test_shapes_artifacts(tmp_path):
     assert len([line for line in upper if not line.startswith("#")]) == 1 + 101  # header
 
 
+def _params_json(parameterization, row) -> str:
+    """The --params JSON of one row, in the README's format."""
+    row = np.asarray(row).tolist()
+    if parameterization == "parsec":
+        return json.dumps(dict(zip(parsec.JSON_KEYS, row)))
+    half = len(row) // 2
+    return json.dumps({"m": half, "upper": row[:half], "lower": row[half:]})
+
+
+def _box_rows(box):
+    """Rows of the box, each coordinate anywhere in its closed interval."""
+    return st.tuples(*(st.floats(lo, hi) for lo, hi in zip(box.lower.tolist(),
+                                                           box.upper.tolist())))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), parameterization=st.sampled_from(["parsec", "cst"]))
+def test_params_file_reads_back_as_its_row(tmp_path, data, parameterization):
+    """A --params file written from an in-box row reads back as that row, bit for
+    bit, and decodes on the command line as the row does in the library."""
+    module = parsec if parameterization == "parsec" else cst
+    row = np.array(data.draw(_box_rows(module.baseline_box())))
+    path = tmp_path / "params.json"
+    path.write_text(_params_json(parameterization, row))
+    assert module.read_params(path.read_text()).tobytes() == row.tobytes()
+    args = argparse.Namespace(parameterization=parameterization, params=str(path), grid=51,
+                              sharp_te=False)
+    stack, _ = cli._design_from(args)
+    decode = parsec.solve_coefficients if parameterization == "parsec" else cst.surface_pair
+    assert stack.coefficients.tobytes() == decode([row]).coefficients.tobytes()
+
+
 @pytest.mark.parametrize("parameterization", ["parsec", "cst"])
 def test_shapes_surface_tables_read_back(tmp_path, parameterization):
     """upper.csv and lower.csv are write_table files of the decoded stack's heights."""
     box = (parsec if parameterization == "parsec" else cst).baseline_box()
     row = box.lower + 0.3 * box.width  # an asymmetric design
-    params = (parsec.ParsecParams.from_sequence(row) if parameterization == "parsec"
-              else cst.CstParams.from_flat(row))
-    (tmp_path / "params.json").write_text(params.to_json())
+    (tmp_path / "params.json").write_text(_params_json(parameterization, row))
     assert cli.main(["shapes", "--parameterization", parameterization, "--params",
                      str(tmp_path / "params.json"), "--grid", "51",
                      "--out", str(tmp_path / "out")]) == 0
     _, ell = nose_resolving_grid(51)
-    heights, = decoded(params).grid_blocks(ell)
+    heights, = decoded(parameterization, row).grid_blocks(ell)
     for surface, name in enumerate(("upper", "lower")):
         table, f, labels, meta = read_matrix_csv(tmp_path / "out" / f"{name}.csv")
         assert labels == ["ell", "height"] and f is None

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -10,13 +9,12 @@ from numpy.polynomial import polynomial as npoly
 from surfaces import LOWER, UPPER, height
 
 from activefoil.cst import (
-    CstParams,
     baseline_box,
-    baseline_center,
     class_function,
     cst_surface,
     leading_edge_radius,
     odd_basis,
+    read_params,
     surface_pair,
 )
 from activefoil.errors import ContractViolation, DomainError
@@ -67,26 +65,16 @@ def test_cst_surface_is_class_times_polynomial():
 
 
 def test_params_flat_layout_and_json():
-    params = CstParams.from_flat([1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
-    np.testing.assert_array_equal(params.upper, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(params.lower, [-1.0, -2.0, -3.0])
-    assert params.m == 3
-    np.testing.assert_array_equal(params.to_flat(), [1, 2, 3, -1, -2, -3])
-
-    payload = json.loads(params.to_json())
-    assert payload["m"] == 3
-    again = CstParams.from_json(params.to_json())
-    np.testing.assert_array_equal(again.upper, params.upper)
-    np.testing.assert_array_equal(again.lower, params.lower)
-
-    with pytest.raises(ContractViolation):
-        CstParams.from_flat([1.0, 2.0, 3.0])  # odd length
-    with pytest.raises(ContractViolation):
-        CstParams(upper=[1.0, 2.0], lower=[1.0])
-    with pytest.raises(ContractViolation):
-        CstParams(upper=[np.nan], lower=[1.0])
-    with pytest.raises(ContractViolation):
-        CstParams.from_json('{"m": 4, "upper": [1, 2], "lower": [3, 4]}')
+    # the flat row is the upper coefficients, then the lower ones
+    row = read_params('{"m": 3, "upper": [1.0, 2, 3.0], "lower": [-1.0, -2.0, -3.0]}')
+    assert row.dtype == float
+    np.testing.assert_array_equal(row, [1, 2, 3, -1, -2, -3])
+    np.testing.assert_array_equal(read_params('{"upper": [0.5], "lower": [-0.5]}'), [0.5, -0.5])
+    for text in ('{"upper": [1, 2], "lower": [1]}', '{"upper": [], "lower": []}'):
+        with pytest.raises(ContractViolation, match="must be equal-length 1-D vectors"):
+            read_params(text)
+    with pytest.raises(ContractViolation, match="declared m=4 does not match"):
+        read_params('{"m": 4, "upper": [1, 2], "lower": [3, 4]}')
 
 
 @pytest.mark.parametrize("text, missing", [
@@ -96,9 +84,9 @@ def test_params_flat_layout_and_json():
     ('["upper", "lower"]', "['upper', 'lower']"),
 ], ids=["no-lower", "no-coefficients", "list", "list-of-keys"])
 def test_from_json_refuses_missing_keys(text, missing):
-    # the refusal of ParsecParams.from_mapping, not a KeyError or TypeError
+    # a ContractViolation that names the keys, not a KeyError or TypeError
     with pytest.raises(ContractViolation, match=re.escape(f"missing parameter keys: {missing}")):
-        CstParams.from_json(text)
+        read_params(text)
 
 
 def test_expansion_literal_m2():
@@ -146,23 +134,19 @@ def test_expansion_rejects_other_class_exponents():
 
 
 def test_surface_pair_consistency():
-    params = baseline_center()
-    stack = surface_pair([params.to_flat()])
+    upper, lower = np.split(baseline_box().center, 2)
+    stack = surface_pair([baseline_box().center])
     ell = np.linspace(0.0, 1.0, 41)
-    np.testing.assert_allclose(
-        height(stack, UPPER, ell), cst_surface(ell, params.upper), atol=1e-14
-    )
-    np.testing.assert_allclose(
-        height(stack, LOWER, ell), cst_surface(ell, params.lower), atol=1e-14
-    )
+    np.testing.assert_allclose(height(stack, UPPER, ell), cst_surface(ell, upper), atol=1e-14)
+    np.testing.assert_allclose(height(stack, LOWER, ell), cst_surface(ell, lower), atol=1e-14)
     assert height(stack, UPPER, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_leading_edge_radius_osculation():
-    params = baseline_center()
-    stack = surface_pair([params.to_flat()])
-    radius = leading_edge_radius(params.upper[0])
-    assert radius == 0.5 * params.upper[0] ** 2
+    center = baseline_box().center
+    stack = surface_pair([center])
+    radius = leading_edge_radius(center[0])
+    assert radius == 0.5 * center[0] ** 2
     for ell in (radius / 10, radius / 40, radius / 160):
         dev = abs(height(stack, UPPER, ell) / math.sqrt(2 * radius * ell) - 1.0)
         assert dev < 0.05
@@ -175,7 +159,7 @@ def test_baseline_box_is_stored_literally():
     np.testing.assert_array_equal(box.lower[:5], -box.upper[5:])
     ell = np.linspace(0.0, 1.0, 1001)
     naca = naca_thickness_pair(0.12, closed=True)
-    stack = surface_pair([baseline_center().to_flat()])
+    stack = surface_pair([box.center])
     assert np.max(np.abs(height(stack, UPPER, ell) - height(naca, UPPER, ell))) < 5e-4
     assert np.max(np.abs(height(stack, LOWER, ell) - height(naca, LOWER, ell))) < 5e-4
     assert np.all(height(stack, LOWER, ell[1:-1]) <= 0.0)

@@ -72,6 +72,7 @@ _PARETO = ("pareto", "--data1", "a.csv", "--eigs1", "a.json", "--data2", "b.csv"
            "--eigs2", "b.json")
 _CONVERGENCE = ("convergence", "--box", "unit:3", "--qoi", "quadratic")
 _RUN_ALL = ("run-all", "--box", "unit:3", "--qoi", "quadratic")
+_RIDGE = ("run-all", "--box", "unit:3", "--qoi", "ridge")
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -121,6 +122,14 @@ _RUN_ALL = ("run-all", "--box", "unit:3", "--qoi", "quadratic")
      "argument --qoi: 'panel' is for run-all only"),
     (("convergence", "--box", "unit:3", "--qoi", "panel"),
      "both panel objectives with `run-all --qoi panel`"),
+    ((*_RIDGE, "--direction", "1,x"), "argument --direction: must be a comma list of finite "
+     "numbers, not all zero, got '1,x'"),
+    ((*_RIDGE, "--direction", "nan,1,1"), "argument --direction: must be a comma list of "
+     "finite numbers, not all zero, got 'nan,1,1'"),
+    ((*_RIDGE, "--direction", "inf,1,1"), "argument --direction: must be a comma list of "
+     "finite numbers, not all zero, got 'inf,1,1'"),
+    ((*_RIDGE, "--direction", "0,0,0"), "argument --direction: must be a comma list of "
+     "finite numbers, not all zero, got '0,0,0'"),
 ], ids=["bootstrap-nboot", "convergence-nboot", "run-all-nboot", "pareto-gammas",
         "pareto-grid-n", "run-all-gammas", "run-all-grid-n", "convergence-schedule-not-integer",
         "convergence-schedule-empty-field", "convergence-schedule-empty",
@@ -129,7 +138,8 @@ _RUN_ALL = ("run-all", "--box", "unit:3", "--qoi", "quadratic")
         "pareto-gammas-not-integer", "shadow-dim-not-integer", "box-unit-zero",
         "box-unit-not-integer", "qoi-unknown", "qoi-ridge-profile", "noise-std-negative",
         "noise-std-inf", "noise-std-nan", "evaluate-dataset", "evaluate-panel",
-        "convergence-panel"])
+        "convergence-panel", "direction-not-number", "direction-nan", "direction-inf",
+        "direction-zero"])
 def test_out_of_range_flags_are_usage_errors(tmp_path, argv, needle):
     """A flag range that needs no data is the parser's: exit 2 before numpy or --out."""
     out, modules = _run_with_imports("-m", "activefoil", *argv, "--out", str(tmp_path / "out"))
@@ -162,8 +172,8 @@ def test_public_name_inventory():
     """Every public name: a new one shows up as an edit here."""
     assert activefoil.__all__ == [
         "BasisKind", "BasisSpec", "BootstrapSummary",
-        "CstParams", "Eigenpairs", "PanelSurrogate", "ParameterBox",
-        "ParetoSegment", "ParsecParams", "QoiEvaluator", "QuadraticModel",
+        "Eigenpairs", "PanelSurrogate", "ParameterBox",
+        "ParetoSegment", "QoiEvaluator", "QuadraticModel",
         "ResponseSurface", "Ridge", "SampleSet", "ShadowData", "ShapeCoefficients",
         "SyntheticQuadratic", "ValidityReport", "bootstrap",
         "camber_lift", "choose_dimension", "class_function",
@@ -179,11 +189,10 @@ def test_public_name_inventory():
 
 
 SRC = ROOT / "src" / "activefoil"
-# Reached from outside src/: the entry point, and the writers of the formats
-# that --params and --box take.  The _cmd_ functions, which frontend.main
-# dispatches to by name, are reached too.
-_ALLOWED = {"frontend.main", "sampling.ParameterBox.save", "parsec.ParsecParams.to_json",
-            "cst.CstParams.to_json"}
+# Reached from outside src/: the entry point, and the writer of the box JSON
+# that --box takes (--params files have no writer in src/).  The _cmd_
+# functions, which frontend.main dispatches to by name, are reached too.
+_ALLOWED = {"frontend.main", "sampling.ParameterBox.save"}
 
 
 def _names(node) -> Counter:
@@ -295,7 +304,8 @@ def test_every_public_name_is_reached():
     with a default is reached when a call of its function's name in src/,
     outside that function, or in an acceptance criterion passes it.  An
     option of a subcommand is reached when the command reads it for more
-    than recording it in the artifacts' metadata.
+    than recording it in the artifacts' metadata.  An ``_ALLOWED`` entry
+    must name a definition, so a deleted one cannot stay allowed.
     """
     tracer_path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("tracer", tracer_path)
@@ -311,8 +321,10 @@ def test_every_public_name_is_reached():
                | set(sum(map(_names, counted), Counter())))
     calls = [sub for tree in (*trees.values(), acceptance) for sub in ast.walk(tree)
              if isinstance(sub, ast.Call)]
-    unreached = []
-    for qualified, owner, node in _definitions(trees):
+    definitions = list(_definitions(trees))
+    unreached = sorted(f"{name} (allowed, but defined nowhere)"
+                       for name in _ALLOWED - {qualified for qualified, _, _ in definitions})
+    for qualified, owner, node in definitions:
         if qualified in _ALLOWED or node.name.startswith("_cmd_"):
             continue
         if node.name != "__init__" and node.name not in reached and (

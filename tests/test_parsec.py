@@ -9,38 +9,29 @@ from activefoil.errors import ConditioningError, ContractViolation, DomainError
 from activefoil.geometry import REASONS, validate_airfoil
 from activefoil.parsec import (
     CONDITION_LIMIT,
+    FIELDS,
     JSON_KEYS,
     RESIDUAL_LIMIT,
     TERM_COUNT,
-    ParsecParams,
     _stack_systems,
     baseline_box,
-    baseline_center,
+    read_params,
     solve_coefficients,
 )
 from activefoil.sampling import sample
 
+CENTER = baseline_box().center
 
-def _mirror(params: ParsecParams) -> ParsecParams:
-    return ParsecParams(
-        upper_crest_x=params.upper_crest_x,
-        lower_crest_x=params.upper_crest_x,
-        upper_crest_y=params.upper_crest_y,
-        lower_crest_y=-params.upper_crest_y,
-        te_y=0.0,
-        te_half_thickness=params.te_half_thickness,
-        te_angle_deg=0.0,
-        te_wedge_deg=params.te_wedge_deg,
-        upper_curvature=params.upper_curvature,
-        lower_curvature=-params.upper_curvature,
-        le_radius=params.le_radius,
-    )
+
+def _mirror(row: np.ndarray) -> np.ndarray:
+    """The mirror-symmetric design of ``row``'s upper surface."""
+    mirror = row.copy()
+    mirror[[1, 3, 4, 6, 9]] = row[0], -row[2], 0.0, 0.0, -row[8]
+    return mirror
 
 
 def test_param_validation():
-    center = baseline_center()
-    with pytest.raises(ContractViolation):
-        ParsecParams.from_sequence(center.to_sequence()[:10])
+    # a row outside the domain fails with a DomainError that names the parameter
     for field, bad in (
         ("upper_crest_x", 0.0),
         ("lower_crest_x", 1.0),
@@ -48,27 +39,24 @@ def test_param_validation():
         ("te_half_thickness", -0.01),
         ("te_y", np.nan),
     ):
-        values = center.to_mapping()
-        values[JSON_KEYS[list(f.name for f in center.__dataclass_fields__.values()).index(field)]] = bad
-        with pytest.raises(DomainError):
-            ParsecParams.from_mapping(values)
+        row = CENTER.copy()
+        row[FIELDS.index(field)] = bad
+        error = solve_coefficients([row]).errors[0]
+        assert type(error) is DomainError and str(error).startswith(field), error
 
 
 def test_json_roundtrip_uses_x_keys():
-    center = baseline_center()
-    payload = json.loads(center.to_json())
-    assert sorted(payload) == sorted(JSON_KEYS)
-    again = ParsecParams.from_json(center.to_json())
-    assert again == center
+    text = json.dumps(dict(zip(JSON_KEYS, CENTER.tolist())))
+    assert read_params(text).tobytes() == CENTER.tobytes()
     with pytest.raises(ContractViolation) as info:
-        ParsecParams.from_mapping({"x1": 0.3})
+        read_params('{"x1": 0.3}')
     assert "x2" in str(info.value)
 
 
 def test_leading_edge_coefficient_signs():
     # a_1 = +sqrt(2 r) on the upper surface and -sqrt(2 r) on the lower one;
     # a radius that is not positive is the row's DomainError
-    rows = np.repeat([baseline_center().to_sequence()], 2, axis=0)
+    rows = np.repeat([CENTER], 2, axis=0)
     rows[:, 10] = 0.015, 0.0
     _, rhs = _stack_systems(rows[:1])
     assert rhs[0, 0, 5] == math.sqrt(0.03) and rhs[0, 1, 5] == -math.sqrt(0.03)
@@ -79,12 +67,13 @@ def test_leading_edge_coefficient_signs():
 
 
 def test_constraint_rows_are_the_documented_ones():
-    params = baseline_center()
-    matrix, rhs = _stack_systems(np.array([params.to_sequence()]))
+    (upper_x, lower_x, upper_y, _, te_y, te_half_thickness, te_angle, te_wedge,
+     upper_curvature, _, le_radius) = CENTER.tolist()
+    matrix, rhs = _stack_systems(CENTER[np.newaxis])
     assert matrix.shape == (1, 2, TERM_COUNT, TERM_COUNT) and rhs.shape == (1, 2, TERM_COUNT)
     system, lower_rhs = matrix[0, 0], rhs[0, 1]
     e = np.arange(TERM_COUNT) + 0.5
-    p = params.upper_crest_x
+    p = upper_x
     np.testing.assert_allclose(system[0], p**e, rtol=1e-15)
     np.testing.assert_array_equal(system[1], np.ones(6))
     np.testing.assert_allclose(system[2], e * p ** (e - 1), rtol=1e-15)
@@ -93,54 +82,48 @@ def test_constraint_rows_are_the_documented_ones():
     np.testing.assert_array_equal(system[5], [1, 0, 0, 0, 0, 0])
 
     expected_rhs = [
-        params.upper_crest_y,
-        params.te_y + params.te_half_thickness,
+        upper_y,
+        te_y + te_half_thickness,
         0.0,
-        math.tan(math.radians(params.te_angle_deg - params.te_wedge_deg)),
-        params.upper_curvature,
-        math.sqrt(2.0 * params.le_radius),
+        math.tan(math.radians(te_angle - te_wedge)),
+        upper_curvature,
+        math.sqrt(2.0 * le_radius),
     ]
     np.testing.assert_array_equal(rhs[0, 0], expected_rhs)
 
-    assert lower_rhs[1] == params.te_y - params.te_half_thickness
-    assert lower_rhs[3] == math.tan(math.radians(params.te_angle_deg + params.te_wedge_deg))
-    assert lower_rhs[5] == -math.sqrt(2.0 * params.le_radius)
-    np.testing.assert_allclose(matrix[0, 1, 0], params.lower_crest_x**e, rtol=1e-15)
+    assert lower_rhs[1] == te_y - te_half_thickness
+    assert lower_rhs[3] == math.tan(math.radians(te_angle + te_wedge))
+    assert lower_rhs[5] == -math.sqrt(2.0 * le_radius)
+    np.testing.assert_allclose(matrix[0, 1, 0], lower_x**e, rtol=1e-15)
 
 
 def test_solved_surfaces_satisfy_geometry():
-    params = baseline_center()
-    stack = decoded(params)
+    (upper_x, lower_x, upper_y, lower_y, te_y, te_half_thickness, te_angle, te_wedge,
+     upper_curvature, _, le_radius) = CENTER.tolist()
+    stack = decoded("parsec", CENTER)
     h = 1e-6
 
-    assert height(stack, UPPER, params.upper_crest_x) == pytest.approx(params.upper_crest_y,
-                                                                      abs=1e-12)
-    assert height(stack, LOWER, params.lower_crest_x) == pytest.approx(params.lower_crest_y,
-                                                                      abs=1e-12)
-    assert slope(stack, UPPER, params.upper_crest_x) == pytest.approx(0.0, abs=1e-10)
-    assert slope(stack, LOWER, params.lower_crest_x) == pytest.approx(0.0, abs=1e-10)
+    assert height(stack, UPPER, upper_x) == pytest.approx(upper_y, abs=1e-12)
+    assert height(stack, LOWER, lower_x) == pytest.approx(lower_y, abs=1e-12)
+    assert slope(stack, UPPER, upper_x) == pytest.approx(0.0, abs=1e-10)
+    assert slope(stack, LOWER, lower_x) == pytest.approx(0.0, abs=1e-10)
 
-    assert height(stack, UPPER, 1.0) == pytest.approx(
-        params.te_y + params.te_half_thickness, abs=1e-12)
-    assert height(stack, LOWER, 1.0) == pytest.approx(
-        params.te_y - params.te_half_thickness, abs=1e-12)
+    assert height(stack, UPPER, 1.0) == pytest.approx(te_y + te_half_thickness, abs=1e-12)
+    assert height(stack, LOWER, 1.0) == pytest.approx(te_y - te_half_thickness, abs=1e-12)
     assert slope(stack, UPPER, 1.0) == pytest.approx(
-        math.tan(math.radians(params.te_angle_deg - params.te_wedge_deg)), abs=1e-10
+        math.tan(math.radians(te_angle - te_wedge)), abs=1e-10
     )
     assert slope(stack, LOWER, 1.0) == pytest.approx(
-        math.tan(math.radians(params.te_angle_deg + params.te_wedge_deg)), abs=1e-10
+        math.tan(math.radians(te_angle + te_wedge)), abs=1e-10
     )
 
     # crest curvature via central differences of the slope
-    fd = (slope(stack, UPPER, params.upper_crest_x + h)
-          - slope(stack, UPPER, params.upper_crest_x - h)) / (2 * h)
-    assert fd == pytest.approx(params.upper_curvature, rel=1e-5)
+    fd = (slope(stack, UPPER, upper_x + h) - slope(stack, UPPER, upper_x - h)) / (2 * h)
+    assert fd == pytest.approx(upper_curvature, rel=1e-5)
 
     # leading-edge coefficient carries the radius
-    assert coefficients(stack, UPPER)[0] == pytest.approx(math.sqrt(2 * params.le_radius),
-                                                          rel=1e-12)
-    assert coefficients(stack, LOWER)[0] == pytest.approx(-math.sqrt(2 * params.le_radius),
-                                                          rel=1e-12)
+    assert coefficients(stack, UPPER)[0] == pytest.approx(math.sqrt(2 * le_radius), rel=1e-12)
+    assert coefficients(stack, LOWER)[0] == pytest.approx(-math.sqrt(2 * le_radius), rel=1e-12)
 
 
 def test_residuals_small_across_the_box():
@@ -153,9 +136,8 @@ def test_residuals_small_across_the_box():
 
 
 def test_leading_edge_osculation():
-    params = baseline_center()
-    stack = decoded(params)
-    eps = params.le_radius
+    stack = decoded("parsec", CENTER)
+    eps = CENTER[10]
     for ell in (eps / 10, eps / 40, eps / 160):
         dev = abs(height(stack, UPPER, ell) / math.sqrt(2 * eps * ell) - 1.0)
         assert dev < 0.05
@@ -166,26 +148,24 @@ def test_leading_edge_osculation():
 
 
 def test_mirror_symmetry_is_bitwise():
-    sym = _mirror(baseline_center())
-    stack = decoded(sym)
+    stack = decoded("parsec", _mirror(CENTER))
     np.testing.assert_array_equal(coefficients(stack, UPPER), -coefficients(stack, LOWER))
 
 
 def test_sharp_trailing_edge():
-    values = baseline_center().to_mapping()
-    values["x5"] = 0.0
-    values["x6"] = 0.0
-    stack = decoded(ParsecParams.from_mapping(values))
+    row = CENTER.copy()
+    row[4] = row[5] = 0.0  # trailing-edge offset and half-thickness
+    stack = decoded("parsec", row)
     assert sum(coefficients(stack, UPPER)) == pytest.approx(0.0, abs=1e-12)
     assert height(stack, UPPER, 1.0) == pytest.approx(0.0, abs=1e-12)
     assert height(stack, LOWER, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditioning_guard_near_degenerate_crest():
-    values = baseline_center().to_mapping()
-    values["x1"] = 1e-9  # crest collapsing onto the leading edge
+    row = CENTER.copy()
+    row[0] = 1e-9  # crest collapsing onto the leading edge
     with pytest.raises(ConditioningError):
-        decoded(ParsecParams.from_mapping(values))
+        decoded("parsec", row)
     assert CONDITION_LIMIT == 1e12 and RESIDUAL_LIMIT == 1e-12
 
 
@@ -193,7 +173,7 @@ def test_crest_sweep_fails_on_conditioning_exactly_above_the_limit():
     # upper crests from near the nose to 5% chord at the box centre: the
     # residual test is relative to max|M| max|a|, so only the condition
     # limit decides which systems fail, and every other row decodes
-    rows = np.repeat(baseline_box().center[np.newaxis], 400, axis=0)
+    rows = np.repeat(CENTER[np.newaxis], 400, axis=0)
     rows[:, 0] = np.linspace(2e-3, 5e-2, rows.shape[0])
     cond = np.linalg.cond(_stack_systems(rows)[0])
     above = np.any(cond > CONDITION_LIMIT, axis=1)
@@ -204,7 +184,7 @@ def test_crest_sweep_fails_on_conditioning_exactly_above_the_limit():
 
 
 def test_center_airfoil_is_feasible():
-    report = validate_airfoil(decoded(baseline_center()), grid_size=401).row(0)
+    report = validate_airfoil(decoded("parsec", CENTER), grid_size=401).row(0)
     assert report.feasible
     assert report.min_gap == pytest.approx(0.0008660156623361556, rel=1e-9)
 
@@ -222,5 +202,3 @@ def test_baseline_box_is_stored_literally():
     assert box.labels == JSON_KEYS
     # the x5 interval straddles zero, so it cannot come from a multiplicative rule
     assert box.lower[4] < 0.0 < box.upper[4]
-    center = baseline_center()
-    np.testing.assert_allclose(center.to_sequence(), 0.5 * (box.lower + box.upper), rtol=1e-15)
