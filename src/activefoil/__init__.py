@@ -35,8 +35,8 @@ _EXPORTS = {
     "analysis": "ParetoSegment ResponseSurface ShadowData cube_minimum fit_link_function "
                 "inactive_sensitivity_check pareto_front pareto_segment shadow_project",
     "cst": "class_function cst_surface",
-    "geometry": "BasisKind BasisSpec ShapeCoefficients ValidityReport eval_shape "
-                "eval_shape_t shape_derivative shape_derivative_t validate_airfoil",
+    "geometry": "BasisKind BasisSpec eval_shape eval_shape_t shape_derivative "
+                "shape_derivative_t validate_airfoil",
     "parsec": "solve_coefficients",
     "qoi": "PanelSurrogate QoiEvaluator Ridge SyntheticQuadratic camber_lift "
            "evaluate_batch seeded_quadratic thickness_drag",

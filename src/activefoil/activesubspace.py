@@ -130,6 +130,8 @@ class QuadraticModel:
             raise ContractViolation("hessian must be square")
         if lin.shape != (hess.shape[0],):
             raise ContractViolation("linear term must match hessian dimension")
+        if not all(np.all(np.isfinite(v)) for v in (hess, lin, self.constant)):
+            raise ContractViolation("hessian, linear term and constant must be finite")
         scale = max(1.0, float(np.max(np.abs(hess))) if hess.size else 1.0)
         if np.max(np.abs(hess - hess.T)) > 1e-12 * scale:
             raise ContractViolation("hessian must be symmetric to 1e-12")
@@ -346,7 +348,9 @@ class Eigenpairs:
 
 
 def _check_eigenpairs(vectors: np.ndarray, values: np.ndarray) -> None:
-    """Orthonormal vectors, non-increasing non-negative values, for each member of a stack."""
+    """Finite orthonormal vectors, non-increasing non-negative values, per member of a stack."""
+    if not (np.all(np.isfinite(vectors)) and np.all(np.isfinite(values))):
+        raise ContractViolation("eigenvalues and eigenvectors must be finite")
     eye = np.eye(values.shape[-1])
     if np.any(np.abs(np.swapaxes(vectors, -1, -2) @ vectors - eye) > 1e-10):
         raise ContractViolation("eigenvectors must be orthonormal to 1e-10")

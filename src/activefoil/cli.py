@@ -189,7 +189,7 @@ def _cmd_sample(args) -> None:
 
 
 def _design_from(args):
-    """(1-row stack of --params or of the box centre, the report of its --grid check).
+    """(1-row stack of --params or of the box centre, the report dict of its --grid check).
 
     A design that fails to decode raises its error.
     """
@@ -211,10 +211,9 @@ def _cmd_shapes(args) -> None:
     for name, heights in zip(("upper", "lower"), next(stack.grid_blocks(ell))[0]):
         write_table(out / f"{name}.csv", "ell,height", np.column_stack([ell, heights]), meta)
     write_coordinate_loop(stack, out / "loop.dat", n=args.grid, name=args.name)
-    payload = report.to_dict()
-    payload["meta"] = meta
-    write_json(out / "shape_report.json", payload)
-    print(f"wrote {out / 'loop.dat'} (feasible={report.feasible})")
+    report["meta"] = meta
+    write_json(out / "shape_report.json", report)
+    print(f"wrote {out / 'loop.dat'} (feasible={report['feasible']})")
 
 
 def _cmd_evaluate(args) -> None:
@@ -345,8 +344,7 @@ def _cmd_convergence(args) -> None:
 
 
 def _cmd_validate(args) -> None:
-    _, report = _design_from(args)
-    payload = report.to_dict()
+    _, payload = _design_from(args)
     payload["parameterization"] = args.parameterization
     payload["meta"] = _meta(args, params=args.params or "baseline-center")
     print(json.dumps(payload, sort_keys=True, indent=2))

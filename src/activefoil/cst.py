@@ -30,7 +30,6 @@ from .geometry import (
     BasisKind,
     BasisSpec,
     DecodedStack,
-    ShapeCoefficients,
     _checked_coordinate,
     eval_shape,
     naca_thickness_pair,
@@ -134,6 +133,6 @@ def baseline_box() -> ParameterBox:
     ell = np.arange(1, 400) / 400.0
     design = class_function(ell)[:, np.newaxis] * ell[:, np.newaxis] ** np.arange(5)
     naca = naca_thickness_pair(0.12, closed=True)
-    target = eval_shape(ShapeCoefficients(naca.coefficients[0, 0]), naca.basis, ell)
+    target = eval_shape(naca.coefficients[0, 0], naca.basis, ell)
     a = np.linalg.lstsq(design, target, rcond=None)[0]
     return make_box(np.concatenate([a, -a]), 0.2)

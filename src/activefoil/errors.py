@@ -39,7 +39,8 @@ class NoStructureError(ActivefoilError, RuntimeError):
 
 
 class EvaluationError(ActivefoilError, RuntimeError):
-    """A quantity-of-interest evaluation failed for a specific sample."""
+    """A quantity-of-interest evaluation failed for a specific sample; ``report`` is
+    the failing row's ``StackValidity.row`` dict when that row decoded."""
 
     def __init__(self, message, index=None, report=None):
         super().__init__(message)

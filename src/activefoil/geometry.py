@@ -33,7 +33,7 @@ moves derivatives between the two coordinates, and grids uniform in
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -76,21 +76,6 @@ class BasisSpec:
     def exponents_t(self) -> np.ndarray:
         """Exponents of t = sqrt(ell) for each term."""
         return 2.0 * self.exponents()
-
-
-@dataclass(frozen=True, eq=False)
-class ShapeCoefficients:
-    """Finite, read-only coefficient vector ``values``."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ContractViolation("coefficient vector must be 1-D and non-empty")
-        if not np.all(np.isfinite(vals)):
-            raise ContractViolation("coefficients must be finite")
-        _freeze(self, values=vals)
 
 
 # Rows per block when a decoded stack is evaluated on a grid, so each
@@ -145,24 +130,6 @@ class DecodedStack:
                 yield np.matmul(table, coef)[..., 0]
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    """Outcome of the point-wise geometric checks on one design."""
-
-    feasible: bool
-    min_gap: float
-    endpoints_fixed: bool
-    endpoint_tol: float
-    bounded: bool
-    lower_bound: float
-    upper_bound: float
-    grid_size: int
-    sharp_trailing_edge: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 # Per-row outcome codes of a stacked validation, indexed by StackValidity.reason.
 # A decode error takes precedence, then non-finite heights, then crossing
 # surfaces.  "contract" covers every other decode error (non-finite
@@ -182,9 +149,9 @@ def _decode_reason(exc: Exception) -> int:
 class StackValidity:
     """Outcome of :func:`validate_airfoil` on every row of a DecodedStack.
 
-    The per-row arrays hold what a ValidityReport holds for one design,
-    plus each row's maximum thickness on the grid and its ``reason`` code
-    (an index into REASONS; 0 is a valid row).  ``feasible`` and
+    The per-row arrays hold what :meth:`row` reports for one design, plus
+    each row's maximum thickness on the grid and its ``reason`` code (an
+    index into REASONS; 0 is a valid row).  ``feasible`` and
     ``bounded`` are single truth values over every row; a row that failed
     to decode counts as neither.
     """
@@ -212,28 +179,31 @@ class StackValidity:
     def bounded(self) -> bool:
         return bool(np.all(self.bounded_rows))
 
-    def row(self, i: int) -> ValidityReport:
-        """Report of row i, equal to row 0 of ``validate_airfoil`` on its 1-row stack."""
-        return ValidityReport(
-            feasible=bool(self.feasible_rows[i]),
-            min_gap=float(self.min_gap[i]),
-            endpoints_fixed=bool(self.endpoints_fixed[i]),
-            endpoint_tol=self.endpoint_tol,
-            bounded=bool(self.bounded_rows[i]),
-            lower_bound=float(self.lower_bound[i]),
-            upper_bound=float(self.upper_bound[i]),
-            grid_size=self.grid_size,
-            sharp_trailing_edge=self.sharp_trailing_edge,
-        )
+    def row(self, i: int) -> dict:
+        """Report of row i, the keys ``shapes`` and ``validate`` write, equal to row 0 of
+        ``validate_airfoil`` on its 1-row stack."""
+        return {
+            "feasible": bool(self.feasible_rows[i]),
+            "min_gap": float(self.min_gap[i]),
+            "endpoints_fixed": bool(self.endpoints_fixed[i]),
+            "endpoint_tol": self.endpoint_tol,
+            "bounded": bool(self.bounded_rows[i]),
+            "lower_bound": float(self.lower_bound[i]),
+            "upper_bound": float(self.upper_bound[i]),
+            "grid_size": self.grid_size,
+            "sharp_trailing_edge": self.sharp_trailing_edge,
+        }
 
 
-def _matched_values(coeffs: ShapeCoefficients, basis: BasisSpec) -> np.ndarray:
-    if coeffs.values.size != basis.term_count:
+def _matched_values(coeffs, basis: BasisSpec) -> np.ndarray:
+    """The coefficient row ``coeffs`` as a 1-D array of ``basis.term_count`` values."""
+    a = np.asarray(coeffs, dtype=float)
+    if a.shape != (basis.term_count,):
         raise ContractViolation(
-            f"coefficient count {coeffs.values.size} does not match "
+            f"coefficient row of shape {a.shape} does not match "
             f"basis term count {basis.term_count}"
         )
-    return coeffs.values
+    return a
 
 
 def _checked_coordinate(x, name):
@@ -257,7 +227,7 @@ def _power_table(basis: BasisSpec, ell: np.ndarray, slope: bool) -> np.ndarray:
     return arr[..., np.newaxis] ** (e - 1.0) * e
 
 
-def eval_shape(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
+def eval_shape(coeffs, basis: BasisSpec, ell):
     """Surface height at chord fraction ``ell`` (scalar or array).
 
     Every basis term vanishes at ell = 0, so the leading edge height is
@@ -268,7 +238,7 @@ def eval_shape(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     return float(out) if np.ndim(ell) == 0 else out
 
 
-def eval_shape_t(coeffs: ShapeCoefficients, basis: BasisSpec, t):
+def eval_shape_t(coeffs, basis: BasisSpec, t):
     """Surface height as a function of t = sqrt(ell).
 
     For the half-integer series the t-form has purely odd powers with
@@ -281,7 +251,7 @@ def eval_shape_t(coeffs: ShapeCoefficients, basis: BasisSpec, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def shape_derivative(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
+def shape_derivative(coeffs, basis: BasisSpec, ell):
     """Analytic slope ds/dell for ell in (0, 1].
 
     Raises :class:`SingularityError` at ell = 0: the square-root term
@@ -292,7 +262,7 @@ def shape_derivative(coeffs: ShapeCoefficients, basis: BasisSpec, ell):
     return float(out) if np.ndim(ell) == 0 else out
 
 
-def shape_derivative_t(coeffs: ShapeCoefficients, basis: BasisSpec, t):
+def shape_derivative_t(coeffs, basis: BasisSpec, t):
     """Analytic slope ds/dt; finite on the whole of [0, 1].
 
     Relates to the ell-derivative by ds/dell = ds/dt / (2 sqrt(ell)).

@@ -75,6 +75,10 @@ def read_params(text: str) -> np.ndarray:
 
 
 _SURFACES = ("upper", "lower")
+# Messages of the condition and residual checks; the crest is ell_int, M's first entry squared.
+_CHECKS = ("{surface} constraint system too ill-conditioned "
+           "(cond ~ {cond:.3e} at crest position {crest:.6g})",
+           "{surface} solve residual {residual:.3e} relative to max|M| max|a| exceeds {limit:g}")
 # Columns of (crest position, crest height, crest curvature) per surface.
 _SURFACE_COLUMNS = ((0, 2, 8), (1, 3, 9))
 
@@ -110,24 +114,6 @@ def _stack_systems(rows: np.ndarray):
     return matrix, rhs
 
 
-def _check_solution(surface: str, matrix: np.ndarray, cond: float, residual: float) -> None:
-    """Raise the ConditioningError of a solved system that cannot be trusted.
-
-    ``residual`` is relative: ||M a - p||_inf / (max|M| * max|a|).
-    """
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        ell_int = matrix[0, 0] ** 2.0  # first row is ell_int ** 1/2, ...
-        raise ConditioningError(
-            f"{surface} constraint system too ill-conditioned "
-            f"(cond ~ {cond:.3e} at crest position {ell_int:.6g})"
-        )
-    if residual > RESIDUAL_LIMIT:
-        raise ConditioningError(
-            f"{surface} solve residual {residual:.3e} relative to max|M| max|a| "
-            f"exceeds {RESIDUAL_LIMIT:g}"
-        )
-
-
 # Each domain rule's message and the column it reads, in the order of _domain_errors' mask.
 _RULES = (*(f"{name} must be finite" for name in FIELDS),
           *(f"{name} must lie strictly inside (0, 1), got {{}}" for name in FIELDS[:2]),
@@ -149,14 +135,13 @@ def _solve_stack(rows: np.ndarray) -> DecodedStack:
     """Both surfaces of every row: one batched cond screen, solve and relative residual check.
 
     A row that fails keeps the error its one-design solve raises: the
-    DomainError of its parameters, or the first ConditioningError of
-    its upper then lower system.
+    DomainError of its parameters, or the ConditioningError of the first
+    check it breaks, upper then lower system, condition number then
+    residual.  The residual is relative: ||M a - p||_inf / (max|M| * max|a|).
     """
     errors = _domain_errors(rows)
     good = np.array([i for i in range(rows.shape[0]) if i not in errors], dtype=int)
-    # An overflowed entry (a crest within ~1e-200 of the nose) gets its
-    # condition number on its own, so one such row cannot fail the stack.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflowed entry fails its own row below
         matrix, rhs = _stack_systems(rows[good])
     finite = np.all(np.isfinite(matrix), axis=(-2, -1))
     cond = np.full(finite.shape, np.inf)
@@ -174,14 +159,14 @@ def _solve_stack(rows: np.ndarray) -> DecodedStack:
     residual = np.zeros(rhs.shape[:2])
     residual[solvable] = np.max(error, axis=-1) / (
         np.max(np.abs(m), axis=(-2, -1)) * np.max(np.abs(a), axis=-1))
-    trusted = np.all(solvable & (residual <= RESIDUAL_LIMIT), axis=1)
-    for j in np.flatnonzero(~trusted).tolist():
-        try:
-            for s, surface in enumerate(_SURFACES):
-                c = cond[j, s] if finite[j, s] else np.linalg.cond(matrix[j, s])
-                _check_solution(surface, matrix[j, s], c, residual[j, s])
-        except Exception as exc:
-            errors[int(good[j])] = exc
+    # upper cond, upper residual, lower cond, lower residual: the order the checks apply
+    broken = np.stack([~solvable, residual > RESIDUAL_LIMIT], axis=-1).reshape(-1, 4)
+    bad = np.flatnonzero(broken.any(axis=1))
+    first = np.argmax(broken[bad], axis=1)
+    errors.update({int(good[j]): ConditioningError(_CHECKS[check % 2].format(
+        surface=_SURFACES[s], cond=cond[j, s], crest=matrix[j, s, 0, 0] ** 2.0,
+        residual=residual[j, s], limit=RESIDUAL_LIMIT))
+        for j, check, s in zip(bad.tolist(), first.tolist(), (first // 2).tolist())})
     coefficients = np.zeros((rows.shape[0], 2, TERM_COUNT))
     coefficients[good] = solved
     return DecodedStack(_BASIS, coefficients, errors)

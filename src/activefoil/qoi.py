@@ -265,8 +265,7 @@ class PanelSurrogate(QoiEvaluator):
             if i in decoded.errors:
                 failed[i] = decoded.errors[i]
                 continue
-            row = report.row(i)
-            detail = (f"decoded surfaces infeasible (min gap {row.min_gap:.3e})"
+            detail = (f"decoded surfaces infeasible (min gap {report.min_gap[i]:.3e})"
                       if report.reason[i] else "lift or drag is not finite (unbounded)")
-            failed[i] = EvaluationError(f"{self.name}: {detail}", report=row)
+            failed[i] = EvaluationError(f"{self.name}: {detail}", report=report.row(i))
         return (values if len(columns) > 1 else values[:, 0]), failed

@@ -12,7 +12,6 @@ import numpy as np
 from activefoil import cst, parsec
 from activefoil.geometry import (
     DecodedStack,
-    ShapeCoefficients,
     eval_shape,
     naca_thickness_pair,
     shape_derivative,
@@ -36,12 +35,11 @@ def coefficients(stack, surface, row=0):
 
 
 def height(stack, surface, ell, row=0):
-    return eval_shape(ShapeCoefficients(coefficients(stack, surface, row)), stack.basis, ell)
+    return eval_shape(coefficients(stack, surface, row), stack.basis, ell)
 
 
 def slope(stack, surface, ell, row=0):
-    return shape_derivative(ShapeCoefficients(coefficients(stack, surface, row)), stack.basis,
-                            ell)
+    return shape_derivative(coefficients(stack, surface, row), stack.basis, ell)
 
 
 def curvature(stack, surface, ell, row=0):

@@ -402,11 +402,13 @@ _PARSEC_CENTER = dict(zip(parsec.JSON_KEYS, parsec.baseline_box().center.tolist(
      "declared m=4 does not match coefficient length 2"),
     ("cst", {**_CST_PARAMS, "upper": [0.1, float("nan")]}, "ContractViolation",
      "coefficients must be finite"),
+    ("parsec", {**_PARSEC_CENTER, "x1": 1e-300}, "ConditioningError",
+     "upper constraint system too ill-conditioned (cond ~ inf"),
 ], ids=["cst-no-lower", "cst-list", "parsec-le-radius", "parsec-number", "parsec-string",
         "parsec-null", "cst-m-string", "cst-upper-string", "parsec-not-json",
         "cst-m-fraction", "parsec-huge-integer", "parsec-crest-zero", "parsec-crest-beyond",
         "parsec-nan", "parsec-te-thickness", "parsec-le-radius-first", "cst-unequal",
-        "cst-empty", "cst-m-mismatch", "cst-nan"])
+        "cst-empty", "cst-m-mismatch", "cst-nan", "parsec-crest-at-nose"])
 def test_bad_params_files_are_refused_by_name(tmp_path, capsys, parameterization, params,
                                               error, needle):
     path = tmp_path / "params.json"
@@ -476,6 +478,22 @@ def test_bad_params_files_are_refused_by_name(tmp_path, capsys, parameterization
           ([2.0, 1.0], [[2.0, 0.0], [0.0, 1.0]], "eigenvectors must be orthonormal to 1e-10"),
           ([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], "eigenvalues must be non-increasing"),
           ([2.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], "eigenvalues must be non-negative"))],
+    # JSON's NaN and Infinity tokens are numbers to the reader, but no eigenpair or model
+    # holds them
+    *[(argv, {"eigenvalues": values, "eigenvectors": vectors, "n": 1},
+       "eigenvalues and eigenvectors must be finite")
+      for argv in (("shadow", "--data", "{data}", "--eigs", "{path}"),
+                   ("pareto", "--eigs1", "{path}", "--eigs2", "{path}", "--data1", "{data}",
+                    "--data2", "{data}"))
+      for values, vectors in (([float("nan"), 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+                              ([2.0, 1.0], [[1.0, 0.0], [0.0, float("inf")]]))],
+    *[(("eigs", "--model", "{path}"), {"hessian": hessian, "linear": linear, "constant": 0.0},
+       "hessian, linear term and constant must be finite")
+      for hessian, linear in (([[float("nan"), 0.0], [0.0, 1.0]], [0.5, 0.0]),
+                              ([[1.0, 0.0], [0.0, 1.0]], [float("inf"), 0.0]))],
+    (("eigs", "--model", "{path}"),
+     {"hessian": [[1.0, 0.0], [0.0, 1.0]], "linear": [0.5, 0.0], "constant": float("-inf")},
+     "hessian, linear term and constant must be finite"),
 ], ids=["box-number", "box-list", "box-labels", "box-not-json", "model-number",
         "model-constant-string", "model-ragged-hessian", "eigs-n-string", "eigs-empty",
         "model-hessian-not-square", "box-bounds-unequal", "box-labels-short",
@@ -483,7 +501,10 @@ def test_bad_params_files_are_refused_by_name(tmp_path, capsys, parameterization
         "box-label-leading-space", "box-label-trailing-space", "box-label-lf",
         "box-label-cr", "eigs-one-vector", "eigs-values-longer", "eigs-n-zero", "eigs-n-m",
         "pareto-eigs-n-m", "eigs-scaled-vector", "eigs-increasing", "eigs-negative-value",
-        "pareto-eigs-scaled-vector", "pareto-eigs-increasing", "pareto-eigs-negative-value"])
+        "pareto-eigs-scaled-vector", "pareto-eigs-increasing", "pareto-eigs-negative-value",
+        "eigs-nan-value", "eigs-infinite-vector", "pareto-eigs-nan-value",
+        "pareto-eigs-infinite-vector", "model-nan-hessian", "model-infinite-linear",
+        "model-infinite-constant"])
 def test_bad_json_inputs_are_refused_by_file_and_key(tmp_path, capsys, argv, content, needle):
     path = tmp_path / "input.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))

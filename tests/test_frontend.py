@@ -174,8 +174,8 @@ def test_public_name_inventory():
         "BasisKind", "BasisSpec", "BootstrapSummary",
         "Eigenpairs", "PanelSurrogate", "ParameterBox",
         "ParetoSegment", "QoiEvaluator", "QuadraticModel",
-        "ResponseSurface", "Ridge", "SampleSet", "ShadowData", "ShapeCoefficients",
-        "SyntheticQuadratic", "ValidityReport", "bootstrap",
+        "ResponseSurface", "Ridge", "SampleSet", "ShadowData",
+        "SyntheticQuadratic", "bootstrap",
         "camber_lift", "choose_dimension", "class_function",
         "coefficient_count", "cst_surface", "cube_minimum", "denormalize", "derive_seed",
         "eigendecompose", "eval_shape", "eval_shape_t", "evaluate_batch",

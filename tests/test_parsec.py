@@ -185,8 +185,8 @@ def test_crest_sweep_fails_on_conditioning_exactly_above_the_limit():
 
 def test_center_airfoil_is_feasible():
     report = validate_airfoil(decoded("parsec", CENTER), grid_size=401).row(0)
-    assert report.feasible
-    assert report.min_gap == pytest.approx(0.0008660156623361556, rel=1e-9)
+    assert report["feasible"]
+    assert report["min_gap"] == pytest.approx(0.0008660156623361556, rel=1e-9)
 
 
 def test_baseline_box_is_stored_literally():

@@ -265,7 +265,7 @@ def test_panel_surrogate_rejects_infeasible_decode():
     x = -4.0 * drag.box.center / drag.box.width
     with pytest.raises(EvaluationError) as info:
         drag(x)
-    assert info.value.report is not None and not info.value.report.feasible
+    assert info.value.report is not None and not info.value.report["feasible"]
 
 
 def test_panel_surrogate_fails_non_finite_values_as_unbounded():
