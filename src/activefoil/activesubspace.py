@@ -452,8 +452,8 @@ class BootstrapSummary:
     """Replicate spread of the eigenvalues and of the subspace error of k outputs.
 
     The *_min/mean/max arrays hold, for each output, the per eigen-index
-    spread over replicates, with a leading k axis.  ``error_*`` rows cover
-    every candidate dimension 1..m-1 against the caller's point-estimate
+    spread over replicates, with a leading k axis.  ``error_*`` entry d-1
+    is candidate dimension d, 1..m-1, against the caller's point-estimate
     basis.  ``column(j)`` is output j's own summary.  ``n_boot`` and
     ``n_skipped`` count replicates, which every output shares.
     """
@@ -461,12 +461,10 @@ class BootstrapSummary:
     eigenvalues_min: np.ndarray
     eigenvalues_mean: np.ndarray
     eigenvalues_max: np.ndarray
-    dimensions: np.ndarray
     error_mean: np.ndarray
     error_min: np.ndarray
     error_max: np.ndarray
     n_boot: int
-    seed: int
     n_skipped: int
 
     def column(self, j: int) -> "BootstrapSummary":
@@ -478,7 +476,7 @@ class BootstrapSummary:
         """(mean, min, max) subspace error at dimension ``dim``, one per output of a
         summary and a scalar each of a ``column``."""
         i = int(dim) - 1
-        if not 0 <= i < self.dimensions.size:
+        if not 0 <= i < self.error_mean.shape[-1]:
             raise ContractViolation(f"no bootstrap row for dimension {dim}")
         return self.error_mean[..., i], self.error_min[..., i], self.error_max[..., i]
 
@@ -521,7 +519,6 @@ def bootstrap(X, F, n_boot: int, seed: int, points) -> BootstrapSummary:
     fac = _factored(X.shape, X.tobytes())
     block = max(1, _BLOCK_BYTES // (8 * max(fac.r.size, n_rows)))
     group = max(block, _EIGEN_GROUP)
-    dims = np.arange(1, m)
     lam_rows = np.empty((len(points), n_boot, m))
     err_rows = np.empty((len(points), n_boot, m - 1))
     kept = np.ones(n_boot, dtype=bool)
@@ -550,7 +547,7 @@ def bootstrap(X, F, n_boot: int, seed: int, points) -> BootstrapSummary:
             lam_rows[j, reps][ok], vectors = _eigh_descending(_outer(hess[j, ok], lin[j, ok]))
             # reduced per group, so no (nboot, m, m) eigenvector stack is kept
             err_rows[j, reps][ok] = np.column_stack(
-                [subspace_distance(vectors[:, :, :d], point.vectors[:, :d]) for d in dims]
+                [subspace_distance(vectors[:, :, :d], point.vectors[:, :d]) for d in range(1, m)]
             )
     skipped = int(n_boot - kept.sum())
     if skipped == n_boot:
@@ -560,5 +557,4 @@ def bootstrap(X, F, n_boot: int, seed: int, points) -> BootstrapSummary:
     stats = {f"{name}_{reduce}": np.array([getattr(r[kept], reduce)(axis=0) for r in rows])
              for name, rows in (("eigenvalues", lam_rows), ("error", err_rows))
              for reduce in ("min", "mean", "max")}
-    return BootstrapSummary(**stats, dimensions=dims, n_boot=int(n_boot), seed=int(seed),
-                            n_skipped=skipped)
+    return BootstrapSummary(**stats, n_boot=int(n_boot), n_skipped=skipped)

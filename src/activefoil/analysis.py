@@ -1,11 +1,12 @@
 """Shadow projections, link-function fits, and two-objective Pareto fronts.
 
-Once an active basis W1 is in hand, samples project to shadow
-coordinates y = W1' x; a quadratic in y (the link function), fitted by
-the certified solve of ``activesubspace.fit_quadratic`` that fits the
-model, summarizes f; and on the plane of two leading directions, designs
-in the cube that reach the zonotope Z = W'[-1, 1]^m are scored by the
-fitted surfaces, and the nondominated ones form the Pareto front.
+Once an active basis W1 is in hand, ``shadow_project(X, W1)`` gives the
+shadow coordinates y = W1' x of the samples; ``fit_link_function(X, f, W1)``
+fits the link function, a quadratic in y, by the certified solve of
+``activesubspace.fit_quadratic`` that fits the model; and on the plane of
+two leading directions, designs in the cube that reach the zonotope
+Z = W'[-1, 1]^m are scored by the fitted surfaces, and the nondominated
+ones form the Pareto front.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .activesubspace import QuadraticModel, fit_quadratic
 from .errors import ContractViolation, SampleSizeWarning
-from .sampling import _freeze, write_table
+from .sampling import write_table
 
 # Slack of box membership for designs and of polygon membership for points.
 _FEASIBILITY_SLACK = 1e-12
@@ -27,48 +28,26 @@ _SLICES, _SLICE_POINTS = 401, 9  # Pareto candidates: y1-slices of Z, designs pe
 _GRID_CHUNK_BYTES = 2**18
 
 
-@dataclass(frozen=True, eq=False)
-class ShadowData:
-    """Active coordinates Y = X W1 with the outputs they shadow."""
-
-    coords: np.ndarray
-    outputs: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        y = np.array(self.coords, dtype=float)
-        f = np.array(self.outputs, dtype=float)
-        w = np.array(self.basis, dtype=float)
-        if y.ndim != 2 or f.shape != (y.shape[0],):
-            raise ContractViolation("coords must be N x n with one output per row")
-        if w.ndim != 2 or w.shape[1] != y.shape[1]:
-            raise ContractViolation("basis must be m x n matching the coords")
-        _freeze(self, coords=y, outputs=f, basis=w)
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[1]
-
-
-def shadow_project(X, f, basis) -> ShadowData:
-    """Project samples onto an active basis, keeping outputs row-for-row."""
+def shadow_project(X, basis) -> np.ndarray:
+    """Shadow coordinates Y = X W1 of the sample rows; a 1-D basis is one direction."""
     rows = np.atleast_2d(np.asarray(X, dtype=float))
-    w = np.asarray(basis, dtype=float)
-    if w.ndim == 1:
-        w = w[:, np.newaxis]
+    w = np.asarray(basis, dtype=float).reshape(len(basis), -1)
     if w.shape[0] != rows.shape[1]:
         raise ContractViolation(
             f"basis rows {w.shape[0]} must match sample dimension {rows.shape[1]}"
         )
-    return ShadowData(coords=rows @ w, outputs=np.asarray(f, dtype=float), basis=w)
+    return rows @ w
 
 
-def write_shadow_csv(shadow: ShadowData, path, meta=None):
+def write_shadow_csv(coords, f, path, meta=None):
     """CSV schema y1[,y2],f; only 1-D and 2-D shadows are exported."""
-    if shadow.n > 2:
+    y, f = np.asarray(coords, dtype=float), np.asarray(f, dtype=float)
+    if y.ndim != 2 or f.shape != (y.shape[0],):
+        raise ContractViolation("coords must be N x n with one f value per row")
+    if y.shape[1] > 2:
         raise ContractViolation("shadow export supports at most two active coordinates")
-    write_table(path, ",".join([*(f"y{i}" for i in range(1, shadow.n + 1)), "f"]),
-                np.column_stack([shadow.coords, shadow.outputs]), meta)
+    write_table(path, ",".join([*(f"y{i}" for i in range(1, y.shape[1] + 1)), "f"]),
+                np.column_stack([y, f]), meta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,13 +69,14 @@ class ResponseSurface:
         return self.predict_active(np.asarray(X, dtype=float) @ self.basis)
 
 
-def fit_link_function(shadow: ShadowData) -> ResponseSurface:
-    """The quadratic in the shadow coordinates, by ``fit_quadratic``'s certified solve;
-    the chain's model fit, with more coefficients, gives any sample-size warning."""
+def fit_link_function(X, f, basis) -> ResponseSurface:
+    """The quadratic in the ``shadow_project`` coordinates, by ``fit_quadratic``'s certified
+    solve; the chain's model fit, with more coefficients, gives any sample-size warning."""
+    coords = shadow_project(X, basis)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleSizeWarning)
-        model = fit_quadratic(shadow.coords, shadow.outputs)
-    return ResponseSurface(basis=shadow.basis, model=model)
+        model = fit_quadratic(coords, f)
+    return ResponseSurface(basis=np.reshape(basis, (-1, coords.shape[1])), model=model)
 
 
 def cube_minimum(w):

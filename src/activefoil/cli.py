@@ -292,9 +292,9 @@ def _pareto_artifacts(X1, f1, X2, f2, directions, args, out: Path,
                       meta_extra: dict) -> None:
     """Pareto artifacts on the plane of ``directions``, from ``_plane_directions``."""
     w1, w2, overlap = directions
-    lift_surface = analysis.fit_link_function(analysis.shadow_project(X1, f1, w1.reshape(-1, 1)))
+    lift_surface = analysis.fit_link_function(X1, f1, w1.reshape(-1, 1))
     plane = np.column_stack([w1, w2])
-    drag_surface = analysis.fit_link_function(analysis.shadow_project(X2, f2, plane))
+    drag_surface = analysis.fit_link_function(X2, f2, plane)
     front = analysis.pareto_front(analysis.pareto_segment(w1, w2, gamma_count=args.gammas),
                                   lift_surface, drag_surface)
     coords = X2 @ plane
@@ -419,7 +419,7 @@ def _bootstrap_stage(X, F, points, args, out: Path, chains) -> asub.BootstrapSum
                                      column.eigenvalues_mean, column.eigenvalues_max]), meta)
         write_table(out / f"{prefix}bootstrap_dimensions.csv",
                     "dim,error_mean,error_min,error_max",
-                    np.column_stack([column.dimensions, column.error_mean,
+                    np.column_stack([np.arange(1, eig.values.size), column.error_mean,
                                      column.error_min, column.error_max]), meta)
     return summary
 
@@ -427,9 +427,9 @@ def _bootstrap_stage(X, F, points, args, out: Path, chains) -> asub.BootstrapSum
 def _shadow_stage(X, f, basis, out: Path, prefix: str, meta: dict) -> None:
     """Shadow of f on the (m, n) active ``basis``."""
     n = basis.shape[1]
-    shadow = analysis.shadow_project(X, f, basis)
     meta = {**meta, "n_active": n}
-    analysis.write_shadow_csv(shadow, out / f"{prefix}shadow.csv", meta=meta)
+    analysis.write_shadow_csv(analysis.shadow_project(X, basis), f,
+                              out / f"{prefix}shadow.csv", meta=meta)
     analysis.emit_shadow_gnuplot(f"{prefix}shadow.csv",
                                  out / f"{prefix}shadow.gp", n,
                                  skip_lines=len(meta) + 1)

@@ -84,7 +84,7 @@ def _number_from(low, kind=int):
 
 
 def _schedule(text: str) -> list:
-    """--schedule: a comma list of strictly ascending integers."""
+    """--schedule: a comma list of strictly ascending integers, each at least 1."""
     try:
         sizes = [int(v) for v in text.split(",")]
     except ValueError:
@@ -92,6 +92,8 @@ def _schedule(text: str) -> list:
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise argparse.ArgumentTypeError(
             f"must be a comma list of strictly ascending integers, got {text!r}")
+    if sizes[0] < 1:
+        raise argparse.ArgumentTypeError(f"sizes must be at least 1, got {sizes[0]}")
     return sizes
 
 
@@ -248,7 +250,7 @@ def build_parser() -> _Parser:
     cmd = sub.add_parser("run-all", help="full pipeline into one directory")
     cmd.add_argument("--box", default=None, type=_box,
                      help="required unless --qoi is dataset:PATH, which takes none")
-    cmd.add_argument("--n", type=int, default=1000)
+    cmd.add_argument("--n", type=_number_from(1), default=1000)
     cmd.add_argument("--nboot", type=_number_from(1), default=100)
     cmd.add_argument("--dim", type=int, default=None,
                      help="override the log-gap dimension choice")

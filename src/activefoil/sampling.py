@@ -203,17 +203,16 @@ def denormalize(u, box: ParameterBox) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Normalized sample matrix with the seed and box that produced it."""
+    """Normalized sample matrix with the box that it was drawn in."""
 
     matrix: np.ndarray
-    seed: int
     box: ParameterBox
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[1] != self.box.dim:
             raise ContractViolation("matrix must be N x dim(box)")
-        _freeze(self, matrix=mat, seed=int(self.seed))
+        _freeze(self, matrix=mat)
 
     def physical(self) -> np.ndarray:
         return denormalize(self.matrix, self.box)
@@ -226,7 +225,7 @@ def sample(box: ParameterBox, n: int, seed: int) -> SampleSet:
     rows = np.empty((n, box.dim))
     for i in range(n):
         rows[i] = substream(seed, i).uniform(-1.0, 1.0, box.dim)
-    return SampleSet(matrix=rows, seed=seed, box=box)
+    return SampleSet(matrix=rows, box=box)
 
 
 def substream(seed: int, i: int) -> np.random.Generator:

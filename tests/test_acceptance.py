@@ -365,8 +365,8 @@ def test_criterion_11_pareto_front_on_the_builtin_boxes(capsys, reference_output
         plane = np.column_stack([w1, w2])
         X1, f1, _, _ = read_matrix_csv(out / "lift_evals.csv")
         X2, f2, _, _ = read_matrix_csv(out / "drag_evals.csv")
-        lift = analysis.fit_link_function(analysis.shadow_project(X1, f1, w1[:, None]))
-        drag = analysis.fit_link_function(analysis.shadow_project(X2, f2, plane))
+        lift = analysis.fit_link_function(X1, f1, w1[:, None])
+        drag = analysis.fit_link_function(X2, f2, plane)
         front = analysis.pareto_front(analysis.pareto_segment(w1, w2, 101), lift, drag)
         ok = ok and rows.shape == (101, 6) and bool(np.all(rows[:, 3] == 1.0))
         ok = ok and meta["n_feasible"] == "101" and int(meta["n_extrapolated"]) <= 101

@@ -400,14 +400,13 @@ def test_bootstrap_summary_structure():
     whole = bootstrap(X, f[:, np.newaxis], 30, 11, [point])
     assert whole.eigenvalues_mean.shape == (1, m) and whole.error_mean.shape == (1, m - 1)
     summary = whole.column(0)
-    np.testing.assert_array_equal(summary.dimensions, [1, 2, 3])
-    assert summary.eigenvalues_mean.shape == (m,)
+    assert summary.eigenvalues_mean.shape == (m,) and summary.error_mean.shape == (m - 1,)
     assert np.all(summary.eigenvalues_min <= summary.eigenvalues_mean + 1e-15)
     assert np.all(summary.eigenvalues_mean <= summary.eigenvalues_max + 1e-15)
     assert np.all(summary.error_min <= summary.error_mean + 1e-15)
     assert np.all(summary.error_mean <= summary.error_max + 1e-15)
     assert np.all(summary.error_min >= 0.0)
-    assert summary.n_boot == 30 and summary.seed == 11
+    assert summary.n_boot == 30
     assert summary.n_skipped == 0
 
     mean, lo, hi = summary.error_row(2)

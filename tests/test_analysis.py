@@ -10,7 +10,6 @@ from activefoil.activesubspace import QuadraticModel
 from activefoil.analysis import (
     ParetoSegment,
     ResponseSurface,
-    ShadowData,
     convex_hull,
     cube_minimum,
     emit_pareto_gnuplot,
@@ -36,40 +35,35 @@ def _orthopair():
     return w1, w2
 
 
-def test_shadow_project_basics():
+def test_shadow_project_basics(tmp_path):
     X = sample(unit_box(4), 30, seed=1).matrix
     f = X[:, 0] + 2.0
     w = np.eye(4)[:, :2]
-    shadow = shadow_project(X, f, w)
-    np.testing.assert_array_equal(shadow.coords, X @ w)
-    np.testing.assert_array_equal(shadow.outputs, f)
-    assert shadow.n == 2
+    np.testing.assert_array_equal(shadow_project(X, w), X @ w)
+    assert shadow_project(X, np.eye(4)[:, 0]).shape == (30, 1)  # 1-D basis promoted
 
-    one = shadow_project(X, f, np.eye(4)[:, 0])  # 1-D basis promoted
-    assert one.coords.shape == (30, 1)
-
-    with pytest.raises(ContractViolation):
-        shadow_project(X, f, np.eye(3)[:, :1])
-    with pytest.raises(ContractViolation):
-        ShadowData(coords=X @ w, outputs=f[:-1], basis=w)
-    with pytest.raises(ContractViolation):
-        ShadowData(coords=X @ w, outputs=f, basis=w[:, :1])
+    with pytest.raises(ContractViolation, match="basis rows 3 must match sample dimension 4"):
+        shadow_project(X, np.eye(3)[:, :1])
+    with pytest.raises(ContractViolation, match="one f value per row"):
+        write_shadow_csv(X @ w, f[:-1], tmp_path / "short.csv")
+    with pytest.raises(ContractViolation, match="one f value per row"):
+        write_shadow_csv((X @ w)[:, 0], f, tmp_path / "flat.csv")
+    assert not list(tmp_path.iterdir())
 
 
 def test_write_shadow_csv(tmp_path):
     X = sample(unit_box(3), 8, seed=2).matrix
     f = X @ [1.0, 0.0, 0.0]
-    shadow = shadow_project(X, f, np.eye(3)[:, :2])
+    coords = shadow_project(X, np.eye(3)[:, :2])
     path = tmp_path / "shadow.csv"
-    write_shadow_csv(shadow, path, meta={"n": 2})
+    write_shadow_csv(coords, f, path, meta={"n": 2})
     matrix, fcol, labels, meta = read_matrix_csv(path)
-    np.testing.assert_array_equal(matrix, shadow.coords)
+    np.testing.assert_array_equal(matrix, coords)
     np.testing.assert_array_equal(fcol, f)
     assert labels == ["y1", "y2"] and meta == {"n": "2"}
 
-    wide = shadow_project(X, f, np.eye(3))
     with pytest.raises(ContractViolation):
-        write_shadow_csv(wide, tmp_path / "wide.csv")
+        write_shadow_csv(shadow_project(X, np.eye(3)), f, tmp_path / "wide.csv")
 
 
 def test_link_function_exact_quadratic():
@@ -83,7 +77,7 @@ def test_link_function_exact_quadratic():
         lin, const = rng.standard_normal(n), 2.0
         y = X @ w
         f = 0.5 * np.einsum("ij,jk,ik->i", y, hess, y) + y @ lin + const
-        surface = fit_link_function(shadow_project(X, f, w))
+        surface = fit_link_function(X, f, w)
         np.testing.assert_allclose(surface.model.hessian, hess, atol=1e-12)
         np.testing.assert_allclose(surface.model.linear, lin, atol=1e-12)
         assert surface.model.constant == pytest.approx(const, abs=1e-12)
@@ -99,14 +93,12 @@ def test_link_function_exact_quadratic():
 
 def test_link_function_failure_modes():
     X = sample(unit_box(3), 20, seed=6).matrix
-    tiny = shadow_project(X[:2], X[:2, 0], np.eye(3)[:, :1])
     with pytest.raises(ContractViolation):
-        fit_link_function(tiny)
+        fit_link_function(X[:2], X[:2, 0], np.eye(3)[:, :1])
     # four rows for three coefficients fit, with no SampleSizeWarning (an error here)
-    fit_link_function(shadow_project(X[:4], X[:4, 0], np.eye(3)[:, :1]))
-    flat = shadow_project(np.zeros((10, 3)), np.zeros(10), np.eye(3)[:, :1])
+    fit_link_function(X[:4], X[:4, 0], np.eye(3)[:, :1])
     with pytest.raises(IllPosedFitError):
-        fit_link_function(flat)
+        fit_link_function(np.zeros((10, 3)), np.zeros(10), np.eye(3)[:, :1])
 
 
 def test_cube_minimum_literal():
@@ -169,8 +161,8 @@ def _some_row_dominated(lift, drag) -> bool:
 def _scored_segment():
     w1, w2 = _orthopair()
     X = sample(unit_box(4), 120, seed=7).matrix
-    lift_surface = fit_link_function(shadow_project(X, X @ w1, w1))
-    drag_surface = fit_link_function(shadow_project(X, (X @ w2) ** 2, w2))
+    lift_surface = fit_link_function(X, X @ w1, w1)
+    drag_surface = fit_link_function(X, (X @ w2) ** 2, w2)
     segment = pareto_segment(w1, w2, gamma_count=11)
     return segment, lift_surface, drag_surface
 
@@ -413,7 +405,7 @@ def test_export_surface_grid(tmp_path):
     X = sample(unit_box(4), 80, seed=10).matrix
     basis = np.eye(4)[:, :2]
     f = X[:, 0] + 2.0 * X[:, 1]
-    surface = fit_link_function(shadow_project(X, f, basis))
+    surface = fit_link_function(X, f, basis)
     path = tmp_path / "grid.dat"
     square = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])  # encloses the grid
     export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, square, n=5, meta={"k": 1})
@@ -426,7 +418,7 @@ def test_export_surface_grid(tmp_path):
     assert val == pytest.approx(surface.predict_active([[-1.0, -1.0]])[0], rel=1e-15)
     assert "nan" not in path.read_text()
 
-    one_d = fit_link_function(shadow_project(X, f, basis[:, :1]))
+    one_d = fit_link_function(X, f, basis[:, :1])
     with pytest.raises(ContractViolation):
         export_surface_grid(one_d, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", square)
     with pytest.raises(ContractViolation):
@@ -441,7 +433,7 @@ def test_export_surface_grid(tmp_path):
 def test_export_surface_grid_writes_nan_outside_the_region(tmp_path):
     X = sample(unit_box(4), 80, seed=10).matrix
     f = X[:, 0] + 2.0 * X[:, 1]
-    surface = fit_link_function(shadow_project(X, f, np.eye(4)[:, :2]))
+    surface = fit_link_function(X, f, np.eye(4)[:, :2])
     diamond = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     path = tmp_path / "grid.dat"
     export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, diamond, n=5)

@@ -298,7 +298,7 @@ def test_chain_recovers_seeded_quadratic(tmp_path, capsys):
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "200,100"),
      ("--schedule", "ascending"), "UsageError"),
     (("convergence", "--box", "unit:3", "--qoi", "quadratic", "--schedule", "0,100"),
-     ("at least 10", "got 0"), "ContractViolation"),
+     ("--schedule", "at least 1, got 0"), "UsageError"),
     (("convergence", "--box", "unit:4", "--qoi", "quadratic", "--schedule", "10,100"),
      ("at least 15", "got 10 from --schedule"), "ContractViolation"),
     (("run-all", "--box", "unit:4", "--qoi", "quadratic", "--n", "10"),

@@ -91,9 +91,14 @@ _RIDGE = ("run-all", "--box", "unit:3", "--qoi", "ridge")
     ((*_CONVERGENCE, "--schedule", ""), "argument --schedule: must be a comma list"),
     ((*_CONVERGENCE, "--schedule", "200,100"), "argument --schedule: must be a comma list"),
     ((*_CONVERGENCE, "--schedule", "100,100"), "argument --schedule: must be a comma list"),
+    ((*_CONVERGENCE, "--schedule", "0,10"), "argument --schedule: sizes must be at least 1, got 0"),
+    ((*_CONVERGENCE, "--schedule=-4,10"), "argument --schedule: sizes must be at least 1, got -4"),
     (("shadow", "--data", "x.csv", "--eigs", "e.json", "--dim", "3"),
      "argument --dim: invalid choice: 3"),
     (("sample", "--box", "unit:3", "--n", "0"), "argument --n: must be at least 1, got 0"),
+    ((*_RUN_ALL, "--n", "0"), "argument --n: must be at least 1, got 0"),
+    (("run-all", "--box", "unit:2", "--qoi", "ridge", "--n", "-4"),
+     "argument --n: must be at least 1, got -4"),
     (("shapes", "--parameterization", "cst", "--grid", "2"),
      "argument --grid: must be at least 3, got 2"),
     (("validate", "--parameterization", "parsec", "--grid", "2"),
@@ -133,8 +138,10 @@ _RIDGE = ("run-all", "--box", "unit:3", "--qoi", "ridge")
 ], ids=["bootstrap-nboot", "convergence-nboot", "run-all-nboot", "pareto-gammas",
         "pareto-grid-n", "run-all-gammas", "run-all-grid-n", "convergence-schedule-not-integer",
         "convergence-schedule-empty-field", "convergence-schedule-empty",
-        "convergence-schedule-descending", "convergence-schedule-repeated", "shadow-dim",
-        "sample-n", "shapes-grid", "validate-grid", "bootstrap-nboot-not-integer",
+        "convergence-schedule-descending", "convergence-schedule-repeated",
+        "convergence-schedule-zero", "convergence-schedule-negative", "shadow-dim",
+        "sample-n", "run-all-n-zero", "run-all-n-negative", "shapes-grid", "validate-grid",
+        "bootstrap-nboot-not-integer",
         "pareto-gammas-not-integer", "shadow-dim-not-integer", "box-unit-zero",
         "box-unit-not-integer", "qoi-unknown", "qoi-ridge-profile", "noise-std-negative",
         "noise-std-inf", "noise-std-nan", "evaluate-dataset", "evaluate-panel",
@@ -174,7 +181,7 @@ def test_public_name_inventory():
         "BasisKind", "BasisSpec", "BootstrapSummary",
         "Eigenpairs", "PanelSurrogate", "ParameterBox",
         "ParetoSegment", "QoiEvaluator", "QuadraticModel",
-        "ResponseSurface", "Ridge", "SampleSet", "ShadowData",
+        "ResponseSurface", "Ridge", "SampleSet",
         "SyntheticQuadratic", "bootstrap",
         "camber_lift", "choose_dimension", "class_function",
         "coefficient_count", "cst_surface", "cube_minimum", "denormalize", "derive_seed",

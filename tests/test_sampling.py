@@ -122,7 +122,6 @@ def test_sample_shape_range_determinism():
     s1 = sample(box, 50, seed=123)
     s2 = sample(box, 50, seed=123)
     assert s1.matrix.shape == (50, 5)
-    assert s1.seed == 123
     assert np.all(np.abs(s1.matrix) <= 1.0)
     np.testing.assert_array_equal(s1.matrix, s2.matrix)
     assert not np.array_equal(s1.matrix, sample(box, 50, seed=124).matrix)
