@@ -32,7 +32,7 @@ _EXPORTS = {
     "activesubspace": "BootstrapSummary Eigenpairs QuadraticModel bootstrap "
                       "choose_dimension coefficient_count eigendecompose fit_quadratic "
                       "gradient_outer_matrix quadratic_features subspace_distance",
-    "analysis": "ParetoSegment ResponseSurface cube_minimum fit_link_function "
+    "analysis": "ParetoSegment cube_minimum fit_link_function "
                 "inactive_sensitivity_check pareto_front pareto_segment shadow_project",
     "cst": "class_function cst_surface",
     "geometry": "BasisKind BasisSpec eval_shape eval_shape_t shape_derivative "

@@ -2,11 +2,11 @@
 
 Once an active basis W1 is in hand, ``shadow_project(X, W1)`` gives the
 shadow coordinates y = W1' x of the samples; ``fit_link_function(X, f, W1)``
-fits the link function, a quadratic in y, by the certified solve of
-``activesubspace.fit_quadratic`` that fits the model; and on the plane of
-two leading directions, designs in the cube that reach the zonotope
-Z = W'[-1, 1]^m are scored by the fitted surfaces, and the nondominated
-ones form the Pareto front.
+returns the link function, the ``QuadraticModel`` in y that the certified
+solve of ``activesubspace.fit_quadratic`` fits; and on the plane of two
+leading directions, ``pareto_segment`` builds candidate designs in the cube
+that reach the zonotope Z = W'[-1, 1]^m, and ``pareto_front`` keeps the
+nondominated ones by the lift and drag values their caller scored them with.
 """
 
 from __future__ import annotations
@@ -50,33 +50,12 @@ def write_shadow_csv(coords, f, path, meta=None):
                 np.column_stack([y, f]), meta)
 
 
-@dataclass(frozen=True, eq=False)
-class ResponseSurface:
-    """Quadratic link function g(y) over a fixed active basis."""
-
-    basis: np.ndarray
-    model: QuadraticModel
-
-    def predict_active(self, Y):
-        """Values at the rows of Y, or at the one point Y, in active coordinates."""
-        y = np.asarray(Y, dtype=float)
-        if (n := np.atleast_2d(y).shape[1]) != self.basis.shape[1]:
-            raise ContractViolation(f"expected {self.basis.shape[1]} active coordinates, got {n}")
-        return self.model.predict(y)
-
-    def predict(self, X):
-        """Values at the rows of X, or at the one design X, in the full coordinates."""
-        return self.predict_active(np.asarray(X, dtype=float) @ self.basis)
-
-
-def fit_link_function(X, f, basis) -> ResponseSurface:
+def fit_link_function(X, f, basis) -> QuadraticModel:
     """The quadratic in the ``shadow_project`` coordinates, by ``fit_quadratic``'s certified
     solve; the chain's model fit, with more coefficients, gives any sample-size warning."""
-    coords = shadow_project(X, basis)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleSizeWarning)
-        model = fit_quadratic(coords, f)
-    return ResponseSurface(basis=np.reshape(basis, (-1, coords.shape[1])), model=model)
+        return fit_quadratic(shadow_project(X, basis), f)
 
 
 def cube_minimum(w):
@@ -183,21 +162,15 @@ def pareto_segment(w1, w2, gamma_count: int = 101) -> ParetoSegment:
                          region=np.vstack([chains[0], chains[1][::-1]]) @ basis)
 
 
-def pareto_front(
-    segment: ParetoSegment,
-    lift_surface: ResponseSurface,
-    drag_surface: ResponseSurface,
-) -> ParetoSegment:
-    """One candidate per gamma: the least drag (most lift among ties) with lift
-    at least (1 - gamma) l0 + gamma lmax, where l0 is the least-drag candidate's
-    lift and lmax the greatest, so that no candidate dominates it."""
-    for surface in (lift_surface, drag_surface):
-        if surface.basis.shape[0] != segment.designs.shape[1]:
-            raise ContractViolation(
-                "response surface dimension does not match the segment designs"
-            )
-    lift = lift_surface.predict(segment.designs)
-    drag = drag_surface.predict(segment.designs)
+def pareto_front(segment: ParetoSegment, lift, drag) -> ParetoSegment:
+    """One candidate per gamma, from one lift and one drag value per candidate design:
+    the least drag (most lift among ties) with lift at least (1 - gamma) l0 + gamma lmax,
+    where l0 is the least-drag candidate's lift and lmax the greatest, so that no
+    candidate dominates it."""
+    lift, drag = np.asarray(lift, dtype=float), np.asarray(drag, dtype=float)
+    if (lift.shape != (len(segment.designs),) or drag.shape != lift.shape
+            or not (np.isfinite(lift).all() and np.isfinite(drag).all())):
+        raise ContractViolation("lift and drag need one finite value per segment design")
     order = np.argsort(-lift)  # most lift first; a level takes every candidate of a lift
     ranked = drag[order]
     record = np.r_[True, ranked[1:] < np.minimum.accumulate(ranked)[:-1]]
@@ -254,13 +227,13 @@ def inactive_sensitivity_check(basis, n: int, y_points, z_samples, evaluator):
     return np.where(counts > 0, spreads, np.nan), counts
 
 
-def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, region,
+def export_surface_grid(model: QuadraticModel, y_low, y_high, path, region,
                         n: int = 101, meta=None):
-    """Uniform n x n grid of a 2-D response surface, NaN outside ``region``, gnuplot layout."""
+    """Uniform n x n grid of a 2-D link function, NaN outside ``region``, gnuplot layout."""
     lo = np.asarray(y_low, dtype=float)
     hi = np.asarray(y_high, dtype=float)
-    if surface.basis.shape[1] != 2 or lo.shape != (2,) or hi.shape != (2,):
-        raise ContractViolation("grid export needs a 2-D surface and 2-vector bounds")
+    if model.dim != 2 or lo.shape != (2,) or hi.shape != (2,):
+        raise ContractViolation("grid export needs a 2-D link function and 2-vector bounds")
     if not np.all(lo < hi):
         raise ContractViolation("grid bounds must satisfy low < high")
     if n < 2:
@@ -271,7 +244,7 @@ def export_surface_grid(surface: ResponseSurface, y_low, y_high, path, region,
     step = max(1, _GRID_CHUNK_BYTES // (16 * n * len(region)))
     for start in range(0, n, step):
         points = grid[start:start + step, :, :2].reshape(-1, 2)
-        values = surface.predict_active(points)
+        values = model.predict(points)
         values[~in_polygon(region, points)] = np.nan
         grid[start:start + step, :, 2] = values.reshape(-1, n)
     write_table(path, "# columns: y1,y2,value", grid, meta)

@@ -292,11 +292,12 @@ def _pareto_artifacts(X1, f1, X2, f2, directions, args, out: Path,
                       meta_extra: dict) -> None:
     """Pareto artifacts on the plane of ``directions``, from ``_plane_directions``."""
     w1, w2, overlap = directions
-    lift_surface = analysis.fit_link_function(X1, f1, w1.reshape(-1, 1))
-    plane = np.column_stack([w1, w2])
-    drag_surface = analysis.fit_link_function(X2, f2, plane)
-    front = analysis.pareto_front(analysis.pareto_segment(w1, w2, gamma_count=args.gammas),
-                                  lift_surface, drag_surface)
+    column, plane = w1.reshape(-1, 1), np.column_stack([w1, w2])
+    lift = analysis.fit_link_function(X1, f1, column)
+    drag = analysis.fit_link_function(X2, f2, plane)
+    candidates = analysis.pareto_segment(w1, w2, gamma_count=args.gammas)
+    front = analysis.pareto_front(candidates, lift.predict(candidates.designs @ column),
+                                  drag.predict(candidates.coords))
     coords = X2 @ plane
     sampled = analysis.in_polygon(analysis.convex_hull(coords), front.coords)
     meta = _meta(args, overlap=f"{overlap:.17g}", n_feasible=int(front.feasible.sum()),
@@ -304,7 +305,7 @@ def _pareto_artifacts(X1, f1, X2, f2, directions, args, out: Path,
     analysis.write_pareto_csv(front, out / "pareto.csv", meta=meta)
     low, high = coords.min(axis=0), coords.max(axis=0)
     pad = np.where(high > low, 0.0, 0.5)
-    analysis.export_surface_grid(drag_surface, low - pad, high + pad,
+    analysis.export_surface_grid(drag, low - pad, high + pad,
                                  out / "pareto_grid.dat", front.region, n=args.grid_n,
                                  meta=meta)
     analysis.emit_pareto_gnuplot("pareto.csv", "pareto_grid.dat",

@@ -367,7 +367,9 @@ def test_criterion_11_pareto_front_on_the_builtin_boxes(capsys, reference_output
         X2, f2, _, _ = read_matrix_csv(out / "drag_evals.csv")
         lift = analysis.fit_link_function(X1, f1, w1[:, None])
         drag = analysis.fit_link_function(X2, f2, plane)
-        front = analysis.pareto_front(analysis.pareto_segment(w1, w2, 101), lift, drag)
+        candidates = analysis.pareto_segment(w1, w2, 101)
+        front = analysis.pareto_front(candidates, lift.predict(candidates.designs @ w1[:, None]),
+                                      drag.predict(candidates.coords))
         ok = ok and rows.shape == (101, 6) and bool(np.all(rows[:, 3] == 1.0))
         ok = ok and meta["n_feasible"] == "101" and int(meta["n_extrapolated"]) <= 101
         # the in-process rebuild writes the same rows, and their designs are exact
@@ -381,8 +383,8 @@ def test_criterion_11_pareto_front_on_the_builtin_boxes(capsys, reference_output
         ok = ok and not np.any(no_worse & better)
         # the ends of the front reach the surfaces' extremes over Z
         dense = _dense_zonotope(plane)
-        lift_dense = lift.predict_active(dense[:, :1])
-        drag_dense = drag.predict_active(dense)
+        lift_dense = lift.predict(dense[:, :1])
+        drag_dense = drag.predict(dense)
         ok = ok and dense.shape[0] >= 10**4
         ok = ok and abs(rows[:, 5].max() - lift_dense.max()) <= 1e-6 * np.ptp(lift_dense)
         ok = ok and abs(rows[:, 4].min() - drag_dense.min()) <= 1e-3 * np.ptp(drag_dense)

@@ -9,7 +9,6 @@ from activefoil import analysis
 from activefoil.activesubspace import QuadraticModel
 from activefoil.analysis import (
     ParetoSegment,
-    ResponseSurface,
     convex_hull,
     cube_minimum,
     emit_pareto_gnuplot,
@@ -77,18 +76,16 @@ def test_link_function_exact_quadratic():
         lin, const = rng.standard_normal(n), 2.0
         y = X @ w
         f = 0.5 * np.einsum("ij,jk,ik->i", y, hess, y) + y @ lin + const
-        surface = fit_link_function(X, f, w)
-        np.testing.assert_allclose(surface.model.hessian, hess, atol=1e-12)
-        np.testing.assert_allclose(surface.model.linear, lin, atol=1e-12)
-        assert surface.model.constant == pytest.approx(const, abs=1e-12)
-        assert surface.model.residual_rms < 1e-12
+        model = fit_link_function(X, f, w)
+        assert isinstance(model, QuadraticModel) and model.dim == n
+        np.testing.assert_allclose(model.hessian, hess, atol=1e-12)
+        np.testing.assert_allclose(model.linear, lin, atol=1e-12)
+        assert model.constant == pytest.approx(const, abs=1e-12)
+        assert model.residual_rms < 1e-12
 
-        # predictions agree between active and full coordinates
-        np.testing.assert_allclose(surface.predict(X), f, atol=1e-12)
-        np.testing.assert_allclose(surface.predict_active(y), f, atol=1e-12)
-        assert isinstance(surface.predict(X[0]), float)
-        with pytest.raises(ContractViolation, match=f"expected {n} active coordinates"):
-            surface.predict_active(np.zeros((2, n + 1)))
+        # the link is a quadratic in the shadow coordinates
+        np.testing.assert_allclose(model.predict(shadow_project(X, w)), f, atol=1e-12)
+        assert isinstance(model.predict(y[0]), float)
 
 
 def test_link_function_failure_modes():
@@ -159,17 +156,43 @@ def _some_row_dominated(lift, drag) -> bool:
 
 
 def _scored_segment():
+    """Candidates with the values of a lift link y1 and a drag link y2^2 at each."""
     w1, w2 = _orthopair()
     X = sample(unit_box(4), 120, seed=7).matrix
-    lift_surface = fit_link_function(X, X @ w1, w1)
-    drag_surface = fit_link_function(X, (X @ w2) ** 2, w2)
+    lift = fit_link_function(X, X @ w1, w1)
+    drag = fit_link_function(X, (X @ w2) ** 2, w2)
     segment = pareto_segment(w1, w2, gamma_count=11)
-    return segment, lift_surface, drag_surface
+    return (segment, lift.predict(shadow_project(segment.designs, w1)),
+            drag.predict(shadow_project(segment.designs, w2)))
+
+
+def test_pareto_front_selects_from_values():
+    # five candidates: 3 is dominated by 1 and 4 by 0 (same drag, less lift)
+    designs = np.eye(5)
+    segment = ParetoSegment(gamma=np.linspace(0.0, 1.0, 5), coords=designs[:, :2],
+                            designs=designs, feasible=np.ones(5, dtype=bool))
+    lift = np.array([1.0, 2.0, 3.0, 2.0, 0.5])
+    drag = np.array([1.0, 2.0, 4.0, 3.0, 1.0])
+    front = pareto_front(segment, lift, drag)
+    # levels 1, 1.5, 2, 2.5, 3 from l0 = 1 (least drag, most lift) to lmax = 3
+    rows = [0, 1, 1, 2, 2]
+    np.testing.assert_array_equal(front.designs, designs[rows])
+    np.testing.assert_array_equal(front.coords, designs[rows, :2])
+    np.testing.assert_array_equal(front.lift, lift[rows])
+    np.testing.assert_array_equal(front.drag, drag[rows])
+    np.testing.assert_array_equal(front.gamma, segment.gamma)
+    assert front.feasible.all() and front.region is None
+
+    for bad_lift, bad_drag in ((lift[:4], drag), (lift, drag[:4]), (lift[:4], drag[:4]),
+                               (lift[:, np.newaxis], drag), (np.r_[lift, 0.0], drag),
+                               (np.r_[lift[:4], np.nan], drag), (lift, np.r_[drag[:4], np.inf])):
+        with pytest.raises(ContractViolation, match="one finite value per segment design"):
+            pareto_front(segment, bad_lift, bad_drag)
 
 
 def test_pareto_front_scoring():
-    segment, lift_surface, drag_surface = _scored_segment()
-    scored = pareto_front(segment, lift_surface, drag_surface)
+    segment, lift, drag = _scored_segment()
+    scored = pareto_front(segment, lift, drag)
     assert scored.lift.shape == (11,) and scored.drag.shape == (11,)
     # the lift link is y1 itself and the drag link is y2^2
     np.testing.assert_allclose(scored.lift, scored.coords[:, 0], atol=1e-12)
@@ -180,24 +203,12 @@ def test_pareto_front_scoring():
     assert scored.drag[0] == pytest.approx(np.min(segment.coords[:, 1] ** 2), abs=1e-12)
     assert scored.lift[-1] == pytest.approx(np.sum(np.abs(_orthopair()[0])), abs=1e-12)
 
-    with pytest.raises(ContractViolation):
-        pareto_front(
-            ParetoSegment(
-                gamma=segment.gamma,
-                coords=segment.coords,
-                designs=segment.designs[:, :3],
-                feasible=segment.feasible,
-            ),
-            lift_surface,
-            drag_surface,
-        )
-
 
 def test_write_pareto_csv(tmp_path):
-    segment, lift_surface, drag_surface = _scored_segment()
+    segment, lift, drag = _scored_segment()
     with pytest.raises(ContractViolation):
         write_pareto_csv(segment, tmp_path / "nope.csv")
-    scored = pareto_front(segment, lift_surface, drag_surface)
+    scored = pareto_front(segment, lift, drag)
     path = tmp_path / "pareto.csv"
     write_pareto_csv(scored, path, meta={"seed": 7})
     lines = path.read_text().splitlines()
@@ -225,11 +236,12 @@ def test_pareto_front_is_feasible_exact_and_nondominated(m, seed, zero, parallel
     basis = np.linalg.qr(raw)[0]
     w1, w2 = basis.T
     hess = rng.standard_normal((2, 2))
-    lift = ResponseSurface(basis=w1[:, np.newaxis], model=QuadraticModel(
-        rng.standard_normal((1, 1)), rng.standard_normal(1), rng.standard_normal()))
-    drag = ResponseSurface(basis=basis, model=QuadraticModel(
-        hess + hess.T, rng.standard_normal(2), rng.standard_normal()))
-    front = pareto_front(pareto_segment(w1, w2, gamma_count=gammas), lift, drag)
+    lift = QuadraticModel(rng.standard_normal((1, 1)), rng.standard_normal(1),
+                          rng.standard_normal())
+    drag = QuadraticModel(hess + hess.T, rng.standard_normal(2), rng.standard_normal())
+    segment = pareto_segment(w1, w2, gamma_count=gammas)
+    front = pareto_front(segment, lift.predict(segment.designs @ w1[:, np.newaxis]),
+                         drag.predict(segment.coords))
     assert front.gamma.size == gammas
     assert front.designs.shape == (gammas, m) and front.lift.shape == front.drag.shape == (gammas,)
     assert front.feasible.all() and np.max(np.abs(front.designs)) <= 1.0 + 1e-12
@@ -405,44 +417,53 @@ def test_export_surface_grid(tmp_path):
     X = sample(unit_box(4), 80, seed=10).matrix
     basis = np.eye(4)[:, :2]
     f = X[:, 0] + 2.0 * X[:, 1]
-    surface = fit_link_function(X, f, basis)
+    model = fit_link_function(X, f, basis)
     path = tmp_path / "grid.dat"
     square = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])  # encloses the grid
-    export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, square, n=5, meta={"k": 1})
+    export_surface_grid(model, [-1.0, -1.0], [1.0, 1.0], path, square, n=5, meta={"k": 1})
     blocks = path.read_text().split("\n\n")
     assert len(blocks) == 5 + 1  # trailing newline after the last block
     head = blocks[0].splitlines()
     assert head[0] == "# k=1" and head[1] == "# columns: y1,y2,value"
     y1, y2, val = (float(s) for s in head[2].split(","))
     assert (y1, y2) == (-1.0, -1.0)
-    assert val == pytest.approx(surface.predict_active([[-1.0, -1.0]])[0], rel=1e-15)
+    assert val == pytest.approx(model.predict([[-1.0, -1.0]])[0], rel=1e-15)
     assert "nan" not in path.read_text()
 
-    one_d = fit_link_function(X, f, basis[:, :1])
     with pytest.raises(ContractViolation):
-        export_surface_grid(one_d, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", square)
-    with pytest.raises(ContractViolation):
-        export_surface_grid(surface, [1.0, -1.0], [-1.0, 1.0], tmp_path / "x.dat", square)
+        export_surface_grid(model, [1.0, -1.0], [-1.0, 1.0], tmp_path / "x.dat", square)
     for n in (0, 1):
         with pytest.raises(ContractViolation):
-            export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", square,
+            export_surface_grid(model, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", square,
                                 n=n)
+    assert not (tmp_path / "x.dat").exists()
+
+
+def test_export_surface_grid_refuses_a_link_that_is_not_2d(tmp_path):
+    X = sample(unit_box(4), 80, seed=10).matrix
+    f = X[:, 0] + 2.0 * X[:, 1]
+    square = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])
+    for model in (fit_link_function(X, f, np.eye(4)[:, :1]),
+                  fit_link_function(X, f, np.eye(4)[:, :3])):
+        assert model.dim != 2
+        with pytest.raises(ContractViolation, match="2-D link function"):
+            export_surface_grid(model, [-1.0, -1.0], [1.0, 1.0], tmp_path / "x.dat", square)
     assert not (tmp_path / "x.dat").exists()
 
 
 def test_export_surface_grid_writes_nan_outside_the_region(tmp_path):
     X = sample(unit_box(4), 80, seed=10).matrix
     f = X[:, 0] + 2.0 * X[:, 1]
-    surface = fit_link_function(X, f, np.eye(4)[:, :2])
+    model = fit_link_function(X, f, np.eye(4)[:, :2])
     diamond = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     path = tmp_path / "grid.dat"
-    export_surface_grid(surface, [-1.0, -1.0], [1.0, 1.0], path, diamond, n=5)
+    export_surface_grid(model, [-1.0, -1.0], [1.0, 1.0], path, diamond, n=5)
     cells = np.array([[float(v) for v in line.split(",")]
                       for line in path.read_text().splitlines() if line and line[0] != "#"])
     outside = np.abs(cells[:, 0]) + np.abs(cells[:, 1]) > 1.0
     assert outside.sum() == 12 and np.isnan(cells[outside, 2]).all()
     np.testing.assert_allclose(cells[~outside, 2],
-                               surface.predict_active(cells[~outside, :2]), rtol=1e-15)
+                               model.predict(cells[~outside, :2]), rtol=1e-15)
 
 
 def test_gnuplot_emitters(tmp_path):

@@ -181,7 +181,7 @@ def test_public_name_inventory():
         "BasisKind", "BasisSpec", "BootstrapSummary",
         "Eigenpairs", "PanelSurrogate", "ParameterBox",
         "ParetoSegment", "QoiEvaluator", "QuadraticModel",
-        "ResponseSurface", "Ridge", "SampleSet",
+        "Ridge", "SampleSet",
         "SyntheticQuadratic", "bootstrap",
         "camber_lift", "choose_dimension", "class_function",
         "coefficient_count", "cst_surface", "cube_minimum", "denormalize", "derive_seed",
